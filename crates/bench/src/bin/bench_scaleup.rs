@@ -16,7 +16,7 @@
 //! (and is reused if already present — CI caches it), else a temp dir.
 
 use graphbench_gen::rmat::{rmat_csr, RmatConfig};
-use graphbench_graph::{compact, disk, CsrGraph};
+use graphbench_graph::{disk, CsrGraph};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -37,8 +37,6 @@ struct Report {
     csr_bytes: u64,
     /// Offset width the compact layout chose (4 when `num_edges < 2³²`).
     offset_width_bytes: u64,
-    /// What the delta-varint adjacency option would occupy.
-    varint_adjacency_bytes: u64,
     /// Bytes a materialized edge list would have cost (the streaming
     /// generator never allocates this).
     edge_list_bytes_avoided: u64,
@@ -198,7 +196,6 @@ fn main() {
         compute_secs,
         csr_bytes: fresh.raw_bytes(),
         offset_width_bytes: fresh.offset_width(),
-        varint_adjacency_bytes: compact::varint_size(&fresh),
         edge_list_bytes_avoided: fresh.num_edges()
             * std::mem::size_of::<graphbench_graph::Edge>() as u64,
         file_bytes,

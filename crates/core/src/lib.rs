@@ -49,7 +49,6 @@ pub mod stats;
 pub mod system;
 pub mod viz;
 
-pub use graphbench_engines::shuffle::ShuffleMode;
 pub use paper::PaperEnv;
 pub use runner::{ExperimentSpec, RunRecord, Runner};
 pub use stats::{MultiRunRecord, Summary, Welford};

@@ -5,7 +5,6 @@ use crate::stats::MultiRunRecord;
 use crate::system::SystemId;
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
 use graphbench_algos::{Workload, WorkloadKind, WorkloadResult, UNREACHABLE};
-use graphbench_engines::shuffle::ShuffleMode;
 use graphbench_engines::EngineInput;
 use graphbench_gen::DatasetKind;
 use graphbench_obs::ObserverHub;
@@ -97,19 +96,14 @@ pub struct Runner {
     pub pr_tolerance: f64,
     /// Host threads for the parallel superstep executor. `None` keeps the
     /// process-wide setting (the `GRAPHBENCH_THREADS` environment variable,
-    /// defaulting to the available cores); `Some(1)` forces the legacy
-    /// serial path. Thread count never changes any simulated metric.
+    /// defaulting to the available cores); `Some(1)` forces the serial
+    /// path. Thread count never changes any simulated metric.
     pub threads: Option<usize>,
     /// Intra-machine sub-chunk size for the parallel executor. `None` keeps
     /// the process-wide setting (the `GRAPHBENCH_CHUNK` environment
     /// variable, defaulting to 4096). Chunk size never changes any
     /// simulated metric — see the chunk-invariance test suite.
     pub chunk: Option<usize>,
-    /// Message-shuffle data path for the BSP runtime. `None` keeps the
-    /// process-wide setting (the `GRAPHBENCH_SHUFFLE` environment variable,
-    /// defaulting to the radix path). Shuffle mode never changes any
-    /// simulated metric — both paths produce bit-identical records.
-    pub shuffle: Option<ShuffleMode>,
     /// Fault schedule injected into every run. `None` keeps the process-wide
     /// setting (the `GRAPHBENCH_FAULTS` environment variable, e.g.
     /// `"crash@120:m3; straggler@60+30:m1x2"`), which itself defaults to a
@@ -151,7 +145,6 @@ impl Runner {
             pr_tolerance: 1e-6,
             threads: None,
             chunk: None,
-            shuffle: None,
             faults: None,
             obs: None,
         }
@@ -196,9 +189,6 @@ impl Runner {
         }
         if let Some(c) = self.chunk {
             graphbench_engines::exec::set_chunk_size(c);
-        }
-        if let Some(s) = self.shuffle {
-            graphbench_engines::shuffle::set_mode(s);
         }
         let workload = self.workload_for(spec);
         let ds = self.env.prepare(spec.dataset);

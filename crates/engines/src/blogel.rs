@@ -30,7 +30,7 @@ use graphbench_algos::workload::PageRankConfig;
 use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
 use graphbench_graph::format::GraphFormat;
 use graphbench_graph::VertexId;
-use graphbench_partition::{BlockPartition, EdgeCutPartition, VoronoiConfig};
+use graphbench_partition::{BlockPartition, EdgeCutPartition, MachineId, VoronoiConfig};
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
 use std::collections::{HashMap, VecDeque};
 
@@ -338,7 +338,7 @@ fn block_wcc(
     cluster: &mut Cluster,
     input: &EngineInput<'_>,
     blocks: &BlockPartition,
-    machine_of: &[u32],
+    machine_of: &[MachineId],
     recovery: &mut Recovery,
 ) -> Result<Vec<VertexId>, SimError> {
     let machines = cluster.machines();
@@ -578,7 +578,7 @@ fn block_traversal(
     cluster: &mut Cluster,
     input: &EngineInput<'_>,
     blocks: &BlockPartition,
-    machine_of: &[u32],
+    machine_of: &[MachineId],
     source: VertexId,
     max_depth: u32,
     recovery: &mut Recovery,
@@ -805,7 +805,7 @@ fn block_pagerank(
     cluster: &mut Cluster,
     input: &EngineInput<'_>,
     blocks: &BlockPartition,
-    machine_of: &[u32],
+    machine_of: &[MachineId],
     pr: PageRankConfig,
     recovery: &mut Recovery,
 ) -> Result<Vec<f64>, SimError> {
@@ -977,7 +977,7 @@ fn block_pagerank(
 
 /// Adapt the block→machine placement into the vertex→machine form the BSP
 /// runtime consumes, reusing the flat table computed once per run.
-fn block_placement_as_edge_cut(machine_of: &[u32], machines: usize) -> EdgeCutPartition {
+fn block_placement_as_edge_cut(machine_of: &[MachineId], machines: usize) -> EdgeCutPartition {
     EdgeCutPartition::from_assignment(machine_of.to_vec(), machines)
 }
 

@@ -29,13 +29,11 @@
 //! addressed by fragment-local dense vertex ids
 //! ([`graphbench_partition::LocalIndex`]): outbox buckets are combined
 //! through epoch-tagged slot arrays, inboxes are grouped by local id via
-//! counting, and each vertex's messages are an O(1) table slice. The
-//! legacy sort-and-search path stays available as `GRAPHBENCH_SHUFFLE=sort`
-//! and is bit-for-bit equivalent in everything the simulation observes.
+//! counting, and each vertex's messages are an O(1) table slice.
 
 use crate::exec;
 use crate::recovery::{Recovery, RecoveryModel};
-use crate::shuffle::{self, Combiner, Inbox, ShuffleMode};
+use crate::shuffle::{Combiner, Inbox};
 use graphbench_graph::{CsrGraph, VertexId};
 use graphbench_partition::{EdgeCutPartition, LocalIndex};
 use graphbench_sim::{Cluster, SimError};
@@ -188,8 +186,8 @@ struct Shard<V, M> {
     /// Per-sub-chunk outbox/send scratch (see [`compute_superstep`]),
     /// grown on first use and pooled between supersteps.
     chunk_scratch: Vec<ChunkScratch<M>>,
-    /// Sender-side combining scratch (radix mode), shared by all of this
-    /// shard's outbox buckets via epoch tags.
+    /// Sender-side combining scratch, shared by all of this shard's outbox
+    /// buckets via epoch tags.
     comb: Combiner<M>,
 }
 
@@ -293,7 +291,6 @@ impl<V: Clone, M: Copy> BspCheckpoint<V, M> {
 /// unsplit loop pushed in — then sender-side combining runs as before.
 /// Counter merges are u64 sums and `max` folds in chunk order, so every
 /// simulated metric is bit-identical at any chunk size and thread count.
-#[allow(clippy::too_many_arguments)]
 fn compute_superstep<P: VertexProgram>(
     shards: &mut [Shard<P::Value, P::Msg>],
     inboxes: &[Inbox<P::Msg>],
@@ -302,7 +299,6 @@ fn compute_superstep<P: VertexProgram>(
     p: &P,
     superstep: u64,
     combinable_now: bool,
-    mode: ShuffleMode,
 ) -> Vec<ShardStep> {
     let machines = shards.len();
     let chunk = exec::chunk_size();
@@ -349,10 +345,9 @@ fn compute_superstep<P: VertexProgram>(
         let mut any_ran = false;
         let mut agg_max = 0.0f64;
         for (k, &v) in task.verts.iter().enumerate() {
-            // This vertex's message slice: an O(1) offset-table read in
-            // radix mode, a binary search in sort mode. `base + k` is the
-            // vertex's fragment-local id.
-            let msgs = inbox.msgs_of(task.base + k as u32, v);
+            // This vertex's message slice: an O(1) offset-table read.
+            // `base + k` is the vertex's fragment-local id.
+            let msgs = inbox.msgs_of(task.base + k as u32);
             let has_msgs = !msgs.is_empty();
             if !task.active[k] && !has_msgs {
                 continue;
@@ -416,7 +411,7 @@ fn compute_superstep<P: VertexProgram>(
     }
 
     // Stage 2: per-machine outbox assembly and sender-side combining.
-    exec::run_machines(shards, |_, shard| {
+    exec::run_chunks(shards, |_, shard| {
         let Shard { out, chunk_scratch, comb, .. } = shard;
         for buf in out.iter_mut() {
             buf.clear();
@@ -427,26 +422,17 @@ fn compute_superstep<P: VertexProgram>(
                 buf.clear();
             }
         }
-        // Sender-side combining per destination machine. Both modes
-        // fold each target's messages in arrival order, so combined
-        // values (f64 included) are bit-identical.
+        // Sender-side combining per destination machine: each target's
+        // messages fold in arrival order, so combined values (f64 included)
+        // do not depend on chunk boundaries.
         if combinable_now {
-            match mode {
-                ShuffleMode::Sort => {
-                    for buf in out.iter_mut() {
-                        shuffle::sort_combine_in_place(buf, |a, b| p.combine(a, b));
-                    }
-                }
-                ShuffleMode::Radix => {
-                    for (dst, buf) in out.iter_mut().enumerate() {
-                        comb.combine_bucket(
-                            li.num_locals(dst),
-                            |t| li.local_of(t),
-                            buf,
-                            |a, b| p.combine(a, b),
-                        );
-                    }
-                }
+            for (dst, buf) in out.iter_mut().enumerate() {
+                comb.combine_bucket(
+                    li.num_locals(dst),
+                    |t| li.local_of(t),
+                    buf,
+                    |a, b| p.combine(a, b),
+                );
             }
         }
     });
@@ -464,7 +450,7 @@ fn deliver_superstep<P: VertexProgram>(
     combinable_now: bool,
     msg_mem: u64,
 ) -> Vec<u64> {
-    exec::run_machines(inboxes, |dst, inbox| {
+    exec::run_chunks(inboxes, |dst, inbox| {
         inbox.deliver(
             shards.iter().map(|s| s.out[dst].as_slice()),
             |t| li.local_of(t),
@@ -492,7 +478,6 @@ pub fn run_bsp<P: VertexProgram>(
     assert_eq!(part.machines(), machines, "partition and cluster disagree");
     let msg_mem = cluster.profile().bytes_per_message;
     let wire = prog.wire_bytes() + 4;
-    let mode = shuffle::mode();
     // Global↔local vertex id tables, built once: one lookup per send in
     // the hot loop, and the dense address space the radix shuffle files
     // messages under.
@@ -505,7 +490,6 @@ pub fn run_bsp<P: VertexProgram>(
         init_states.push(Some(s));
         init_active.push(a);
     }
-    let comb_slots = if mode == ShuffleMode::Radix { li.max_locals() } else { 0 };
     let mut shards: Vec<Shard<P::Value, P::Msg>> = (0..machines)
         .map(|m| {
             // The fragment is ascending by global id, so the vertex at
@@ -523,7 +507,7 @@ pub fn run_bsp<P: VertexProgram>(
                 active,
                 out: (0..machines).map(|_| Vec::new()).collect(),
                 chunk_scratch: Vec::new(),
-                comb: Combiner::with_capacity(comb_slots),
+                comb: Combiner::with_capacity(li.max_locals()),
             }
         })
         .collect();
@@ -533,7 +517,7 @@ pub fn run_bsp<P: VertexProgram>(
     // the shards so delivery can read every shard's outboxes while writing
     // one inbox.
     let mut inboxes: Vec<Inbox<P::Msg>> =
-        (0..machines).map(|m| Inbox::new(mode, li.num_locals(m))).collect();
+        (0..machines).map(|m| Inbox::new(li.num_locals(m))).collect();
     let mut inbox_bytes = vec![0u64; machines];
     // Per-superstep counter vectors, allocated once and overwritten.
     let mut ops = vec![0.0f64; machines];
@@ -566,7 +550,7 @@ pub fn run_bsp<P: VertexProgram>(
         // Label before the host work so its wallclock spans carry it.
         cluster.set_label("superstep");
         let steps: Vec<ShardStep> =
-            compute_superstep(&mut shards, &inboxes, &li, g, p, supersteps, combinable_now, mode);
+            compute_superstep(&mut shards, &inboxes, &li, g, p, supersteps, combinable_now);
 
         // Merge shard reports in machine-index order.
         let mut any_ran = false;
@@ -609,8 +593,8 @@ pub fn run_bsp<P: VertexProgram>(
         // source order and groups them per vertex — receiver-side combining
         // keeps one entry per distinct target (without a combiner every
         // message is buffered — the WCC discovery superstep's memory spike,
-        // §5.8). Radix mode counts messages into per-local-id groups and
-        // records an offset table; sort mode stable-sorts by target.
+        // §5.8): messages are counted into per-local-id groups behind an
+        // offset table.
         let delivered: Vec<u64> =
             deliver_superstep(&mut inboxes, &shards, &li, p, combinable_now, msg_mem);
         inbox_bytes.copy_from_slice(&delivered);
@@ -679,7 +663,7 @@ pub fn run_bsp<P: VertexProgram>(
                 ckpt.restore(&mut shards, &mut inboxes);
                 for r in ckpt.superstep..supersteps {
                     let c = p.combinable(r);
-                    compute_superstep(&mut shards, &inboxes, &li, g, p, r, c, mode);
+                    compute_superstep(&mut shards, &inboxes, &li, g, p, r, c);
                     deliver_superstep(&mut inboxes, &shards, &li, p, c, msg_mem);
                 }
             }
@@ -846,28 +830,10 @@ mod tests {
         crate::exec::set_threads(1);
     }
 
-    #[test]
-    fn shuffle_modes_are_bit_identical() {
-        // The tentpole contract: the radix and sort shuffles differ only
-        // in host-side data structures — states, simulated clock, memory
-        // peaks, and network totals are bit-for-bit equal.
-        let _guard = crate::shuffle::TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        crate::shuffle::set_mode(ShuffleMode::Sort);
-        let (states_s, steps_s, cluster_s) = run_maxprop(4);
-        crate::shuffle::set_mode(ShuffleMode::Radix);
-        let (states_r, steps_r, cluster_r) = run_maxprop(4);
-        assert_eq!(states_s, states_r);
-        assert_eq!(steps_s, steps_r);
-        assert_eq!(cluster_s.elapsed().to_bits(), cluster_r.elapsed().to_bits());
-        assert_eq!(cluster_s.mem_peaks(), cluster_r.mem_peaks());
-        assert_eq!(cluster_s.total_net_bytes(), cluster_r.total_net_bytes());
-        assert_eq!(cluster_s.total_messages(), cluster_r.total_messages());
-    }
-
     /// Folds every incoming payload into the vertex value with an
     /// order-sensitive hash — any difference in per-vertex inbox contents
-    /// or arrival order between the shuffle modes changes the final states.
-    /// Not combinable, so the counting delivery carries every message.
+    /// or arrival order changes the final states. Not combinable, so the
+    /// counting delivery carries every message.
     struct TraceInbox {
         rounds: u64,
     }
@@ -916,7 +882,7 @@ mod tests {
     }
 
     #[test]
-    fn per_vertex_inbox_contents_identical_across_modes() {
+    fn per_vertex_inbox_contents_identical_across_threads_and_chunks() {
         // Fan-in heavy graph: several sources per target, spread over
         // machines, so inboxes hold multi-message groups from multiple
         // senders.
@@ -934,8 +900,9 @@ mod tests {
             (3, 5),
             (5, 0),
         ]);
-        let run = |mode: ShuffleMode| {
-            crate::shuffle::set_mode(mode);
+        let run = |threads: usize, chunk: usize| {
+            crate::exec::set_threads(threads);
+            crate::exec::set_chunk_size(chunk);
             let part = EdgeCutPartition::random(6, 3, 2);
             let mut cluster =
                 Cluster::new(ClusterSpec::r3_xlarge(3, 1 << 30), CostProfile::cpp_mpi());
@@ -943,11 +910,12 @@ mod tests {
                 .unwrap()
                 .states
         };
-        let _guard = crate::shuffle::TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let sorted = run(ShuffleMode::Sort);
-        let radix = run(ShuffleMode::Radix);
-        crate::shuffle::set_mode(ShuffleMode::Radix);
-        assert_eq!(sorted, radix);
+        let _guard = crate::exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let serial = run(1, 4096);
+        let split = run(4, 1);
+        crate::exec::set_threads(1);
+        crate::exec::set_chunk_size(4096);
+        assert_eq!(serial, split);
     }
 
     fn run_maxprop_with_faults(

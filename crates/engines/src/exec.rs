@@ -1,17 +1,19 @@
-//! Deterministic parallel executor: fan per-machine shard work across real
-//! host threads.
+//! Deterministic parallel executor: fan independent tasks across real host
+//! threads.
 //!
-//! Every engine in this crate iterates over simulated machines inside its
-//! superstep / iteration hot loop. Those per-machine bodies are independent
-//! by construction (shared-nothing semantics), so they can run on separate
-//! host threads — as long as the *results* are merged in a fixed order.
+//! Every engine in this crate iterates over simulated machines — or over
+//! sub-chunks of one machine's vertex range — inside its superstep /
+//! iteration hot loop. Those bodies are independent by construction
+//! (shared-nothing semantics), so they can run on separate host threads — as
+//! long as the *results* are merged in a fixed order. A machine is a task
+//! like any other: [`run_chunks`] is the only entry point.
 //!
 //! The contract this module enforces:
 //!
-//! * each worker computes an independent per-machine result struct (ops,
-//!   outboxes, partial accumulators, message counts);
-//! * the coordinator receives results tagged with their machine index and
-//!   merges them in ascending machine order, regardless of which thread
+//! * each task computes an independent result struct (ops, outboxes,
+//!   partial accumulators, message counts);
+//! * the coordinator receives results tagged with their task index and
+//!   merges them in ascending index order, regardless of which thread
 //!   finished first;
 //! * the serial path (`threads() == 1`) runs the *identical*
 //!   partial-then-merge computation, so thread count cannot change any
@@ -20,10 +22,10 @@
 //!
 //! Thread count resolution order: [`set_threads`] (the `Runner` field) >
 //! `GRAPHBENCH_THREADS` env var > `std::thread::available_parallelism()`.
-//! `1` selects the legacy serial path (no threads are spawned at all).
+//! `1` selects the serial path (no threads are spawned at all).
 //!
-//! Implementation note: scoped threads let workers borrow per-machine
-//! scratch buffers without `Arc`/cloning. `std::thread::scope` (stable since
+//! Implementation note: scoped threads let workers borrow task scratch
+//! buffers without `Arc`/cloning. `std::thread::scope` (stable since
 //! Rust 1.63) supersedes the `crossbeam::thread::scope` API DESIGN.md
 //! originally planned for, with identical semantics and one less dependency
 //! on the hot path.
@@ -74,7 +76,7 @@ fn resolve_threads() -> usize {
     }
 }
 
-/// Host threads the executor fans machine shards across.
+/// Host threads the executor fans tasks across.
 pub fn threads() -> usize {
     match THREADS.load(Ordering::Relaxed) {
         0 => {
@@ -89,7 +91,7 @@ pub fn threads() -> usize {
 }
 
 /// Override the thread count (e.g. from `Runner::threads`). `1` forces the
-/// legacy serial path. Values are clamped to at least 1.
+/// serial path. Values are clamped to at least 1.
 pub fn set_threads(n: usize) {
     THREADS.store(n.max(1), Ordering::Relaxed);
 }
@@ -194,15 +196,18 @@ pub fn uniform_spans(len: usize, chunk_items: usize) -> Vec<(usize, usize)> {
 /// Run `f(task_index, &mut tasks[task_index])` for every task and collect
 /// the results **in task-index order**.
 ///
-/// The intra-machine counterpart of [`run_machines`]: one simulated
-/// machine's vertex range is split into many sub-chunk tasks, so a
-/// fragment that dominates the superstep no longer serializes it. Unlike
-/// `run_machines`' round-robin deal, tasks are claimed *dynamically* from a
-/// shared atomic counter — chunk workloads are skewed (power-law fragments)
-/// and static assignment would recreate the imbalance this exists to fix.
-/// Dynamic claiming is safe for determinism because each task's result is
-/// written into its index slot and the caller merges slots in index order;
-/// which thread ran a task is unobservable.
+/// A task is whatever the caller carved: a whole simulated machine, or one
+/// sub-chunk of a machine's vertex range, so a fragment that dominates the
+/// superstep does not serialize it. With one thread (or at most one task)
+/// this is a plain serial loop — no thread is spawned. Otherwise tasks are
+/// claimed *dynamically* from a shared atomic counter — chunk workloads are
+/// skewed (power-law fragments) and a static deal would recreate the
+/// imbalance this exists to fix. Dynamic claiming is safe for determinism
+/// because each task's result is written into its index slot and the caller
+/// merges slots in index order; which thread ran a task is unobservable.
+///
+/// Host-wallclock tracing (the `--trace` Perfetto export) times each closure
+/// with `Instant` pairs; the disabled fast path is one relaxed atomic load.
 pub fn run_chunks<T, R, F>(tasks: &mut [T], f: F) -> Vec<R>
 where
     T: Send,
@@ -273,90 +278,6 @@ where
     slots.into_iter().map(|r| r.expect("worker skipped a chunk")).collect()
 }
 
-/// Run `f(machine_index, &mut scratch[machine_index])` for every machine and
-/// collect the results **in machine-index order**.
-///
-/// With one thread (or one machine) this is a plain serial loop — no thread
-/// is spawned. With `t > 1` threads, machines are dealt round-robin to `t`
-/// workers on scoped host threads; each worker returns `(machine, result)`
-/// pairs and the coordinator writes them into an index-ordered slot vector.
-/// Scheduling is the only thing the thread count changes.
-pub fn run_machines<S, R, F>(scratch: &mut [S], f: F) -> Vec<R>
-where
-    S: Send,
-    R: Send,
-    F: Fn(usize, &mut S) -> R + Sync,
-{
-    let n = scratch.len();
-    let t = threads().min(n);
-    // Host-wallclock tracing (the `--trace` Perfetto export) times each
-    // closure with `Instant` pairs; the disabled fast path is one relaxed
-    // atomic load.
-    let tracing = hosttrace::enabled();
-    if t <= 1 {
-        return scratch
-            .iter_mut()
-            .enumerate()
-            .map(|(m, s)| {
-                if tracing {
-                    let t0 = Instant::now();
-                    let r = f(m, s);
-                    hosttrace::record(0, t0);
-                    r
-                } else {
-                    f(m, s)
-                }
-            })
-            .collect();
-    }
-    let mut buckets: Vec<Vec<(usize, &mut S)>> = (0..t).map(|_| Vec::new()).collect();
-    for (m, s) in scratch.iter_mut().enumerate() {
-        buckets[m % t].push((m, s));
-    }
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .enumerate()
-            .map(|(worker, bucket)| {
-                let f = &f;
-                scope.spawn(move || {
-                    bucket
-                        .into_iter()
-                        .map(|(m, s)| {
-                            if tracing {
-                                let t0 = Instant::now();
-                                let r = f(m, s);
-                                hosttrace::record(worker, t0);
-                                (m, r)
-                            } else {
-                                (m, f(m, s))
-                            }
-                        })
-                        .collect::<Vec<(usize, R)>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            for (m, r) in h.join().expect("executor worker panicked") {
-                slots[m] = Some(r);
-            }
-        }
-    });
-    slots.into_iter().map(|r| r.expect("worker skipped a machine")).collect()
-}
-
-/// [`run_machines`] without per-machine scratch: run `f(machine)` for
-/// `0..machines` and collect results in machine order.
-pub fn for_machines<R, F>(machines: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let mut units = vec![(); machines];
-    run_machines(&mut units, |m, _| f(m))
-}
-
 /// Serializes tests that flip the process-global thread count; cargo runs
 /// tests concurrently, so unsynchronized `set_threads` calls would race.
 #[cfg(test)]
@@ -365,42 +286,6 @@ pub(crate) static TEST_THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::ne
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn results_arrive_in_machine_order() {
-        let mut scratch = vec![0u64; 17];
-        let out = run_machines(&mut scratch, |m, s| {
-            *s = m as u64 + 1;
-            m * m
-        });
-        assert_eq!(out, (0..17).map(|m| m * m).collect::<Vec<_>>());
-        assert_eq!(scratch, (1..=17).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn serial_and_parallel_agree() {
-        let _guard = TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let work = |m: usize, s: &mut Vec<u64>| -> u64 {
-            s.clear();
-            s.extend((0..100).map(|i| (m as u64 * 31 + i) % 97));
-            s.iter().sum()
-        };
-        set_threads(1);
-        let mut scratch_a: Vec<Vec<u64>> = vec![Vec::new(); 13];
-        let serial = run_machines(&mut scratch_a, work);
-        set_threads(4);
-        let mut scratch_b: Vec<Vec<u64>> = vec![Vec::new(); 13];
-        let parallel = run_machines(&mut scratch_b, work);
-        set_threads(1);
-        assert_eq!(serial, parallel);
-        assert_eq!(scratch_a, scratch_b);
-    }
-
-    #[test]
-    fn for_machines_covers_every_index() {
-        let out = for_machines(5, |m| m + 10);
-        assert_eq!(out, vec![10, 11, 12, 13, 14]);
-    }
 
     #[test]
     fn set_threads_clamps_to_one() {
@@ -412,16 +297,27 @@ mod tests {
 
     #[test]
     fn chunk_results_arrive_in_task_order() {
+        // Results *and* mutated scratch come back in index order at any
+        // thread count, with fewer tasks than threads and with none at all.
         let _guard = TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let fill = |i: usize| -> Vec<u64> { (0..100).map(|k| (i as u64 * 31 + k) % 97).collect() };
         for t in [1, 3, 8] {
             set_threads(t);
-            let mut tasks: Vec<u64> = (0..53).collect();
-            let out = run_chunks(&mut tasks, |i, task| {
-                *task += 1;
-                i as u64 * 3
-            });
-            assert_eq!(out, (0..53).map(|i| i * 3).collect::<Vec<_>>(), "t = {t}");
-            assert_eq!(tasks, (1..=53).collect::<Vec<_>>(), "t = {t}");
+            for n in [0usize, 1, 2, 5, 13, 17, 53] {
+                let mut scratch: Vec<Vec<u64>> = vec![Vec::new(); n];
+                let out = run_chunks(&mut scratch, |i, s| {
+                    s.extend(fill(i));
+                    s.iter().sum::<u64>() + i as u64 * 3
+                });
+                let want_scratch: Vec<Vec<u64>> = (0..n).map(fill).collect();
+                let want: Vec<u64> = want_scratch
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| s.iter().sum::<u64>() + i as u64 * 3)
+                    .collect();
+                assert_eq!(out, want, "t = {t}, n = {n}");
+                assert_eq!(scratch, want_scratch, "t = {t}, n = {n}");
+            }
         }
         set_threads(1);
     }

@@ -485,7 +485,6 @@ fn pagerank_step(
     ops: &mut [f64],
     pg: &mut PrGather,
 ) -> f64 {
-    let n = ranks.len();
     let edges_by_machine = &ctx.edges_by_machine;
     let ranks_r: &[f64] = ranks;
     struct GatherTask<'t> {
@@ -527,27 +526,7 @@ fn pagerank_step(
             *acc += p;
         }
     }
-    // Chunked apply over disjoint rank windows; the per-chunk max deltas
-    // fold in chunk order (f64 max over non-negative values is exact).
-    let mut atasks: Vec<(usize, &mut [f64])> = Vec::new();
-    let mut rest: &mut [f64] = ranks;
-    for &(s, e) in &exec::uniform_spans(n, exec::chunk_size()) {
-        let (window, tail) = rest.split_at_mut(e - s);
-        atasks.push((s, window));
-        rest = tail;
-    }
-    let incoming_r: &[f64] = incoming;
-    let deltas = exec::run_chunks(&mut atasks, |_, t| {
-        let base = t.0;
-        let mut md = 0.0f64;
-        for (i, r) in t.1.iter_mut().enumerate() {
-            let new = cfg.damping + (1.0 - cfg.damping) * incoming_r[base + i];
-            md = md.max((new - *r).abs());
-            *r = new;
-        }
-        md
-    });
-    deltas.into_iter().fold(0.0f64, f64::max)
+    crate::util::pagerank_apply(ranks, incoming, cfg.damping)
 }
 
 fn spark_pagerank(

@@ -3,10 +3,9 @@
 //! The paper's Table 1 lists one fault-tolerance mechanism per system:
 //! Giraph/Pregel write global checkpoints and replay from the last one,
 //! Hadoop/HaLoop re-execute the failed tasks, GraphX recomputes lost RDD
-//! partitions from lineage, and Vertica restarts the query. Before this
-//! module each engine open-coded its mechanism around
-//! `Cluster::take_failure`; now every engine polls the same [`Recovery`]
-//! value at its barriers, so detection timing, journal labeling
+//! partitions from lineage, and Vertica restarts the query. Every engine
+//! polls the same [`Recovery`] value at its barriers (which drains
+//! `Cluster::take_crash`), so detection timing, journal labeling
 //! (`recovery` / `retry`), and registry accounting are uniform while the
 //! *cost formula* stays the mechanism's own.
 //!

@@ -1,11 +1,9 @@
 //! Zero-sort radix message shuffle.
 //!
-//! The BSP superstep used to comparison-sort every machine's outbox and
-//! inbox by target vertex and binary-search the inbox per vertex —
-//! O(m·log m) host work and fresh sort allocations each superstep for what
-//! is structurally a counting problem. This module replaces that path with
-//! a radix-bucketed one addressed by *fragment-local dense vertex ids*
-//! (see `graphbench_partition::LocalIndex`):
+//! Grouping a superstep's messages by target vertex is structurally a
+//! counting problem, so nothing here comparison-sorts or binary-searches:
+//! the path is radix-bucketed and addressed by *fragment-local dense vertex
+//! ids* (see `graphbench_partition::LocalIndex`):
 //!
 //! * **sender-side combining** folds each outbox bucket through a dense
 //!   per-local-target slot array ([`Combiner`]) — epoch tags mark which
@@ -21,79 +19,16 @@
 //!   and [`Combiner::grows`] count reallocations so tests can assert the
 //!   steady state allocates nothing).
 //!
-//! The legacy path is kept behind `GRAPHBENCH_SHUFFLE=sort` (the default is
-//! `radix`). Both paths are *bit-for-bit equivalent* in everything the
-//! simulation observes: per-vertex inbox contents, combined values (f64
-//! combiners fold each target's messages in arrival order in both modes),
-//! message counts, bytes, journal events, and registry values. The sort
-//! path therefore uses a *stable* sort: grouping by target in arrival
-//! order — what the radix path produces structurally — is exactly what a
-//! stable sort by target yields.
+//! The invariant everything downstream rests on is *arrival order*: each
+//! target's messages are grouped (or folded, for combiners) in the order
+//! they arrived — sender chunks in index order, source machines in machine
+//! order — which is exactly what a stable sort by target would yield. f64
+//! combiners therefore fold bit-identically at any thread count and chunk
+//! size, and per-vertex inbox contents, message counts, bytes, journal
+//! events and registry values never depend on host scheduling.
 
 use crate::exec;
 use graphbench_graph::VertexId;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Once;
-
-/// Which shuffle data path the message-passing engines use. Host-side
-/// speed only: both modes produce identical simulated results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShuffleMode {
-    /// Radix-bucketed zero-sort path over fragment-local dense ids.
-    Radix,
-    /// Legacy path: stable-sort outboxes/inboxes by target vertex.
-    Sort,
-}
-
-/// Resolved mode: 0 = undetermined, 1 = radix, 2 = sort.
-static MODE: AtomicUsize = AtomicUsize::new(0);
-static WARN_BAD_MODE: Once = Once::new();
-
-fn parse_mode(raw: &str) -> Option<ShuffleMode> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "radix" => Some(ShuffleMode::Radix),
-        "sort" => Some(ShuffleMode::Sort),
-        _ => None,
-    }
-}
-
-fn resolve_mode() -> ShuffleMode {
-    match std::env::var("GRAPHBENCH_SHUFFLE") {
-        Ok(raw) => parse_mode(&raw).unwrap_or_else(|| {
-            WARN_BAD_MODE.call_once(|| {
-                eprintln!(
-                    "graphbench: GRAPHBENCH_SHUFFLE={raw:?} is neither \"radix\" nor \"sort\"; \
-                     using the default radix path"
-                );
-            });
-            ShuffleMode::Radix
-        }),
-        Err(_) => ShuffleMode::Radix,
-    }
-}
-
-/// The active shuffle mode: whatever [`set_mode`] chose, else
-/// `GRAPHBENCH_SHUFFLE` (`radix`/`sort`), else radix.
-pub fn mode() -> ShuffleMode {
-    match MODE.load(Ordering::Relaxed) {
-        1 => ShuffleMode::Radix,
-        2 => ShuffleMode::Sort,
-        _ => {
-            let m = resolve_mode();
-            MODE.store(if m == ShuffleMode::Radix { 1 } else { 2 }, Ordering::Relaxed);
-            m
-        }
-    }
-}
-
-/// Select the shuffle mode programmatically (overrides the environment;
-/// see `Runner::shuffle`).
-pub fn set_mode(m: ShuffleMode) {
-    MODE.store(if m == ShuffleMode::Radix { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-#[cfg(test)]
-pub(crate) static TEST_MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Chunk-parallel scatter of an ordered item sequence into per-destination
 /// buckets — the radix shuffle's sender side.
@@ -142,29 +77,6 @@ where
     }
 }
 
-/// The legacy combine: stable-sort by target, then fold adjacent equal
-/// targets left-to-right. Stability means each target's messages are folded
-/// in arrival order — the same fold the radix [`Combiner`] performs.
-pub fn sort_combine_in_place<M: Copy>(
-    buf: &mut Vec<(VertexId, M)>,
-    mut combine: impl FnMut(M, M) -> M,
-) {
-    if buf.len() <= 1 {
-        return;
-    }
-    buf.sort_by_key(|&(t, _)| t);
-    let mut w = 0usize;
-    for i in 0..buf.len() {
-        if w > 0 && buf[w - 1].0 == buf[i].0 {
-            buf[w - 1].1 = combine(buf[w - 1].1, buf[i].1);
-        } else {
-            buf[w] = buf[i];
-            w += 1;
-        }
-    }
-    buf.truncate(w);
-}
-
 /// Epoch-tagged dense combiner slots, one per fragment-local target id.
 ///
 /// `combine_bucket` folds an outbox bucket per target without sorting:
@@ -210,9 +122,10 @@ impl<M: Copy> Combiner<M> {
 
     /// Combine `buf`'s messages per target, in place and without sorting.
     /// Each target's messages fold left-to-right in arrival order — the
-    /// value [`sort_combine_in_place`] would produce — and the surviving
-    /// entries come out in first-touch order (which downstream consumers
-    /// never observe: only counts and per-target values matter).
+    /// value a stable sort by target followed by an adjacent fold would
+    /// produce — and the surviving entries come out in first-touch order
+    /// (which downstream consumers never observe: only counts and
+    /// per-target values matter).
     pub fn combine_bucket(
         &mut self,
         n_locals: usize,
@@ -257,22 +170,16 @@ impl<M: Copy> Combiner<M> {
     }
 }
 
-/// One machine's inbox, with the shuffle mode baked in.
+/// One machine's inbox.
 ///
-/// In `Sort` mode this is the legacy buffer: messages are concatenated and
-/// stable-sorted by target, and `msgs_of` binary-searches. In `Radix` mode
-/// messages are grouped by fragment-local id via two-pass counting (or a
-/// single combining pass) and `msgs_of` is one offset-table read. Both
-/// modes expose identical per-vertex message slices.
+/// Messages are grouped by fragment-local id via two-pass counting (or a
+/// single combining pass) and `msgs_of` is one offset-table read.
 #[derive(Debug, Clone)]
 pub struct Inbox<M> {
-    mode: ShuffleMode,
-    /// Messages for this machine; radix mode keeps them grouped by local
-    /// id, sort mode keeps them sorted by (global) target.
+    /// Messages for this machine, grouped by local id.
     items: Vec<(VertexId, M)>,
-    // Radix tables over this machine's fragment-local ids (empty in sort
-    // mode). A local id's table entries are valid iff its stamp equals the
-    // current epoch.
+    // Tables over this machine's fragment-local ids. A local id's table
+    // entries are valid iff its stamp equals the current epoch.
     stamp: Vec<u32>,
     start: Vec<u32>,
     count: Vec<u32>,
@@ -287,15 +194,13 @@ pub struct Inbox<M> {
 
 impl<M: Copy> Inbox<M> {
     /// Inbox for a machine owning `n_locals` vertices.
-    pub fn new(mode: ShuffleMode, n_locals: usize) -> Inbox<M> {
-        let tables = if mode == ShuffleMode::Radix { n_locals } else { 0 };
+    pub fn new(n_locals: usize) -> Inbox<M> {
         Inbox {
-            mode,
             items: Vec::new(),
-            stamp: vec![0; tables],
-            start: vec![0; tables],
-            count: vec![0; tables],
-            cursor: vec![0; tables],
+            stamp: vec![0; n_locals],
+            start: vec![0; n_locals],
+            count: vec![0; n_locals],
+            cursor: vec![0; n_locals],
             touched: Vec::new(),
             val: Vec::new(),
             epoch: 0,
@@ -318,24 +223,15 @@ impl<M: Copy> Inbox<M> {
         self.grows
     }
 
-    /// Messages addressed to the vertex with fragment-local id `l` and
-    /// global id `v`. O(1) in radix mode, binary search in sort mode.
-    pub fn msgs_of(&self, l: u32, v: VertexId) -> &[(VertexId, M)] {
-        match self.mode {
-            ShuffleMode::Sort => {
-                let lo = self.items.partition_point(|&(t, _)| t < v);
-                let hi = self.items.partition_point(|&(t, _)| t <= v);
-                &self.items[lo..hi]
-            }
-            ShuffleMode::Radix => {
-                let l = l as usize;
-                if self.stamp[l] != self.epoch {
-                    return &[];
-                }
-                let s = self.start[l] as usize;
-                &self.items[s..s + self.count[l] as usize]
-            }
+    /// Messages addressed to the vertex with fragment-local id `l`: one
+    /// offset-table read.
+    pub fn msgs_of(&self, l: u32) -> &[(VertexId, M)] {
+        let l = l as usize;
+        if self.stamp[l] != self.epoch {
+            return &[];
         }
+        let s = self.start[l] as usize;
+        &self.items[s..s + self.count[l] as usize]
     }
 
     /// Replace this inbox's contents with the messages in `sources`
@@ -352,21 +248,10 @@ impl<M: Copy> Inbox<M> {
         S: Iterator<Item = &'a [(VertexId, M)]> + Clone,
         M: 'a,
     {
-        match self.mode {
-            ShuffleMode::Sort => {
-                self.items.clear();
-                for src in sources {
-                    self.items.extend_from_slice(src);
-                }
-                if combinable {
-                    sort_combine_in_place(&mut self.items, combine);
-                } else {
-                    // Stable: equal targets stay in arrival order.
-                    self.items.sort_by_key(|&(t, _)| t);
-                }
-            }
-            ShuffleMode::Radix if combinable => self.deliver_combined(sources, local_of, combine),
-            ShuffleMode::Radix => self.deliver_counted(sources, local_of),
+        if combinable {
+            self.deliver_combined(sources, local_of, combine)
+        } else {
+            self.deliver_counted(sources, local_of)
         }
     }
 
@@ -487,14 +372,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn mode_parsing() {
-        assert_eq!(parse_mode("radix"), Some(ShuffleMode::Radix));
-        assert_eq!(parse_mode(" SORT \n"), Some(ShuffleMode::Sort));
-        assert_eq!(parse_mode("quick"), None);
-        assert_eq!(parse_mode(""), None);
-    }
-
     /// An order-sensitive, non-commutative fold: catches any deviation
     /// from arrival-order combining.
     fn fold(a: u64, b: u64) -> u64 {
@@ -512,8 +389,31 @@ mod tests {
         groups
     }
 
+    /// The combining oracle: stable-sort by target, then fold adjacent equal
+    /// targets left-to-right. Stability means each target's messages are folded
+    /// in arrival order — the fold the radix structures must reproduce.
+    fn sort_combine_in_place<M: Copy>(
+        buf: &mut Vec<(VertexId, M)>,
+        mut combine: impl FnMut(M, M) -> M,
+    ) {
+        if buf.len() <= 1 {
+            return;
+        }
+        buf.sort_by_key(|&(t, _)| t);
+        let mut w = 0usize;
+        for i in 0..buf.len() {
+            if w > 0 && buf[w - 1].0 == buf[i].0 {
+                buf[w - 1].1 = combine(buf[w - 1].1, buf[i].1);
+            } else {
+                buf[w] = buf[i];
+                w += 1;
+            }
+        }
+        buf.truncate(w);
+    }
+
     proptest! {
-        /// `Combiner::combine_bucket` and `sort_combine_in_place` agree on
+        /// `Combiner::combine_bucket` and the stable-sort oracle agree on
         /// the combined value of every target.
         #[test]
         fn combiner_matches_sorting_combine(
@@ -530,10 +430,11 @@ mod tests {
             prop_assert_eq!(sorted, radix_sorted);
         }
 
-        /// Radix and sort inboxes expose identical per-vertex message
-        /// slices, combining or not, across multiple source buckets.
+        /// The inbox exposes, per vertex, exactly the slice the stable-sort
+        /// oracle groups (or folds, when combining), across multiple
+        /// source buckets.
         #[test]
-        fn inbox_slices_agree_across_modes(
+        fn inbox_slices_match_stable_sort_oracle(
             srcs in prop::collection::vec(
                 prop::collection::vec((0u32..30, 0u64..1_000_000), 0..60),
                 1..5,
@@ -541,21 +442,23 @@ mod tests {
             combinable in any::<bool>(),
         ) {
             let n_locals = 30usize;
-            let mut sort_box: Inbox<u64> = Inbox::new(ShuffleMode::Sort, n_locals);
-            let mut radix_box: Inbox<u64> = Inbox::new(ShuffleMode::Radix, n_locals);
+            let arrivals: Vec<(VertexId, u64)> = srcs.concat();
+            let mut want = reference_groups(&arrivals);
+            want.resize(n_locals, Vec::new());
+            if combinable {
+                for group in &mut want {
+                    sort_combine_in_place(group, fold);
+                }
+            }
+            let mut inbox: Inbox<u64> = Inbox::new(n_locals);
             // Two deliveries: the second checks epoch retirement of the
             // first round's tables.
             for _round in 0..2 {
-                sort_box.deliver(srcs.iter().map(|s| s.as_slice()), |t| t, combinable, fold);
-                radix_box.deliver(srcs.iter().map(|s| s.as_slice()), |t| t, combinable, fold);
-                prop_assert_eq!(sort_box.len(), radix_box.len());
-                prop_assert_eq!(sort_box.is_empty(), radix_box.is_empty());
+                inbox.deliver(srcs.iter().map(|s| s.as_slice()), |t| t, combinable, fold);
+                prop_assert_eq!(inbox.len(), want.iter().map(Vec::len).sum::<usize>());
+                prop_assert_eq!(inbox.is_empty(), arrivals.is_empty());
                 for v in 0..n_locals as u32 {
-                    prop_assert_eq!(
-                        sort_box.msgs_of(v, v),
-                        radix_box.msgs_of(v, v),
-                        "vertex {}", v
-                    );
+                    prop_assert_eq!(inbox.msgs_of(v), want[v as usize].as_slice(), "vertex {}", v);
                 }
             }
         }
@@ -565,24 +468,24 @@ mod tests {
     fn counted_groups_keep_arrival_order() {
         let srcs: Vec<Vec<(VertexId, u64)>> =
             vec![vec![(2, 10), (1, 11), (2, 12)], vec![(1, 13), (2, 14)]];
-        let mut inbox: Inbox<u64> = Inbox::new(ShuffleMode::Radix, 3);
+        let mut inbox: Inbox<u64> = Inbox::new(3);
         inbox.deliver(srcs.iter().map(|s| s.as_slice()), |t| t, false, fold);
-        assert_eq!(inbox.msgs_of(2, 2), &[(2, 10), (2, 12), (2, 14)]);
-        assert_eq!(inbox.msgs_of(1, 1), &[(1, 11), (1, 13)]);
-        assert_eq!(inbox.msgs_of(0, 0), &[] as &[(VertexId, u64)]);
+        assert_eq!(inbox.msgs_of(2), &[(2, 10), (2, 12), (2, 14)]);
+        assert_eq!(inbox.msgs_of(1), &[(1, 11), (1, 13)]);
+        assert_eq!(inbox.msgs_of(0), &[] as &[(VertexId, u64)]);
         assert_eq!(inbox.len(), 5);
         let all = reference_groups(&[(2, 10), (1, 11), (2, 12), (1, 13), (2, 14)]);
         for (v, group) in all.iter().enumerate() {
-            assert_eq!(inbox.msgs_of(v as u32, v as u32), group.as_slice());
+            assert_eq!(inbox.msgs_of(v as u32), group.as_slice());
         }
     }
 
     #[test]
     fn combined_delivery_folds_in_arrival_order() {
         let srcs: Vec<Vec<(VertexId, u64)>> = vec![vec![(0, 3), (0, 5)], vec![(0, 7)]];
-        let mut inbox: Inbox<u64> = Inbox::new(ShuffleMode::Radix, 1);
+        let mut inbox: Inbox<u64> = Inbox::new(1);
         inbox.deliver(srcs.iter().map(|s| s.as_slice()), |t| t, true, fold);
-        assert_eq!(inbox.msgs_of(0, 0), &[(0, fold(fold(3, 5), 7))]);
+        assert_eq!(inbox.msgs_of(0), &[(0, fold(fold(3, 5), 7))]);
         assert_eq!(inbox.len(), 1);
     }
 
@@ -594,7 +497,7 @@ mod tests {
         let srcs: Vec<Vec<(VertexId, u64)>> = (0..4)
             .map(|s| (0..200).map(|i| (((s * 7 + i) % 64) as u32, i as u64)).collect())
             .collect();
-        let mut inbox: Inbox<u64> = Inbox::new(ShuffleMode::Radix, n_locals);
+        let mut inbox: Inbox<u64> = Inbox::new(n_locals);
         let mut comb: Combiner<u64> = Combiner::with_capacity(n_locals);
         for combinable in [false, true] {
             for _ in 0..2 {
@@ -620,15 +523,15 @@ mod tests {
     /// `u32::MAX`).
     #[test]
     fn epoch_wrap_is_safe() {
-        let mut inbox: Inbox<u64> = Inbox::new(ShuffleMode::Radix, 4);
+        let mut inbox: Inbox<u64> = Inbox::new(4);
         inbox.epoch = u32::MAX - 1;
         inbox.stamp.fill(u32::MAX - 1);
         let srcs: Vec<Vec<(VertexId, u64)>> = vec![vec![(1, 5)], vec![(3, 6)]];
         for _ in 0..4 {
             inbox.deliver(srcs.iter().map(|s| s.as_slice()), |t| t, false, fold);
-            assert_eq!(inbox.msgs_of(1, 1), &[(1, 5)]);
-            assert_eq!(inbox.msgs_of(3, 3), &[(3, 6)]);
-            assert_eq!(inbox.msgs_of(0, 0), &[] as &[(VertexId, u64)]);
+            assert_eq!(inbox.msgs_of(1), &[(1, 5)]);
+            assert_eq!(inbox.msgs_of(3), &[(3, 6)]);
+            assert_eq!(inbox.msgs_of(0), &[] as &[(VertexId, u64)]);
         }
         let mut comb: Combiner<u64> = Combiner::with_capacity(4);
         comb.epoch = u32::MAX - 1;
@@ -717,13 +620,13 @@ mod tests {
         let srcs: Vec<Vec<(VertexId, u64)>> = vec![vec![(0, 1), (1, 2)]];
         let none: Vec<Vec<(VertexId, u64)>> = vec![Vec::new()];
         for combinable in [false, true] {
-            let mut inbox: Inbox<u64> = Inbox::new(ShuffleMode::Radix, 2);
+            let mut inbox: Inbox<u64> = Inbox::new(2);
             inbox.deliver(srcs.iter().map(|s| s.as_slice()), |t| t, combinable, fold);
             assert_eq!(inbox.len(), 2);
             inbox.deliver(none.iter().map(|s| s.as_slice()), |t| t, combinable, fold);
             assert!(inbox.is_empty());
-            assert_eq!(inbox.msgs_of(0, 0), &[] as &[(VertexId, u64)]);
-            assert_eq!(inbox.msgs_of(1, 1), &[] as &[(VertexId, u64)]);
+            assert_eq!(inbox.msgs_of(0), &[] as &[(VertexId, u64)]);
+            assert_eq!(inbox.msgs_of(1), &[] as &[(VertexId, u64)]);
         }
     }
 }

@@ -292,28 +292,7 @@ fn sql_pagerank(
             }
         });
         drop(tasks);
-        // Chunked apply over disjoint rank windows; per-chunk max deltas
-        // fold in chunk order (f64 max over non-negative values is exact).
-        let incoming_r: &[f64] = &incoming;
-        let mut atasks: Vec<(usize, &mut [f64])> = Vec::new();
-        let mut arest: &mut [f64] = &mut ranks;
-        for &(s, e) in &exec::uniform_spans(n, exec::chunk_size()) {
-            let (window, tail) = arest.split_at_mut(e - s);
-            atasks.push((s, window));
-            arest = tail;
-        }
-        let deltas = exec::run_chunks(&mut atasks, |_, t| {
-            let base = t.0;
-            let mut md = 0.0f64;
-            for (i, r) in t.1.iter_mut().enumerate() {
-                let new = cfg.damping + (1.0 - cfg.damping) * incoming_r[base + i];
-                md = md.max((new - *r).abs());
-                *r = new;
-            }
-            md
-        });
-        drop(atasks);
-        let max_delta = deltas.into_iter().fold(0.0f64, f64::max);
+        let max_delta = crate::util::pagerank_apply(&mut ranks, &incoming, cfg.damping);
         ctx.charge_refresh(cluster, n as u64)?;
         cluster.sample_trace();
         iter += 1;

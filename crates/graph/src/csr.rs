@@ -67,7 +67,7 @@ impl Offsets {
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Offsets::U32(s) => s.len(),
             Offsets::U64(s) => s.len(),
@@ -182,9 +182,9 @@ impl CsrGraph {
         b.finish()
     }
 
-    /// Assemble from prebuilt arrays (the varint decoder and the disk
-    /// loader's owned fallback). `offsets` must be monotone with
-    /// `offsets[0] == 0` and `offsets[n] == targets.len()`.
+    /// Assemble from prebuilt arrays (the disk loader's owned fallback).
+    /// `offsets` must be monotone with `offsets[0] == 0` and
+    /// `offsets[n] == targets.len()`.
     pub fn from_raw(num_vertices: usize, offsets: Vec<u64>, targets: Vec<VertexId>) -> Self {
         assert_eq!(offsets.len(), num_vertices + 1, "offset array length");
         assert_eq!(offsets.last().copied().unwrap_or(0), targets.len() as u64, "edge count");

@@ -11,8 +11,6 @@
 //!   (`adj`, `adj-long`, `edge`),
 //! * [`disk`] — a compact binary CSR format with mmap-backed zero-copy
 //!   loading, backing the dataset cache,
-//! * [`compact`] — a delta-varint adjacency codec for compressed-layout
-//!   size reporting,
 //! * [`stats`] — degree distributions, effective-diameter estimation, and
 //!   component counting used to validate generated datasets against the
 //!   paper's Table 3.
@@ -23,7 +21,6 @@
 //! original systems' 32-bit id configurations would.
 
 pub mod builder;
-pub mod compact;
 pub mod csr;
 pub mod disk;
 pub mod edge;

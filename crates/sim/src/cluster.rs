@@ -618,12 +618,6 @@ impl Cluster {
         None
     }
 
-    /// Legacy name for [`Cluster::take_crash`] (kept for the single-fault
-    /// scenarios that predate fault plans).
-    pub fn take_failure(&mut self) -> Option<MachineId> {
-        self.take_crash()
-    }
-
     /// Report the next due transient fault (lost shuffle fetch, failed HDFS
     /// write). Each event is returned exactly once; engines charge the
     /// bounded retry/backoff stalls and continue.
@@ -1274,10 +1268,10 @@ mod tests {
     #[test]
     fn fault_is_reported_exactly_once_after_its_time() {
         let mut c = faulted(2, crate::FaultPlan::single(5.0, 1));
-        assert_eq!(c.take_failure(), None); // not yet
+        assert_eq!(c.take_crash(), None); // not yet
         c.advance_stall(10.0).unwrap();
-        assert_eq!(c.take_failure(), Some(1));
-        assert_eq!(c.take_failure(), None); // only once
+        assert_eq!(c.take_crash(), Some(1));
+        assert_eq!(c.take_crash(), None); // only once
         assert_eq!(c.registry().counter("faults.crash.recovered"), 1);
         assert!(c.unreached_faults().is_empty());
     }

@@ -38,7 +38,7 @@ pub use metrics::{CpuBreakdown, PhaseTimes, RunMetrics, RunStatus};
 pub use observer::{ClusterObserver, ObserverSet, SuperstepSnapshot};
 pub use registry::{Histogram, MetricsRegistry, SECONDS_BUCKETS};
 pub use spec::{
-    ClusterSpec, DiskSpec, FaultEvent, FaultPlan, FaultSpec, NetworkSpec, MAX_ELASTIC_MACHINES,
+    ClusterSpec, DiskSpec, FaultEvent, FaultPlan, NetworkSpec, MAX_ELASTIC_MACHINES,
     RETRY_MAX_ATTEMPTS,
 };
 pub use timeline::{Block, CriticalPath, CriticalPathRow, Span, Timeline};

@@ -58,20 +58,6 @@ impl Default for DiskSpec {
     }
 }
 
-/// A machine failure to inject during a run (Table 1's fault-tolerance
-/// column is exercised by killing a worker mid-execution and watching each
-/// system's recovery mechanism pay for it).
-///
-/// Legacy single-event form; [`FaultPlan::single`] (or `FaultSpec::into()`)
-/// bridges it into the multi-event schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FaultSpec {
-    /// Simulated time at which the machine dies.
-    pub at_time: f64,
-    /// Which machine dies.
-    pub machine: usize,
-}
-
 /// Most failed attempts a transient fault may charge before it must
 /// succeed: the bounded retry/backoff model never aborts a run.
 pub const RETRY_MAX_ATTEMPTS: u32 = 3;
@@ -180,7 +166,9 @@ impl FaultPlan {
         FaultPlan { events: Vec::new() }
     }
 
-    /// Legacy bridge: the single machine-kill the old `FaultSpec` expressed.
+    /// A single machine kill: `machine` dies at simulated time `at_time`
+    /// (Table 1's fault-tolerance column is exercised by killing a worker
+    /// mid-execution and watching each system's recovery mechanism pay).
     pub fn single(at_time: f64, machine: usize) -> Self {
         FaultPlan { events: vec![FaultEvent::Crash { at_time, machine }] }
     }
@@ -388,12 +376,6 @@ impl FaultPlan {
     }
 }
 
-impl From<FaultSpec> for FaultPlan {
-    fn from(f: FaultSpec) -> Self {
-        FaultPlan::single(f.at_time, f.machine)
-    }
-}
-
 /// A shared-nothing cluster.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterSpec {
@@ -556,12 +538,6 @@ mod tests {
             }],
         };
         assert!(bad_attempts.validate(4, deadline).is_err(), "too many retry attempts");
-    }
-
-    #[test]
-    fn legacy_fault_spec_bridges_into_a_plan() {
-        let plan: FaultPlan = FaultSpec { at_time: 7.0, machine: 2 }.into();
-        assert_eq!(plan, FaultPlan::single(7.0, 2));
     }
 
     #[test]
