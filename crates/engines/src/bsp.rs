@@ -26,10 +26,21 @@
 //! parallelism only changes how fast the study runs.
 //!
 //! The message path is the zero-sort radix shuffle of [`crate::shuffle`],
-//! addressed by fragment-local dense vertex ids
-//! ([`graphbench_partition::LocalIndex`]): outbox buckets are combined
-//! through epoch-tagged slot arrays, inboxes are grouped by local id via
-//! counting, and each vertex's messages are an O(1) table slice.
+//! and each message is looked up once and copied once: [`Ctx::send`]
+//! resolves the target's `(machine, fragment-local id)` with one
+//! [`graphbench_partition::LocalIndex`] read and files `(local id, payload)`
+//! in the sending chunk's bucket for that machine; sender-side combining
+//! folds a destination's chunk buckets straight into the shard outbox; and
+//! delivery indexes the inbox tables by the carried local id.
+//!
+//! Which vertices a superstep runs is a *frontier* with no threshold to
+//! tune: every chunk counts its own `active` flags, and a chunk whose count
+//! is zero — every SSSP, K-hop and WCC superstep after the first two — can
+//! only run vertices that have messages, so it walks the set bits of the
+//! inbox's has-messages bitmap instead of testing each vertex. A chunk with
+//! self-active vertices (PageRank) keeps the dense loop. Either way
+//! vertices run in ascending local id, so the choice is unobservable. The
+//! same counts answer "is anything still active" at the end of a superstep.
 
 use crate::exec;
 use crate::recovery::{Recovery, RecoveryModel};
@@ -38,25 +49,33 @@ use graphbench_graph::{CsrGraph, VertexId};
 use graphbench_partition::{EdgeCutPartition, LocalIndex};
 use graphbench_sim::{Cluster, SimError};
 
-/// Per-superstep context handed to [`VertexProgram::compute`].
+/// Per-superstep context handed to [`VertexProgram::compute`]. One context
+/// serves every vertex of a sub-chunk; its tallies accumulate across them.
 pub struct Ctx<'a, M> {
     /// Current superstep (0-based).
     pub superstep: u64,
-    sends: &'a mut Vec<(VertexId, M)>,
-    extra_bytes: &'a mut u64,
-    agg_max: &'a mut f64,
+    li: &'a LocalIndex,
+    /// The executing chunk's outbox buckets, one per destination machine.
+    out: &'a mut [Vec<(u32, M)>],
+    sent: u64,
+    extra_bytes: u64,
+    agg_max: f64,
 }
 
 impl<M> Ctx<'_, M> {
-    /// Send a message, delivered at the start of the next superstep.
+    /// Send a message, delivered at the start of the next superstep. The
+    /// target is resolved to `(machine, local id)` here, once; the local id
+    /// travels with the message from then on.
     pub fn send(&mut self, to: VertexId, msg: M) {
-        self.sends.push((to, msg));
+        let (machine, local) = self.li.machine_local_of(to);
+        self.out[machine as usize].push((local, msg));
+        self.sent += 1;
     }
 
     /// Permanently allocate `bytes` on the executing vertex's machine
     /// (e.g. WCC storing discovered in-neighbours).
     pub fn alloc(&mut self, bytes: u64) {
-        *self.extra_bytes += bytes;
+        self.extra_bytes += bytes;
     }
 
     /// Contribute to this superstep's global max-aggregator (Pregel
@@ -67,8 +86,8 @@ impl<M> Ctx<'_, M> {
     /// superstep; contributions are expected to be non-negative
     /// (PageRank's `|Δrank|` convergence check).
     pub fn aggregate_max(&mut self, x: f64) {
-        if x > *self.agg_max {
-            *self.agg_max = x;
+        if x > self.agg_max {
+            self.agg_max = x;
         }
     }
 }
@@ -90,15 +109,14 @@ pub trait VertexProgram: Sync {
 
     /// One vertex execution. Return `true` to stay active. `msgs` is the
     /// vertex's slice of the machine's inbox (grouped per vertex by the
-    /// shuffle), borrowed — each entry is `(target, payload)` with
-    /// `target == v`, in arrival order.
+    /// shuffle), borrowed: the payloads sent to `v`, in arrival order.
     fn compute(
         &self,
         ctx: &mut Ctx<'_, Self::Msg>,
         g: &CsrGraph,
         v: VertexId,
         value: &mut Self::Value,
-        msgs: &[(VertexId, Self::Msg)],
+        msgs: &[Self::Msg],
     ) -> bool;
 
     /// Merge two messages bound for the same vertex.
@@ -172,8 +190,8 @@ pub struct BspOutcome<V> {
 }
 
 /// One simulated machine's slice of the computation. Allocated once before
-/// the superstep loop and reused: outboxes and send scratch are cleared, not
-/// rebuilt, each superstep.
+/// the superstep loop and reused: outboxes and chunk buckets are cleared,
+/// not rebuilt, each superstep.
 struct Shard<V, M> {
     /// Fragment vertex list, ascending by global id; position = local id.
     verts: Vec<VertexId>,
@@ -181,34 +199,45 @@ struct Shard<V, M> {
     states: Vec<V>,
     /// Parallel to `verts`.
     active: Vec<bool>,
-    /// Arrival-order outboxes, one per destination machine.
-    out: Vec<Vec<(VertexId, M)>>,
-    /// Per-sub-chunk outbox/send scratch (see [`compute_superstep`]),
-    /// grown on first use and pooled between supersteps.
-    chunk_scratch: Vec<ChunkScratch<M>>,
+    /// Outboxes, one per destination machine: `(local id there, payload)`
+    /// in arrival order (first-touch order once combined).
+    out: Vec<Vec<(u32, M)>>,
+    /// Vertices per sub-chunk ([`exec::chunk_size`] when the run began).
+    chunk: usize,
+    /// One entry per `chunk`-sized span of `verts` (see
+    /// [`compute_superstep`]).
+    chunks: Vec<ChunkScratch<M>>,
     /// Sender-side combining scratch, shared by all of this shard's outbox
     /// buckets via epoch tags.
     comb: Combiner<M>,
 }
 
-/// Scratch one sub-chunk writes during the compute stage: its own
-/// per-destination outboxes and send buffer. Pooled in the owning shard so
-/// steady-state supersteps allocate nothing.
-struct ChunkScratch<M> {
-    out: Vec<Vec<(VertexId, M)>>,
-    sends: Vec<(VertexId, M)>,
-}
+impl<V, M> Shard<V, M> {
+    /// Set every chunk's `active` count from the flags: at start-up, and
+    /// whenever the flags are replaced wholesale (checkpoint restore).
+    fn recount_active(&mut self) {
+        for (scratch, flags) in self.chunks.iter_mut().zip(self.active.chunks(self.chunk)) {
+            scratch.active = flags.iter().filter(|&&a| a).count();
+        }
+    }
 
-// Manual impl: `M` itself need not be `Default` for empty scratch.
-impl<M> Default for ChunkScratch<M> {
-    fn default() -> Self {
-        ChunkScratch { out: Vec::new(), sends: Vec::new() }
+    /// Vertices whose `active` flag is set.
+    fn active_vertices(&self) -> usize {
+        self.chunks.iter().map(|c| c.active).sum()
     }
 }
 
+/// What one sub-chunk keeps between supersteps: the per-destination buckets
+/// its sends are filed in (pooled, so steady-state supersteps allocate
+/// nothing) and how many of its vertices have their `active` flag set.
+struct ChunkScratch<M> {
+    out: Vec<Vec<(u32, M)>>,
+    active: usize,
+}
+
 /// One sub-chunk of a shard's vertex range: disjoint `&mut` views of the
-/// shard's state arrays plus its pooled scratch, taken for the duration of
-/// the compute stage.
+/// shard's state arrays and of the chunk's scratch, for the duration of the
+/// compute stage.
 struct ChunkTask<'a, V, M> {
     machine: usize,
     /// Fragment-local id of `verts[0]`.
@@ -216,25 +245,15 @@ struct ChunkTask<'a, V, M> {
     verts: &'a [VertexId],
     states: &'a mut [V],
     active: &'a mut [bool],
-    scratch: ChunkScratch<M>,
+    scratch: &'a mut ChunkScratch<M>,
 }
 
-/// What one sub-chunk reports. Counters stay integral until the per-machine
-/// merge, so chunk boundaries cannot perturb any f64 a golden record sees.
-#[derive(Clone, Copy)]
-struct ChunkStep {
+/// What a sub-chunk — and, summed, a shard — reports from a superstep.
+/// Counters stay integral until `run_bsp` charges them, so chunk boundaries
+/// cannot perturb any f64 a golden record sees.
+#[derive(Clone, Copy, Default)]
+struct StepReport {
     ops: u64,
-    raw_messages: u64,
-    extra_alloc: u64,
-    any_ran: bool,
-    agg_max: f64,
-}
-
-/// What one shard reports back from a superstep; merged by the coordinator
-/// in machine-index order.
-#[derive(Clone, Copy)]
-struct ShardStep {
-    ops: f64,
     raw_messages: u64,
     extra_alloc: u64,
     any_ran: bool,
@@ -268,6 +287,7 @@ impl<V: Clone, M: Copy> BspCheckpoint<V, M> {
         {
             shard.states.clone_from(states);
             shard.active.clone_from(active);
+            shard.recount_active();
         }
         for (dst, src) in inboxes.iter_mut().zip(&self.inboxes) {
             dst.clone_from(src);
@@ -278,19 +298,21 @@ impl<V: Clone, M: Copy> BspCheckpoint<V, M> {
 /// One superstep's compute, in two stages. Shared by the live loop and
 /// recovery replay (which discards the reports).
 ///
-/// **Stage 1** splits every shard's vertex range into fixed-size sub-chunks
-/// ([`exec::chunk_size`]) and runs them as one flat, dynamically-claimed
-/// task list ([`exec::run_chunks`]): a fragment that dominates the
-/// superstep — a power-law hub's machine — no longer serializes it on one
-/// host thread. Each task owns disjoint `&mut` slices of its shard's state
-/// arrays and pooled scratch outboxes, reads the shard's inbox (read-only),
-/// and reports *integer* counters.
+/// **Stage 1** runs every shard's sub-chunks as one flat,
+/// dynamically-claimed task list ([`exec::run_chunks`]): a fragment that
+/// dominates the superstep — a power-law hub's machine — does not serialize
+/// it on one host thread. Each task owns disjoint `&mut` slices of its
+/// shard's state arrays and its chunk's buckets, reads the shard's inbox
+/// (read-only), and reports *integer* counters. A chunk with no self-active
+/// vertex runs only the vertices the inbox bitmap names; otherwise it tests
+/// every vertex. Both visit ascending local ids.
 ///
-/// **Stage 2** merges, per machine: chunk outboxes are appended into the
-/// shard outbox in ascending chunk order — exactly the vertex order the
-/// unsplit loop pushed in — then sender-side combining runs as before.
-/// Counter merges are u64 sums and `max` folds in chunk order, so every
-/// simulated metric is bit-identical at any chunk size and thread count.
+/// **Stage 2** assembles, per machine and destination, the shard outbox
+/// from the chunk buckets in ascending chunk order — exactly the vertex
+/// order an unsplit loop would send in: folded through the combiner when
+/// the superstep combines, concatenated when it does not. Report merges are
+/// u64 sums and `max` folds in chunk order, so every simulated metric is
+/// bit-identical at any chunk size and thread count.
 fn compute_superstep<P: VertexProgram>(
     shards: &mut [Shard<P::Value, P::Msg>],
     inboxes: &[Inbox<P::Msg>],
@@ -299,140 +321,89 @@ fn compute_superstep<P: VertexProgram>(
     p: &P,
     superstep: u64,
     combinable_now: bool,
-) -> Vec<ShardStep> {
-    let machines = shards.len();
-    let chunk = exec::chunk_size();
-
+) -> Vec<StepReport> {
     // Carve every shard into sub-chunk tasks holding disjoint state slices.
-    let mut tasks: Vec<ChunkTask<'_, P::Value, P::Msg>> = Vec::new();
-    for (m, shard) in shards.iter_mut().enumerate() {
-        let num_chunks = shard.verts.len().div_ceil(chunk);
-        while shard.chunk_scratch.len() < num_chunks {
-            shard.chunk_scratch.push(ChunkScratch {
-                out: (0..machines).map(|_| Vec::new()).collect(),
-                sends: Vec::new(),
-            });
-        }
-        let Shard { verts, states, active, chunk_scratch, .. } = shard;
-        let mut states: &mut [P::Value] = states;
-        let mut active: &mut [bool] = active;
-        for (ci, chunk_verts) in verts.chunks(chunk).enumerate() {
-            let (s, s_rest) = states.split_at_mut(chunk_verts.len());
-            states = s_rest;
-            let (a, a_rest) = active.split_at_mut(chunk_verts.len());
-            active = a_rest;
-            tasks.push(ChunkTask {
-                machine: m,
-                base: (ci * chunk) as u32,
-                verts: chunk_verts,
-                states: s,
-                active: a,
-                scratch: std::mem::take(&mut chunk_scratch[ci]),
-            });
+    let mut tasks: Vec<ChunkTask<'_, P::Value, P::Msg>> =
+        Vec::with_capacity(shards.iter().map(|s| s.chunks.len()).sum());
+    for (machine, shard) in shards.iter_mut().enumerate() {
+        let Shard { verts, states, active, chunk, chunks, .. } = shard;
+        let slices =
+            verts.chunks(*chunk).zip(states.chunks_mut(*chunk)).zip(active.chunks_mut(*chunk));
+        for (ci, (((verts, states), active), scratch)) in slices.zip(chunks).enumerate() {
+            let base = (ci * *chunk) as u32;
+            tasks.push(ChunkTask { machine, base, verts, states, active, scratch });
         }
     }
 
     // Stage 1: compute each sub-chunk independently.
-    let steps: Vec<ChunkStep> = exec::run_chunks(&mut tasks, |_, task| {
+    let steps: Vec<(usize, StepReport)> = exec::run_chunks(&mut tasks, |_, task| {
         let inbox = &inboxes[task.machine];
-        let scratch = &mut task.scratch;
-        for buf in scratch.out.iter_mut() {
+        let ChunkScratch { out, active: active_count } = &mut *task.scratch;
+        for buf in out.iter_mut() {
             buf.clear();
         }
-        let mut ops = 0u64;
-        let mut raw = 0u64;
-        let mut extra_total = 0u64;
-        let mut any_ran = false;
-        let mut agg_max = 0.0f64;
-        for (k, &v) in task.verts.iter().enumerate() {
-            // This vertex's message slice: an O(1) offset-table read.
-            // `base + k` is the vertex's fragment-local id.
+        let sparse = *active_count == 0;
+        let mut ctx = Ctx { superstep, li, out, sent: 0, extra_bytes: 0, agg_max: 0.0 };
+        let mut ran = 0u64;
+        let mut received = 0u64;
+        // Run the vertex at chunk position `k` if it is active or has
+        // messages; `base + k` is its fragment-local id.
+        let mut run = |k: usize| {
             let msgs = inbox.msgs_of(task.base + k as u32);
-            let has_msgs = !msgs.is_empty();
-            if !task.active[k] && !has_msgs {
-                continue;
+            let was_active = task.active[k];
+            if !was_active && msgs.is_empty() {
+                return;
             }
-            any_ran = true;
-            scratch.sends.clear();
-            let mut extra = 0u64;
-            let still_active = {
-                let mut ctx = Ctx {
-                    superstep,
-                    sends: &mut scratch.sends,
-                    extra_bytes: &mut extra,
-                    agg_max: &mut agg_max,
-                };
-                // Borrow the message slice straight out of the inbox.
-                p.compute(&mut ctx, g, v, &mut task.states[k], msgs)
-            };
+            let still_active = p.compute(&mut ctx, g, task.verts[k], &mut task.states[k], msgs);
             task.active[k] = still_active;
-            extra_total += extra;
-            ops += 1 + msgs.len() as u64 + scratch.sends.len() as u64;
-            raw += scratch.sends.len() as u64;
-            for &(to, msg) in scratch.sends.iter() {
-                scratch.out[li.machine_of(to) as usize].push((to, msg));
-            }
+            *active_count = *active_count + still_active as usize - was_active as usize;
+            ran += 1;
+            received += msgs.len() as u64;
+        };
+        if sparse {
+            // No vertex here is self-active: only message targets can run.
+            let end = task.base + task.verts.len() as u32;
+            inbox.targets(task.base, end).for_each(|l| run((l - task.base) as usize));
+        } else {
+            (0..task.verts.len()).for_each(run);
         }
-        ChunkStep { ops, raw_messages: raw, extra_alloc: extra_total, any_ran, agg_max }
+        let report = StepReport {
+            ops: ran + received + ctx.sent,
+            raw_messages: ctx.sent,
+            extra_alloc: ctx.extra_bytes,
+            any_ran: ran > 0,
+            agg_max: ctx.agg_max,
+        };
+        (task.machine, report)
     });
 
     // Merge chunk reports per machine, in chunk order. Integer sums are
     // associative, so where the chunk boundaries fell is unobservable; the
     // aggregator folds with the same `if >` max as [`Ctx::aggregate_max`].
-    let mut ops_total = vec![0u64; machines];
-    let mut merged =
-        vec![
-            ShardStep { ops: 0.0, raw_messages: 0, extra_alloc: 0, any_ran: false, agg_max: 0.0 };
-            machines
-        ];
-    for (task, step) in tasks.iter().zip(&steps) {
-        let m = task.machine;
-        ops_total[m] += step.ops;
-        merged[m].raw_messages += step.raw_messages;
-        merged[m].extra_alloc += step.extra_alloc;
-        merged[m].any_ran |= step.any_ran;
-        if step.agg_max > merged[m].agg_max {
-            merged[m].agg_max = step.agg_max;
+    let mut merged = vec![StepReport::default(); shards.len()];
+    for (machine, step) in steps {
+        let m = &mut merged[machine];
+        m.ops += step.ops;
+        m.raw_messages += step.raw_messages;
+        m.extra_alloc += step.extra_alloc;
+        m.any_ran |= step.any_ran;
+        if step.agg_max > m.agg_max {
+            m.agg_max = step.agg_max;
         }
     }
-    for (s, o) in merged.iter_mut().zip(&ops_total) {
-        s.ops = *o as f64;
-    }
 
-    // Hand each task's scratch back to its shard's pool, ending the state
-    // borrows. Tasks were pushed machine-major in ascending chunk order, so
-    // a per-machine cursor recovers each scratch's pool slot.
-    let returned: Vec<(usize, ChunkScratch<P::Msg>)> =
-        tasks.into_iter().map(|t| (t.machine, t.scratch)).collect();
-    let mut cursor = vec![0usize; machines];
-    for (m, scratch) in returned {
-        shards[m].chunk_scratch[cursor[m]] = scratch;
-        cursor[m] += 1;
-    }
-
-    // Stage 2: per-machine outbox assembly and sender-side combining.
+    // Stage 2: per-machine outbox assembly with sender-side combining. Each
+    // target's messages fold in arrival order, so combined values (f64
+    // included) do not depend on chunk boundaries.
     exec::run_chunks(shards, |_, shard| {
-        let Shard { out, chunk_scratch, comb, .. } = shard;
-        for buf in out.iter_mut() {
-            buf.clear();
-        }
-        for cs in chunk_scratch.iter_mut() {
-            for (dst, buf) in cs.out.iter_mut().enumerate() {
-                out[dst].extend_from_slice(buf);
+        let Shard { out, chunks, comb, .. } = shard;
+        for (dst, buf) in out.iter_mut().enumerate() {
+            let buckets = chunks.iter().map(|c| c.out[dst].as_slice());
+            if combinable_now {
+                comb.combine_sources(li.num_locals(dst), buckets, buf, |a, b| p.combine(a, b));
+            } else {
                 buf.clear();
-            }
-        }
-        // Sender-side combining per destination machine: each target's
-        // messages fold in arrival order, so combined values (f64 included)
-        // do not depend on chunk boundaries.
-        if combinable_now {
-            for (dst, buf) in out.iter_mut().enumerate() {
-                comb.combine_bucket(
-                    li.num_locals(dst),
-                    |t| li.local_of(t),
-                    buf,
-                    |a, b| p.combine(a, b),
-                );
+                buckets.for_each(|b| buf.extend_from_slice(b));
             }
         }
     });
@@ -445,18 +416,13 @@ fn compute_superstep<P: VertexProgram>(
 fn deliver_superstep<P: VertexProgram>(
     inboxes: &mut [Inbox<P::Msg>],
     shards: &[Shard<P::Value, P::Msg>],
-    li: &LocalIndex,
     p: &P,
     combinable_now: bool,
     msg_mem: u64,
 ) -> Vec<u64> {
     exec::run_chunks(inboxes, |dst, inbox| {
-        inbox.deliver(
-            shards.iter().map(|s| s.out[dst].as_slice()),
-            |t| li.local_of(t),
-            combinable_now,
-            |a, b| p.combine(a, b),
-        );
+        let outboxes = shards.iter().map(|s| s.out[dst].as_slice());
+        inbox.deliver(outboxes, combinable_now, |a, b| p.combine(a, b));
         inbox.len() as u64 * msg_mem
     })
 }
@@ -482,6 +448,7 @@ pub fn run_bsp<P: VertexProgram>(
     // the hot loop, and the dense address space the radix shuffle files
     // messages under.
     let li = LocalIndex::build(part);
+    let chunk = exec::chunk_size();
 
     let mut init_states: Vec<Option<P::Value>> = Vec::with_capacity(n);
     let mut init_active: Vec<bool> = Vec::with_capacity(n);
@@ -501,14 +468,14 @@ pub fn run_bsp<P: VertexProgram>(
                 .map(|&v| init_states[v as usize].take().expect("vertex assigned twice"))
                 .collect();
             let active = verts.iter().map(|&v| init_active[v as usize]).collect();
-            Shard {
-                verts,
-                states,
-                active,
-                out: (0..machines).map(|_| Vec::new()).collect(),
-                chunk_scratch: Vec::new(),
-                comb: Combiner::with_capacity(li.max_locals()),
-            }
+            let buckets = || (0..machines).map(|_| Vec::new()).collect();
+            let chunks = (0..verts.len().div_ceil(chunk))
+                .map(|_| ChunkScratch { out: buckets(), active: 0 })
+                .collect();
+            let comb = Combiner::with_capacity(li.max_locals());
+            let mut shard = Shard { verts, states, active, out: buckets(), chunk, chunks, comb };
+            shard.recount_active();
+            shard
         })
         .collect();
     drop(init_states);
@@ -549,14 +516,13 @@ pub fn run_bsp<P: VertexProgram>(
         // thread pool; its inbox is read-only, its outboxes are its own.
         // Label before the host work so its wallclock spans carry it.
         cluster.set_label("superstep");
-        let steps: Vec<ShardStep> =
-            compute_superstep(&mut shards, &inboxes, &li, g, p, supersteps, combinable_now);
+        let steps = compute_superstep(&mut shards, &inboxes, &li, g, p, supersteps, combinable_now);
 
         // Merge shard reports in machine-index order.
         let mut any_ran = false;
         let mut agg = 0.0f64;
         for (m, s) in steps.iter().enumerate() {
-            ops[m] = s.ops;
+            ops[m] = s.ops as f64;
             extra_alloc[m] = s.extra_alloc;
             any_ran |= s.any_ran;
             raw_messages += s.raw_messages;
@@ -596,7 +562,7 @@ pub fn run_bsp<P: VertexProgram>(
         // §5.8): messages are counted into per-local-id groups behind an
         // offset table.
         let delivered: Vec<u64> =
-            deliver_superstep(&mut inboxes, &shards, &li, p, combinable_now, msg_mem);
+            deliver_superstep(&mut inboxes, &shards, p, combinable_now, msg_mem);
         inbox_bytes.copy_from_slice(&delivered);
 
         // Charge this superstep: sender buffers are flushed to the wire
@@ -622,14 +588,9 @@ pub fn run_bsp<P: VertexProgram>(
             cluster.local_read(&share)?;
             cluster.local_write(&share)?;
         }
-        if cluster.has_observers() {
-            // Pure observability hint: the live-vertex count the barrier
-            // snapshot will carry. Gated so runs without observers never
-            // pay the scan; never feeds back into any simulated outcome.
-            let live: u64 =
-                shards.iter().map(|s| s.active.iter().filter(|&&a| a).count() as u64).sum();
-            cluster.report_active(live);
-        }
+        // Pure observability hint: the live-vertex count the barrier
+        // snapshot will carry; never feeds back into any simulated outcome.
+        cluster.report_active(shards.iter().map(|s| s.active_vertices() as u64).sum());
         cluster.set_label("barrier");
         cluster.barrier()?;
         if cfg.trace_every > 0 && supersteps.is_multiple_of(cfg.trace_every) {
@@ -664,7 +625,7 @@ pub fn run_bsp<P: VertexProgram>(
                 for r in ckpt.superstep..supersteps {
                     let c = p.combinable(r);
                     compute_superstep(&mut shards, &inboxes, &li, g, p, r, c);
-                    deliver_superstep(&mut inboxes, &shards, &li, p, c, msg_mem);
+                    deliver_superstep(&mut inboxes, &shards, p, c, msg_mem);
                 }
             }
         }
@@ -677,8 +638,8 @@ pub fn run_bsp<P: VertexProgram>(
                 *s = BspCheckpoint::capture(supersteps, &shards, &inboxes);
             }
         }
-        let no_more_work = inboxes.iter().all(|i| i.is_empty())
-            && !shards.iter().any(|s| s.active.iter().any(|&a| a));
+        let no_more_work =
+            inboxes.iter().all(|i| i.is_empty()) && shards.iter().all(|s| s.active_vertices() == 0);
         let program_done = prog.finished(supersteps - 1, agg);
         if program_done || no_more_work || !any_ran {
             // Free any undelivered inbox buffers before returning.
@@ -731,9 +692,9 @@ mod tests {
             g: &CsrGraph,
             v: VertexId,
             value: &mut VertexId,
-            msgs: &[(VertexId, VertexId)],
+            msgs: &[VertexId],
         ) -> bool {
-            let best = msgs.iter().map(|&(_, m)| m).max().unwrap_or(*value).max(*value);
+            let best = msgs.iter().copied().max().unwrap_or(*value).max(*value);
             let changed = best > *value || ctx.superstep == 0;
             *value = best;
             if changed {
@@ -833,7 +794,8 @@ mod tests {
     /// Folds every incoming payload into the vertex value with an
     /// order-sensitive hash — any difference in per-vertex inbox contents
     /// or arrival order changes the final states. Not combinable, so the
-    /// counting delivery carries every message.
+    /// counting delivery carries every message. Payloads name their target
+    /// in the high half, so a misfiled message is caught on receipt.
     struct TraceInbox {
         rounds: u64,
     }
@@ -852,14 +814,14 @@ mod tests {
             g: &CsrGraph,
             v: VertexId,
             value: &mut u64,
-            msgs: &[(VertexId, u64)],
+            msgs: &[u64],
         ) -> bool {
-            for &(t, m) in msgs {
-                assert_eq!(t, v, "message delivered to the wrong vertex");
+            for &m in msgs {
+                assert_eq!(m >> 32, v as u64, "message delivered to the wrong vertex");
                 *value = value.wrapping_mul(1_000_003).wrapping_add(m);
             }
             for &t in g.out_neighbors(v) {
-                ctx.send(t, v as u64 * 100 + ctx.superstep);
+                ctx.send(t, (t as u64) << 32 | (v as u64 * 100 + ctx.superstep));
             }
             true
         }
@@ -952,6 +914,85 @@ mod tests {
         assert!(c_faulted.journal().events().iter().any(|e| e.label == "recovery"));
     }
 
+    /// SSSP from vertex 0 over a 400-vertex directed path plus the chord
+    /// 5 → 300, on 3 machines: ~300 supersteps of one or two message
+    /// targets each, in fragments of ~133 vertices (three bitmap words), so
+    /// every superstep after the first takes the bitmap walk.
+    fn run_path_sssp(
+        plan: graphbench_sim::FaultPlan,
+        cfg: &BspConfig,
+    ) -> (BspOutcome<u32>, Cluster) {
+        let mut pairs: Vec<(u32, u32)> = (0..399).map(|i| (i, i + 1)).collect();
+        pairs.push((5, 300));
+        let g = csr_from_pairs(&pairs);
+        let part = EdgeCutPartition::random(400, 3, 7);
+        let mut cluster = Cluster::new(
+            ClusterSpec { faults: plan, ..ClusterSpec::r3_xlarge(3, 1 << 30) },
+            CostProfile::cpp_mpi(),
+        );
+        let mut prog = crate::programs::SsspProgram::new(0);
+        let out = run_bsp(&mut cluster, &g, &part, &mut prog, cfg).unwrap();
+        (out, cluster)
+    }
+
+    #[test]
+    fn message_driven_frontier_is_invisible_across_threads_and_chunks() {
+        // Chunk sizes on both sides of a bitmap word (63, 64, 65) put the
+        // walk's end masks on, before and after word boundaries; chunk 1
+        // makes every range a single bit.
+        let _guard = crate::exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let mut baseline = None;
+        for threads in [1usize, 4] {
+            crate::exec::set_threads(threads);
+            for chunk in [1usize, 2, 3, 63, 64, 65, 4096] {
+                crate::exec::set_chunk_size(chunk);
+                let (out, cluster) =
+                    run_path_sssp(graphbench_sim::FaultPlan::none(), &BspConfig::default());
+                let key = (
+                    out.states,
+                    out.supersteps,
+                    cluster.elapsed().to_bits(),
+                    cluster.mem_peaks().to_vec(),
+                    cluster.total_net_bytes(),
+                    cluster.total_messages(),
+                );
+                match &baseline {
+                    None => baseline = Some(key),
+                    Some(b) => assert_eq!(&key, b, "diverged at threads {threads} chunk {chunk}"),
+                }
+            }
+        }
+        crate::exec::set_chunk_size(4096);
+        crate::exec::set_threads(1);
+        let (states, supersteps, ..) = baseline.unwrap();
+        let want: Vec<u32> = (0..400).map(|v| if v < 300 { v } else { v - 294 }).collect();
+        assert_eq!(states, want);
+        assert_eq!(supersteps, 301);
+    }
+
+    #[test]
+    fn recovery_replay_restores_a_sparse_frontier() {
+        // The crash lands mid-run, long after every chunk's active count
+        // fell to zero. Restore must bring counts, flags and inbox bitmaps
+        // back together: to a checkpoint that is itself sparse, and —
+        // without checkpointing — to the input, where the source's chunk
+        // is self-active again.
+        let checkpointed = BspConfig {
+            checkpoint_every: Some(2),
+            checkpoint_bytes: 1 << 20,
+            ..BspConfig::default()
+        };
+        for cfg in [checkpointed, BspConfig::default()] {
+            let (clean, c_clean) = run_path_sssp(graphbench_sim::FaultPlan::none(), &cfg);
+            let crash = graphbench_sim::FaultPlan::single(c_clean.elapsed() * 0.4, 1);
+            let (faulted, c_faulted) = run_path_sssp(crash, &cfg);
+            assert!(faulted.recovered_from_failure);
+            assert_eq!(clean.states, faulted.states);
+            assert_eq!(clean.supersteps, faulted.supersteps);
+            assert!(c_faulted.elapsed() > c_clean.elapsed());
+        }
+    }
+
     #[test]
     fn restart_from_input_without_checkpoints_is_still_correct() {
         let cfg = BspConfig::default(); // no checkpointing (the study's setup)
@@ -1028,7 +1069,7 @@ mod tests {
             g: &CsrGraph,
             v: VertexId,
             value: &mut u64,
-            _msgs: &[(VertexId, u64)],
+            _msgs: &[u64],
         ) -> bool {
             *value += 1;
             for &t in g.out_neighbors(v) {
@@ -1089,7 +1130,7 @@ mod tests {
                 g: &CsrGraph,
                 v: VertexId,
                 value: &mut u64,
-                msgs: &[(VertexId, u64)],
+                msgs: &[u64],
             ) -> bool {
                 self.0.compute(ctx, g, v, value, msgs)
             }

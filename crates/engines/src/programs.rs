@@ -43,10 +43,10 @@ impl VertexProgram for PageRankProgram {
         g: &CsrGraph,
         v: VertexId,
         value: &mut f64,
-        msgs: &[(VertexId, f64)],
+        msgs: &[f64],
     ) -> bool {
         if ctx.superstep > 0 {
-            let sum: f64 = msgs.iter().map(|&(_, m)| m).sum();
+            let sum: f64 = msgs.iter().sum();
             let new = self.cfg.damping + (1.0 - self.cfg.damping) * sum;
             ctx.aggregate_max((new - *value).abs());
             *value = new;
@@ -116,7 +116,7 @@ impl VertexProgram for WccProgram {
         g: &CsrGraph,
         v: VertexId,
         value: &mut WccState,
-        msgs: &[(VertexId, VertexId)],
+        msgs: &[VertexId],
     ) -> bool {
         match ctx.superstep {
             0 => {
@@ -130,12 +130,12 @@ impl VertexProgram for WccProgram {
             }
             1 => {
                 // Store reverse edges and start HashMin.
-                for &(_, u) in msgs {
+                for &u in msgs {
                     value.in_nbrs.push(u);
                     ctx.alloc(self.bytes_per_edge);
                 }
                 let mut label = value.label;
-                for &(_, u) in msgs {
+                for &u in msgs {
                     label = label.min(u);
                 }
                 value.label = label;
@@ -149,7 +149,7 @@ impl VertexProgram for WccProgram {
                 false
             }
             _ => {
-                let m = msgs.iter().map(|&(_, u)| u).min().unwrap_or(value.label);
+                let m = msgs.iter().copied().min().unwrap_or(value.label);
                 if m < value.label {
                     value.label = m;
                     for &t in g.out_neighbors(v) {
@@ -213,9 +213,9 @@ impl VertexProgram for SsspProgram {
         g: &CsrGraph,
         v: VertexId,
         value: &mut u32,
-        msgs: &[(VertexId, u32)],
+        msgs: &[u32],
     ) -> bool {
-        let best = msgs.iter().map(|&(_, m)| m).min().unwrap_or(*value).min(*value);
+        let best = msgs.iter().copied().min().unwrap_or(*value).min(*value);
         if best < *value || (ctx.superstep == 0 && v == self.source) {
             *value = best;
             for &t in g.out_neighbors(v) {
@@ -265,9 +265,9 @@ impl VertexProgram for KHopProgram {
         g: &CsrGraph,
         v: VertexId,
         value: &mut u32,
-        msgs: &[(VertexId, u32)],
+        msgs: &[u32],
     ) -> bool {
-        let best = msgs.iter().map(|&(_, m)| m).min().unwrap_or(*value).min(*value);
+        let best = msgs.iter().copied().min().unwrap_or(*value).min(*value);
         if best < *value || (ctx.superstep == 0 && v == self.source) {
             *value = best;
             if best < self.k {

@@ -1,19 +1,22 @@
 //! Zero-sort radix message shuffle.
 //!
 //! Grouping a superstep's messages by target vertex is structurally a
-//! counting problem, so nothing here comparison-sorts or binary-searches:
-//! the path is radix-bucketed and addressed by *fragment-local dense vertex
-//! ids* (see `graphbench_partition::LocalIndex`):
+//! counting problem, so nothing here comparison-sorts or binary-searches.
+//! The path is addressed by *fragment-local dense vertex ids* (see
+//! `graphbench_partition::LocalIndex`), and on the BSP path the local id
+//! travels with the message: the sender resolves `(machine, local id)` once
+//! per send and every later stage indexes by the carried id.
 //!
-//! * **sender-side combining** folds each outbox bucket through a dense
-//!   per-local-target slot array ([`Combiner`]) — epoch tags mark which
-//!   slots are live, so nothing is sorted and nothing is cleared between
-//!   buckets;
-//! * **delivery** ([`Inbox`]) groups each machine's incoming messages by
-//!   local id with a two-pass counting pass (count, prefix-sum, place) and
-//!   records a per-local `(start, len)` offset table, giving O(1)
-//!   per-vertex slicing in the next compute phase — no sort, no binary
-//!   search;
+//! * **sender-side combining** ([`Combiner`]) folds a destination's chunk
+//!   buckets, taken as ordered *sources*, through a dense per-local-target
+//!   slot array and emits one entry per target into the shard outbox —
+//!   epoch tags mark which slots are live, so nothing is sorted, nothing is
+//!   cleared between buckets, and the sources are never concatenated;
+//! * **delivery** ([`Inbox`]) files payloads per local id — one combining
+//!   pass, or a two-pass count/place — behind a `(start, len)` offset
+//!   table, giving O(1) per-vertex slicing in the next compute phase, and
+//!   keeps a one-bit-per-local-id "has messages" bitmap that the BSP
+//!   runtime walks instead of testing every vertex;
 //! * **all buffers are pooled**: slot arrays, offset tables, and item
 //!   vectors are allocated once and reused across supersteps ([`Inbox::grows`]
 //!   and [`Combiner::grows`] count reallocations so tests can assert the
@@ -79,16 +82,16 @@ where
 
 /// Epoch-tagged dense combiner slots, one per fragment-local target id.
 ///
-/// `combine_bucket` folds an outbox bucket per target without sorting:
-/// a slot whose tag equals the current epoch is live, anything else is
+/// A slot whose tag equals the current epoch is live, anything else is
 /// free — bumping the epoch retires every slot at once, so buckets for
-/// different destination machines can share one scratch array with no
-/// clearing in between.
+/// different destination machines share one scratch array with no clearing
+/// in between.
 #[derive(Debug)]
 pub struct Combiner<M> {
     stamp: Vec<u32>,
+    /// Folded value per live slot (lazily sized — `M` has no default).
     val: Vec<M>,
-    /// (global id, local id) per first touch, in touch order.
+    /// (id the message carried, local id) per first touch, in touch order.
     touched: Vec<(VertexId, u32)>,
     epoch: u32,
     grows: u64,
@@ -108,7 +111,52 @@ impl<M: Copy> Combiner<M> {
         }
     }
 
-    fn next_epoch(&mut self, n_locals: usize) {
+    /// Combine the messages of `sources` — one destination's buckets, each
+    /// entry `(local target id, payload)`, scanned in order — into `out`,
+    /// replacing its contents, with no intermediate copy of the sources.
+    /// Each target's messages fold left-to-right in arrival order — the
+    /// value a stable sort by target of the concatenated sources followed
+    /// by an adjacent fold would produce — and the surviving entries come
+    /// out in first-touch order (which downstream consumers never observe:
+    /// only counts and per-target values matter).
+    pub fn combine_sources<'a>(
+        &mut self,
+        n_locals: usize,
+        sources: impl Iterator<Item = &'a [(u32, M)]>,
+        out: &mut Vec<(u32, M)>,
+        combine: impl FnMut(M, M) -> M,
+    ) where
+        M: 'a,
+    {
+        self.fold(n_locals, |l| l, sources, combine);
+        self.emit(out);
+    }
+
+    /// [`Combiner::combine_sources`] for a single bucket addressed by
+    /// *global* target ids, in place: `local_of` maps each target to its
+    /// dense local id.
+    pub fn combine_bucket(
+        &mut self,
+        n_locals: usize,
+        local_of: impl Fn(VertexId) -> u32,
+        buf: &mut Vec<(VertexId, M)>,
+        combine: impl FnMut(M, M) -> M,
+    ) {
+        self.fold(n_locals, local_of, std::iter::once(buf.as_slice()), combine);
+        self.emit(buf);
+    }
+
+    /// The one combining core: open a fresh epoch, then fold every message
+    /// into its target's slot, noting each target on first touch.
+    fn fold<'a>(
+        &mut self,
+        n_locals: usize,
+        local_of: impl Fn(VertexId) -> u32,
+        sources: impl Iterator<Item = &'a [(VertexId, M)]>,
+        mut combine: impl FnMut(M, M) -> M,
+    ) where
+        M: 'a,
+    {
         if self.stamp.len() < n_locals {
             self.grows += 1;
             self.stamp.resize(n_locals, 0);
@@ -118,47 +166,38 @@ impl<M: Copy> Combiner<M> {
             self.epoch = 0;
         }
         self.epoch += 1;
-    }
-
-    /// Combine `buf`'s messages per target, in place and without sorting.
-    /// Each target's messages fold left-to-right in arrival order — the
-    /// value a stable sort by target followed by an adjacent fold would
-    /// produce — and the surviving entries come out in first-touch order
-    /// (which downstream consumers never observe: only counts and
-    /// per-target values matter).
-    pub fn combine_bucket(
-        &mut self,
-        n_locals: usize,
-        local_of: impl Fn(VertexId) -> u32,
-        buf: &mut Vec<(VertexId, M)>,
-        mut combine: impl FnMut(M, M) -> M,
-    ) {
-        if buf.len() <= 1 {
-            return;
-        }
-        self.next_epoch(n_locals);
-        if self.val.len() < self.stamp.len() {
-            self.grows += 1;
-            let fill = buf[0].1;
-            self.val.resize(self.stamp.len(), fill);
-        }
         let touched_cap = self.touched.capacity();
         self.touched.clear();
-        for &(t, m) in buf.iter() {
-            let l = local_of(t) as usize;
-            if self.stamp[l] != self.epoch {
-                self.stamp[l] = self.epoch;
-                self.val[l] = m;
-                self.touched.push((t, l as u32));
-            } else {
-                self.val[l] = combine(self.val[l], m);
+        for src in sources {
+            if self.val.len() < self.stamp.len() {
+                // Any payload serves as the fill: a slot is written on
+                // first touch before it is ever read.
+                let Some(&(_, fill)) = src.first() else { continue };
+                self.grows += 1;
+                self.val.resize(self.stamp.len(), fill);
+            }
+            for &(t, m) in src {
+                let l = local_of(t) as usize;
+                if self.stamp[l] != self.epoch {
+                    self.stamp[l] = self.epoch;
+                    self.val[l] = m;
+                    self.touched.push((t, l as u32));
+                } else {
+                    self.val[l] = combine(self.val[l], m);
+                }
             }
         }
-        buf.clear();
-        for &(t, l) in &self.touched {
-            buf.push((t, self.val[l as usize]));
-        }
         if self.touched.capacity() > touched_cap {
+            self.grows += 1;
+        }
+    }
+
+    /// Replace `out` with the last fold's result, one entry per target.
+    fn emit(&mut self, out: &mut Vec<(VertexId, M)>) {
+        let cap = out.capacity();
+        out.clear();
+        out.extend(self.touched.iter().map(|&(t, l)| (t, self.val[l as usize])));
+        if out.capacity() > cap {
             self.grows += 1;
         }
     }
@@ -170,25 +209,41 @@ impl<M: Copy> Combiner<M> {
     }
 }
 
-/// One machine's inbox.
+/// The indices in `lo..hi` whose bit is set in `words` (bit `i` lives in
+/// word `i / 64`), ascending: each word is masked at the range's ends and
+/// its set bits are peeled off with `trailing_zeros`.
+fn set_bits(words: &[u64], lo: usize, hi: usize) -> impl Iterator<Item = u32> + '_ {
+    (lo / 64..hi.div_ceil(64)).flat_map(move |w| {
+        let mut bits = words[w];
+        if w == lo / 64 {
+            bits &= !0 << (lo % 64);
+        }
+        if w == (hi - 1) / 64 {
+            bits &= !0 >> (63 - (hi - 1) % 64);
+        }
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let i = (w * 64) as u32 + bits.trailing_zeros();
+                bits &= bits - 1;
+                i
+            })
+        })
+    })
+}
+
+/// One machine's inbox: the payloads delivered to it, grouped per
+/// fragment-local target id.
 ///
-/// Messages are grouped by fragment-local id via two-pass counting (or a
-/// single combining pass) and `msgs_of` is one offset-table read.
+/// `has` holds one bit per local id, set iff that vertex has messages; it
+/// is what marks a local id's `start`/`count` entries valid, and what
+/// [`Inbox::targets`] walks.
 #[derive(Debug, Clone)]
 pub struct Inbox<M> {
-    /// Messages for this machine, grouped by local id.
-    items: Vec<(VertexId, M)>,
-    // Tables over this machine's fragment-local ids. A local id's table
-    // entries are valid iff its stamp equals the current epoch.
-    stamp: Vec<u32>,
+    /// Message payloads for this machine, grouped by local id.
+    items: Vec<M>,
+    has: Vec<u64>,
     start: Vec<u32>,
     count: Vec<u32>,
-    cursor: Vec<u32>,
-    /// (global id, local id) per first touch, in touch order.
-    touched: Vec<(VertexId, u32)>,
-    /// Combining-delivery value slots (lazily sized — `M` has no default).
-    val: Vec<M>,
-    epoch: u32,
     grows: u64,
 }
 
@@ -197,13 +252,9 @@ impl<M: Copy> Inbox<M> {
     pub fn new(n_locals: usize) -> Inbox<M> {
         Inbox {
             items: Vec::new(),
-            stamp: vec![0; n_locals],
+            has: vec![0; n_locals.div_ceil(64)],
             start: vec![0; n_locals],
             count: vec![0; n_locals],
-            cursor: vec![0; n_locals],
-            touched: Vec::new(),
-            val: Vec::new(),
-            epoch: 0,
             grows: 0,
         }
     }
@@ -223,147 +274,118 @@ impl<M: Copy> Inbox<M> {
         self.grows
     }
 
-    /// Messages addressed to the vertex with fragment-local id `l`: one
-    /// offset-table read.
-    pub fn msgs_of(&self, l: u32) -> &[(VertexId, M)] {
+    /// Messages addressed to the vertex with fragment-local id `l`, in
+    /// arrival order: one bit test and one offset-table read.
+    pub fn msgs_of(&self, l: u32) -> &[M] {
         let l = l as usize;
-        if self.stamp[l] != self.epoch {
+        if self.has[l / 64] >> (l % 64) & 1 == 0 {
             return &[];
         }
         let s = self.start[l] as usize;
         &self.items[s..s + self.count[l] as usize]
     }
 
-    /// Replace this inbox's contents with the messages in `sources`
-    /// (scanned in order — source order is the inter-machine arrival
-    /// order). With `combinable`, each target keeps a single message:
-    /// its arrivals folded left-to-right through `combine`.
-    pub fn deliver<'a, S>(
-        &mut self,
-        sources: S,
-        local_of: impl Fn(VertexId) -> u32,
-        combinable: bool,
-        combine: impl FnMut(M, M) -> M,
-    ) where
-        S: Iterator<Item = &'a [(VertexId, M)]> + Clone,
+    /// The local ids in `lo..hi` that have messages, ascending. The cost
+    /// follows the number of targets, not `hi - lo`.
+    pub fn targets(&self, lo: u32, hi: u32) -> impl Iterator<Item = u32> + '_ {
+        set_bits(&self.has, lo as usize, hi as usize)
+    }
+
+    /// Marks local id `l` as having messages; `true` on its first touch
+    /// since the bitmap was last zeroed.
+    fn first_touch(&mut self, l: usize) -> bool {
+        let (word, bit) = (&mut self.has[l / 64], 1u64 << (l % 64));
+        let first = *word & bit == 0;
+        *word |= bit;
+        first
+    }
+
+    /// Replace this inbox's contents with the messages in `sources`, each
+    /// entry `(local target id, payload)` (scanned in order — source order
+    /// is the inter-machine arrival order). With `combinable`, each target
+    /// keeps a single message: its arrivals folded left-to-right through
+    /// `combine`.
+    pub fn deliver<'a, S>(&mut self, sources: S, combinable: bool, combine: impl FnMut(M, M) -> M)
+    where
+        S: Iterator<Item = &'a [(u32, M)]> + Clone,
         M: 'a,
     {
+        let items_cap = self.items.capacity();
+        self.has.fill(0);
+        self.items.clear();
         if combinable {
-            self.deliver_combined(sources, local_of, combine)
+            self.deliver_combined(sources, combine)
         } else {
-            self.deliver_counted(sources, local_of)
+            self.deliver_counted(sources)
+        }
+        if self.items.capacity() > items_cap {
+            self.grows += 1;
         }
     }
 
-    /// Combining delivery: one pass folds every message into its target's
-    /// epoch-tagged slot; the emit loop then lays targets out in
-    /// first-touch order, one entry each.
-    fn deliver_combined<'a, S>(
+    /// Combining delivery, one pass: a target's first message is appended
+    /// to `items` (so targets sit in first-touch order, one entry each) and
+    /// later ones fold into that entry.
+    fn deliver_combined<'a>(
         &mut self,
-        sources: S,
-        local_of: impl Fn(VertexId) -> u32,
+        sources: impl Iterator<Item = &'a [(u32, M)]>,
         mut combine: impl FnMut(M, M) -> M,
     ) where
-        S: Iterator<Item = &'a [(VertexId, M)]>,
         M: 'a,
     {
-        self.next_epoch();
-        let touched_cap = self.touched.capacity();
-        let items_cap = self.items.capacity();
-        self.touched.clear();
-        let mut val_ready = !self.val.is_empty();
         for src in sources {
-            for &(t, m) in src {
-                if !val_ready {
-                    // First message ever: give the value slots a fill.
-                    self.grows += 1;
-                    self.val.resize(self.stamp.len(), m);
-                    val_ready = true;
-                }
-                let l = local_of(t) as usize;
-                if self.stamp[l] != self.epoch {
-                    self.stamp[l] = self.epoch;
-                    self.val[l] = m;
-                    self.touched.push((t, l as u32));
+            for &(l, m) in src {
+                let l = l as usize;
+                if self.first_touch(l) {
+                    self.start[l] = self.items.len() as u32;
+                    self.count[l] = 1;
+                    self.items.push(m);
                 } else {
-                    self.val[l] = combine(self.val[l], m);
+                    let folded = &mut self.items[self.start[l] as usize];
+                    *folded = combine(*folded, m);
                 }
             }
-        }
-        self.items.clear();
-        for (i, &(t, l)) in self.touched.iter().enumerate() {
-            self.start[l as usize] = i as u32;
-            self.count[l as usize] = 1;
-            self.items.push((t, self.val[l as usize]));
-        }
-        if self.touched.capacity() > touched_cap || self.items.capacity() > items_cap {
-            self.grows += 1;
         }
     }
 
     /// Non-combining delivery by two-pass counting: count messages per
-    /// local target (first pass), prefix-sum the counts of touched targets
-    /// into starting offsets, then place each message at its group's
-    /// cursor (second pass). O(messages + touched targets); groups sit in
-    /// first-touch order and each group keeps arrival order.
-    fn deliver_counted<'a, S>(&mut self, sources: S, local_of: impl Fn(VertexId) -> u32)
+    /// local target (first pass), turn the counts into starting offsets
+    /// with a prefix sum over the bitmap's set bits, then place each payload
+    /// behind its group's start, re-counting as it goes (second pass).
+    /// Groups sit in ascending local id order and each group keeps arrival
+    /// order.
+    fn deliver_counted<'a, S>(&mut self, sources: S)
     where
-        S: Iterator<Item = &'a [(VertexId, M)]> + Clone,
+        S: Iterator<Item = &'a [(u32, M)]> + Clone,
         M: 'a,
     {
-        self.next_epoch();
-        let touched_cap = self.touched.capacity();
-        let items_cap = self.items.capacity();
-        self.touched.clear();
-        let mut total = 0usize;
-        let mut filler: Option<(VertexId, M)> = None;
+        let Some(&(_, filler)) = sources.clone().flatten().next() else { return };
         for src in sources.clone() {
-            for &(t, m) in src {
-                if filler.is_none() {
-                    filler = Some((t, m));
-                }
-                let l = local_of(t) as usize;
-                if self.stamp[l] != self.epoch {
-                    self.stamp[l] = self.epoch;
+            for &(l, _) in src {
+                let l = l as usize;
+                if self.first_touch(l) {
                     self.count[l] = 1;
-                    self.touched.push((t, l as u32));
                 } else {
                     self.count[l] += 1;
                 }
-                total += 1;
             }
         }
-        self.items.clear();
-        let Some(filler) = filler else { return };
-        let mut at = 0u32;
-        for &(_, l) in &self.touched {
+        let mut total = 0u32;
+        for l in set_bits(&self.has, 0, self.start.len()) {
             let l = l as usize;
-            self.start[l] = at;
-            self.cursor[l] = at;
-            at += self.count[l];
+            self.start[l] = total;
+            total += std::mem::take(&mut self.count[l]);
         }
         // Every slot is overwritten by the placement pass; the filler only
         // satisfies the type (no Default bound on M).
-        self.items.resize(total, filler);
+        self.items.resize(total as usize, filler);
         for src in sources {
-            for &(t, m) in src {
-                let l = local_of(t) as usize;
-                let slot = self.cursor[l] as usize;
-                self.cursor[l] += 1;
-                self.items[slot] = (t, m);
+            for &(l, m) in src {
+                let l = l as usize;
+                self.items[(self.start[l] + self.count[l]) as usize] = m;
+                self.count[l] += 1;
             }
         }
-        if self.touched.capacity() > touched_cap || self.items.capacity() > items_cap {
-            self.grows += 1;
-        }
-    }
-
-    fn next_epoch(&mut self) {
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
     }
 }
 
@@ -378,13 +400,12 @@ mod tests {
         a.wrapping_mul(31).wrapping_add(b)
     }
 
-    /// Group a message list by target with a stable sort — the reference
-    /// the radix structures must match per target.
-    fn reference_groups(msgs: &[(VertexId, u64)]) -> Vec<Vec<(VertexId, u64)>> {
-        let n = msgs.iter().map(|&(t, _)| t as usize + 1).max().unwrap_or(0);
-        let mut groups = vec![Vec::new(); n];
+    /// Group a message list's payloads by target, in arrival order — the
+    /// reference the radix structures must match per target.
+    fn reference_groups(msgs: &[(u32, u64)], n_locals: usize) -> Vec<Vec<u64>> {
+        let mut groups = vec![Vec::new(); n_locals];
         for &(t, m) in msgs {
-            groups[t as usize].push((t, m));
+            groups[t as usize].push(m);
         }
         groups
     }
@@ -412,6 +433,17 @@ mod tests {
         buf.truncate(w);
     }
 
+    /// Fragment size of the inbox proptest: three bitmap words, the last
+    /// one partial.
+    const LOCALS: usize = 150;
+
+    fn arb_sources() -> impl Strategy<Value = Vec<Vec<(u32, u64)>>> {
+        prop::collection::vec(
+            prop::collection::vec((0u32..LOCALS as u32, 0u64..1_000_000), 0..60),
+            1..5,
+        )
+    }
+
     proptest! {
         /// `Combiner::combine_bucket` and the stable-sort oracle agree on
         /// the combined value of every target.
@@ -430,63 +462,102 @@ mod tests {
             prop_assert_eq!(sorted, radix_sorted);
         }
 
-        /// The inbox exposes, per vertex, exactly the slice the stable-sort
-        /// oracle groups (or folds, when combining), across multiple
-        /// source buckets.
+        /// However a message list is cut into sources, the multi-source
+        /// combine yields the oracle's value for every target of the
+        /// concatenation, in the concatenation's first-touch order.
         #[test]
-        fn inbox_slices_match_stable_sort_oracle(
-            srcs in prop::collection::vec(
-                prop::collection::vec((0u32..30, 0u64..1_000_000), 0..60),
-                1..5,
-            ),
-            combinable in any::<bool>(),
+        fn multi_source_combine_matches_oracle_of_concatenation(
+            msgs in prop::collection::vec((0u32..40, 0u64..1_000_000), 0..200),
+            cuts in prop::collection::vec(0usize..=200, 0..6),
         ) {
-            let n_locals = 30usize;
-            let arrivals: Vec<(VertexId, u64)> = srcs.concat();
-            let mut want = reference_groups(&arrivals);
-            want.resize(n_locals, Vec::new());
-            if combinable {
-                for group in &mut want {
-                    sort_combine_in_place(group, fold);
+            let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(msgs.len())).collect();
+            cuts.extend([0, msgs.len()]);
+            cuts.sort_unstable();
+            let sources = cuts.windows(2).map(|w| &msgs[w[0]..w[1]]);
+            let mut comb: Combiner<u64> = Combiner::with_capacity(40);
+            let mut out = vec![(7, 7)]; // stale contents must be replaced
+            comb.combine_sources(40, sources, &mut out, fold);
+
+            let mut first_touch: Vec<u32> = Vec::new();
+            for &(t, _) in &msgs {
+                if !first_touch.contains(&t) {
+                    first_touch.push(t);
                 }
             }
-            let mut inbox: Inbox<u64> = Inbox::new(n_locals);
-            // Two deliveries: the second checks epoch retirement of the
-            // first round's tables.
-            for _round in 0..2 {
-                inbox.deliver(srcs.iter().map(|s| s.as_slice()), |t| t, combinable, fold);
+            prop_assert_eq!(out.iter().map(|&(t, _)| t).collect::<Vec<_>>(), first_touch);
+            let mut sorted = msgs.clone();
+            sort_combine_in_place(&mut sorted, fold);
+            out.sort_by_key(|&(t, _)| t);
+            prop_assert_eq!(out, sorted);
+        }
+
+        /// The inbox exposes, per vertex, exactly the slice the stable-sort
+        /// oracle groups (or folds, when combining) across multiple source
+        /// buckets, and its bitmap names exactly the vertices with
+        /// messages — also after a second delivery of other messages in
+        /// either mode, so no table entry or bit outlives its delivery.
+        #[test]
+        fn inbox_slices_match_stable_sort_oracle(
+            rounds in prop::collection::vec((arb_sources(), any::<bool>()), 2),
+            a in 0u32..=LOCALS as u32,
+            b in 0u32..=LOCALS as u32,
+        ) {
+            let mut inbox: Inbox<u64> = Inbox::new(LOCALS);
+            for (srcs, combinable) in &rounds {
+                let mut want = reference_groups(&srcs.concat(), LOCALS);
+                if *combinable {
+                    for group in want.iter_mut().filter(|g| !g.is_empty()) {
+                        *group = vec![group[1..].iter().fold(group[0], |x, &y| fold(x, y))];
+                    }
+                }
+                inbox.deliver(srcs.iter().map(|s| s.as_slice()), *combinable, fold);
                 prop_assert_eq!(inbox.len(), want.iter().map(Vec::len).sum::<usize>());
-                prop_assert_eq!(inbox.is_empty(), arrivals.is_empty());
-                for v in 0..n_locals as u32 {
+                prop_assert_eq!(inbox.is_empty(), srcs.concat().is_empty());
+                for v in 0..LOCALS as u32 {
                     prop_assert_eq!(inbox.msgs_of(v), want[v as usize].as_slice(), "vertex {}", v);
                 }
+                let (lo, hi) = (a.min(b), a.max(b));
+                let in_range: Vec<u32> =
+                    (lo..hi).filter(|&v| !want[v as usize].is_empty()).collect();
+                prop_assert_eq!(inbox.targets(lo, hi).collect::<Vec<_>>(), in_range);
             }
         }
     }
 
     #[test]
     fn counted_groups_keep_arrival_order() {
-        let srcs: Vec<Vec<(VertexId, u64)>> =
+        let srcs: Vec<Vec<(u32, u64)>> =
             vec![vec![(2, 10), (1, 11), (2, 12)], vec![(1, 13), (2, 14)]];
         let mut inbox: Inbox<u64> = Inbox::new(3);
-        inbox.deliver(srcs.iter().map(|s| s.as_slice()), |t| t, false, fold);
-        assert_eq!(inbox.msgs_of(2), &[(2, 10), (2, 12), (2, 14)]);
-        assert_eq!(inbox.msgs_of(1), &[(1, 11), (1, 13)]);
-        assert_eq!(inbox.msgs_of(0), &[] as &[(VertexId, u64)]);
+        inbox.deliver(srcs.iter().map(|s| s.as_slice()), false, fold);
+        assert_eq!(inbox.msgs_of(2), &[10, 12, 14]);
+        assert_eq!(inbox.msgs_of(1), &[11, 13]);
+        assert_eq!(inbox.msgs_of(0), &[] as &[u64]);
         assert_eq!(inbox.len(), 5);
-        let all = reference_groups(&[(2, 10), (1, 11), (2, 12), (1, 13), (2, 14)]);
-        for (v, group) in all.iter().enumerate() {
-            assert_eq!(inbox.msgs_of(v as u32), group.as_slice());
-        }
+        assert_eq!(inbox.targets(0, 3).collect::<Vec<_>>(), vec![1, 2]);
     }
 
     #[test]
     fn combined_delivery_folds_in_arrival_order() {
-        let srcs: Vec<Vec<(VertexId, u64)>> = vec![vec![(0, 3), (0, 5)], vec![(0, 7)]];
+        let srcs: Vec<Vec<(u32, u64)>> = vec![vec![(0, 3), (0, 5)], vec![(0, 7)]];
         let mut inbox: Inbox<u64> = Inbox::new(1);
-        inbox.deliver(srcs.iter().map(|s| s.as_slice()), |t| t, true, fold);
-        assert_eq!(inbox.msgs_of(0), &[(0, fold(fold(3, 5), 7))]);
+        inbox.deliver(srcs.iter().map(|s| s.as_slice()), true, fold);
+        assert_eq!(inbox.msgs_of(0), &[fold(fold(3, 5), 7)]);
         assert_eq!(inbox.len(), 1);
+    }
+
+    /// A range's walk is masked at both ends, wherever they fall relative
+    /// to the bitmap's word boundaries.
+    #[test]
+    fn targets_respect_range_ends_across_words() {
+        let all: Vec<(u32, u64)> = (0..200).map(|l| (l, 0)).collect();
+        let mut inbox: Inbox<u64> = Inbox::new(200);
+        inbox.deliver(std::iter::once(all.as_slice()), true, fold);
+        for (lo, hi) in [(0, 200), (0, 1), (63, 65), (64, 128), (1, 64), (65, 199), (199, 200)] {
+            assert_eq!(inbox.targets(lo, hi).collect::<Vec<_>>(), (lo..hi).collect::<Vec<_>>());
+        }
+        assert_eq!(inbox.targets(64, 64).count(), 0);
+        assert_eq!(inbox.targets(70, 70).count(), 0);
     }
 
     /// The acceptance criterion's pooling guarantee: after warm-up, steady
@@ -494,45 +565,36 @@ mod tests {
     #[test]
     fn radix_buffers_stop_growing_after_warmup() {
         let n_locals = 64usize;
-        let srcs: Vec<Vec<(VertexId, u64)>> = (0..4)
+        let srcs: Vec<Vec<(u32, u64)>> = (0..4)
             .map(|s| (0..200).map(|i| (((s * 7 + i) % 64) as u32, i as u64)).collect())
             .collect();
         let mut inbox: Inbox<u64> = Inbox::new(n_locals);
         let mut comb: Combiner<u64> = Combiner::with_capacity(n_locals);
-        for combinable in [false, true] {
-            for _ in 0..2 {
-                let mut bucket = srcs[0].clone();
-                comb.combine_bucket(n_locals, |t| t, &mut bucket, fold);
-                inbox.deliver(srcs.iter().map(|s| s.as_slice()), |t| t, combinable, fold);
-            }
+        let mut out: Vec<(u32, u64)> = Vec::new();
+        let mut round = |inbox: &mut Inbox<u64>, comb: &mut Combiner<u64>, combinable: bool| {
+            let mut bucket = srcs[0].clone();
+            comb.combine_bucket(n_locals, |t| t, &mut bucket, fold);
+            comb.combine_sources(n_locals, srcs.iter().map(|s| s.as_slice()), &mut out, fold);
+            inbox.deliver(srcs.iter().map(|s| s.as_slice()), combinable, fold);
+        };
+        for combinable in [false, true, false, true] {
+            round(&mut inbox, &mut comb, combinable);
         }
         let inbox_warm = inbox.grows();
         let comb_warm = comb.grows();
-        for round in 0..10 {
+        for i in 0..10 {
             for combinable in [false, true] {
-                let mut bucket = srcs[0].clone();
-                comb.combine_bucket(n_locals, |t| t, &mut bucket, fold);
-                inbox.deliver(srcs.iter().map(|s| s.as_slice()), |t| t, combinable, fold);
-                assert_eq!(inbox.grows(), inbox_warm, "inbox grew on round {round}");
-                assert_eq!(comb.grows(), comb_warm, "combiner grew on round {round}");
+                round(&mut inbox, &mut comb, combinable);
+                assert_eq!(inbox.grows(), inbox_warm, "inbox grew on round {i}");
+                assert_eq!(comb.grows(), comb_warm, "combiner grew on round {i}");
             }
         }
     }
 
-    /// Epoch wrap-around keeps slices correct (forced by starting near
+    /// Epoch wrap-around keeps combining correct (forced by starting near
     /// `u32::MAX`).
     #[test]
     fn epoch_wrap_is_safe() {
-        let mut inbox: Inbox<u64> = Inbox::new(4);
-        inbox.epoch = u32::MAX - 1;
-        inbox.stamp.fill(u32::MAX - 1);
-        let srcs: Vec<Vec<(VertexId, u64)>> = vec![vec![(1, 5)], vec![(3, 6)]];
-        for _ in 0..4 {
-            inbox.deliver(srcs.iter().map(|s| s.as_slice()), |t| t, false, fold);
-            assert_eq!(inbox.msgs_of(1), &[(1, 5)]);
-            assert_eq!(inbox.msgs_of(3), &[(3, 6)]);
-            assert_eq!(inbox.msgs_of(0), &[] as &[(VertexId, u64)]);
-        }
         let mut comb: Combiner<u64> = Combiner::with_capacity(4);
         comb.epoch = u32::MAX - 1;
         comb.stamp.fill(u32::MAX - 1);
@@ -617,16 +679,17 @@ mod tests {
     /// unreachable.
     #[test]
     fn empty_delivery_resets() {
-        let srcs: Vec<Vec<(VertexId, u64)>> = vec![vec![(0, 1), (1, 2)]];
-        let none: Vec<Vec<(VertexId, u64)>> = vec![Vec::new()];
+        let srcs: Vec<Vec<(u32, u64)>> = vec![vec![(0, 1), (1, 2)]];
+        let none: Vec<Vec<(u32, u64)>> = vec![Vec::new()];
         for combinable in [false, true] {
             let mut inbox: Inbox<u64> = Inbox::new(2);
-            inbox.deliver(srcs.iter().map(|s| s.as_slice()), |t| t, combinable, fold);
+            inbox.deliver(srcs.iter().map(|s| s.as_slice()), combinable, fold);
             assert_eq!(inbox.len(), 2);
-            inbox.deliver(none.iter().map(|s| s.as_slice()), |t| t, combinable, fold);
+            inbox.deliver(none.iter().map(|s| s.as_slice()), combinable, fold);
             assert!(inbox.is_empty());
-            assert_eq!(inbox.msgs_of(0), &[] as &[(VertexId, u64)]);
-            assert_eq!(inbox.msgs_of(1), &[] as &[(VertexId, u64)]);
+            assert_eq!(inbox.msgs_of(0), &[] as &[u64]);
+            assert_eq!(inbox.msgs_of(1), &[] as &[u64]);
+            assert_eq!(inbox.targets(0, 2).count(), 0);
         }
     }
 }
