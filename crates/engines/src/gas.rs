@@ -181,9 +181,16 @@ impl EdgeIndex {
         EdgeIndex { off, ids, verts }
     }
 
+    /// Positions of `v`'s group in the endpoint-grouped edge order — the
+    /// order of [`EdgeIndex::of`] over ascending [`EdgeIndex::verts`] — so a
+    /// caller can keep a per-edge array laid out the same way.
+    pub(crate) fn range(&self, v: VertexId) -> std::ops::Range<usize> {
+        self.off[v as usize] as usize..self.off[v as usize + 1] as usize
+    }
+
     /// Local edge ids incident to `v` (empty when `v` has none here).
     pub(crate) fn of(&self, v: VertexId) -> &[u32] {
-        &self.ids[self.off[v as usize] as usize..self.off[v as usize + 1] as usize]
+        &self.ids[self.range(v)]
     }
 
     /// Endpoints with at least one local edge, ascending.
@@ -815,7 +822,6 @@ fn wcc_propagate(
     // the serial labels exactly at any thread count and chunk size — and
     // drops the per-machine n-sized `best` copies the serial path kept.
     struct WccTask<'a> {
-        machine: usize,
         edges: &'a [(VertexId, VertexId)],
         /// Pooled across rounds.
         mins: Vec<(VertexId, VertexId)>,
@@ -846,7 +852,7 @@ fn wcc_propagate(
             for &(s, e) in &edge_plans[m] {
                 let mut mins = std::mem::take(&mut mins_pool[tasks.len()]);
                 mins.clear();
-                tasks.push(WccTask { machine: m, edges: &md.edges[s..e], mins });
+                tasks.push(WccTask { edges: &md.edges[s..e], mins });
             }
         }
         let chunk_steps: Vec<WccChunk> = exec::run_chunks(&mut tasks, |_, t| {

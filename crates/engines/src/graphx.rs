@@ -17,6 +17,13 @@
 //! the road network) therefore grow memory without bound and die — the
 //! paper's §5.6 — unless checkpointing trades the lineage for HDFS writes
 //! (and then times out instead).
+//!
+//! Host-side data path: the vertex cut over RDD partitions is needed only at
+//! load. The load loop that walks every vertex's replica partitions also
+//! records, flat, the vertex's distinct executor machines (ascending) and its
+//! hash-picked coordinating copy; the partition is dropped before the first
+//! iteration and `mirror_sync` walks that table against the cluster's current
+//! fragment placement.
 
 use crate::exec;
 use crate::recovery::{BarrierEvents, Recovery, RecoveryModel};
@@ -25,7 +32,7 @@ use graphbench_algos::workload::{PageRankConfig, StopCriterion};
 use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
 use graphbench_graph::format::GraphFormat;
 use graphbench_graph::{CsrGraph, VertexId};
-use graphbench_partition::{VertexCutPartition, VertexCutStrategy};
+use graphbench_partition::{MachineBits, MachineId, VertexCutPartition, VertexCutStrategy};
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
 
 /// GraphX / Spark configuration.
@@ -112,12 +119,17 @@ impl Engine for GraphX {
 }
 
 /// Everything the per-iteration loop needs.
-struct SparkCtx<'a> {
+struct SparkCtx {
     /// Use the hash-to-min label-propagation variant for WCC.
     hash_to_min: bool,
-    part: &'a VertexCutPartition,
-    /// Machine of each RDD partition.
-    machine_of_slot: &'a [usize],
+    /// `exec_ids[exec_off[v]..exec_off[v + 1]]`: the distinct executor
+    /// machines holding a replica partition of `v`, ascending.
+    exec_off: Vec<u32>,
+    exec_ids: Vec<MachineId>,
+    /// The executor coordinating `v`'s mirror sync, hash-selected from its
+    /// set (always taking the lowest machine id would pile coordination onto
+    /// machine 0).
+    coord: Vec<MachineId>,
     /// Partitions per machine.
     slots_per_machine: Vec<u64>,
     /// Directed edges grouped per machine.
@@ -132,24 +144,22 @@ struct SparkCtx<'a> {
     /// Lineage-recompute recovery: the rewind point is the last
     /// materialization (checkpoint) or execution start.
     recovery: Recovery,
-    /// Pooled per-chunk mirror-sync scratch, reused across supersteps.
-    sync_pool: Vec<MirrorScratch>,
+    /// The driver's per-stage scheduling wait, the same on every machine
+    /// and in every stage of a run.
+    stage_wait: Vec<f64>,
+    /// Pooled per-chunk mirror-sync counters, reused across supersteps.
+    sync_pool: Vec<MirrorTraffic>,
 }
 
-/// One mirror-sync chunk task's private scratch: the epoch-stamped dedup of
-/// a vertex's distinct replica machines (as in the old serial path, now per
-/// chunk) plus the task's traffic counters, summed in fixed task order at
-/// merge. Pooled on [`SparkCtx::sync_pool`] so no superstep re-allocates it.
-struct MirrorScratch {
-    stamp: Vec<u32>,
-    ms: Vec<usize>,
-    epoch: u32,
+/// One mirror-sync chunk task's per-machine traffic counters. Pooled on
+/// [`SparkCtx::sync_pool`] so no superstep re-allocates them.
+struct MirrorTraffic {
     sent: Vec<u64>,
     recv: Vec<u64>,
     msgs: Vec<u64>,
 }
 
-impl SparkCtx<'_> {
+impl SparkCtx {
     /// Effective parallelism on machine `m`: limited by both its cores and
     /// the partitions it actually holds (§4.4.3).
     fn slots(&self, m: usize) -> f64 {
@@ -166,12 +176,8 @@ impl SparkCtx<'_> {
     /// materialization point; on `.resized` it must refresh the snapshot so
     /// a later lineage recomputation replays from the migrated cut.
     fn charge_stage(&mut self, cluster: &mut Cluster) -> Result<BarrierEvents, SimError> {
-        let tasks: u64 = self.slots_per_machine.iter().sum();
-        // Task serialization + launch; one executed stage stands in for
-        // `superstep_scale` paper stages on diameter-compressed datasets.
         cluster.set_label("stage_sched");
-        let driver = 0.0015 * tasks as f64 * cluster.spec().superstep_scale;
-        cluster.advance_network_wait(&vec![driver; self.machines])?;
+        cluster.advance_network_wait(&self.stage_wait)?;
         let events = self.recovery.at_barrier(cluster)?;
         cluster.set_label("barrier");
         cluster.barrier()?;
@@ -289,29 +295,48 @@ fn execute(
     for (m, list) in edges_by_machine.iter().enumerate() {
         resident[m] += list.len() as u64 * profile.bytes_per_edge;
     }
+    // One walk over every vertex's replica partitions charges their resident
+    // bytes and collects the vertex's executor set for `mirror_sync`.
+    assert!(machines <= MachineId::MAX as usize + 1);
     let mut state_bytes_per_machine = vec![0u64; machines];
+    let mut exec_off = Vec::with_capacity(n + 1);
+    // At most one executor per replica partition; cut to size after the walk.
+    let mut exec_ids: Vec<MachineId> = Vec::with_capacity(part.total_replicas() as usize);
+    let mut coord = Vec::with_capacity(n);
+    let mut executors = MachineBits::new(machines);
+    exec_off.push(0u32);
     for v in 0..n as VertexId {
-        let mut seen = [false; 1024];
-        let mut machines_of_v = 0u64;
         for &s in part.replicas_of(v) {
             let m = machine_of_slot[s as usize];
             resident[m] += profile.bytes_per_vertex;
-            if !seen[m % 1024] {
-                seen[m % 1024] = true;
-                machines_of_v += 1;
-            }
             state_bytes_per_machine[m] += 16;
+            executors.insert(m);
         }
-        let _ = machines_of_v;
+        let start = exec_ids.len();
+        executors.drain(|m| exec_ids.push(m));
+        let set = &exec_ids[start..];
+        coord.push(match set.len() {
+            0 => 0,
+            len => set[(splitmix(v as u64 ^ 0xc0de) % len as u64) as usize],
+        });
+        exec_off.push(u32::try_from(exec_ids.len()).expect("executor-set offsets are u32"));
     }
+    exec_ids.shrink_to_fit();
+    // Nothing past the load reads the vertex cut.
+    drop(part);
     cluster.set_label("load");
     cluster.alloc_all(&resident)?;
     cluster.sample_trace();
 
+    // Task serialization + launch; one executed stage stands in for
+    // `superstep_scale` paper stages on diameter-compressed datasets.
+    let tasks: u64 = slots_per_machine.iter().sum();
+    let driver = 0.0015 * tasks as f64 * cluster.spec().superstep_scale;
     let mut ctx = SparkCtx {
         hash_to_min: engine.wcc_hash_to_min,
-        part: &part,
-        machine_of_slot: &machine_of_slot,
+        exec_off,
+        exec_ids,
+        coord,
         slots_per_machine,
         edges_by_machine,
         machines,
@@ -322,6 +347,7 @@ fn execute(
         checkpoint_every: engine.checkpoint_every,
         result_state_bytes: n as u64 * 16,
         recovery: Recovery::new(cluster, RecoveryModel::LineageRecompute),
+        stage_wait: vec![driver; machines],
         sync_pool: Vec::new(),
     };
 
@@ -347,7 +373,7 @@ fn execute(
 
 /// Charge compute where each machine's wall time is its ops divided by its
 /// effective slot parallelism (stragglers emerge from partition imbalance).
-fn charge_compute(cluster: &mut Cluster, ctx: &SparkCtx<'_>, ops: &[f64]) -> Result<(), SimError> {
+fn charge_compute(cluster: &mut Cluster, ctx: &SparkCtx, ops: &[f64]) -> Result<(), SimError> {
     // RDD stages scan whole partitions each iteration, so per-superstep
     // compute scales with the superstep-count compensation.
     let sscale = cluster.spec().superstep_scale;
@@ -357,90 +383,66 @@ fn charge_compute(cluster: &mut Cluster, ctx: &SparkCtx<'_>, ops: &[f64]) -> Res
     cluster.advance_compute(&adjusted, 1)
 }
 
-/// Mirror synchronization across machines for changed vertices. Chunks of
-/// the changed list run in parallel, each with its own pooled epoch-stamp
-/// scratch and traffic counters; the per-vertex arithmetic is untouched and
-/// the u64 counter sums are order-free, so the exchanged bytes/messages are
-/// bit-identical to the serial path at any chunk x thread combination.
+/// Mirror synchronization across machines for changed vertices: the
+/// coordinating copy of each exchanges 16 bytes with every other executor in
+/// the vertex's set, unless their fragments currently share a physical
+/// machine (after a resize they sync through local memory, not the wire).
+/// Sets and coordinators are the load-time table; only the fragment placement
+/// is read afresh. Chunks of the changed list run in parallel, each with its
+/// own pooled counters; the u64 counter sums are order-free, so the exchanged
+/// bytes/messages are the same at any chunk x thread combination.
 fn mirror_sync(
     cluster: &mut Cluster,
-    ctx: &mut SparkCtx<'_>,
+    ctx: &mut SparkCtx,
     changed: &[VertexId],
 ) -> Result<(), SimError> {
     let machines = ctx.machines;
-    let part = ctx.part;
-    let machine_of_slot = ctx.machine_of_slot;
-    // Fragment placement: replicas whose fragments share a physical machine
-    // after a resize sync through local memory, not the wire.
-    let frag_map = cluster.frag_map().to_vec();
     let spans = exec::uniform_spans(changed.len(), exec::chunk_size());
-    let mut pool = std::mem::take(&mut ctx.sync_pool);
-    while pool.len() < spans.len() {
-        pool.push(MirrorScratch {
-            stamp: vec![0; machines],
-            ms: Vec::new(),
-            epoch: 0,
+    // An empty change list still exchanges (zero) traffic.
+    let chunks = spans.len().max(1);
+    while ctx.sync_pool.len() < chunks {
+        ctx.sync_pool.push(MirrorTraffic {
             sent: vec![0; machines],
             recv: vec![0; machines],
             msgs: vec![0; machines],
         });
     }
+    let pool = &mut ctx.sync_pool[..chunks];
+    for t in pool.iter_mut() {
+        t.sent.fill(0);
+        t.recv.fill(0);
+        t.msgs.fill(0);
+    }
     // Label before the host work so its wallclock spans attribute to the
     // shuffle (the exchange below is charged under the same label).
     cluster.set_label("shuffle");
-    let mut tasks: Vec<(&[VertexId], &mut MirrorScratch)> =
-        spans.iter().zip(pool.iter_mut()).map(|(&(s, e), sc)| (&changed[s..e], sc)).collect();
-    exec::run_chunks(&mut tasks, |_, t| {
-        let (span, sc) = t;
-        sc.sent.fill(0);
-        sc.recv.fill(0);
-        sc.msgs.fill(0);
+    let frag_map = cluster.frag_map();
+    let (exec_off, exec_ids, coord) = (&ctx.exec_off, &ctx.exec_ids, &ctx.coord);
+    let mut tasks: Vec<(&[VertexId], &mut MirrorTraffic)> =
+        spans.iter().zip(pool.iter_mut()).map(|(&(s, e), t)| (&changed[s..e], t)).collect();
+    exec::run_chunks(&mut tasks, |_, (span, t)| {
         for &v in *span {
-            // Epoch-stamped dedup of the replica machines into reused
-            // scratch (no per-vertex allocation). The small distinct list
-            // is then sorted so the hash-based master pick sees the same
-            // ascending order as before.
-            if sc.epoch == u32::MAX {
-                sc.stamp.fill(0);
-                sc.epoch = 0;
-            }
-            sc.epoch += 1;
-            sc.ms.clear();
-            for &s in part.replicas_of(v) {
-                let m = machine_of_slot[s as usize];
-                if sc.stamp[m] != sc.epoch {
-                    sc.stamp[m] = sc.epoch;
-                    sc.ms.push(m);
-                }
-            }
-            if sc.ms.len() > 1 {
-                sc.ms.sort_unstable();
-                // Hash-select the coordinating copy (always taking the
-                // lowest machine id would pile coordination onto machine 0).
-                let master = sc.ms[(splitmix(v as u64 ^ 0xc0de) % sc.ms.len() as u64) as usize];
-                for &m in &sc.ms {
-                    if frag_map[m] != frag_map[master] {
-                        sc.sent[master] += 16;
-                        sc.recv[m] += 16;
-                        sc.msgs[master] += 1;
-                    }
+            let v = v as usize;
+            let master = coord[v] as usize;
+            for &m in &exec_ids[exec_off[v] as usize..exec_off[v + 1] as usize] {
+                if frag_map[m as usize] != frag_map[master] {
+                    t.sent[master] += 16;
+                    t.recv[m as usize] += 16;
+                    t.msgs[master] += 1;
                 }
             }
         }
     });
-    let mut sent = vec![0u64; machines];
-    let mut recv = vec![0u64; machines];
-    let mut msgs = vec![0u64; machines];
-    for (_, sc) in &tasks {
+    drop(tasks);
+    let (total, rest) = pool.split_first_mut().expect("at least one chunk");
+    for t in rest {
         for m in 0..machines {
-            sent[m] += sc.sent[m];
-            recv[m] += sc.recv[m];
-            msgs[m] += sc.msgs[m];
+            total.sent[m] += t.sent[m];
+            total.recv[m] += t.recv[m];
+            total.msgs[m] += t.msgs[m];
         }
     }
-    drop(tasks);
-    ctx.sync_pool = pool;
-    cluster.exchange(&sent, &recv, &msgs)
+    cluster.exchange(&total.sent, &total.recv, &total.msgs)
 }
 
 /// Gather-side state for the PageRank dataflow join, built once per run
@@ -448,23 +450,37 @@ fn mirror_sync(
 /// indexes — per-destination contributions keep edge-arrival order, so the
 /// f64 folds match the serial partition scan bit for bit — the degree-aware
 /// chunk plans over them, and the pooled dense partial-sum arrays that a
-/// fresh `vec![0.0; n]` per machine per iteration used to allocate.
+/// fresh `vec![0.0; n]` per machine per iteration used to allocate. `srcs`
+/// holds each machine's edge sources in the index's by-destination order, so
+/// the gather streams one array instead of chasing edge ids, and `contrib`
+/// is the per-iteration `rank / out-degree` of every vertex: one division
+/// per source rather than one per edge, the same IEEE quotient either way.
 struct PrGather {
     idx: Vec<crate::gas::EdgeIndex>,
+    srcs: Vec<Vec<VertexId>>,
     plans: Vec<Vec<(usize, usize, usize)>>,
     parts: Vec<Vec<f64>>,
+    contrib: Vec<f64>,
 }
 
 impl PrGather {
-    fn build(ctx: &SparkCtx<'_>) -> PrGather {
+    fn build(ctx: &SparkCtx) -> PrGather {
         let idx: Vec<crate::gas::EdgeIndex> = ctx
             .edges_by_machine
             .iter()
             .map(|edges| crate::gas::EdgeIndex::build(ctx.n, edges, |&(_, dst)| dst))
             .collect();
+        let srcs = idx
+            .iter()
+            .zip(&ctx.edges_by_machine)
+            .map(|(ix, edges)| {
+                let by_dst = ix.verts().iter().flat_map(|&v| ix.of(v));
+                by_dst.map(|&e| edges[e as usize].0).collect()
+            })
+            .collect();
         let plans = idx.iter().map(|i| crate::gas::gather_plan(i, ctx.n)).collect();
         let parts = vec![vec![0.0f64; ctx.n]; ctx.machines];
-        PrGather { idx, plans, parts }
+        PrGather { idx, srcs, plans, parts, contrib: vec![0.0f64; ctx.n] }
     }
 }
 
@@ -477,7 +493,7 @@ impl PrGather {
 /// loop and lineage-recompute replay (which discards `ops`). Returns the
 /// largest per-vertex rank change.
 fn pagerank_step(
-    ctx: &SparkCtx<'_>,
+    ctx: &SparkCtx,
     g: &CsrGraph,
     cfg: &PageRankConfig,
     ranks: &mut [f64],
@@ -486,7 +502,11 @@ fn pagerank_step(
     pg: &mut PrGather,
 ) -> f64 {
     let edges_by_machine = &ctx.edges_by_machine;
-    let ranks_r: &[f64] = ranks;
+    // A vertex without out-edges is nobody's source; its quotient is unread.
+    for (u, (c, r)) in pg.contrib.iter_mut().zip(ranks.iter()).enumerate() {
+        *c = r / g.out_degree(u as VertexId) as f64;
+    }
+    let contrib = &pg.contrib;
     struct GatherTask<'t> {
         machine: usize,
         verts: &'t [VertexId],
@@ -504,16 +524,14 @@ fn pagerank_step(
             base = wend;
         }
     }
-    let idx = &pg.idx;
+    let (idx, srcs) = (&pg.idx, &pg.srcs);
     exec::run_chunks(&mut tasks, |_, t| {
         t.window.fill(0.0);
-        let ix = &idx[t.machine];
-        let edges = &edges_by_machine[t.machine];
+        let (ix, srcs) = (&idx[t.machine], &srcs[t.machine]);
         for &v in t.verts {
             let mut sum = 0.0f64;
-            for &e in ix.of(v) {
-                let (u, _) = edges[e as usize];
-                sum += ranks_r[u as usize] / g.out_degree(u) as f64;
+            for &u in &srcs[ix.range(v)] {
+                sum += contrib[u as usize];
             }
             t.window[v as usize - t.base] = sum;
         }
@@ -531,7 +549,7 @@ fn pagerank_step(
 
 fn spark_pagerank(
     cluster: &mut Cluster,
-    ctx: &mut SparkCtx<'_>,
+    ctx: &mut SparkCtx,
     input: &EngineInput<'_>,
     cfg: PageRankConfig,
 ) -> Result<Vec<f64>, SimError> {
@@ -550,6 +568,8 @@ fn spark_pagerank(
         cluster.plan_has_crashes().then(|| (0, ranks.clone()));
     let mut ops = vec![0.0f64; ctx.machines];
     let mut pg = PrGather::build(ctx);
+    // Every rank moves every iteration.
+    let all_vertices: Vec<VertexId> = (0..n as VertexId).collect();
     let mut iter = 0u32;
     loop {
         if iter >= max_iters {
@@ -579,9 +599,8 @@ fn spark_pagerank(
         cluster.set_label("superstep");
         let max_delta = pagerank_step(ctx, g, &cfg, &mut ranks, &mut incoming, &mut ops, &mut pg);
         charge_compute(cluster, ctx, &ops)?;
-        let changed: Vec<VertexId> = (0..n as VertexId).collect();
-        mirror_sync(cluster, ctx, &changed)?;
-        if ctx.charge_lineage(cluster, iter, changed.len() as u64)? {
+        mirror_sync(cluster, ctx, &all_vertices)?;
+        if ctx.charge_lineage(cluster, iter, n as u64)? {
             if let Some(s) = snapshot.as_mut() {
                 *s = (iter + 1, ranks.clone());
             }
@@ -606,7 +625,7 @@ struct WccScratch {
 }
 
 impl WccScratch {
-    fn build(ctx: &SparkCtx<'_>) -> WccScratch {
+    fn build(ctx: &SparkCtx) -> WccScratch {
         let spans: Vec<Vec<(usize, usize)>> = ctx
             .edges_by_machine
             .iter()
@@ -624,7 +643,7 @@ impl WccScratch {
 /// label copies the previous version cloned each iteration. Fills `changed`
 /// with the vertices whose label shrank. Shared by the live loop and replay.
 fn wcc_step(
-    ctx: &SparkCtx<'_>,
+    ctx: &SparkCtx,
     label: &mut Vec<VertexId>,
     ops: &mut [f64],
     changed: &mut Vec<VertexId>,
@@ -687,7 +706,7 @@ fn wcc_step(
     std::mem::swap(label, next);
 }
 
-fn spark_wcc(cluster: &mut Cluster, ctx: &mut SparkCtx<'_>) -> Result<Vec<VertexId>, SimError> {
+fn spark_wcc(cluster: &mut Cluster, ctx: &mut SparkCtx) -> Result<Vec<VertexId>, SimError> {
     let n = ctx.n;
     let mut label: Vec<VertexId> = (0..n as VertexId).collect();
     let mut snapshot: Option<(u32, Vec<VertexId>)> =
@@ -737,7 +756,7 @@ struct TravScratch {
 }
 
 impl TravScratch {
-    fn build(ctx: &SparkCtx<'_>) -> TravScratch {
+    fn build(ctx: &SparkCtx) -> TravScratch {
         let spans: Vec<Vec<(usize, usize)>> = ctx
             .edges_by_machine
             .iter()
@@ -756,7 +775,7 @@ impl TravScratch {
 /// `frontier` with the newly-improved vertices. Shared by the live loop
 /// and replay.
 fn traversal_step(
-    ctx: &SparkCtx<'_>,
+    ctx: &SparkCtx,
     bound: u32,
     dist: &mut [u32],
     active: &mut [bool],
@@ -809,7 +828,7 @@ fn traversal_step(
 
 fn spark_traversal(
     cluster: &mut Cluster,
-    ctx: &mut SparkCtx<'_>,
+    ctx: &mut SparkCtx,
     source: VertexId,
     bound: u32,
 ) -> Result<Vec<u32>, SimError> {
@@ -1022,6 +1041,193 @@ mod tests {
         assert_eq!(clean.result, faulted.result);
         assert!(faulted.metrics.phases.execute > clean.metrics.phases.execute);
         assert!(faulted.journal.events().iter().any(|e| e.label == "recovery"));
+    }
+
+    /// Per-iteration changed sets of the two message-driven workloads,
+    /// from first principles: synchronous HashMin label shrinks (with the
+    /// final empty round the engine also syncs) and BFS levels `1..=k`
+    /// (plus the empty round past the bound).
+    fn changed_sets(el: &EdgeList, w: Workload) -> Vec<Vec<VertexId>> {
+        let n = el.num_vertices as usize;
+        let mut rounds = Vec::new();
+        match w {
+            Workload::Wcc => {
+                let mut label: Vec<VertexId> = (0..n as VertexId).collect();
+                loop {
+                    let mut next = label.clone();
+                    for e in &el.edges {
+                        let (u, v) = (e.src as usize, e.dst as usize);
+                        next[v] = next[v].min(label[u]);
+                        next[u] = next[u].min(label[v]);
+                    }
+                    let changed: Vec<VertexId> = (0..n as VertexId)
+                        .filter(|&v| next[v as usize] < label[v as usize])
+                        .collect();
+                    let done = changed.is_empty();
+                    rounds.push(changed);
+                    label = next;
+                    if done {
+                        break;
+                    }
+                }
+            }
+            Workload::KHop { source, k } => {
+                let mut dist = vec![UNREACHABLE; n];
+                dist[source as usize] = 0;
+                for d in 0.. {
+                    let mut level = Vec::new();
+                    for e in &el.edges {
+                        if d < k && dist[e.src as usize] == d && dist[e.dst as usize] == UNREACHABLE
+                        {
+                            dist[e.dst as usize] = d + 1;
+                            level.push(e.dst);
+                        }
+                    }
+                    let done = level.is_empty();
+                    rounds.push(level);
+                    if done {
+                        break;
+                    }
+                }
+            }
+            other => panic!("{other:?}"),
+        }
+        rounds
+    }
+
+    /// The algorithm `mirror_sync` ran before the load-time table: per
+    /// changed vertex, collect the executors of its replica partitions,
+    /// deduplicate, sort, hash-pick the coordinating copy, and count one
+    /// 16-byte message per executor on another physical machine. Returns
+    /// the journal's `(net_bytes, messages)` of the exchange at the default
+    /// 16-byte framing and `work_scale` 1.
+    fn naive_sync(
+        part: &VertexCutPartition,
+        machine_of_slot: &[usize],
+        frag_map: &[usize],
+        changed: &[VertexId],
+    ) -> (u64, u64) {
+        let (mut sent, mut msgs) = (0u64, 0u64);
+        for &v in changed {
+            let mut ms: Vec<usize> = Vec::new();
+            for &s in part.replicas_of(v) {
+                let m = machine_of_slot[s as usize];
+                if !ms.contains(&m) {
+                    ms.push(m);
+                }
+            }
+            if ms.len() > 1 {
+                ms.sort_unstable();
+                let master = ms[(splitmix(v as u64 ^ 0xc0de) % ms.len() as u64) as usize];
+                for &m in &ms {
+                    if frag_map[m] != frag_map[master] {
+                        sent += 16;
+                        msgs += 1;
+                    }
+                }
+            }
+        }
+        (sent + 16 * msgs, msgs)
+    }
+
+    /// `(net_bytes, messages)` of every execute-phase mirror sync of a run,
+    /// with the number of migrations journaled before it.
+    fn sync_events(out: &RunOutput) -> Vec<(usize, (u64, u64))> {
+        use graphbench_sim::EventKind;
+        let mut migrations = 0;
+        let mut syncs = Vec::new();
+        let mut in_migration = false;
+        for e in out.journal.events() {
+            let migrating = e.label == "migrate";
+            if migrating && !in_migration {
+                migrations += 1;
+            }
+            in_migration = migrating;
+            if e.phase == "execute" && e.label == "shuffle" && e.kind == EventKind::Network {
+                syncs.push((migrations, (e.net_bytes, e.messages)));
+            }
+        }
+        syncs
+    }
+
+    #[test]
+    fn mirror_sync_traffic_matches_naive_recomputation() {
+        use graphbench_partition::elastic::rebalance;
+        use graphbench_sim::FaultPlan;
+        const MACHINES: usize = 6;
+        const SLOTS: usize = 48;
+        let engine = gx(SLOTS);
+        let _guard = exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for kind in [DatasetKind::Twitter, DatasetKind::Wrn] {
+            let ds = dataset(kind);
+            let part =
+                VertexCutPartition::build(&ds.0, SLOTS, VertexCutStrategy::Grid2D, 7).unwrap();
+            let machine_of_slot = engine.assign_partitions(SLOTS, MACHINES, 7);
+            for w in [Workload::Wcc, Workload::khop3(0)] {
+                let rounds = changed_sets(&ds.0, w);
+                let want_answer = match w {
+                    Workload::Wcc => WorkloadResult::Labels(reference::wcc(&ds.1)),
+                    _ => WorkloadResult::Distances(reference::khop(&ds.1, 0, 3)),
+                };
+                // Expected syncs of a run whose fragments sit on
+                // `physical[i]` machines after the i-th migration.
+                let expect = |out: &RunOutput, physical: &[usize], ctx: &str| {
+                    assert!(out.metrics.status.is_ok(), "{ctx}: {:?}", out.metrics.status);
+                    assert_eq!(out.result.as_ref(), Some(&want_answer), "{ctx}");
+                    let syncs = sync_events(out);
+                    assert_eq!(syncs.len(), rounds.len(), "{ctx}");
+                    for (i, (&(migrations, got), changed)) in syncs.iter().zip(&rounds).enumerate()
+                    {
+                        let frag_map = rebalance(MACHINES, physical[migrations]);
+                        let want = naive_sync(&part, &machine_of_slot, &frag_map, changed);
+                        assert_eq!(got, want, "{ctx}: sync {i} after {migrations} migrations");
+                    }
+                    syncs
+                };
+                let mut clean = None;
+                for threads in [1usize, 4] {
+                    exec::set_threads(threads);
+                    for chunk in [1usize, 63, 4096] {
+                        exec::set_chunk_size(chunk);
+                        let out = engine.run(&input(&ds, w, MACHINES, 1 << 30));
+                        let ctx = format!("{kind:?} {w:?} threads {threads} chunk {chunk}");
+                        expect(&out, &[MACHINES], &ctx);
+                        let key = (out.metrics.network_bytes, out.metrics.messages);
+                        assert_eq!(*clean.get_or_insert(key), key, "{ctx}");
+                        if (threads, chunk) == (4, 63) {
+                            // Scale in a quarter of the way through
+                            // execution — colocated fragments stop syncing
+                            // over the wire — and, in the second plan, back
+                            // out past the fragment count, which restores
+                            // the identity placement.
+                            let p = &out.metrics.phases;
+                            let at = |frac: f64| p.overhead + p.load + frac * p.execute;
+                            let wire = |s: &[(usize, (u64, u64))]| -> u64 {
+                                s.iter().map(|&(_, (bytes, _))| bytes).sum()
+                            };
+                            let static_wire = wire(&sync_events(&out));
+                            for (plan, physical) in [
+                                (format!("resize@{}:-m2", at(0.25)), vec![MACHINES, MACHINES - 2]),
+                                (
+                                    format!("resize@{}:-m2; resize@{}:+m4", at(0.25), at(0.6)),
+                                    vec![MACHINES, MACHINES - 2, MACHINES + 2],
+                                ),
+                            ] {
+                                let mut inp = input(&ds, w, MACHINES, 1 << 30);
+                                inp.cluster.faults = FaultPlan::parse(&plan).unwrap();
+                                let ctx = format!("{ctx} {plan}");
+                                let syncs = expect(&engine.run(&inp), &physical, &ctx);
+                                let reached = syncs.last().unwrap().0;
+                                assert_eq!(reached, physical.len() - 1, "{ctx}: resizes reached");
+                                assert!(wire(&syncs) <= static_wire, "{ctx}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        exec::set_chunk_size(4096);
+        exec::set_threads(1);
     }
 
     #[test]

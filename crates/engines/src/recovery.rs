@@ -30,7 +30,7 @@
 //! cut: the recovery point advances to it, so a later crash never replays
 //! across a membership change.
 
-use graphbench_sim::{Cluster, SimError, TransientFault};
+use graphbench_sim::{Cluster, SimError};
 
 pub use graphbench_sim::RETRY_MAX_ATTEMPTS;
 

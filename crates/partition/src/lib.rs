@@ -37,6 +37,34 @@ pub use voronoi::{BlockPartition, VoronoiConfig};
 /// far beyond the paper's 128 — and keeps replica sets compact.
 pub type MachineId = u16;
 
+/// A reusable bitset over machine ids: the sort-and-deduplicate step for the
+/// small machine sets of the vertex-cut path (a vertex's replica machines,
+/// a GraphX vertex's executors), with no per-set allocation.
+#[derive(Debug, Clone)]
+pub struct MachineBits(Vec<u64>);
+
+impl MachineBits {
+    /// An empty set over machines `0..machines`.
+    pub fn new(machines: usize) -> Self {
+        MachineBits(vec![0; machines.div_ceil(64)])
+    }
+
+    pub fn insert(&mut self, m: usize) {
+        self.0[m / 64] |= 1u64 << (m % 64);
+    }
+
+    /// Hands every member to `emit` in ascending order and empties the set.
+    pub fn drain(&mut self, mut emit: impl FnMut(MachineId)) {
+        for (w, word) in self.0.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                emit((w * 64 + bits.trailing_zeros() as usize) as MachineId);
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
 /// Deterministic 64-bit mix (splitmix64 finalizer) used by every hash-based
 /// partitioner so results are reproducible across platforms.
 pub(crate) fn mix64(mut x: u64) -> u64 {

@@ -18,9 +18,20 @@
 //! * **Oblivious** — greedy placement using the replica sets built so far.
 //! * **Auto** — PDS if the machine count qualifies, else Grid, else
 //!   Oblivious (GraphLab's preference order).
+//!
+//! # Data path
+//!
+//! Every `S` and `GL` cell builds one of these before its first superstep, so
+//! neither layer searches per edge. **Placement:** Grid/Grid2D never
+//! materialize candidate sets — the intersection of "row plus column" of two
+//! hash machines is known in closed form ([`assign_grid`]); only PDS, whose
+//! sets have `p + 1` members, intersects sorted lists. **Replica sets:** one
+//! flat `offsets + ids` pair for all vertices, built by a counting sort of
+//! incident machine ids by vertex and a per-vertex bitset dedup that emits
+//! ascending ids in place ([`replica_sets`]).
 
 use crate::pds::perfect_difference_set;
-use crate::{hash_to_machine, mix64, MachineId};
+use crate::{hash_to_machine, mix64, MachineBits, MachineId};
 use graphbench_graph::{EdgeList, VertexId};
 
 /// Partitioning strategy selector.
@@ -94,10 +105,12 @@ pub struct VertexCutPartition {
     resolved: VertexCutStrategy,
     /// Machine of each edge, parallel to the input edge list.
     edge_assignment: Vec<MachineId>,
-    /// Sorted machine set per vertex (empty for isolated vertices).
-    replicas: Vec<Vec<MachineId>>,
-    /// Master machine per vertex: the hash machine if it holds a replica,
-    /// otherwise the first replica, otherwise the hash machine.
+    /// `replica_ids[replica_off[v]..replica_off[v + 1]]` is the ascending
+    /// machine set of vertex `v` (empty for isolated vertices).
+    replica_off: Vec<u32>,
+    replica_ids: Vec<MachineId>,
+    /// Master machine per vertex: the hash machine if it holds a replica or
+    /// the vertex has none, otherwise a hashed member of the replica set.
     masters: Vec<MachineId>,
 }
 
@@ -116,11 +129,11 @@ impl VertexCutPartition {
             VertexCutStrategy::Grid => {
                 let (x, y) =
                     grid_shape(machines).ok_or(VertexCutError::GridUnavailable { machines })?;
-                assign_constrained(el, machines, seed, &grid_candidates(x, y))
+                assign_grid(el, x, y, seed)
             }
             VertexCutStrategy::Grid2D => {
                 let (x, y) = grid2d_shape(machines);
-                assign_constrained(el, machines, seed, &grid_candidates(x, y))
+                assign_grid(el, x, y, seed)
             }
             VertexCutStrategy::Pds => {
                 let set = perfect_difference_set(machines)
@@ -130,32 +143,16 @@ impl VertexCutPartition {
             VertexCutStrategy::Oblivious => assign_oblivious(el, machines, seed),
             VertexCutStrategy::Auto => unreachable!("resolved above"),
         };
-        let n = el.num_vertices as usize;
-        let mut replicas: Vec<Vec<MachineId>> = vec![Vec::new(); n];
-        for (e, &m) in el.edges.iter().zip(&edge_assignment) {
-            for v in [e.src, e.dst] {
-                let r = &mut replicas[v as usize];
-                if !r.contains(&m) {
-                    r.push(m);
-                }
-            }
-        }
-        let mut masters = Vec::with_capacity(n);
-        for (v, r) in replicas.iter_mut().enumerate() {
-            r.sort_unstable();
-            let h = hash_to_machine(v as u64, seed, machines);
-            // Master = the hash machine when it holds a replica, otherwise a
-            // *hashed* member of the replica set (picking the first member
-            // would pile masters — and their gather/apply traffic — onto
-            // low-numbered machines).
-            let master = if r.is_empty() || r.contains(&h) {
-                h
-            } else {
-                r[(mix64(v as u64 ^ seed.rotate_left(17)) % r.len() as u64) as usize]
-            };
-            masters.push(master);
-        }
-        Ok(VertexCutPartition { machines, resolved, edge_assignment, replicas, masters })
+        let (replica_off, replica_ids, masters) =
+            replica_sets(el, &edge_assignment, machines, seed);
+        Ok(VertexCutPartition {
+            machines,
+            resolved,
+            edge_assignment,
+            replica_off,
+            replica_ids,
+            masters,
+        })
     }
 
     pub fn machines(&self) -> usize {
@@ -177,7 +174,8 @@ impl VertexCutPartition {
 
     /// Sorted replica set of `v`.
     pub fn replicas_of(&self, v: VertexId) -> &[MachineId] {
-        &self.replicas[v as usize]
+        let v = v as usize;
+        &self.replica_ids[self.replica_off[v] as usize..self.replica_off[v + 1] as usize]
     }
 
     pub fn master_of(&self, v: VertexId) -> MachineId {
@@ -186,21 +184,17 @@ impl VertexCutPartition {
 
     /// Total replicas across all vertices.
     pub fn total_replicas(&self) -> u64 {
-        self.replicas.iter().map(|r| r.len() as u64).sum()
+        self.replica_ids.len() as u64
     }
 
     /// Average replicas per vertex that has at least one edge — the paper's
     /// replication factor (Table 4).
     pub fn replication_factor(&self) -> f64 {
-        let (sum, cnt) = self
-            .replicas
-            .iter()
-            .filter(|r| !r.is_empty())
-            .fold((0u64, 0u64), |(s, c), r| (s + r.len() as u64, c + 1));
+        let cnt = self.replica_off.windows(2).filter(|w| w[1] > w[0]).count();
         if cnt == 0 {
             0.0
         } else {
-            sum as f64 / cnt as f64
+            self.total_replicas() as f64 / cnt as f64
         }
     }
 
@@ -277,8 +271,130 @@ fn assign_random(el: &EdgeList, machines: usize, seed: u64) -> Vec<MachineId> {
         .collect()
 }
 
+/// The least loaded of `members`, load ties to the lowest machine id.
+fn least_loaded(loads: &[u64], members: impl Iterator<Item = MachineId>) -> MachineId {
+    members.min_by_key(|&m| (loads[m as usize], m)).expect("candidate sets are non-empty")
+}
+
+/// Grid / Grid2D placement on an `x * y` rectangle (machine `r * y + c` sits
+/// at row `r`, column `c`): an edge goes to the least loaded machine that is
+/// in both endpoints' candidate sets, ties to the lowest machine id.
+///
+/// A candidate set is the row plus column of the vertex's hash machine, so
+/// the intersection of two sets needs no search. With hash machines
+/// `(ru, cu)` and `(rv, cv)`:
+///
+/// * rows and columns both differ — exactly `(ru, cv)` and `(rv, cu)`;
+/// * only the row (column) coincides — that whole row (column);
+/// * same machine — its whole row plus column.
+///
+/// The list-intersection search this replaces (kept as the test oracle)
+/// walked a sorted candidate list and took a member only when strictly less
+/// loaded than the best so far, which is [`least_loaded`]'s rule; every pick
+/// feeds the loads the next one reads, so the rule is part of the output.
+fn assign_grid(el: &EdgeList, x: usize, y: usize, seed: u64) -> Vec<MachineId> {
+    let machines = x * y;
+    // (row, column) of each vertex's hash machine: one hash per vertex, not
+    // two per edge.
+    let cell: Vec<(MachineId, MachineId)> = (0..el.num_vertices)
+        .map(|v| {
+            let h = hash_to_machine(v, seed, machines) as usize;
+            ((h / y) as MachineId, (h % y) as MachineId)
+        })
+        .collect();
+    let id = |r: usize, c: usize| (r * y + c) as MachineId;
+    let row = |r: usize| (0..y).map(move |c| id(r, c));
+    let col = |c: usize| (0..x).map(move |r| id(r, c));
+    let mut loads = vec![0u64; machines];
+    let mut out = Vec::with_capacity(el.edges.len());
+    for e in &el.edges {
+        let (ru, cu) = cell[e.src as usize];
+        let (rv, cv) = cell[e.dst as usize];
+        let (ru, cu, rv, cv) = (ru as usize, cu as usize, rv as usize, cv as usize);
+        let pick = match (ru == rv, cu == cv) {
+            (false, false) => least_loaded(&loads, [id(ru, cv), id(rv, cu)].into_iter()),
+            (true, false) => least_loaded(&loads, row(ru)),
+            (false, true) => least_loaded(&loads, col(cu)),
+            (true, true) => least_loaded(&loads, row(ru).chain(col(cu))),
+        };
+        loads[pick as usize] += 1;
+        out.push(pick);
+    }
+    out
+}
+
+/// Flat replica sets and masters of an edge placement: `(offsets, ids,
+/// masters)` with `ids[offsets[v]..offsets[v + 1]]` the ascending machines
+/// holding an edge of `v`.
+///
+/// A counting sort groups the machine id of every edge endpoint by vertex;
+/// each group is then deduplicated through a [`MachineBits`], whose members
+/// come out ascending, written back over the front of the same buffer
+/// (the write cursor can never pass the group being read), which is finally
+/// cut to the distinct ids so the `2 |E|`-entry sort buffer does not outlive
+/// the build. The master is picked while the group is at hand: the hash
+/// machine when it holds a replica, otherwise a *hashed* member of the set
+/// (picking the first member would pile masters — and their gather/apply
+/// traffic — onto low-numbered machines).
+fn replica_sets(
+    el: &EdgeList,
+    edge_assignment: &[MachineId],
+    machines: usize,
+    seed: u64,
+) -> (Vec<u32>, Vec<MachineId>, Vec<MachineId>) {
+    let n = el.num_vertices as usize;
+    assert!(2 * el.edges.len() <= u32::MAX as usize, "replica offsets are u32");
+    // `off[v]` starts as the group's first slot and is the fill cursor, so
+    // after the fill it is the group's end (the next group's start).
+    let mut off = vec![0u32; n + 1];
+    for e in &el.edges {
+        off[e.src as usize] += 1;
+        off[e.dst as usize] += 1;
+    }
+    let mut total = 0u32;
+    for o in off.iter_mut() {
+        total += std::mem::replace(o, total);
+    }
+    let mut ids: Vec<MachineId> = vec![0; total as usize];
+    for (e, &m) in el.edges.iter().zip(edge_assignment) {
+        for v in [e.src, e.dst] {
+            let cursor = &mut off[v as usize];
+            ids[*cursor as usize] = m;
+            *cursor += 1;
+        }
+    }
+    let mut group = MachineBits::new(machines);
+    let mut masters = Vec::with_capacity(n);
+    let (mut read, mut write) = (0usize, 0usize);
+    for v in 0..n {
+        let end = std::mem::replace(&mut off[v], write as u32) as usize;
+        for &m in &ids[read..end] {
+            group.insert(m as usize);
+        }
+        read = end;
+        let start = write;
+        group.drain(|m| {
+            ids[write] = m;
+            write += 1;
+        });
+        let set = &ids[start..write];
+        let h = hash_to_machine(v as u64, seed, machines);
+        masters.push(if set.is_empty() || set.binary_search(&h).is_ok() {
+            h
+        } else {
+            set[(mix64(v as u64 ^ seed.rotate_left(17)) % set.len() as u64) as usize]
+        });
+    }
+    off[n] = write as u32;
+    ids.truncate(write);
+    ids.shrink_to_fit();
+    (off, ids, masters)
+}
+
 /// Candidate machine set per hash machine for Grid: the row plus column of
-/// the machine in the X x Y rectangle.
+/// the machine in the X x Y rectangle. Only the list-intersection oracle of
+/// [`assign_grid`] materializes these.
+#[cfg(test)]
 fn grid_candidates(x: usize, y: usize) -> Vec<Vec<MachineId>> {
     let machines = x * y;
     (0..machines)
@@ -310,10 +426,11 @@ fn pds_candidates(set: &[u16], machines: usize) -> Vec<Vec<MachineId>> {
         .collect()
 }
 
-/// Constrained placement shared by Grid and PDS: an edge goes to the least
-/// loaded machine in the intersection of its endpoints' candidate sets
-/// (falling back to the union if the intersection is empty, which cannot
-/// happen for Grid/PDS but keeps the code total).
+/// Constrained placement by sorted-list intersection, used by PDS (sets of
+/// `p + 1` members) and as the oracle [`assign_grid`] is tested against: an
+/// edge goes to the least loaded machine in the intersection of its
+/// endpoints' candidate sets (falling back to the union if the intersection
+/// is empty, which cannot happen for Grid/PDS but keeps the code total).
 fn assign_constrained(
     el: &EdgeList,
     machines: usize,
@@ -357,9 +474,6 @@ fn assign_oblivious(el: &EdgeList, machines: usize, _seed: u64) -> Vec<MachineId
     let mut replica_sets: Vec<Vec<MachineId>> = vec![Vec::new(); n];
     let mut loads = vec![0u64; machines];
     let mut out = Vec::with_capacity(el.edges.len());
-    let least_loaded = |set: &mut dyn Iterator<Item = MachineId>,
-                        loads: &[u64]|
-     -> Option<MachineId> { set.min_by_key(|&m| (loads[m as usize], m)) };
     for e in &el.edges {
         let (u, v) = (e.src as usize, e.dst as usize);
         let pick = {
@@ -367,15 +481,12 @@ fn assign_oblivious(el: &EdgeList, machines: usize, _seed: u64) -> Vec<MachineId
             let sv = &replica_sets[v];
             let mut inter = su.iter().copied().filter(|m| sv.contains(m)).peekable();
             if inter.peek().is_some() {
-                least_loaded(&mut inter, &loads).unwrap()
+                least_loaded(&loads, inter)
             } else if su.is_empty() && sv.is_empty() {
-                least_loaded(&mut (0..machines as MachineId), &loads).unwrap()
-            } else if su.is_empty() {
-                least_loaded(&mut sv.iter().copied(), &loads).unwrap()
-            } else if sv.is_empty() {
-                least_loaded(&mut su.iter().copied(), &loads).unwrap()
+                least_loaded(&loads, 0..machines as MachineId)
             } else {
-                least_loaded(&mut su.iter().copied().chain(sv.iter().copied()), &loads).unwrap()
+                // One side may be empty; the other then decides alone.
+                least_loaded(&loads, su.iter().chain(sv).copied())
             }
         };
         loads[pick as usize] += 1;
@@ -406,6 +517,90 @@ mod tests {
             pairs.push((i, (i * 13 + 1) % 400));
         }
         edge_list_from_pairs(&pairs)
+    }
+
+    /// Pseudo-random pairs (self-loops and duplicates included), dense
+    /// enough that machine loads grow past the all-ties regime.
+    fn random_edges(seed: u64) -> EdgeList {
+        let pairs: Vec<(u32, u32)> = (0..6_000u64)
+            .map(|i| {
+                let h = mix64(i ^ seed.rotate_left(7));
+                ((h % 500) as u32, ((h >> 32) % 500) as u32)
+            })
+            .collect();
+        edge_list_from_pairs(&pairs)
+    }
+
+    #[test]
+    fn closed_form_grid_matches_list_intersection() {
+        let shapes = [(1, 13), (2, 3), (4, 4), (8, 8), (16, 32), (20, 22)];
+        for seed in [1u64, 7, 42] {
+            for el in [skewed(), random_edges(seed)] {
+                for (x, y) in shapes {
+                    let machines = x * y;
+                    let oracle =
+                        |x, y| assign_constrained(&el, machines, seed, &grid_candidates(x, y));
+                    assert_eq!(assign_grid(&el, x, y, seed), oracle(x, y), "{x}x{y} seed {seed}");
+                    for strat in [
+                        VertexCutStrategy::Grid,
+                        VertexCutStrategy::Grid2D,
+                        VertexCutStrategy::Auto,
+                    ] {
+                        let Ok(p) = VertexCutPartition::build(&el, machines, strat, seed) else {
+                            assert_eq!(strat, VertexCutStrategy::Grid);
+                            assert_eq!(grid_shape(machines), None);
+                            continue;
+                        };
+                        let (sx, sy) = match p.resolved_strategy() {
+                            VertexCutStrategy::Grid => grid_shape(machines).unwrap(),
+                            VertexCutStrategy::Grid2D => grid2d_shape(machines),
+                            // Auto fell through to PDS or Oblivious: no grid.
+                            _ => continue,
+                        };
+                        assert_eq!(
+                            p.edge_assignment(),
+                            oracle(sx, sy),
+                            "{strat:?} at {machines} machines, seed {seed}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_replicas_match_naive_sets() {
+        // 65 and 130 machines cross a 64-bit word of the dedup bitset.
+        for machines in [1usize, 16, 65, 130] {
+            for strat in
+                [VertexCutStrategy::Random, VertexCutStrategy::Oblivious, VertexCutStrategy::Grid2D]
+            {
+                for (el, seed) in [(skewed(), 3u64), (random_edges(5), 5)] {
+                    let p = VertexCutPartition::build(&el, machines, strat, seed).unwrap();
+                    let mut naive: Vec<Vec<MachineId>> = vec![Vec::new(); el.num_vertices as usize];
+                    for (e, &m) in el.edges.iter().zip(p.edge_assignment()) {
+                        naive[e.src as usize].push(m);
+                        naive[e.dst as usize].push(m);
+                    }
+                    let mut total = 0u64;
+                    for (v, r) in naive.iter_mut().enumerate() {
+                        r.sort_unstable();
+                        r.dedup();
+                        total += r.len() as u64;
+                        let ctx = format!("{strat:?} at {machines} machines, v={v}");
+                        assert_eq!(p.replicas_of(v as VertexId), r.as_slice(), "{ctx}");
+                        let h = hash_to_machine(v as u64, seed, machines);
+                        let master = if r.is_empty() || r.contains(&h) {
+                            h
+                        } else {
+                            r[(mix64(v as u64 ^ seed.rotate_left(17)) % r.len() as u64) as usize]
+                        };
+                        assert_eq!(p.master_of(v as VertexId), master, "{ctx}");
+                    }
+                    assert_eq!(p.total_replicas(), total);
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,17 +28,22 @@ proptest! {
     #[test]
     fn vertex_cut_invariants(
         pairs in arb_edges(),
-        machines in 1usize..24,
+        machines in 1usize..140,
         seed in 0u64..100,
-        strat_idx in 0usize..3,
+        strat_idx in 0usize..5,
     ) {
         let strat = [
             VertexCutStrategy::Random,
             VertexCutStrategy::Oblivious,
             VertexCutStrategy::Grid2D,
+            VertexCutStrategy::Grid,
+            VertexCutStrategy::Pds,
         ][strat_idx];
         let el = edge_list_from_pairs(&pairs);
-        let p = VertexCutPartition::build(&el, machines, strat, seed).unwrap();
+        // Grid and PDS exist only for some machine counts.
+        let Ok(p) = VertexCutPartition::build(&el, machines, strat, seed) else {
+            return Ok(());
+        };
         // Every edge is placed, and on a machine in both endpoints' replica
         // sets; every connected vertex's master is one of its replicas.
         for (i, e) in el.edges.iter().enumerate() {
@@ -47,13 +52,17 @@ proptest! {
             prop_assert!(p.replicas_of(e.src).contains(&m));
             prop_assert!(p.replicas_of(e.dst).contains(&m));
         }
+        let mut total = 0u64;
         for v in 0..el.num_vertices as VertexId {
             let r = p.replicas_of(v);
+            prop_assert!(r.windows(2).all(|w| w[0] < w[1]), "v={}: {:?}", v, r);
+            total += r.len() as u64;
             if !r.is_empty() {
                 prop_assert!(r.contains(&p.master_of(v)));
                 prop_assert!(r.len() <= machines);
             }
         }
+        prop_assert_eq!(p.total_replicas(), total);
         prop_assert!(p.replication_factor() >= 1.0 - 1e-12);
         prop_assert!(p.replication_factor() <= machines as f64);
         prop_assert_eq!(p.edges_per_machine().iter().sum::<u64>(), el.num_edges());
