@@ -62,7 +62,6 @@ fn main() {
             trace: out.trace,
             journal: out.journal,
             registry: out.registry,
-            timeline: out.timeline,
             runtime: out.runtime,
             host_spans: out.host_spans,
             result_items: 0,

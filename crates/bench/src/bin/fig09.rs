@@ -1,27 +1,6 @@
 //! Figure 9: the Wcc grid across WRN / UK0705 / Twitter and all
 //! cluster sizes.
 
-use graphbench::report::figure_grid;
-use graphbench::system::SystemId;
-use graphbench_algos::WorkloadKind;
-use graphbench_gen::DatasetKind;
-
 fn main() {
-    graphbench_repro::banner("fig09", "Wcc grid (3 datasets x 4 cluster sizes x 9 systems)");
-    let mut runner = graphbench_repro::runner();
-    let records = runner.run_matrix_multi(
-        &SystemId::traversal_lineup(),
-        &[WorkloadKind::Wcc],
-        &[DatasetKind::Wrn, DatasetKind::Uk0705, DatasetKind::Twitter],
-        &[16, 32, 64, 128],
-    );
-    for table in figure_grid(&records) {
-        println!("{}", table.render());
-    }
-    let primaries = graphbench_repro::primary_records(&records);
-    graphbench_repro::export_journals(&primaries);
-    graphbench_repro::export_traces(&primaries);
-    graphbench_repro::paper_note(
-        "the WRN row is the story: diameter-bound workloads break most systems (OOM/TO)          while Blogel survives; on the power-law graphs everything finishes and the          ordering is BB/BV, then GL/G, then FG, then S, then HD/HL.",
-    );
+    graphbench_repro::traversal_grid("fig09", graphbench_algos::WorkloadKind::Wcc);
 }

@@ -32,8 +32,6 @@ struct Rec {
     #[serde(default)]
     registry: graphbench_sim::MetricsRegistry,
     #[serde(default)]
-    timeline: graphbench_sim::Timeline,
-    #[serde(default)]
     runtime: f64,
 }
 
@@ -58,7 +56,6 @@ fn main() {
             trace: r.trace,
             journal: r.journal,
             registry: r.registry,
-            timeline: r.timeline,
             runtime: r.runtime,
             host_spans: vec![],
             result_items: 0,

@@ -53,7 +53,8 @@ fn main() {
             dataset: DatasetKind::Twitter,
             machines: 16,
         });
-        let cp = rec.timeline.critical_path();
+        let timeline = rec.journal.timeline();
+        let cp = timeline.critical_path();
         // The decomposition contract, stated where it is used: the bucket
         // replay *is* the simulated runtime, to the bit.
         assert_eq!(
@@ -69,7 +70,7 @@ fn main() {
             rec.dataset,
             rec.machines,
             rec.runtime,
-            rec.timeline.len()
+            timeline.len()
         );
         println!("{}", critical_path_table(&title, &rec, 10).render());
         records.push(rec);
@@ -78,7 +79,7 @@ fn main() {
     graphbench_repro::export_traces(&records);
     graphbench_repro::paper_note(
         "the paper could only *infer* which machine gated each barrier (§6); the \
-         timeline records it per charge, and the per-label skew column prices the \
+         journal records it per charge, and the per-label skew column prices the \
          imbalance each engine's partitioning leaves behind.",
     );
 }

@@ -48,9 +48,12 @@
 //! --check` evaluates the nine paper-finding predicates over the sweep.
 
 use graphbench::paper::PaperEnv;
+use graphbench::report::figure_grid;
 use graphbench::runner::{RunRecord, Runner};
 use graphbench::stats::MultiRunRecord;
-use graphbench_gen::Scale;
+use graphbench::system::SystemId;
+use graphbench_algos::WorkloadKind;
+use graphbench_gen::{DatasetKind, Scale};
 use graphbench_obs::{FlightRecorder, JsonlSink, ObserverHub, TtySink};
 use std::sync::{Arc, OnceLock};
 
@@ -179,36 +182,32 @@ fn serve_linger() {
     std::thread::sleep(std::time::Duration::from_secs(secs));
 }
 
-/// The journal export destination, if any: `--journal <path>` (or
-/// `--journal=<path>`) on the command line, else the `GRAPHBENCH_JOURNAL`
-/// environment variable.
-pub fn journal_path() -> Option<String> {
+/// The value of `<flag> <value>` (or `<flag>=<value>`) on the command line,
+/// else of the environment variable `env`. `what` names the value in the
+/// panic for a flag given last with nothing after it.
+fn flag_or_env(flag: &str, env: &str, what: &str) -> Option<String> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
-        if a == "--journal" {
-            return Some(args.next().expect("--journal takes a path"));
+        if a == flag {
+            return Some(args.next().unwrap_or_else(|| panic!("{flag} takes {what}")));
         }
-        if let Some(p) = a.strip_prefix("--journal=") {
-            return Some(p.to_string());
+        if let Some(v) = a.strip_prefix(flag).and_then(|rest| rest.strip_prefix('=')) {
+            return Some(v.to_string());
         }
     }
-    std::env::var("GRAPHBENCH_JOURNAL").ok()
+    std::env::var(env).ok()
 }
 
-/// The Perfetto/Chrome trace export destination, if any: `--trace <path>`
-/// (or `--trace=<path>`) on the command line, else the `GRAPHBENCH_TRACE`
-/// environment variable.
+/// The journal export destination, if any: `--journal <path>`, else
+/// `GRAPHBENCH_JOURNAL`.
+pub fn journal_path() -> Option<String> {
+    flag_or_env("--journal", "GRAPHBENCH_JOURNAL", "a path")
+}
+
+/// The Perfetto/Chrome trace export destination, if any: `--trace <path>`,
+/// else `GRAPHBENCH_TRACE`.
 pub fn trace_path() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return Some(args.next().expect("--trace takes a path"));
-        }
-        if let Some(p) = a.strip_prefix("--trace=") {
-            return Some(p.to_string());
-        }
-    }
-    std::env::var("GRAPHBENCH_TRACE").ok()
+    flag_or_env("--trace", "GRAPHBENCH_TRACE", "a path")
 }
 
 /// An export the user explicitly asked for could not be written. Silent
@@ -220,35 +219,16 @@ pub fn fail_export(what: &str, path: &str, err: &std::io::Error) -> ! {
 }
 
 /// The metrics-server bind address, if serving was requested: `--serve
-/// <addr>` (or `--serve=<addr>`) on the command line, else the
-/// `GRAPHBENCH_SERVE` environment variable (e.g. `127.0.0.1:9184`, or port
-/// `0` for an ephemeral port printed at startup).
+/// <addr>`, else `GRAPHBENCH_SERVE` (e.g. `127.0.0.1:9184`, or port `0`
+/// for an ephemeral port printed at startup).
 pub fn serve_addr() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--serve" {
-            return Some(args.next().expect("--serve takes an address"));
-        }
-        if let Some(p) = a.strip_prefix("--serve=") {
-            return Some(p.to_string());
-        }
-    }
-    std::env::var("GRAPHBENCH_SERVE").ok()
+    flag_or_env("--serve", "GRAPHBENCH_SERVE", "an address")
 }
 
-/// The JSONL progress-log destination, if any: `--progress-log <path>` (or
-/// `--progress-log=<path>`), else `GRAPHBENCH_PROGRESS_LOG`.
+/// The JSONL progress-log destination, if any: `--progress-log <path>`,
+/// else `GRAPHBENCH_PROGRESS_LOG`.
 pub fn progress_log_path() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--progress-log" {
-            return Some(args.next().expect("--progress-log takes a path"));
-        }
-        if let Some(p) = a.strip_prefix("--progress-log=") {
-            return Some(p.to_string());
-        }
-    }
-    std::env::var("GRAPHBENCH_PROGRESS_LOG").ok()
+    flag_or_env("--progress-log", "GRAPHBENCH_PROGRESS_LOG", "a path")
 }
 
 /// Whether the live TTY progress renderer was requested (`--progress`, or
@@ -349,14 +329,15 @@ pub fn export_traces(records: &[RunRecord]) {
     let Some(path) = trace_path() else { return };
     for (i, r) in records.iter().enumerate() {
         let file = if records.len() == 1 { path.clone() } else { derive_trace_path(&path, i, r) };
-        let json = r.timeline.chrome_trace_with_host(&r.host_spans);
+        let timeline = r.journal.timeline();
+        let json = timeline.chrome_trace_with_host(&r.host_spans);
         if let Err(e) = std::fs::write(&file, json) {
             fail_export("trace", &file, &e);
         }
         println!(
             "wrote trace ({} spans, {} machines, {} host spans) to {file}",
-            r.timeline.len(),
-            r.timeline.machines(),
+            timeline.len(),
+            timeline.machines(),
             r.host_spans.len()
         );
     }
@@ -377,4 +358,26 @@ fn derive_trace_path(path: &str, index: usize, r: &RunRecord) -> String {
         Some((stem, ext)) if !ext.contains('/') => format!("{stem}.{tag}.{ext}"),
         _ => format!("{path}.{tag}"),
     }
+}
+
+/// Figures 7–9: one traversal workload across WRN / UK0705 / Twitter and
+/// all cluster sizes, for the traversal line-up.
+pub fn traversal_grid(target: &str, workload: WorkloadKind) {
+    banner(target, &format!("{workload:?} grid (3 datasets x 4 cluster sizes x 9 systems)"));
+    let mut runner = runner();
+    let records = runner.run_matrix_multi(
+        &SystemId::traversal_lineup(),
+        &[workload],
+        &[DatasetKind::Wrn, DatasetKind::Uk0705, DatasetKind::Twitter],
+        &[16, 32, 64, 128],
+    );
+    for table in figure_grid(&records) {
+        println!("{}", table.render());
+    }
+    let primaries = primary_records(&records);
+    export_journals(&primaries);
+    export_traces(&primaries);
+    paper_note(
+        "the WRN row is the story: diameter-bound workloads break most systems (OOM/TO)          while Blogel survives; on the power-law graphs everything finishes and the          ordering is BB/BV, then GL/G, then FG, then S, then HD/HL.",
+    );
 }

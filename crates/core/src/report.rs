@@ -322,7 +322,7 @@ pub fn cost_breakdown(title: &str, rec: &RunRecord) -> Table {
 /// seconds the rest of the cluster spent waiting for that machine — the
 /// "why is this engine slow" view behind the paper's §6 discussion.
 pub fn critical_path_table(title: &str, rec: &RunRecord, top: usize) -> Table {
-    let cp = rec.timeline.critical_path();
+    let cp = rec.journal.timeline().critical_path();
     let mut t = Table::new(title, &["machine", "label", "seconds", "share", "skew", "spans"]);
     let total = cp.total;
     for row in cp.rows.iter().take(top) {
@@ -372,7 +372,8 @@ pub fn to_json<R: serde::Serialize>(records: &[R]) -> String {
 mod tests {
     use super::*;
     use graphbench_sim::{
-        CpuBreakdown, Journal, MetricsRegistry, PhaseTimes, RunMetrics, RunStatus, Timeline, Trace,
+        CpuBreakdown, EventKind, Journal, JournalEvent, MetricsRegistry, Phase, PhaseTimes,
+        RunMetrics, RunStatus, Trace,
     };
 
     fn record(system: &str, machines: usize, total: f64, ok: bool) -> RunRecord {
@@ -405,10 +406,28 @@ mod tests {
             trace: Trace::new(),
             journal: Journal::new(),
             registry: MetricsRegistry::new(),
-            timeline: Timeline::default(),
             runtime: total,
             host_spans: vec![],
             result_items: 0,
+        }
+    }
+
+    /// An execute-phase journal event; tests override what they look at.
+    fn event(label: &str, kind: EventKind, dt: f64) -> JournalEvent {
+        JournalEvent {
+            seq: 0,
+            superstep: 0,
+            phase: Phase::Execute,
+            label: label.into(),
+            kind,
+            start: 0.0,
+            dt,
+            barrier_wait: 0.0,
+            net_bytes: 0,
+            messages: 0,
+            disk_bytes: 0,
+            mem_delta: vec![],
+            per_machine: vec![],
         }
     }
 
@@ -454,23 +473,9 @@ mod tests {
 
     #[test]
     fn cost_breakdown_sorts_labels_by_total_time() {
-        use graphbench_sim::{EventKind, JournalEvent};
         let mut rec = record("G", 16, 80.0, true);
-        let ev = |label: &str, kind: EventKind, dt: f64| JournalEvent {
-            seq: 0,
-            superstep: 0,
-            phase: "execute".into(),
-            label: label.into(),
-            kind,
-            dt,
-            barrier_wait: 0.0,
-            net_bytes: 0,
-            messages: 0,
-            disk_bytes: 0,
-            mem_delta: vec![],
-        };
-        rec.journal.push(ev("shuffle", EventKind::Network, 5.0));
-        rec.journal.push(ev("superstep", EventKind::Compute, 30.0));
+        rec.journal.push(event("shuffle", EventKind::Network, 5.0));
+        rec.journal.push(event("superstep", EventKind::Compute, 30.0));
         let t = cost_breakdown("decomposition", &rec);
         assert_eq!(t.rows[0][0], "superstep");
         assert_eq!(t.rows[1][0], "shuffle");
@@ -479,24 +484,15 @@ mod tests {
 
     #[test]
     fn critical_path_table_names_gating_machines_and_truncates() {
-        use graphbench_sim::{EventKind, Span};
         let mut rec = record("G", 16, 9.0, true);
-        let mut tl = Timeline::new(2);
-        let span = |seq: u64, label: &str, start: f64, dt: f64, per: Vec<f64>| Span {
-            seq,
-            superstep: 0,
-            phase: "execute".into(),
-            label: label.into(),
-            kind: EventKind::Compute,
+        let span = |label: &str, start: f64, dt: f64, per_machine: Vec<f64>| JournalEvent {
             start,
-            dt,
-            barrier_wait: 0.0,
-            per_machine: per,
+            per_machine,
+            ..event(label, EventKind::Compute, dt)
         };
-        tl.push(span(0, "superstep", 0.0, 6.0, vec![6.0, 1.0]));
-        tl.push(span(1, "shuffle", 6.0, 2.0, vec![1.0, 2.0]));
-        tl.push(span(2, "barrier", 8.0, 1.0, vec![]));
-        rec.timeline = tl;
+        rec.journal.push(span("superstep", 0.0, 6.0, vec![6.0, 1.0]));
+        rec.journal.push(span("shuffle", 6.0, 2.0, vec![1.0, 2.0]));
+        rec.journal.push(span("barrier", 8.0, 1.0, vec![]));
         let t = critical_path_table("cp", &rec, 2);
         assert_eq!(t.rows[0][0], "m0");
         assert_eq!(t.rows[0][1], "superstep");
@@ -524,21 +520,12 @@ mod tests {
 
     #[test]
     fn phase_table_normalizes_bytes_moved_by_result_items() {
-        use graphbench_sim::{EventKind, JournalEvent};
         let mut rec = record("BV", 16, 40.0, true);
         rec.result_items = 4;
         rec.journal.push(JournalEvent {
-            seq: 0,
-            superstep: 0,
-            phase: "execute".into(),
-            label: "shuffle".into(),
-            kind: EventKind::Network,
-            dt: 1.0,
-            barrier_wait: 0.0,
             net_bytes: 8192,
             messages: 1,
-            disk_bytes: 0,
-            mem_delta: vec![],
+            ..event("shuffle", EventKind::Network, 1.0)
         });
         let t = phase_table("x", &[rec]);
         // 8192 B over 4 results = 2.0 KB per result.

@@ -8,7 +8,7 @@ use graphbench_algos::{Workload, WorkloadKind, WorkloadResult, UNREACHABLE};
 use graphbench_engines::EngineInput;
 use graphbench_gen::DatasetKind;
 use graphbench_obs::ObserverHub;
-use graphbench_sim::{FaultPlan, HostSpan, Journal, MetricsRegistry, RunMetrics, Timeline, Trace};
+use graphbench_sim::{FaultPlan, HostSpan, Journal, MetricsRegistry, RunMetrics, Trace};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -36,15 +36,14 @@ pub struct RunRecord {
     pub updates_per_iteration: Vec<u64>,
     /// Per-machine memory time series (Figure 10).
     pub trace: Trace,
-    /// Structured per-charge event log; per-phase sums are bit-identical to
-    /// `metrics.phases`. Export with [`Journal::to_jsonl`] (`--journal`).
+    /// Structured per-charge event log — the one record of what each charge
+    /// cost. `metrics.phases` is its per-phase fold; `journal.timeline()`
+    /// is the per-machine view behind the `--trace` Perfetto export and the
+    /// critical-path report, and replaying it reproduces `runtime`
+    /// bit-for-bit. Export with [`Journal::to_jsonl`] (`--journal`).
     pub journal: Journal,
     /// Named counters and histograms accumulated during the run.
     pub registry: MetricsRegistry,
-    /// Per-machine span timeline behind the `--trace` Perfetto export and
-    /// the critical-path report. Replaying it reproduces `runtime`
-    /// bit-for-bit.
-    pub timeline: Timeline,
     /// The simulated runtime: the cluster clock when the run ended.
     /// `metrics.total_time()` sums the same charges per phase and so can
     /// differ in the last ulps; this field is the clock itself.
@@ -246,7 +245,6 @@ impl Runner {
             trace: out.trace,
             journal: out.journal,
             registry: out.registry,
-            timeline: out.timeline,
             runtime: out.runtime,
             host_spans: out.host_spans,
             result_items,

@@ -1133,7 +1133,7 @@ mod tests {
     /// `(net_bytes, messages)` of every execute-phase mirror sync of a run,
     /// with the number of migrations journaled before it.
     fn sync_events(out: &RunOutput) -> Vec<(usize, (u64, u64))> {
-        use graphbench_sim::EventKind;
+        use graphbench_sim::{EventKind, Phase};
         let mut migrations = 0;
         let mut syncs = Vec::new();
         let mut in_migration = false;
@@ -1143,7 +1143,7 @@ mod tests {
                 migrations += 1;
             }
             in_migration = migrating;
-            if e.phase == "execute" && e.label == "shuffle" && e.kind == EventKind::Network {
+            if e.phase == Phase::Execute && e.label == "shuffle" && e.kind == EventKind::Network {
                 syncs.push((migrations, (e.net_bytes, e.messages)));
             }
         }

@@ -38,9 +38,7 @@ pub mod vertica;
 
 use graphbench_algos::{Workload, WorkloadResult};
 use graphbench_graph::{format::GraphFormat, CsrGraph, EdgeList};
-use graphbench_sim::{
-    ClusterSpec, HostSpan, Journal, MetricsRegistry, RunMetrics, Timeline, Trace,
-};
+use graphbench_sim::{ClusterSpec, HostSpan, Journal, MetricsRegistry, RunMetrics, Trace};
 
 /// Mapping from this run's scaled-down dataset to the paper-scale original,
 /// used only by *mechanistic threshold* failures whose trigger is an
@@ -87,16 +85,13 @@ pub struct RunOutput {
     /// Vertices updated per iteration, when the engine tracks it (GraphLab
     /// fills this; it is the data behind the paper's Figure 4).
     pub updates_per_iteration: Vec<u64>,
-    /// Structured per-charge event log (superstep, phase, label, duration,
-    /// bytes, memory deltas). Per-phase sums are bit-identical to
-    /// `metrics.phases`.
+    /// Structured per-charge event log (superstep, phase, label, start,
+    /// duration, bytes, memory deltas, per-machine base busy seconds).
+    /// `metrics.phases` is its per-phase fold; `journal.timeline()` is the
+    /// per-machine view, and replaying it reproduces `runtime` bit-for-bit.
     pub journal: Journal,
     /// Named counters and histograms accumulated during the run.
     pub registry: MetricsRegistry,
-    /// Per-machine span timeline: one span per timed charge, carrying the
-    /// per-machine base busy vector. Replaying it reproduces `runtime`
-    /// bit-for-bit.
-    pub timeline: Timeline,
     /// The cluster clock when the run ended — the simulated runtime.
     pub runtime: f64,
     /// Host-wallclock executor spans (empty unless tracing is enabled).

@@ -30,11 +30,8 @@ pub(crate) fn output_from(
         // Filled by the runner, which holds the dataset's CSR.
         dataset_mem_bytes: 0,
     };
-    let trace = cluster.trace().clone();
-    let journal = cluster.journal().clone();
-    let registry = cluster.registry().clone();
-    let timeline = cluster.timeline().clone();
     let runtime = cluster.elapsed();
+    let (trace, journal, registry) = cluster.into_records();
     RunOutput {
         metrics,
         result,
@@ -43,7 +40,6 @@ pub(crate) fn output_from(
         updates_per_iteration: Vec::new(),
         journal,
         registry,
-        timeline,
         runtime,
         // Runs execute sequentially within a process, so the global
         // collector holds exactly this run's spans.

@@ -7,9 +7,9 @@ use crate::metrics::{CpuBreakdown, PhaseTimes};
 use crate::observer::SuperstepSnapshot;
 use crate::registry::{MetricsRegistry, SECONDS_BUCKETS};
 use crate::spec::{ClusterSpec, FaultEvent};
-use crate::timeline::{Span, Timeline};
 use crate::trace::Trace;
 use crate::{MachineId, SimError};
+use serde::{Deserialize, Serialize};
 
 /// Elementary operations a migration receiver pays per byte landed to
 /// rebuild its fragment-local indexes (dense-id tables, adjacency offsets)
@@ -42,7 +42,8 @@ impl TransientFault {
 /// End-to-end processing phases, matching the paper's reporting (§4.2):
 /// load (read + partition), execute, save, and overhead (everything else —
 /// start-up, synchronization, repartitioning).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum Phase {
     Load,
     Execute,
@@ -51,7 +52,7 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Lower-case name used in journal events and reports.
+    /// Lower-case name: the default label, and what the phase serializes to.
     pub fn name(self) -> &'static str {
         match self {
             Phase::Load => "load",
@@ -71,8 +72,8 @@ struct Charge {
     messages: u64,
     disk_bytes: u64,
     mem_delta: Vec<i64>,
-    /// Base (fault-free) busy seconds per machine, recorded into the
-    /// timeline. Empty for cluster-wide charges no single machine gates.
+    /// Base (fault-free) busy seconds per machine. Empty for cluster-wide
+    /// charges no single machine gates.
     per_machine: Vec<f64>,
 }
 
@@ -140,7 +141,6 @@ pub struct Cluster {
     /// uses the physical residency in `machines`.
     frag_mem: Vec<u64>,
     phase: Phase,
-    phase_times: PhaseTimes,
     trace: Trace,
     supersteps: u64,
     total_net_bytes: u64,
@@ -159,7 +159,6 @@ pub struct Cluster {
     label: &'static str,
     journal: Journal,
     registry: MetricsRegistry,
-    timeline: Timeline,
 }
 
 impl Cluster {
@@ -190,7 +189,6 @@ impl Cluster {
             frag_map: (0..machines_count).collect(),
             frag_mem: vec![0; machines_count],
             phase: Phase::Overhead,
-            phase_times: PhaseTimes::default(),
             trace: Trace::new(),
             supersteps: 0,
             total_net_bytes: 0,
@@ -202,7 +200,6 @@ impl Cluster {
             label: Phase::Overhead.name(),
             journal: Journal::new(),
             registry: MetricsRegistry::new(),
-            timeline: Timeline::new(machines_count),
         }
     }
 
@@ -279,7 +276,9 @@ impl Cluster {
         self.label
     }
 
-    /// Structured event journal of every charge so far.
+    /// Structured event journal of every charge so far — the one record
+    /// phase times, the per-machine timeline and the critical path are
+    /// folds over.
     pub fn journal(&self) -> &Journal {
         &self.journal
     }
@@ -289,33 +288,19 @@ impl Cluster {
         &self.registry
     }
 
-    /// Per-machine span timeline of every timed charge so far.
-    pub fn timeline(&self) -> &Timeline {
-        &self.timeline
-    }
-
     pub fn phase(&self) -> Phase {
         self.phase
     }
 
-    /// Accumulated time per phase so far.
+    /// Accumulated time per phase so far (a fold over the journal).
     pub fn phase_times(&self) -> PhaseTimes {
-        self.phase_times
+        self.journal.phase_times()
     }
 
-    fn advance(&mut self, dt: f64) -> Result<(), SimError> {
-        debug_assert!(dt >= 0.0 && dt.is_finite(), "bad time delta {dt}");
-        self.clock += dt;
-        match self.phase {
-            Phase::Load => self.phase_times.load += dt,
-            Phase::Execute => self.phase_times.execute += dt,
-            Phase::Save => self.phase_times.save += dt,
-            Phase::Overhead => self.phase_times.overhead += dt,
-        }
-        if self.clock > self.spec.deadline {
-            return Err(SimError::Timeout);
-        }
-        Ok(())
+    /// Give up the finished run's records — memory trace, journal,
+    /// registry — without copying them.
+    pub fn into_records(self) -> (Trace, Journal, MetricsRegistry) {
+        (self.trace, self.journal, self.registry)
     }
 
     /// Append a journal event and update the registry for one charge.
@@ -345,41 +330,35 @@ impl Cluster {
         self.journal.push(JournalEvent {
             seq: self.journal.len() as u64,
             superstep: self.supersteps,
-            phase: self.phase.name().to_string(),
+            phase: self.phase,
             label: self.label.to_string(),
             kind,
+            start: self.clock,
             dt: c.dt,
             barrier_wait: c.barrier_wait,
             net_bytes: c.net_bytes,
             messages: c.messages,
             disk_bytes: c.disk_bytes,
             mem_delta: c.mem_delta,
+            per_machine: c.per_machine,
         });
     }
 
-    /// The single commit point for timed charges: timeline + journal +
-    /// registry + clock. Every time-advancing method funnels through here,
-    /// so summing journal durations per phase reproduces
-    /// [`Cluster::phase_times`] bit-for-bit — and replaying timeline span
-    /// durations reproduces the clock bit-for-bit (zero-duration memory
-    /// events bypass this and never advance it). The event is recorded even
-    /// when its duration trips the 24-hour deadline — the timeout is then
-    /// visible *in* the journal and the trace.
-    fn commit(&mut self, kind: EventKind, mut c: Charge) -> Result<(), SimError> {
+    /// The single commit point for timed charges: one journal event, the
+    /// registry, the clock. Every time-advancing method funnels through
+    /// here, so replaying journal durations in order reproduces the clock
+    /// bit-for-bit (zero-duration memory events bypass this and never
+    /// advance it). The event is recorded even when its duration trips the
+    /// 24-hour deadline — the timeout is then visible *in* the journal.
+    fn commit(&mut self, kind: EventKind, c: Charge) -> Result<(), SimError> {
         let dt = c.dt;
-        self.timeline.push(Span {
-            seq: self.journal.len() as u64,
-            superstep: self.supersteps,
-            phase: self.phase.name().to_string(),
-            label: self.label.to_string(),
-            kind,
-            start: self.clock,
-            dt,
-            barrier_wait: c.barrier_wait,
-            per_machine: std::mem::take(&mut c.per_machine),
-        });
+        debug_assert!(dt >= 0.0 && dt.is_finite(), "bad time delta {dt}");
         self.record(kind, c);
-        self.advance(dt)
+        self.clock += dt;
+        if self.clock > self.spec.deadline {
+            return Err(SimError::Timeout);
+        }
+        Ok(())
     }
 
     /// Commit a surplus `Stall` under its own journal label (`straggler`,
@@ -704,7 +683,6 @@ impl Cluster {
         if self.machines.len() < new_machines {
             self.machines.resize(new_machines, Machine::default());
         }
-        self.timeline.ensure_machines(new_machines);
 
         // Migration legs per physical machine, over the union of the old
         // and new machine sets.
@@ -1463,28 +1441,6 @@ mod tests {
     }
 
     #[test]
-    fn journal_phase_sums_equal_phase_times_exactly() {
-        let mut c = cluster(2, 1 << 30);
-        c.charge_startup().unwrap();
-        c.begin_phase(Phase::Load);
-        c.hdfs_read(&[1_000_000, 2_000_000]).unwrap();
-        c.begin_phase(Phase::Execute);
-        for _ in 0..3 {
-            c.advance_compute(&[1.0e6, 2.0e6], 4).unwrap();
-            c.exchange(&[100, 200], &[200, 100], &[1, 2]).unwrap();
-            c.barrier().unwrap();
-        }
-        c.begin_phase(Phase::Save);
-        c.hdfs_write(&[500_000, 500_000]).unwrap();
-        let j = c.journal();
-        let pt = c.phase_times();
-        // Bit-identical: the journal replays the same f64 addition order.
-        assert_eq!(j.phase_times(), pt);
-        assert_eq!(j.total_time(), c.elapsed());
-        assert_eq!(j.net_bytes(), c.total_net_bytes());
-    }
-
-    #[test]
     fn journal_events_carry_phase_label_and_superstep() {
         let mut c = cluster(2, 1 << 30);
         c.begin_phase(Phase::Execute);
@@ -1497,7 +1453,7 @@ mod tests {
         c.advance_compute(&[1.0e6, 1.0e6], 1).unwrap();
         let events = c.journal().events();
         assert_eq!(events[0].label, "superstep");
-        assert_eq!(events[0].phase, "execute");
+        assert_eq!(events[0].phase, Phase::Execute);
         assert_eq!(events[0].superstep, 0);
         assert_eq!(events[1].label, "shuffle");
         assert_eq!(events[1].kind, EventKind::Network);
@@ -1596,7 +1552,8 @@ mod tests {
         for (i, s) in snaps.iter().enumerate() {
             assert_eq!(s.superstep, i as u64);
             assert_eq!(s.active_vertices, 10 - i as u64);
-            assert_eq!(s.net_bytes, observed.total_net_bytes());
+            // Totals are cumulative and every superstep exchanges the same.
+            assert_eq!(s.net_bytes * 3, observed.total_net_bytes() * (i as u64 + 1));
             assert!(s.clock <= observed.elapsed());
         }
         assert_eq!(snaps[2].clock.to_bits(), observed.elapsed().to_bits());

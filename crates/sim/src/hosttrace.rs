@@ -1,6 +1,6 @@
 //! Host-wallclock span collector for the parallel executor.
 //!
-//! Simulated time is deterministic and lives in the [`crate::Timeline`];
+//! Simulated time is deterministic and lives in the [`crate::Journal`];
 //! host time is whatever the machine running the benchmark actually does.
 //! When tracing is enabled (the bench bins' `--trace` flag), the executor
 //! in `graphbench-engines` records one [`HostSpan`] per machine-shard

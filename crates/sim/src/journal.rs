@@ -1,4 +1,5 @@
-//! Structured run journal: one event per cluster charge.
+//! Structured run journal: one event per cluster charge — the run's only
+//! record of what each charge cost.
 //!
 //! The paper's analysis tool (Figure 10, Tables 6–8) decomposes every run
 //! into compute, network, disk, and memory components over time. The
@@ -6,16 +7,22 @@
 //! memory-charge the [`crate::Cluster`] accepts appends one
 //! [`JournalEvent`] carrying the superstep index, the accounting phase, an
 //! engine-chosen activity label ("superstep", "shuffle", "hdfs_write",
-//! ...), the simulated duration, the bytes that moved, and the straggler
-//! imbalance. Because the cluster funnels every charge through a single
-//! commit point, summing event durations per phase reproduces
-//! [`crate::PhaseTimes`] bit-for-bit — a property the proptests pin down.
+//! ...), the simulated start and duration, the bytes that moved, the
+//! straggler imbalance and, for charges a machine gates, the per-machine
+//! base busy seconds. Everything else is a fold over these events:
+//! [`Journal::phase_times`] is the run's [`PhaseTimes`], and
+//! [`Journal::timeline`] is the per-machine view behind the critical path
+//! and the Perfetto export.
 //!
 //! Events are plain serde values; [`Journal::to_jsonl`] /
 //! [`Journal::from_jsonl`] give the one-object-per-line format the bench
-//! bins export via `--journal <path>`.
+//! bins export via `--journal <path>`. A re-parsed export yields the same
+//! timeline and critical path as the live journal.
 
+use crate::cluster::Phase;
 use crate::metrics::PhaseTimes;
+use crate::timeline::Timeline;
+use crate::MachineId;
 use serde::{Deserialize, Serialize};
 
 /// What kind of charge produced an event.
@@ -131,6 +138,12 @@ impl EventKind {
         }
     }
 
+    /// Whether charges of this kind go through the cluster clock. Memory
+    /// events do not: they have zero duration and no place on a timeline.
+    pub fn is_timed(self) -> bool {
+        !matches!(self, EventKind::Alloc | EventKind::Free)
+    }
+
     /// Broad resource class for cost-breakdown tables.
     pub fn class(self) -> &'static str {
         match self {
@@ -164,12 +177,16 @@ pub struct JournalEvent {
     /// it was recorded (a [`EventKind::Barrier`] event closes its own
     /// superstep).
     pub superstep: u64,
-    /// Accounting phase: `load`, `execute`, `save`, or `overhead`.
-    pub phase: String,
+    /// Accounting phase (`"load"`, `"execute"`, `"save"`, `"overhead"` in
+    /// JSON).
+    pub phase: Phase,
     /// Engine-chosen activity label ("superstep", "shuffle", ...); defaults
     /// to the phase name.
     pub label: String,
     pub kind: EventKind,
+    /// Simulated start: the cluster clock when the charge was recorded.
+    #[serde(default)]
+    pub start: f64,
     /// Simulated seconds this charge advanced the wall clock (slowest
     /// machine under BSP semantics). Zero for memory events.
     pub dt: f64,
@@ -189,6 +206,32 @@ pub struct JournalEvent {
     /// Per-machine memory delta in bytes (positive: alloc, negative: free).
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub mem_delta: Vec<i64>,
+    /// Base (fault-free) busy seconds per physical machine. Empty for
+    /// charges no single machine gates — start-up, barriers, stalls,
+    /// memory events. Fault surpluses are separate labeled stalls, so
+    /// `max(per_machine) == dt` holds bitwise even on faulted runs.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    pub per_machine: Vec<f64>,
+}
+
+impl JournalEvent {
+    /// Simulated end time. Bit-identical to the next event's `start`.
+    pub fn end(&self) -> f64 {
+        self.start + self.dt
+    }
+
+    /// The machine that gated this charge — the first machine whose base
+    /// busy time equals the duration. `None` for cluster-wide charges.
+    pub fn gating_machine(&self) -> Option<MachineId> {
+        let mut best: Option<(MachineId, f64)> = None;
+        for (i, &t) in self.per_machine.iter().enumerate() {
+            match best {
+                Some((_, bt)) if t <= bt => {}
+                _ => best = Some((i, t)),
+            }
+        }
+        best.map(|(i, _)| i)
+    }
 }
 
 /// Aggregate cost of one activity label — a row of the paper's Figure 10
@@ -255,7 +298,7 @@ impl Journal {
     }
 
     /// Sum of event durations in one phase, in event order.
-    pub fn phase_time(&self, phase: &str) -> f64 {
+    pub fn phase_time(&self, phase: Phase) -> f64 {
         let mut t = 0.0;
         for ev in &self.events {
             if ev.phase == phase {
@@ -265,21 +308,24 @@ impl Journal {
         t
     }
 
-    /// Recompute [`PhaseTimes`] from the events. The cluster adds each
-    /// charge to its phase accumulator at the same moment it records the
-    /// event, so this replays the identical f64 addition sequence and the
-    /// result equals [`crate::Cluster::phase_times`] exactly.
+    /// The run's time per phase: event durations summed per phase, in
+    /// event order.
     pub fn phase_times(&self) -> PhaseTimes {
         let mut pt = PhaseTimes::default();
         for ev in &self.events {
-            match ev.phase.as_str() {
-                "load" => pt.load += ev.dt,
-                "execute" => pt.execute += ev.dt,
-                "save" => pt.save += ev.dt,
-                _ => pt.overhead += ev.dt,
+            match ev.phase {
+                Phase::Load => pt.load += ev.dt,
+                Phase::Execute => pt.execute += ev.dt,
+                Phase::Save => pt.save += ev.dt,
+                Phase::Overhead => pt.overhead += ev.dt,
             }
         }
         pt
+    }
+
+    /// The per-machine view over this journal's timed events.
+    pub fn timeline(&self) -> Timeline<'_> {
+        Timeline::new(self)
     }
 
     /// Total paper-equivalent network bytes across events.
@@ -395,77 +441,110 @@ impl Journal {
     }
 }
 
+/// A bare event for this crate's tests; they override what they look at.
+#[cfg(test)]
+pub(crate) fn test_event(kind: EventKind, phase: Phase, label: &str, dt: f64) -> JournalEvent {
+    JournalEvent {
+        seq: 0,
+        superstep: 0,
+        phase,
+        label: label.to_string(),
+        kind,
+        start: 0.0,
+        dt,
+        barrier_wait: 0.0,
+        net_bytes: 0,
+        messages: 0,
+        disk_bytes: 0,
+        mem_delta: Vec::new(),
+        per_machine: Vec::new(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::test_event as ev;
     use super::*;
-
-    fn ev(kind: EventKind, phase: &str, label: &str, dt: f64) -> JournalEvent {
-        JournalEvent {
-            seq: 0,
-            superstep: 0,
-            phase: phase.to_string(),
-            label: label.to_string(),
-            kind,
-            dt,
-            barrier_wait: 0.0,
-            net_bytes: 0,
-            messages: 0,
-            disk_bytes: 0,
-            mem_delta: Vec::new(),
-        }
-    }
 
     #[test]
     fn jsonl_round_trips() {
         let mut j = Journal::new();
-        let mut e = ev(EventKind::Network, "execute", "shuffle", 1.5);
+        let mut e = ev(EventKind::Network, Phase::Execute, "shuffle", 1.5);
         e.net_bytes = 1000;
         e.messages = 10;
         e.barrier_wait = 0.25;
         j.push(e);
-        j.push(ev(EventKind::Alloc, "load", "load", 0.0));
+        j.push(ev(EventKind::Alloc, Phase::Load, "load", 0.0));
         let text = j.to_jsonl();
         assert_eq!(text.lines().count(), 2);
         let back = Journal::from_jsonl(&text).unwrap();
         assert_eq!(back, j);
     }
 
+    /// Zero and empty fields stay out of the line; `start` and a non-empty
+    /// `per_machine` survive the round trip, so a `--journal` export alone
+    /// reproduces the live critical path bit-for-bit. Values are dyadic so
+    /// the comparison does not lean on the JSON float parser.
     #[test]
     fn zero_fields_are_omitted_from_jsonl() {
         let mut j = Journal::new();
-        j.push(ev(EventKind::Barrier, "execute", "barrier", 0.1));
-        let line = j.to_jsonl();
-        assert!(!line.contains("net_bytes"), "{line}");
-        assert!(!line.contains("mem_delta"), "{line}");
-        assert!(line.contains("\"kind\":\"barrier\""), "{line}");
+        let mut compute = ev(EventKind::Compute, Phase::Execute, "superstep", 1.5);
+        compute.barrier_wait = 1.25;
+        compute.per_machine = vec![0.25, 1.5];
+        j.push(compute);
+        let mut barrier = ev(EventKind::Barrier, Phase::Execute, "barrier", 0.125);
+        barrier.seq = 1;
+        barrier.start = 1.5;
+        j.push(barrier);
+        let text = j.to_jsonl();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[0].contains("\"per_machine\":[0.25,1.5]"), "{text}");
+        assert!(lines[0].contains("\"phase\":\"execute\""), "{text}");
+        assert!(lines[1].contains("\"start\":1.5"), "{text}");
+        assert!(lines[1].contains("\"kind\":\"barrier\""), "{text}");
+        for absent in ["per_machine", "net_bytes", "mem_delta", "barrier_wait"] {
+            assert!(!lines[1].contains(absent), "{absent} in {}", lines[1]);
+        }
+        let back = Journal::from_jsonl(&text).unwrap();
+        assert_eq!(back, j);
+        assert_eq!(back.events()[1].start.to_bits(), 1.5f64.to_bits());
+        let live = j.timeline().critical_path();
+        assert_eq!(format!("{live:?}"), format!("{:?}", back.timeline().critical_path()));
+        assert_eq!((live.rows[0].machine, live.total), (Some(1), 1.625));
+        // Lines written before the merge carry neither field and still parse.
+        let old =
+            r#"{"seq":0,"superstep":0,"phase":"load","label":"load","kind":"stall","dt":2.0}"#;
+        let parsed = Journal::from_jsonl(old).unwrap();
+        assert_eq!(parsed.events()[0].start, 0.0);
+        assert!(parsed.events()[0].per_machine.is_empty());
     }
 
     #[test]
     fn phase_times_and_totals_add_up() {
         let mut j = Journal::new();
-        j.push(ev(EventKind::HdfsRead, "load", "load", 2.0));
-        j.push(ev(EventKind::Compute, "execute", "superstep", 3.0));
-        j.push(ev(EventKind::Barrier, "execute", "barrier", 0.5));
-        j.push(ev(EventKind::HdfsWrite, "save", "save", 1.0));
+        j.push(ev(EventKind::HdfsRead, Phase::Load, "load", 2.0));
+        j.push(ev(EventKind::Compute, Phase::Execute, "superstep", 3.0));
+        j.push(ev(EventKind::Barrier, Phase::Execute, "barrier", 0.5));
+        j.push(ev(EventKind::HdfsWrite, Phase::Save, "save", 1.0));
         let pt = j.phase_times();
         assert_eq!(pt.load, 2.0);
         assert_eq!(pt.execute, 3.5);
         assert_eq!(pt.save, 1.0);
         assert_eq!(pt.overhead, 0.0);
         assert_eq!(j.total_time(), pt.total());
-        assert_eq!(j.phase_time("execute"), 3.5);
+        assert_eq!(j.phase_time(Phase::Execute), 3.5);
     }
 
     #[test]
     fn breakdown_groups_by_label_in_first_appearance_order() {
         let mut j = Journal::new();
-        let mut net = ev(EventKind::Network, "execute", "shuffle", 1.0);
+        let mut net = ev(EventKind::Network, Phase::Execute, "shuffle", 1.0);
         net.net_bytes = 500;
         net.messages = 5;
-        j.push(ev(EventKind::Compute, "execute", "superstep", 2.0));
+        j.push(ev(EventKind::Compute, Phase::Execute, "superstep", 2.0));
         j.push(net);
-        j.push(ev(EventKind::Compute, "execute", "superstep", 4.0));
-        j.push(ev(EventKind::Barrier, "execute", "barrier", 0.25));
+        j.push(ev(EventKind::Compute, Phase::Execute, "superstep", 4.0));
+        j.push(ev(EventKind::Barrier, Phase::Execute, "barrier", 0.25));
         let rows = j.breakdown();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].label, "superstep");
@@ -482,11 +561,11 @@ mod tests {
     #[test]
     fn fault_seconds_sums_only_fault_labels() {
         let mut j = Journal::new();
-        j.push(ev(EventKind::Compute, "execute", "superstep", 2.0));
-        j.push(ev(EventKind::Stall, "execute", "recovery", 3.0));
-        j.push(ev(EventKind::Stall, "execute", "retry", 0.5));
-        j.push(ev(EventKind::Stall, "execute", "straggler", 1.5));
-        j.push(ev(EventKind::Barrier, "execute", "barrier", 0.25));
+        j.push(ev(EventKind::Compute, Phase::Execute, "superstep", 2.0));
+        j.push(ev(EventKind::Stall, Phase::Execute, "recovery", 3.0));
+        j.push(ev(EventKind::Stall, Phase::Execute, "retry", 0.5));
+        j.push(ev(EventKind::Stall, Phase::Execute, "straggler", 1.5));
+        j.push(ev(EventKind::Barrier, Phase::Execute, "barrier", 0.25));
         assert_eq!(j.fault_seconds(), 5.0);
         assert_eq!(Journal::new().fault_seconds(), 0.0);
     }
@@ -494,14 +573,14 @@ mod tests {
     #[test]
     fn memory_byte_seconds_integrates_in_use_over_time() {
         let mut j = Journal::new();
-        let mut alloc = ev(EventKind::Alloc, "load", "load", 0.0);
+        let mut alloc = ev(EventKind::Alloc, Phase::Load, "load", 0.0);
         alloc.mem_delta = vec![100, 100]; // 200 B in use
         j.push(alloc);
-        j.push(ev(EventKind::Compute, "execute", "superstep", 2.0)); // 400 B·s
-        let mut free = ev(EventKind::Free, "execute", "superstep", 0.0);
+        j.push(ev(EventKind::Compute, Phase::Execute, "superstep", 2.0)); // 400 B·s
+        let mut free = ev(EventKind::Free, Phase::Execute, "superstep", 0.0);
         free.mem_delta = vec![-100, 0]; // 100 B in use
         j.push(free);
-        j.push(ev(EventKind::Compute, "execute", "superstep", 3.0)); // 300 B·s
+        j.push(ev(EventKind::Compute, Phase::Execute, "superstep", 3.0)); // 300 B·s
         assert_eq!(j.memory_byte_seconds(), 700.0);
         assert_eq!(Journal::new().memory_byte_seconds(), 0.0);
     }
@@ -509,9 +588,9 @@ mod tests {
     #[test]
     fn bytes_moved_sums_network_and_disk() {
         let mut j = Journal::new();
-        let mut net = ev(EventKind::Network, "execute", "shuffle", 1.0);
+        let mut net = ev(EventKind::Network, Phase::Execute, "shuffle", 1.0);
         net.net_bytes = 500;
-        let mut disk = ev(EventKind::HdfsWrite, "save", "save", 1.0);
+        let mut disk = ev(EventKind::HdfsWrite, Phase::Save, "save", 1.0);
         disk.disk_bytes = 250;
         j.push(net);
         j.push(disk);
@@ -529,10 +608,10 @@ mod tests {
         }
     }
 
-    /// `EventKind::name()` and the serde `snake_case` encoding are
-    /// maintained by hand in two places; pin them to each other for every
-    /// variant so they cannot drift (a drifted name would silently split
-    /// registry counters from journal JSON).
+    /// `EventKind::name()` / `Phase::name()` and the serde `snake_case`
+    /// encoding are maintained by hand in two places; pin them to each other
+    /// for every variant so they cannot drift (a drifted name would silently
+    /// split registry counters and block names from journal JSON).
     #[test]
     fn kind_names_match_their_serde_encoding() {
         for kind in EventKind::ALL {
@@ -540,6 +619,10 @@ mod tests {
             assert_eq!(json, format!("\"{}\"", kind.name()), "{kind:?}");
             let back: EventKind = serde_json::from_str(&json).unwrap();
             assert_eq!(back, kind, "{kind:?} does not round-trip");
+        }
+        for phase in [Phase::Load, Phase::Execute, Phase::Save, Phase::Overhead] {
+            let json = serde_json::to_string(&phase).unwrap();
+            assert_eq!(json, format!("\"{}\"", phase.name()), "{phase:?}");
         }
     }
 }

@@ -41,7 +41,7 @@ pub use spec::{
     ClusterSpec, DiskSpec, FaultEvent, FaultPlan, NetworkSpec, MAX_ELASTIC_MACHINES,
     RETRY_MAX_ATTEMPTS,
 };
-pub use timeline::{Block, CriticalPath, CriticalPathRow, Span, Timeline};
+pub use timeline::{Block, CriticalPath, CriticalPathRow, Timeline};
 pub use trace::{Trace, TraceSample};
 
 /// Machine index within a cluster.

@@ -1,9 +1,8 @@
 //! Live superstep observation: the read-only hook behind the
 //! observability plane.
 //!
-//! All observability before this module was dead-drop — journal, registry,
-//! timeline, and traces become visible only after a run ends, through
-//! files. A [`ClusterObserver`] is the live counterpart: the cluster fires
+//! All observability before this module was dead-drop — journal, registry
+//! and traces become visible only after a run ends, through files. A [`ClusterObserver`] is the live counterpart: the cluster fires
 //! it at every [`crate::Cluster::barrier`] (the single point where a
 //! superstep closes) with a [`SuperstepSnapshot`] of the run so far and a
 //! borrow of the metrics registry. The `graphbench-obs` crate fans these
@@ -14,9 +13,9 @@
 //!
 //! The hook hands out `&`-references only and the cluster never branches
 //! on whether observers are attached, so every simulated metric — journal,
-//! registry, timeline, phase times, the clock itself — is byte-identical
-//! with the plane on or off. `tests/observer_safety.rs` locks this with a
-//! serialized-record equality check on clean and faulted runs.
+//! registry, the clock itself — is byte-identical with the plane on or
+//! off. `tests/observer_safety.rs` locks this with a serialized-record
+//! equality check on clean and faulted runs.
 //!
 //! Observers ride inside [`crate::ClusterSpec`] (skipped by serde, ignored
 //! by equality) so the harness can attach them where it already configures

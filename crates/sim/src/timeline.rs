@@ -1,32 +1,27 @@
-//! Per-machine span timeline, critical-path attribution, and Chrome
-//! trace-event export.
+//! Per-machine timeline, critical-path attribution, and Chrome trace-event
+//! export — all folds over the journal's timed events.
 //!
-//! The journal (one [`crate::JournalEvent`] per charge) records the
-//! cluster-aggregate duration of every charge — the slowest machine under
-//! BSP semantics. That is enough to reproduce phase times bit-for-bit, but
-//! not to answer the paper's *why* questions (§6): which machine gated each
+//! A [`crate::JournalEvent`] carries the cluster-aggregate duration of its
+//! charge (the slowest machine under BSP semantics), its simulated start
+//! and the per-machine **base** (fault-free) busy vector the cluster
+//! computed to derive `dt` and `barrier_wait`. [`Timeline`] borrows the
+//! events that went through the clock (every kind but `alloc`/`free`) and
+//! answers the paper's *why* questions (§6): which machine gated each
 //! barrier, how much of a label's cost is skew, where simulated time
-//! actually went per machine. The [`Timeline`] keeps what the journal
-//! drops: for every **timed** charge, one [`Span`] carrying the simulated
-//! start time and the per-machine **base** (fault-free) busy vector the
-//! cluster already computed to derive `dt` and `barrier_wait`.
+//! actually went per machine. It stores nothing of its own, so a journal
+//! re-parsed from a `--journal` export gives the same answers.
 //!
-//! Invariants, locked by `tests/trace_invariants.rs`:
+//! Invariants of the data, locked by `tests/trace_invariants.rs`:
 //!
-//! * spans are contiguous: `span[i].start + span[i].dt` equals
-//!   `span[i+1].start` bit-for-bit (both are the same f64 addition the
+//! * timed events are contiguous: `ev[i].start + ev[i].dt` equals
+//!   `ev[i+1].start` bit-for-bit (both are the same f64 addition the
 //!   cluster clock performed);
-//! * replaying span durations in order ([`Timeline::total_time`],
+//! * replaying durations in order ([`Timeline::total_time`],
 //!   [`CriticalPath::total`]) reproduces the run's simulated runtime
 //!   bit-for-bit;
-//! * `per_machine[i] <= dt` for every span (the charge *is* its slowest
+//! * `per_machine[i] <= dt` for every event (the charge *is* its slowest
 //!   machine), so each machine's busy sum is bounded by the makespan;
 //! * all of it is invariant across host thread counts.
-//!
-//! Fault surpluses (straggler windows, degradation) are charged as
-//! separate labeled stalls by the cluster, so `per_machine` stores the
-//! *base* times and `max(per_machine) == dt` holds bitwise even on faulted
-//! runs.
 //!
 //! [`Timeline::chrome_trace`] exports the Chrome trace-event JSON that
 //! <https://ui.perfetto.dev> (or `chrome://tracing`) loads directly: a
@@ -35,64 +30,12 @@
 //! tracing is enabled — one track per host thread with real wallclock
 //! executor spans, so simulated and host cost can be compared per label.
 
+use crate::cluster::Phase;
 use crate::hosttrace::HostSpan;
-use crate::journal::EventKind;
+use crate::journal::{Journal, JournalEvent};
 use crate::MachineId;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-
-fn zero_f64(v: &f64) -> bool {
-    *v == 0.0
-}
-
-/// One timed cluster charge with its per-machine decomposition. Spans form
-/// the charge level of the run → phase → superstep → charge → machine
-/// hierarchy; the coarser levels are derived from contiguity (see
-/// [`Timeline::phase_blocks`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Span {
-    /// Sequence number of the journal event this span mirrors.
-    pub seq: u64,
-    /// Superstep the charge belongs to (barriers close their own).
-    pub superstep: u64,
-    /// Accounting phase: `load`, `execute`, `save`, or `overhead`.
-    pub phase: String,
-    /// Engine-chosen activity label ("superstep", "shuffle", ...).
-    pub label: String,
-    pub kind: EventKind,
-    /// Simulated start: the cluster clock when the charge committed.
-    pub start: f64,
-    /// Simulated duration (slowest machine under BSP semantics).
-    pub dt: f64,
-    /// Skew inside this charge: how long the fastest machine waited for
-    /// the slowest one.
-    #[serde(default, skip_serializing_if = "zero_f64")]
-    pub barrier_wait: f64,
-    /// Base (fault-free) busy seconds per machine. Empty for cluster-wide
-    /// charges — start-up, barriers, stalls — that no single machine gates.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub per_machine: Vec<f64>,
-}
-
-impl Span {
-    /// Simulated end time. Bit-identical to the next span's `start`.
-    pub fn end(&self) -> f64 {
-        self.start + self.dt
-    }
-
-    /// The machine that gated this charge — the first machine whose base
-    /// busy time equals the span duration. `None` for cluster-wide charges.
-    pub fn gating_machine(&self) -> Option<MachineId> {
-        let mut best: Option<(MachineId, f64)> = None;
-        for (i, &t) in self.per_machine.iter().enumerate() {
-            match best {
-                Some((_, bt)) if t <= bt => {}
-                _ => best = Some((i, t)),
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-}
 
 /// One (gating machine, label) bucket of the critical path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -125,7 +68,8 @@ pub struct CriticalPath {
 }
 
 /// A contiguous block of spans sharing one grouping key (phase or
-/// superstep) — the derived middle levels of the span hierarchy.
+/// superstep) — the derived middle levels of the run → phase → superstep →
+/// charge → machine hierarchy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     pub name: String,
@@ -136,37 +80,26 @@ pub struct Block {
     pub last: usize,
 }
 
-/// Every timed charge of one run, in commit order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Timeline {
-    machines: usize,
-    spans: Vec<Span>,
+/// The timed events of one journal, in commit order: one span per charge.
+#[derive(Debug, Clone)]
+pub struct Timeline<'a> {
+    spans: Vec<&'a JournalEvent>,
 }
 
-impl Timeline {
-    pub fn new(machines: usize) -> Self {
-        Timeline { machines, spans: Vec::new() }
+impl<'a> Timeline<'a> {
+    pub(crate) fn new(journal: &'a Journal) -> Self {
+        Timeline { spans: journal.events().iter().filter(|e| e.kind.is_timed()).collect() }
     }
 
-    /// Simulated machines in the cluster (one export track each). After an
-    /// elastic scale-out this is the widest membership the run reached;
-    /// spans committed earlier keep their narrower `per_machine` vectors.
+    /// Simulated machines that ever carried a charge (one export track
+    /// each): the widest `per_machine` vector in the run. After an elastic
+    /// scale-out that is the widest membership charged; earlier spans keep
+    /// their narrower vectors, and departed machines keep their tracks.
     pub fn machines(&self) -> usize {
-        self.machines
+        self.spans.iter().map(|s| s.per_machine.len()).max().unwrap_or(0)
     }
 
-    /// Grow the machine count after an elastic scale-out (never shrinks:
-    /// departed machines keep their export tracks — their spans are part of
-    /// the run).
-    pub fn ensure_machines(&mut self, n: usize) {
-        self.machines = self.machines.max(n);
-    }
-
-    pub fn push(&mut self, span: Span) {
-        self.spans.push(span);
-    }
-
-    pub fn spans(&self) -> &[Span] {
+    pub fn spans(&self) -> &[&'a JournalEvent] {
         &self.spans
     }
 
@@ -179,7 +112,7 @@ impl Timeline {
     }
 
     /// Replay of span durations in commit order — bit-identical to the
-    /// cluster clock (zero-duration memory events never advance it).
+    /// cluster clock.
     pub fn total_time(&self) -> f64 {
         let mut t = 0.0;
         for s in &self.spans {
@@ -234,41 +167,20 @@ impl Timeline {
 
     /// Contiguous phase blocks, in time order.
     pub fn phase_blocks(&self) -> Vec<Block> {
-        self.blocks(|s| s.phase.clone())
+        self.blocks(|s| Some(s.phase.name().to_string()))
     }
 
     /// Contiguous superstep blocks within the execute phase.
     pub fn superstep_blocks(&self) -> Vec<Block> {
-        let mut blocks = Vec::new();
-        let mut i = 0;
-        while i < self.spans.len() {
-            if self.spans[i].phase != "execute" {
-                i += 1;
-                continue;
-            }
-            let key = self.spans[i].superstep;
-            let first = i;
-            while i < self.spans.len()
-                && self.spans[i].phase == "execute"
-                && self.spans[i].superstep == key
-            {
-                i += 1;
-            }
-            blocks.push(Block {
-                name: format!("superstep {key}"),
-                start: self.spans[first].start,
-                end: self.spans[i - 1].end(),
-                first,
-                last: i,
-            });
-        }
-        blocks
+        self.blocks(|s| (s.phase == Phase::Execute).then(|| format!("superstep {}", s.superstep)))
     }
 
-    fn blocks(&self, key: impl Fn(&Span) -> String) -> Vec<Block> {
+    /// Maximal runs of adjacent spans sharing a key; `None` leaves a span
+    /// out of every block.
+    fn blocks(&self, key: impl Fn(&JournalEvent) -> Option<String>) -> Vec<Block> {
         let mut blocks: Vec<Block> = Vec::new();
         for (i, s) in self.spans.iter().enumerate() {
-            let k = key(s);
+            let Some(k) = key(s) else { continue };
             match blocks.last_mut() {
                 Some(b) if b.name == k && b.last == i => {
                     b.end = s.end();
@@ -300,7 +212,7 @@ impl Timeline {
         let mut ev = ChromeEvents::new();
         ev.meta(SIM_PID, 0, "process_name", "simulated cluster");
         ev.meta(SIM_PID, 0, "thread_name", "cluster (critical path)");
-        for m in 0..self.machines {
+        for m in 0..self.machines() {
             ev.meta(SIM_PID, 1 + m as u64, "thread_name", &format!("machine {m}"));
         }
         if let (Some(first), Some(last)) = (self.spans.first(), self.spans.last()) {
@@ -466,53 +378,62 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{test_event, EventKind};
 
-    fn span(
-        seq: u64,
+    fn ev(
         superstep: u64,
-        phase: &str,
+        phase: Phase,
         label: &str,
         kind: EventKind,
-        start: f64,
         dt: f64,
         per_machine: Vec<f64>,
-    ) -> Span {
-        Span {
-            seq,
-            superstep,
-            phase: phase.into(),
-            label: label.into(),
-            kind,
-            start,
-            dt,
-            barrier_wait: 0.0,
-            per_machine,
-        }
+    ) -> JournalEvent {
+        JournalEvent { superstep, per_machine, ..test_event(kind, phase, label, dt) }
     }
 
-    fn demo() -> Timeline {
-        let mut t = Timeline::new(2);
-        t.push(span(0, 0, "load", "load", EventKind::HdfsRead, 0.0, 2.0, vec![2.0, 1.0]));
-        t.push(span(1, 0, "execute", "superstep", EventKind::Compute, 2.0, 3.0, vec![1.0, 3.0]));
-        t.push(span(2, 0, "execute", "shuffle", EventKind::Network, 5.0, 1.0, vec![1.0, 0.5]));
-        t.push(span(3, 0, "execute", "barrier", EventKind::Barrier, 6.0, 0.5, vec![]));
-        t.push(span(4, 1, "execute", "superstep", EventKind::Compute, 6.5, 2.0, vec![2.0, 1.0]));
-        t.push(span(5, 1, "save", "save", EventKind::HdfsWrite, 8.5, 1.0, vec![1.0, 1.0]));
-        t
+    /// Six charges with a memory event in the middle; `seq` and `start`
+    /// are assigned the way the cluster clock would.
+    fn demo() -> Journal {
+        use EventKind::*;
+        use Phase::*;
+        let mut alloc = ev(0, Execute, "superstep", Alloc, 0.0, vec![]);
+        alloc.mem_delta = vec![64, 64];
+        let mut j = Journal::new();
+        let mut clock = 0.0;
+        for mut e in [
+            ev(0, Load, "load", HdfsRead, 2.0, vec![2.0, 1.0]),
+            ev(0, Execute, "superstep", Compute, 3.0, vec![1.0, 3.0]),
+            alloc,
+            ev(0, Execute, "shuffle", Network, 1.0, vec![1.0, 0.5]),
+            ev(0, Execute, "barrier", Barrier, 0.5, vec![]),
+            ev(1, Execute, "superstep", Compute, 2.0, vec![2.0, 1.0]),
+            ev(1, Save, "save", HdfsWrite, 1.0, vec![1.0, 1.0]),
+        ] {
+            e.seq = j.len() as u64;
+            e.start = clock;
+            clock += e.dt;
+            j.push(e);
+        }
+        j
     }
 
     #[test]
-    fn spans_are_contiguous_and_total_replays_the_clock() {
-        let t = demo();
+    fn spans_are_the_timed_events_and_total_replays_the_clock() {
+        let j = demo();
+        let t = j.timeline();
+        assert_eq!(t.len(), j.len() - 1, "the alloc is not a span");
+        assert!(t.spans().iter().all(|s| s.kind.is_timed()));
         for w in t.spans().windows(2) {
             assert_eq!(w[0].end().to_bits(), w[1].start.to_bits());
         }
         assert_eq!(t.total_time(), 9.5);
+        assert_eq!(t.machines(), 2);
     }
 
     #[test]
     fn gating_machine_is_the_slowest_and_first_wins_ties() {
-        let t = demo();
+        let j = demo();
+        let t = j.timeline();
         assert_eq!(t.spans()[0].gating_machine(), Some(0));
         assert_eq!(t.spans()[1].gating_machine(), Some(1));
         assert_eq!(t.spans()[3].gating_machine(), None); // barrier
@@ -521,7 +442,8 @@ mod tests {
 
     #[test]
     fn machine_busy_is_bounded_by_the_makespan() {
-        let t = demo();
+        let j = demo();
+        let t = j.timeline();
         assert_eq!(t.machine_busy(0), 7.0);
         assert_eq!(t.machine_busy(1), 6.5);
         assert!(t.machine_busy(0) <= t.total_time());
@@ -530,7 +452,8 @@ mod tests {
 
     #[test]
     fn critical_path_partitions_spans_and_reproduces_the_total() {
-        let t = demo();
+        let j = demo();
+        let t = j.timeline();
         let cp = t.critical_path();
         assert_eq!(cp.total.to_bits(), t.total_time().to_bits());
         assert_eq!(cp.rows.iter().map(|r| r.spans).sum::<u64>(), t.len() as u64);
@@ -551,9 +474,11 @@ mod tests {
 
     #[test]
     fn blocks_derive_the_phase_and_superstep_hierarchy() {
-        let t = demo();
-        let phases: Vec<&str> = t.phase_blocks().iter().map(|b| b.name.as_str()).collect();
-        assert_eq!(phases, vec!["load", "execute", "save"]);
+        let j = demo();
+        let t = j.timeline();
+        let phases = t.phase_blocks();
+        let names: Vec<&str> = phases.iter().map(|b| b.name.as_str()).collect();
+        assert_eq!(names, vec!["load", "execute", "save"]);
         let steps = t.superstep_blocks();
         assert_eq!(steps.len(), 2);
         assert_eq!(steps[0].name, "superstep 0");
@@ -564,9 +489,9 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_json_with_one_track_per_machine() {
-        let t = demo();
+        let j = demo();
         let host = vec![HostSpan { thread: 0, label: "superstep".into(), start_us: 10, dur_us: 5 }];
-        let trace = t.chrome_trace_with_host(&host);
+        let trace = j.timeline().chrome_trace_with_host(&host);
         let v: serde_json::Value = serde_json::from_str(&trace).expect("valid JSON");
         let events = v["traceEvents"].as_array().expect("traceEvents array");
         // Metadata names one track per simulated machine.
@@ -595,9 +520,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_timeline_exports_an_empty_but_valid_trace() {
-        let t = Timeline::new(3);
-        let v: serde_json::Value = serde_json::from_str(&t.chrome_trace()).unwrap();
+    fn empty_journal_exports_an_empty_but_valid_trace() {
+        let j = Journal::new();
+        assert_eq!(j.timeline().machines(), 0);
+        let v: serde_json::Value = serde_json::from_str(&j.timeline().chrome_trace()).unwrap();
         assert!(v["traceEvents"].as_array().unwrap().iter().all(|e| e["ph"] == "M"));
     }
 

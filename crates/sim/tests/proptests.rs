@@ -1,7 +1,9 @@
 //! Property-based tests for the cluster simulator's accounting invariants,
 //! including the journal/registry observability contract: every charge is
-//! journaled, per-phase journal sums reproduce the clock bit-for-bit, and
-//! the registry's counters and histograms agree with the event log.
+//! journaled, journal durations replay the clock bit-for-bit, and the
+//! registry's counters and histograms agree with the event log. The JSONL
+//! round trip is a property of its own, so the accounting half does not
+//! need a working `serde_json`.
 
 use graphbench_sim::{Cluster, ClusterSpec, CostProfile, Journal, Phase};
 use proptest::prelude::*;
@@ -31,57 +33,61 @@ fn arb_op(machines: usize) -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Apply one op to the cluster, mirroring memory and barrier counts in the
+/// caller's model.
+fn apply(c: &mut Cluster, op: Op, in_use: &mut [u64], barriers: &mut u64) {
+    let machines = in_use.len();
+    let cut = |v: Vec<u16>| -> Vec<u64> { v.into_iter().take(machines).map(u64::from).collect() };
+    match op {
+        Op::Compute(o) => {
+            let o: Vec<f64> = o.into_iter().take(machines).map(f64::from).collect();
+            c.advance_compute(&o, 2).unwrap();
+        }
+        Op::Exchange(a, b) => c.exchange(&cut(a), &cut(b), &vec![1; machines]).unwrap(),
+        Op::Barrier => {
+            c.barrier().unwrap();
+            *barriers += 1;
+        }
+        Op::HdfsRead(b) => c.hdfs_read(&cut(b)).unwrap(),
+        Op::Alloc(m, bytes) => {
+            let m = m % machines;
+            if c.alloc(m, bytes as u64).is_ok() {
+                in_use[m] += bytes as u64;
+            }
+        }
+        Op::Free(m, bytes) => {
+            let m = m % machines;
+            c.free(m, bytes as u64);
+            in_use[m] = in_use[m].saturating_sub(bytes as u64);
+        }
+        Op::Phase(p) => c.begin_phase(match p {
+            0 => Phase::Load,
+            1 => Phase::Execute,
+            2 => Phase::Save,
+            _ => Phase::Overhead,
+        }),
+    }
+}
+
+fn cluster(machines: usize) -> Cluster {
+    Cluster::new(ClusterSpec::r3_xlarge(machines, 1 << 20), CostProfile::cpp_mpi())
+}
+
 proptest! {
     #[test]
     fn accounting_invariants_hold_for_any_op_sequence(
-        machines in 1usize..6,
+        machines in 1usize..5,
         ops in prop::collection::vec(arb_op(4), 0..60),
     ) {
-        let machines = machines.clamp(1, 4);
-        let mut c = Cluster::new(ClusterSpec::r3_xlarge(machines, 1 << 20), CostProfile::cpp_mpi());
+        let mut c = cluster(machines);
         let mut in_use = vec![0u64; machines];
         let mut barriers = 0u64;
         for op in ops {
-            match op {
-                Op::Compute(o) => {
-                    let o: Vec<f64> = o.into_iter().take(machines).map(f64::from).collect();
-                    c.advance_compute(&o, 2).unwrap();
-                }
-                Op::Exchange(a, b) => {
-                    let a: Vec<u64> = a.into_iter().take(machines).map(u64::from).collect();
-                    let b: Vec<u64> = b.into_iter().take(machines).map(u64::from).collect();
-                    let msgs = vec![1; machines];
-                    c.exchange(&a, &b, &msgs).unwrap();
-                }
-                Op::Barrier => {
-                    c.barrier().unwrap();
-                    barriers += 1;
-                }
-                Op::HdfsRead(b) => {
-                    let b: Vec<u64> = b.into_iter().take(machines).map(u64::from).collect();
-                    c.hdfs_read(&b).unwrap();
-                }
-                Op::Alloc(m, bytes) => {
-                    let m = m % machines;
-                    if c.alloc(m, bytes as u64).is_ok() {
-                        in_use[m] += bytes as u64;
-                    }
-                }
-                Op::Free(m, bytes) => {
-                    let m = m % machines;
-                    c.free(m, bytes as u64);
-                    in_use[m] = in_use[m].saturating_sub(bytes as u64);
-                }
-                Op::Phase(p) => c.begin_phase(match p {
-                    0 => Phase::Load,
-                    1 => Phase::Execute,
-                    2 => Phase::Save,
-                    _ => Phase::Overhead,
-                }),
-            }
+            let before = c.elapsed();
+            apply(&mut c, op, &mut in_use, &mut barriers);
             // Clock is monotone and equals the phase-time sum.
-            let pt = c.phase_times();
-            prop_assert!((pt.total() - c.elapsed()).abs() < 1e-6);
+            prop_assert!(c.elapsed() >= before);
+            prop_assert!((c.phase_times().total() - c.elapsed()).abs() < 1e-6);
         }
         prop_assert_eq!(c.supersteps(), barriers);
         for (m, &want) in in_use.iter().enumerate() {
@@ -98,19 +104,20 @@ proptest! {
         // Event durations sum to the simulated clock, bit-for-bit: both
         // fold the same charge sequence in the same order.
         prop_assert_eq!(j.total_time(), c.elapsed());
-        // And per phase, against the cluster's own accounting.
-        let jp = j.phase_times();
-        let cp = c.phase_times();
-        prop_assert_eq!(jp.load, cp.load);
-        prop_assert_eq!(jp.execute, cp.execute);
-        prop_assert_eq!(jp.save, cp.save);
-        prop_assert_eq!(jp.overhead, cp.overhead);
-        // Sequence numbers are the event index; superstep is monotone.
+        // Sequence numbers are the event index; superstep is monotone and
+        // every event starts where its predecessor ended.
         for (i, ev) in j.events().iter().enumerate() {
             prop_assert_eq!(ev.seq, i as u64);
         }
         for w in j.events().windows(2) {
             prop_assert!(w[0].superstep <= w[1].superstep);
+            prop_assert_eq!(w[0].end().to_bits(), w[1].start.to_bits());
+        }
+        // A charge is its slowest machine, bit-for-bit.
+        for ev in j.events().iter().filter(|ev| !ev.per_machine.is_empty()) {
+            prop_assert_eq!(ev.per_machine.len(), machines);
+            let max = ev.per_machine.iter().fold(0.0f64, |a, &b| a.max(b));
+            prop_assert_eq!(max.to_bits(), ev.dt.to_bits());
         }
         // Memory deltas replay to the memory in use.
         for m in 0..machines {
@@ -121,9 +128,6 @@ proptest! {
                 .sum();
             prop_assert_eq!(replayed, c.mem_in_use(m) as i64);
         }
-        // JSONL export round-trips losslessly.
-        let rt = Journal::from_jsonl(&j.to_jsonl()).unwrap();
-        prop_assert_eq!(&rt, j);
 
         // --- Registry invariants ------------------------------------------
         let reg = c.registry();
@@ -149,5 +153,19 @@ proptest! {
         prop_assert_eq!(reg.counter("net.bytes"), net);
         let msgs: u64 = j.events().iter().map(|ev| ev.messages).sum();
         prop_assert_eq!(reg.counter("net.messages"), msgs);
+    }
+
+    #[test]
+    fn jsonl_export_round_trips_losslessly(
+        machines in 1usize..5,
+        ops in prop::collection::vec(arb_op(4), 0..60),
+    ) {
+        let mut c = cluster(machines);
+        let (mut in_use, mut barriers) = (vec![0u64; machines], 0u64);
+        for op in ops {
+            apply(&mut c, op, &mut in_use, &mut barriers);
+        }
+        let rt = Journal::from_jsonl(&c.journal().to_jsonl()).unwrap();
+        prop_assert_eq!(&rt, c.journal());
     }
 }

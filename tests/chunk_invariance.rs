@@ -1,12 +1,11 @@
 //! The chunked executor's contract: `GRAPHBENCH_CHUNK` (the intra-machine
 //! sub-chunk size) and `GRAPHBENCH_THREADS` change host scheduling only.
 //! Serialized [`graphbench::RunRecord`]s — simulated times, message counts,
-//! journals, span timelines, results, everything the harness writes — must
-//! be bit-for-bit identical at any chunk-size × thread-count combination,
-//! on clean runs and under injected faults, for every engine that routes
-//! per-machine superstep work through `exec::run_chunks` (GAS, Blogel,
-//! GraphX, Hadoop, Vertica — the BSP engines are covered by
-//! `determinism_parallel.rs`).
+//! journals, results, everything the harness writes — must be bit-for-bit
+//! identical at any chunk-size × thread-count combination, on clean runs
+//! and under injected faults, for every engine that routes per-machine
+//! superstep work through `exec::run_chunks` (GAS, Blogel, GraphX, Hadoop,
+//! Vertica — the BSP engines are covered by `determinism_parallel.rs`).
 
 use graphbench::system::GlStop;
 use graphbench::{ExperimentSpec, PaperEnv, RunRecord, Runner, SystemId};
@@ -115,10 +114,10 @@ fn journals_timelines_and_registries_are_chunk_invariant() {
     // The JSONL export is the external contract: byte-for-byte identical.
     assert_eq!(serial.journal.to_jsonl(), chunked.journal.to_jsonl());
     assert_eq!(serial.registry, chunked.registry);
-    assert_eq!(serial.timeline, chunked.timeline);
     assert_eq!(serial.runtime.to_bits(), chunked.runtime.to_bits());
     // The critical path still decomposes the runtime bit-for-bit.
-    assert_eq!(chunked.timeline.critical_path().total.to_bits(), chunked.runtime.to_bits());
+    let critical_path = chunked.journal.timeline().critical_path();
+    assert_eq!(critical_path.total.to_bits(), chunked.runtime.to_bits());
 }
 
 mod chunked_engines_equal_serial {

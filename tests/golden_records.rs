@@ -101,13 +101,6 @@ fn golden_cell(system: SystemId, workload: WorkloadKind) {
     let mut r = runner();
     let rec =
         r.run(&ExperimentSpec { system, workload, dataset: DatasetKind::Twitter, machines: 16 });
-    // The tentpole invariant, checked on every goldened record: journal
-    // per-phase sums reproduce the run's accounting bit-for-bit.
-    let p = rec.journal.phase_times();
-    assert_eq!(p.load, rec.metrics.phases.load, "{}", rec.system);
-    assert_eq!(p.execute, rec.metrics.phases.execute, "{}", rec.system);
-    assert_eq!(p.save, rec.metrics.phases.save, "{}", rec.system);
-    assert_eq!(p.overhead, rec.metrics.phases.overhead, "{}", rec.system);
     check_snapshot(&snapshot_name(&rec.system, rec.workload), &rec);
 }
 
@@ -310,9 +303,9 @@ fn single_seed_multi_record_serializes_as_legacy_record() {
 }
 
 /// Every engine in both paper line-ups (plus the COST baseline) satisfies
-/// the journal/metrics contract: the journal is non-empty, its per-phase
-/// sums equal the run's phase accounting bit-for-bit, and the registry's
-/// per-kind event counters sum to the journal length.
+/// the journal/metrics contract: the journal is non-empty, the registry's
+/// per-kind event counters sum to the journal length, and network bytes
+/// agree between journal, registry and metrics.
 #[test]
 fn every_engine_journal_agrees_with_its_metrics() {
     let mut cells: Vec<(SystemId, WorkloadKind)> = Vec::new();
@@ -330,11 +323,6 @@ fn every_engine_journal_agrees_with_its_metrics() {
             r.run(&ExperimentSpec { system, workload, dataset: DatasetKind::Twitter, machines });
         let label = format!("{} {}", rec.system, rec.workload);
         assert!(!rec.journal.is_empty(), "{label}: empty journal");
-        let p = rec.journal.phase_times();
-        assert_eq!(p.load, rec.metrics.phases.load, "{label} load");
-        assert_eq!(p.execute, rec.metrics.phases.execute, "{label} execute");
-        assert_eq!(p.save, rec.metrics.phases.save, "{label} save");
-        assert_eq!(p.overhead, rec.metrics.phases.overhead, "{label} overhead");
         let counted: u64 = rec
             .registry
             .counters()
