@@ -1,46 +1,29 @@
-//! Export I/O failure contract: a `--journal` or `--trace` destination the
-//! user asked for but that cannot be written must produce a clear message
-//! and a nonzero exit — never silent loss, never a panic backtrace. The
-//! happy path is locked too: the golden trace_report run writes both files
-//! and the schema checker accepts the trace it produced.
+//! Output I/O failure contract: a `--journal` or `--trace` destination the
+//! user asked for, or a report a target always writes, that cannot be
+//! written must produce a clear message and a nonzero exit — never silent
+//! loss, never a panic backtrace. The happy path is locked too: the golden
+//! trace_report run writes both files and the schema checker accepts the
+//! trace it produced.
 
+mod common;
+
+use common::{repro, repro_cmd, scratch};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::Output;
 
 fn trace_report(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_trace_report"))
-        .args(args)
-        // The flags under test must be the only export configuration.
-        .env_remove("GRAPHBENCH_JOURNAL")
-        .env_remove("GRAPHBENCH_TRACE")
-        .output()
-        .expect("spawn trace_report")
+    repro(&[&["trace_report"], args].concat(), &[])
 }
 
 fn schema_check(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_trace_schema_check"))
-        .args(args)
-        .output()
-        .expect("spawn trace_schema_check")
-}
-
-/// A per-test scratch directory (tests in one binary run concurrently).
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("graphbench_{}_{}", name, std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+    repro(&[&["trace_schema_check"], args].concat(), &[])
 }
 
 /// `bench_scaleup` at a test-friendly edge count (the default 10⁷ would
 /// dominate the suite's runtime).
 fn bench_scaleup(args: &[&str], envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_bench_scaleup"));
-    cmd.args(args).env("GRAPHBENCH_SCALEUP_EDGES", "20000").env_remove("GRAPHBENCH_DATA_DIR");
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("spawn bench_scaleup")
+    let envs = [&[("GRAPHBENCH_SCALEUP_EDGES", "20000")], envs].concat();
+    repro(&[&["bench_scaleup"], args].concat(), &envs)
 }
 
 /// A path whose parent is a plain file: `create_dir_all` and `write` both
@@ -74,6 +57,24 @@ fn unwritable_scaleup_report_fails_loudly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("cannot write scaleup report"),
+        "stderr should say what failed, got: {stderr}"
+    );
+}
+
+/// The reports with fixed names go through the same path: a directory
+/// where `BENCH_elastic.json` belongs fails the write even for root.
+#[test]
+fn unwritable_fixed_name_report_fails_loudly() {
+    let dir = scratch("fixed_name_fail");
+    std::fs::create_dir(dir.join("BENCH_elastic.json")).unwrap();
+    let out = repro_cmd(&["ablation_elastic"], &[("GRAPHBENCH_BASE", "300")])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(1), "expected exit 1 for an unwritable report");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("cannot write elastic membership cost decomposition to BENCH_elastic.json"),
         "stderr should say what failed, got: {stderr}"
     );
 }

@@ -1,36 +1,25 @@
-//! The findings gate end to end: `repro_all --check` exits 0 when the
+//! The findings gate end to end: `repro all --check` exits 0 when the
 //! measured verdicts match the committed EXPERIMENTS.md table, and exits
 //! nonzero with a diff naming the flipped finding when a predicate is
 //! perturbed (via the `GRAPHBENCH_FINDINGS_PERTURB` test hook — the same
 //! failure path a real regression would take).
 
+mod common;
+
+use common::{repro_cmd, scratch};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::Output;
 
-/// A per-test scratch directory (tests in one binary run concurrently).
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("graphbench_{}_{}", name, std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// `repro_all --check` in an isolated cwd with a pinned configuration:
+/// `repro all --check` in an isolated cwd with a pinned configuration:
 /// the calibrated scale/seed defaults, a single-seed sweep for speed, and
 /// no inherited perturbation. EXPERIMENTS.md is found via the binary's
 /// manifest-relative fallback.
 fn check(dir: &PathBuf, envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro_all"));
-    cmd.arg("--check")
+    let envs = [&[("GRAPHBENCH_SEEDS", "42")], envs].concat();
+    repro_cmd(&["all", "--check"], &envs)
         .current_dir(dir)
-        .env_remove("GRAPHBENCH_BASE")
-        .env_remove("GRAPHBENCH_SEED")
-        .env_remove("GRAPHBENCH_FINDINGS_PERTURB")
-        .env("GRAPHBENCH_SEEDS", "42");
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("spawn repro_all --check")
+        .output()
+        .expect("spawn repro all --check")
 }
 
 #[test]
@@ -39,7 +28,7 @@ fn clean_check_passes_and_writes_verdicts() {
     let out = check(&dir, &[]);
     assert!(
         out.status.success(),
-        "clean `repro_all --check` should exit 0\nstdout:\n{}\nstderr:\n{}",
+        "clean `repro all --check` should exit 0\nstdout:\n{}\nstderr:\n{}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
@@ -71,7 +60,7 @@ fn perturbed_check_fails_naming_the_flipped_finding() {
     assert_eq!(
         out.status.code(),
         Some(1),
-        "perturbed `repro_all --check` should exit 1\nstdout:\n{}\nstderr:\n{}",
+        "perturbed `repro all --check` should exit 1\nstdout:\n{}\nstderr:\n{}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );

@@ -1,40 +1,23 @@
-//! Observability-plane contract at the bin boundary, alongside the export
+//! Observability-plane contract at the `repro` boundary, alongside the export
 //! failure contract of `export_failures.rs`: a `--serve`/`GRAPHBENCH_SERVE`
 //! address the user asked for but that cannot be bound must produce a
 //! clear message and a nonzero exit — never a silently absent endpoint.
-//! The happy path is locked end to end: a live bin run with `--serve`
+//! The happy path is locked end to end: a live run with `--serve`
 //! answers `/metrics` with conformant exposition while its progress log
 //! captures every superstep.
 
+mod common;
+
+use common::{repro, repro_cmd, scratch};
 use std::io::{BufRead, BufReader};
 use std::net::TcpListener;
-use std::path::PathBuf;
-use std::process::{Command, Output, Stdio};
+use std::process::{Output, Stdio};
 use std::time::Duration;
 
-/// `trace_report --golden` is the smallest bin that exercises the full
+/// `trace_report --golden` is the smallest target that exercises the full
 /// plane: one pinned Giraph PageRank run, observers attached.
 fn trace_report(args: &[&str], envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_trace_report"));
-    cmd.args(args)
-        .env_remove("GRAPHBENCH_SERVE")
-        .env_remove("GRAPHBENCH_SERVE_LINGER")
-        .env_remove("GRAPHBENCH_PROGRESS")
-        .env_remove("GRAPHBENCH_PROGRESS_LOG")
-        .env_remove("GRAPHBENCH_JOURNAL")
-        .env_remove("GRAPHBENCH_TRACE");
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("spawn trace_report")
-}
-
-/// A per-test scratch directory (tests in one binary run concurrently).
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("graphbench_{}_{}", name, std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+    repro(&[&["trace_report"], args].concat(), envs)
 }
 
 fn assert_cannot_bind(out: &Output, what: &str) {
@@ -72,18 +55,18 @@ fn occupied_port_fails_loudly() {
 fn live_serve_scrape_end_to_end() {
     let dir = scratch("serve_live");
     let log = dir.join("progress.jsonl");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_trace_report"))
-        .args(["--golden", "--serve", "127.0.0.1:0", "--progress-log", log.to_str().unwrap()])
-        .env_remove("GRAPHBENCH_JOURNAL")
-        .env_remove("GRAPHBENCH_TRACE")
+    let log_path = log.to_str().unwrap();
+    let mut child = repro_cmd(
+        &["trace_report", "--golden", "--serve", "127.0.0.1:0", "--progress-log", log_path],
         // Keep the server up after the run completes so the scrape below
         // races nothing; the test kills the child once it has scraped.
-        .env("GRAPHBENCH_SERVE_LINGER", "60")
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn trace_report --serve");
+        &[("GRAPHBENCH_SERVE_LINGER", "60")],
+    )
+    .stdout(Stdio::piped())
+    .spawn()
+    .expect("spawn trace_report --serve");
 
-    // The bin announces its (ephemeral) address before running anything,
+    // The run announces its (ephemeral) address before running anything,
     // then lingers after its final output.
     let mut reader = BufReader::new(child.stdout.take().expect("piped stdout"));
     let mut addr = None;

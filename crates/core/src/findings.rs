@@ -16,11 +16,11 @@
 //! so a perf PR that silently flips a reproduced paper finding fails CI
 //! with a diff naming the finding.
 //!
-//! `GRAPHBENCH_FINDINGS_PERTURB=<id>` makes that finding's threshold
+//! [`FindingsSweep::set_perturb`] (the gate's
+//! `GRAPHBENCH_FINDINGS_PERTURB=<id>`) makes that finding's threshold
 //! absurd (×1000 on the claimed factor, or an impossible status code), so
 //! the gate's failure path is itself testable end to end.
 
-use crate::paper::PaperEnv;
 use crate::runner::{ExperimentSpec, RunRecord, Runner};
 use crate::stats::{MultiRunRecord, Summary};
 use crate::system::{GlStop, SystemId};
@@ -137,20 +137,15 @@ pub struct FindingsSweep {
 }
 
 impl FindingsSweep {
-    /// A sweep over `seeds` at `scale`. Reads
-    /// `GRAPHBENCH_FINDINGS_PERTURB` (a finding id) for the self-test
-    /// perturbation hook.
-    pub fn new(scale: Scale, seeds: Vec<u64>) -> Self {
-        assert!(!seeds.is_empty(), "a findings sweep needs at least one seed");
-        let perturb = std::env::var("GRAPHBENCH_FINDINGS_PERTURB")
-            .ok()
-            .and_then(|s| s.trim().parse::<u8>().ok());
+    /// A sweep over the runner's seeds, at its scale and under its fault
+    /// plan and observers.
+    pub fn new(runner: Runner) -> Self {
         FindingsSweep {
-            runner: Runner::new(PaperEnv::new(scale, seeds[0])),
-            seeds,
+            seeds: runner.effective_seeds(),
+            runner,
             cache: HashMap::new(),
             part_edges: HashMap::new(),
-            perturb,
+            perturb: None,
         }
     }
 
@@ -164,7 +159,7 @@ impl FindingsSweep {
         self.seeds = seeds;
     }
 
-    /// Override the perturbation hook (tests; normally env-driven).
+    /// Make one finding's threshold absurd (the gate's self-test hook).
     pub fn set_perturb(&mut self, finding: Option<u8>) {
         self.perturb = finding;
     }

@@ -13,8 +13,8 @@
 //! * SSSP/K-hop **sources** are drawn once per dataset, seeded, from the
 //!   giant component (§3.3 uses one fixed random vertex per dataset).
 
-use graphbench_algos::WorkloadKind;
-use graphbench_engines::ScaleInfo;
+use graphbench_algos::{Workload, WorkloadKind};
+use graphbench_engines::{EngineInput, ScaleInfo};
 use graphbench_gen::{Dataset, DatasetKind, Scale};
 use graphbench_graph::{stats, CsrGraph, VertexId};
 use graphbench_sim::ClusterSpec;
@@ -55,6 +55,21 @@ pub struct PreparedDataset {
     pub work_scale: f64,
     /// Pseudo-diameter of the generated graph (double-sweep BFS).
     pub diameter: u64,
+}
+
+impl PreparedDataset {
+    /// The engine input for one run over this dataset, at its paper-scale
+    /// counts.
+    pub fn input(&self, workload: Workload, cluster: ClusterSpec, seed: u64) -> EngineInput<'_> {
+        EngineInput {
+            edges: &self.dataset.edges,
+            graph: &self.graph,
+            workload,
+            cluster,
+            seed,
+            scale: self.scale_info,
+        }
+    }
 }
 
 /// The experimental environment.

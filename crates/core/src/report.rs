@@ -104,10 +104,10 @@ impl ReportRecord for RunRecord {
         &self.system
     }
     fn workload(&self) -> &str {
-        self.workload
+        &self.workload
     }
     fn dataset(&self) -> &str {
-        self.dataset
+        &self.dataset
     }
     fn machines(&self) -> usize {
         self.machines
@@ -204,7 +204,7 @@ fn mem_gb_seconds(rec: &RunRecord) -> f64 {
 /// and bytes moved per result item ("KB/res"). The uniform load column
 /// surfaces every engine's preprocessing cost — the paper calls out
 /// Giraph's input format here, but the comparison needs all rows.
-pub fn phase_table(title: &str, records: &[RunRecord]) -> Table {
+pub fn phase_table<'a>(title: &str, records: impl IntoIterator<Item = &'a RunRecord>) -> Table {
     let mut t = Table::new(
         title,
         &[
@@ -243,7 +243,10 @@ pub fn phase_table(title: &str, records: &[RunRecord]) -> Table {
 /// Resource-efficiency view of a seed sweep: per cell, the loading /
 /// end-to-end spread plus memory-seconds and bytes-moved-per-result —
 /// the metrics of the resource-efficiency study, aggregated over seeds.
-pub fn efficiency_table(title: &str, records: &[MultiRunRecord]) -> Table {
+pub fn efficiency_table<'a>(
+    title: &str,
+    records: impl IntoIterator<Item = &'a MultiRunRecord>,
+) -> Table {
     let mut t = Table::new(
         title,
         &[
@@ -379,8 +382,8 @@ mod tests {
     fn record(system: &str, machines: usize, total: f64, ok: bool) -> RunRecord {
         RunRecord {
             system: system.into(),
-            workload: "wcc",
-            dataset: "Twitter",
+            workload: "wcc".into(),
+            dataset: "Twitter".into(),
             machines,
             metrics: RunMetrics {
                 status: if ok {

@@ -5,11 +5,11 @@ use crate::stats::MultiRunRecord;
 use crate::system::SystemId;
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
 use graphbench_algos::{Workload, WorkloadKind, WorkloadResult, UNREACHABLE};
-use graphbench_engines::EngineInput;
+use graphbench_engines::RunOutput;
 use graphbench_gen::DatasetKind;
 use graphbench_obs::ObserverHub;
 use graphbench_sim::{FaultPlan, HostSpan, Journal, MetricsRegistry, RunMetrics, Trace};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -22,13 +22,14 @@ pub struct ExperimentSpec {
     pub machines: usize,
 }
 
-/// Everything recorded about one run.
-#[derive(Debug, Clone, Serialize)]
+/// Everything recorded about one run. Reads back from a saved
+/// `repro_results.json` (`repro render`, `repro prom_dump`).
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunRecord {
     /// The paper's label for the system variant (e.g. "GL-S-R-T").
     pub system: String,
-    pub workload: &'static str,
-    pub dataset: &'static str,
+    pub workload: String,
+    pub dataset: String,
     pub machines: usize,
     pub metrics: RunMetrics,
     pub notes: Vec<String>,
@@ -62,6 +63,41 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
+    /// The record of one engine run. The answer itself is dropped; its size
+    /// stays as `result_items`.
+    pub fn new(
+        system: String,
+        workload: &str,
+        dataset: &str,
+        machines: usize,
+        out: RunOutput,
+    ) -> Self {
+        let result_items = match &out.result {
+            Some(WorkloadResult::Ranks(r)) => r.len() as u64,
+            Some(WorkloadResult::Labels(l)) => l.len() as u64,
+            // Reachability results only count the vertices actually reached.
+            Some(WorkloadResult::Distances(d)) => {
+                d.iter().filter(|&&d| d != UNREACHABLE).count() as u64
+            }
+            None => 0,
+        };
+        RunRecord {
+            system,
+            workload: workload.to_string(),
+            dataset: dataset.to_string(),
+            machines,
+            metrics: out.metrics,
+            notes: out.notes,
+            updates_per_iteration: out.updates_per_iteration,
+            trace: out.trace,
+            journal: out.journal,
+            registry: out.registry,
+            runtime: out.runtime,
+            host_spans: out.host_spans,
+            result_items,
+        }
+    }
+
     /// The cell the paper's figures print: total seconds or a failure code.
     pub fn cell(&self) -> String {
         if self.metrics.status.is_ok() {
@@ -75,12 +111,9 @@ impl RunRecord {
 /// Executes experiments against a [`PaperEnv`].
 pub struct Runner {
     pub env: PaperEnv,
-    /// The seed sweep for `run_multi`/`run_matrix_multi` (the
-    /// `GRAPHBENCH_SEEDS` plumbing lands here via `graphbench_repro`'s
-    /// `seeds()`). Empty means "just the environment's own seed" — the
-    /// legacy single-seed behaviour. `env.seed` should equal the first
-    /// entry so single-seed sweeps reuse the primary environment's dataset
-    /// cache.
+    /// The seed sweep for `run_multi`/`run_matrix_multi`. Empty means "just
+    /// the environment's own seed". `env.seed` should equal the first entry
+    /// so single-seed sweeps reuse the primary environment's dataset cache.
     pub seeds: Vec<u64>,
     /// Lazily built environments for the non-primary sweep seeds, each
     /// keeping its own dataset cache across cells.
@@ -103,35 +136,15 @@ pub struct Runner {
     /// variable, defaulting to 4096). Chunk size never changes any
     /// simulated metric — see the chunk-invariance test suite.
     pub chunk: Option<usize>,
-    /// Fault schedule injected into every run. `None` keeps the process-wide
-    /// setting (the `GRAPHBENCH_FAULTS` environment variable, e.g.
-    /// `"crash@120:m3; straggler@60+30:m1x2"`), which itself defaults to a
-    /// fault-free plan.
+    /// Fault schedule injected into every run (see [`FaultPlan::parse`] for
+    /// the `"crash@120:m3; straggler@60+30:m1x2"` grammar). `None` is
+    /// fault-free.
     pub faults: Option<FaultPlan>,
     /// Live observability hub (`--serve`/`--progress`/progress logs). When
     /// set, every run is announced to the hub and the hub rides the
     /// cluster's per-barrier observer hook. Strictly read-only: records are
     /// byte-identical with or without it (see `tests/observer_safety.rs`).
     pub obs: Option<Arc<ObserverHub>>,
-}
-
-/// `GRAPHBENCH_FAULTS`, parsed once per process. A malformed value is
-/// reported to stderr once and treated as fault-free rather than aborting
-/// every run in the matrix.
-fn env_fault_plan() -> FaultPlan {
-    use std::sync::OnceLock;
-    static PLAN: OnceLock<FaultPlan> = OnceLock::new();
-    PLAN.get_or_init(|| match std::env::var("GRAPHBENCH_FAULTS") {
-        Ok(s) if !s.trim().is_empty() => match FaultPlan::parse(&s) {
-            Ok(plan) => plan,
-            Err(e) => {
-                eprintln!("GRAPHBENCH_FAULTS ignored: {e}");
-                FaultPlan::none()
-            }
-        },
-        _ => FaultPlan::none(),
-    })
-    .clone()
 }
 
 impl Runner {
@@ -196,7 +209,7 @@ impl Runner {
         } else {
             self.env.cluster_for(spec.dataset, spec.machines, spec.workload)
         };
-        cluster.faults = self.faults.clone().unwrap_or_else(env_fault_plan);
+        cluster.faults = self.faults.clone().unwrap_or_default();
         if let Some(hub) = &self.obs {
             hub.begin_run(
                 &spec.system.label(),
@@ -210,45 +223,20 @@ impl Runner {
         }
         let partitions = self.env.graphx_partitions(spec.dataset, spec.machines);
         let engine = spec.system.build(partitions);
-        let input = EngineInput {
-            edges: &ds.dataset.edges,
-            graph: &ds.graph,
-            workload,
-            cluster,
-            seed: self.env.seed,
-            scale: ds.scale_info,
-        };
-        let mut out = engine.run(&input);
+        let mut out = engine.run(&ds.input(workload, cluster, self.env.seed));
         // The dataset's resident share of memory: the runner owns the CSR,
         // so it (not the engine) knows the actual layout bytes.
         out.metrics.dataset_mem_bytes = ds.graph.raw_bytes();
         if let Some(hub) = &self.obs {
             hub.end_run(out.metrics.status.code(), out.runtime, out.journal.to_jsonl());
         }
-        let result_items = match &out.result {
-            Some(WorkloadResult::Ranks(r)) => r.len() as u64,
-            Some(WorkloadResult::Labels(l)) => l.len() as u64,
-            // Reachability results only count the vertices actually reached.
-            Some(WorkloadResult::Distances(d)) => {
-                d.iter().filter(|&&d| d != UNREACHABLE).count() as u64
-            }
-            None => 0,
-        };
-        RunRecord {
-            system: spec.system.label(),
-            workload: spec.workload.name(),
-            dataset: spec.dataset.name(),
-            machines: spec.machines,
-            metrics: out.metrics,
-            notes: out.notes,
-            updates_per_iteration: out.updates_per_iteration,
-            trace: out.trace,
-            journal: out.journal,
-            registry: out.registry,
-            runtime: out.runtime,
-            host_spans: out.host_spans,
-            result_items,
-        }
+        RunRecord::new(
+            spec.system.label(),
+            spec.workload.name(),
+            spec.dataset.name(),
+            spec.machines,
+            out,
+        )
     }
 
     /// Execute one experiment under a specific generator seed, reusing (or
@@ -276,34 +264,8 @@ impl Runner {
         MultiRunRecord::new(seeds, runs)
     }
 
-    /// Execute a full matrix (cartesian product), in order.
-    pub fn run_matrix(
-        &mut self,
-        systems: &[SystemId],
-        workloads: &[WorkloadKind],
-        datasets: &[DatasetKind],
-        cluster_sizes: &[usize],
-    ) -> Vec<RunRecord> {
-        let mut records = Vec::new();
-        for &dataset in datasets {
-            for &workload in workloads {
-                for &machines in cluster_sizes {
-                    for &system in systems {
-                        records.push(self.run(&ExperimentSpec {
-                            system,
-                            workload,
-                            dataset,
-                            machines,
-                        }));
-                    }
-                }
-            }
-        }
-        records
-    }
-
-    /// `run_matrix` across the seed sweep: the same cell order, one
-    /// [`MultiRunRecord`] per cell.
+    /// Execute a full matrix (cartesian product) across the seed sweep, in
+    /// order: one [`MultiRunRecord`] per cell.
     pub fn run_matrix_multi(
         &mut self,
         systems: &[SystemId],
@@ -408,7 +370,7 @@ mod tests {
     #[test]
     fn matrix_covers_the_product() {
         let mut r = runner();
-        let recs = r.run_matrix(
+        let recs = r.run_matrix_multi(
             &[SystemId::BlogelV, SystemId::Vertica],
             &[WorkloadKind::KHop],
             &[DatasetKind::Twitter],

@@ -273,6 +273,12 @@ impl MultiRunRecord {
         &self.runs[0]
     }
 
+    /// The primary run by value, for consumers that outlive the sweep (the
+    /// journal and trace exporters).
+    pub fn into_primary(mut self) -> RunRecord {
+        self.runs.swap_remove(0)
+    }
+
     pub fn n(&self) -> usize {
         self.runs.len()
     }
@@ -282,11 +288,11 @@ impl MultiRunRecord {
     }
 
     pub fn workload(&self) -> &str {
-        self.runs[0].workload
+        &self.runs[0].workload
     }
 
     pub fn dataset(&self) -> &str {
-        self.runs[0].dataset
+        &self.runs[0].dataset
     }
 
     pub fn machines(&self) -> usize {

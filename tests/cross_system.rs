@@ -2,7 +2,7 @@
 //! workloads on the shared datasets, and — since all engines are unit-tested
 //! against the reference algorithms — they agree with each other on answers.
 
-use graphbench::{ExperimentSpec, PaperEnv, Runner, SystemId};
+use graphbench::{PaperEnv, Runner, SystemId};
 use graphbench_algos::WorkloadKind;
 use graphbench_gen::{DatasetKind, Scale};
 use std::collections::HashSet;
@@ -19,10 +19,10 @@ fn every_system_completes_the_shared_matrix_cell() {
         SystemId::Gelly,
         SystemId::Vertica,
     ];
-    let recs = r.run_matrix(&systems, &[WorkloadKind::KHop], &[DatasetKind::Twitter], &[16]);
+    let recs = r.run_matrix_multi(&systems, &[WorkloadKind::KHop], &[DatasetKind::Twitter], &[16]);
     assert_eq!(recs.len(), systems.len());
     let mut labels = HashSet::new();
-    for rec in &recs {
+    for rec in recs.iter().map(|m| m.primary()) {
         assert!(rec.metrics.status.is_ok(), "{} failed: {:?}", rec.system, rec.metrics.status);
         assert!(rec.metrics.total_time() > 0.0, "{} reported zero time", rec.system);
         let cell = rec.cell();

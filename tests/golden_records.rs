@@ -101,7 +101,7 @@ fn golden_cell(system: SystemId, workload: WorkloadKind) {
     let mut r = runner();
     let rec =
         r.run(&ExperimentSpec { system, workload, dataset: DatasetKind::Twitter, machines: 16 });
-    check_snapshot(&snapshot_name(&rec.system, rec.workload), &rec);
+    check_snapshot(&snapshot_name(&rec.system, &rec.workload), &rec);
 }
 
 fn gl_sri() -> SystemId {

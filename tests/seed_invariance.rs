@@ -15,6 +15,7 @@
 //! section, so a regression points straight at the broken claim.
 
 use graphbench::findings::{FindingsSweep, FINDINGS};
+use graphbench::{PaperEnv, Runner};
 use graphbench_gen::Scale;
 
 /// Five distinct seeds, starting from the calibrated default (42 — the
@@ -24,11 +25,9 @@ const SEEDS: [u64; 5] = [42, 43, 44, 45, 46];
 /// The calibrated scale the findings are stated at (the
 /// `tests/paper_findings.rs` configuration).
 fn sweep(seeds: Vec<u64>) -> FindingsSweep {
-    let mut s = FindingsSweep::new(Scale { base: 1_500 }, seeds);
-    // This suite asserts the real predicates; never inherit a perturbation
-    // from the environment.
-    s.set_perturb(None);
-    s
+    let mut runner = Runner::new(PaperEnv::new(Scale { base: 1_500 }, seeds[0]));
+    runner.seeds = seeds;
+    FindingsSweep::new(runner)
 }
 
 fn check_finding(id: u8) {
