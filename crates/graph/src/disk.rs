@@ -92,24 +92,29 @@ fn write_ints<T: Copy, const N: usize>(
     Ok(())
 }
 
+/// A header whose sizes have been checked to fit `usize` arithmetic: every
+/// offset below is computed without wrapping, so comparing `total_len` with
+/// the file length is enough to keep the mapped windows in bounds.
 struct Header {
     offset_width: u32,
-    num_vertices: u64,
-    num_edges: u64,
+    num_vertices: usize,
+    num_edges: usize,
     offsets_at: usize,
     targets_at: usize,
     total_len: usize,
 }
 
 fn parse_header(bytes: &[u8]) -> io::Result<Header> {
+    // The magic first: a file that is not ours is "not a CSR file" however
+    // short it is.
+    if bytes.get(..8).is_some_and(|magic| magic != MAGIC) {
+        return Err(bad_data("bad magic: not a graphbench CSR file".into()));
+    }
     if bytes.len() < HEADER_BYTES {
         return Err(bad_data(format!("file too short for header: {} bytes", bytes.len())));
     }
     let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
     let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    if &bytes[..8] != MAGIC {
-        return Err(bad_data("bad magic: not a graphbench CSR file".into()));
-    }
     let version = u32_at(8);
     if version != FORMAT_VERSION {
         return Err(bad_data(format!(
@@ -123,16 +128,31 @@ fn parse_header(bytes: &[u8]) -> io::Result<Header> {
     if offset_width != 4 && offset_width != 8 {
         return Err(bad_data(format!("unsupported offset width {offset_width}")));
     }
-    let num_vertices = u64_at(24);
-    let num_edges = u64_at(32);
-    let num_offsets = num_vertices as usize + 1;
-    let offset_bytes = num_offsets * offset_width as usize;
+    let (vertices, edges) = (u64_at(24), u64_at(32));
+    let num_offsets =
+        usize::try_from(vertices).ok().and_then(|n| n.checked_add(1)).ok_or_else(|| {
+            bad_data(format!("header declares {vertices} vertices: offset count overflows"))
+        })?;
+    let offset_bytes = num_offsets.checked_mul(offset_width as usize).ok_or_else(|| {
+        bad_data(format!(
+            "header declares {vertices} vertices at offset width {offset_width}: \
+             offset table size overflows"
+        ))
+    })?;
     let pad = (8 - offset_bytes % 8) % 8;
-    let targets_at = HEADER_BYTES + offset_bytes + pad;
-    let total_len = targets_at + num_edges as usize * 4;
+    let sized = |bytes: Option<usize>| {
+        bytes.ok_or_else(|| {
+            bad_data(format!(
+                "header declares {vertices} vertices and {edges} edges: file size overflows"
+            ))
+        })
+    };
+    let targets_at = sized(offset_bytes.checked_add(HEADER_BYTES + pad))?;
+    let num_edges = sized(usize::try_from(edges).ok())?;
+    let total_len = sized(num_edges.checked_mul(4).and_then(|b| b.checked_add(targets_at)))?;
     Ok(Header {
         offset_width,
-        num_vertices,
+        num_vertices: num_offsets - 1,
         num_edges,
         offsets_at: HEADER_BYTES,
         targets_at,
@@ -237,17 +257,17 @@ pub fn load_csr(path: &Path) -> io::Result<CsrGraph> {
             4 => Offsets::U32(Seg::Mapped {
                 region: Arc::clone(&region),
                 byte_offset: h.offsets_at,
-                len: h.num_vertices as usize + 1,
+                len: h.num_vertices + 1,
             }),
             _ => Offsets::U64(Seg::Mapped {
                 region: Arc::clone(&region),
                 byte_offset: h.offsets_at,
-                len: h.num_vertices as usize + 1,
+                len: h.num_vertices + 1,
             }),
         };
-        let targets = Seg::Mapped { region, byte_offset: h.targets_at, len: h.num_edges as usize };
-        let g = CsrGraph::from_parts(h.num_vertices as usize, offsets, targets);
-        validate_offsets(&g, h.num_edges)?;
+        let targets = Seg::Mapped { region, byte_offset: h.targets_at, len: h.num_edges };
+        let g = CsrGraph::from_parts(h.num_vertices, offsets, targets);
+        validate_offsets(&g, h.num_edges as u64)?;
         return Ok(g);
     }
 
@@ -261,16 +281,19 @@ pub fn load_csr(path: &Path) -> io::Result<CsrGraph> {
 /// arrays. Also exercised by tests on unix to keep both paths honest.
 #[cfg_attr(all(unix, target_pointer_width = "64"), allow(dead_code))]
 fn load_csr_buffered(mut file: File, file_len: usize) -> io::Result<CsrGraph> {
+    // A file shorter than the header gets `parse_header`'s verdict, as on the
+    // mapped path, not `read_exact`'s.
     let mut header = [0u8; HEADER_BYTES];
-    file.read_exact(&mut header)?;
-    let h = parse_header(&header)?;
+    let header = &mut header[..HEADER_BYTES.min(file_len)];
+    file.read_exact(header)?;
+    let h = parse_header(header)?;
     if file_len < h.total_len {
         return Err(bad_data(format!(
             "file truncated: {file_len} bytes, header implies {}",
             h.total_len
         )));
     }
-    let num_offsets = h.num_vertices as usize + 1;
+    let num_offsets = h.num_vertices + 1;
     let mut offsets = Vec::with_capacity(num_offsets);
     let mut rdr = io::BufReader::new(file);
     let mut buf = vec![0u8; IO_CHUNK];
@@ -287,12 +310,12 @@ fn load_csr_buffered(mut file: File, file_len: usize) -> io::Result<CsrGraph> {
     if pad > 0 {
         rdr.read_exact(&mut buf[..pad])?;
     }
-    let mut targets: Vec<VertexId> = Vec::with_capacity(h.num_edges as usize);
-    read_ints(&mut rdr, &mut buf, h.num_edges as usize, 4, |b| {
+    let mut targets: Vec<VertexId> = Vec::with_capacity(h.num_edges);
+    read_ints(&mut rdr, &mut buf, h.num_edges, 4, |b| {
         targets.push(u32::from_le_bytes(b.try_into().unwrap()))
     })?;
-    let g = CsrGraph::from_raw(h.num_vertices as usize, offsets, targets);
-    validate_offsets(&g, h.num_edges)?;
+    let g = CsrGraph::from_raw(h.num_vertices, offsets, targets);
+    validate_offsets(&g, h.num_edges as u64)?;
     Ok(g)
 }
 
@@ -402,11 +425,68 @@ mod tests {
         assert!(err.to_string().contains("format version"), "got: {err}");
     }
 
+    /// The error both loaders return for `path`, which must be the same one.
+    fn rejection(path: &Path) -> String {
+        let mapped = load_csr(path).unwrap_err().to_string();
+        let file = File::open(path).unwrap();
+        let len = file.metadata().unwrap().len() as usize;
+        assert_eq!(load_csr_buffered(file, len).unwrap_err().to_string(), mapped);
+        mapped
+    }
+
+    /// `sample()` saved under `name` with the header's offset width, vertex
+    /// count and edge count overwritten.
+    fn rejection_with_header(name: &str, width: u32, vertices: u64, edges: u64) -> String {
+        let path = scratch(name);
+        save_csr(&sample(), &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[16..20].copy_from_slice(&width.to_le_bytes());
+        bytes[24..32].copy_from_slice(&vertices.to_le_bytes());
+        bytes[32..40].copy_from_slice(&edges.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        rejection(&path)
+    }
+
     #[test]
     fn bad_magic_is_rejected() {
+        // Shorter than the header: still "not ours", not "too short".
         let path = scratch("magic.gbcsr");
         std::fs::write(&path, b"definitely not a graph dataset file").unwrap();
-        assert!(load_csr(&path).unwrap_err().to_string().contains("magic"));
+        assert!(rejection(&path).contains("magic"));
+        std::fs::write(&path, &MAGIC[..]).unwrap();
+        assert!(rejection(&path).contains("too short"));
+        std::fs::write(&path, b"GBC").unwrap();
+        assert!(rejection(&path).contains("too short"));
+    }
+
+    #[test]
+    fn vertex_count_that_overflows_the_offset_count_is_rejected() {
+        let err = rejection_with_header("overflow_count.gbcsr", 4, u64::MAX, 6);
+        assert!(err.contains("offset count overflows"), "got: {err}");
+    }
+
+    #[test]
+    fn vertex_count_that_overflows_the_offset_table_is_rejected() {
+        // 2^62 entries exist as a count, but not as 8-byte entries.
+        let err = rejection_with_header("overflow_table.gbcsr", 8, u64::MAX / 4, 6);
+        assert!(err.contains("offset table size overflows"), "got: {err}");
+    }
+
+    #[test]
+    fn edge_count_that_overflows_the_file_size_is_rejected() {
+        // u64::MAX / 4 edges are 2^64 - 4 bytes: the product fits, the sum
+        // with the sections before it does not.
+        for edges in [u64::MAX, u64::MAX / 4] {
+            let err = rejection_with_header("overflow_size.gbcsr", 4, 6, edges);
+            assert!(err.contains("file size overflows"), "{edges} edges, got: {err}");
+        }
+    }
+
+    #[test]
+    fn oversized_header_is_rejected() {
+        // In range for every computation, far beyond the file.
+        let err = rejection_with_header("oversized.gbcsr", 4, 1 << 40, 1 << 40);
+        assert!(err.contains("truncated"), "got: {err}");
     }
 
     #[test]

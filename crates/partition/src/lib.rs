@@ -54,15 +54,23 @@ impl MachineBits {
     }
 
     /// Hands every member to `emit` in ascending order and empties the set.
-    pub fn drain(&mut self, mut emit: impl FnMut(MachineId)) {
-        for (w, word) in self.0.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                emit((w * 64 + bits.trailing_zeros() as usize) as MachineId);
-                bits &= bits - 1;
-            }
-        }
+    pub fn drain(&mut self, emit: impl FnMut(MachineId)) {
+        bit_members(self.0.iter_mut().map(std::mem::take)).for_each(emit)
     }
+}
+
+/// Ascending members of a machine set held as bitset words (machine `m` is
+/// bit `m % 64` of word `m / 64`).
+pub(crate) fn bit_members(words: impl Iterator<Item = u64>) -> impl Iterator<Item = MachineId> {
+    words.enumerate().flat_map(|(w, mut bits)| {
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let m = (w * 64 + bits.trailing_zeros() as usize) as MachineId;
+                bits &= bits - 1;
+                m
+            })
+        })
+    })
 }
 
 /// Deterministic 64-bit mix (splitmix64 finalizer) used by every hash-based

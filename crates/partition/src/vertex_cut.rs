@@ -24,14 +24,16 @@
 //! Every `S` and `GL` cell builds one of these before its first superstep, so
 //! neither layer searches per edge. **Placement:** Grid/Grid2D never
 //! materialize candidate sets — the intersection of "row plus column" of two
-//! hash machines is known in closed form ([`assign_grid`]); only PDS, whose
-//! sets have `p + 1` members, intersects sorted lists. **Replica sets:** one
-//! flat `offsets + ids` pair for all vertices, built by a counting sort of
-//! incident machine ids by vertex and a per-vertex bitset dedup that emits
-//! ascending ids in place ([`replica_sets`]).
+//! hash machines is known in closed form ([`assign_grid`]); Oblivious keeps
+//! its growing replica sets as bitset words and intersects with an AND
+//! ([`assign_oblivious`]); only PDS, whose sets have `p + 1` members,
+//! intersects sorted lists. **Replica sets:** one flat `offsets + ids` pair
+//! for all vertices, built by a counting sort of incident machine ids by
+//! vertex and a per-vertex bitset dedup that emits ascending ids in place
+//! ([`replica_sets`]).
 
 use crate::pds::perfect_difference_set;
-use crate::{hash_to_machine, mix64, MachineBits, MachineId};
+use crate::{bit_members, hash_to_machine, mix64, MachineBits, MachineId};
 use graphbench_graph::{EdgeList, VertexId};
 
 /// Partitioning strategy selector.
@@ -469,32 +471,34 @@ fn assign_constrained(
 /// Greedy "Oblivious" placement (paper §4.4.1): use the replica sets built
 /// so far, preferring machines that already host both endpoints, then either
 /// endpoint, then the least loaded machine overall.
+///
+/// The growing replica sets are one flat table of `⌈machines / 64⌉` bitset
+/// words per vertex, so "both endpoints" and "either endpoint" are an AND and
+/// an OR per word. Every pick is [`least_loaded`], whose `(load, machine id)`
+/// key is total: the result does not depend on the order members are offered
+/// in, so it is the pick the insertion-ordered list scan this replaces (kept
+/// as the test oracle) made, edge for edge.
 fn assign_oblivious(el: &EdgeList, machines: usize, _seed: u64) -> Vec<MachineId> {
-    let n = el.num_vertices as usize;
-    let mut replica_sets: Vec<Vec<MachineId>> = vec![Vec::new(); n];
+    let words = machines.div_ceil(64);
+    let mut replica_bits = vec![0u64; el.num_vertices as usize * words];
     let mut loads = vec![0u64; machines];
     let mut out = Vec::with_capacity(el.edges.len());
     for e in &el.edges {
-        let (u, v) = (e.src as usize, e.dst as usize);
-        let pick = {
-            let su = &replica_sets[u];
-            let sv = &replica_sets[v];
-            let mut inter = su.iter().copied().filter(|m| sv.contains(m)).peekable();
-            if inter.peek().is_some() {
-                least_loaded(&loads, inter)
-            } else if su.is_empty() && sv.is_empty() {
-                least_loaded(&loads, 0..machines as MachineId)
-            } else {
-                // One side may be empty; the other then decides alone.
-                least_loaded(&loads, su.iter().chain(sv).copied())
-            }
+        let (u, v) = (e.src as usize * words, e.dst as usize * words);
+        let (su, sv) = (&replica_bits[u..u + words], &replica_bits[v..v + words]);
+        let least_loaded_of = |combine: fn(u64, u64) -> u64| {
+            let mut set = bit_members(su.iter().zip(sv).map(|(&a, &b)| combine(a, b))).peekable();
+            set.peek().is_some().then(|| least_loaded(&loads, set))
         };
+        // With no common machine the union is what either side has; one side
+        // may be empty, the other then decides alone.
+        let pick = least_loaded_of(|a, b| a & b)
+            .or_else(|| least_loaded_of(|a, b| a | b))
+            .unwrap_or_else(|| least_loaded(&loads, 0..machines as MachineId));
         loads[pick as usize] += 1;
-        for w in [u, v] {
-            if !replica_sets[w].contains(&pick) {
-                replica_sets[w].push(pick);
-            }
-        }
+        let (word, bit) = (pick as usize / 64, 1u64 << (pick % 64));
+        replica_bits[u + word] |= bit;
+        replica_bits[v + word] |= bit;
         out.push(pick);
     }
     out
@@ -565,6 +569,66 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Oblivious placement as it was: one insertion-ordered heap list of
+    /// machines per vertex, membership by linear scan.
+    fn assign_oblivious_lists(el: &EdgeList, machines: usize) -> Vec<MachineId> {
+        let mut replica_sets: Vec<Vec<MachineId>> = vec![Vec::new(); el.num_vertices as usize];
+        let mut loads = vec![0u64; machines];
+        let mut out = Vec::with_capacity(el.edges.len());
+        for e in &el.edges {
+            let (u, v) = (e.src as usize, e.dst as usize);
+            let pick = {
+                let su = &replica_sets[u];
+                let sv = &replica_sets[v];
+                let mut inter = su.iter().copied().filter(|m| sv.contains(m)).peekable();
+                if inter.peek().is_some() {
+                    least_loaded(&loads, inter)
+                } else if su.is_empty() && sv.is_empty() {
+                    least_loaded(&loads, 0..machines as MachineId)
+                } else {
+                    least_loaded(&loads, su.iter().chain(sv).copied())
+                }
+            };
+            loads[pick as usize] += 1;
+            for w in [u, v] {
+                if !replica_sets[w].contains(&pick) {
+                    replica_sets[w].push(pick);
+                }
+            }
+            out.push(pick);
+        }
+        out
+    }
+
+    #[test]
+    fn bitset_oblivious_matches_the_list_scan() {
+        // 63, 64 and 65 sit on both sides of the first word boundary, 128 and
+        // 100 fill and half-fill a second word.
+        for machines in [1usize, 2, 16, 63, 64, 65, 100, 128] {
+            for seed in [1u64, 7, 42] {
+                let mut sparse = random_edges(seed);
+                sparse.edges.truncate(300);
+                sparse.num_vertices += 5; // isolated tail
+                for el in [skewed(), random_edges(seed), sparse] {
+                    assert_eq!(
+                        assign_oblivious(&el, machines, seed),
+                        assign_oblivious_lists(&el, machines),
+                        "{machines} machines, seed {seed}, {} edges",
+                        el.edges.len()
+                    );
+                }
+            }
+            let built = VertexCutPartition::build(
+                &random_edges(3),
+                machines,
+                VertexCutStrategy::Oblivious,
+                3,
+            )
+            .unwrap();
+            assert_eq!(built.edge_assignment(), assign_oblivious_lists(&random_edges(3), machines));
         }
     }
 
