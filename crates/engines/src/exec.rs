@@ -22,13 +22,18 @@
 //!
 //! Thread count resolution order: [`set_threads`] (the `Runner` field) >
 //! `GRAPHBENCH_THREADS` env var > `std::thread::available_parallelism()`.
-//! `1` selects the serial path (no threads are spawned at all).
+//! `1` selects the serial path, which never touches the worker pool.
 //!
-//! Implementation note: scoped threads let workers borrow task scratch
-//! buffers without `Arc`/cloning. `std::thread::scope` (stable since
-//! Rust 1.63) supersedes the `crossbeam::thread::scope` API DESIGN.md
-//! originally planned for, with identical semantics and one less dependency
-//! on the hot path.
+//! Implementation note: no thread is spawned per call. The parallel path
+//! hands one type-erased claim loop to a process-wide pool of parked helper
+//! threads ([`pool`], the only `unsafe` here) and the calling thread runs the
+//! same loop as worker 0, so workers borrow task scratch without `Arc` or
+//! cloning exactly as scoped threads would. A caller that finds the pool
+//! taken — `run_chunks` nested in a task, or a second dispatching thread —
+//! runs its tasks itself in index order; a panicking task is re-raised on
+//! the caller once every helper has left, and the pool stays usable.
+
+mod pool;
 
 use graphbench_sim::hosttrace;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -132,9 +137,10 @@ pub fn set_chunk_size(n: usize) {
     CHUNK.store(n.max(1), Ordering::Relaxed);
 }
 
-/// Split `weights.len()` items into contiguous spans of roughly
-/// `chunk_items × mean-weight` cumulative weight each, returned as
-/// `(start, end)` half-open index ranges in ascending order.
+/// Split `weights.len()` items into contiguous spans of at most
+/// `chunk_items` items and roughly `chunk_items × mean-weight` cumulative
+/// weight each, returned as `(start, end)` half-open index ranges in
+/// ascending order.
 ///
 /// This is the degree-aware counterpart of `slice::chunks(chunk_items)`:
 /// with uniform weights it produces the same spans, but when one item is a
@@ -165,7 +171,8 @@ pub fn weighted_spans(weights: &[u64], chunk_items: usize) -> Vec<(usize, usize)
     let mut acc = 0u64;
     for (i, &w) in weights.iter().enumerate() {
         acc = acc.saturating_add(w);
-        if acc >= target {
+        // The item cap keeps light items ahead of a hub out of its span.
+        if acc >= target || i + 1 - start == chunk_items {
             spans.push((start, i + 1));
             start = i + 1;
             acc = 0;
@@ -199,12 +206,13 @@ pub fn uniform_spans(len: usize, chunk_items: usize) -> Vec<(usize, usize)> {
 /// A task is whatever the caller carved: a whole simulated machine, or one
 /// sub-chunk of a machine's vertex range, so a fragment that dominates the
 /// superstep does not serialize it. With one thread (or at most one task)
-/// this is a plain serial loop — no thread is spawned. Otherwise tasks are
-/// claimed *dynamically* from a shared atomic counter — chunk workloads are
-/// skewed (power-law fragments) and a static deal would recreate the
-/// imbalance this exists to fix. Dynamic claiming is safe for determinism
-/// because each task's result is written into its index slot and the caller
-/// merges slots in index order; which thread ran a task is unobservable.
+/// this is a plain serial loop. Otherwise the caller and up to
+/// `min(threads(), n) − 1` parked pool helpers claim tasks *dynamically* from
+/// a shared atomic counter — chunk workloads are skewed (power-law
+/// fragments) and a static deal would recreate the imbalance this exists to
+/// fix. Dynamic claiming is safe for determinism because each task's result
+/// is written into its index slot and the caller merges slots in index
+/// order; which thread ran a task is unobservable.
 ///
 /// Host-wallclock tracing (the `--trace` Perfetto export) times each closure
 /// with `Instant` pairs; the disabled fast path is one relaxed atomic load.
@@ -233,49 +241,16 @@ where
             })
             .collect();
     }
-    // Each cell is locked exactly once (indices are claimed uniquely), so
-    // the mutexes are uncontended — they exist to hand a `&mut T` to
-    // whichever worker claimed the index.
-    let cells: Vec<std::sync::Mutex<&mut T>> =
-        tasks.iter_mut().map(std::sync::Mutex::new).collect();
-    let claim = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..t)
-            .map(|worker| {
-                let f = &f;
-                let cells = &cells;
-                let claim = &claim;
-                scope.spawn(move || {
-                    let mut done: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = claim.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let mut cell = cells[i].lock().expect("chunk cell poisoned");
-                        let task: &mut T = &mut cell;
-                        let r = if tracing {
-                            let t0 = Instant::now();
-                            let r = f(i, task);
-                            hosttrace::record(worker, t0);
-                            r
-                        } else {
-                            f(i, task)
-                        };
-                        done.push((i, r));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, r) in h.join().expect("chunk worker panicked") {
-                slots[i] = Some(r);
-            }
+    pool::run(tasks, t, |worker, i, task| {
+        if tracing {
+            let t0 = Instant::now();
+            let r = f(i, task);
+            hosttrace::record(worker, t0);
+            r
+        } else {
+            f(i, task)
         }
-    });
-    slots.into_iter().map(|r| r.expect("worker skipped a chunk")).collect()
+    })
 }
 
 /// Serializes tests that flip the process-global thread count; cargo runs
@@ -298,10 +273,11 @@ mod tests {
     #[test]
     fn chunk_results_arrive_in_task_order() {
         // Results *and* mutated scratch come back in index order at any
-        // thread count, with fewer tasks than threads and with none at all.
+        // thread count, with fewer tasks than threads and with none at all;
+        // 8 → 2 → 1 → 4 leaves more helpers parked than a dispatch wants.
         let _guard = TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let fill = |i: usize| -> Vec<u64> { (0..100).map(|k| (i as u64 * 31 + k) % 97).collect() };
-        for t in [1, 3, 8] {
+        for t in [1, 3, 8, 2, 1, 4] {
             set_threads(t);
             for n in [0usize, 1, 2, 5, 13, 17, 53] {
                 let mut scratch: Vec<Vec<u64>> = vec![Vec::new(); n];
@@ -329,6 +305,130 @@ mod tests {
         let mut hits = vec![0u32; 200];
         run_chunks(&mut hits, |_, h| *h += 1);
         assert!(hits.iter().all(|&h| h == 1));
+        set_threads(1);
+    }
+
+    // The pool is process-wide and other tests of this crate dispatch while
+    // these run, so any call below may find it taken and run inline: they
+    // hold either way. `tests/exec_pool.rs` has the process to itself and
+    // forces helpers in.
+
+    #[test]
+    fn a_dispatch_nested_in_a_task_completes_in_index_order() {
+        let _guard = TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_threads(4);
+        let mut sums = vec![0u64; 6];
+        let out = run_chunks(&mut sums, |i, sum| {
+            let mut inner: Vec<u64> = (0..5).map(|k| i as u64 * 10 + k).collect();
+            let doubled = run_chunks(&mut inner, |j, x| {
+                *x += 1;
+                *x * 2 + j as u64
+            });
+            *sum = inner.iter().sum();
+            doubled
+        });
+        for (i, doubled) in out.iter().enumerate() {
+            let want: Vec<u64> = (0..5).map(|k| (i as u64 * 10 + k + 1) * 2 + k).collect();
+            assert_eq!(doubled, &want, "outer task {i}");
+            assert_eq!(sums[i], (0..5).map(|k| i as u64 * 10 + k + 1).sum::<u64>());
+        }
+        set_threads(1);
+    }
+
+    #[test]
+    fn two_threads_dispatching_at_once_both_get_their_results() {
+        use std::sync::{Arc, Barrier};
+        let _guard = TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_threads(3);
+        // Task 0 of the first dispatch holds it open from before the second
+        // starts until after it has returned, so the two always overlap.
+        let inside = Arc::new(Barrier::new(2));
+        let returned = Arc::new(Barrier::new(2));
+        let second = {
+            let (inside, returned) = (inside.clone(), returned.clone());
+            std::thread::spawn(move || {
+                inside.wait();
+                let mut tasks = vec![0usize; 7];
+                let out = run_chunks(&mut tasks, |i, x| {
+                    *x = i + 100;
+                    i * i
+                });
+                returned.wait();
+                (tasks, out)
+            })
+        };
+        let mut tasks = vec![0usize; 9];
+        let out = run_chunks(&mut tasks, |i, x| {
+            if i == 0 {
+                inside.wait();
+                returned.wait();
+            }
+            *x = i + 1;
+            i * 3
+        });
+        assert_eq!(out, (0..9).map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(tasks, (1..=9).collect::<Vec<_>>());
+        let (tasks, out) = second.join().expect("second dispatcher panicked");
+        assert_eq!(out, (0..7).map(|i| i * i).collect::<Vec<_>>());
+        assert_eq!(tasks, (100..107).collect::<Vec<_>>());
+        set_threads(1);
+    }
+
+    #[test]
+    fn a_panicking_task_re_raises_on_the_caller_and_leaks_nothing() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        struct Counted<'a>(&'a AtomicUsize);
+        impl Drop for Counted<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let _guard = TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_threads(3);
+        let (made, dropped) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let mut tasks = vec![(); 40];
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            run_chunks(&mut tasks, |i, _| {
+                if i == 17 {
+                    panic!("task 17");
+                }
+                made.fetch_add(1, Ordering::Relaxed);
+                Counted(&dropped)
+            })
+        }))
+        .err()
+        .expect("the panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"task 17"));
+        assert!(made.load(Ordering::Relaxed) < 40);
+        assert_eq!(dropped.load(Ordering::Relaxed), made.load(Ordering::Relaxed));
+        // The pool is usable again, and results it hands back drop once.
+        let out = run_chunks(&mut tasks, |_, _| Counted(&dropped));
+        assert_eq!(out.len(), 40);
+        drop(out);
+        assert_eq!(dropped.load(Ordering::Relaxed), made.load(Ordering::Relaxed) + 40);
+        set_threads(1);
+    }
+
+    #[test]
+    fn twenty_thousand_dispatches_all_check_out() {
+        let _guard = TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let mut tasks: Vec<u64> = Vec::new();
+        // Miri interprets every wake-up; a few hundred rounds see each (n, T).
+        let rounds = if cfg!(miri) { 280 } else { 20_000u64 };
+        for round in 0..rounds {
+            set_threads([2, 4, 3, 8][round as usize % 4]);
+            let n = [16usize, 2, 53, 5, 1, 0, 31][round as usize % 7];
+            tasks.clear();
+            tasks.resize(n, round);
+            let out = run_chunks(&mut tasks, |i, x| {
+                *x += i as u64;
+                *x ^ 0x5a
+            });
+            assert_eq!(out.len(), n, "round {round}");
+            for (i, (&r, &x)) in out.iter().zip(&tasks).enumerate() {
+                assert_eq!((x, r), (round + i as u64, x ^ 0x5a), "round {round}, task {i}");
+            }
+        }
         set_threads(1);
     }
 

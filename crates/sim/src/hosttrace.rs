@@ -23,7 +23,9 @@ use std::time::Instant;
 /// the process's first recorded span.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HostSpan {
-    /// Executor worker index (0 on the serial path).
+    /// Executor worker index, always below the thread count: 0 on the
+    /// serial path *and for the dispatching thread*, `k + 1` for pool
+    /// helper `k`.
     pub thread: usize,
     /// The cluster's activity label when the span ended.
     pub label: String,

@@ -22,11 +22,20 @@ static CHUNK_LOCK: Mutex<()> = Mutex::new(());
 /// host: the reference configuration every variant must reproduce.
 const BASELINE: (usize, usize) = (4096, 1);
 
+/// The parallel side of every comparison: `GRAPHBENCH_THREADS` where CI
+/// sets one (2: fewer pool helpers than tasks, 8: more than vCPUs), else 4.
+fn parallel_threads() -> usize {
+    let set = std::env::var("GRAPHBENCH_THREADS").ok().and_then(|raw| raw.parse().ok());
+    set.filter(|&t| t > 1).unwrap_or(4)
+}
+
 /// The ISSUE grid: degenerate one-item chunks, a prime that never divides
 /// a machine's span evenly, and a chunk far larger than any input (one
 /// chunk per machine), each at serial and parallel host thread counts.
-const VARIANTS: [(usize, usize); 6] =
-    [(1, 1), (1, 4), (97, 1), (97, 4), (1_000_000_000, 1), (1_000_000_000, 4)];
+fn variants() -> [(usize, usize); 6] {
+    let t = parallel_threads();
+    [(1, 1), (1, t), (97, 1), (97, t), (1_000_000_000, 1), (1_000_000_000, t)]
+}
 
 fn gas() -> SystemId {
     SystemId::GraphLab { sync: true, auto: false, stop: GlStop::Iterations }
@@ -53,7 +62,7 @@ fn assert_matches_baseline(spec: &ExperimentSpec, faults: Option<&FaultPlan>) {
     let baseline = record(BASELINE, spec, faults);
     let base_json = serde_json::to_string(&baseline).unwrap();
     let base_journal = baseline.journal.to_jsonl();
-    for variant in VARIANTS {
+    for variant in variants() {
         let rec = record(variant, spec, faults);
         assert_eq!(
             serde_json::to_string(&rec).unwrap(),
@@ -110,7 +119,7 @@ fn journals_timelines_and_registries_are_chunk_invariant() {
         machines: 8,
     };
     let serial = record(BASELINE, &spec, None);
-    let chunked = record((97, 4), &spec, None);
+    let chunked = record((97, parallel_threads()), &spec, None);
     // The JSONL export is the external contract: byte-for-byte identical.
     assert_eq!(serial.journal.to_jsonl(), chunked.journal.to_jsonl());
     assert_eq!(serial.registry, chunked.registry);
@@ -121,7 +130,7 @@ fn journals_timelines_and_registries_are_chunk_invariant() {
 }
 
 mod chunked_engines_equal_serial {
-    use super::CHUNK_LOCK;
+    use super::{parallel_threads, CHUNK_LOCK};
     use graphbench_algos::workload::PageRankConfig;
     use graphbench_algos::Workload;
     use graphbench_engines::blogel::BlogelB;
@@ -200,7 +209,8 @@ mod chunked_engines_equal_serial {
             exec::set_threads(1);
             exec::set_chunk_size(4096);
             let baseline = fingerprint(&run_once(&pairs, engine_idx, workload_idx, machines, src));
-            for (chunk, threads) in [(1, 4), (13, 1), (13, 4), (1_000_000_000, 4)] {
+            let t = parallel_threads();
+            for (chunk, threads) in [(1, t), (13, 1), (13, t), (1_000_000_000, t)] {
                 exec::set_threads(threads);
                 exec::set_chunk_size(chunk);
                 let got = fingerprint(&run_once(&pairs, engine_idx, workload_idx, machines, src));

@@ -12,6 +12,13 @@ use std::sync::Mutex;
 /// every test that flips the thread count serializes on this lock.
 static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
+/// The parallel side of every comparison: `GRAPHBENCH_THREADS` where CI
+/// sets one (2: fewer pool helpers than tasks, 8: more than vCPUs), else 4.
+fn parallel_threads() -> usize {
+    let set = std::env::var("GRAPHBENCH_THREADS").ok().and_then(|raw| raw.parse().ok());
+    set.filter(|&t| t > 1).unwrap_or(4)
+}
+
 fn record_json(threads: usize, spec: &ExperimentSpec) -> String {
     let mut r = Runner::new(PaperEnv::new(Scale { base: 600 }, 11));
     r.threads = Some(threads);
@@ -29,10 +36,11 @@ fn run_records_are_bit_identical_across_thread_counts() {
             let spec =
                 ExperimentSpec { system, workload, dataset: DatasetKind::Twitter, machines: 16 };
             let serial = record_json(1, &spec);
-            let parallel = record_json(4, &spec);
+            let threads = parallel_threads();
+            let parallel = record_json(threads, &spec);
             assert_eq!(
                 serial, parallel,
-                "{system:?}/{workload:?} diverged between 1 and 4 host threads"
+                "{system:?}/{workload:?} diverged between 1 and {threads} host threads"
             );
         }
     }
@@ -52,7 +60,7 @@ fn journals_and_registries_are_thread_count_invariant() {
         })
     };
     let serial = rec(1);
-    let parallel = rec(4);
+    let parallel = rec(parallel_threads());
     // The JSONL export is the external contract: byte-for-byte identical.
     assert_eq!(serial.journal.to_jsonl(), parallel.journal.to_jsonl());
     assert_eq!(serial.registry, parallel.registry);
@@ -64,7 +72,7 @@ fn journals_and_registries_are_thread_count_invariant() {
 }
 
 mod parallel_bsp_equals_serial {
-    use super::THREADS_LOCK;
+    use super::{parallel_threads, THREADS_LOCK};
     use graphbench_algos::reference;
     use graphbench_engines::bsp::{run_bsp, BspConfig};
     use graphbench_engines::exec;
@@ -112,7 +120,7 @@ mod parallel_bsp_equals_serial {
             exec::set_threads(1);
             let wcc_serial = wcc(&g, machines, seed);
             let sssp_serial = sssp(&g, machines, seed, src);
-            exec::set_threads(4);
+            exec::set_threads(parallel_threads());
             let wcc_parallel = wcc(&g, machines, seed);
             let sssp_parallel = sssp(&g, machines, seed, src);
             exec::set_threads(1);
