@@ -16,10 +16,9 @@
 use graphbench_algos::{Workload, WorkloadKind};
 use graphbench_engines::{EngineInput, ScaleInfo};
 use graphbench_gen::{Dataset, DatasetKind, Scale};
+use graphbench_graph::rng::Rng;
 use graphbench_graph::{stats, CsrGraph, VertexId};
 use graphbench_sim::ClusterSpec;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -213,9 +212,9 @@ fn pick_source(g: &CsrGraph, seed: u64) -> VertexId {
     }
     let giant = (0..n as u32).max_by_key(|&v| sizes[v as usize]).unwrap();
     let giant_root = find(&mut parent, giant);
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+    let mut rng = Rng::seed_from_u64(seed ^ 0x5eed);
     loop {
-        let v = rng.gen_range(0..n as u32);
+        let v = rng.below_u32(n as u32);
         if g.out_degree(v) > 0 && find(&mut parent, v) == giant_root {
             return v;
         }

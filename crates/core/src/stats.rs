@@ -7,7 +7,7 @@
 //! repair: every statistic a report table prints can be computed over a
 //! seed sweep, with the spread made explicit as `mean ± stddev [CI]`.
 //!
-//! Invariants the proptests in `crates/core/tests/stats_props.rs` pin:
+//! Invariants the properties in `crates/core/tests/stats_props.rs` pin:
 //!
 //! * Welford agrees with the naive two-pass mean/variance within an
 //!   ulp-scaled epsilon;

@@ -29,11 +29,10 @@ use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOut
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
 use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
 use graphbench_graph::format::GraphFormat;
+use graphbench_graph::rng::Rng;
 use graphbench_graph::VertexId;
 use graphbench_partition::{VertexCutPartition, VertexCutStrategy};
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Synchronous or asynchronous execution engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -703,7 +702,7 @@ fn async_pagerank(
         StopCriterion::Tolerance(t) => (t, 100_000u32),
         StopCriterion::Iterations(k) => (0.0, k),
     };
-    let mut rng = SmallRng::seed_from_u64(ctx.seed);
+    let mut rng = Rng::seed_from_u64(ctx.seed);
     // Task-queue execution: recompute a vertex eagerly (Gauss–Seidel); a
     // change above the tolerance signals the vertices that depend on it.
     let mut queue: Vec<VertexId> = (0..n as VertexId).collect();
@@ -722,10 +721,7 @@ fn async_pagerank(
     let mut round = 0u32;
     while !queue.is_empty() && round < max_rounds {
         // Async scheduling: seeded shuffle of this round's task set.
-        for i in (1..queue.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            queue.swap(i, j);
-        }
+        rng.shuffle(&mut queue);
         ops.fill(0.0);
         sent.fill(0);
         recv.fill(0);

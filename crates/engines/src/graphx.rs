@@ -31,6 +31,7 @@ use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOut
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
 use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
 use graphbench_graph::format::GraphFormat;
+use graphbench_graph::rng::splitmix64;
 use graphbench_graph::{CsrGraph, VertexId};
 use graphbench_partition::{MachineBits, MachineId, VertexCutPartition, VertexCutStrategy};
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
@@ -83,22 +84,15 @@ impl GraphX {
     pub fn assign_partitions(&self, partitions: usize, machines: usize, seed: u64) -> Vec<usize> {
         (0..partitions)
             .map(|p| {
-                let h = splitmix(p as u64 ^ seed);
+                let h = splitmix64(p as u64 ^ seed);
                 if (h % 10_000) as f64 / 10_000.0 < self.gateway_bias {
                     0 // gateway machine
                 } else {
-                    (splitmix(h) % machines as u64) as usize
+                    (splitmix64(h) % machines as u64) as usize
                 }
             })
             .collect()
     }
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl Engine for GraphX {
@@ -317,7 +311,7 @@ fn execute(
         let set = &exec_ids[start..];
         coord.push(match set.len() {
             0 => 0,
-            len => set[(splitmix(v as u64 ^ 0xc0de) % len as u64) as usize],
+            len => set[(splitmix64(v as u64 ^ 0xc0de) % len as u64) as usize],
         });
         exec_off.push(u32::try_from(exec_ids.len()).expect("executor-set offsets are u32"));
     }
@@ -1118,7 +1112,7 @@ mod tests {
             }
             if ms.len() > 1 {
                 ms.sort_unstable();
-                let master = ms[(splitmix(v as u64 ^ 0xc0de) % ms.len() as u64) as usize];
+                let master = ms[(splitmix64(v as u64 ^ 0xc0de) % ms.len() as u64) as usize];
                 for &m in &ms {
                     if frag_map[m] != frag_map[master] {
                         sent += 16;

@@ -392,7 +392,7 @@ impl<M: Copy> Inbox<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use graphbench_graph::rng::{for_each_seed, Rng};
 
     /// An order-sensitive, non-commutative fold: catches any deviation
     /// from arrival-order combining.
@@ -433,43 +433,51 @@ mod tests {
         buf.truncate(w);
     }
 
-    /// Fragment size of the inbox proptest: three bitmap words, the last
+    /// Fragment size of the inbox property: three bitmap words, the last
     /// one partial.
     const LOCALS: usize = 150;
 
-    fn arb_sources() -> impl Strategy<Value = Vec<Vec<(u32, u64)>>> {
-        prop::collection::vec(
-            prop::collection::vec((0u32..LOCALS as u32, 0u64..1_000_000), 0..60),
-            1..5,
-        )
+    /// Up to 199 messages over 40 targets.
+    fn arb_msgs(rng: &mut Rng) -> Vec<(u32, u64)> {
+        (0..rng.below(200)).map(|_| (rng.below_u32(40), rng.below(1_000_000) as u64)).collect()
     }
 
-    proptest! {
-        /// `Combiner::combine_bucket` and the stable-sort oracle agree on
-        /// the combined value of every target.
-        #[test]
-        fn combiner_matches_sorting_combine(
-            msgs in prop::collection::vec((0u32..40, 0u64..1_000_000), 0..200),
-        ) {
+    /// One to four source buckets of up to 59 messages over [`LOCALS`].
+    fn arb_sources(rng: &mut Rng) -> Vec<Vec<(u32, u64)>> {
+        let bucket = |rng: &mut Rng| {
+            (0..rng.below(60))
+                .map(|_| (rng.below_u32(LOCALS as u32), rng.below(1_000_000) as u64))
+                .collect()
+        };
+        (0..1 + rng.below(4)).map(|_| bucket(rng)).collect()
+    }
+
+    /// `Combiner::combine_bucket` and the stable-sort oracle agree on
+    /// the combined value of every target.
+    #[test]
+    fn combiner_matches_sorting_combine() {
+        for_each_seed(256, |_, rng| {
+            let msgs = arb_msgs(rng);
             let mut sorted = msgs.clone();
             sort_combine_in_place(&mut sorted, fold);
             let mut radix = msgs.clone();
             let mut comb: Combiner<u64> = Combiner::with_capacity(40);
             comb.combine_bucket(40, |t| t, &mut radix, fold);
-            prop_assert_eq!(sorted.len(), radix.len());
+            assert_eq!(sorted.len(), radix.len());
             let mut radix_sorted = radix.clone();
             radix_sorted.sort_by_key(|&(t, _)| t);
-            prop_assert_eq!(sorted, radix_sorted);
-        }
+            assert_eq!(sorted, radix_sorted);
+        });
+    }
 
-        /// However a message list is cut into sources, the multi-source
-        /// combine yields the oracle's value for every target of the
-        /// concatenation, in the concatenation's first-touch order.
-        #[test]
-        fn multi_source_combine_matches_oracle_of_concatenation(
-            msgs in prop::collection::vec((0u32..40, 0u64..1_000_000), 0..200),
-            cuts in prop::collection::vec(0usize..=200, 0..6),
-        ) {
+    /// However a message list is cut into sources, the multi-source
+    /// combine yields the oracle's value for every target of the
+    /// concatenation, in the concatenation's first-touch order.
+    #[test]
+    fn multi_source_combine_matches_oracle_of_concatenation() {
+        for_each_seed(256, |_, rng| {
+            let msgs = arb_msgs(rng);
+            let cuts: Vec<usize> = (0..rng.below(6)).map(|_| rng.below(201)).collect();
             let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(msgs.len())).collect();
             cuts.extend([0, msgs.len()]);
             cuts.sort_unstable();
@@ -484,24 +492,25 @@ mod tests {
                     first_touch.push(t);
                 }
             }
-            prop_assert_eq!(out.iter().map(|&(t, _)| t).collect::<Vec<_>>(), first_touch);
+            assert_eq!(out.iter().map(|&(t, _)| t).collect::<Vec<_>>(), first_touch);
             let mut sorted = msgs.clone();
             sort_combine_in_place(&mut sorted, fold);
             out.sort_by_key(|&(t, _)| t);
-            prop_assert_eq!(out, sorted);
-        }
+            assert_eq!(out, sorted);
+        });
+    }
 
-        /// The inbox exposes, per vertex, exactly the slice the stable-sort
-        /// oracle groups (or folds, when combining) across multiple source
-        /// buckets, and its bitmap names exactly the vertices with
-        /// messages — also after a second delivery of other messages in
-        /// either mode, so no table entry or bit outlives its delivery.
-        #[test]
-        fn inbox_slices_match_stable_sort_oracle(
-            rounds in prop::collection::vec((arb_sources(), any::<bool>()), 2),
-            a in 0u32..=LOCALS as u32,
-            b in 0u32..=LOCALS as u32,
-        ) {
+    /// The inbox exposes, per vertex, exactly the slice the stable-sort
+    /// oracle groups (or folds, when combining) across multiple source
+    /// buckets, and its bitmap names exactly the vertices with
+    /// messages — also after a second delivery of other messages in
+    /// either mode, so no table entry or bit outlives its delivery.
+    #[test]
+    fn inbox_slices_match_stable_sort_oracle() {
+        for_each_seed(256, |_, rng| {
+            let rounds = [(); 2].map(|_| (arb_sources(rng), rng.below(2) == 1));
+            let a = rng.below_u32(LOCALS as u32 + 1);
+            let b = rng.below_u32(LOCALS as u32 + 1);
             let mut inbox: Inbox<u64> = Inbox::new(LOCALS);
             for (srcs, combinable) in &rounds {
                 let mut want = reference_groups(&srcs.concat(), LOCALS);
@@ -511,17 +520,17 @@ mod tests {
                     }
                 }
                 inbox.deliver(srcs.iter().map(|s| s.as_slice()), *combinable, fold);
-                prop_assert_eq!(inbox.len(), want.iter().map(Vec::len).sum::<usize>());
-                prop_assert_eq!(inbox.is_empty(), srcs.concat().is_empty());
+                assert_eq!(inbox.len(), want.iter().map(Vec::len).sum::<usize>());
+                assert_eq!(inbox.is_empty(), srcs.concat().is_empty());
                 for v in 0..LOCALS as u32 {
-                    prop_assert_eq!(inbox.msgs_of(v), want[v as usize].as_slice(), "vertex {}", v);
+                    assert_eq!(inbox.msgs_of(v), want[v as usize].as_slice(), "vertex {}", v);
                 }
                 let (lo, hi) = (a.min(b), a.max(b));
                 let in_range: Vec<u32> =
                     (lo..hi).filter(|&v| !want[v as usize].is_empty()).collect();
-                prop_assert_eq!(inbox.targets(lo, hi).collect::<Vec<_>>(), in_range);
+                assert_eq!(inbox.targets(lo, hi).collect::<Vec<_>>(), in_range);
             }
-        }
+        });
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Property-based tests: the BSP runtime produces reference-equal answers
-//! on arbitrary graphs, machine counts, and seeds — partitioning and
-//! distribution must never change results.
+//! Properties over 64 seeded cases each: the BSP runtime produces
+//! reference-equal answers on random graphs, machine counts, and seeds —
+//! partitioning and distribution must never change results.
 
 use graphbench_algos::reference;
 use graphbench_algos::workload::PageRankConfig;
@@ -9,75 +9,85 @@ use graphbench_engines::programs::{
     wcc_labels, KHopProgram, PageRankProgram, SsspProgram, WccProgram,
 };
 use graphbench_graph::builder::csr_from_pairs;
+use graphbench_graph::rng::{for_each_seed, Rng};
 use graphbench_graph::CsrGraph;
 use graphbench_partition::EdgeCutPartition;
 use graphbench_sim::{Cluster, ClusterSpec, CostProfile};
-use proptest::prelude::*;
 
-fn arb_graph() -> impl Strategy<Value = CsrGraph> {
-    prop::collection::vec((0u32..25, 0u32..25), 1..120).prop_map(|pairs| csr_from_pairs(&pairs))
+fn arb_graph(rng: &mut Rng) -> CsrGraph {
+    let pairs: Vec<_> =
+        (0..1 + rng.below(119)).map(|_| (rng.below_u32(25), rng.below_u32(25))).collect();
+    csr_from_pairs(&pairs)
 }
 
 fn cluster(machines: usize) -> Cluster {
     Cluster::new(ClusterSpec::r3_xlarge(machines, 1 << 30), CostProfile::cpp_mpi())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn bsp_wcc_matches_reference(g in arb_graph(), machines in 1usize..9, seed in 0u64..50) {
+#[test]
+fn bsp_wcc_matches_reference() {
+    for_each_seed(64, |_, rng| {
+        let g = arb_graph(rng);
+        let machines = 1 + rng.below(8);
+        let seed = rng.below(50) as u64;
         let part = EdgeCutPartition::random(g.num_vertices() as u64, machines, seed);
         let mut cl = cluster(machines);
         let mut prog = WccProgram::new(g.num_vertices(), 8);
         let out = run_bsp(&mut cl, &g, &part, &mut prog, &BspConfig::default()).unwrap();
-        prop_assert_eq!(wcc_labels(out.states), reference::wcc(&g));
+        assert_eq!(wcc_labels(out.states), reference::wcc(&g));
         // Transient message memory is returned; only the permanently
         // materialized reverse edges (8 B each, charged via Ctx::alloc)
         // may remain resident.
         let residual: u64 = (0..machines).map(|m| cl.mem_in_use(m)).sum();
-        prop_assert!(residual <= g.num_edges() * 8, "residual {} bytes", residual);
-    }
+        assert!(residual <= g.num_edges() * 8, "residual {} bytes", residual);
+    });
+}
 
-    #[test]
-    fn bsp_sssp_matches_reference(
-        g in arb_graph(),
-        machines in 1usize..9,
-        seed in 0u64..50,
-        src_raw in 0u32..25,
-    ) {
+#[test]
+fn bsp_sssp_matches_reference() {
+    for_each_seed(64, |_, rng| {
+        let g = arb_graph(rng);
+        let machines = 1 + rng.below(8);
+        let seed = rng.below(50) as u64;
+        let src_raw = rng.below_u32(25);
         let src = src_raw % g.num_vertices() as u32;
         let part = EdgeCutPartition::random(g.num_vertices() as u64, machines, seed);
         let mut cl = cluster(machines);
         let mut prog = SsspProgram::new(src);
         let out = run_bsp(&mut cl, &g, &part, &mut prog, &BspConfig::default()).unwrap();
-        prop_assert_eq!(out.states, reference::sssp(&g, src));
+        assert_eq!(out.states, reference::sssp(&g, src));
         // SSSP allocates nothing permanent: all buffers must be returned.
         for m in 0..machines {
-            prop_assert_eq!(cl.mem_in_use(m), 0, "machine {} leaked", m);
+            assert_eq!(cl.mem_in_use(m), 0, "machine {} leaked", m);
         }
-    }
+    });
+}
 
-    #[test]
-    fn bsp_khop_matches_reference(
-        g in arb_graph(),
-        machines in 1usize..9,
-        seed in 0u64..50,
-        src_raw in 0u32..25,
-        k in 0u32..5,
-    ) {
+#[test]
+fn bsp_khop_matches_reference() {
+    for_each_seed(64, |_, rng| {
+        let g = arb_graph(rng);
+        let machines = 1 + rng.below(8);
+        let seed = rng.below(50) as u64;
+        let src_raw = rng.below_u32(25);
+        let k = rng.below_u32(5);
         let src = src_raw % g.num_vertices() as u32;
         let part = EdgeCutPartition::random(g.num_vertices() as u64, machines, seed);
         let mut cl = cluster(machines);
         let mut prog = KHopProgram::new(src, k);
         let out = run_bsp(&mut cl, &g, &part, &mut prog, &BspConfig::default()).unwrap();
-        prop_assert_eq!(out.states, reference::khop(&g, src, k));
+        assert_eq!(out.states, reference::khop(&g, src, k));
         // K-hop never runs more than k + 2 supersteps.
-        prop_assert!(out.supersteps <= k as u64 + 2);
-    }
+        assert!(out.supersteps <= k as u64 + 2);
+    });
+}
 
-    #[test]
-    fn bsp_pagerank_matches_reference(g in arb_graph(), machines in 1usize..9, seed in 0u64..50) {
+#[test]
+fn bsp_pagerank_matches_reference() {
+    for_each_seed(64, |_, rng| {
+        let g = arb_graph(rng);
+        let machines = 1 + rng.below(8);
+        let seed = rng.below(50) as u64;
         let cfg = PageRankConfig::fixed(8);
         let part = EdgeCutPartition::random(g.num_vertices() as u64, machines, seed);
         let mut cl = cluster(machines);
@@ -85,17 +95,27 @@ proptest! {
         let out = run_bsp(&mut cl, &g, &part, &mut prog, &BspConfig::default()).unwrap();
         let (want, _) = reference::pagerank(&g, &cfg);
         for (a, b) in out.states.iter().zip(&want) {
-            prop_assert!((a - b).abs() < 1e-9, "{} vs {}", a, b);
+            assert!((a - b).abs() < 1e-9, "{} vs {}", a, b);
         }
-    }
+    });
+}
 
-    #[test]
-    fn machine_count_never_changes_results(g in arb_graph(), seed in 0u64..20) {
+#[test]
+fn machine_count_never_changes_results() {
+    for_each_seed(64, |_, rng| {
+        let g = arb_graph(rng);
+        let seed = rng.below(20) as u64;
         let single = {
             let part = EdgeCutPartition::random(g.num_vertices() as u64, 1, seed);
             let mut cl = cluster(1);
-            let out = run_bsp(&mut cl, &g, &part, &mut WccProgram::new(g.num_vertices(), 8), &BspConfig::default())
-                .unwrap();
+            let out = run_bsp(
+                &mut cl,
+                &g,
+                &part,
+                &mut WccProgram::new(g.num_vertices(), 8),
+                &BspConfig::default(),
+            )
+            .unwrap();
             wcc_labels(out.states)
         };
         for machines in [2usize, 5, 8] {
@@ -109,9 +129,9 @@ proptest! {
                 &BspConfig::default(),
             )
             .unwrap();
-            prop_assert_eq!(&wcc_labels(out.states), &single, "machines {}", machines);
+            assert_eq!(&wcc_labels(out.states), &single, "machines {}", machines);
         }
-    }
+    });
 }
 
 mod fault_tolerance {

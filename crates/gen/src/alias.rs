@@ -4,7 +4,7 @@
 //! a fixed weight vector; the alias table makes each draw two random numbers
 //! and one comparison.
 
-use rand::Rng;
+use graphbench_graph::rng::Rng;
 
 /// Precomputed alias table over `weights.len()` outcomes.
 #[derive(Debug, Clone)]
@@ -60,9 +60,9 @@ impl AliasTable {
     }
 
     /// Draw one outcome.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> u32 {
-        let i = rng.gen_range(0..self.prob.len());
-        if rng.gen::<f64>() < self.prob[i] {
+    pub fn sample(&self, rng: &mut Rng) -> u32 {
+        let i = rng.below(self.prob.len());
+        if rng.f64() < self.prob[i] {
             i as u32
         } else {
             self.alias[i]
@@ -73,13 +73,11 @@ impl AliasTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn uniform_weights_sample_uniformly() {
         let t = AliasTable::new(&[1.0, 1.0, 1.0, 1.0]);
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let mut counts = [0u32; 4];
         for _ in 0..40_000 {
             counts[t.sample(&mut rng) as usize] += 1;
@@ -92,7 +90,7 @@ mod tests {
     #[test]
     fn skewed_weights_respected() {
         let t = AliasTable::new(&[9.0, 1.0]);
-        let mut rng = SmallRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let mut zero = 0u32;
         let trials = 50_000;
         for _ in 0..trials {
@@ -107,7 +105,7 @@ mod tests {
     #[test]
     fn zero_weight_outcome_never_sampled() {
         let t = AliasTable::new(&[1.0, 0.0, 1.0]);
-        let mut rng = SmallRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         for _ in 0..10_000 {
             assert_ne!(t.sample(&mut rng), 1);
         }
@@ -116,7 +114,7 @@ mod tests {
     #[test]
     fn single_outcome() {
         let t = AliasTable::new(&[0.5]);
-        let mut rng = SmallRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         assert_eq!(t.sample(&mut rng), 0);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());

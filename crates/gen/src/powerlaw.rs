@@ -19,9 +19,8 @@ use crate::stream::{
     chunk_len, collect_chunks, edge_chunks, seeded_permutation, stream_rng, streamed_csr,
     UnionFind, STREAM_TAIL,
 };
+use graphbench_graph::rng::Rng;
 use graphbench_graph::{CsrGraph, Edge, EdgeList, VertexId};
-use rand::rngs::SmallRng;
-use rand::Rng;
 
 /// Configuration for [`chung_lu`].
 #[derive(Debug, Clone)]
@@ -148,7 +147,7 @@ pub fn chung_lu_csr(cfg: &PowerLawConfig) -> CsrGraph {
 /// generated edge *in generation order* — both the edge-list and the
 /// streamed path feed it the identical union sequence, so the parent
 /// structure (and therefore each anchor draw) is identical.
-pub(crate) fn stitch_edges(uf: &mut UnionFind, rng: &mut SmallRng) -> Vec<Edge> {
+pub(crate) fn stitch_edges(uf: &mut UnionFind, rng: &mut Rng) -> Vec<Edge> {
     let n = uf.len();
     if n == 0 {
         return Vec::new();
@@ -167,7 +166,7 @@ pub(crate) fn stitch_edges(uf: &mut UnionFind, rng: &mut SmallRng) -> Vec<Edge> 
     for v in 0..n as u32 {
         let r = uf.find(v);
         if r != giant_root && size[r as usize] > 0 {
-            let anchor = giant_members[rng.gen_range(0..giant_members.len())];
+            let anchor = giant_members[rng.below(giant_members.len())];
             extra.push(Edge::new(anchor, v));
             size[r as usize] = 0;
             uf.union(r, giant_root);

@@ -13,7 +13,6 @@ use crate::stream::{
     chunk_len, collect_chunks, edge_chunks, seeded_permutation, stream_rng, streamed_csr,
 };
 use graphbench_graph::{CsrGraph, Edge, EdgeList, VertexId};
-use rand::Rng;
 
 /// Configuration for [`rmat`].
 #[derive(Debug, Clone)]
@@ -79,7 +78,7 @@ impl RmatSampler {
         for _ in 0..chunk_len(ci, cfg.num_edges) {
             let (mut src, mut dst) = (0u64, 0u64);
             for _ in 0..cfg.scale {
-                let r: f64 = rng.gen();
+                let r = rng.f64();
                 let (si, di) = if r < cfg.a {
                     (0, 0)
                 } else if r < cfg.a + cfg.b {

@@ -15,7 +15,6 @@
 
 use crate::stream::{collect_chunks, stream_rng, streamed_csr};
 use graphbench_graph::{CsrGraph, Edge, EdgeList, VertexId};
-use rand::Rng;
 
 /// Configuration for [`road_network`].
 #[derive(Debug, Clone)]
@@ -57,12 +56,12 @@ fn row_chunk(cfg: &RoadConfig, y: u64, buf: &mut Vec<Edge>) {
     let id = |x: u32, y: u32| -> VertexId { (y as u64 * cfg.width as u64 + x as u64) as VertexId };
     for x in 0..cfg.width {
         let v = id(x, y);
-        if x + 1 < cfg.width && rng.gen::<f64>() < cfg.keep_prob {
+        if x + 1 < cfg.width && rng.f64() < cfg.keep_prob {
             let u = id(x + 1, y);
             buf.push(Edge::new(v, u));
             buf.push(Edge::new(u, v));
         }
-        if y + 1 < cfg.height && rng.gen::<f64>() < cfg.keep_prob {
+        if y + 1 < cfg.height && rng.f64() < cfg.keep_prob {
             let u = id(x, y + 1);
             buf.push(Edge::new(v, u));
             buf.push(Edge::new(u, v));

@@ -22,9 +22,8 @@ use crate::stream::{
     chunk_len, collect_chunks, edge_chunks, seeded_permutation, stream_rng, streamed_csr,
     STREAM_TAIL,
 };
+use graphbench_graph::rng::Rng;
 use graphbench_graph::{CsrGraph, Edge, EdgeList, VertexId};
-use rand::rngs::SmallRng;
-use rand::Rng;
 
 /// Configuration for [`web_graph`].
 #[derive(Debug, Clone)]
@@ -122,16 +121,16 @@ impl WebSampler {
         WebSampler { hosts, host_start, global }
     }
 
-    fn draw_edge(&self, cfg: &WebConfig, rng: &mut SmallRng) -> Edge {
+    fn draw_edge(&self, cfg: &WebConfig, rng: &mut Rng) -> Edge {
         let s = self.global.sample(rng) as usize;
-        let d = if rng.gen::<f64>() < cfg.intra_host_prob {
+        let d = if rng.f64() < cfg.intra_host_prob {
             // Within the source's host, popularity is itself power-law
             // (front pages dominate): u^3 biases toward the host's first
             // members, giving the in-degree skew real web graphs have.
             let host = self.hosts[s] as usize;
             let (lo, hi) = (self.host_start[host], self.host_start[host + 1]);
             if hi > lo {
-                let u: f64 = rng.gen();
+                let u = rng.f64();
                 lo + ((u * u * u) * (hi - lo) as f64) as usize
             } else {
                 self.global.sample(rng) as usize

@@ -151,7 +151,21 @@ impl LineParser {
     }
 
     fn finish(self, num_vertices: Option<u64>) -> Result<EdgeList, GraphError> {
-        let n = num_vertices.unwrap_or(if self.seen_vertex { self.max_id + 1 } else { 0 });
+        // Ids are stored as `VertexId`: the largest one, given or inferred,
+        // has to fit, or the casts below would alias it onto a smaller id.
+        const MAX_VERTICES: u64 = VertexId::MAX as u64 + 1;
+        let too_large =
+            |vertex| GraphError::VertexOutOfRange { vertex, num_vertices: MAX_VERTICES };
+        let n = match num_vertices {
+            Some(n) => n,
+            None if self.seen_vertex => {
+                self.max_id.checked_add(1).ok_or_else(|| too_large(self.max_id))?
+            }
+            None => 0,
+        };
+        if n > MAX_VERTICES {
+            return Err(too_large(n - 1));
+        }
         let mut el = EdgeList::with_capacity(n, self.edges.len());
         for (s, d) in self.edges {
             if s >= n {
@@ -325,6 +339,34 @@ mod tests {
     fn rejects_out_of_range_vertices() {
         let err = parse_graph("0 9\n", GraphFormat::EdgeListFormat, Some(3)).unwrap_err();
         assert!(matches!(err, GraphError::VertexOutOfRange { vertex: 9, .. }));
+    }
+
+    #[test]
+    fn rejects_ids_that_do_not_fit_a_vertex_id() {
+        let path = scratch("wide-ids");
+        for fmt in [GraphFormat::Adj, GraphFormat::AdjLong, GraphFormat::EdgeListFormat] {
+            let count = if fmt == GraphFormat::AdjLong { "1 " } else { "" };
+            for (id, declared, vertex) in [
+                // Used to come back as vertex 705032704.
+                (5_000_000_000, None, 5_000_000_000),
+                // `max_id + 1` used to overflow.
+                (u64::MAX, None, u64::MAX),
+                (1 << 32, None, 1 << 32),
+                // A declared range whose last id does not fit.
+                (0, Some((1 << 32) + 1), 1 << 32),
+            ] {
+                let text = format!("{id} {count}1\n");
+                let want = GraphError::VertexOutOfRange { vertex, num_vertices: 1 << 32 };
+                assert_eq!(parse_graph(&text, fmt, declared), Err(want.clone()), "{text:?}");
+                std::fs::write(&path, &text).unwrap();
+                let err = read_graph_file(&path, fmt, declared).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert_eq!(err.to_string(), want.to_string());
+            }
+            // The largest id that fits still parses.
+            let el = parse_graph(&format!("4294967295 {count}1\n"), fmt, None).unwrap();
+            assert_eq!((el.num_vertices, el.edges[0].src), (1 << 32, VertexId::MAX));
+        }
     }
 
     #[test]

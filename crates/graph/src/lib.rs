@@ -11,6 +11,8 @@
 //!   (`adj`, `adj-long`, `edge`),
 //! * [`disk`] — a compact binary CSR format with mmap-backed zero-copy
 //!   loading, backing the dataset cache,
+//! * [`rng`] — the seeded random stream every generator, sampler and
+//!   generated test case draws from,
 //! * [`stats`] — degree distributions, effective-diameter estimation, and
 //!   component counting used to validate generated datasets against the
 //!   paper's Table 3.
@@ -25,6 +27,7 @@ pub mod csr;
 pub mod disk;
 pub mod edge;
 pub mod format;
+pub mod rng;
 pub mod stats;
 
 pub use builder::{GraphBuilder, SelfEdgePolicy};

@@ -28,6 +28,8 @@ pub mod two_d;
 pub mod vertex_cut;
 pub mod voronoi;
 
+use graphbench_graph::rng::splitmix64;
+
 pub use edge_cut::EdgeCutPartition;
 pub use local_index::LocalIndex;
 pub use vertex_cut::{VertexCutPartition, VertexCutStrategy};
@@ -73,18 +75,9 @@ pub(crate) fn bit_members(words: impl Iterator<Item = u64>) -> impl Iterator<Ite
     })
 }
 
-/// Deterministic 64-bit mix (splitmix64 finalizer) used by every hash-based
-/// partitioner so results are reproducible across platforms.
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Hash a vertex id (optionally salted by a seed) onto `k` machines.
 pub(crate) fn hash_to_machine(v: u64, seed: u64, k: usize) -> MachineId {
-    (mix64(v ^ seed.rotate_left(32)) % k as u64) as MachineId
+    (splitmix64(v ^ seed.rotate_left(32)) % k as u64) as MachineId
 }
 
 #[cfg(test)]

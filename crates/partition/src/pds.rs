@@ -14,6 +14,13 @@
 /// `machines = p^2 + p + 1` for some `p >= 2` and a set exists.
 pub fn perfect_difference_set(machines: usize) -> Option<Vec<u16>> {
     let p = pds_parameter(machines)?;
+    // Sets are known for prime powers only, and the search has shown there is
+    // none for any other `p` a machine count reaches; it takes minutes to
+    // come back empty-handed at 111 machines (p = 10), so do not start it.
+    let factor = (2..=p).find(|f| p % f == 0)?;
+    if !(1..32).any(|k| factor.pow(k) == p) {
+        return None;
+    }
     let m = machines as u16;
     let q = (p + 1) as usize;
     // Canonical normalization: a PDS can always be shifted/ordered to start
@@ -142,7 +149,8 @@ mod tests {
 
     #[test]
     fn non_qualifying_sizes_yield_none() {
-        for m in [8, 16, 32, 64, 100, 128] {
+        // 43 and 111 have the right form, for p = 6 and 10.
+        for m in [8, 16, 32, 43, 64, 100, 111, 128] {
             assert!(perfect_difference_set(m).is_none(), "m = {m}");
         }
     }

@@ -33,7 +33,8 @@
 //! ([`replica_sets`]).
 
 use crate::pds::perfect_difference_set;
-use crate::{bit_members, hash_to_machine, mix64, MachineBits, MachineId};
+use crate::{bit_members, hash_to_machine, MachineBits, MachineId};
+use graphbench_graph::rng::splitmix64;
 use graphbench_graph::{EdgeList, VertexId};
 
 /// Partitioning strategy selector.
@@ -268,7 +269,7 @@ fn assign_random(el: &EdgeList, machines: usize, seed: u64) -> Vec<MachineId> {
         .iter()
         .map(|e| {
             let key = ((e.src as u64) << 32) | e.dst as u64;
-            (mix64(key ^ seed) % machines as u64) as MachineId
+            (splitmix64(key ^ seed) % machines as u64) as MachineId
         })
         .collect()
 }
@@ -384,7 +385,7 @@ fn replica_sets(
         masters.push(if set.is_empty() || set.binary_search(&h).is_ok() {
             h
         } else {
-            set[(mix64(v as u64 ^ seed.rotate_left(17)) % set.len() as u64) as usize]
+            set[(splitmix64(v as u64 ^ seed.rotate_left(17)) % set.len() as u64) as usize]
         });
     }
     off[n] = write as u32;
@@ -528,7 +529,7 @@ mod tests {
     fn random_edges(seed: u64) -> EdgeList {
         let pairs: Vec<(u32, u32)> = (0..6_000u64)
             .map(|i| {
-                let h = mix64(i ^ seed.rotate_left(7));
+                let h = splitmix64(i ^ seed.rotate_left(7));
                 ((h % 500) as u32, ((h >> 32) % 500) as u32)
             })
             .collect();
@@ -657,7 +658,8 @@ mod tests {
                         let master = if r.is_empty() || r.contains(&h) {
                             h
                         } else {
-                            r[(mix64(v as u64 ^ seed.rotate_left(17)) % r.len() as u64) as usize]
+                            r[(splitmix64(v as u64 ^ seed.rotate_left(17)) % r.len() as u64)
+                                as usize]
                         };
                         assert_eq!(p.master_of(v as VertexId), master, "{ctx}");
                     }

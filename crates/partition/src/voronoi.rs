@@ -16,9 +16,8 @@
 //! scale.
 
 use crate::MachineId;
+use graphbench_graph::rng::Rng;
 use graphbench_graph::{CsrBuilder, EdgeList, VertexId};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 /// GVD sampling parameters (defaults follow the Blogel paper's defaults in
@@ -98,7 +97,7 @@ impl BlockPartition {
         neighbours: impl Fn(VertexId) -> &'a [VertexId],
     ) -> Self {
         assert!(machines > 0 && machines <= MachineId::MAX as usize + 1);
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let mut rng = Rng::seed_from_u64(cfg.seed);
         const UNASSIGNED: u32 = u32::MAX;
         let mut block_of = vec![UNASSIGNED; n];
         let mut block_sizes: Vec<usize> = Vec::new();
@@ -114,7 +113,7 @@ impl BlockPartition {
             // Sample seeds among unassigned vertices.
             let mut queue: VecDeque<VertexId> = VecDeque::new();
             for &v in &unassigned {
-                if rng.gen::<f64>() < rate {
+                if rng.f64() < rate {
                     let b = block_sizes.len() as u32;
                     block_of[v as usize] = b;
                     block_sizes.push(1);
@@ -205,6 +204,7 @@ impl BlockPartition {
 mod tests {
     use super::*;
     use graphbench_graph::builder::edge_list_from_pairs;
+    use graphbench_graph::rng::splitmix64;
 
     /// Two cliques joined by one bridge edge.
     fn two_communities() -> EdgeList {
@@ -340,7 +340,7 @@ mod tests {
             // Multigraph with self-edges, duplicates, vertices no edge names
             // (a gap in the middle and a tail) and, when sparse, many
             // components.
-            let mut next = (0u64..).map(|i| crate::mix64(i ^ seed.rotate_left(21)));
+            let mut next = (0u64..).map(|i| splitmix64(i ^ seed.rotate_left(21)));
             let mut next = move |bound: u64| next.next().unwrap() % bound;
             let n = 10 + next(150);
             let mut el = EdgeList::new(n + next(5));

@@ -597,69 +597,73 @@ mod tests {
 
     mod props {
         use super::*;
-        use proptest::prelude::*;
+        use graphbench_graph::rng::{for_each_seed, hostile_text, Rng};
 
-        fn arb_event() -> impl Strategy<Value = FaultEvent> {
-            prop_oneof![
-                (0.0..1e5f64, 0usize..256)
-                    .prop_map(|(t, m)| FaultEvent::Crash { at_time: t, machine: m }),
-                (0.0..1e5f64, 0.0..1e4f64, 0usize..256, 1.0..64.0f64).prop_map(
-                    |(start, duration, machine, slowdown)| FaultEvent::Straggler {
-                        start,
-                        duration,
-                        machine,
-                        slowdown,
-                    }
-                ),
-                (0.0..1e5f64, 0.0..1e4f64, 0.001..1.0f64).prop_map(|(start, duration, factor)| {
-                    FaultEvent::NetworkDegradation { start, duration, factor }
-                }),
-                (0.0..1e5f64, 0usize..256, 1u32..=RETRY_MAX_ATTEMPTS).prop_map(
-                    |(at_time, machine, attempts)| FaultEvent::LostShuffleFetch {
-                        at_time,
-                        machine,
-                        attempts,
-                    }
-                ),
-                (0.0..1e5f64, 0usize..256, 1u32..=RETRY_MAX_ATTEMPTS).prop_map(
-                    |(at_time, machine, attempts)| FaultEvent::FailedHdfsWrite {
-                        at_time,
-                        machine,
-                        attempts,
-                    }
-                ),
-                (0.0..1e5f64, prop_oneof![-64i64..0, 1i64..=64])
-                    .prop_map(|(at_time, delta)| FaultEvent::Resize { at_time, delta }),
-            ]
+        /// Any event kind: times below 1e5 s, windows below 1e4 s, machines
+        /// below 256, resize deltas of ±1..=64.
+        fn arb_event(rng: &mut Rng) -> FaultEvent {
+            let at_time = 1e5 * rng.f64();
+            let duration = 1e4 * rng.f64();
+            let machine = rng.below(256);
+            let attempts = 1 + rng.below_u32(RETRY_MAX_ATTEMPTS);
+            match rng.below(6) {
+                0 => FaultEvent::Crash { at_time, machine },
+                1 => {
+                    let slowdown = 1.0 + 63.0 * rng.f64();
+                    FaultEvent::Straggler { start: at_time, duration, machine, slowdown }
+                }
+                2 => {
+                    let factor = 0.001 + 0.999 * rng.f64();
+                    FaultEvent::NetworkDegradation { start: at_time, duration, factor }
+                }
+                3 => FaultEvent::LostShuffleFetch { at_time, machine, attempts },
+                4 => FaultEvent::FailedHdfsWrite { at_time, machine, attempts },
+                _ => {
+                    let delta = 1 + rng.below(64) as i64;
+                    let delta = if rng.below(2) == 0 { -delta } else { delta };
+                    FaultEvent::Resize { at_time, delta }
+                }
+            }
         }
 
-        proptest! {
-            // The parser is total: arbitrary input produces Ok or Err,
-            // never a panic (slicing, unwraps, arithmetic are all safe).
-            #[test]
-            fn parse_never_panics(s in ".*") {
-                let _ = FaultPlan::parse(&s);
-            }
+        /// Plans the parser accepts, for the hostile text to cut short.
+        const VALID: [&str; 3] = [
+            "crash@5:m1; straggler@7.5+30:m0x2.5",
+            "netdeg@1e2+20:x0.5; fetch@3:m2x2; hdfs@4:m1",
+            "resize@5:-m2; resize@9:+m4",
+        ];
 
-            // Display of any representable plan round-trips through parse.
-            #[test]
-            fn display_round_trips_for_any_plan(
-                events in prop::collection::vec(arb_event(), 0..8),
-            ) {
+        // The parser is total: arbitrary input produces Ok or Err,
+        // never a panic (slicing, unwraps, arithmetic are all safe).
+        #[test]
+        fn parse_never_panics() {
+            assert!(VALID.iter().all(|plan| FaultPlan::parse(plan).is_ok()));
+            for_each_seed(256, |_, rng| {
+                let s = hostile_text(rng, &VALID);
+                let _ = FaultPlan::parse(&s);
+            });
+        }
+
+        // Display of any representable plan round-trips through parse.
+        #[test]
+        fn display_round_trips_for_any_plan() {
+            for_each_seed(256, |_, rng| {
+                let events: Vec<FaultEvent> = (0..rng.below(8)).map(|_| arb_event(rng)).collect();
                 let plan = FaultPlan { events };
                 let printed =
                     plan.events.iter().map(|e| e.to_string()).collect::<Vec<_>>().join("; ");
-                prop_assert_eq!(FaultPlan::parse(&printed).unwrap(), plan);
-            }
+                assert_eq!(FaultPlan::parse(&printed).unwrap(), plan);
+            });
+        }
 
-            // Validation never panics either, whatever the plan shape.
-            #[test]
-            fn validate_never_panics(
-                events in prop::collection::vec(arb_event(), 0..8),
-                machines in 1usize..32,
-            ) {
+        // Validation never panics either, whatever the plan shape.
+        #[test]
+        fn validate_never_panics() {
+            for_each_seed(256, |_, rng| {
+                let events: Vec<FaultEvent> = (0..rng.below(8)).map(|_| arb_event(rng)).collect();
+                let machines = 1 + rng.below(31);
                 let _ = FaultPlan { events }.validate(machines, 86_400.0);
-            }
+            });
         }
     }
 }

@@ -1,12 +1,13 @@
-//! Property-based tests for the cluster simulator's accounting invariants,
+//! Properties, over seeded op sequences, of the cluster simulator's
+//! accounting invariants,
 //! including the journal/registry observability contract: every charge is
 //! journaled, journal durations replay the clock bit-for-bit, and the
 //! registry's counters and histograms agree with the event log. The JSONL
 //! round trip is a property of its own, so the accounting half does not
 //! need a working `serde_json`.
 
+use graphbench_graph::rng::{for_each_seed, Rng};
 use graphbench_sim::{Cluster, ClusterSpec, CostProfile, Journal, Phase};
-use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
@@ -20,17 +21,17 @@ enum Op {
     Phase(u8),
 }
 
-fn arb_op(machines: usize) -> impl Strategy<Value = Op> {
-    let v = move || prop::collection::vec(0u16..1000, machines..=machines);
-    prop_oneof![
-        v().prop_map(Op::Compute),
-        (v(), v()).prop_map(|(a, b)| Op::Exchange(a, b)),
-        Just(Op::Barrier),
-        v().prop_map(Op::HdfsRead),
-        (0..machines, 0u16..1000).prop_map(|(m, b)| Op::Alloc(m, b)),
-        (0..machines, 0u16..1000).prop_map(|(m, b)| Op::Free(m, b)),
-        (0u8..4).prop_map(Op::Phase),
-    ]
+fn arb_op(rng: &mut Rng, machines: usize) -> Op {
+    let v = |rng: &mut Rng| (0..machines).map(|_| rng.below(1000) as u16).collect();
+    match rng.below(7) {
+        0 => Op::Compute(v(rng)),
+        1 => Op::Exchange(v(rng), v(rng)),
+        2 => Op::Barrier,
+        3 => Op::HdfsRead(v(rng)),
+        4 => Op::Alloc(rng.below(machines), rng.below(1000) as u16),
+        5 => Op::Free(rng.below(machines), rng.below(1000) as u16),
+        _ => Op::Phase(rng.below(4) as u8),
+    }
 }
 
 /// Apply one op to the cluster, mirroring memory and barrier counts in the
@@ -73,12 +74,11 @@ fn cluster(machines: usize) -> Cluster {
     Cluster::new(ClusterSpec::r3_xlarge(machines, 1 << 20), CostProfile::cpp_mpi())
 }
 
-proptest! {
-    #[test]
-    fn accounting_invariants_hold_for_any_op_sequence(
-        machines in 1usize..5,
-        ops in prop::collection::vec(arb_op(4), 0..60),
-    ) {
+#[test]
+fn accounting_invariants_hold_for_any_op_sequence() {
+    for_each_seed(256, |_, rng| {
+        let machines = 1 + rng.below(4);
+        let ops: Vec<Op> = (0..rng.below(60)).map(|_| arb_op(rng, 4)).collect();
         let mut c = cluster(machines);
         let mut in_use = vec![0u64; machines];
         let mut barriers = 0u64;
@@ -86,47 +86,43 @@ proptest! {
             let before = c.elapsed();
             apply(&mut c, op, &mut in_use, &mut barriers);
             // Clock is monotone and equals the phase-time sum.
-            prop_assert!(c.elapsed() >= before);
-            prop_assert!((c.phase_times().total() - c.elapsed()).abs() < 1e-6);
+            assert!(c.elapsed() >= before);
+            assert!((c.phase_times().total() - c.elapsed()).abs() < 1e-6);
         }
-        prop_assert_eq!(c.supersteps(), barriers);
+        assert_eq!(c.supersteps(), barriers);
         for (m, &want) in in_use.iter().enumerate() {
-            prop_assert_eq!(c.mem_in_use(m), want);
-            prop_assert!(c.mem_peaks()[m] >= c.mem_in_use(m));
-            prop_assert!(c.mem_peaks()[m] <= 1 << 20);
+            assert_eq!(c.mem_in_use(m), want);
+            assert!(c.mem_peaks()[m] >= c.mem_in_use(m));
+            assert!(c.mem_peaks()[m] <= 1 << 20);
         }
         let cpu = c.cpu_breakdown();
-        prop_assert!(cpu.user_avg >= 0.0 && cpu.user_avg <= 1.0 + 1e-9);
-        prop_assert!(cpu.io_wait_avg >= 0.0 && cpu.io_wait_avg <= 1.0 + 1e-9);
+        assert!(cpu.user_avg >= 0.0 && cpu.user_avg <= 1.0 + 1e-9);
+        assert!(cpu.io_wait_avg >= 0.0 && cpu.io_wait_avg <= 1.0 + 1e-9);
 
         // --- Journal invariants -------------------------------------------
         let j = c.journal();
         // Event durations sum to the simulated clock, bit-for-bit: both
         // fold the same charge sequence in the same order.
-        prop_assert_eq!(j.total_time(), c.elapsed());
+        assert_eq!(j.total_time(), c.elapsed());
         // Sequence numbers are the event index; superstep is monotone and
         // every event starts where its predecessor ended.
         for (i, ev) in j.events().iter().enumerate() {
-            prop_assert_eq!(ev.seq, i as u64);
+            assert_eq!(ev.seq, i as u64);
         }
         for w in j.events().windows(2) {
-            prop_assert!(w[0].superstep <= w[1].superstep);
-            prop_assert_eq!(w[0].end().to_bits(), w[1].start.to_bits());
+            assert!(w[0].superstep <= w[1].superstep);
+            assert_eq!(w[0].end().to_bits(), w[1].start.to_bits());
         }
         // A charge is its slowest machine, bit-for-bit.
         for ev in j.events().iter().filter(|ev| !ev.per_machine.is_empty()) {
-            prop_assert_eq!(ev.per_machine.len(), machines);
+            assert_eq!(ev.per_machine.len(), machines);
             let max = ev.per_machine.iter().fold(0.0f64, |a, &b| a.max(b));
-            prop_assert_eq!(max.to_bits(), ev.dt.to_bits());
+            assert_eq!(max.to_bits(), ev.dt.to_bits());
         }
         // Memory deltas replay to the memory in use.
         for m in 0..machines {
-            let replayed: i64 = j
-                .events()
-                .iter()
-                .filter_map(|ev| ev.mem_delta.get(m))
-                .sum();
-            prop_assert_eq!(replayed, c.mem_in_use(m) as i64);
+            let replayed: i64 = j.events().iter().filter_map(|ev| ev.mem_delta.get(m)).sum();
+            assert_eq!(replayed, c.mem_in_use(m) as i64);
         }
 
         // --- Registry invariants ------------------------------------------
@@ -140,32 +136,33 @@ proptest! {
             *hist_by_kind.entry(ev.kind.seconds_histogram()).or_default() += 1;
         }
         for (name, n) in events_by_kind {
-            prop_assert_eq!(reg.counter(name), n, "counter {}", name);
+            assert_eq!(reg.counter(name), n, "counter {}", name);
         }
         for (name, n) in hist_by_kind {
             let h = reg.histogram(name).unwrap();
-            prop_assert_eq!(h.count(), n, "histogram {}", name);
+            assert_eq!(h.count(), n, "histogram {}", name);
             // Bucket counts always sum to the total observation count.
-            prop_assert_eq!(h.counts().iter().sum::<u64>(), h.count());
+            assert_eq!(h.counts().iter().sum::<u64>(), h.count());
         }
         // Byte and message totals match the event log.
         let net: u64 = j.events().iter().map(|ev| ev.net_bytes).sum();
-        prop_assert_eq!(reg.counter("net.bytes"), net);
+        assert_eq!(reg.counter("net.bytes"), net);
         let msgs: u64 = j.events().iter().map(|ev| ev.messages).sum();
-        prop_assert_eq!(reg.counter("net.messages"), msgs);
-    }
+        assert_eq!(reg.counter("net.messages"), msgs);
+    });
+}
 
-    #[test]
-    fn jsonl_export_round_trips_losslessly(
-        machines in 1usize..5,
-        ops in prop::collection::vec(arb_op(4), 0..60),
-    ) {
+#[test]
+fn jsonl_export_round_trips_losslessly() {
+    for_each_seed(256, |_, rng| {
+        let machines = 1 + rng.below(4);
+        let ops: Vec<Op> = (0..rng.below(60)).map(|_| arb_op(rng, 4)).collect();
         let mut c = cluster(machines);
         let (mut in_use, mut barriers) = (vec![0u64; machines], 0u64);
         for op in ops {
             apply(&mut c, op, &mut in_use, &mut barriers);
         }
         let rt = Journal::from_jsonl(&c.journal().to_jsonl()).unwrap();
-        prop_assert_eq!(&rt, c.journal());
-    }
+        assert_eq!(&rt, c.journal());
+    });
 }

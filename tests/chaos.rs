@@ -1,4 +1,4 @@
-//! Chaos harness: proptest-generated multi-event fault plans thrown at the
+//! Chaos harness: seeded, generated multi-event fault plans thrown at the
 //! Table 1 recovery mechanisms.
 //!
 //! Every generated case runs one engine/workload cell clean, then replays
@@ -21,8 +21,8 @@
 //!    (counted in the `faults.*` registry counters) or reported in
 //!    `notes` as `fault event unreached: ...`.
 //!
-//! The proptest RNG is seeded with a fixed ChaCha key so CI failures
-//! reproduce locally; scale the case count with `GRAPHBENCH_CHAOS_CASES`.
+//! Case `i` draws from `Rng::seed_from_u64(i)`, so CI failures reproduce
+//! locally; scale the case count with `GRAPHBENCH_CHAOS_CASES`.
 
 use graphbench_algos::workload::PageRankConfig;
 use graphbench_algos::{reference, Workload, WorkloadResult};
@@ -32,10 +32,9 @@ use graphbench_engines::pregel::Giraph;
 use graphbench_engines::vertica::Vertica;
 use graphbench_engines::{exec, Engine, EngineInput, RunOutput, ScaleInfo};
 use graphbench_gen::{Dataset, DatasetKind, Scale};
+use graphbench_graph::rng::{for_each_seed, Rng};
 use graphbench_graph::{CsrGraph, EdgeList};
 use graphbench_sim::{ClusterSpec, FaultEvent, FaultPlan, RETRY_MAX_ATTEMPTS};
-use proptest::prelude::*;
-use proptest::test_runner::{Config, RngAlgorithm, TestCaseError, TestRng, TestRunner};
 use std::sync::{Mutex, OnceLock};
 
 /// `exec::set_threads` is process-global and cargo runs tests concurrently;
@@ -105,19 +104,16 @@ struct AbstractFault {
     dur_scale: f64,
 }
 
-fn arb_fault() -> impl Strategy<Value = AbstractFault> {
-    (
-        0u8..6,
-        0.0..0.6f64,
-        0..MACHINES,
-        1.5..3.0f64,
-        0.3..0.9f64,
-        1..=RETRY_MAX_ATTEMPTS,
-        0.1..0.9f64,
-    )
-        .prop_map(|(kind, offset, machine, slowdown, factor, attempts, dur_scale)| {
-            AbstractFault { kind, offset, machine, slowdown, factor, attempts, dur_scale }
-        })
+fn arb_fault(rng: &mut Rng) -> AbstractFault {
+    AbstractFault {
+        kind: rng.below(6) as u8,
+        offset: 0.6 * rng.f64(),
+        machine: rng.below(MACHINES),
+        slowdown: 1.5 + 1.5 * rng.f64(),
+        factor: 0.3 + 0.6 * rng.f64(),
+        attempts: 1 + rng.below_u32(RETRY_MAX_ATTEMPTS),
+        dur_scale: 0.1 + 0.8 * rng.f64(),
+    }
 }
 
 /// Materialize abstract faults against a concrete fault-free runtime.
@@ -209,7 +205,7 @@ fn fingerprint(out: &RunOutput) -> (String, String, String) {
 
 /// The clean answer must be *right*, not merely stable: ranks within 1e-9
 /// of the serial reference fold, labels exactly equal.
-fn check_reference(idx: usize, label: &str, clean: &RunOutput) -> Result<(), TestCaseError> {
+fn check_reference(idx: usize, label: &str, clean: &RunOutput) {
     let ds = dataset();
     let (_, _, workload) = cell(idx);
     let got = clean.result.as_ref().expect("clean result");
@@ -217,23 +213,25 @@ fn check_reference(idx: usize, label: &str, clean: &RunOutput) -> Result<(), Tes
         Workload::PageRank(cfg) => {
             let want = WorkloadResult::Ranks(reference::pagerank(&ds.1, &cfg).0);
             let diff = got.max_rank_diff(&want);
-            prop_assert!(diff <= 1e-9, "{label}: ranks off reference by {diff}");
+            assert!(diff <= 1e-9, "{label}: ranks off reference by {diff}");
         }
         _ => {
             let want = WorkloadResult::Labels(reference::wcc(&ds.1));
-            prop_assert!(got.same_labels(&want), "{label}: labels diverge from reference");
+            assert!(got.same_labels(&want), "{label}: labels diverge from reference");
         }
     }
-    Ok(())
 }
 
-fn check_case(idx: usize, abstracts: &[AbstractFault]) -> Result<(), TestCaseError> {
+fn check_case(idx: usize, abstracts: &[AbstractFault]) {
     let (label, _, _) = cell(idx);
     let clean = run_cell(idx, FaultPlan::none());
-    prop_assert!(clean.metrics.status.is_ok(), "{label}: clean run failed");
-    check_reference(idx, label, &clean)?;
+    assert!(clean.metrics.status.is_ok(), "{label}: clean run failed");
+    check_reference(idx, label, &clean);
     let t_clean = clean.metrics.total_time();
     let plan = materialize(abstracts, t_clean);
+    // The harness captures this and shows it when the case fails, under
+    // the case index `for_each_seed` prints.
+    eprintln!("{label}, clean runtime {t_clean}: {plan:?}");
 
     // 3+4: each time-ordered prefix costs at least as much as the last,
     // and accounts for every scheduled event.
@@ -242,12 +240,12 @@ fn check_case(idx: usize, abstracts: &[AbstractFault]) -> Result<(), TestCaseErr
     for k in 1..=plan.events.len() {
         let prefix = FaultPlan { events: plan.events[..k].to_vec() };
         let out = run_cell(idx, prefix);
-        prop_assert!(out.metrics.status.is_ok(), "{label}: prefix {k} failed");
+        assert!(out.metrics.status.is_ok(), "{label}: prefix {k}: {:?}", out.metrics.status);
         // 1: the answer survives every fault combination.
-        prop_assert_eq!(&clean.result, &out.result, "{} prefix {}: answer changed", label, k);
+        assert_eq!(&clean.result, &out.result, "{} prefix {}: answer changed", label, k);
         resized |= matches!(plan.events[k - 1], FaultEvent::Resize { .. });
         let t = out.metrics.total_time();
-        prop_assert!(
+        assert!(
             resized || t >= prev - 1e-9,
             "{} prefix {}: runtime decreased {} -> {}",
             label,
@@ -256,7 +254,7 @@ fn check_case(idx: usize, abstracts: &[AbstractFault]) -> Result<(), TestCaseErr
             t
         );
         prev = t;
-        prop_assert_eq!(
+        assert_eq!(
             consumed(&out) + unreached(&out),
             k as u64,
             "{} prefix {}: events neither consumed nor reported",
@@ -272,26 +270,19 @@ fn check_case(idx: usize, abstracts: &[AbstractFault]) -> Result<(), TestCaseErr
     exec::set_threads(4);
     let parallel = run_cell(idx, plan);
     exec::set_threads(1);
-    prop_assert_eq!(&serial.result, &parallel.result, "{}: result diverged across threads", label);
-    prop_assert_eq!(fingerprint(&serial), fingerprint(&parallel), "{}: record diverged", label);
-    Ok(())
+    assert_eq!(&serial.result, &parallel.result, "{}: result diverged across threads", label);
+    assert_eq!(fingerprint(&serial), fingerprint(&parallel), "{}: record diverged", label);
 }
-
-/// Fixed RNG seed: CI failures replay locally with no shrink-seed hunting.
-const CHAOS_SEED: [u8; 32] = *b"graphbench-chaos-harness-seed-01";
 
 #[test]
 fn chaos_generated_fault_plans_uphold_the_recovery_contract() {
     let cases =
         std::env::var("GRAPHBENCH_CHAOS_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(6);
-    let mut runner = TestRunner::new_with_rng(
-        Config { cases, failure_persistence: None, ..Config::default() },
-        TestRng::from_seed(RngAlgorithm::ChaCha, &CHAOS_SEED),
-    );
-    let strategy = (0usize..4, prop::collection::vec(arb_fault(), 1..=4));
-    runner
-        .run(&strategy, |(idx, abstracts)| check_case(idx, &abstracts))
-        .unwrap_or_else(|e| panic!("chaos case failed: {e}"));
+    for_each_seed(cases, |_, rng| {
+        let idx = rng.below(4);
+        let abstracts: Vec<AbstractFault> = (0..1 + rng.below(4)).map(|_| arb_fault(rng)).collect();
+        check_case(idx, &abstracts);
+    });
 }
 
 /// The empty plan is the identity: a `FaultPlan::none()` run is

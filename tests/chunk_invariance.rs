@@ -140,9 +140,9 @@ mod chunked_engines_equal_serial {
     use graphbench_engines::vertica::Vertica;
     use graphbench_engines::{exec, Engine, EngineInput, RunOutput, ScaleInfo};
     use graphbench_graph::builder::{csr_from_pairs, edge_list_from_pairs};
+    use graphbench_graph::rng::for_each_seed;
     use graphbench_graph::VertexId;
     use graphbench_sim::ClusterSpec;
-    use proptest::prelude::*;
 
     fn engine(idx: usize) -> Box<dyn Engine> {
         match idx % 5 {
@@ -192,19 +192,17 @@ mod chunked_engines_equal_serial {
         )
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Random graph × engine × workload: every chunk size, serial or
-        /// parallel, reproduces the serial default-chunk run exactly.
-        #[test]
-        fn chunked_matches_serial_on_random_graphs(
-            pairs in prop::collection::vec((0u32..25, 0u32..25), 1..120),
-            engine_idx in 0usize..5,
-            workload_idx in 0usize..3,
-            machines in 1usize..6,
-            src in 0u32..25,
-        ) {
+    /// Random graph × engine × workload: every chunk size, serial or
+    /// parallel, reproduces the serial default-chunk run exactly.
+    #[test]
+    fn chunked_matches_serial_on_random_graphs() {
+        for_each_seed(24, |_, rng| {
+            let pairs: Vec<(VertexId, VertexId)> =
+                (0..1 + rng.below(119)).map(|_| (rng.below_u32(25), rng.below_u32(25))).collect();
+            let engine_idx = rng.below(5);
+            let workload_idx = rng.below(3);
+            let machines = 1 + rng.below(5);
+            let src = rng.below_u32(25);
             let _guard = CHUNK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
             exec::set_threads(1);
             exec::set_chunk_size(4096);
@@ -216,12 +214,12 @@ mod chunked_engines_equal_serial {
                 let got = fingerprint(&run_once(&pairs, engine_idx, workload_idx, machines, src));
                 exec::set_threads(1);
                 exec::set_chunk_size(4096);
-                prop_assert_eq!(
+                assert_eq!(
                     &got, &baseline,
                     "engine {} / workload {} diverged at chunk {} × {} threads",
                     engine_idx, workload_idx, chunk, threads
                 );
             }
-        }
+        });
     }
 }

@@ -78,13 +78,15 @@ mod parallel_bsp_equals_serial {
     use graphbench_engines::exec;
     use graphbench_engines::programs::{wcc_labels, SsspProgram, WccProgram};
     use graphbench_graph::builder::csr_from_pairs;
+    use graphbench_graph::rng::{for_each_seed, Rng};
     use graphbench_graph::{CsrGraph, VertexId};
     use graphbench_partition::EdgeCutPartition;
     use graphbench_sim::{Cluster, ClusterSpec, CostProfile};
-    use proptest::prelude::*;
 
-    fn arb_graph() -> impl Strategy<Value = CsrGraph> {
-        prop::collection::vec((0u32..25, 0u32..25), 1..120).prop_map(|pairs| csr_from_pairs(&pairs))
+    fn arb_graph(rng: &mut Rng) -> CsrGraph {
+        let pairs: Vec<_> =
+            (0..1 + rng.below(119)).map(|_| (rng.below_u32(25), rng.below_u32(25))).collect();
+        csr_from_pairs(&pairs)
     }
 
     fn cluster(machines: usize) -> Cluster {
@@ -105,16 +107,13 @@ mod parallel_bsp_equals_serial {
         run_bsp(&mut cl, g, &part, &mut prog, &BspConfig::default()).unwrap().states
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn parallel_bsp_matches_serial_on_random_graphs(
-            g in arb_graph(),
-            machines in 1usize..9,
-            seed in 0u64..50,
-            src_raw in 0u32..25,
-        ) {
+    #[test]
+    fn parallel_bsp_matches_serial_on_random_graphs() {
+        for_each_seed(48, |_, rng| {
+            let g = arb_graph(rng);
+            let machines = 1 + rng.below(8);
+            let seed = rng.below(50) as u64;
+            let src_raw = rng.below_u32(25);
             let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
             let src = src_raw % g.num_vertices() as u32;
             exec::set_threads(1);
@@ -124,11 +123,11 @@ mod parallel_bsp_equals_serial {
             let wcc_parallel = wcc(&g, machines, seed);
             let sssp_parallel = sssp(&g, machines, seed, src);
             exec::set_threads(1);
-            prop_assert_eq!(&wcc_serial, &wcc_parallel);
-            prop_assert_eq!(&sssp_serial, &sssp_parallel);
+            assert_eq!(&wcc_serial, &wcc_parallel);
+            assert_eq!(&sssp_serial, &sssp_parallel);
             // And both agree with the single-threaded reference algorithms.
-            prop_assert_eq!(wcc_serial, reference::wcc(&g));
-            prop_assert_eq!(sssp_serial, reference::sssp(&g, src));
-        }
+            assert_eq!(wcc_serial, reference::wcc(&g));
+            assert_eq!(sssp_serial, reference::sssp(&g, src));
+        });
     }
 }
