@@ -7,9 +7,9 @@
 //!
 //! * messages sent in superstep `s` are delivered in `s + 1`;
 //! * a vertex halts by returning `false` and is woken by incoming messages;
-//! * message *combiners* merge messages per `(destination machine, target)`
-//!   pair at the sender, when the program allows it for that superstep
-//!   (WCC's in-neighbour discovery superstep must not combine, §5.8);
+//! * message *combiners* merge a source machine's messages per target (the
+//!   sender-side combine), then the sources' results, when the program
+//!   allows it for that superstep (WCC's discovery superstep must not, §5.8);
 //! * every vertex execution, message, and buffer allocation is charged to
 //!   the simulated cluster, so supersteps cost what their slowest machine
 //!   costs and message floods can OOM a machine.
@@ -29,9 +29,9 @@
 //! and each message is looked up once and copied once: [`Ctx::send`]
 //! resolves the target's `(machine, fragment-local id)` with one
 //! [`graphbench_partition::LocalIndex`] read and files `(local id, payload)`
-//! in the sending chunk's bucket for that machine; sender-side combining
-//! folds a destination's chunk buckets straight into the shard outbox; and
-//! delivery indexes the inbox tables by the carried local id.
+//! in the sending chunk's bucket for that machine; and delivery reads every
+//! source's chunk buckets where they lie, folding or grouping them by the
+//! carried local id. A superstep is two dispatches: compute, then deliver.
 //!
 //! Which vertices a superstep runs is a *frontier* with no threshold to
 //! tune: every chunk counts its own `active` flags, and a chunk whose count
@@ -44,7 +44,7 @@
 
 use crate::exec;
 use crate::recovery::{Recovery, RecoveryModel};
-use crate::shuffle::{Combiner, Inbox};
+use crate::shuffle::Inbox;
 use graphbench_graph::{CsrGraph, VertexId};
 use graphbench_partition::{EdgeCutPartition, LocalIndex};
 use graphbench_sim::{Cluster, SimError};
@@ -122,6 +122,10 @@ pub trait VertexProgram: Sync {
     /// Merge two messages bound for the same vertex.
     fn combine(&self, a: Self::Msg, b: Self::Msg) -> Self::Msg;
 
+    /// The message every fold starts from: `combine(identity(), m) == m`,
+    /// bit for bit, for every message `m`.
+    fn identity(&self) -> Self::Msg;
+
     /// Whether messages sent in `superstep` may be combined.
     fn combinable(&self, _superstep: u64) -> bool {
         true
@@ -190,8 +194,8 @@ pub struct BspOutcome<V> {
 }
 
 /// One simulated machine's slice of the computation. Allocated once before
-/// the superstep loop and reused: outboxes and chunk buckets are cleared,
-/// not rebuilt, each superstep.
+/// the superstep loop and reused: chunk buckets are cleared, not rebuilt,
+/// each superstep.
 struct Shard<V, M> {
     /// Fragment vertex list, ascending by global id; position = local id.
     verts: Vec<VertexId>,
@@ -199,17 +203,11 @@ struct Shard<V, M> {
     states: Vec<V>,
     /// Parallel to `verts`.
     active: Vec<bool>,
-    /// Outboxes, one per destination machine: `(local id there, payload)`
-    /// in arrival order (first-touch order once combined).
-    out: Vec<Vec<(u32, M)>>,
     /// Vertices per sub-chunk ([`exec::chunk_size`] when the run began).
     chunk: usize,
     /// One entry per `chunk`-sized span of `verts` (see
     /// [`compute_superstep`]).
     chunks: Vec<ChunkScratch<M>>,
-    /// Sender-side combining scratch, shared by all of this shard's outbox
-    /// buckets via epoch tags.
-    comb: Combiner<M>,
 }
 
 impl<V, M> Shard<V, M> {
@@ -295,24 +293,20 @@ impl<V: Clone, M: Copy> BspCheckpoint<V, M> {
     }
 }
 
-/// One superstep's compute, in two stages. Shared by the live loop and
+/// One superstep's compute, one dispatch. Shared by the live loop and
 /// recovery replay (which discards the reports).
 ///
-/// **Stage 1** runs every shard's sub-chunks as one flat,
-/// dynamically-claimed task list ([`exec::run_chunks`]): a fragment that
-/// dominates the superstep — a power-law hub's machine — does not serialize
-/// it on one host thread. Each task owns disjoint `&mut` slices of its
-/// shard's state arrays and its chunk's buckets, reads the shard's inbox
-/// (read-only), and reports *integer* counters. A chunk with no self-active
-/// vertex runs only the vertices the inbox bitmap names; otherwise it tests
-/// every vertex. Both visit ascending local ids.
-///
-/// **Stage 2** assembles, per machine and destination, the shard outbox
-/// from the chunk buckets in ascending chunk order — exactly the vertex
-/// order an unsplit loop would send in: folded through the combiner when
-/// the superstep combines, concatenated when it does not. Report merges are
-/// u64 sums and `max` folds in chunk order, so every simulated metric is
-/// bit-identical at any chunk size and thread count.
+/// Every shard's sub-chunks run as one flat, dynamically-claimed task list
+/// ([`exec::run_chunks`]): a fragment that dominates the superstep — a
+/// power-law hub's machine — does not serialize it on one host thread. Each
+/// task owns disjoint `&mut` slices of its shard's state arrays and its
+/// chunk's buckets, reads the shard's inbox (read-only), and reports
+/// *integer* counters. A chunk with no self-active vertex runs only the
+/// vertices the inbox bitmap names; otherwise it tests every vertex. Both
+/// visit ascending local ids, so each bucket holds its sends in the order an
+/// unsplit loop would send them. Report merges are u64 sums and `max` folds
+/// in chunk order, so every simulated metric is bit-identical at any chunk
+/// size and thread count.
 fn compute_superstep<P: VertexProgram>(
     shards: &mut [Shard<P::Value, P::Msg>],
     inboxes: &[Inbox<P::Msg>],
@@ -320,7 +314,6 @@ fn compute_superstep<P: VertexProgram>(
     g: &CsrGraph,
     p: &P,
     superstep: u64,
-    combinable_now: bool,
 ) -> Vec<StepReport> {
     // Carve every shard into sub-chunk tasks holding disjoint state slices.
     let mut tasks: Vec<ChunkTask<'_, P::Value, P::Msg>> =
@@ -335,7 +328,6 @@ fn compute_superstep<P: VertexProgram>(
         }
     }
 
-    // Stage 1: compute each sub-chunk independently.
     let steps: Vec<(usize, StepReport)> = exec::run_chunks(&mut tasks, |_, task| {
         let inbox = &inboxes[task.machine];
         let ChunkScratch { out, active: active_count } = &mut *task.scratch;
@@ -391,28 +383,14 @@ fn compute_superstep<P: VertexProgram>(
             m.agg_max = step.agg_max;
         }
     }
-
-    // Stage 2: per-machine outbox assembly with sender-side combining. Each
-    // target's messages fold in arrival order, so combined values (f64
-    // included) do not depend on chunk boundaries.
-    exec::run_chunks(shards, |_, shard| {
-        let Shard { out, chunks, comb, .. } = shard;
-        for (dst, buf) in out.iter_mut().enumerate() {
-            let buckets = chunks.iter().map(|c| c.out[dst].as_slice());
-            if combinable_now {
-                comb.combine_sources(li.num_locals(dst), buckets, buf, |a, b| p.combine(a, b));
-            } else {
-                buf.clear();
-                buckets.for_each(|b| buf.extend_from_slice(b));
-            }
-        }
-    });
     merged
 }
 
-/// One superstep's delivery: each destination takes its senders' outboxes
-/// in source order and groups them per vertex. Returns per-machine inbox
-/// bytes. Shared by the live loop and recovery replay.
+/// One superstep's delivery, one dispatch: each destination takes the source
+/// machines in ascending order, each as its chunk buckets in chunk order,
+/// and folds (or groups) them per vertex, recording per-source counts.
+/// Returns per-machine inbox bytes. Shared by the live loop and recovery
+/// replay.
 fn deliver_superstep<P: VertexProgram>(
     inboxes: &mut [Inbox<P::Msg>],
     shards: &[Shard<P::Value, P::Msg>],
@@ -421,8 +399,8 @@ fn deliver_superstep<P: VertexProgram>(
     msg_mem: u64,
 ) -> Vec<u64> {
     exec::run_chunks(inboxes, |dst, inbox| {
-        let outboxes = shards.iter().map(|s| s.out[dst].as_slice());
-        inbox.deliver(outboxes, combinable_now, |a, b| p.combine(a, b));
+        let sources = shards.iter().map(|s| s.chunks.iter().map(move |c| c.out[dst].as_slice()));
+        inbox.deliver(sources, combinable_now, |a, b| p.combine(a, b));
         inbox.len() as u64 * msg_mem
     })
 }
@@ -468,12 +446,13 @@ pub fn run_bsp<P: VertexProgram>(
                 .map(|&v| init_states[v as usize].take().expect("vertex assigned twice"))
                 .collect();
             let active = verts.iter().map(|&v| init_active[v as usize]).collect();
-            let buckets = || (0..machines).map(|_| Vec::new()).collect();
             let chunks = (0..verts.len().div_ceil(chunk))
-                .map(|_| ChunkScratch { out: buckets(), active: 0 })
+                .map(|_| ChunkScratch {
+                    out: (0..machines).map(|_| Vec::new()).collect(),
+                    active: 0,
+                })
                 .collect();
-            let comb = Combiner::with_capacity(li.max_locals());
-            let mut shard = Shard { verts, states, active, out: buckets(), chunk, chunks, comb };
+            let mut shard = Shard { verts, states, active, chunk, chunks };
             shard.recount_active();
             shard
         })
@@ -481,10 +460,10 @@ pub fn run_bsp<P: VertexProgram>(
     drop(init_states);
 
     // Per-machine inboxes (grouped per vertex by the shuffle), kept outside
-    // the shards so delivery can read every shard's outboxes while writing
+    // the shards so delivery can read every shard's buckets while writing
     // one inbox.
     let mut inboxes: Vec<Inbox<P::Msg>> =
-        (0..machines).map(|m| Inbox::new(li.num_locals(m))).collect();
+        (0..machines).map(|m| Inbox::new(li.num_locals(m), prog.identity())).collect();
     let mut inbox_bytes = vec![0u64; machines];
     // Per-superstep counter vectors, allocated once and overwritten.
     let mut ops = vec![0.0f64; machines];
@@ -516,7 +495,7 @@ pub fn run_bsp<P: VertexProgram>(
         // thread pool; its inbox is read-only, its outboxes are its own.
         // Label before the host work so its wallclock spans carry it.
         cluster.set_label("superstep");
-        let steps = compute_superstep(&mut shards, &inboxes, &li, g, p, supersteps, combinable_now);
+        let steps = compute_superstep(&mut shards, &inboxes, &li, g, p, supersteps);
 
         // Merge shard reports in machine-index order.
         let mut any_ran = false;
@@ -532,38 +511,31 @@ pub fn run_bsp<P: VertexProgram>(
         // Free last superstep's consumed inbox buffers.
         cluster.free_all(&inbox_bytes);
 
-        // Wire accounting: outbox sizes are post-combine message counts.
-        // Traffic between fragments an elastic resize packed onto the same
-        // physical machine never crosses the wire (with the identity map
-        // this is exactly the old `src != dst` self-loop exclusion).
+        // Delivery phase: each destination folds every source's messages
+        // per target, then the sources' results — one entry per distinct
+        // target; without a combiner every message is buffered (the WCC
+        // discovery superstep's memory spike, §5.8).
+        let delivered = deliver_superstep(&mut inboxes, &shards, p, combinable_now, msg_mem);
+        inbox_bytes.copy_from_slice(&delivered);
+
+        // Wire accounting: the per-source, post-combine counts delivery
+        // recorded. Traffic between fragments an elastic resize packed onto
+        // the same physical machine never crosses the wire (with the
+        // identity map this is exactly the old `src != dst` exclusion).
         send_buffer_bytes.fill(0);
         sent.fill(0);
         recv.fill(0);
         msg_counts.fill(0);
-        for (src, shard) in shards.iter().enumerate() {
-            for (dst, buf) in shard.out.iter().enumerate() {
-                let count = buf.len() as u64;
-                if count == 0 {
-                    continue;
-                }
+        for (dst, inbox) in inboxes.iter().enumerate() {
+            for (src, &count) in inbox.per_source().iter().enumerate() {
                 send_buffer_bytes[src] += count * msg_mem;
-                if !cluster.frags_colocated(src, dst) {
+                if count > 0 && !cluster.frags_colocated(src, dst) {
                     sent[src] += count * wire;
                     recv[dst] += count * wire;
                     msg_counts[src] += count;
                 }
             }
         }
-
-        // Delivery phase: each destination takes its senders' outboxes in
-        // source order and groups them per vertex — receiver-side combining
-        // keeps one entry per distinct target (without a combiner every
-        // message is buffered — the WCC discovery superstep's memory spike,
-        // §5.8): messages are counted into per-local-id groups behind an
-        // offset table.
-        let delivered: Vec<u64> =
-            deliver_superstep(&mut inboxes, &shards, p, combinable_now, msg_mem);
-        inbox_bytes.copy_from_slice(&delivered);
 
         // Charge this superstep: sender buffers are flushed to the wire
         // whenever they fill (Giraph's message cache), so their resident
@@ -623,9 +595,8 @@ pub fn run_bsp<P: VertexProgram>(
             if let Some(ckpt) = &snapshot {
                 ckpt.restore(&mut shards, &mut inboxes);
                 for r in ckpt.superstep..supersteps {
-                    let c = p.combinable(r);
-                    compute_superstep(&mut shards, &inboxes, &li, g, p, r, c);
-                    deliver_superstep(&mut inboxes, &shards, p, c, msg_mem);
+                    compute_superstep(&mut shards, &inboxes, &li, g, p, r);
+                    deliver_superstep(&mut inboxes, &shards, p, p.combinable(r), msg_mem);
                 }
             }
         }
@@ -672,6 +643,7 @@ pub fn run_bsp<P: VertexProgram>(
 mod tests {
     use super::*;
     use graphbench_graph::builder::csr_from_pairs;
+    use graphbench_graph::rng::for_each_seed;
     use graphbench_sim::{ClusterSpec, CostProfile};
 
     /// Propagate the maximum vertex id through the graph (a tiny well-
@@ -707,6 +679,10 @@ mod tests {
 
         fn combine(&self, a: VertexId, b: VertexId) -> VertexId {
             a.max(b)
+        }
+
+        fn identity(&self) -> VertexId {
+            0
         }
 
         fn wire_bytes(&self) -> u64 {
@@ -828,6 +804,10 @@ mod tests {
 
         fn combine(&self, a: u64, b: u64) -> u64 {
             a.max(b)
+        }
+
+        fn identity(&self) -> u64 {
+            0
         }
 
         fn combinable(&self, _s: u64) -> bool {
@@ -1082,6 +1062,10 @@ mod tests {
             a.max(b)
         }
 
+        fn identity(&self) -> u64 {
+            0
+        }
+
         fn finished(&mut self, superstep: u64, _max_aggregate: f64) -> bool {
             superstep + 1 >= self.rounds
         }
@@ -1137,6 +1121,9 @@ mod tests {
             fn combine(&self, a: u64, b: u64) -> u64 {
                 self.0.combine(a, b)
             }
+            fn identity(&self) -> u64 {
+                self.0.identity()
+            }
             fn combinable(&self, _s: u64) -> bool {
                 false
             }
@@ -1161,5 +1148,159 @@ mod tests {
             cluster.total_messages()
         };
         assert!(raw >= combined, "raw {raw} combined {combined}");
+    }
+
+    /// Combinable and order-sensitive: `fold31` (identity `0`) tells the
+    /// two-level fold — each source machine's messages in sender order, then
+    /// the sources in machine order — from any other order. Every vertex
+    /// sends `(v + 1) * 1000 + superstep` along its out-edges each superstep
+    /// and hashes what it receives into its value.
+    struct FoldOrder {
+        rounds: u64,
+    }
+
+    fn fold31(a: u64, b: u64) -> u64 {
+        a.wrapping_mul(31).wrapping_add(b)
+    }
+
+    fn absorb(value: u64, msg: u64) -> u64 {
+        value.wrapping_mul(1_000_003).wrapping_add(msg)
+    }
+
+    impl VertexProgram for FoldOrder {
+        type Value = u64;
+        type Msg = u64;
+
+        fn init(&mut self, _v: VertexId, _g: &CsrGraph) -> (u64, bool) {
+            (0, true)
+        }
+
+        fn compute(
+            &self,
+            ctx: &mut Ctx<'_, u64>,
+            g: &CsrGraph,
+            v: VertexId,
+            value: &mut u64,
+            msgs: &[u64],
+        ) -> bool {
+            *value = msgs.iter().fold(*value, |acc, &m| absorb(acc, m));
+            for &t in g.out_neighbors(v) {
+                ctx.send(t, (v as u64 + 1) * 1000 + ctx.superstep);
+            }
+            true
+        }
+
+        fn combine(&self, a: u64, b: u64) -> u64 {
+            fold31(a, b)
+        }
+
+        fn identity(&self) -> u64 {
+            0
+        }
+
+        fn finished(&mut self, superstep: u64, _max_aggregate: f64) -> bool {
+            superstep + 1 >= self.rounds
+        }
+
+        fn wire_bytes(&self) -> u64 {
+            8
+        }
+    }
+
+    /// [`FoldOrder`]'s final states, computed directly. Two-level: per
+    /// target, fold each machine's messages in ascending sender id, then the
+    /// machines' results in machine order. One-level: fold the raw messages
+    /// in that same order straight into one value.
+    fn fold_order_oracle(
+        g: &CsrGraph,
+        part: &EdgeCutPartition,
+        rounds: u64,
+        two_level: bool,
+    ) -> Vec<u64> {
+        let n = g.num_vertices();
+        let push = |slot: &mut Option<u64>, msg| *slot = Some(slot.map_or(msg, |a| fold31(a, msg)));
+        // Senders by machine, ascending id within each (a stable sort).
+        let mut senders: Vec<VertexId> = (0..n as VertexId).collect();
+        senders.sort_by_key(|&v| part.machine_of(v));
+        let mut states = vec![0u64; n];
+        for superstep in 0..rounds - 1 {
+            // Per target, per machine: the fold of that machine's messages.
+            let mut per_machine = vec![vec![None::<u64>; part.machines()]; n];
+            let mut raw = vec![None::<u64>; n];
+            for &v in &senders {
+                for &t in g.out_neighbors(v) {
+                    let msg = (v as u64 + 1) * 1000 + superstep;
+                    push(&mut per_machine[t as usize][part.machine_of(v) as usize], msg);
+                    push(&mut raw[t as usize], msg);
+                }
+            }
+            for t in 0..n {
+                let two = per_machine[t].iter().flatten().copied().reduce(fold31);
+                if let Some(msg) = if two_level { two } else { raw[t] } {
+                    states[t] = absorb(states[t], msg);
+                }
+            }
+        }
+        states
+    }
+
+    #[test]
+    fn combining_folds_each_source_then_the_sources_at_any_chunk_and_thread_count() {
+        // Fan-in: every vertex feeds one of five hubs and one scattered
+        // target, so each target hears from several senders on each of the
+        // three machines, whose ~67-vertex fragments straddle bitmap words.
+        let mut pairs: Vec<(u32, u32)> = (0..200).map(|v| (v, v % 5)).collect();
+        pairs.extend((0..200).map(|v| (v, (v * 7 + 3) % 200)));
+        let g = csr_from_pairs(&pairs);
+        let part = EdgeCutPartition::random(200, 3, 5);
+        let rounds = 4;
+        let want = fold_order_oracle(&g, &part, rounds, true);
+        assert_ne!(
+            want,
+            fold_order_oracle(&g, &part, rounds, false),
+            "graph cannot tell folds apart"
+        );
+        let _guard = crate::exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for threads in [1usize, 4] {
+            crate::exec::set_threads(threads);
+            for chunk in [1usize, 2, 3, 63, 64, 65, 4096] {
+                crate::exec::set_chunk_size(chunk);
+                let mut cluster =
+                    Cluster::new(ClusterSpec::r3_xlarge(3, 1 << 30), CostProfile::cpp_mpi());
+                let out = run_bsp(
+                    &mut cluster,
+                    &g,
+                    &part,
+                    &mut FoldOrder { rounds },
+                    &BspConfig::default(),
+                )
+                .unwrap();
+                assert_eq!(out.states, want, "threads {threads} chunk {chunk}");
+            }
+        }
+        crate::exec::set_chunk_size(4096);
+        crate::exec::set_threads(1);
+    }
+
+    /// `combine(identity(), m) == m` for every test program, over seeded
+    /// samples plus `0` and `MAX - 1`.
+    #[test]
+    fn test_programs_fold_from_an_identity() {
+        for_each_seed(64, |_, rng| {
+            let r = rng.next_u64();
+            for m in [0, u64::MAX - 1, r] {
+                assert_eq!(
+                    FoldOrder { rounds: 1 }.combine(FoldOrder { rounds: 1 }.identity(), m),
+                    m
+                );
+                let fixed = FixedRounds { rounds: 1 };
+                assert_eq!(fixed.combine(fixed.identity(), m), m);
+                let trace = TraceInbox { rounds: 1 };
+                assert_eq!(trace.combine(trace.identity(), m), m);
+            }
+            for m in [0, u32::MAX - 1, r as u32] {
+                assert_eq!(MaxProp.combine(MaxProp.identity(), m), m);
+            }
+        });
     }
 }

@@ -65,6 +65,11 @@ impl VertexProgram for PageRankProgram {
         a + b
     }
 
+    /// `-0.0`, not `0.0`: `-0.0 + x == x` for every `x`, `0.0 + -0.0 == 0.0`.
+    fn identity(&self) -> f64 {
+        -0.0
+    }
+
     fn finished(&mut self, superstep: u64, max_aggregate: f64) -> bool {
         match self.cfg.stop {
             // Superstep 0 performs no update; deltas exist from superstep 1.
@@ -169,6 +174,10 @@ impl VertexProgram for WccProgram {
         a.min(b)
     }
 
+    fn identity(&self) -> VertexId {
+        VertexId::MAX
+    }
+
     fn combinable(&self, superstep: u64) -> bool {
         // Discovery messages are identities, not labels (§5.8).
         superstep != 0
@@ -229,6 +238,10 @@ impl VertexProgram for SsspProgram {
         a.min(b)
     }
 
+    fn identity(&self) -> u32 {
+        u32::MAX
+    }
+
     fn wire_bytes(&self) -> u64 {
         4
     }
@@ -283,6 +296,10 @@ impl VertexProgram for KHopProgram {
         a.min(b)
     }
 
+    fn identity(&self) -> u32 {
+        u32::MAX
+    }
+
     fn wire_bytes(&self) -> u64 {
         4
     }
@@ -294,6 +311,7 @@ mod tests {
     use crate::bsp::{run_bsp, BspConfig};
     use graphbench_algos::reference;
     use graphbench_graph::builder::csr_from_pairs;
+    use graphbench_graph::rng::for_each_seed;
     use graphbench_partition::EdgeCutPartition;
     use graphbench_sim::{Cluster, ClusterSpec, CostProfile};
 
@@ -392,6 +410,40 @@ mod tests {
         let (dist, supersteps) = exec(&g, &mut KHopProgram::new(0, 3), 2);
         assert_eq!(dist, reference::khop(&g, 0, 3));
         assert!(supersteps <= 5, "supersteps {supersteps}");
+    }
+
+    /// `combine(identity(), m) == m`, bit for bit, for every workload
+    /// program: over ±0.0, subnormals, `f64::MAX` and seeded non-NaN bit
+    /// patterns for PageRank; over `0`, `u32::MAX - 1` and seeded ids for
+    /// the `min` programs.
+    #[test]
+    fn every_program_folds_from_an_identity() {
+        let pr = PageRankProgram::new(PageRankConfig::fixed(1));
+        let (wcc, sssp, khop) =
+            (WccProgram::new(1, 8), SsspProgram::new(0), KHopProgram::new(0, 3));
+        for_each_seed(256, |_, rng| {
+            let bits = f64::from_bits(rng.next_u64());
+            let random = if bits.is_nan() { rng.f64() } else { bits };
+            let tiny = f64::from_bits(1 + rng.below(1 << 20) as u64); // subnormal
+            for m in [0.0, -0.0, tiny, -tiny, f64::MIN_POSITIVE / 2.0, f64::MAX, -f64::MAX, random]
+            {
+                assert_eq!(pr.combine(pr.identity(), m).to_bits(), m.to_bits(), "{m:e}");
+            }
+            for m in [0, u32::MAX - 1, rng.below_u32(u32::MAX)] {
+                assert_eq!(wcc.combine(wcc.identity(), m), m);
+                assert_eq!(sssp.combine(sssp.identity(), m), m);
+                assert_eq!(khop.combine(khop.identity(), m), m);
+            }
+        });
+    }
+
+    /// Why PageRank folds from `-0.0`: `+0.0 + -0.0` is `+0.0`, so a sum
+    /// seeded with `+0.0` would turn a lone `-0.0` message into `+0.0`.
+    #[test]
+    fn plus_zero_is_not_the_pagerank_identity() {
+        let pr = PageRankProgram::new(PageRankConfig::fixed(1));
+        assert_ne!(pr.combine(0.0, -0.0).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(pr.identity().to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

@@ -7,28 +7,30 @@
 //! travels with the message: the sender resolves `(machine, local id)` once
 //! per send and every later stage indexes by the carried id.
 //!
-//! * **sender-side combining** ([`Combiner`]) folds a destination's chunk
-//!   buckets, taken as ordered *sources*, through a dense per-local-target
-//!   slot array and emits one entry per target into the shard outbox —
-//!   epoch tags mark which slots are live, so nothing is sorted, nothing is
-//!   cleared between buckets, and the sources are never concatenated;
-//! * **delivery** ([`Inbox`]) files payloads per local id — one combining
-//!   pass, or a two-pass count/place — behind a `(start, len)` offset
-//!   table, giving O(1) per-vertex slicing in the next compute phase, and
-//!   keeps a one-bit-per-local-id "has messages" bitmap that the BSP
-//!   runtime walks instead of testing every vertex;
+//! * **combining** ([`Combiner`]) keeps one dense slot per local target,
+//!   held at the program's identity message, so every message folds as
+//!   `val[l] = combine(val[l], m)` with no first-touch test; a liveness
+//!   bitmap names the slots a drain hands on and resets to the identity;
+//! * **delivery** ([`Inbox`]) takes the source machines in ascending order.
+//!   Combining, it folds each source's chunk buckets into a scratch combiner
+//!   (the sender-side fold) and drains that into its own accumulator (the
+//!   receiver-side fold); otherwise it counts and places payloads per local
+//!   id behind a `(start, len)` table. Either way it records each source's
+//!   post-combine count for wire accounting and keeps a one-bit-per-local-id
+//!   "has messages" bitmap that the BSP runtime walks;
 //! * **all buffers are pooled**: slot arrays, offset tables, and item
 //!   vectors are allocated once and reused across supersteps ([`Inbox::grows`]
 //!   and [`Combiner::grows`] count reallocations so tests can assert the
 //!   steady state allocates nothing).
 //!
 //! The invariant everything downstream rests on is *arrival order*: each
-//! target's messages are grouped (or folded, for combiners) in the order
-//! they arrived — sender chunks in index order, source machines in machine
-//! order — which is exactly what a stable sort by target would yield. f64
-//! combiners therefore fold bit-identically at any thread count and chunk
-//! size, and per-vertex inbox contents, message counts, bytes, journal
-//! events and registry values never depend on host scheduling.
+//! target's messages are grouped in the order they arrived — sender chunks in
+//! index order, source machines in machine order — which is exactly what a
+//! stable sort by target would yield; a fold runs left to right within each
+//! source, then across the sources in machine order. f64 combiners therefore
+//! fold bit-identically at any thread count and chunk size, and per-vertex
+//! inbox contents, counts, bytes, journal events and registry values never
+//! depend on host scheduling.
 
 use crate::exec;
 use graphbench_graph::VertexId;
@@ -64,12 +66,12 @@ where
         }
         return;
     }
-    let mut tasks: Vec<((usize, usize), Vec<Vec<U>>)> =
-        spans.into_iter().map(|sp| (sp, (0..num_buckets).map(|_| Vec::new()).collect())).collect();
+    let mut tasks: Vec<_> =
+        spans.into_iter().map(|sp| (sp, vec![Vec::<U>::new(); num_buckets])).collect();
     exec::run_chunks(&mut tasks, |_, t| {
         let ((s, e), ref mut buckets) = *t;
-        for i in s..e {
-            let (dst, u) = route(i, &items[i]);
+        for (i, x) in (s..e).zip(&items[s..e]) {
+            let (dst, u) = route(i, x);
             buckets[dst].push(u);
         }
     });
@@ -80,126 +82,135 @@ where
     }
 }
 
-/// Epoch-tagged dense combiner slots, one per fragment-local target id.
-///
-/// A slot whose tag equals the current epoch is live, anything else is
-/// free — bumping the epoch retires every slot at once, so buckets for
-/// different destination machines share one scratch array with no clearing
-/// in between.
-#[derive(Debug)]
+/// Dense combining slots, one per fragment-local target id, each held at the
+/// combine's identity: a message folds as `val[l] = combine(val[l], m)`
+/// whether or not `l` was touched before, and a liveness bitmap names the
+/// slots a drain must hand on and reset.
+#[derive(Debug, Clone)]
 pub struct Combiner<M> {
-    stamp: Vec<u32>,
-    /// Folded value per live slot (lazily sized — `M` has no default).
+    /// Folded value per slot; `identity` wherever the slot is not live.
     val: Vec<M>,
-    /// (id the message carried, local id) per first touch, in touch order.
-    touched: Vec<(VertexId, u32)>,
-    epoch: u32,
+    /// Bit `l` (in word `l / 64`) is set iff slot `l` is live.
+    live: Vec<u64>,
+    identity: M,
     grows: u64,
 }
 
-impl<M: Copy> Combiner<M> {
-    /// Scratch sized for fragments of up to `max_locals` vertices (it
-    /// grows on demand if a larger fragment shows up, counted by
-    /// [`Combiner::grows`]).
+impl<M: Copy + Default> Combiner<M> {
+    /// [`Combiner::new`] seeded with `M::default()`, which must be the
+    /// combine's identity (`+0.0` is, for sums of non-negative f64s).
     pub fn with_capacity(max_locals: usize) -> Combiner<M> {
+        Combiner::new(max_locals, M::default())
+    }
+}
+
+impl<M: Copy> Combiner<M> {
+    /// Slots for fragments of up to `max_locals` vertices (grown on demand,
+    /// counted by [`Combiner::grows`]). `combine(identity, m)` must equal
+    /// `m`, bit for bit, for every message `m`.
+    pub fn new(max_locals: usize, identity: M) -> Combiner<M> {
         Combiner {
-            stamp: vec![0; max_locals],
-            val: Vec::new(),
-            touched: Vec::new(),
-            epoch: 0,
+            val: vec![identity; max_locals],
+            live: vec![0; max_locals.div_ceil(64)],
+            identity,
             grows: 0,
         }
     }
 
-    /// Combine the messages of `sources` — one destination's buckets, each
-    /// entry `(local target id, payload)`, scanned in order — into `out`,
-    /// replacing its contents, with no intermediate copy of the sources.
-    /// Each target's messages fold left-to-right in arrival order — the
-    /// value a stable sort by target of the concatenated sources followed
-    /// by an adjacent fold would produce — and the surviving entries come
-    /// out in first-touch order (which downstream consumers never observe:
-    /// only counts and per-target values matter).
-    pub fn combine_sources<'a>(
-        &mut self,
-        n_locals: usize,
-        sources: impl Iterator<Item = &'a [(u32, M)]>,
-        out: &mut Vec<(u32, M)>,
-        combine: impl FnMut(M, M) -> M,
-    ) where
-        M: 'a,
-    {
-        self.fold(n_locals, |l| l, sources, combine);
-        self.emit(out);
-    }
-
-    /// [`Combiner::combine_sources`] for a single bucket addressed by
-    /// *global* target ids, in place: `local_of` maps each target to its
-    /// dense local id.
+    /// Combine one bucket addressed by *global* target ids, in place:
+    /// `local_of` maps each target to its dense local id. Each target keeps
+    /// one entry, at its first position, holding its messages folded left to
+    /// right — the value a stable sort by target and an adjacent fold give.
     pub fn combine_bucket(
         &mut self,
         n_locals: usize,
         local_of: impl Fn(VertexId) -> u32,
         buf: &mut Vec<(VertexId, M)>,
-        combine: impl FnMut(M, M) -> M,
+        mut combine: impl FnMut(M, M) -> M,
     ) {
-        self.fold(n_locals, local_of, std::iter::once(buf.as_slice()), combine);
-        self.emit(buf);
+        if self.val.len() < n_locals {
+            self.grows += 1;
+            self.val.resize(n_locals, self.identity);
+            self.live.resize(n_locals.div_ceil(64), 0);
+        }
+        self.fold(buf, &local_of, &mut combine);
+        let mut kept = 0;
+        for i in 0..buf.len() {
+            let t = buf[i].0;
+            if let Some(v) = self.take(local_of(t) as usize) {
+                buf[kept] = (t, v);
+                kept += 1;
+            }
+        }
+        buf.truncate(kept);
     }
 
-    /// The one combining core: open a fresh epoch, then fold every message
-    /// into its target's slot, noting each target on first touch.
-    fn fold<'a>(
+    /// The one combining core: fold `bucket` into its targets' slots, left
+    /// to right.
+    fn fold(
         &mut self,
-        n_locals: usize,
+        bucket: &[(VertexId, M)],
         local_of: impl Fn(VertexId) -> u32,
-        sources: impl Iterator<Item = &'a [(VertexId, M)]>,
-        mut combine: impl FnMut(M, M) -> M,
-    ) where
+        combine: &mut impl FnMut(M, M) -> M,
+    ) {
+        for &(t, m) in bucket {
+            self.fold_one(local_of(t) as usize, m, combine);
+        }
+    }
+
+    fn fold_one(&mut self, l: usize, m: M, combine: &mut impl FnMut(M, M) -> M) {
+        self.val[l] = combine(self.val[l], m);
+        self.live[l / 64] |= 1 << (l % 64);
+    }
+
+    fn is_live(&self, l: usize) -> bool {
+        self.live[l / 64] >> (l % 64) & 1 == 1
+    }
+
+    /// Slot `l`'s value if it is live, leaving the slot reset.
+    fn take(&mut self, l: usize) -> Option<M> {
+        let word = &mut self.live[l / 64];
+        let bit = 1u64 << (l % 64);
+        (*word & bit != 0).then(|| {
+            *word &= !bit;
+            std::mem::replace(&mut self.val[l], self.identity)
+        })
+    }
+
+    /// Hand each live slot to `emit` as `(local id, value)`, reset it, and
+    /// return how many there were. `folded` are the buckets folded since the
+    /// last drain: with fewer messages than the bitmap has words, the walk
+    /// goes over them instead of the bitmap, so sparse traffic stays cheap.
+    fn drain<'a>(
+        &mut self,
+        folded: impl Iterator<Item = &'a [(u32, M)]> + Clone,
+        mut emit: impl FnMut(u32, M),
+    ) -> u64
+    where
         M: 'a,
     {
-        if self.stamp.len() < n_locals {
-            self.grows += 1;
-            self.stamp.resize(n_locals, 0);
+        if folded.clone().map(<[_]>::len).sum::<usize>() >= self.live.len() {
+            return self.drain_all(emit);
         }
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        let touched_cap = self.touched.capacity();
-        self.touched.clear();
-        for src in sources {
-            if self.val.len() < self.stamp.len() {
-                // Any payload serves as the fill: a slot is written on
-                // first touch before it is ever read.
-                let Some(&(_, fill)) = src.first() else { continue };
-                self.grows += 1;
-                self.val.resize(self.stamp.len(), fill);
-            }
-            for &(t, m) in src {
-                let l = local_of(t) as usize;
-                if self.stamp[l] != self.epoch {
-                    self.stamp[l] = self.epoch;
-                    self.val[l] = m;
-                    self.touched.push((t, l as u32));
-                } else {
-                    self.val[l] = combine(self.val[l], m);
-                }
+        let mut n = 0;
+        for &(l, _) in folded.flatten() {
+            if let Some(v) = self.take(l as usize) {
+                emit(l, v);
+                n += 1;
             }
         }
-        if self.touched.capacity() > touched_cap {
-            self.grows += 1;
-        }
+        n
     }
 
-    /// Replace `out` with the last fold's result, one entry per target.
-    fn emit(&mut self, out: &mut Vec<(VertexId, M)>) {
-        let cap = out.capacity();
-        out.clear();
-        out.extend(self.touched.iter().map(|&(t, l)| (t, self.val[l as usize])));
-        if out.capacity() > cap {
-            self.grows += 1;
+    /// [`Combiner::drain`] by the bitmap walk, in ascending local id.
+    fn drain_all(&mut self, mut emit: impl FnMut(u32, M)) -> u64 {
+        let mut n = 0;
+        for l in set_bits(&self.live, 0, self.val.len()) {
+            emit(l, std::mem::replace(&mut self.val[l as usize], self.identity));
+            n += 1;
         }
+        self.live.fill(0);
+        n
     }
 
     /// Number of internal buffer growths since construction. Constant
@@ -231,41 +242,59 @@ fn set_bits(words: &[u64], lo: usize, hi: usize) -> impl Iterator<Item = u32> + 
     })
 }
 
-/// One machine's inbox: the payloads delivered to it, grouped per
-/// fragment-local target id.
+/// One machine's inbox: the payloads delivered to it, per fragment-local
+/// target id, and how many each source machine sent.
 ///
-/// `has` holds one bit per local id, set iff that vertex has messages; it
-/// is what marks a local id's `start`/`count` entries valid, and what
+/// `acc`'s liveness bitmap holds one bit per local id, set iff that vertex
+/// has messages; it is what marks a local id's entries valid, and what
 /// [`Inbox::targets`] walks.
 #[derive(Debug, Clone)]
 pub struct Inbox<M> {
-    /// Message payloads for this machine, grouped by local id.
+    /// A counting delivery's payloads, grouped by local id.
     items: Vec<M>,
-    has: Vec<u64>,
     start: Vec<u32>,
     count: Vec<u32>,
+    /// A combining delivery's folded payload per local id.
+    acc: Combiner<M>,
+    /// One source machine's buckets, folded before they drain into `acc`.
+    scratch: Combiner<M>,
+    /// Whether the last delivery combined (payloads in `acc`, not `items`).
+    combined: bool,
+    len: usize,
+    per_source: Vec<u64>,
     grows: u64,
 }
 
 impl<M: Copy> Inbox<M> {
-    /// Inbox for a machine owning `n_locals` vertices.
-    pub fn new(n_locals: usize) -> Inbox<M> {
+    /// Inbox for a machine owning `n_locals` vertices; combining folds from
+    /// `identity` (see [`Combiner::new`]).
+    pub fn new(n_locals: usize, identity: M) -> Inbox<M> {
         Inbox {
             items: Vec::new(),
-            has: vec![0; n_locals.div_ceil(64)],
             start: vec![0; n_locals],
             count: vec![0; n_locals],
+            acc: Combiner::new(n_locals, identity),
+            scratch: Combiner::new(n_locals, identity),
+            combined: false,
+            len: 0,
+            per_source: Vec::new(),
             grows: 0,
         }
     }
 
     /// Number of delivered messages (post-combining).
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.len == 0
+    }
+
+    /// Messages each source machine contributed to the last delivery, in
+    /// machine order, counted after combining.
+    pub fn per_source(&self) -> &[u64] {
+        &self.per_source
     }
 
     /// Number of internal buffer growths since construction. Constant
@@ -275,11 +304,14 @@ impl<M: Copy> Inbox<M> {
     }
 
     /// Messages addressed to the vertex with fragment-local id `l`, in
-    /// arrival order: one bit test and one offset-table read.
+    /// arrival order: one bit test and one or two table reads.
     pub fn msgs_of(&self, l: u32) -> &[M] {
         let l = l as usize;
-        if self.has[l / 64] >> (l % 64) & 1 == 0 {
+        if !self.acc.is_live(l) {
             return &[];
+        }
+        if self.combined {
+            return std::slice::from_ref(&self.acc.val[l]);
         }
         let s = self.start[l] as usize;
         &self.items[s..s + self.count[l] as usize]
@@ -288,63 +320,46 @@ impl<M: Copy> Inbox<M> {
     /// The local ids in `lo..hi` that have messages, ascending. The cost
     /// follows the number of targets, not `hi - lo`.
     pub fn targets(&self, lo: u32, hi: u32) -> impl Iterator<Item = u32> + '_ {
-        set_bits(&self.has, lo as usize, hi as usize)
+        set_bits(&self.acc.live, lo as usize, hi as usize)
     }
 
-    /// Marks local id `l` as having messages; `true` on its first touch
-    /// since the bitmap was last zeroed.
-    fn first_touch(&mut self, l: usize) -> bool {
-        let (word, bit) = (&mut self.has[l / 64], 1u64 << (l % 64));
-        let first = *word & bit == 0;
-        *word |= bit;
-        first
-    }
-
-    /// Replace this inbox's contents with the messages in `sources`, each
-    /// entry `(local target id, payload)` (scanned in order — source order
-    /// is the inter-machine arrival order). With `combinable`, each target
-    /// keeps a single message: its arrivals folded left-to-right through
-    /// `combine`.
-    pub fn deliver<'a, S>(&mut self, sources: S, combinable: bool, combine: impl FnMut(M, M) -> M)
-    where
-        S: Iterator<Item = &'a [(u32, M)]> + Clone,
-        M: 'a,
-    {
-        let items_cap = self.items.capacity();
-        self.has.fill(0);
-        self.items.clear();
-        if combinable {
-            self.deliver_combined(sources, combine)
-        } else {
-            self.deliver_counted(sources)
-        }
-        if self.items.capacity() > items_cap {
-            self.grows += 1;
-        }
-    }
-
-    /// Combining delivery, one pass: a target's first message is appended
-    /// to `items` (so targets sit in first-touch order, one entry each) and
-    /// later ones fold into that entry.
-    fn deliver_combined<'a>(
+    /// Replace this inbox's contents with the messages of `sources`: one
+    /// item per source machine, in machine order, each yielding that
+    /// machine's buckets of `(local target id, payload)` in chunk order.
+    /// With `combinable`, each target keeps a single message: every source's
+    /// messages fold left to right, then the sources' results fold in order.
+    pub fn deliver<'a, S, B>(
         &mut self,
-        sources: impl Iterator<Item = &'a [(u32, M)]>,
+        sources: S,
+        combinable: bool,
         mut combine: impl FnMut(M, M) -> M,
     ) where
+        S: Iterator<Item = B> + Clone,
+        B: Iterator<Item = &'a [(u32, M)]> + Clone,
         M: 'a,
     {
-        for src in sources {
-            for &(l, m) in src {
-                let l = l as usize;
-                if self.first_touch(l) {
-                    self.start[l] = self.items.len() as u32;
-                    self.count[l] = 1;
-                    self.items.push(m);
-                } else {
-                    let folded = &mut self.items[self.start[l] as usize];
-                    *folded = combine(*folded, m);
+        let caps = (self.items.capacity(), self.per_source.capacity());
+        self.acc.drain_all(|_, _| {});
+        self.per_source.clear();
+        self.combined = combinable;
+        if combinable {
+            let Inbox { acc, scratch, per_source, .. } = self;
+            for src in sources {
+                for bucket in src.clone() {
+                    scratch.fold(bucket, |l| l, &mut combine);
                 }
+                per_source
+                    .push(scratch.drain(src, |l, v| acc.fold_one(l as usize, v, &mut combine)));
             }
+            self.len = self.acc.live.iter().map(|w| w.count_ones() as usize).sum();
+        } else {
+            let counts = sources.clone().map(|src| src.map(|b| b.len() as u64).sum::<u64>());
+            self.per_source.extend(counts);
+            self.deliver_counted(sources.flatten());
+            self.len = self.items.len();
+        }
+        if self.items.capacity() > caps.0 || self.per_source.capacity() > caps.1 {
+            self.grows += 1;
         }
     }
 
@@ -359,19 +374,21 @@ impl<M: Copy> Inbox<M> {
         S: Iterator<Item = &'a [(u32, M)]> + Clone,
         M: 'a,
     {
+        self.items.clear();
         let Some(&(_, filler)) = sources.clone().flatten().next() else { return };
         for src in sources.clone() {
             for &(l, _) in src {
                 let l = l as usize;
-                if self.first_touch(l) {
-                    self.count[l] = 1;
-                } else {
+                if self.acc.is_live(l) {
                     self.count[l] += 1;
+                } else {
+                    self.acc.live[l / 64] |= 1 << (l % 64);
+                    self.count[l] = 1;
                 }
             }
         }
         let mut total = 0u32;
-        for l in set_bits(&self.has, 0, self.start.len()) {
+        for l in set_bits(&self.acc.live, 0, self.start.len()) {
             let l = l as usize;
             self.start[l] = total;
             total += std::mem::take(&mut self.count[l]);
@@ -394,8 +411,8 @@ mod tests {
     use super::*;
     use graphbench_graph::rng::{for_each_seed, Rng};
 
-    /// An order-sensitive, non-commutative fold: catches any deviation
-    /// from arrival-order combining.
+    /// An order-sensitive, non-commutative fold with identity `0`: catches
+    /// any deviation from arrival-order combining.
     fn fold(a: u64, b: u64) -> u64 {
         a.wrapping_mul(31).wrapping_add(b)
     }
@@ -442,14 +459,24 @@ mod tests {
         (0..rng.below(200)).map(|_| (rng.below_u32(40), rng.below(1_000_000) as u64)).collect()
     }
 
-    /// One to four source buckets of up to 59 messages over [`LOCALS`].
-    fn arb_sources(rng: &mut Rng) -> Vec<Vec<(u32, u64)>> {
+    /// One to four source machines of one to three chunk buckets each, over
+    /// [`LOCALS`]. Half the buckets hold fewer messages than the bitmap has
+    /// words, so both drain walks run.
+    fn arb_sources(rng: &mut Rng) -> Vec<Vec<Vec<(u32, u64)>>> {
         let bucket = |rng: &mut Rng| {
-            (0..rng.below(60))
-                .map(|_| (rng.below_u32(LOCALS as u32), rng.below(1_000_000) as u64))
-                .collect()
+            let len = if rng.below(2) == 0 { rng.below(3) } else { rng.below(60) };
+            (0..len).map(|_| (rng.below_u32(LOCALS as u32), rng.below(1_000_000) as u64)).collect()
         };
-        (0..1 + rng.below(4)).map(|_| bucket(rng)).collect()
+        (0..1 + rng.below(4))
+            .map(|_| (0..1 + rng.below(3)).map(|_| bucket(rng)).collect())
+            .collect()
+    }
+
+    /// The `sources` argument of [`Inbox::deliver`] over nested vectors.
+    fn as_sources(
+        srcs: &[Vec<Vec<(u32, u64)>>],
+    ) -> impl Iterator<Item = impl Iterator<Item = &[(u32, u64)]> + Clone> + Clone {
+        srcs.iter().map(|s| s.iter().map(Vec::as_slice))
     }
 
     /// `Combiner::combine_bucket` and the stable-sort oracle agree on
@@ -470,9 +497,10 @@ mod tests {
         });
     }
 
-    /// However a message list is cut into sources, the multi-source
-    /// combine yields the oracle's value for every target of the
-    /// concatenation, in the concatenation's first-touch order.
+    /// However a message list is cut into buckets, folding them in order
+    /// and draining yields the oracle's value for every target of the
+    /// concatenation, once each. The 64-word bitmap makes short lists take
+    /// the message walk and long ones the bitmap walk.
     #[test]
     fn multi_source_combine_matches_oracle_of_concatenation() {
         for_each_seed(256, |_, rng| {
@@ -481,47 +509,61 @@ mod tests {
             let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(msgs.len())).collect();
             cuts.extend([0, msgs.len()]);
             cuts.sort_unstable();
-            let sources = cuts.windows(2).map(|w| &msgs[w[0]..w[1]]);
-            let mut comb: Combiner<u64> = Combiner::with_capacity(40);
-            let mut out = vec![(7, 7)]; // stale contents must be replaced
-            comb.combine_sources(40, sources, &mut out, fold);
-
-            let mut first_touch: Vec<u32> = Vec::new();
-            for &(t, _) in &msgs {
-                if !first_touch.contains(&t) {
-                    first_touch.push(t);
-                }
+            let buckets = cuts.windows(2).map(|w| &msgs[w[0]..w[1]]);
+            let mut comb: Combiner<u64> = Combiner::with_capacity(64 * 64);
+            for b in buckets.clone() {
+                comb.fold(b, |t| t, &mut fold);
             }
-            assert_eq!(out.iter().map(|&(t, _)| t).collect::<Vec<_>>(), first_touch);
+            let mut out = Vec::new();
+            let n = comb.drain(buckets, |l, v| out.push((l, v)));
+            assert_eq!(n, out.len() as u64);
             let mut sorted = msgs.clone();
             sort_combine_in_place(&mut sorted, fold);
             out.sort_by_key(|&(t, _)| t);
             assert_eq!(out, sorted);
+            assert!(comb.live.iter().all(|&w| w == 0));
+            assert!(comb.val.iter().all(|&v| v == 0), "a slot kept its value");
         });
     }
 
     /// The inbox exposes, per vertex, exactly the slice the stable-sort
-    /// oracle groups (or folds, when combining) across multiple source
-    /// buckets, and its bitmap names exactly the vertices with
-    /// messages — also after a second delivery of other messages in
-    /// either mode, so no table entry or bit outlives its delivery.
+    /// oracle groups or — combining — folds per source machine and then
+    /// across sources; its per-source counts are the distinct targets of
+    /// each source (combining) or its bucket lengths (counting); and its
+    /// bitmap names exactly the vertices with messages. Checked over two
+    /// deliveries in a row, either mode each, so no slot, table entry or
+    /// bit outlives its delivery.
     #[test]
     fn inbox_slices_match_stable_sort_oracle() {
         for_each_seed(256, |_, rng| {
             let rounds = [(); 2].map(|_| (arb_sources(rng), rng.below(2) == 1));
             let a = rng.below_u32(LOCALS as u32 + 1);
             let b = rng.below_u32(LOCALS as u32 + 1);
-            let mut inbox: Inbox<u64> = Inbox::new(LOCALS);
+            let mut inbox: Inbox<u64> = Inbox::new(LOCALS, 0);
             for (srcs, combinable) in &rounds {
-                let mut want = reference_groups(&srcs.concat(), LOCALS);
-                if *combinable {
-                    for group in want.iter_mut().filter(|g| !g.is_empty()) {
-                        *group = vec![group[1..].iter().fold(group[0], |x, &y| fold(x, y))];
-                    }
-                }
-                inbox.deliver(srcs.iter().map(|s| s.as_slice()), *combinable, fold);
+                let per_src: Vec<Vec<(u32, u64)>> = srcs.iter().map(|s| s.concat()).collect();
+                let (want, counts): (Vec<Vec<u64>>, Vec<u64>) = if *combinable {
+                    let folded: Vec<Vec<(u32, u64)>> = per_src
+                        .iter()
+                        .map(|msgs| {
+                            let mut msgs = msgs.clone();
+                            sort_combine_in_place(&mut msgs, fold);
+                            msgs
+                        })
+                        .collect();
+                    let mut all = folded.concat();
+                    sort_combine_in_place(&mut all, fold);
+                    let mut want = vec![Vec::new(); LOCALS];
+                    all.iter().for_each(|&(t, v)| want[t as usize] = vec![v]);
+                    (want, folded.iter().map(|f| f.len() as u64).collect())
+                } else {
+                    let want = reference_groups(&per_src.concat(), LOCALS);
+                    (want, per_src.iter().map(|m| m.len() as u64).collect())
+                };
+                inbox.deliver(as_sources(srcs), *combinable, fold);
+                assert_eq!(inbox.per_source(), counts.as_slice());
                 assert_eq!(inbox.len(), want.iter().map(Vec::len).sum::<usize>());
-                assert_eq!(inbox.is_empty(), srcs.concat().is_empty());
+                assert_eq!(inbox.is_empty(), per_src.concat().is_empty());
                 for v in 0..LOCALS as u32 {
                     assert_eq!(inbox.msgs_of(v), want[v as usize].as_slice(), "vertex {}", v);
                 }
@@ -535,33 +577,37 @@ mod tests {
 
     #[test]
     fn counted_groups_keep_arrival_order() {
-        let srcs: Vec<Vec<(u32, u64)>> =
-            vec![vec![(2, 10), (1, 11), (2, 12)], vec![(1, 13), (2, 14)]];
-        let mut inbox: Inbox<u64> = Inbox::new(3);
-        inbox.deliver(srcs.iter().map(|s| s.as_slice()), false, fold);
+        let srcs = vec![vec![vec![(2, 10), (1, 11)], vec![(2, 12)]], vec![vec![(1, 13), (2, 14)]]];
+        let mut inbox: Inbox<u64> = Inbox::new(3, 0);
+        inbox.deliver(as_sources(&srcs), false, fold);
         assert_eq!(inbox.msgs_of(2), &[10, 12, 14]);
         assert_eq!(inbox.msgs_of(1), &[11, 13]);
         assert_eq!(inbox.msgs_of(0), &[] as &[u64]);
         assert_eq!(inbox.len(), 5);
+        assert_eq!(inbox.per_source(), &[3, 2]);
         assert_eq!(inbox.targets(0, 3).collect::<Vec<_>>(), vec![1, 2]);
     }
 
+    /// Two levels: a source's chunk buckets fold left to right, then the
+    /// sources' results fold in machine order.
     #[test]
-    fn combined_delivery_folds_in_arrival_order() {
-        let srcs: Vec<Vec<(u32, u64)>> = vec![vec![(0, 3), (0, 5)], vec![(0, 7)]];
-        let mut inbox: Inbox<u64> = Inbox::new(1);
-        inbox.deliver(srcs.iter().map(|s| s.as_slice()), true, fold);
-        assert_eq!(inbox.msgs_of(0), &[fold(fold(3, 5), 7)]);
+    fn combined_delivery_folds_per_source_then_across_sources() {
+        let srcs = vec![vec![vec![(0, 3)], vec![(0, 5)]], vec![vec![(0, 7), (0, 11)]]];
+        let mut inbox: Inbox<u64> = Inbox::new(1, 0);
+        inbox.deliver(as_sources(&srcs), true, fold);
+        assert_eq!(inbox.msgs_of(0), &[fold(fold(3, 5), fold(7, 11))]);
+        assert_ne!(fold(fold(3, 5), fold(7, 11)), fold(fold(fold(3, 5), 7), 11));
         assert_eq!(inbox.len(), 1);
+        assert_eq!(inbox.per_source(), &[1, 1]);
     }
 
     /// A range's walk is masked at both ends, wherever they fall relative
     /// to the bitmap's word boundaries.
     #[test]
     fn targets_respect_range_ends_across_words() {
-        let all: Vec<(u32, u64)> = (0..200).map(|l| (l, 0)).collect();
-        let mut inbox: Inbox<u64> = Inbox::new(200);
-        inbox.deliver(std::iter::once(all.as_slice()), true, fold);
+        let all = vec![vec![(0..200).map(|l| (l, 0)).collect::<Vec<(u32, u64)>>()]];
+        let mut inbox: Inbox<u64> = Inbox::new(200, 0);
+        inbox.deliver(as_sources(&all), true, fold);
         for (lo, hi) in [(0, 200), (0, 1), (63, 65), (64, 128), (1, 64), (65, 199), (199, 200)] {
             assert_eq!(inbox.targets(lo, hi).collect::<Vec<_>>(), (lo..hi).collect::<Vec<_>>());
         }
@@ -574,17 +620,15 @@ mod tests {
     #[test]
     fn radix_buffers_stop_growing_after_warmup() {
         let n_locals = 64usize;
-        let srcs: Vec<Vec<(u32, u64)>> = (0..4)
-            .map(|s| (0..200).map(|i| (((s * 7 + i) % 64) as u32, i as u64)).collect())
+        let srcs: Vec<Vec<Vec<(u32, u64)>>> = (0..4)
+            .map(|s| vec![(0..200).map(|i| (((s * 7 + i) % 64) as u32, i as u64)).collect()])
             .collect();
-        let mut inbox: Inbox<u64> = Inbox::new(n_locals);
+        let mut inbox: Inbox<u64> = Inbox::new(n_locals, 0);
         let mut comb: Combiner<u64> = Combiner::with_capacity(n_locals);
-        let mut out: Vec<(u32, u64)> = Vec::new();
-        let mut round = |inbox: &mut Inbox<u64>, comb: &mut Combiner<u64>, combinable: bool| {
-            let mut bucket = srcs[0].clone();
+        let round = |inbox: &mut Inbox<u64>, comb: &mut Combiner<u64>, combinable: bool| {
+            let mut bucket = srcs[0][0].clone();
             comb.combine_bucket(n_locals, |t| t, &mut bucket, fold);
-            comb.combine_sources(n_locals, srcs.iter().map(|s| s.as_slice()), &mut out, fold);
-            inbox.deliver(srcs.iter().map(|s| s.as_slice()), combinable, fold);
+            inbox.deliver(as_sources(&srcs), combinable, fold);
         };
         for combinable in [false, true, false, true] {
             round(&mut inbox, &mut comb, combinable);
@@ -597,21 +641,6 @@ mod tests {
                 assert_eq!(inbox.grows(), inbox_warm, "inbox grew on round {i}");
                 assert_eq!(comb.grows(), comb_warm, "combiner grew on round {i}");
             }
-        }
-    }
-
-    /// Epoch wrap-around keeps combining correct (forced by starting near
-    /// `u32::MAX`).
-    #[test]
-    fn epoch_wrap_is_safe() {
-        let mut comb: Combiner<u64> = Combiner::with_capacity(4);
-        comb.epoch = u32::MAX - 1;
-        comb.stamp.fill(u32::MAX - 1);
-        for _ in 0..4 {
-            let mut bucket = vec![(2u32, 3u64), (2, 4), (0, 9)];
-            comb.combine_bucket(4, |t| t, &mut bucket, fold);
-            bucket.sort_by_key(|&(t, _)| t);
-            assert_eq!(bucket, vec![(0, 9), (2, fold(3, 4))]);
         }
     }
 
@@ -688,14 +717,15 @@ mod tests {
     /// unreachable.
     #[test]
     fn empty_delivery_resets() {
-        let srcs: Vec<Vec<(u32, u64)>> = vec![vec![(0, 1), (1, 2)]];
-        let none: Vec<Vec<(u32, u64)>> = vec![Vec::new()];
+        let srcs = vec![vec![vec![(0, 1), (1, 2)]]];
+        let none: Vec<Vec<Vec<(u32, u64)>>> = vec![vec![Vec::new()]];
         for combinable in [false, true] {
-            let mut inbox: Inbox<u64> = Inbox::new(2);
-            inbox.deliver(srcs.iter().map(|s| s.as_slice()), combinable, fold);
+            let mut inbox: Inbox<u64> = Inbox::new(2, 0);
+            inbox.deliver(as_sources(&srcs), combinable, fold);
             assert_eq!(inbox.len(), 2);
-            inbox.deliver(none.iter().map(|s| s.as_slice()), combinable, fold);
+            inbox.deliver(as_sources(&none), combinable, fold);
             assert!(inbox.is_empty());
+            assert_eq!(inbox.per_source(), &[0]);
             assert_eq!(inbox.msgs_of(0), &[] as &[u64]);
             assert_eq!(inbox.msgs_of(1), &[] as &[u64]);
             assert_eq!(inbox.targets(0, 2).count(), 0);

@@ -4,8 +4,9 @@
 //! journals, results, everything the harness writes — must be bit-for-bit
 //! identical at any chunk-size × thread-count combination, on clean runs
 //! and under injected faults, for every engine that routes per-machine
-//! superstep work through `exec::run_chunks` (GAS, Blogel, GraphX, Hadoop,
-//! Vertica — the BSP engines are covered by `determinism_parallel.rs`).
+//! superstep work through `exec::run_chunks`: GAS, Blogel-B, GraphX,
+//! Hadoop, Vertica, and the BSP engines Giraph, Blogel-V and Gelly, whose
+//! f64 combiner folds PageRank ranks across chunk buckets.
 
 use graphbench::system::GlStop;
 use graphbench::{ExperimentSpec, PaperEnv, RunRecord, Runner, SystemId};
@@ -41,9 +42,18 @@ fn gas() -> SystemId {
     SystemId::GraphLab { sync: true, auto: false, stop: GlStop::Iterations }
 }
 
-/// The engines newly routed through `exec::run_chunks`.
-fn newly_chunked() -> [SystemId; 5] {
-    [gas(), SystemId::BlogelB, SystemId::GraphX, SystemId::Hadoop, SystemId::Vertica]
+/// The engines routed through `exec::run_chunks`.
+fn chunked() -> [SystemId; 8] {
+    [
+        gas(),
+        SystemId::BlogelB,
+        SystemId::GraphX,
+        SystemId::Hadoop,
+        SystemId::Vertica,
+        SystemId::Giraph,
+        SystemId::BlogelV,
+        SystemId::Gelly,
+    ]
 }
 
 fn record(
@@ -81,7 +91,7 @@ fn assert_matches_baseline(spec: &ExperimentSpec, faults: Option<&FaultPlan>) {
 #[test]
 fn clean_runs_are_chunk_and_thread_invariant() {
     let _guard = CHUNK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for system in newly_chunked() {
+    for system in chunked() {
         for workload in [WorkloadKind::Wcc, WorkloadKind::PageRank, WorkloadKind::KHop] {
             let spec =
                 ExperimentSpec { system, workload, dataset: DatasetKind::Twitter, machines: 8 };
@@ -100,7 +110,7 @@ fn faulted_runs_are_chunk_and_thread_invariant() {
     // ignored by the simulator, which keeps this plan valid everywhere).
     let plan = FaultPlan::parse("straggler@0.5+1e9:m1x2; netdeg@2+1e9:x0.6; crash@300:m3")
         .expect("fault grammar");
-    for system in newly_chunked() {
+    for system in chunked() {
         for workload in [WorkloadKind::Wcc, WorkloadKind::PageRank] {
             let spec =
                 ExperimentSpec { system, workload, dataset: DatasetKind::Twitter, machines: 8 };
@@ -133,10 +143,12 @@ mod chunked_engines_equal_serial {
     use super::{parallel_threads, CHUNK_LOCK};
     use graphbench_algos::workload::PageRankConfig;
     use graphbench_algos::Workload;
-    use graphbench_engines::blogel::BlogelB;
+    use graphbench_engines::blogel::{BlogelB, BlogelV};
     use graphbench_engines::gas::GraphLab;
+    use graphbench_engines::gelly::Gelly;
     use graphbench_engines::graphx::GraphX;
     use graphbench_engines::hadoop::Hadoop;
+    use graphbench_engines::pregel::Giraph;
     use graphbench_engines::vertica::Vertica;
     use graphbench_engines::{exec, Engine, EngineInput, RunOutput, ScaleInfo};
     use graphbench_graph::builder::{csr_from_pairs, edge_list_from_pairs};
@@ -145,12 +157,15 @@ mod chunked_engines_equal_serial {
     use graphbench_sim::ClusterSpec;
 
     fn engine(idx: usize) -> Box<dyn Engine> {
-        match idx % 5 {
+        match idx % 8 {
             0 => Box::new(GraphLab::sync_random()),
             1 => Box::new(BlogelB::default()),
             2 => Box::new(GraphX::default()),
             3 => Box::new(Hadoop),
             4 => Box::new(Vertica::default()),
+            5 => Box::new(Giraph::default()),
+            6 => Box::new(BlogelV),
+            7 => Box::new(Gelly::default()),
             _ => unreachable!(),
         }
     }
@@ -196,10 +211,10 @@ mod chunked_engines_equal_serial {
     /// parallel, reproduces the serial default-chunk run exactly.
     #[test]
     fn chunked_matches_serial_on_random_graphs() {
-        for_each_seed(24, |_, rng| {
+        for_each_seed(40, |_, rng| {
             let pairs: Vec<(VertexId, VertexId)> =
                 (0..1 + rng.below(119)).map(|_| (rng.below_u32(25), rng.below_u32(25))).collect();
-            let engine_idx = rng.below(5);
+            let engine_idx = rng.below(8);
             let workload_idx = rng.below(3);
             let machines = 1 + rng.below(5);
             let src = rng.below_u32(25);
