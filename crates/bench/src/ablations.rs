@@ -128,19 +128,8 @@ pub fn checkpointing(ctx: &Ctx) -> Vec<RunRecord> {
 /// A deferred engine constructor (each trial builds a fresh engine).
 type EngineMaker = fn() -> Box<dyn Engine>;
 
-/// One family of mid-run disturbances priced against the same PageRank run
-/// (Twitter @16, 20 iterations): every system runs once undisturbed, then
-/// once per scenario with the plan built from the undisturbed runtime.
-struct Scenarios {
-    title: &'static str,
-    clean_header: &'static str,
-    /// (label, mechanism, engine).
-    systems: &'static [(&'static str, &'static str, EngineMaker)],
-    /// (table column, JSON key, plan at the undisturbed runtime).
-    scenarios: [(&'static str, &'static str, fn(f64) -> FaultPlan); 3],
-    /// What the JSON report is, and where it goes.
-    report: (&'static str, &'static str),
-}
+/// A fault plan built from the undisturbed runtime.
+type PlanAt = fn(f64) -> FaultPlan;
 
 struct ScenarioCost {
     /// `OK`, or the failure code of a run the scenario killed.
@@ -148,12 +137,6 @@ struct ScenarioCost {
     total_secs: f64,
     /// Journal seconds under the `recovery`/`retry`/`straggler` labels.
     fault_secs: f64,
-    /// Journal seconds under the `migrate` label: snapshot legs, fragment
-    /// exchange, and index rebuild on the receiving machines.
-    elastic_secs: f64,
-    resizes: u64,
-    migrated_bytes: u64,
-    migrated_fragments: u64,
 }
 
 struct ScenarioRow {
@@ -165,11 +148,9 @@ struct ScenarioRow {
     results_identical: bool,
 }
 
-graphbench_sim::json_struct!(write ScenarioCost {
-    status, total_secs, fault_secs, elastic_secs, resizes, migrated_bytes, migrated_fragments,
-});
+graphbench_sim::json_struct!(write ScenarioCost { status, total_secs, fault_secs });
 
-/// One member per scenario, keyed by its JSON key.
+/// One member per scenario, keyed by its name.
 impl ToJson for ScenarioRow {
     fn write_json(&self, w: &mut Writer) {
         w.begin_object();
@@ -193,85 +174,11 @@ struct ScenarioReport {
 
 graphbench_sim::json_struct!(write ScenarioReport { scale_base, machines, workload, rows });
 
-impl Scenarios {
-    /// Run the family. A disturbed run that fails is a cell showing its
-    /// status code, not a crash; one that finishes must reproduce the
-    /// undisturbed answer bit-for-bit.
-    fn run(&self, ctx: &Ctx) -> Vec<RunRecord> {
-        let mut runner = ctx.runner();
-        let ds = runner.env.prepare(DatasetKind::Twitter);
-        let base_cluster = runner.env.cluster_for(DatasetKind::Twitter, 16, WorkloadKind::PageRank);
-        let columns = self.scenarios.map(|(column, _, _)| column);
-        let mut t = Table::new(
-            self.title,
-            &["system", "mechanism", self.clean_header, columns[0], columns[1], columns[2]],
-        );
-        let mut rows = Vec::new();
-        let mut records = Vec::new();
-        for &(system, mechanism, make) in self.systems {
-            let run = |faults: FaultPlan| -> RunOutput {
-                let cluster = ClusterSpec { faults, ..base_cluster.clone() };
-                make().run(&ds.input(pagerank20(), cluster, ctx.seed()))
-            };
-            let clean = run(FaultPlan::none());
-            let t_clean = clean.metrics.total_time();
-            let mut cells = vec![system.to_string(), mechanism.into(), format!("{t_clean:.0}")];
-            let mut costs = Vec::new();
-            let mut results_identical = true;
-            for (column, key, plan) in self.scenarios {
-                let out = run(plan(t_clean));
-                let same = clean.result == out.result;
-                results_identical &= same;
-                if out.metrics.status.is_ok() && clean.metrics.status.is_ok() {
-                    assert!(same, "{system}/{column} changed the answer");
-                    let pct = (out.metrics.total_time() / t_clean - 1.0) * 100.0;
-                    cells.push(format!("{pct:+.0}%"));
-                } else {
-                    cells.push(out.metrics.status.code().into());
-                }
-                costs.push((
-                    key,
-                    ScenarioCost {
-                        status: out.metrics.status.code().into(),
-                        total_secs: out.metrics.total_time(),
-                        fault_secs: out.journal.fault_seconds(),
-                        elastic_secs: out.journal.elastic_seconds(),
-                        resizes: out.registry.counter("elastic.resizes"),
-                        migrated_bytes: out.registry.counter("elastic.migrated.bytes"),
-                        migrated_fragments: out.registry.counter("elastic.migrated.fragments"),
-                    },
-                ));
-                let label = format!("{system}/{column}");
-                records.push(RunRecord::new(label, "pagerank", "Twitter", 16, out));
-            }
-            let label = format!("{system}/undisturbed");
-            records.push(RunRecord::new(label, "pagerank", "Twitter", 16, clean));
-            t.row(cells);
-            rows.push(ScenarioRow {
-                system,
-                mechanism,
-                clean_secs: t_clean,
-                costs,
-                results_identical,
-            });
-        }
-        println!("{}", t.render());
-        let report = ScenarioReport {
-            scale_base: ctx.cfg.scale.base,
-            machines: 16,
-            workload: "PageRank-I20",
-            rows,
-        };
-        let (what, file) = self.report;
-        write_output(what, file, json::to_string_pretty(&report));
-        println!("{what} -> {file}\n");
-        records
-    }
-}
-
 /// Table 1's fault-tolerance column, exercised. The paper lists each
 /// system's mechanism (global checkpoint, re-execution, lineage, none) but
-/// never kills a machine; the simulator can. Three fault axes:
+/// never kills a machine; the simulator can. Every system runs the same
+/// PageRank (Twitter @16, 20 iterations) once undisturbed, then once per
+/// fault axis with the plan built from the undisturbed runtime:
 ///
 /// * **crash** — one worker dies 70% of the way through the fault-free
 ///   runtime; the mechanism's recovery cost is the difference;
@@ -279,92 +186,105 @@ impl Scenarios {
 ///   run (no recovery, just skew the barriers absorb);
 /// * **transient** — a lost shuffle fetch and a failed HDFS write, each
 ///   retried with bounded exponential backoff instead of aborting.
-pub fn fault_tolerance(ctx: &Ctx) -> Vec<RunRecord> {
-    Scenarios {
-        title:
-            "fault cost by axis (crash @70%; 2x straggler for the middle half; retried transients)",
-        clean_header: "fault-free (s)",
-        systems: &[
-            ("G (no ckpt)", "restart from input", || Box::new(Giraph::default())),
-            ("G (ckpt @5)", "global checkpoint", || {
-                Box::new(Giraph { checkpoint_every: Some(5), ..Giraph::default() })
-            }),
-            ("HD", "task re-execution", || Box::new(Hadoop)),
-            ("HL", "task re-execution", || Box::new(HaLoop)),
-            ("S (lineage)", "RDD lineage recompute", || {
-                Box::new(GraphX { num_partitions: Some(128), ..GraphX::default() })
-            }),
-            ("S (ckpt @5)", "lineage + checkpoint", || {
-                Box::new(GraphX {
-                    num_partitions: Some(128),
-                    checkpoint_every: Some(5),
-                    ..GraphX::default()
-                })
-            }),
-            ("V", "query restart", || Box::new(Vertica::default())),
-        ],
-        scenarios: [
-            ("crash", "crash", |t| FaultPlan::single(t * 0.7, 3)),
-            ("straggler", "straggler", |t| FaultPlan {
-                events: vec![FaultEvent::Straggler {
-                    start: t * 0.25,
-                    duration: t * 0.5,
-                    machine: 3,
-                    slowdown: 2.0,
-                }],
-            }),
-            ("transient", "transient", |t| FaultPlan {
-                events: vec![
-                    FaultEvent::LostShuffleFetch { at_time: t * 0.4, machine: 3, attempts: 2 },
-                    FaultEvent::FailedHdfsWrite { at_time: t * 0.6, machine: 3, attempts: 2 },
-                ],
-            }),
-        ],
-        report: ("fault cost decomposition", "BENCH_faults.json"),
-    }
-    .run(ctx)
-}
-
-/// Elastic cluster membership, measured. The paper fixes the machine count
-/// per experiment (Table 2: 16..128) and never resizes a running job; the
-/// simulator can. Three membership scenarios, on the two engines that
-/// migrate live state (Giraph's BSP checkpoint path and GraphX's RDD
-/// re-materialization):
 ///
-/// * **scale-in** — half the machines leave 40% of the way through; the
-///   departing hosts' fragments are snapshotted to HDFS and rebuilt on the
-///   survivors, and every superstep after the cut runs at half width;
-/// * **trough** — scale-in at 30%, scale-out back at 60%: the cluster
-///   returns to its original placement (the fragment map is deterministic),
-///   paying migration twice;
-/// * **scale-out** — 8 extra machines join at 40%. Placement granularity is
-///   the fragment (one per initial machine), so the newcomers idle and zero
-///   bytes move — the honest partition-granularity limitation.
-pub fn elastic(ctx: &Ctx) -> Vec<RunRecord> {
-    fn resize(at_time: f64, delta: i64) -> FaultEvent {
-        FaultEvent::Resize { at_time, delta }
+/// A disturbed run that fails is a cell showing its status code, not a
+/// crash; one that finishes must reproduce the undisturbed answer
+/// bit-for-bit.
+pub fn fault_tolerance(ctx: &Ctx) -> Vec<RunRecord> {
+    let systems: [(&str, &str, EngineMaker); 7] = [
+        ("G (no ckpt)", "restart from input", || Box::new(Giraph::default())),
+        ("G (ckpt @5)", "global checkpoint", || {
+            Box::new(Giraph { checkpoint_every: Some(5), ..Giraph::default() })
+        }),
+        ("HD", "task re-execution", || Box::new(Hadoop)),
+        ("HL", "task re-execution", || Box::new(HaLoop)),
+        ("S (lineage)", "RDD lineage recompute", || {
+            Box::new(GraphX { num_partitions: Some(128), ..GraphX::default() })
+        }),
+        ("S (ckpt @5)", "lineage + checkpoint", || {
+            Box::new(GraphX {
+                num_partitions: Some(128),
+                checkpoint_every: Some(5),
+                ..GraphX::default()
+            })
+        }),
+        ("V", "query restart", || Box::new(Vertica::default())),
+    ];
+    let scenarios: [(&str, PlanAt); 3] = [
+        ("crash", |t| FaultPlan::single(t * 0.7, 3)),
+        ("straggler", |t| FaultPlan {
+            events: vec![FaultEvent::Straggler {
+                start: t * 0.25,
+                duration: t * 0.5,
+                machine: 3,
+                slowdown: 2.0,
+            }],
+        }),
+        ("transient", |t| FaultPlan {
+            events: vec![
+                FaultEvent::LostShuffleFetch { at_time: t * 0.4, machine: 3, attempts: 2 },
+                FaultEvent::FailedHdfsWrite { at_time: t * 0.6, machine: 3, attempts: 2 },
+            ],
+        }),
+    ];
+
+    let mut runner = ctx.runner();
+    let ds = runner.env.prepare(DatasetKind::Twitter);
+    let base_cluster = runner.env.cluster_for(DatasetKind::Twitter, 16, WorkloadKind::PageRank);
+    let mut t = Table::new(
+        "fault cost by axis (crash @70%; 2x straggler for the middle half; retried transients)",
+        &["system", "mechanism", "fault-free (s)", "crash", "straggler", "transient"],
+    );
+    let mut rows = Vec::new();
+    let mut records = Vec::new();
+    for (system, mechanism, make) in systems {
+        let run = |faults: FaultPlan| -> RunOutput {
+            let cluster = ClusterSpec { faults, ..base_cluster.clone() };
+            make().run(&ds.input(pagerank20(), cluster, ctx.seed()))
+        };
+        let clean = run(FaultPlan::none());
+        let t_clean = clean.metrics.total_time();
+        let mut cells = vec![system.to_string(), mechanism.into(), format!("{t_clean:.0}")];
+        let mut costs = Vec::new();
+        let mut results_identical = true;
+        for (scenario, plan) in scenarios {
+            let out = run(plan(t_clean));
+            let same = clean.result == out.result;
+            results_identical &= same;
+            if out.metrics.status.is_ok() && clean.metrics.status.is_ok() {
+                assert!(same, "{system}/{scenario} changed the answer");
+                let pct = (out.metrics.total_time() / t_clean - 1.0) * 100.0;
+                cells.push(format!("{pct:+.0}%"));
+            } else {
+                cells.push(out.metrics.status.code().into());
+            }
+            costs.push((
+                scenario,
+                ScenarioCost {
+                    status: out.metrics.status.code().into(),
+                    total_secs: out.metrics.total_time(),
+                    fault_secs: out.journal.fault_seconds(),
+                },
+            ));
+            let label = format!("{system}/{scenario}");
+            records.push(RunRecord::new(label, "pagerank", "Twitter", 16, out));
+        }
+        let label = format!("{system}/undisturbed");
+        records.push(RunRecord::new(label, "pagerank", "Twitter", 16, clean));
+        t.row(cells);
+        rows.push(ScenarioRow { system, mechanism, clean_secs: t_clean, costs, results_identical });
     }
-    Scenarios {
-        title: "elastic membership cost (16 machines; -m8 = half leave, +m8 = half join)",
-        clean_header: "static (s)",
-        systems: &[
-            ("G (ckpt @5)", "snapshot-assisted migration", || {
-                Box::new(Giraph { checkpoint_every: Some(5), ..Giraph::default() })
-            }),
-            ("S (lineage)", "RDD re-materialization", || {
-                Box::new(GraphX { num_partitions: Some(128), ..GraphX::default() })
-            }),
-        ],
-        scenarios: [
-            ("scale-in", "scale_in", |t| FaultPlan { events: vec![resize(t * 0.4, -8)] }),
-            ("trough", "trough", |t| FaultPlan {
-                events: vec![resize(t * 0.3, -8), resize(t * 0.6, 8)],
-            }),
-            ("scale-out", "scale_out", |t| FaultPlan { events: vec![resize(t * 0.4, 8)] }),
-        ],
-        report: ("elastic membership cost decomposition", "BENCH_elastic.json"),
-    }
-    .run(ctx)
+    println!("{}", t.render());
+    let report = ScenarioReport {
+        scale_base: ctx.cfg.scale.base,
+        machines: 16,
+        workload: "PageRank-I20",
+        rows,
+    };
+    let (what, file) = ("fault cost decomposition", "BENCH_faults.json");
+    write_output(what, file, json::to_string_pretty(&report));
+    println!("{what} -> {file}\n");
+    records
 }
 
 /// Weak scalability (§5.12). The paper only runs *strong* scaling (fixed

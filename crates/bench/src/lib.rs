@@ -270,18 +270,6 @@ pub const TARGETS: &[Target] = &[
                for the slowest worker), and transients cost only their retry backoff.",
     },
     Target {
-        name: "ablation_elastic",
-        what: "live scale-in / scale-out mid-PageRank: migration cost and bit-identical answers",
-        run: ablations::elastic,
-        note: "The paper's clusters are static; elasticity measured: scale-in costs one \
-               HDFS round-trip for the departing fragments plus the rebuild, then every \
-               barrier runs narrower but each survivor computes more; the trough pays \
-               migration twice and returns to the original placement deterministically; \
-               scale-out past the fragment count moves zero bytes and buys zero compute \
-               — placement granularity is the partition, exactly as in Giraph's \
-               partitions-per-worker and Spark's RDD partitions.",
-    },
-    Target {
         name: "ablation_weak_scaling",
         what: "weak scaling: Twitter-like data grows with the cluster (PageRank, 20 iters)",
         run: ablations::weak_scaling,

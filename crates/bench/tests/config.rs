@@ -9,14 +9,19 @@ mod common;
 use common::{repro, stderr, stdout};
 use graphbench_repro::config::Config;
 
+/// Arguments, variables, and the offender the error must name.
+type Case = (&'static [&'static str], &'static [(&'static str, &'static str)], &'static str);
+
 #[test]
 fn bad_configuration_fails_before_any_run() {
-    let cases: [(&[&str], &[(&str, &str)], &str); 12] = [
+    let cases: [Case; 13] = [
         (&["table5"], &[("GRAPHBENCH_BASE", "3OO")], "GRAPHBENCH_BASE"),
         (&["table5"], &[("GRAPHBENCH_BASE", "0")], "GRAPHBENCH_BASE"),
         (&["table5"], &[("GRAPHBENCH_SEED", "-1")], "GRAPHBENCH_SEED"),
         (&["table5"], &[("GRAPHBENCH_SEEDS", "42,x")], "GRAPHBENCH_SEEDS"),
         (&["table5"], &[("GRAPHBENCH_FAULTS", "crash@oops")], "GRAPHBENCH_FAULTS"),
+        // Membership is fixed for a run: `resize` is no fault kind.
+        (&["table5"], &[("GRAPHBENCH_FAULTS", "resize@5:-m2")], "unknown event kind \"resize\""),
         (&["table5"], &[("GRAPHBENCH_SERVE_LINGER", "soon")], "GRAPHBENCH_SERVE_LINGER"),
         (&["table5"], &[("GRAPHBENCH_FINDINGS_PERTURB", "ten")], "GRAPHBENCH_FINDINGS_PERTURB"),
         (&["table5"], &[("GRAPHBENCH_PROGRESS", "yes")], "GRAPHBENCH_PROGRESS"),
@@ -30,6 +35,7 @@ fn bad_configuration_fails_before_any_run() {
         let (stdout, stderr) = (stdout(&out), stderr(&out));
         assert_eq!(out.status.code(), Some(1), "{args:?} {envs:?}: {stderr}");
         assert!(stderr.starts_with("graphbench: "), "{args:?} {envs:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?} {envs:?}: {stderr}");
         assert!(stderr.contains(offender), "{stderr:?} should name {offender}");
         assert!(!stdout.contains("==="), "{args:?} {envs:?} ran before failing:\n{stdout}");
     }

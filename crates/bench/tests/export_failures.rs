@@ -9,7 +9,7 @@ mod common;
 
 use common::{repro, repro_cmd, scratch};
 use graphbench_sim::json;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Output;
 
 fn trace_report(args: &[&str]) -> Output {
@@ -30,7 +30,7 @@ fn bench_scaleup(args: &[&str], envs: &[(&str, &str)]) -> Output {
 /// A path whose parent is a plain file: `create_dir_all` and `write` both
 /// fail with `NotADirectory`, even when the suite runs as root (read-only
 /// permission bits would not stop root).
-fn blocked_path(dir: &PathBuf, leaf: &str) -> PathBuf {
+fn blocked_path(dir: &Path, leaf: &str) -> PathBuf {
     let blocker = dir.join("blocker");
     std::fs::write(&blocker, b"a file where a directory is needed").unwrap();
     blocker.join(leaf)
@@ -63,19 +63,19 @@ fn unwritable_scaleup_report_fails_loudly() {
 }
 
 /// The reports with fixed names go through the same path: a directory
-/// where `BENCH_elastic.json` belongs fails the write even for root.
+/// where `BENCH_faults.json` belongs fails the write even for root.
 #[test]
 fn unwritable_fixed_name_report_fails_loudly() {
     let dir = scratch("fixed_name_fail");
-    std::fs::create_dir(dir.join("BENCH_elastic.json")).unwrap();
-    let out = repro_cmd(&["ablation_elastic"], &[("GRAPHBENCH_BASE", "300")])
+    std::fs::create_dir(dir.join("BENCH_faults.json")).unwrap();
+    let out = repro_cmd(&["ablation_fault_tolerance"], &[("GRAPHBENCH_BASE", "300")])
         .current_dir(&dir)
         .output()
         .expect("spawn repro");
     assert_eq!(out.status.code(), Some(1), "expected exit 1 for an unwritable report");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("cannot write elastic membership cost decomposition to BENCH_elastic.json"),
+        stderr.contains("cannot write fault cost decomposition to BENCH_faults.json"),
         "stderr should say what failed, got: {stderr}"
     );
 }

@@ -437,8 +437,9 @@ mod tests {
         let s = Summary::of([]);
         assert_eq!(s.n, 0);
         assert!(s.lower().is_nan() && s.upper().is_nan());
-        // NaN bounds make every finding comparison false.
-        assert!(!(s.upper() < 1.0) && !(s.lower() > 1.0));
+        // NaN bounds are unordered, so every finding comparison is false.
+        assert_eq!(s.upper().partial_cmp(&1.0), None);
+        assert_eq!(s.lower().partial_cmp(&1.0), None);
     }
 
     #[test]

@@ -623,9 +623,9 @@ fn block_traversal(
         (0..machines).map(|_| TravShard { blocks: Vec::new(), pending: Vec::new() }).collect();
     // Block -> (machine, index within that machine's shard).
     let mut block_slot: Vec<(usize, u32)> = vec![(0, 0); blocks.num_blocks()];
-    for b in 0..blocks.num_blocks() {
+    for (b, slot) in block_slot.iter_mut().enumerate() {
         let mb = blocks.machine_of_block[b] as usize;
-        block_slot[b] = (mb, shards[mb].blocks.len() as u32);
+        *slot = (mb, shards[mb].blocks.len() as u32);
         shards[mb].blocks.push(b as u32);
         shards[mb].pending.push(Vec::new());
     }

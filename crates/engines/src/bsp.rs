@@ -519,9 +519,7 @@ pub fn run_bsp<P: VertexProgram>(
         inbox_bytes.copy_from_slice(&delivered);
 
         // Wire accounting: the per-source, post-combine counts delivery
-        // recorded. Traffic between fragments an elastic resize packed onto
-        // the same physical machine never crosses the wire (with the
-        // identity map this is exactly the old `src != dst` exclusion).
+        // recorded. A machine's messages to itself never cross the wire.
         send_buffer_bytes.fill(0);
         sent.fill(0);
         recv.fill(0);
@@ -529,7 +527,7 @@ pub fn run_bsp<P: VertexProgram>(
         for (dst, inbox) in inboxes.iter().enumerate() {
             for (src, &count) in inbox.per_source().iter().enumerate() {
                 send_buffer_bytes[src] += count * msg_mem;
-                if count > 0 && !cluster.frags_colocated(src, dst) {
+                if count > 0 && src != dst {
                     sent[src] += count * wire;
                     recv[dst] += count * wire;
                     msg_counts[src] += count;
@@ -590,23 +588,13 @@ pub fn run_bsp<P: VertexProgram>(
         // genuinely recomputed — uncharged, since the stall already billed
         // it — so a recovered run equals the fault-free run by replay, not
         // by assumption.
-        let barrier_events = recovery.at_barrier(cluster)?;
-        if barrier_events.crashed {
+        if recovery.at_barrier(cluster)? {
             if let Some(ckpt) = &snapshot {
                 ckpt.restore(&mut shards, &mut inboxes);
                 for r in ckpt.superstep..supersteps {
                     compute_superstep(&mut shards, &inboxes, &li, g, p, r);
                     deliver_superstep(&mut inboxes, &shards, p, p.combinable(r), msg_mem);
                 }
-            }
-        }
-        // An applied resize is a consistent cut — the migrated state *is*
-        // the current superstep's state, so the crash snapshot moves up to
-        // it: a later crash replays from the new membership, never across
-        // the migration (the recovery point advanced in lockstep).
-        if barrier_events.resized {
-            if let Some(s) = snapshot.as_mut() {
-                *s = BspCheckpoint::capture(supersteps, &shards, &inboxes);
             }
         }
         let no_more_work =

@@ -34,6 +34,13 @@ use graphbench_graph::VertexId;
 use graphbench_partition::{VertexCutPartition, VertexCutStrategy};
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
 
+/// A WCC scatter task: an edge span and the vertices its edges signal.
+type SignalTask<'a> = (&'a [(VertexId, VertexId)], Vec<VertexId>);
+
+/// A traversal task: machine, frontier span, and the distance improvements
+/// it found.
+type FrontierTask<'a> = (usize, &'a [VertexId], Vec<(VertexId, u32)>);
+
 /// Synchronous or asynchronous execution engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GasMode {
@@ -969,8 +976,7 @@ fn wcc_propagate(
         // their edges signal into pooled buckets; setting flags is
         // idempotent, so merge order does not matter.
         cluster.set_label("scatter");
-        let mut sig_tasks: Vec<(&[(VertexId, VertexId)], Vec<VertexId>)> =
-            Vec::with_capacity(total_edge_spans);
+        let mut sig_tasks: Vec<SignalTask> = Vec::with_capacity(total_edge_spans);
         for (m, md) in ctx.data.iter().enumerate() {
             for &(s, e) in &edge_plans[m] {
                 let mut sig = std::mem::take(&mut sig_pool[sig_tasks.len()]);
@@ -1035,8 +1041,7 @@ fn traversal(
         while improved_pool.len() < total_tasks {
             improved_pool.push(Vec::new());
         }
-        let mut tasks: Vec<(usize, &[VertexId], Vec<(VertexId, u32)>)> =
-            Vec::with_capacity(total_tasks);
+        let mut tasks: Vec<FrontierTask> = Vec::with_capacity(total_tasks);
         for m in 0..ctx.machines {
             for &(s, e) in &frontier_spans {
                 let mut improved = std::mem::take(&mut improved_pool[tasks.len()]);

@@ -26,7 +26,7 @@
 //! fragment placement.
 
 use crate::exec;
-use crate::recovery::{BarrierEvents, Recovery, RecoveryModel};
+use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
 use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
@@ -35,6 +35,13 @@ use graphbench_graph::rng::splitmix64;
 use graphbench_graph::{CsrGraph, VertexId};
 use graphbench_partition::{MachineBits, MachineId, VertexCutPartition, VertexCutStrategy};
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
+
+/// A per-machine chunk task: machine, edge span, and its pooled output.
+type SpanTask<'a, T> = (usize, (usize, usize), &'a mut Vec<T>);
+
+/// Traversal state at the last materialization point: iteration, distances,
+/// active flags, frontier.
+type TraversalSnapshot = (u32, Vec<u32>, Vec<bool>, Vec<VertexId>);
 
 /// GraphX / Spark configuration.
 #[derive(Debug, Clone)]
@@ -164,18 +171,16 @@ impl SparkCtx {
     /// plus per-task launch costs. Stage boundaries are also where executor
     /// loss surfaces: recovery recomputes from lineage, i.e. everything
     /// since the last checkpoint (shuffles are wide dependencies, so a lost
-    /// partition drags its whole upstream history along). Returns the
-    /// barrier's membership events: on `.crashed` the caller must restore
-    /// its state snapshot and re-run the iterations since the
-    /// materialization point; on `.resized` it must refresh the snapshot so
-    /// a later lineage recomputation replays from the migrated cut.
-    fn charge_stage(&mut self, cluster: &mut Cluster) -> Result<BarrierEvents, SimError> {
+    /// partition drags its whole upstream history along). Returns `true`
+    /// when a crash was recovered: the caller must then restore its state
+    /// snapshot and re-run the iterations since the materialization point.
+    fn charge_stage(&mut self, cluster: &mut Cluster) -> Result<bool, SimError> {
         cluster.set_label("stage_sched");
         cluster.advance_network_wait(&self.stage_wait)?;
-        let events = self.recovery.at_barrier(cluster)?;
+        let crashed = self.recovery.at_barrier(cluster)?;
         cluster.set_label("barrier");
         cluster.barrier()?;
-        Ok(events)
+        Ok(crashed)
     }
 
     /// Grow the lineage: each iteration pins the shuffle outputs it
@@ -379,12 +384,10 @@ fn charge_compute(cluster: &mut Cluster, ctx: &SparkCtx, ops: &[f64]) -> Result<
 
 /// Mirror synchronization across machines for changed vertices: the
 /// coordinating copy of each exchanges 16 bytes with every other executor in
-/// the vertex's set, unless their fragments currently share a physical
-/// machine (after a resize they sync through local memory, not the wire).
-/// Sets and coordinators are the load-time table; only the fragment placement
-/// is read afresh. Chunks of the changed list run in parallel, each with its
-/// own pooled counters; the u64 counter sums are order-free, so the exchanged
-/// bytes/messages are the same at any chunk x thread combination.
+/// the vertex's set. Sets and coordinators are the load-time table. Chunks of
+/// the changed list run in parallel, each with its own pooled counters; the
+/// u64 counter sums are order-free, so the exchanged bytes/messages are the
+/// same at any chunk x thread combination.
 fn mirror_sync(
     cluster: &mut Cluster,
     ctx: &mut SparkCtx,
@@ -410,7 +413,6 @@ fn mirror_sync(
     // Label before the host work so its wallclock spans attribute to the
     // shuffle (the exchange below is charged under the same label).
     cluster.set_label("shuffle");
-    let frag_map = cluster.frag_map();
     let (exec_off, exec_ids, coord) = (&ctx.exec_off, &ctx.exec_ids, &ctx.coord);
     let mut tasks: Vec<(&[VertexId], &mut MirrorTraffic)> =
         spans.iter().zip(pool.iter_mut()).map(|(&(s, e), t)| (&changed[s..e], t)).collect();
@@ -419,7 +421,7 @@ fn mirror_sync(
             let v = v as usize;
             let master = coord[v] as usize;
             for &m in &exec_ids[exec_off[v] as usize..exec_off[v + 1] as usize] {
-                if frag_map[m as usize] != frag_map[master] {
+                if m as usize != master {
                     t.sent[master] += 16;
                     t.recv[m as usize] += 16;
                     t.msgs[master] += 1;
@@ -569,8 +571,7 @@ fn spark_pagerank(
         if iter >= max_iters {
             break;
         }
-        let stage_events = ctx.charge_stage(cluster)?;
-        if stage_events.crashed {
+        if ctx.charge_stage(cluster)? {
             // Lost partitions recompute from lineage: rewind to the last
             // materialization and re-run the iterations since, uncharged —
             // the recovery stall already billed them.
@@ -579,13 +580,6 @@ fn spark_pagerank(
                 for _ in *snap_iter..iter {
                     pagerank_step(ctx, g, &cfg, &mut ranks, &mut incoming, &mut ops, &mut pg);
                 }
-            }
-        }
-        if stage_events.resized {
-            // The resize migrated the live RDD partitions: re-materialize so
-            // a later lineage recomputation replays from the migrated cut.
-            if let Some(s) = snapshot.as_mut() {
-                *s = (iter, ranks.clone());
             }
         }
         // Label before the host work so its wallclock spans carry it
@@ -646,7 +640,7 @@ fn wcc_step(
     let n = label.len();
     let edges_by_machine = &ctx.edges_by_machine;
     let label_r: &[VertexId] = label;
-    let mut tasks: Vec<(usize, (usize, usize), &mut Vec<(VertexId, VertexId)>)> = Vec::new();
+    let mut tasks: Vec<SpanTask<(VertexId, VertexId)>> = Vec::new();
     {
         let mut pool = ws.buckets.iter_mut();
         for (m, spans) in ws.spans.iter().enumerate() {
@@ -710,18 +704,12 @@ fn spark_wcc(cluster: &mut Cluster, ctx: &mut SparkCtx) -> Result<Vec<VertexId>,
     let mut ws = WccScratch::build(ctx);
     let mut iter = 0u32;
     loop {
-        let stage_events = ctx.charge_stage(cluster)?;
-        if stage_events.crashed {
+        if ctx.charge_stage(cluster)? {
             if let Some((snap_iter, snap_label)) = &snapshot {
                 label.clone_from(snap_label);
                 for _ in *snap_iter..iter {
                     wcc_step(ctx, &mut label, &mut ops, &mut changed, &mut ws);
                 }
-            }
-        }
-        if stage_events.resized {
-            if let Some(s) = snapshot.as_mut() {
-                *s = (iter, label.clone());
             }
         }
         cluster.set_label("superstep");
@@ -779,7 +767,7 @@ fn traversal_step(
 ) {
     let edges_by_machine = &ctx.edges_by_machine;
     let (dist_r, active_r) = (&*dist, &*active);
-    let mut tasks: Vec<(usize, (usize, usize), &mut Vec<(VertexId, u32)>)> = Vec::new();
+    let mut tasks: Vec<SpanTask<(VertexId, u32)>> = Vec::new();
     {
         let mut pool = ts.buckets.iter_mut();
         for (m, spans) in ts.spans.iter().enumerate() {
@@ -832,14 +820,13 @@ fn spark_traversal(
     let mut frontier = vec![source];
     let mut active = vec![false; n];
     active[source as usize] = true;
-    let mut snapshot: Option<(u32, Vec<u32>, Vec<bool>, Vec<VertexId>)> =
+    let mut snapshot: Option<TraversalSnapshot> =
         cluster.plan_has_crashes().then(|| (0, dist.clone(), active.clone(), frontier.clone()));
     let mut ops = vec![0.0f64; ctx.machines];
     let mut ts = TravScratch::build(ctx);
     let mut iter = 0u32;
     while !frontier.is_empty() {
-        let stage_events = ctx.charge_stage(cluster)?;
-        if stage_events.crashed {
+        if ctx.charge_stage(cluster)? {
             if let Some((snap_iter, s_dist, s_active, s_frontier)) = &snapshot {
                 dist.clone_from(s_dist);
                 active.clone_from(s_active);
@@ -855,11 +842,6 @@ fn spark_traversal(
                         &mut ts,
                     );
                 }
-            }
-        }
-        if stage_events.resized {
-            if let Some(s) = snapshot.as_mut() {
-                *s = (iter, dist.clone(), active.clone(), frontier.clone());
             }
         }
         cluster.set_label("superstep");
@@ -1092,13 +1074,12 @@ mod tests {
     /// The algorithm `mirror_sync` ran before the load-time table: per
     /// changed vertex, collect the executors of its replica partitions,
     /// deduplicate, sort, hash-pick the coordinating copy, and count one
-    /// 16-byte message per executor on another physical machine. Returns
-    /// the journal's `(net_bytes, messages)` of the exchange at the default
+    /// 16-byte message per executor on another machine. Returns the
+    /// journal's `(net_bytes, messages)` of the exchange at the default
     /// 16-byte framing and `work_scale` 1.
     fn naive_sync(
         part: &VertexCutPartition,
         machine_of_slot: &[usize],
-        frag_map: &[usize],
         changed: &[VertexId],
     ) -> (u64, u64) {
         let (mut sent, mut msgs) = (0u64, 0u64);
@@ -1114,7 +1095,7 @@ mod tests {
                 ms.sort_unstable();
                 let master = ms[(splitmix64(v as u64 ^ 0xc0de) % ms.len() as u64) as usize];
                 for &m in &ms {
-                    if frag_map[m] != frag_map[master] {
+                    if m != master {
                         sent += 16;
                         msgs += 1;
                     }
@@ -1124,30 +1105,21 @@ mod tests {
         (sent + 16 * msgs, msgs)
     }
 
-    /// `(net_bytes, messages)` of every execute-phase mirror sync of a run,
-    /// with the number of migrations journaled before it.
-    fn sync_events(out: &RunOutput) -> Vec<(usize, (u64, u64))> {
+    /// `(net_bytes, messages)` of every execute-phase mirror sync of a run.
+    fn sync_events(out: &RunOutput) -> Vec<(u64, u64)> {
         use graphbench_sim::{EventKind, Phase};
-        let mut migrations = 0;
-        let mut syncs = Vec::new();
-        let mut in_migration = false;
-        for e in out.journal.events() {
-            let migrating = e.label == "migrate";
-            if migrating && !in_migration {
-                migrations += 1;
-            }
-            in_migration = migrating;
-            if e.phase == Phase::Execute && e.label == "shuffle" && e.kind == EventKind::Network {
-                syncs.push((migrations, (e.net_bytes, e.messages)));
-            }
-        }
-        syncs
+        out.journal
+            .events()
+            .iter()
+            .filter(|e| {
+                e.phase == Phase::Execute && e.label == "shuffle" && e.kind == EventKind::Network
+            })
+            .map(|e| (e.net_bytes, e.messages))
+            .collect()
     }
 
     #[test]
     fn mirror_sync_traffic_matches_naive_recomputation() {
-        use graphbench_partition::elastic::rebalance;
-        use graphbench_sim::FaultPlan;
         const MACHINES: usize = 6;
         const SLOTS: usize = 48;
         let engine = gx(SLOTS);
@@ -1163,21 +1135,6 @@ mod tests {
                     Workload::Wcc => WorkloadResult::Labels(reference::wcc(&ds.1)),
                     _ => WorkloadResult::Distances(reference::khop(&ds.1, 0, 3)),
                 };
-                // Expected syncs of a run whose fragments sit on
-                // `physical[i]` machines after the i-th migration.
-                let expect = |out: &RunOutput, physical: &[usize], ctx: &str| {
-                    assert!(out.metrics.status.is_ok(), "{ctx}: {:?}", out.metrics.status);
-                    assert_eq!(out.result.as_ref(), Some(&want_answer), "{ctx}");
-                    let syncs = sync_events(out);
-                    assert_eq!(syncs.len(), rounds.len(), "{ctx}");
-                    for (i, (&(migrations, got), changed)) in syncs.iter().zip(&rounds).enumerate()
-                    {
-                        let frag_map = rebalance(MACHINES, physical[migrations]);
-                        let want = naive_sync(&part, &machine_of_slot, &frag_map, changed);
-                        assert_eq!(got, want, "{ctx}: sync {i} after {migrations} migrations");
-                    }
-                    syncs
-                };
                 let mut clean = None;
                 for threads in [1usize, 4] {
                     exec::set_threads(threads);
@@ -1185,37 +1142,16 @@ mod tests {
                         exec::set_chunk_size(chunk);
                         let out = engine.run(&input(&ds, w, MACHINES, 1 << 30));
                         let ctx = format!("{kind:?} {w:?} threads {threads} chunk {chunk}");
-                        expect(&out, &[MACHINES], &ctx);
+                        assert!(out.metrics.status.is_ok(), "{ctx}: {:?}", out.metrics.status);
+                        assert_eq!(out.result.as_ref(), Some(&want_answer), "{ctx}");
+                        let syncs = sync_events(&out);
+                        assert_eq!(syncs.len(), rounds.len(), "{ctx}");
+                        for (i, (&got, changed)) in syncs.iter().zip(&rounds).enumerate() {
+                            let want = naive_sync(&part, &machine_of_slot, changed);
+                            assert_eq!(got, want, "{ctx}: sync {i}");
+                        }
                         let key = (out.metrics.network_bytes, out.metrics.messages);
                         assert_eq!(*clean.get_or_insert(key), key, "{ctx}");
-                        if (threads, chunk) == (4, 63) {
-                            // Scale in a quarter of the way through
-                            // execution — colocated fragments stop syncing
-                            // over the wire — and, in the second plan, back
-                            // out past the fragment count, which restores
-                            // the identity placement.
-                            let p = &out.metrics.phases;
-                            let at = |frac: f64| p.overhead + p.load + frac * p.execute;
-                            let wire = |s: &[(usize, (u64, u64))]| -> u64 {
-                                s.iter().map(|&(_, (bytes, _))| bytes).sum()
-                            };
-                            let static_wire = wire(&sync_events(&out));
-                            for (plan, physical) in [
-                                (format!("resize@{}:-m2", at(0.25)), vec![MACHINES, MACHINES - 2]),
-                                (
-                                    format!("resize@{}:-m2; resize@{}:+m4", at(0.25), at(0.6)),
-                                    vec![MACHINES, MACHINES - 2, MACHINES + 2],
-                                ),
-                            ] {
-                                let mut inp = input(&ds, w, MACHINES, 1 << 30);
-                                inp.cluster.faults = FaultPlan::parse(&plan).unwrap();
-                                let ctx = format!("{ctx} {plan}");
-                                let syncs = expect(&engine.run(&inp), &physical, &ctx);
-                                let reached = syncs.last().unwrap().0;
-                                assert_eq!(reached, physical.len() - 1, "{ctx}: resizes reached");
-                                assert!(wire(&syncs) <= static_wire, "{ctx}");
-                            }
-                        }
                     }
                 }
             }

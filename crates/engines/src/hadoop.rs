@@ -28,6 +28,9 @@ use graphbench_graph::format::GraphFormat;
 use graphbench_graph::VertexId;
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
 
+/// A reduce task: a vertex span and its pooled output.
+type SpanTask<'a, T> = ((usize, usize), &'a mut Vec<T>);
+
 /// Plain Hadoop MapReduce.
 #[derive(Debug, Clone, Default)]
 pub struct Hadoop;
@@ -340,7 +343,7 @@ struct MrScratch<T> {
 impl<T> MrScratch<T> {
     fn build(g: &graphbench_graph::CsrGraph) -> MrScratch<T> {
         let n = g.num_vertices();
-        let weights: Vec<u64> = (0..n as VertexId).map(|v| 1 + g.out_degree(v) as u64).collect();
+        let weights: Vec<u64> = (0..n as VertexId).map(|v| 1 + g.out_degree(v)).collect();
         let plan = exec::weighted_spans(&weights, exec::chunk_size());
         let buckets = (0..plan.len()).map(|_| Vec::new()).collect();
         MrScratch { plan, buckets, next: Vec::new() }
@@ -457,7 +460,7 @@ fn mr_wcc(
         // OR-of-part_changed.
         cluster.set_label("reduce");
         let label_r: &[VertexId] = &label;
-        let mut tasks: Vec<((usize, usize), &mut Vec<(VertexId, VertexId)>)> =
+        let mut tasks: Vec<SpanTask<(VertexId, VertexId)>> =
             ms.plan.iter().copied().zip(ms.buckets.iter_mut()).collect();
         exec::run_chunks(&mut tasks, |_, t| {
             let ((lo, hi), ref mut bucket) = *t;
@@ -538,7 +541,7 @@ fn mr_traversal(
         // per-worker min-merge without its full distance-vector clones.
         cluster.set_label("reduce");
         let dist_r: &[u32] = &dist;
-        let mut tasks: Vec<((usize, usize), &mut Vec<(VertexId, u32)>)> =
+        let mut tasks: Vec<SpanTask<(VertexId, u32)>> =
             ms.plan.iter().copied().zip(ms.buckets.iter_mut()).collect();
         exec::run_chunks(&mut tasks, |_, t| {
             let ((lo, hi), ref mut bucket) = *t;

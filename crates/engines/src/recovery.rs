@@ -19,16 +19,6 @@
 //! (`RETRY_BACKOFF_BASE_SECS * RETRY_BACKOFF_FACTOR^i` per failed attempt,
 //! at most [`RETRY_MAX_ATTEMPTS`] attempts) under the `retry` label and
 //! then succeed.
-//!
-//! Elastic membership changes (`resize@T:±mM`) are the fifth path through
-//! this module: [`Recovery::at_barrier`] drains due resizes *after* crash
-//! recovery (a crash is detected and paid under the membership it happened
-//! in), computes the deterministic fragment placement for the new machine
-//! count via `graphbench_partition::elastic::rebalance`, and lets the
-//! cluster charge the migration (`migrate`-labeled transfers, departing-
-//! machine snapshots, index rebuilds). The applied resize is a consistent
-//! cut: the recovery point advances to it, so a later crash never replays
-//! across a membership change.
 
 use graphbench_sim::{Cluster, SimError};
 
@@ -38,18 +28,6 @@ pub use graphbench_sim::RETRY_MAX_ATTEMPTS;
 pub const RETRY_BACKOFF_BASE_SECS: f64 = 0.5;
 /// Multiplier between consecutive backoff stalls.
 pub const RETRY_BACKOFF_FACTOR: f64 = 2.0;
-
-/// What one [`Recovery::at_barrier`] poll observed and paid for.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BarrierEvents {
-    /// At least one crash was recovered. Callers whose mechanism recomputes
-    /// state must restore their snapshot and replay.
-    pub crashed: bool,
-    /// At least one elastic resize was applied. Callers holding crash
-    /// snapshots should re-capture them at the current superstep — the new
-    /// membership is a consistent cut that replay never crosses.
-    pub resized: bool,
-}
 
 /// The four Table 1 fault-tolerance mechanisms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,19 +104,14 @@ impl Recovery {
         self.crashes_recovered
     }
 
-    /// Poll for faults and membership changes at a barrier: transient
-    /// faults pay their bounded retry backoff, every due crash pays this
-    /// model's recovery cost (under the membership it happened in), then
-    /// every due elastic resize migrates fragments onto the new machine
-    /// set. The caller's journal label is preserved. Consult the returned
-    /// [`BarrierEvents`]: on `crashed`, restore state from the snapshot and
-    /// replay if the mechanism recomputes state; on `resized`, refresh any
-    /// held crash snapshot to the current superstep.
-    pub fn at_barrier(&mut self, cluster: &mut Cluster) -> Result<BarrierEvents, SimError> {
+    /// Poll for faults at a barrier: transient faults pay their bounded
+    /// retry backoff, then every due crash pays this model's recovery cost.
+    /// The caller's journal label is preserved. Returns whether at least
+    /// one crash was recovered: callers whose mechanism recomputes state
+    /// must then restore their snapshot and replay.
+    pub fn at_barrier(&mut self, cluster: &mut Cluster) -> Result<bool, SimError> {
         self.poll_transients(cluster)?;
-        let crashed = self.poll_crashes(cluster)?;
-        let resized = self.poll_resizes(cluster)?;
-        Ok(BarrierEvents { crashed, resized })
+        self.poll_crashes(cluster)
     }
 
     fn poll_transients(&mut self, cluster: &mut Cluster) -> Result<(), SimError> {
@@ -171,7 +144,7 @@ impl Recovery {
                     cluster.elapsed() - self.recovery_point
                 }
                 RecoveryModel::TaskReexecution => {
-                    let survivors = (cluster.physical_machines().max(2) - 1) as f64;
+                    let survivors = (cluster.machines().max(2) - 1) as f64;
                     (cluster.elapsed() - self.iteration_start) / survivors
                 }
                 RecoveryModel::LineageRecompute | RecoveryModel::QueryRestart => {
@@ -182,23 +155,6 @@ impl Recovery {
             cluster.set_label(saved);
         }
         Ok(crashed)
-    }
-
-    fn poll_resizes(&mut self, cluster: &mut Cluster) -> Result<bool, SimError> {
-        let mut resized = false;
-        while let Some(delta) = cluster.take_resize() {
-            resized = true;
-            let frags = cluster.machines();
-            let target = (cluster.physical_machines() as i64 + delta).max(1) as usize;
-            let map = graphbench_partition::elastic::rebalance(frags, target);
-            cluster.apply_resize(target, &map)?;
-            // The applied resize is a consistent cut: post-resize crashes
-            // replay from here, never across the migration.
-            let now = cluster.elapsed();
-            self.recovery_point = self.recovery_point.max(now);
-            self.iteration_start = self.iteration_start.max(now);
-        }
-        Ok(resized)
     }
 }
 
@@ -223,13 +179,13 @@ mod tests {
         c.advance_stall(4.0).unwrap();
         r.mark_checkpoint(&c); // checkpoint at t=4
         c.advance_stall(6.0).unwrap(); // crash due inside here
-        assert!(r.at_barrier(&mut c).unwrap().crashed);
+        assert!(r.at_barrier(&mut c).unwrap());
         // Replays t=10 back to t=4: a 6 s stall under the recovery label.
         let ev = c.journal().events().last().unwrap();
         assert_eq!(ev.label, "recovery");
         assert!((ev.dt - 6.0).abs() < 1e-12, "{}", ev.dt);
         assert_eq!(r.crashes_recovered(), 1);
-        assert!(!r.at_barrier(&mut c).unwrap().crashed, "crash is consumed");
+        assert!(!r.at_barrier(&mut c).unwrap(), "crash is consumed");
     }
 
     #[test]
@@ -253,7 +209,7 @@ mod tests {
         c.advance_stall(4.0).unwrap();
         r.begin_iteration(&c);
         c.advance_stall(6.0).unwrap();
-        assert!(r.at_barrier(&mut c).unwrap().crashed);
+        assert!(r.at_barrier(&mut c).unwrap());
         // Lost 6 s of iteration work, redone by 3 survivors: 2 s.
         let ev = c.journal().events().last().unwrap();
         assert!((ev.dt - 2.0).abs() < 1e-12, "{}", ev.dt);
@@ -265,7 +221,7 @@ mod tests {
         c.advance_stall(1.0).unwrap();
         let mut r = Recovery::new(&c, RecoveryModel::QueryRestart); // exec starts at t=1
         c.advance_stall(9.0).unwrap();
-        assert!(r.at_barrier(&mut c).unwrap().crashed);
+        assert!(r.at_barrier(&mut c).unwrap());
         let ev = c.journal().events().last().unwrap();
         assert!((ev.dt - 9.0).abs() < 1e-12, "{}", ev.dt);
     }
@@ -278,7 +234,7 @@ mod tests {
         let mut c = cluster(plan);
         let mut r = Recovery::new(&c, RecoveryModel::QueryRestart);
         c.advance_stall(1.0).unwrap();
-        assert!(!r.at_barrier(&mut c).unwrap().crashed, "transients are not crashes");
+        assert!(!r.at_barrier(&mut c).unwrap(), "transients are not crashes");
         let retries: Vec<f64> =
             c.journal().events().iter().filter(|e| e.label == "retry").map(|e| e.dt).collect();
         assert_eq!(retries, vec![0.5, 1.0, 2.0]);
@@ -292,71 +248,8 @@ mod tests {
         let mut r = Recovery::new(&c, RecoveryModel::QueryRestart);
         c.set_label("superstep");
         c.advance_stall(1.0).unwrap();
-        assert!(r.at_barrier(&mut c).unwrap().crashed);
+        assert!(r.at_barrier(&mut c).unwrap());
         assert_eq!(c.label(), "superstep");
-    }
-
-    #[test]
-    fn resize_applies_at_the_barrier_and_migrates_state() {
-        let plan = FaultPlan::parse("resize@1:-m2").unwrap();
-        let mut c = cluster(plan);
-        let mut r = Recovery::new(&c, RecoveryModel::QueryRestart);
-        c.alloc_all(&[1_000; 4]).unwrap();
-        c.advance_stall(2.0).unwrap();
-        let ev = r.at_barrier(&mut c).unwrap();
-        assert!(ev.resized);
-        assert!(!ev.crashed);
-        assert_eq!(c.physical_machines(), 2);
-        // Fragments 2 and 3 left departing machines via HDFS snapshots;
-        // fragment 1 moved over the wire to machine 0.
-        assert_eq!(c.frag_map(), &[0, 0, 1, 1]);
-        assert!(c.journal().elastic_seconds() > 0.0);
-        assert!(c.journal().events().iter().any(|e| e.label == "migrate"));
-        assert_eq!(c.registry().counter("faults.resize.applied"), 1);
-        assert_eq!(c.registry().counter("elastic.scale_in"), 1);
-        assert_eq!(c.registry().counter("elastic.machines.removed"), 2);
-        assert_eq!(c.registry().counter("elastic.migrated.fragments"), 3);
-        assert_eq!(c.registry().counter("elastic.migrated.bytes"), 3_000);
-        // Fragment-indexed memory accounting survives the move.
-        for f in 0..4 {
-            assert_eq!(c.mem_in_use(f), 1_000);
-        }
-        assert!(c.unreached_faults().is_empty());
-        assert!(!r.at_barrier(&mut c).unwrap().resized, "resize is consumed");
-    }
-
-    #[test]
-    fn resize_is_a_consistent_cut_for_later_crashes() {
-        let plan = FaultPlan::parse("resize@1:+m2; crash@4:m0").unwrap();
-        let mut c = cluster(plan);
-        let mut r = Recovery::new(&c, RecoveryModel::QueryRestart);
-        c.advance_stall(2.0).unwrap();
-        assert!(r.at_barrier(&mut c).unwrap().resized);
-        assert_eq!(c.physical_machines(), 6);
-        let cut = c.elapsed();
-        assert!((r.recovery_point() - cut).abs() < 1e-12);
-        c.advance_stall(5.0).unwrap();
-        assert!(r.at_barrier(&mut c).unwrap().crashed);
-        // The restart replays back to the membership cut, not to t=0.
-        let ev = c.journal().events().last().unwrap();
-        assert_eq!(ev.label, "recovery");
-        assert!((ev.dt - 5.0).abs() < 1e-12, "{}", ev.dt);
-    }
-
-    #[test]
-    fn crash_and_resize_at_one_barrier_recover_then_migrate() {
-        let plan = FaultPlan::parse("crash@1:m1; resize@2:-m1").unwrap();
-        let mut c = cluster(plan);
-        let mut r = Recovery::new(&c, RecoveryModel::QueryRestart);
-        c.advance_stall(3.0).unwrap();
-        let ev = r.at_barrier(&mut c).unwrap();
-        assert!(ev.crashed && ev.resized);
-        assert_eq!(c.physical_machines(), 3);
-        // The recovery stall is charged before the migration events.
-        let labels: Vec<&str> = c.journal().events().iter().map(|e| e.label.as_str()).collect();
-        let first_recovery = labels.iter().position(|&l| l == "recovery").unwrap();
-        let first_migrate = labels.iter().position(|&l| l == "migrate").unwrap();
-        assert!(first_recovery < first_migrate, "{labels:?}");
     }
 
     #[test]
@@ -370,7 +263,7 @@ mod tests {
         let mut c = cluster(plan);
         let mut r = Recovery::new(&c, RecoveryModel::QueryRestart);
         c.advance_stall(3.0).unwrap();
-        assert!(r.at_barrier(&mut c).unwrap().crashed);
+        assert!(r.at_barrier(&mut c).unwrap());
         assert_eq!(r.crashes_recovered(), 2);
         let recoveries = c.journal().events().iter().filter(|e| e.label == "recovery").count();
         assert_eq!(recoveries, 2);

@@ -30,6 +30,9 @@ use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
 use graphbench_graph::VertexId;
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
 
+/// A join-scan task: (chunk, lo, hi) vertex range and its pooled output.
+type ScanTask<'a, T> = ((usize, usize, usize), &'a mut Vec<T>);
+
 /// How the per-iteration vertex-table refresh is executed (§2.6): rebuild
 /// the table sequentially and swap, or update rows in place. The paper
 /// notes the right choice depends on the (hard to estimate) update count.
@@ -324,8 +327,7 @@ impl WccScratch {
         let mut tasks = Vec::new();
         for c in 0..machines {
             let (lo, hi) = chunk_range(c, machines, n);
-            let weights: Vec<u64> =
-                (lo..hi).map(|v| 1 + g.out_degree(v as VertexId) as u64).collect();
+            let weights: Vec<u64> = (lo..hi).map(|v| 1 + g.out_degree(v as VertexId)).collect();
             for &(s, e) in &exec::weighted_spans(&weights, exec::chunk_size()) {
                 tasks.push((c, lo + s, lo + e));
             }
@@ -363,7 +365,7 @@ fn sql_wcc(
         ctx.charge_join(cluster, 2 * g.num_edges())?;
         cluster.set_label("join_scan");
         let label_r: &[VertexId] = &label;
-        let mut tasks: Vec<((usize, usize, usize), &mut Vec<(VertexId, VertexId)>)> =
+        let mut tasks: Vec<ScanTask<(VertexId, VertexId)>> =
             ws.tasks.iter().copied().zip(ws.buckets.iter_mut()).collect();
         exec::run_chunks(&mut tasks, |_, t| {
             let ((_, lo, hi), ref mut bucket) = *t;
@@ -443,7 +445,7 @@ fn sql_traversal(
         // only frozen state, so the flat candidate sequence is the frontier
         // scan order regardless of where span boundaries fall.
         cluster.set_label("join_scan");
-        let weights: Vec<u64> = frontier.iter().map(|&v| 1 + g.out_degree(v) as u64).collect();
+        let weights: Vec<u64> = frontier.iter().map(|&v| 1 + g.out_degree(v)).collect();
         let spans = exec::weighted_spans(&weights, exec::chunk_size());
         while buckets.len() < spans.len() {
             buckets.push(Vec::new());

@@ -268,7 +268,7 @@ pub fn load_csr(path: &Path) -> io::Result<CsrGraph> {
         let targets = Seg::Mapped { region, byte_offset: h.targets_at, len: h.num_edges };
         let g = CsrGraph::from_parts(h.num_vertices, offsets, targets);
         validate_offsets(&g, h.num_edges as u64)?;
-        return Ok(g);
+        Ok(g)
     }
 
     #[cfg(not(all(unix, target_pointer_width = "64")))]

@@ -20,7 +20,6 @@
 //! radix message shuffle.
 
 pub mod edge_cut;
-pub mod elastic;
 pub mod local_index;
 pub mod metrics;
 pub mod pds;

@@ -11,13 +11,6 @@ use crate::spec::{ClusterSpec, FaultEvent};
 use crate::trace::Trace;
 use crate::{MachineId, SimError};
 
-/// Elementary operations a migration receiver pays per byte landed to
-/// rebuild its fragment-local indexes (dense-id tables, adjacency offsets)
-/// after an elastic resize. A cost-model device like the `CostProfile`
-/// rates, kept out of the profile struct so existing profiles are
-/// untouched.
-pub const ELASTIC_REBUILD_OPS_PER_BYTE: f64 = 0.25;
-
 /// A transient fault taken from the plan: the engine retries it with a
 /// bounded backoff instead of aborting (`attempts` failed tries, each paying
 /// a backoff stall, then success).
@@ -126,38 +119,19 @@ struct Machine {
 /// return `Err(SimError::Timeout)` once the deadline passes, so engine code
 /// simply propagates with `?`.
 ///
-/// # Fragments vs physical machines
+/// # One index per machine
 ///
-/// Engines address work by **logical fragment** — there are exactly
-/// `spec.machines` of them, fixed for the whole run, and every `advance_*`
-/// slice is fragment-indexed. Elastic `resize` events never change the
-/// fragments; they remap them onto a varying set of **physical machines**
-/// ([`Cluster::apply_resize`]), and the cluster folds fragment charges onto
-/// physical machines at the commit point. Computation therefore stays keyed
-/// to the fixed fragments and every answer (and every fold order inside the
-/// engines) is bit-identical to the static-cluster run; only the *cost* of a
-/// charge changes when fragments share a machine. While the fragment map is
-/// the identity (any run without an applied resize), each fold has exactly
-/// one term per machine and the accounting is bit-identical to a cluster
-/// without this layer.
+/// Membership is fixed for the whole run, as in the paper's experiments
+/// (Table 2): there are exactly `spec.machines` workers, every `advance_*`
+/// slice has one entry per machine, and entry `i` is charged to machine
+/// `i`.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     spec: ClusterSpec,
     profile: CostProfile,
     clock: f64,
-    /// Physical machine slots ever provisioned; the first `physical` are
-    /// active. Departed machines keep their busy/peak history (they existed
-    /// and their utilization is part of the run) but receive no new charges.
+    /// One entry per worker machine.
     machines: Vec<Machine>,
-    /// Active physical machine count; `resize` events change it.
-    physical: usize,
-    /// Logical fragment -> active physical machine; always `spec.machines`
-    /// long. Identity until the first applied resize.
-    frag_map: Vec<usize>,
-    /// Memory owned by each logical fragment. Journal deltas and
-    /// [`Cluster::mem_in_use`] stay fragment-indexed; budget enforcement
-    /// uses the physical residency in `machines`.
-    frag_mem: Vec<u64>,
     phase: Phase,
     trace: Trace,
     supersteps: u64,
@@ -191,7 +165,6 @@ impl Cluster {
         if let Err(why) = spec.faults.validate(spec.machines, spec.deadline) {
             panic!("invalid fault plan: {why}");
         }
-        let machines_count = spec.machines;
         let machines = vec![Machine::default(); spec.machines];
         let fault_consumed = vec![false; spec.faults.events.len()];
         let has_stragglers =
@@ -203,9 +176,6 @@ impl Cluster {
             profile,
             clock: 0.0,
             machines,
-            physical: machines_count,
-            frag_map: (0..machines_count).collect(),
-            frag_mem: vec![0; machines_count],
             phase: Phase::Overhead,
             trace: Trace::new(),
             supersteps: 0,
@@ -229,27 +199,10 @@ impl Cluster {
         &self.profile
     }
 
-    /// Number of logical fragments (the initial worker-machine count).
-    /// Engines size every per-machine slice with this; it never changes,
-    /// even across elastic resizes.
+    /// Number of worker machines. Engines size every per-machine slice with
+    /// this; it never changes during a run.
     pub fn machines(&self) -> usize {
         self.spec.machines
-    }
-
-    /// Active physical machines right now; changes when a resize applies.
-    pub fn physical_machines(&self) -> usize {
-        self.physical
-    }
-
-    /// Current physical home of each logical fragment.
-    pub fn frag_map(&self) -> &[usize] {
-        &self.frag_map
-    }
-
-    /// Whether two logical fragments currently live on the same physical
-    /// machine (their traffic never crosses the wire).
-    pub fn frags_colocated(&self, a: usize, b: usize) -> bool {
-        self.frag_map[a] == self.frag_map[b]
     }
 
     /// Simulated seconds since the run started.
@@ -391,12 +344,9 @@ impl Cluster {
         r
     }
 
-    /// Busy-time slowdown factors per *physical* machine for a charge
-    /// starting at the current clock, or `None` when no straggler window is
-    /// active (the fault-free fast path). Marks newly-applied windows
-    /// consumed. A window naming a machine that does not physically exist
-    /// yet (scheduled after a scale-out whose barrier has not been reached)
-    /// stays unconsumed until the machine joins.
+    /// Busy-time slowdown factors per machine for a charge starting at the
+    /// current clock, or `None` when no straggler window is active (the
+    /// fault-free fast path). Marks newly-applied windows consumed.
     fn straggler_factors(&mut self) -> Option<Vec<f64>> {
         if !self.has_stragglers {
             return None;
@@ -406,7 +356,7 @@ impl Cluster {
             if let FaultEvent::Straggler { start, duration, machine, slowdown } =
                 self.spec.faults.events[i]
             {
-                if self.clock >= start && self.clock < start + duration && machine < self.physical {
+                if self.clock >= start && self.clock < start + duration {
                     factors.get_or_insert_with(|| vec![1.0; self.machines.len()])[machine] *=
                         slowdown;
                     if !self.fault_consumed[i] {
@@ -448,29 +398,20 @@ impl Cluster {
         self.commit(EventKind::Startup, Charge { dt, ..Charge::default() })
     }
 
-    /// Charge compute work: `ops[f]` elementary operations on fragment `f`,
-    /// spread over `cores` cores. Fragment ops fold onto their physical
-    /// machines; wall time is the slowest machine's time (BSP semantics),
-    /// so fragments packed onto one machine by a scale-in serialize. Every
-    /// machine's busy time is recorded for the utilization breakdown. An
-    /// active straggler window slows the affected machine's busy time; the
-    /// surplus over the fault-free wall time is committed as a separate
-    /// `straggler`-labeled stall so the base charge stream stays
-    /// bit-identical to a fault-free run.
+    /// Charge compute work: `ops[i]` elementary operations on machine `i`,
+    /// spread over `cores` cores. Wall time is the slowest machine's time
+    /// (BSP semantics); every machine's busy time is recorded for the
+    /// utilization breakdown. An active straggler window slows the affected
+    /// machine's busy time; the surplus over the fault-free wall time is
+    /// committed as a separate `straggler`-labeled stall so the base charge
+    /// stream stays bit-identical to a fault-free run.
     pub fn advance_compute(&mut self, ops: &[f64], cores: u32) -> Result<(), SimError> {
-        assert_eq!(ops.len(), self.spec.machines, "one ops entry per fragment");
+        assert_eq!(ops.len(), self.spec.machines, "one ops entry per machine");
         assert!(cores >= 1);
         let per_core = self.profile.sec_per_op * self.spec.work_scale;
-        let mut per_machine = vec![0.0f64; self.physical];
-        for (f, &o) in ops.iter().enumerate() {
-            per_machine[self.frag_map[f]] += o * per_core / cores as f64;
-        }
-        self.commit_compute(per_machine)
-    }
-
-    /// Commit per-physical-machine compute seconds: the shared tail of
-    /// [`Cluster::advance_compute`] and the migration rebuild charge.
-    fn commit_compute(&mut self, per_machine: Vec<f64>) -> Result<(), SimError> {
+        // `0.0 +` turns a negative zero positive, as the journal always saw.
+        let per_machine: Vec<f64> =
+            ops.iter().map(|&o| 0.0 + o * per_core / cores as f64).collect();
         let slow = self.straggler_factors();
         let mut max_t = 0.0f64;
         let mut min_t = f64::INFINITY;
@@ -496,21 +437,19 @@ impl Cluster {
         Ok(())
     }
 
-    /// Charge serial compute on a single fragment's machine (e.g.
-    /// master-side work).
+    /// Charge serial compute on a single machine (e.g. master-side work).
     pub fn advance_compute_on(&mut self, machine: MachineId, ops: f64) -> Result<(), SimError> {
-        let p = self.frag_map[machine];
         let slow = self.straggler_factors();
         let t = ops * self.profile.sec_per_op * self.spec.work_scale;
         let ts = match &slow {
-            Some(s) => t * s[p],
+            Some(s) => t * s[machine],
             None => t,
         };
-        self.machines[p].busy_user += ts;
+        self.machines[machine].busy_user += ts;
         // Every other machine idles for the full charge.
-        let wait = if self.physical > 1 { t } else { 0.0 };
-        let mut per_machine = vec![0.0f64; self.physical];
-        per_machine[p] = t;
+        let wait = if self.spec.machines > 1 { t } else { 0.0 };
+        let mut per_machine = vec![0.0f64; self.spec.machines];
+        per_machine[machine] = t;
         self.commit(
             EventKind::Compute,
             Charge { dt: t, barrier_wait: wait, per_machine, ..Charge::default() },
@@ -521,35 +460,15 @@ impl Cluster {
         Ok(())
     }
 
-    /// Charge a message exchange: fragment `f` sends `sent[f]` bytes in
-    /// `msgs[f]` messages and receives `recv[f]` bytes. Fragment traffic
-    /// folds onto physical NICs; each machine's NIC is the bottleneck: its
-    /// transfer time is `max(sent+overhead, recv+overhead) / bandwidth`;
-    /// the superstep takes as long as the busiest NIC.
+    /// Charge a message exchange: machine `i` sends `sent[i]` bytes in
+    /// `msgs[i]` messages and receives `recv[i]` bytes. Each machine's NIC
+    /// is the bottleneck: its transfer time is
+    /// `max(sent+overhead, recv+overhead) / bandwidth`; the superstep takes
+    /// as long as the busiest NIC.
     pub fn exchange(&mut self, sent: &[u64], recv: &[u64], msgs: &[u64]) -> Result<(), SimError> {
         assert_eq!(sent.len(), self.spec.machines);
         assert_eq!(recv.len(), self.spec.machines);
         assert_eq!(msgs.len(), self.spec.machines);
-        let mut p_sent = vec![0u64; self.physical];
-        let mut p_recv = vec![0u64; self.physical];
-        let mut p_msgs = vec![0u64; self.physical];
-        for (f, &p) in self.frag_map.iter().enumerate() {
-            p_sent[p] += sent[f];
-            p_recv[p] += recv[f];
-            p_msgs[p] += msgs[f];
-        }
-        self.exchange_physical(p_sent, p_recv, p_msgs)
-    }
-
-    /// The physical tail of [`Cluster::exchange`], also used for fragment
-    /// migration: vectors are per physical machine (and may be wider than
-    /// the active set mid-resize, covering departing machines).
-    fn exchange_physical(
-        &mut self,
-        sent: Vec<u64>,
-        recv: Vec<u64>,
-        msgs: Vec<u64>,
-    ) -> Result<(), SimError> {
         let deg = self.net_degradation_factor();
         let bw = self.spec.net.bandwidth / self.spec.work_scale;
         let ovh = self.spec.net.per_message_overhead;
@@ -650,166 +569,6 @@ impl Cluster {
         self.spec.faults.has_crashes()
     }
 
-    /// Whether the plan schedules any elastic membership change.
-    pub fn plan_has_resizes(&self) -> bool {
-        self.spec.faults.has_resizes()
-    }
-
-    /// Report the next due elastic resize from the plan, earliest trigger
-    /// first (plan order on ties — the same order [`crate::FaultPlan`]
-    /// validation walks, so a validated plan can never shrink past zero at
-    /// runtime). Each event is returned exactly once; the recovery layer
-    /// computes the new fragment map and calls [`Cluster::apply_resize`].
-    pub fn take_resize(&mut self) -> Option<i64> {
-        let mut best: Option<(f64, usize, i64)> = None;
-        for i in 0..self.spec.faults.events.len() {
-            if self.fault_consumed[i] {
-                continue;
-            }
-            if let FaultEvent::Resize { at_time, delta } = self.spec.faults.events[i] {
-                if self.clock >= at_time && best.map_or(true, |(t, _, _)| at_time < t) {
-                    best = Some((at_time, i, delta));
-                }
-            }
-        }
-        let (_, i, delta) = best?;
-        self.fault_consumed[i] = true;
-        self.registry.inc("faults.resize.applied", 1);
-        Some(delta)
-    }
-
-    /// Apply an elastic membership change: move to `new_machines` physical
-    /// machines, with `new_map[f]` the new physical home of logical
-    /// fragment `f`. Charges the migration under the `migrate` label:
-    /// fragments leaving a *departing* machine go snapshot-assisted (HDFS
-    /// write by the departing host, read by the receiver — its state
-    /// survives the machine), other moves are direct network transfers, and
-    /// every receiver pays local-index rebuild CPU proportional to the
-    /// bytes landed. Physical memory residency moves with the fragments
-    /// without journal deltas (bytes change hosts, they are neither
-    /// allocated nor freed — fragment-indexed journal sums stay intact); a
-    /// receiver driven past its budget fails with an honest OOM before any
-    /// cost is charged.
-    pub fn apply_resize(&mut self, new_machines: usize, new_map: &[usize]) -> Result<(), SimError> {
-        assert_eq!(new_map.len(), self.spec.machines, "one map entry per fragment");
-        assert!(new_machines >= 1, "cannot scale below one machine");
-        assert!(
-            new_map.iter().all(|&m| m < new_machines),
-            "fragment mapped past the new machine set"
-        );
-        let old_physical = self.physical;
-        if self.machines.len() < new_machines {
-            self.machines.resize(new_machines, Machine::default());
-        }
-
-        // Migration legs per physical machine, over the union of the old
-        // and new machine sets.
-        let width = old_physical.max(new_machines);
-        let mut sent = vec![0u64; width];
-        let mut recv = vec![0u64; width];
-        let mut msgs = vec![0u64; width];
-        let mut snap_write = vec![0u64; width];
-        let mut snap_read = vec![0u64; width];
-        let mut mem_delta = vec![0i64; width];
-        let mut moved_frags = 0u64;
-        let mut moved_bytes = 0u64;
-        for (f, (&from, &to)) in self.frag_map.iter().zip(new_map).enumerate() {
-            if from == to {
-                continue;
-            }
-            let bytes = self.frag_mem[f];
-            moved_frags += 1;
-            moved_bytes += bytes;
-            mem_delta[from] -= bytes as i64;
-            mem_delta[to] += bytes as i64;
-            if from >= new_machines {
-                snap_write[from] += bytes;
-                snap_read[to] += bytes;
-            } else {
-                sent[from] += bytes;
-                recv[to] += bytes;
-                msgs[from] += 1;
-            }
-        }
-
-        // Budget check on the post-migration residency before anything is
-        // charged or mutated (sources release before receivers pack).
-        for (p, &d) in mem_delta.iter().enumerate() {
-            let next = (self.machines[p].mem_in_use as i64 + d) as u64;
-            if next > self.spec.memory_per_machine {
-                return Err(SimError::Oom {
-                    machine: p,
-                    requested: d.max(0) as u64,
-                    in_use: self.machines[p].mem_in_use,
-                    budget: self.spec.memory_per_machine,
-                });
-            }
-        }
-
-        let saved = self.label;
-        self.label = "migrate";
-        let charged = self.charge_migration(&sent, &recv, &msgs, &snap_write, &snap_read);
-        self.label = saved;
-        charged?;
-
-        for (p, &d) in mem_delta.iter().enumerate() {
-            let m = &mut self.machines[p];
-            m.mem_in_use = (m.mem_in_use as i64 + d) as u64;
-            m.mem_peak = m.mem_peak.max(m.mem_in_use);
-        }
-        self.frag_map.copy_from_slice(new_map);
-        self.physical = new_machines;
-
-        self.registry.inc("elastic.resizes", 1);
-        if new_machines > old_physical {
-            self.registry.inc("elastic.scale_out", 1);
-            self.registry.inc("elastic.machines.added", (new_machines - old_physical) as u64);
-        } else if new_machines < old_physical {
-            self.registry.inc("elastic.scale_in", 1);
-            self.registry.inc("elastic.machines.removed", (old_physical - new_machines) as u64);
-        }
-        if moved_frags > 0 {
-            self.registry.inc("elastic.migrated.fragments", moved_frags);
-            self.registry.inc("elastic.migrated.bytes", moved_bytes);
-        }
-        Ok(())
-    }
-
-    /// The timed charges of one applied resize, all labeled `migrate`:
-    /// departing-machine snapshots out, direct transfers, snapshot loads,
-    /// then receiver-side index rebuild.
-    fn charge_migration(
-        &mut self,
-        sent: &[u64],
-        recv: &[u64],
-        msgs: &[u64],
-        snap_write: &[u64],
-        snap_read: &[u64],
-    ) -> Result<(), SimError> {
-        if snap_write.iter().any(|&b| b > 0) {
-            let bps = self.spec.disk.hdfs_write;
-            self.disk_physical(EventKind::HdfsWrite, snap_write.to_vec(), bps)?;
-        }
-        if sent.iter().any(|&b| b > 0) || msgs.iter().any(|&m| m > 0) {
-            self.exchange_physical(sent.to_vec(), recv.to_vec(), msgs.to_vec())?;
-        }
-        if snap_read.iter().any(|&b| b > 0) {
-            let bps = self.spec.disk.hdfs_read;
-            self.disk_physical(EventKind::HdfsRead, snap_read.to_vec(), bps)?;
-        }
-        let per_core = self.profile.sec_per_op * self.spec.work_scale;
-        let cores = self.spec.cores as f64;
-        let rebuild: Vec<f64> = recv
-            .iter()
-            .zip(snap_read)
-            .map(|(&a, &b)| (a + b) as f64 * ELASTIC_REBUILD_OPS_PER_BYTE * per_core / cores)
-            .collect();
-        if rebuild.iter().any(|&t| t > 0.0) {
-            self.commit_compute(rebuild)?;
-        }
-        Ok(())
-    }
-
     /// Scheduled fault events that never affected the run (e.g. triggers
     /// past the point where the workload finished). Reported in
     /// `RunRecord.notes` so plans are never silently dropped.
@@ -832,16 +591,13 @@ impl Cluster {
     }
 
     /// Charge latency-bound waiting (e.g. distributed-lock round trips)
-    /// per fragment; colocated fragments wait concurrently (their machine
-    /// waits the longest of them). Wall time is the slowest machine's wait,
-    /// accounted as network time.
+    /// per machine. Wall time is the slowest machine's wait, accounted as
+    /// network time.
     pub fn advance_network_wait(&mut self, secs: &[f64]) -> Result<(), SimError> {
         assert_eq!(secs.len(), self.spec.machines);
-        let mut per_machine = vec![0.0f64; self.physical];
-        for (f, &t) in secs.iter().enumerate() {
-            let p = self.frag_map[f];
-            per_machine[p] = per_machine[p].max(t);
-        }
+        // `0.0.max` keeps a negative zero or NaN reading as zero, as the
+        // journal always saw.
+        let per_machine: Vec<f64> = secs.iter().map(|&t| 0.0f64.max(t)).collect();
         let mut max_t = 0.0f64;
         let mut min_t = f64::INFINITY;
         for (i, &t) in per_machine.iter().enumerate() {
@@ -881,7 +637,7 @@ impl Cluster {
     /// Observers get `&`-references only; the simulated outcome is the same
     /// with or without them.
     pub fn barrier(&mut self) -> Result<(), SimError> {
-        let n = self.physical as f64;
+        let n = self.spec.machines as f64;
         let dt = (self.spec.net.barrier_base
             + self.spec.net.barrier_per_machine * n
             + self.profile.superstep_overhead)
@@ -909,21 +665,6 @@ impl Cluster {
 
     fn disk(&mut self, kind: EventKind, bytes: &[u64], bps: f64) -> Result<(), SimError> {
         assert_eq!(bytes.len(), self.spec.machines);
-        let mut folded = vec![0u64; self.physical];
-        for (f, &p) in self.frag_map.iter().enumerate() {
-            folded[p] += bytes[f];
-        }
-        self.disk_physical(kind, folded, bps)
-    }
-
-    /// The physical tail of [`Cluster::disk`], also used for the
-    /// snapshot-assisted legs of fragment migration.
-    fn disk_physical(
-        &mut self,
-        kind: EventKind,
-        bytes: Vec<u64>,
-        bps: f64,
-    ) -> Result<(), SimError> {
         let slow = self.straggler_factors();
         let mut max_t = 0.0f64;
         let mut min_t = f64::INFINITY;
@@ -986,11 +727,10 @@ impl Cluster {
     }
 
     fn alloc_inner(&mut self, machine: MachineId, bytes: u64) -> Result<(), SimError> {
-        let p = self.frag_map[machine];
-        let m = &mut self.machines[p];
+        let m = &mut self.machines[machine];
         if m.mem_in_use + bytes > self.spec.memory_per_machine {
             return Err(SimError::Oom {
-                machine: p,
+                machine,
                 requested: bytes,
                 in_use: m.mem_in_use,
                 budget: self.spec.memory_per_machine,
@@ -998,14 +738,11 @@ impl Cluster {
         }
         m.mem_in_use += bytes;
         m.mem_peak = m.mem_peak.max(m.mem_in_use);
-        self.frag_mem[machine] += bytes;
         Ok(())
     }
 
-    /// Allocate `bytes` for fragment `machine`, failing with OOM past its
-    /// physical machine's budget (fragments packed together by a scale-in
-    /// share one budget — memory pressure is an honest cost of elasticity).
-    /// Successful non-zero allocations are journaled with a per-fragment
+    /// Allocate `bytes` on `machine`, failing with OOM past its budget.
+    /// Successful non-zero allocations are journaled with a per-machine
     /// delta; a failed allocation changes nothing and records nothing (the
     /// OOM surfaces in the run status instead).
     pub fn alloc(&mut self, machine: MachineId, bytes: u64) -> Result<(), SimError> {
@@ -1045,13 +782,13 @@ impl Cluster {
     }
 
     fn free_inner(&mut self, machine: MachineId, bytes: u64) -> u64 {
-        let freed = bytes.min(self.frag_mem[machine]);
-        self.frag_mem[machine] -= freed;
-        self.machines[self.frag_map[machine]].mem_in_use -= freed;
+        let m = &mut self.machines[machine];
+        let freed = bytes.min(m.mem_in_use);
+        m.mem_in_use -= freed;
         freed
     }
 
-    /// Release memory owned by fragment `machine`. Saturates at zero (frees
+    /// Release memory in use on `machine`. Saturates at zero (frees
     /// of estimated sizes may round differently than the matching alloc);
     /// the journal records the bytes actually released.
     pub fn free(&mut self, machine: MachineId, bytes: u64) {
@@ -1080,22 +817,20 @@ impl Cluster {
         }
     }
 
-    /// Current memory owned by fragment `machine`.
+    /// Current memory in use on `machine`.
     pub fn mem_in_use(&self, machine: MachineId) -> u64 {
-        self.frag_mem[machine]
+        self.machines[machine].mem_in_use
     }
 
-    /// Peak memory per physical machine so far, including machines that
-    /// have since departed (their peaks are part of the run's history).
+    /// Peak memory per machine so far.
     pub fn mem_peaks(&self) -> Vec<u64> {
         self.machines.iter().map(|m| m.mem_peak).collect()
     }
 
     /// Record a memory-trace sample at the current clock, one entry per
-    /// *active* physical machine (samples narrow after a scale-in; the
-    /// trace's peak logic tolerates varying widths).
+    /// machine.
     pub fn sample_trace(&mut self) {
-        let mems: Vec<u64> = self.machines[..self.physical].iter().map(|m| m.mem_in_use).collect();
+        let mems: Vec<u64> = self.machines.iter().map(|m| m.mem_in_use).collect();
         self.trace.record(self.clock, &mems);
     }
 
@@ -1304,37 +1039,6 @@ mod tests {
         assert_eq!(c.take_crash(), None);
         let unreached = c.unreached_faults();
         assert_eq!(unreached, vec!["crash@100:m1".to_string()]);
-    }
-
-    #[test]
-    fn unreached_resize_is_reported_not_dropped() {
-        let plan = crate::FaultPlan {
-            events: vec![crate::FaultEvent::Resize { at_time: 100.0, delta: 2 }],
-        };
-        let mut c = faulted(2, plan);
-        c.advance_stall(1.0).unwrap();
-        assert_eq!(c.take_resize(), None);
-        assert_eq!(c.unreached_faults(), vec!["resize@100:+m2".to_string()]);
-        assert_eq!(c.registry().counter("faults.resize.applied"), 0);
-    }
-
-    #[test]
-    fn due_resizes_are_consumed_in_trigger_time_order() {
-        // Scheduled out of plan order: the earlier trigger must come out
-        // first (the order the validation walk assumed).
-        let plan = crate::FaultPlan {
-            events: vec![
-                crate::FaultEvent::Resize { at_time: 5.0, delta: 2 },
-                crate::FaultEvent::Resize { at_time: 1.0, delta: -1 },
-            ],
-        };
-        let mut c = faulted(2, plan);
-        c.advance_stall(10.0).unwrap();
-        assert_eq!(c.take_resize(), Some(-1));
-        assert_eq!(c.take_resize(), Some(2));
-        assert_eq!(c.take_resize(), None);
-        assert_eq!(c.registry().counter("faults.resize.applied"), 2);
-        assert!(c.unreached_faults().is_empty());
     }
 
     #[test]

@@ -209,7 +209,7 @@ pub struct JournalEvent {
     pub disk_bytes: u64,
     /// Per-machine memory delta in bytes (positive: alloc, negative: free).
     pub mem_delta: Vec<i64>,
-    /// Base (fault-free) busy seconds per physical machine. Empty for
+    /// Base (fault-free) busy seconds per machine. Empty for
     /// charges no single machine gates — start-up, barriers, stalls,
     /// memory events. Fault surpluses are separate labeled stalls, so
     /// `max(per_machine) == dt` holds bitwise even on faulted runs.
@@ -399,21 +399,6 @@ impl Journal {
         let mut t = 0.0;
         for ev in &self.events {
             if matches!(ev.label.as_str(), "recovery" | "retry" | "straggler") {
-                t += ev.dt;
-            }
-        }
-        t
-    }
-
-    /// Simulated seconds attributable to elastic membership changes: the
-    /// sum over events labeled `migrate` (fragment transfers, departing-
-    /// machine snapshots, receiver index rebuilds). Zero on a static run.
-    /// Kept apart from [`Journal::fault_seconds`]: a resize is a planned
-    /// reconfiguration, not a failure.
-    pub fn elastic_seconds(&self) -> f64 {
-        let mut t = 0.0;
-        for ev in &self.events {
-            if ev.label == "migrate" {
                 t += ev.dt;
             }
         }

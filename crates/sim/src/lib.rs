@@ -31,17 +31,14 @@ pub mod spec;
 pub mod timeline;
 pub mod trace;
 
-pub use cluster::{Cluster, Phase, TransientFault, ELASTIC_REBUILD_OPS_PER_BYTE};
+pub use cluster::{Cluster, Phase, TransientFault};
 pub use cost::CostProfile;
 pub use hosttrace::HostSpan;
 pub use journal::{EventKind, Journal, JournalEvent, LabelCost};
 pub use metrics::{CpuBreakdown, PhaseTimes, RunMetrics, RunStatus};
 pub use observer::{ClusterObserver, ObserverSet, SuperstepSnapshot};
 pub use registry::{Histogram, MetricsRegistry, SECONDS_BUCKETS};
-pub use spec::{
-    ClusterSpec, DiskSpec, FaultEvent, FaultPlan, NetworkSpec, MAX_ELASTIC_MACHINES,
-    RETRY_MAX_ATTEMPTS,
-};
+pub use spec::{ClusterSpec, DiskSpec, FaultEvent, FaultPlan, NetworkSpec, RETRY_MAX_ATTEMPTS};
 pub use timeline::{Block, CriticalPath, CriticalPathRow, Timeline};
 pub use trace::{Trace, TraceSample};
 

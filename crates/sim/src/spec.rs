@@ -60,11 +60,6 @@ impl Default for DiskSpec {
 /// succeed: the bounded retry/backoff model never aborts a run.
 pub const RETRY_MAX_ATTEMPTS: u32 = 3;
 
-/// Largest physical machine count a resize may reach. A backstop against
-/// runaway `resize@T:+mM` plans (each physical slot carries accounting
-/// state), far above the paper's 128-machine ceiling.
-pub const MAX_ELASTIC_MACHINES: usize = 1024;
-
 /// One scheduled fault event. Times are simulated seconds; an event fires
 /// when the simulated clock first reaches its trigger time at the charge or
 /// barrier where the affected engine can observe it.
@@ -89,15 +84,6 @@ pub enum FaultEvent {
     /// An HDFS write on `machine` fails at `at_time`; retried with the same
     /// bounded backoff model as a lost fetch.
     FailedHdfsWrite { at_time: f64, machine: usize, attempts: u32 },
-    /// Elastic membership change at `at_time`: `delta > 0` machines join,
-    /// `delta < 0` machines leave. The cluster applies it at the next
-    /// barrier — the superstep suspends, fragments are deterministically
-    /// remapped onto the new machine set, migration cost (bytes moved over
-    /// the network model plus index-rebuild CPU, snapshot-assisted when the
-    /// source machine is departing) is charged under the `migrate` label,
-    /// and the run resumes. Because computation stays keyed to the fixed
-    /// logical fragments, the answer is bit-identical to the static run.
-    Resize { at_time: f64, delta: i64 },
 }
 
 impl FaultEvent {
@@ -106,8 +92,7 @@ impl FaultEvent {
         match *self {
             FaultEvent::Crash { at_time, .. }
             | FaultEvent::LostShuffleFetch { at_time, .. }
-            | FaultEvent::FailedHdfsWrite { at_time, .. }
-            | FaultEvent::Resize { at_time, .. } => at_time,
+            | FaultEvent::FailedHdfsWrite { at_time, .. } => at_time,
             FaultEvent::Straggler { start, .. } | FaultEvent::NetworkDegradation { start, .. } => {
                 start
             }
@@ -122,7 +107,6 @@ impl FaultEvent {
             FaultEvent::NetworkDegradation { .. } => "netdeg",
             FaultEvent::LostShuffleFetch { .. } => "fetch",
             FaultEvent::FailedHdfsWrite { .. } => "hdfs",
-            FaultEvent::Resize { .. } => "resize",
         }
     }
 }
@@ -142,10 +126,6 @@ impl std::fmt::Display for FaultEvent {
             }
             FaultEvent::FailedHdfsWrite { at_time, machine, attempts } => {
                 write!(f, "hdfs@{at_time}:m{machine}x{attempts}")
-            }
-            FaultEvent::Resize { at_time, delta } => {
-                let sign = if delta < 0 { '-' } else { '+' };
-                write!(f, "resize@{at_time}:{sign}m{}", delta.unsigned_abs())
             }
         }
     }
@@ -181,35 +161,13 @@ impl FaultPlan {
         self.events.iter().any(|e| matches!(e, FaultEvent::Crash { .. }))
     }
 
-    /// Whether any scheduled event is an elastic membership change.
-    pub fn has_resizes(&self) -> bool {
-        self.events.iter().any(|e| matches!(e, FaultEvent::Resize { .. }))
-    }
-
     /// Validate every event against the cluster shape. Rejects events that
     /// could never fire (machine out of range, trigger past the deadline,
     /// non-positive times) or that break model invariants (slowdown < 1,
     /// bandwidth factor outside (0, 1], retry attempts outside
-    /// `1..=RETRY_MAX_ATTEMPTS`, resizes that would shrink the cluster
-    /// below one machine or past [`MAX_ELASTIC_MACHINES`]).
-    ///
-    /// Events are checked in trigger-time order (ties broken by plan
-    /// position — the order the cluster consumes them) so machine indices
-    /// and resize deltas are validated against the membership in effect
-    /// when each event fires.
+    /// `1..=RETRY_MAX_ATTEMPTS`).
     pub fn validate(&self, machines: usize, deadline: f64) -> Result<(), String> {
-        let mut order: Vec<usize> = (0..self.events.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.events[a]
-                .trigger_time()
-                .partial_cmp(&self.events[b].trigger_time())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        // Running physical machine count as resizes apply.
-        let mut count = machines;
-        for i in order {
-            let e = &self.events[i];
+        for (i, e) in self.events.iter().enumerate() {
             let fail = |why: String| Err(format!("fault event #{i} ({e}): {why}"));
             let t = e.trigger_time();
             if !t.is_finite() || t < 0.0 {
@@ -223,24 +181,9 @@ impl FaultPlan {
                 | FaultEvent::LostShuffleFetch { machine, .. }
                 | FaultEvent::FailedHdfsWrite { machine, .. }
                 | FaultEvent::Straggler { machine, .. }
-                    if machine >= count =>
+                    if machine >= machines =>
                 {
-                    return fail(format!("machine {machine} >= cluster size {count}"));
-                }
-                FaultEvent::Resize { delta, .. } => {
-                    if delta == 0 {
-                        return fail("resize delta must be non-zero".to_string());
-                    }
-                    let next = count as i64 + delta;
-                    if next < 1 {
-                        return fail(format!("scale-in past zero ({count} machines {delta:+})"));
-                    }
-                    if next > MAX_ELASTIC_MACHINES as i64 {
-                        return fail(format!(
-                            "scale-out past {MAX_ELASTIC_MACHINES} machines ({count} {delta:+})"
-                        ));
-                    }
-                    count = next as usize;
+                    return fail(format!("machine {machine} >= cluster size {machines}"));
                 }
                 FaultEvent::Straggler { duration, slowdown, .. } => {
                     if !duration.is_finite() || duration < 0.0 {
@@ -259,12 +202,12 @@ impl FaultPlan {
                     }
                 }
                 FaultEvent::LostShuffleFetch { attempts, .. }
-                | FaultEvent::FailedHdfsWrite { attempts, .. } => {
-                    if attempts == 0 || attempts > RETRY_MAX_ATTEMPTS {
-                        return fail(format!(
-                            "attempts {attempts} must be in 1..={RETRY_MAX_ATTEMPTS}"
-                        ));
-                    }
+                | FaultEvent::FailedHdfsWrite { attempts, .. }
+                    if attempts == 0 || attempts > RETRY_MAX_ATTEMPTS =>
+                {
+                    return fail(format!(
+                        "attempts {attempts} must be in 1..={RETRY_MAX_ATTEMPTS}"
+                    ));
                 }
                 _ => {}
             }
@@ -276,12 +219,12 @@ impl FaultPlan {
     ///
     /// ```text
     /// crash@T:mM            straggler@T+D:mMxS     netdeg@T+D:xF
-    /// fetch@T:mM[xA]        hdfs@T:mM[xA]          resize@T:+mM | resize@T:-mM
+    /// fetch@T:mM[xA]        hdfs@T:mM[xA]
     /// ```
     ///
-    /// where `T`/`D` are seconds, `M` a machine index (for `resize`, a
-    /// machine *count* to add or remove), `S` a slowdown factor, `F` a
-    /// bandwidth multiplier and `A` a retry-attempt count (default 1).
+    /// where `T`/`D` are seconds, `M` a machine index, `S` a slowdown
+    /// factor, `F` a bandwidth multiplier and `A` a retry-attempt count
+    /// (default 1).
     ///
     /// Errors name the offending token and its byte offset in the input.
     pub fn parse(s: &str) -> Result<Self, String> {
@@ -354,20 +297,6 @@ impl FaultPlan {
                 } else {
                     FaultEvent::FailedHdfsWrite { at_time: start, machine, attempts }
                 })
-            }
-            "resize" => {
-                let t = body.trim();
-                let (sign, m) = match (t.strip_prefix("+m"), t.strip_prefix("-m")) {
-                    (Some(m), _) => (1i64, m),
-                    (_, Some(m)) => (-1i64, m),
-                    _ => return Err(err(t, "expected +mN or -mN machine delta")),
-                };
-                let n = m
-                    .parse::<i64>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| err(t, "machine delta must be a positive integer"))?;
-                Ok(FaultEvent::Resize { at_time: start, delta: sign * n })
             }
             other => Err(err(kind.trim(), &format!("unknown event kind {other:?}"))),
         }
@@ -538,26 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn resize_events_parse_and_round_trip() {
-        let plan = FaultPlan::parse("resize@5:+m2; resize@9.5:-m1").unwrap();
-        assert_eq!(
-            plan.events,
-            vec![
-                FaultEvent::Resize { at_time: 5.0, delta: 2 },
-                FaultEvent::Resize { at_time: 9.5, delta: -1 },
-            ]
-        );
-        assert!(plan.has_resizes());
-        assert!(!plan.has_crashes());
-        let printed = plan.events.iter().map(|e| e.to_string()).collect::<Vec<_>>().join("; ");
-        assert_eq!(printed, "resize@5:+m2; resize@9.5:-m1");
-        assert_eq!(FaultPlan::parse(&printed).unwrap(), plan);
-        assert!(FaultPlan::parse("resize@5:m2").is_err(), "delta needs a sign");
-        assert!(FaultPlan::parse("resize@5:+m0").is_err(), "zero delta");
-        assert!(FaultPlan::parse("resize@5:+m-1").is_err(), "mangled delta");
-    }
-
-    #[test]
     fn parse_errors_carry_byte_offset_and_token() {
         let err = FaultPlan::parse("crash@5:m1; straggler@7:m0x2").unwrap_err();
         assert!(err.contains("at byte 22"), "{err}");
@@ -565,31 +474,13 @@ mod tests {
         let err = FaultPlan::parse("crash@5:m1; explode@9:m0").unwrap_err();
         assert!(err.contains("\"explode\""), "{err}");
         assert!(err.contains("at byte 12"), "{err}");
-        let err = FaultPlan::parse("resize@1:xm2").unwrap_err();
-        assert!(err.contains("at byte 9"), "{err}");
+        let err = FaultPlan::parse("crash@1:xm2").unwrap_err();
+        assert!(err.contains("at byte 8"), "{err}");
         assert!(err.contains("\"xm2\""), "{err}");
-    }
-
-    #[test]
-    fn resize_validation_walks_the_running_machine_count() {
-        let deadline = 100.0;
-        let ok = FaultPlan::parse("resize@5:-m2; resize@9:+m1").unwrap();
-        assert!(ok.validate(4, deadline).is_ok());
-        // 4 - 2 - 2 hits zero at the second event.
-        let zero = FaultPlan::parse("resize@5:-m2; resize@9:-m2").unwrap();
-        assert!(zero.validate(4, deadline).is_err());
-        // Machine indices are checked against the count in effect at their
-        // trigger time: m5 only exists after the scale-out at t=5.
-        let grown = FaultPlan::parse("resize@5:+m4; crash@9:m5").unwrap();
-        assert!(grown.validate(4, deadline).is_ok());
-        let early = FaultPlan::parse("crash@3:m5; resize@5:+m4").unwrap();
-        assert!(early.validate(4, deadline).is_err());
-        // Plan order, not schedule order, is irrelevant: the walk sorts by
-        // trigger time before checking.
-        let reordered = FaultPlan::parse("crash@9:m5; resize@5:+m4").unwrap();
-        assert!(reordered.validate(4, deadline).is_ok());
-        let cap = FaultPlan::parse(&format!("resize@5:+m{MAX_ELASTIC_MACHINES}")).unwrap();
-        assert!(cap.validate(4, deadline).is_err(), "past the machine-count cap");
+        // Membership is fixed for a run: `resize` is not an event kind.
+        let err = FaultPlan::parse("resize@5:+m2").unwrap_err();
+        assert!(err.contains("unknown event kind \"resize\""), "{err}");
+        assert!(err.contains("at byte 0"), "{err}");
     }
 
     mod props {
@@ -597,13 +488,13 @@ mod tests {
         use graphbench_graph::rng::{for_each_seed, hostile_text, Rng};
 
         /// Any event kind: times below 1e5 s, windows below 1e4 s, machines
-        /// below 256, resize deltas of ±1..=64.
+        /// below 256.
         fn arb_event(rng: &mut Rng) -> FaultEvent {
             let at_time = 1e5 * rng.f64();
             let duration = 1e4 * rng.f64();
             let machine = rng.below(256);
             let attempts = 1 + rng.below_u32(RETRY_MAX_ATTEMPTS);
-            match rng.below(6) {
+            match rng.below(5) {
                 0 => FaultEvent::Crash { at_time, machine },
                 1 => {
                     let slowdown = 1.0 + 63.0 * rng.f64();
@@ -614,12 +505,7 @@ mod tests {
                     FaultEvent::NetworkDegradation { start: at_time, duration, factor }
                 }
                 3 => FaultEvent::LostShuffleFetch { at_time, machine, attempts },
-                4 => FaultEvent::FailedHdfsWrite { at_time, machine, attempts },
-                _ => {
-                    let delta = 1 + rng.below(64) as i64;
-                    let delta = if rng.below(2) == 0 { -delta } else { delta };
-                    FaultEvent::Resize { at_time, delta }
-                }
+                _ => FaultEvent::FailedHdfsWrite { at_time, machine, attempts },
             }
         }
 
@@ -627,7 +513,7 @@ mod tests {
         const VALID: [&str; 3] = [
             "crash@5:m1; straggler@7.5+30:m0x2.5",
             "netdeg@1e2+20:x0.5; fetch@3:m2x2; hdfs@4:m1",
-            "resize@5:-m2; resize@9:+m4",
+            "crash@0:m0; straggler@1+2:m3x1.5; hdfs@9:m0x3",
         ];
 
         // The parser is total: arbitrary input produces Ok or Err,

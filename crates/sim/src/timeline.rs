@@ -90,10 +90,9 @@ impl<'a> Timeline<'a> {
         Timeline { spans: journal.events().iter().filter(|e| e.kind.is_timed()).collect() }
     }
 
-    /// Simulated machines that ever carried a charge (one export track
-    /// each): the widest `per_machine` vector in the run. After an elastic
-    /// scale-out that is the widest membership charged; earlier spans keep
-    /// their narrower vectors, and departed machines keep their tracks.
+    /// Simulated machines that carried a charge (one export track each):
+    /// the widest `per_machine` vector in the run, which is the cluster's
+    /// machine count unless every charge was cluster-wide.
     pub fn machines(&self) -> usize {
         self.spans.iter().map(|s| s.per_machine.len()).max().unwrap_or(0)
     }
@@ -216,8 +215,7 @@ impl<'a> Timeline<'a> {
         }
         if let (Some(first), Some(last)) = (self.spans.first(), self.spans.last()) {
             ev.complete(
-                SIM_PID,
-                0,
+                (SIM_PID, 0),
                 "run",
                 "run",
                 us(first.start),
@@ -226,10 +224,10 @@ impl<'a> Timeline<'a> {
             );
         }
         for b in self.phase_blocks() {
-            ev.complete(SIM_PID, 0, &b.name, "phase", us(b.start), us(b.end - b.start), None);
+            ev.complete((SIM_PID, 0), &b.name, "phase", us(b.start), us(b.end - b.start), None);
         }
         for b in self.superstep_blocks() {
-            ev.complete(SIM_PID, 0, &b.name, "superstep", us(b.start), us(b.end - b.start), None);
+            ev.complete((SIM_PID, 0), &b.name, "superstep", us(b.start), us(b.end - b.start), None);
         }
         for s in &self.spans {
             let args = Object(|w: &mut Writer| {
@@ -238,12 +236,11 @@ impl<'a> Timeline<'a> {
                 w.field("barrier_wait", &s.barrier_wait);
                 w.field("gating_machine", &s.gating_machine());
             });
-            ev.complete(SIM_PID, 0, &s.label, s.kind.name(), us(s.start), us(s.dt), Some(&args));
+            ev.complete((SIM_PID, 0), &s.label, s.kind.name(), us(s.start), us(s.dt), Some(&args));
             for (m, &busy) in s.per_machine.iter().enumerate() {
                 if busy > 0.0 {
                     ev.complete(
-                        SIM_PID,
-                        1 + m as u64,
+                        (SIM_PID, 1 + m as u64),
                         &s.label,
                         s.kind.name(),
                         us(s.start),
@@ -263,8 +260,7 @@ impl<'a> Timeline<'a> {
             }
             for h in host {
                 ev.complete(
-                    HOST_PID,
-                    h.thread as u64,
+                    (HOST_PID, h.thread as u64),
                     &h.label,
                     "host",
                     h.start_us as f64,
@@ -314,11 +310,11 @@ impl ChromeEvents {
         });
     }
 
-    /// An `"X"` complete event: one span with a start and a duration.
+    /// An `"X"` complete event on track `(pid, tid)`: one span with a
+    /// start and a duration.
     fn complete(
         &mut self,
-        pid: u64,
-        tid: u64,
+        (pid, tid): (u64, u64),
         name: &str,
         cat: &str,
         ts_us: f64,

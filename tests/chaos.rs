@@ -14,9 +14,7 @@
 //! 3. **monotonic cost** — simulated runtime never decreases as the next
 //!    scheduled event is appended to the plan (prefixes are taken in
 //!    trigger-time order and windows are capped at the next trigger, the
-//!    form for which this is a theorem — see DESIGN.md). Exempt once a
-//!    prefix contains a `resize`: scaling back out after a scale-in can
-//!    legitimately make the run *faster* than the scaled-in prefix;
+//!    form for which this is a theorem — see DESIGN.md);
 //! 4. **nothing vanishes** — every scheduled event is either consumed
 //!    (counted in the `faults.*` registry counters) or reported in
 //!    `notes` as `fault event unreached: ...`.
@@ -106,7 +104,7 @@ struct AbstractFault {
 
 fn arb_fault(rng: &mut Rng) -> AbstractFault {
     AbstractFault {
-        kind: rng.below(6) as u8,
+        kind: rng.below(5) as u8,
         offset: 0.6 * rng.f64(),
         machine: rng.below(MACHINES),
         slowdown: 1.5 + 1.5 * rng.f64(),
@@ -126,16 +124,10 @@ fn arb_fault(rng: &mut Rng) -> AbstractFault {
 /// At most two crashes per plan: restart-style recovery doubles the
 /// remaining runtime per crash, and the cap keeps every prefix far from
 /// the 24 h simulated deadline.
-///
-/// Resize events walk a running machine count (start [`MACHINES`], kept
-/// within `[2, 12]`), and machine-indexed events target `machine % count`
-/// so they always hit a member of the cluster in effect at their trigger —
-/// the same rule `FaultPlan::validate` enforces.
 fn materialize(abstracts: &[AbstractFault], t_clean: f64) -> FaultPlan {
     let n = abstracts.len();
     let frac = |i: usize, off: f64| 0.05 + 0.85 * (i as f64 + off) / n as f64;
     let mut crashes = 0;
-    let mut count = MACHINES as i64;
     let mut events = Vec::with_capacity(n);
     for (i, a) in abstracts.iter().enumerate() {
         let start = frac(i, a.offset) * t_clean;
@@ -148,27 +140,13 @@ fn materialize(abstracts: &[AbstractFault], t_clean: f64) -> FaultPlan {
                 kind = 3; // demote surplus crashes to transients
             }
         }
-        let machine = a.machine % count.max(1) as usize;
+        let machine = a.machine;
         events.push(match kind {
             0 => FaultEvent::Crash { at_time: start, machine },
             1 => FaultEvent::Straggler { start, duration, machine, slowdown: a.slowdown },
             2 => FaultEvent::NetworkDegradation { start, duration, factor: a.factor },
             3 => FaultEvent::LostShuffleFetch { at_time: start, machine, attempts: a.attempts },
             4 => FaultEvent::FailedHdfsWrite { at_time: start, machine, attempts: a.attempts },
-            5 => {
-                // ±1..2 machines, preferring the direction the generated
-                // bit picks but clamped so membership stays within [2, 12].
-                let mag = 1 + (a.attempts as i64 & 1);
-                let delta = if a.machine % 2 == 0 && count + mag <= 12 {
-                    mag
-                } else if count - mag >= 2 {
-                    -mag
-                } else {
-                    mag
-                };
-                count += delta;
-                FaultEvent::Resize { at_time: start, delta }
-            }
             _ => unreachable!(),
         });
     }
@@ -183,7 +161,6 @@ fn consumed(out: &RunOutput) -> u64 {
         "faults.hdfs.retried",
         "faults.straggler.applied",
         "faults.netdeg.applied",
-        "faults.resize.applied",
     ]
     .iter()
     .map(|name| out.registry.counter(name))
@@ -232,23 +209,14 @@ fn check_case(idx: usize, abstracts: &[AbstractFault]) {
     // 3+4: each time-ordered prefix costs at least as much as the last,
     // and accounts for every scheduled event.
     let mut prev = t_clean;
-    let mut resized = false;
     for k in 1..=plan.events.len() {
         let prefix = FaultPlan { events: plan.events[..k].to_vec() };
         let out = run_cell(idx, prefix);
         assert!(out.metrics.status.is_ok(), "{label}: prefix {k}: {:?}", out.metrics.status);
         // 1: the answer survives every fault combination.
         assert_eq!(&clean.result, &out.result, "{} prefix {}: answer changed", label, k);
-        resized |= matches!(plan.events[k - 1], FaultEvent::Resize { .. });
         let t = out.metrics.total_time();
-        assert!(
-            resized || t >= prev - 1e-9,
-            "{} prefix {}: runtime decreased {} -> {}",
-            label,
-            k,
-            prev,
-            t
-        );
+        assert!(t >= prev - 1e-9, "{} prefix {}: runtime decreased {} -> {}", label, k, prev, t);
         prev = t;
         assert_eq!(
             consumed(&out) + unreached(&out),

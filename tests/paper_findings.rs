@@ -465,57 +465,6 @@ fn table1_checkpoint_beats_restart_and_lineage_cost_grows_with_depth() {
     assert!(c_ckpt < last, "ckpt-bounded lineage {c_ckpt} vs unbounded {last}");
 }
 
-/// Elastic membership, end-to-end: a scale-in mid-run migrates live state
-/// without changing the answer in either state-migrating engine, the
-/// migration bills under the `migrate` label (never under the fault
-/// labels — a resize is planned, not a failure), and a mixed
-/// crash + resize + straggler plan composes.
-#[test]
-fn elastic_resize_preserves_answers_and_composes_with_faults() {
-    use graphbench_engines::graphx::GraphX;
-    use graphbench_engines::pregel::Giraph;
-    use graphbench_sim::FaultEvent;
-    let ds = dataset(DatasetKind::Twitter);
-    let pr = Workload::PageRank(PageRankConfig::fixed(20));
-
-    // Giraph: half the cluster leaves at 40% of execution.
-    let giraph = || Giraph { checkpoint_every: Some(5), ..Giraph::default() };
-    let clean = giraph().run(&faulted_input(&ds, pr, 8, FaultPlan::none()));
-    assert!(clean.metrics.status.is_ok(), "{:?}", clean.metrics.status);
-    let p = clean.metrics.phases;
-    let at = |alpha: f64| p.overhead + p.load + alpha * p.execute;
-    let resize = FaultPlan { events: vec![FaultEvent::Resize { at_time: at(0.4), delta: -4 }] };
-    let out = giraph().run(&faulted_input(&ds, pr, 8, resize));
-    assert_eq!(clean.result, out.result, "Giraph scale-in changed the answer");
-    assert!(out.journal.elastic_seconds() > 0.0, "no migration seconds journaled");
-    assert_eq!(out.journal.fault_seconds(), 0.0, "planned resize billed as a fault");
-    assert!(out.metrics.total_time() > clean.metrics.total_time());
-
-    // GraphX, mixed plan: a crash, then the scale-in, then a straggler on
-    // a machine that is still a member of the narrowed cluster.
-    let gx = || GraphX { num_partitions: Some(64), ..GraphX::default() };
-    let clean = gx().run(&faulted_input(&ds, pr, 8, FaultPlan::none()));
-    assert!(clean.metrics.status.is_ok(), "{:?}", clean.metrics.status);
-    let p = clean.metrics.phases;
-    let at = |alpha: f64| p.overhead + p.load + alpha * p.execute;
-    let mixed = FaultPlan {
-        events: vec![
-            FaultEvent::Crash { at_time: at(0.2), machine: 2 },
-            FaultEvent::Resize { at_time: at(0.5), delta: -4 },
-            FaultEvent::Straggler {
-                start: at(0.7),
-                duration: 0.2 * p.execute,
-                machine: 1,
-                slowdown: 2.0,
-            },
-        ],
-    };
-    let out = gx().run(&faulted_input(&ds, pr, 8, mixed));
-    assert_eq!(clean.result, out.result, "mixed crash+resize+straggler changed the answer");
-    assert!(out.journal.elastic_seconds() > 0.0, "no migration seconds in the mixed run");
-    assert!(out.journal.fault_seconds() > 0.0, "no fault seconds in the mixed run");
-}
-
 /// §5.10: Hadoop spends more time in I/O wait than in user CPU — the
 /// disk-bound MapReduce signature.
 #[test]

@@ -146,9 +146,8 @@ fn assert_chrome_trace_valid(tl: &Timeline<'_>, rec: &RunRecord, label: &str) {
             other => panic!("{label}: unexpected ph {other:?}"),
         }
     }
-    // Tracks are the widest per-machine vector charged: the initial
-    // membership, or more after an elastic scale-out.
-    assert!(machine_tracks >= rec.machines, "{label}: one track per machine");
+    // One track per machine: the width of every per-machine vector.
+    assert_eq!(machine_tracks, rec.machines, "{label}: one track per machine");
     assert_eq!(machine_tracks, tl.machines(), "{label}");
 }
 
@@ -214,39 +213,9 @@ fn faulted_runs_still_decompose_bit_for_bit() {
     );
 }
 
-/// Elastic resizes must not break the decomposition either: migration
-/// spans gate on their slowest machine exactly like compute spans, and the
-/// replay reproduces the resized runtime bit-for-bit.
-#[test]
-fn elastic_runs_still_decompose_bit_for_bit() {
-    let spec = ExperimentSpec {
-        system: SystemId::Giraph,
-        workload: WorkloadKind::PageRank,
-        dataset: DatasetKind::Twitter,
-        machines: 16,
-    };
-    let clean = runner().run(&spec);
-    let p = clean.metrics.phases;
-    let mut r = runner();
-    r.faults = Some(FaultPlan {
-        events: vec![
-            FaultEvent::Resize { at_time: p.overhead + p.load + 0.25 * p.execute, delta: -8 },
-            FaultEvent::Resize { at_time: p.overhead + p.load + 0.65 * p.execute, delta: 8 },
-        ],
-    });
-    let rec = r.run(&spec);
-    assert!(rec.runtime > clean.runtime, "migration should cost simulated time");
-    assert_all(&rec);
-    assert!(
-        rec.journal.events().iter().any(|s| s.label == "migrate" && s.dt > 0.0),
-        "no migrate event in the elastic journal"
-    );
-}
-
 /// The journal export is enough to replay a run: parsed back, it gives the
 /// record's critical-path total and phase times to the bit — for the
-/// line-up on all four workloads, under a straggler+crash plan and under a
-/// `resize -m2; resize +m4` plan.
+/// line-up on all four workloads, and under a straggler+crash plan.
 #[test]
 fn reparsed_journals_replay_the_run_bit_for_bit() {
     let mut records: Vec<RunRecord> = Vec::new();
@@ -263,8 +232,9 @@ fn reparsed_journals_replay_the_run_bit_for_bit() {
     };
     let p = runner().run(&spec).metrics.phases;
     let exec_at = |alpha: f64| p.overhead + p.load + alpha * p.execute;
-    let plans = [
-        vec![
+    let mut r = runner();
+    r.faults = Some(FaultPlan {
+        events: vec![
             FaultEvent::Straggler {
                 start: exec_at(0.1),
                 duration: 0.3 * p.execute,
@@ -273,16 +243,8 @@ fn reparsed_journals_replay_the_run_bit_for_bit() {
             },
             FaultEvent::Crash { at_time: exec_at(0.6), machine: 5 },
         ],
-        vec![
-            FaultEvent::Resize { at_time: exec_at(0.25), delta: -2 },
-            FaultEvent::Resize { at_time: exec_at(0.65), delta: 4 },
-        ],
-    ];
-    for events in plans {
-        let mut r = runner();
-        r.faults = Some(FaultPlan { events });
-        records.push(r.run(&spec));
-    }
+    });
+    records.push(r.run(&spec));
     for rec in &records {
         let label = format!("{} {} ({})", rec.system, rec.workload, rec.metrics.status.code());
         let back =
