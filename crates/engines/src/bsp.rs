@@ -26,12 +26,15 @@
 //! parallelism only changes how fast the study runs.
 //!
 //! The message path is the zero-sort radix shuffle of [`crate::shuffle`],
-//! and each message is looked up once and copied once: [`Ctx::send`]
-//! resolves the target's `(machine, fragment-local id)` with one
-//! [`graphbench_partition::LocalIndex`] read and files `(local id, payload)`
-//! in the sending chunk's bucket for that machine; and delivery reads every
-//! source's chunk buckets where they lie, folding or grouping them by the
-//! carried local id. A superstep is two dispatches: compute, then deliver.
+//! and each message is copied once. Every out-edge's target is resolved to
+//! its `(machine, fragment-local id)` once per *run*, in CSR order, into the
+//! shard's route table; [`Ctx::send_to_out_neighbors`] walks the running
+//! vertex's routes and files `(local id, payload)` in the sending chunk's
+//! bucket for each target's machine. [`Ctx::send`], for targets that are not
+//! out-edges, does the same with one [`graphbench_partition::LocalIndex`]
+//! read per message. Delivery reads every source's chunk buckets where they
+//! lie, folding or grouping them by the carried local id. A superstep is two
+//! dispatches: compute, then deliver.
 //!
 //! Which vertices a superstep runs is a *frontier* with no threshold to
 //! tune: every chunk counts its own `active` flags, and a chunk whose count
@@ -46,8 +49,11 @@ use crate::exec;
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::shuffle::Inbox;
 use graphbench_graph::{CsrGraph, VertexId};
-use graphbench_partition::{EdgeCutPartition, LocalIndex};
+use graphbench_partition::{EdgeCutPartition, LocalIndex, MachineId};
 use graphbench_sim::{Cluster, SimError};
+
+/// A message target resolved once per run: owner machine and fragment-local id.
+type Route = (MachineId, u32);
 
 /// Per-superstep context handed to [`VertexProgram::compute`]. One context
 /// serves every vertex of a sub-chunk; its tallies accumulate across them.
@@ -55,6 +61,8 @@ pub struct Ctx<'a, M> {
     /// Current superstep (0-based).
     pub superstep: u64,
     li: &'a LocalIndex,
+    /// The running vertex's out-edges, resolved, in CSR order.
+    routes: &'a [Route],
     /// The executing chunk's outbox buckets, one per destination machine.
     out: &'a mut [Vec<(u32, M)>],
     sent: u64,
@@ -62,14 +70,26 @@ pub struct Ctx<'a, M> {
     agg_max: f64,
 }
 
-impl<M> Ctx<'_, M> {
+impl<M: Copy> Ctx<'_, M> {
     /// Send a message, delivered at the start of the next superstep. The
     /// target is resolved to `(machine, local id)` here, once; the local id
-    /// travels with the message from then on.
+    /// travels with the message from then on. Out-edges take
+    /// [`Ctx::send_to_out_neighbors`]; this is for every other target.
     pub fn send(&mut self, to: VertexId, msg: M) {
         let (machine, local) = self.li.machine_local_of(to);
         self.out[machine as usize].push((local, msg));
         self.sent += 1;
+    }
+
+    /// Send `msg` along every out-edge of the running vertex: exactly
+    /// `for &t in g.out_neighbors(v) { ctx.send(t, msg) }`, the same buckets
+    /// in the same order, with each target resolved once per run instead of
+    /// once per send.
+    pub fn send_to_out_neighbors(&mut self, msg: M) {
+        for &(machine, local) in self.routes {
+            self.out[machine as usize].push((local, msg));
+        }
+        self.sent += self.routes.len() as u64;
     }
 
     /// Permanently allocate `bytes` on the executing vertex's machine
@@ -203,6 +223,10 @@ struct Shard<V, M> {
     states: Vec<V>,
     /// Parallel to `verts`.
     active: Vec<bool>,
+    /// Local `l`'s out-edges are `routes[route_off[l]..route_off[l + 1]]`,
+    /// in CSR order. Built once per run: the graph is static.
+    route_off: Vec<u32>,
+    routes: Vec<Route>,
     /// Vertices per sub-chunk ([`exec::chunk_size`] when the run began).
     chunk: usize,
     /// One entry per `chunk`-sized span of `verts` (see
@@ -241,6 +265,9 @@ struct ChunkTask<'a, V, M> {
     /// Fragment-local id of `verts[0]`.
     base: u32,
     verts: &'a [VertexId],
+    /// `verts.len() + 1` offsets into `routes`, the shard's route table.
+    route_off: &'a [u32],
+    routes: &'a [Route],
     states: &'a mut [V],
     active: &'a mut [bool],
     scratch: &'a mut ChunkScratch<M>,
@@ -319,23 +346,36 @@ fn compute_superstep<P: VertexProgram>(
     let mut tasks: Vec<ChunkTask<'_, P::Value, P::Msg>> =
         Vec::with_capacity(shards.iter().map(|s| s.chunks.len()).sum());
     for (machine, shard) in shards.iter_mut().enumerate() {
-        let Shard { verts, states, active, chunk, chunks, .. } = shard;
+        let Shard { verts, states, active, route_off, routes, chunk, chunks } = shard;
         let slices =
             verts.chunks(*chunk).zip(states.chunks_mut(*chunk)).zip(active.chunks_mut(*chunk));
         for (ci, (((verts, states), active), scratch)) in slices.zip(chunks).enumerate() {
-            let base = (ci * *chunk) as u32;
-            tasks.push(ChunkTask { machine, base, verts, states, active, scratch });
+            let lo = ci * *chunk;
+            let route_off = &route_off[lo..=lo + verts.len()];
+            let base = lo as u32;
+            tasks.push(ChunkTask {
+                machine,
+                base,
+                verts,
+                route_off,
+                routes,
+                states,
+                active,
+                scratch,
+            });
         }
     }
 
     let steps: Vec<(usize, StepReport)> = exec::run_chunks(&mut tasks, |_, task| {
         let inbox = &inboxes[task.machine];
+        let (route_off, routes) = (task.route_off, task.routes);
         let ChunkScratch { out, active: active_count } = &mut *task.scratch;
         for buf in out.iter_mut() {
             buf.clear();
         }
         let sparse = *active_count == 0;
-        let mut ctx = Ctx { superstep, li, out, sent: 0, extra_bytes: 0, agg_max: 0.0 };
+        let mut ctx =
+            Ctx { superstep, li, routes: &[], out, sent: 0, extra_bytes: 0, agg_max: 0.0 };
         let mut ran = 0u64;
         let mut received = 0u64;
         // Run the vertex at chunk position `k` if it is active or has
@@ -346,6 +386,7 @@ fn compute_superstep<P: VertexProgram>(
             if !was_active && msgs.is_empty() {
                 return;
             }
+            ctx.routes = &routes[route_off[k] as usize..route_off[k + 1] as usize];
             let still_active = p.compute(&mut ctx, g, task.verts[k], &mut task.states[k], msgs);
             task.active[k] = still_active;
             *active_count = *active_count + still_active as usize - was_active as usize;
@@ -405,6 +446,55 @@ fn deliver_superstep<P: VertexProgram>(
     })
 }
 
+/// One shard per machine of `li`, holding its fragment's initial states and
+/// flags, its route table, and pooled scratch for `chunk`-vertex sub-chunks.
+fn build_shards<P: VertexProgram>(
+    g: &CsrGraph,
+    li: &LocalIndex,
+    prog: &mut P,
+    chunk: usize,
+) -> Vec<Shard<P::Value, P::Msg>> {
+    let n = g.num_vertices();
+    let machines = li.machines();
+    let mut init_states: Vec<Option<P::Value>> = Vec::with_capacity(n);
+    let mut init_active: Vec<bool> = Vec::with_capacity(n);
+    for v in 0..n as VertexId {
+        let (s, a) = prog.init(v, g);
+        init_states.push(Some(s));
+        init_active.push(a);
+    }
+    (0..machines)
+        .map(|m| {
+            // The fragment is ascending by global id, so the vertex at
+            // position `i` has fragment-local id `i` — the invariant the
+            // radix inbox's O(1) slicing rests on.
+            let verts = li.globals_of(m).to_vec();
+            let states = verts
+                .iter()
+                .map(|&v| init_states[v as usize].take().expect("vertex assigned twice"))
+                .collect();
+            let active = verts.iter().map(|&v| init_active[v as usize]).collect();
+            let mut route_off = Vec::with_capacity(verts.len() + 1);
+            route_off.push(0u32);
+            let out_edges: u64 = verts.iter().map(|&v| g.out_degree(v)).sum();
+            let mut routes = Vec::with_capacity(out_edges as usize);
+            for &v in &verts {
+                routes.extend(g.out_neighbors(v).iter().map(|&t| li.machine_local_of(t)));
+                route_off.push(routes.len() as u32);
+            }
+            let chunks = (0..verts.len().div_ceil(chunk))
+                .map(|_| ChunkScratch {
+                    out: (0..machines).map(|_| Vec::new()).collect(),
+                    active: 0,
+                })
+                .collect();
+            let mut shard = Shard { verts, states, active, route_off, routes, chunk, chunks };
+            shard.recount_active();
+            shard
+        })
+        .collect()
+}
+
 /// Execute `prog` to completion over `g` partitioned by `part`.
 ///
 /// The caller is responsible for phase bookkeeping and for charging the
@@ -422,42 +512,11 @@ pub fn run_bsp<P: VertexProgram>(
     assert_eq!(part.machines(), machines, "partition and cluster disagree");
     let msg_mem = cluster.profile().bytes_per_message;
     let wire = prog.wire_bytes() + 4;
-    // Global↔local vertex id tables, built once: one lookup per send in
-    // the hot loop, and the dense address space the radix shuffle files
-    // messages under.
+    // Global↔local vertex id tables, built once: one lookup per out-edge
+    // for the route tables (per `Ctx::send` for other targets), and the
+    // dense address space the radix shuffle files messages under.
     let li = LocalIndex::build(part);
-    let chunk = exec::chunk_size();
-
-    let mut init_states: Vec<Option<P::Value>> = Vec::with_capacity(n);
-    let mut init_active: Vec<bool> = Vec::with_capacity(n);
-    for v in 0..n as VertexId {
-        let (s, a) = prog.init(v, g);
-        init_states.push(Some(s));
-        init_active.push(a);
-    }
-    let mut shards: Vec<Shard<P::Value, P::Msg>> = (0..machines)
-        .map(|m| {
-            // The fragment is ascending by global id, so the vertex at
-            // position `i` has fragment-local id `i` — the invariant the
-            // radix inbox's O(1) slicing rests on.
-            let verts = li.globals_of(m).to_vec();
-            let states = verts
-                .iter()
-                .map(|&v| init_states[v as usize].take().expect("vertex assigned twice"))
-                .collect();
-            let active = verts.iter().map(|&v| init_active[v as usize]).collect();
-            let chunks = (0..verts.len().div_ceil(chunk))
-                .map(|_| ChunkScratch {
-                    out: (0..machines).map(|_| Vec::new()).collect(),
-                    active: 0,
-                })
-                .collect();
-            let mut shard = Shard { verts, states, active, chunk, chunks };
-            shard.recount_active();
-            shard
-        })
-        .collect();
-    drop(init_states);
+    let mut shards = build_shards(g, &li, prog, exec::chunk_size());
 
     // Per-machine inboxes (grouped per vertex by the shuffle), kept outside
     // the shards so delivery can read every shard's buckets while writing
@@ -1268,6 +1327,85 @@ mod tests {
         }
         crate::exec::set_chunk_size(4096);
         crate::exec::set_threads(1);
+    }
+
+    /// Sends `v << 32 | superstep` along every out-edge: through the route
+    /// table, or through one [`Ctx::send`] per edge.
+    struct Flood {
+        routed: bool,
+    }
+
+    impl VertexProgram for Flood {
+        type Value = ();
+        type Msg = u64;
+
+        fn init(&mut self, _v: VertexId, _g: &CsrGraph) -> ((), bool) {
+            ((), true)
+        }
+
+        fn compute(
+            &self,
+            ctx: &mut Ctx<'_, u64>,
+            g: &CsrGraph,
+            v: VertexId,
+            _value: &mut (),
+            _msgs: &[u64],
+        ) -> bool {
+            let msg = (v as u64) << 32 | ctx.superstep;
+            if self.routed {
+                ctx.send_to_out_neighbors(msg);
+            } else {
+                for &t in g.out_neighbors(v) {
+                    ctx.send(t, msg);
+                }
+            }
+            true
+        }
+
+        fn combine(&self, a: u64, b: u64) -> u64 {
+            a.max(b)
+        }
+
+        fn identity(&self) -> u64 {
+            0
+        }
+
+        fn wire_bytes(&self) -> u64 {
+            8
+        }
+    }
+
+    #[test]
+    fn routed_sends_fill_the_same_buckets_as_per_edge_sends() {
+        for_each_seed(24, |seed, rng| {
+            let n = 1 + rng.below_u32(400);
+            let mut el = graphbench_graph::EdgeList::with_capacity(n as u64, 0);
+            for _ in 0..rng.below(4 * n as usize) {
+                el.push(rng.below_u32(n), rng.below_u32(n));
+            }
+            let g = CsrGraph::from_edge_list(&el);
+            for machines in [1usize, 3, 16] {
+                let li = LocalIndex::build(&EdgeCutPartition::random(n as u64, machines, seed));
+                for chunk in [1usize, 97, 4096] {
+                    // Every chunk's buckets in (machine, chunk) order, and the
+                    // per-machine send counts.
+                    let superstep = |routed: bool| {
+                        let mut p = Flood { routed };
+                        let mut shards = build_shards(&g, &li, &mut p, chunk);
+                        let inboxes: Vec<Inbox<u64>> =
+                            (0..machines).map(|m| Inbox::new(li.num_locals(m), 0)).collect();
+                        let steps = compute_superstep(&mut shards, &inboxes, &li, &g, &p, 3);
+                        let sent: Vec<u64> = steps.iter().map(|s| s.raw_messages).collect();
+                        let buckets: Vec<Vec<Vec<(u32, u64)>>> =
+                            shards.into_iter().flat_map(|s| s.chunks).map(|c| c.out).collect();
+                        (buckets, sent)
+                    };
+                    let routed = superstep(true);
+                    assert_eq!(routed, superstep(false), "machines {machines} chunk {chunk}");
+                    assert_eq!(routed.1.iter().sum::<u64>(), g.num_edges());
+                }
+            }
+        });
     }
 
     /// `combine(identity(), m) == m` for every test program, over seeded

@@ -53,10 +53,7 @@ impl VertexProgram for PageRankProgram {
         }
         let deg = g.out_degree(v);
         if deg > 0 {
-            let share = *value / deg as f64;
-            for &t in g.out_neighbors(v) {
-                ctx.send(t, share);
-            }
+            ctx.send_to_out_neighbors(*value / deg as f64);
         }
         true // all vertices participate until the aggregator stops the run
     }
@@ -144,9 +141,7 @@ impl VertexProgram for WccProgram {
                     label = label.min(u);
                 }
                 value.label = label;
-                for &t in g.out_neighbors(v) {
-                    ctx.send(t, label);
-                }
+                ctx.send_to_out_neighbors(label);
                 for i in 0..value.in_nbrs.len() {
                     let t = value.in_nbrs[i];
                     ctx.send(t, label);
@@ -157,9 +152,7 @@ impl VertexProgram for WccProgram {
                 let m = msgs.iter().copied().min().unwrap_or(value.label);
                 if m < value.label {
                     value.label = m;
-                    for &t in g.out_neighbors(v) {
-                        ctx.send(t, m);
-                    }
+                    ctx.send_to_out_neighbors(m);
                     for i in 0..value.in_nbrs.len() {
                         let t = value.in_nbrs[i];
                         ctx.send(t, m);
@@ -219,7 +212,7 @@ impl VertexProgram for SsspProgram {
     fn compute(
         &self,
         ctx: &mut Ctx<'_, u32>,
-        g: &CsrGraph,
+        _g: &CsrGraph,
         v: VertexId,
         value: &mut u32,
         msgs: &[u32],
@@ -227,9 +220,7 @@ impl VertexProgram for SsspProgram {
         let best = msgs.iter().copied().min().unwrap_or(*value).min(*value);
         if best < *value || (ctx.superstep == 0 && v == self.source) {
             *value = best;
-            for &t in g.out_neighbors(v) {
-                ctx.send(t, best + 1);
-            }
+            ctx.send_to_out_neighbors(best + 1);
         }
         false
     }
@@ -275,7 +266,7 @@ impl VertexProgram for KHopProgram {
     fn compute(
         &self,
         ctx: &mut Ctx<'_, u32>,
-        g: &CsrGraph,
+        _g: &CsrGraph,
         v: VertexId,
         value: &mut u32,
         msgs: &[u32],
@@ -284,9 +275,7 @@ impl VertexProgram for KHopProgram {
         if best < *value || (ctx.superstep == 0 && v == self.source) {
             *value = best;
             if best < self.k {
-                for &t in g.out_neighbors(v) {
-                    ctx.send(t, best + 1);
-                }
+                ctx.send_to_out_neighbors(best + 1);
             }
         }
         false

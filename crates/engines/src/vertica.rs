@@ -229,7 +229,6 @@ fn execute(
         refresh: engine.refresh,
         recovery: Recovery::new(cluster, RecoveryModel::QueryRestart),
     };
-    let g = input.graph;
     let result = match input.workload {
         Workload::PageRank(pr) => {
             WorkloadResult::Ranks(sql_pagerank(cluster, &mut ctx, input, pr)?)
@@ -242,7 +241,6 @@ fn execute(
             WorkloadResult::Distances(sql_traversal(cluster, &mut ctx, input, source, k)?)
         }
     };
-    let _ = g;
 
     // Save: export the final V table.
     cluster.begin_phase(Phase::Save);
@@ -264,7 +262,7 @@ fn sql_pagerank(
         StopCriterion::Tolerance(t) => (t, u32::MAX),
         StopCriterion::Iterations(k) => (0.0, k),
     };
-    let mg = crate::hadoop::MrGather::build(g);
+    let mut mg = crate::hadoop::MrGather::build(g, ctx.machines);
     let mut iter = 0u32;
     loop {
         if iter >= max_iters {
@@ -273,28 +271,11 @@ fn sql_pagerank(
         ctx.charge_statement(cluster)?;
         // SELECT dst, SUM(rank/outdeg) FROM V JOIN E ... GROUP BY dst, then
         // refresh V (every rank changes, so the adaptive policy rebuilds).
-        // The aggregation is chunked over degree-aware destination windows:
-        // each task folds one SUM partial per contiguous source chunk and
-        // adds the partials in chunk order, reproducing the serial
-        // hierarchical fold bit for bit at any chunk x thread combination.
+        // The SUM is one partial per machine's source chunk, added in
+        // machine order (see `MrGather::gather`).
         ctx.charge_join(cluster, g.num_edges())?;
         cluster.set_label("join_scan");
-        let ranks_r: &[f64] = &ranks;
-        let machines = ctx.machines;
-        let mut tasks: Vec<(usize, &mut [f64])> = Vec::new();
-        let mut rest: &mut [f64] = &mut incoming;
-        for &(s, e) in &mg.plan {
-            let (window, tail) = rest.split_at_mut(e - s);
-            tasks.push((s, window));
-            rest = tail;
-        }
-        exec::run_chunks(&mut tasks, |_, task| {
-            let base = task.0;
-            for (i, acc) in task.1.iter_mut().enumerate() {
-                *acc = mg.incoming_of(base + i, g, ranks_r, machines, n);
-            }
-        });
-        drop(tasks);
+        mg.gather(g, &ranks, &mut incoming);
         let max_delta = crate::util::pagerank_apply(&mut ranks, &incoming, cfg.damping);
         ctx.charge_refresh(cluster, n as u64)?;
         cluster.sample_trace();
