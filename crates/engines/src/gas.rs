@@ -24,6 +24,7 @@
 //!   on long-running workloads — the WRN-at-128-machines OOM of Figure 10.
 
 use crate::exec;
+use crate::gather::RunGather;
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
@@ -154,7 +155,7 @@ impl Engine for GraphLab {
 /// Per-endpoint edge ids keep insertion order, like the `HashMap<_, Vec<_>>`
 /// it replaces — per-vertex f64 folds are unchanged — but iteration over
 /// endpoints is ascending and allocation-free.
-pub(crate) struct EdgeIndex {
+struct EdgeIndex {
     /// `off[v]..off[v + 1]` delimits vertex `v`'s slice of `ids`.
     off: Vec<u32>,
     /// Local edge ids grouped by endpoint, insertion order within a group.
@@ -164,7 +165,7 @@ pub(crate) struct EdgeIndex {
 }
 
 impl EdgeIndex {
-    pub(crate) fn build(
+    fn build(
         n: usize,
         edges: &[(VertexId, VertexId)],
         key: impl Fn(&(VertexId, VertexId)) -> VertexId,
@@ -187,20 +188,13 @@ impl EdgeIndex {
         EdgeIndex { off, ids, verts }
     }
 
-    /// Positions of `v`'s group in the endpoint-grouped edge order — the
-    /// order of [`EdgeIndex::of`] over ascending [`EdgeIndex::verts`] — so a
-    /// caller can keep a per-edge array laid out the same way.
-    pub(crate) fn range(&self, v: VertexId) -> std::ops::Range<usize> {
-        self.off[v as usize] as usize..self.off[v as usize + 1] as usize
-    }
-
     /// Local edge ids incident to `v` (empty when `v` has none here).
-    pub(crate) fn of(&self, v: VertexId) -> &[u32] {
-        &self.ids[self.range(v)]
+    fn of(&self, v: VertexId) -> &[u32] {
+        &self.ids[self.off[v as usize] as usize..self.off[v as usize + 1] as usize]
     }
 
     /// Endpoints with at least one local edge, ascending.
-    pub(crate) fn verts(&self) -> &[VertexId] {
+    fn verts(&self) -> &[VertexId] {
         &self.verts
     }
 }
@@ -216,7 +210,7 @@ impl EdgeIndex {
 ///
 /// Weights are `1 + group degree`: a power-law hub's gather group lands in
 /// a small (often single-group) span instead of serializing its machine.
-pub(crate) fn gather_plan(idx: &EdgeIndex, n: usize) -> Vec<(usize, usize, usize)> {
+fn gather_plan(idx: &EdgeIndex, n: usize) -> Vec<(usize, usize, usize)> {
     let verts = idx.verts();
     let weights: Vec<u64> = verts.iter().map(|&v| 1 + idx.of(v).len() as u64).collect();
     let spans = exec::weighted_spans(&weights, exec::chunk_size());
@@ -431,6 +425,12 @@ impl GasCtx<'_> {
         cluster: &mut Cluster,
         changed: impl Iterator<Item = VertexId>,
     ) -> Result<(), SimError> {
+        let traffic = self.mirror_traffic(changed);
+        self.charge_traffic(cluster, &traffic)
+    }
+
+    /// Per-machine `[sent, recv, msgs]` of a mirror sync for `changed`.
+    fn mirror_traffic(&self, changed: impl Iterator<Item = VertexId>) -> [Vec<u64>; 3] {
         let mut sent = vec![0u64; self.machines];
         let mut recv = vec![0u64; self.machines];
         let mut msgs = vec![0u64; self.machines];
@@ -444,9 +444,71 @@ impl GasCtx<'_> {
                 }
             }
         }
-        cluster.set_label("mirror_sync");
-        cluster.exchange(&sent, &recv, &msgs)
+        [sent, recv, msgs]
     }
+
+    fn charge_traffic(
+        &self,
+        cluster: &mut Cluster,
+        traffic: &[Vec<u64>; 3],
+    ) -> Result<(), SimError> {
+        let [sent, recv, msgs] = traffic;
+        cluster.set_label("mirror_sync");
+        cluster.exchange(sent, recv, msgs)
+    }
+}
+
+/// The gather side of one sync PageRank iteration, per machine: the local
+/// in-edges of active destinations folded (`ops`), 16 B of transient
+/// partial per such destination, and a 12 B partial sent to each one whose
+/// master lives elsewhere.
+struct GatherCharge {
+    ops: Vec<f64>,
+    transient: Vec<u64>,
+    sent: Vec<u64>,
+    recv: Vec<u64>,
+    msgs: Vec<u64>,
+}
+
+/// Folds [`GatherCharge`] over each machine's `in_idx`, one task per
+/// machine; the u64 counts are order-free.
+fn gather_charge(ctx: &GasCtx<'_>, active: &[bool]) -> GatherCharge {
+    let mut machines: Vec<usize> = (0..ctx.machines).collect();
+    let per_machine = exec::run_chunks(&mut machines, |_, &mut m| {
+        let idx = &ctx.data[m].in_idx;
+        let (mut ops, mut partials, mut remote) = (0u64, 0u64, 0u64);
+        let mut recv_by = vec![0u64; ctx.machines];
+        for &v in idx.verts() {
+            if !active[v as usize] {
+                continue;
+            }
+            ops += idx.of(v).len() as u64;
+            partials += 1;
+            let master = ctx.part.master_of(v) as usize;
+            if master != m {
+                remote += 1;
+                recv_by[master] += 12;
+            }
+        }
+        (ops, partials, remote, recv_by)
+    });
+    let mut charge = GatherCharge {
+        ops: Vec::with_capacity(ctx.machines),
+        transient: Vec::with_capacity(ctx.machines),
+        sent: Vec::with_capacity(ctx.machines),
+        recv: vec![0u64; ctx.machines],
+        msgs: Vec::with_capacity(ctx.machines),
+    };
+    for (ops, partials, remote, recv_by) in per_machine {
+        charge.ops.push(ops as f64 * ctx.async_op_penalty());
+        charge.transient.push(partials * 16);
+        charge.sent.push(remote * 12);
+        charge.msgs.push(remote);
+        for (r, b) in charge.recv.iter_mut().zip(recv_by) {
+            *r += b;
+        }
+    }
+    charge
 }
 
 /// Synchronous GAS PageRank. Exact mode keeps every vertex active until the
@@ -466,144 +528,50 @@ fn sync_pagerank(
         StopCriterion::Tolerance(t) => (t, u32::MAX),
         StopCriterion::Iterations(k) => (0.0, k),
     };
-    // Per-machine partial gather accumulators, allocated once and reused
-    // every iteration. Each machine's dense window is carved into
-    // degree-aware chunk tasks (`exec::run_chunks`) writing disjoint
-    // sub-windows; per-chunk counters stay integral until the per-machine
-    // merge in ascending (machine, chunk) order, and each vertex's in-edge
-    // fold runs whole inside one chunk — so the sums (and therefore the
-    // ranks) are identical at any `GRAPHBENCH_THREADS × GRAPHBENCH_CHUNK`.
-    struct GatherScratch {
-        incoming: Vec<f64>,
-    }
-    struct GatherTask<'a> {
-        machine: usize,
-        verts: &'a [VertexId],
-        base: usize,
-        window: &'a mut [f64],
-    }
-    struct GatherChunk {
-        ops: u64,
-        partials: u64,
-        sent: u64,
-        msgs: u64,
-        recv_by: Vec<u64>,
-    }
     struct ApplyTask<'a> {
         base: usize,
         ranks: &'a mut [f64],
         active: &'a mut [bool],
-        /// Pooled across iterations (the per-superstep `Vec::new()` this
-        /// loop used to allocate); concatenated in chunk order, which is
-        /// exactly the serial scan order.
-        changed: Vec<VertexId>,
     }
     struct ApplyChunk {
         max_delta: f64,
         updated: u64,
         by_master: Vec<u64>,
+        deactivated: bool,
     }
-    let mut scratch: Vec<GatherScratch> =
-        (0..ctx.machines).map(|_| GatherScratch { incoming: vec![0.0f64; n] }).collect();
-    // Chunk plans are a function of the static edge indexes; build once.
-    let plans: Vec<Vec<(usize, usize, usize)>> =
-        ctx.data.iter().map(|md| gather_plan(&md.in_idx, n)).collect();
-    let total_spans: usize = plans.iter().map(Vec::len).sum();
+    // Each destination's in-edge sources, one run per machine in `in_idx`
+    // order: the per-machine partials and their machine-order merge, folded
+    // in one pass (see `RunGather`).
+    let mut runs = RunGather::build(n, ctx.machines, |m| ctx.data[m].edges.iter().copied());
+    // The gather charge and the mirror sync (every applied vertex) depend
+    // only on `active`: counted once, again only after an apply step
+    // deactivates a vertex, which exact mode never does.
+    let active_sync =
+        |active: &[bool]| ctx.mirror_traffic((0..n as VertexId).filter(|&v| active[v as usize]));
+    let mut charge = gather_charge(ctx, &active);
+    let mut sync = active_sync(&active);
+    let mut deactivated = false;
     let apply_spans = exec::uniform_spans(n, exec::chunk_size());
-    let mut changed_pool: Vec<Vec<VertexId>> = vec![Vec::new(); apply_spans.len()];
     let mut incoming = vec![0.0f64; n];
-    let mut ops = vec![0.0f64; ctx.machines];
-    let mut sent = vec![0u64; ctx.machines];
-    let mut recv = vec![0u64; ctx.machines];
-    let mut msgs = vec![0u64; ctx.machines];
-    let mut transient = vec![0u64; ctx.machines];
     let mut apply_ops = vec![0.0f64; ctx.machines];
     let mut iter = 0u32;
     loop {
         if iter >= max_iters {
             break;
         }
-        // Gather: chunk tasks scan local in-edges of active vertices and
-        // write per-vertex partial sums into their machine's window.
+        // Gather: every active destination sums `rank / out-degree` over its
+        // in-edges; approximate mode leaves inactive ones at 0.0.
         cluster.set_label("gather");
-        let mut tasks: Vec<GatherTask> = Vec::with_capacity(total_spans);
-        for (m, s) in scratch.iter_mut().enumerate() {
-            let md = &ctx.data[m];
-            let mut rest: &mut [f64] = &mut s.incoming;
-            let mut base = 0usize;
-            for &(gs, ge, window_end) in &plans[m] {
-                let (window, tail) = rest.split_at_mut(window_end - base);
-                tasks.push(GatherTask {
-                    machine: m,
-                    verts: &md.in_idx.verts()[gs..ge],
-                    base,
-                    window,
-                });
-                rest = tail;
-                base = window_end;
-            }
+        if deactivated {
+            charge = gather_charge(ctx, &active);
+            sync = active_sync(&active);
         }
-        let chunk_steps: Vec<GatherChunk> = exec::run_chunks(&mut tasks, |_, t| {
-            let md = &ctx.data[t.machine];
-            t.window.fill(0.0);
-            let mut chunk_ops = 0u64;
-            let mut partials = 0u64;
-            let mut my_sent = 0u64;
-            let mut my_msgs = 0u64;
-            let mut recv_by = vec![0u64; ctx.machines];
-            for &v in t.verts {
-                if !active[v as usize] {
-                    continue;
-                }
-                let mut sum = 0.0f64;
-                for &i in md.in_idx.of(v) {
-                    let (u, _) = md.edges[i as usize];
-                    sum += ranks[u as usize] / ctx.outdeg[u as usize] as f64;
-                    chunk_ops += 1;
-                }
-                t.window[v as usize - t.base] = sum;
-                partials += 1;
-                let master = ctx.part.master_of(v) as usize;
-                if master != t.machine {
-                    my_sent += 12;
-                    recv_by[master] += 12;
-                    my_msgs += 1;
-                }
-            }
-            GatherChunk { ops: chunk_ops, partials, sent: my_sent, msgs: my_msgs, recv_by }
-        });
-        drop(tasks);
-        recv.fill(0);
-        let mut ci = 0usize;
-        for m in 0..ctx.machines {
-            let (mut o, mut pb, mut se, mut ms) = (0u64, 0u64, 0u64, 0u64);
-            for _ in &plans[m] {
-                let c = &chunk_steps[ci];
-                ci += 1;
-                o += c.ops;
-                pb += c.partials;
-                se += c.sent;
-                ms += c.msgs;
-                for (j, &b) in c.recv_by.iter().enumerate() {
-                    recv[j] += b;
-                }
-            }
-            ops[m] = o as f64 * ctx.async_op_penalty();
-            sent[m] = se;
-            msgs[m] = ms;
-            transient[m] = pb * 16;
-        }
-        incoming.fill(0.0);
-        for s in &scratch {
-            for (acc, p) in incoming.iter_mut().zip(&s.incoming) {
-                *acc += p;
-            }
-        }
-        cluster.set_label("gather");
-        cluster.alloc_all(&transient)?;
-        cluster.advance_compute(&ops, ctx.effective_cores())?;
-        cluster.exchange(&sent, &recv, &msgs)?;
-        cluster.free_all(&transient);
+        let deg = |u: usize| u64::from(ctx.outdeg[u]);
+        runs.gather(&ranks, deg, cfg.approximate.then_some(&active[..]), &mut incoming);
+        cluster.alloc_all(&charge.transient)?;
+        cluster.advance_compute(&charge.ops, ctx.effective_cores())?;
+        cluster.exchange(&charge.sent, &charge.recv, &charge.msgs)?;
+        cluster.free_all(&charge.transient);
 
         // Apply at masters + scatter new values to mirrors: vertex-range
         // chunk tasks own disjoint rank/active windows. `max_delta` is an
@@ -614,12 +582,10 @@ fn sync_pagerank(
         {
             let mut ranks_rest: &mut [f64] = &mut ranks;
             let mut active_rest: &mut [bool] = &mut active;
-            for (k, &(s, e)) in apply_spans.iter().enumerate() {
+            for &(s, e) in &apply_spans {
                 let (rw, rt) = ranks_rest.split_at_mut(e - s);
                 let (aw, at) = active_rest.split_at_mut(e - s);
-                let mut changed = std::mem::take(&mut changed_pool[k]);
-                changed.clear();
-                tasks.push(ApplyTask { base: s, ranks: rw, active: aw, changed });
+                tasks.push(ApplyTask { base: s, ranks: rw, active: aw });
                 ranks_rest = rt;
                 active_rest = at;
             }
@@ -628,6 +594,7 @@ fn sync_pagerank(
             let mut max_delta = 0.0f64;
             let mut updated = 0u64;
             let mut by_master = vec![0u64; ctx.machines];
+            let mut deactivated = false;
             for i in 0..t.ranks.len() {
                 if !t.active[i] {
                     continue;
@@ -639,28 +606,27 @@ fn sync_pagerank(
                 t.ranks[i] = new;
                 updated += 1;
                 by_master[ctx.part.master_of(v as VertexId) as usize] += 1;
-                t.changed.push(v as VertexId);
                 if cfg.approximate && delta < tol {
                     t.active[i] = false;
+                    deactivated = true;
                 }
             }
-            ApplyChunk { max_delta, updated, by_master }
+            ApplyChunk { max_delta, updated, by_master, deactivated }
         });
         let mut max_delta = 0.0f64;
         let mut updated = 0u64;
         apply_ops.fill(0.0);
+        deactivated = false;
         for step in &apply_steps {
             max_delta = max_delta.max(step.max_delta);
             updated += step.updated;
+            deactivated |= step.deactivated;
             for (m, &c) in step.by_master.iter().enumerate() {
                 apply_ops[m] += c as f64;
             }
         }
         cluster.advance_compute(&apply_ops, ctx.effective_cores())?;
-        ctx.charge_mirror_sync(cluster, tasks.iter().flat_map(|t| t.changed.iter().copied()))?;
-        for (k, t) in tasks.into_iter().enumerate() {
-            changed_pool[k] = t.changed;
-        }
+        ctx.charge_traffic(cluster, &sync)?;
         if cluster.has_observers() {
             // Observability hint only: vertices applied this iteration.
             cluster.report_active(updated);

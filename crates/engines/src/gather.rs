@@ -1,0 +1,223 @@
+//! The run-sum gather behind every non-BSP PageRank reduce: GraphLab's sync
+//! gather, GraphX's join, the Hadoop/HaLoop reduce and Vertica's `SUM`.
+//!
+//! Each of those engines folds a destination's contributions in *runs*: one
+//! run per machine (GraphLab, GraphX) or per source chunk (MapReduce, SQL)
+//! that sends the destination anything, each folded from `+0.0` in that
+//! part's order, and the run totals added in part order. [`RunGather`]
+//! stores every destination's sources in exactly that order, built once per
+//! run (the graph is loop-invariant), with the last source of each run
+//! flagged in the top bit of its id. One flat loop then reproduces the
+//! two-level fold bit for bit:
+//!
+//! ```text
+//! x = pm + contrib[s];  sum += x & last;  pm = x & !last   (on the bit patterns)
+//! ```
+//!
+//! The masked add is exact: contributions are non-negative, so no partial
+//! is `-0.0`, and `sum + (+0.0) == sum` for every such `sum`. A part that
+//! sends a destination nothing would add an exact `+0.0` and has no run.
+
+use crate::exec;
+use graphbench_graph::VertexId;
+
+/// Top bit of a stored source id: the source closes its run.
+const LAST: u32 = 1 << 31;
+
+pub(crate) struct RunGather {
+    /// Destination `t`'s sources are `src[off[t]..off[t + 1]]`.
+    off: Vec<u32>,
+    /// Sources grouped by destination, runs in part order, each run in its
+    /// part's edge order; a run's last source carries [`LAST`].
+    src: Vec<u32>,
+    /// Destination windows weighted by `1 + in-degree`, so one hub cannot
+    /// serialize a whole chunk.
+    plan: Vec<(usize, usize)>,
+    /// Pooled per-iteration `rank / out-degree`, one division per source
+    /// rather than one per edge: the same IEEE quotient either way.
+    contrib: Vec<f64>,
+}
+
+impl RunGather {
+    /// `part(p)` yields part `p`'s edges `(src, dst)` in its fold order, for
+    /// `p` in `0..parts`; destination `t`'s run from part `p` is its edges
+    /// there. It is called three times per part (count, place, flag).
+    pub(crate) fn build<I>(n: usize, parts: usize, part: impl Fn(usize) -> I) -> RunGather
+    where
+        I: Iterator<Item = (VertexId, VertexId)>,
+    {
+        assert!(n < LAST as usize, "the run-sum gather stores ids below 2^31, got {n} vertices");
+        let mut off = vec![0u32; n + 1];
+        for p in 0..parts {
+            for (_, t) in part(p) {
+                off[t as usize + 1] += 1;
+            }
+        }
+        for v in 0..n {
+            off[v + 1] += off[v];
+        }
+        let mut cursor: Vec<u32> = off[..n].to_vec();
+        let mut src = vec![0u32; off[n] as usize];
+        for p in 0..parts {
+            for (s, t) in part(p) {
+                src[cursor[t as usize] as usize] = s;
+                cursor[t as usize] += 1;
+            }
+            // The part's last edge into each destination closes its run.
+            for (_, t) in part(p) {
+                src[cursor[t as usize] as usize - 1] |= LAST;
+            }
+        }
+        let weights: Vec<u64> = off.windows(2).map(|w| 1 + u64::from(w[1] - w[0])).collect();
+        let plan = exec::weighted_spans(&weights, exec::chunk_size());
+        RunGather { off, src, plan, contrib: vec![0.0; n] }
+    }
+
+    /// `incoming[t]` = the run sum of `ranks[s] / deg(s)` over `t`'s sources
+    /// `s`, chunked over the destination windows; bit-identical at any
+    /// chunk × thread combination because each destination folds whole
+    /// inside one task. With an `active` mask, inactive destinations get
+    /// `0.0`.
+    pub(crate) fn gather(
+        &mut self,
+        ranks: &[f64],
+        deg: impl Fn(usize) -> u64,
+        active: Option<&[bool]>,
+        incoming: &mut [f64],
+    ) {
+        // A vertex without out-edges is nobody's source; its quotient is unread.
+        for (u, (c, r)) in self.contrib.iter_mut().zip(ranks).enumerate() {
+            *c = r / deg(u) as f64;
+        }
+        let mut tasks: Vec<(usize, &mut [f64])> = Vec::with_capacity(self.plan.len());
+        let mut rest = incoming;
+        for &(s, e) in &self.plan {
+            let (window, tail) = rest.split_at_mut(e - s);
+            tasks.push((s, window));
+            rest = tail;
+        }
+        let (off, src, contrib) = (&self.off, &self.src, &self.contrib);
+        exec::run_chunks(&mut tasks, |_, (base, window)| {
+            for (t, acc) in (*base..).zip(window.iter_mut()) {
+                if active.is_some_and(|a| !a[t]) {
+                    *acc = 0.0;
+                    continue;
+                }
+                let (mut sum, mut pm) = (0.0f64, 0.0f64);
+                for &s in &src[off[t] as usize..off[t + 1] as usize] {
+                    let last = 0u64.wrapping_sub(u64::from(s >> 31));
+                    let x = (pm + contrib[(s & !LAST) as usize]).to_bits();
+                    sum += f64::from_bits(x & last);
+                    pm = f64::from_bits(x & !last);
+                }
+                *acc = sum;
+            }
+        });
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use graphbench_graph::rng::{for_each_seed, Rng};
+    use graphbench_graph::{CsrGraph, EdgeList};
+
+    /// A seeded graph with self-edges, sources without out-edges (ids
+    /// divisible by 5), isolated vertices (ids ≡ 3 mod 7) and a hub
+    /// destination that about three edges in eight point at.
+    pub(crate) fn gather_graph(rng: &mut Rng) -> CsrGraph {
+        let n = 2 + rng.below_u32(400);
+        let hub = rng.below_u32(n);
+        let isolated = |v: u32| v % 7 == 3 && v != hub;
+        let mut el = EdgeList::with_capacity(n as u64, 0);
+        for _ in 0..rng.below(6 * n as usize) {
+            let s = rng.below_u32(n);
+            let t = match rng.below(8) {
+                0 => s,
+                1..=3 => hub,
+                _ => rng.below_u32(n),
+            };
+            if !s.is_multiple_of(5) && !isolated(s) && !isolated(t) {
+                el.push(s, t);
+            }
+        }
+        CsrGraph::from_edge_list(&el)
+    }
+
+    /// The GraphLab/GraphX fold [`RunGather`] replaces, kept as its
+    /// reference: one dense zeroed partial array per machine, each active
+    /// destination summed from 0.0 in that machine's edge order, then the
+    /// partials added into `incoming` in machine order.
+    fn dense_partials(
+        n: usize,
+        by_machine: &[Vec<(VertexId, VertexId)>],
+        contrib: &[f64],
+        active: Option<&[bool]>,
+    ) -> Vec<f64> {
+        let mut incoming = vec![0.0f64; n];
+        for edges in by_machine {
+            let mut part = vec![0.0f64; n];
+            for &(s, t) in edges {
+                if active.is_none_or(|a| a[t as usize]) {
+                    part[t as usize] += contrib[s as usize];
+                }
+            }
+            for (acc, p) in incoming.iter_mut().zip(&part) {
+                *acc += p;
+            }
+        }
+        incoming
+    }
+
+    #[test]
+    fn run_sums_equal_the_dense_partial_fold_bit_for_bit() {
+        let _guard = exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        exec::set_threads(4);
+        // Destinations where one flat sum over all sources differs from the
+        // run fold: proof that this test can tell the two apart.
+        let mut flat_differs = 0usize;
+        for_each_seed(24, |_, rng| {
+            let g = gather_graph(rng);
+            let n = g.num_vertices();
+            // Machines hold their edges in input order, not by source.
+            let mut edges: Vec<(VertexId, VertexId)> = (0..n as VertexId)
+                .flat_map(|s| g.out_neighbors(s).iter().map(move |&t| (s, t)))
+                .collect();
+            rng.shuffle(&mut edges);
+            let ranks: Vec<f64> = (0..n).map(|_| rng.f64() * 3.0).collect();
+            let deg: Vec<u32> = (0..n).map(|_| 1 + rng.below_u32(4)).collect();
+            let contrib: Vec<f64> = ranks.iter().zip(&deg).map(|(r, &d)| r / d as f64).collect();
+            let active: Vec<bool> = (0..n).map(|_| rng.below(3) > 0).collect();
+            for machines in [1, 2, 3, 16, 64] {
+                let mut by_machine = vec![Vec::new(); machines];
+                for &e in &edges {
+                    by_machine[rng.below(machines)].push(e);
+                }
+                for chunk in [1, 97, 4096] {
+                    exec::set_chunk_size(chunk);
+                    let mut rg = RunGather::build(n, machines, |m| by_machine[m].iter().copied());
+                    for mask in [None, Some(&active[..])] {
+                        let want = dense_partials(n, &by_machine, &contrib, mask);
+                        let mut got = vec![f64::NAN; n];
+                        rg.gather(&ranks, |u| u64::from(deg[u]), mask, &mut got);
+                        for t in 0..n {
+                            assert_eq!(
+                                got[t].to_bits(),
+                                want[t].to_bits(),
+                                "vertex {t} of {n}, machines {machines}, chunk {chunk}, \
+                                 masked {}",
+                                mask.is_some()
+                            );
+                        }
+                    }
+                }
+                let flat = dense_partials(n, std::slice::from_ref(&edges), &contrib, None);
+                let runs = dense_partials(n, &by_machine, &contrib, None);
+                flat_differs += flat.iter().zip(&runs).filter(|(a, b)| a != b).count();
+            }
+        });
+        exec::set_chunk_size(4096);
+        exec::set_threads(1);
+        assert!(flat_differs > 0, "no destination tells a flat sum from the run fold");
+    }
+}

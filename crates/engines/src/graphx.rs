@@ -26,6 +26,7 @@
 //! fragment placement.
 
 use crate::exec;
+use crate::gather::RunGather;
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
@@ -154,6 +155,7 @@ struct SparkCtx {
 
 /// One mirror-sync chunk task's per-machine traffic counters. Pooled on
 /// [`SparkCtx::sync_pool`] so no superstep re-allocates them.
+#[derive(Clone)]
 struct MirrorTraffic {
     sent: Vec<u64>,
     recv: Vec<u64>,
@@ -393,6 +395,16 @@ fn mirror_sync(
     ctx: &mut SparkCtx,
     changed: &[VertexId],
 ) -> Result<(), SimError> {
+    // Label before the host work so its wallclock spans attribute to the
+    // shuffle (the exchange below is charged under the same label).
+    cluster.set_label("shuffle");
+    let total = mirror_traffic(ctx, changed);
+    cluster.exchange(&total.sent, &total.recv, &total.msgs)
+}
+
+/// [`mirror_sync`]'s traffic for `changed`, tallied into the first pooled
+/// counter set.
+fn mirror_traffic<'c>(ctx: &'c mut SparkCtx, changed: &[VertexId]) -> &'c MirrorTraffic {
     let machines = ctx.machines;
     let spans = exec::uniform_spans(changed.len(), exec::chunk_size());
     // An empty change list still exchanges (zero) traffic.
@@ -410,9 +422,6 @@ fn mirror_sync(
         t.recv.fill(0);
         t.msgs.fill(0);
     }
-    // Label before the host work so its wallclock spans attribute to the
-    // shuffle (the exchange below is charged under the same label).
-    cluster.set_label("shuffle");
     let (exec_off, exec_ids, coord) = (&ctx.exec_off, &ctx.exec_ids, &ctx.coord);
     let mut tasks: Vec<(&[VertexId], &mut MirrorTraffic)> =
         spans.iter().zip(pool.iter_mut()).map(|(&(s, e), t)| (&changed[s..e], t)).collect();
@@ -438,108 +447,23 @@ fn mirror_sync(
             total.msgs[m] += t.msgs[m];
         }
     }
-    cluster.exchange(&total.sent, &total.recv, &total.msgs)
+    total
 }
 
-/// Gather-side state for the PageRank dataflow join, built once per run
-/// (the edge partitions are static): per-machine destination-keyed edge
-/// indexes — per-destination contributions keep edge-arrival order, so the
-/// f64 folds match the serial partition scan bit for bit — the degree-aware
-/// chunk plans over them, and the pooled dense partial-sum arrays that a
-/// fresh `vec![0.0; n]` per machine per iteration used to allocate. `srcs`
-/// holds each machine's edge sources in the index's by-destination order, so
-/// the gather streams one array instead of chasing edge ids, and `contrib`
-/// is the per-iteration `rank / out-degree` of every vertex: one division
-/// per source rather than one per edge, the same IEEE quotient either way.
-struct PrGather {
-    idx: Vec<crate::gas::EdgeIndex>,
-    srcs: Vec<Vec<VertexId>>,
-    plans: Vec<Vec<(usize, usize, usize)>>,
-    parts: Vec<Vec<f64>>,
-    contrib: Vec<f64>,
-}
-
-impl PrGather {
-    fn build(ctx: &SparkCtx) -> PrGather {
-        let idx: Vec<crate::gas::EdgeIndex> = ctx
-            .edges_by_machine
-            .iter()
-            .map(|edges| crate::gas::EdgeIndex::build(ctx.n, edges, |&(_, dst)| dst))
-            .collect();
-        let srcs = idx
-            .iter()
-            .zip(&ctx.edges_by_machine)
-            .map(|(ix, edges)| {
-                let by_dst = ix.verts().iter().flat_map(|&v| ix.of(v));
-                by_dst.map(|&e| edges[e as usize].0).collect()
-            })
-            .collect();
-        let plans = idx.iter().map(|i| crate::gas::gather_plan(i, ctx.n)).collect();
-        let parts = vec![vec![0.0f64; ctx.n]; ctx.machines];
-        PrGather { idx, srcs, plans, parts, contrib: vec![0.0f64; ctx.n] }
-    }
-}
-
-/// One PageRank dataflow iteration over the edge partitions. Chunk tasks
-/// each own a destination window of their machine's pooled dense partial
-/// array, so every destination's f64 sum folds entirely within one task in
-/// edge-arrival order; the per-machine partials then fold into `incoming`
-/// in machine-index order exactly as the serial path did. The ranks are
-/// bit-identical at any chunk x thread combination. Shared by the live
-/// loop and lineage-recompute replay (which discards `ops`). Returns the
-/// largest per-vertex rank change.
+/// One PageRank dataflow iteration over the edge partitions: the join sums
+/// each destination's `rank / out-degree` contributions per machine in that
+/// machine's edge order, adding the machine partials in machine-index order
+/// (see [`RunGather`]). The ranks are bit-identical at any chunk x thread
+/// combination. Shared by the live loop and lineage-recompute replay.
+/// Returns the largest per-vertex rank change.
 fn pagerank_step(
-    ctx: &SparkCtx,
     g: &CsrGraph,
     cfg: &PageRankConfig,
     ranks: &mut [f64],
     incoming: &mut [f64],
-    ops: &mut [f64],
-    pg: &mut PrGather,
+    runs: &mut RunGather,
 ) -> f64 {
-    let edges_by_machine = &ctx.edges_by_machine;
-    // A vertex without out-edges is nobody's source; its quotient is unread.
-    for (u, (c, r)) in pg.contrib.iter_mut().zip(ranks.iter()).enumerate() {
-        *c = r / g.out_degree(u as VertexId) as f64;
-    }
-    let contrib = &pg.contrib;
-    struct GatherTask<'t> {
-        machine: usize,
-        verts: &'t [VertexId],
-        base: usize,
-        window: &'t mut [f64],
-    }
-    let mut tasks: Vec<GatherTask<'_>> = Vec::new();
-    for (m, part) in pg.parts.iter_mut().enumerate() {
-        let mut rest: &mut [f64] = part;
-        let mut base = 0usize;
-        for &(gs, ge, wend) in &pg.plans[m] {
-            let (window, tail) = rest.split_at_mut(wend - base);
-            tasks.push(GatherTask { machine: m, verts: &pg.idx[m].verts()[gs..ge], base, window });
-            rest = tail;
-            base = wend;
-        }
-    }
-    let (idx, srcs) = (&pg.idx, &pg.srcs);
-    exec::run_chunks(&mut tasks, |_, t| {
-        t.window.fill(0.0);
-        let (ix, srcs) = (&idx[t.machine], &srcs[t.machine]);
-        for &v in t.verts {
-            let mut sum = 0.0f64;
-            for &u in &srcs[ix.range(v)] {
-                sum += contrib[u as usize];
-            }
-            t.window[v as usize - t.base] = sum;
-        }
-    });
-    drop(tasks);
-    incoming.fill(0.0);
-    for (m, part) in pg.parts.iter().enumerate() {
-        ops[m] = edges_by_machine[m].len() as f64;
-        for (acc, p) in incoming.iter_mut().zip(part) {
-            *acc += p;
-        }
-    }
+    runs.gather(ranks, |u| g.out_degree(u as VertexId), None, incoming);
     crate::util::pagerank_apply(ranks, incoming, cfg.damping)
 }
 
@@ -562,10 +486,13 @@ fn spark_pagerank(
     // actually scheduled.
     let mut snapshot: Option<(u32, Vec<f64>)> =
         cluster.plan_has_crashes().then(|| (0, ranks.clone()));
-    let mut ops = vec![0.0f64; ctx.machines];
-    let mut pg = PrGather::build(ctx);
-    // Every rank moves every iteration.
+    let edges_by_machine = &ctx.edges_by_machine;
+    let mut runs = RunGather::build(n, ctx.machines, |m| edges_by_machine[m].iter().copied());
+    // Every partition is scanned and every rank moves every iteration, so
+    // the compute and the mirror-sync traffic are the same each time.
+    let ops: Vec<f64> = edges_by_machine.iter().map(|e| e.len() as f64).collect();
     let all_vertices: Vec<VertexId> = (0..n as VertexId).collect();
+    let sync = mirror_traffic(ctx, &all_vertices).clone();
     let mut iter = 0u32;
     loop {
         if iter >= max_iters {
@@ -578,16 +505,17 @@ fn spark_pagerank(
             if let Some((snap_iter, snap_ranks)) = &snapshot {
                 ranks.clone_from(snap_ranks);
                 for _ in *snap_iter..iter {
-                    pagerank_step(ctx, g, &cfg, &mut ranks, &mut incoming, &mut ops, &mut pg);
+                    pagerank_step(g, &cfg, &mut ranks, &mut incoming, &mut runs);
                 }
             }
         }
         // Label before the host work so its wallclock spans carry it
         // (charge_compute sets the same label before the charge itself).
         cluster.set_label("superstep");
-        let max_delta = pagerank_step(ctx, g, &cfg, &mut ranks, &mut incoming, &mut ops, &mut pg);
+        let max_delta = pagerank_step(g, &cfg, &mut ranks, &mut incoming, &mut runs);
         charge_compute(cluster, ctx, &ops)?;
-        mirror_sync(cluster, ctx, &all_vertices)?;
+        cluster.set_label("shuffle");
+        cluster.exchange(&sync.sent, &sync.recv, &sync.msgs)?;
         if ctx.charge_lineage(cluster, iter, n as u64)? {
             if let Some(s) = snapshot.as_mut() {
                 *s = (iter + 1, ranks.clone());

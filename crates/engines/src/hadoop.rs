@@ -20,6 +20,7 @@
 //! and 128-machine clusters — reproduced here as the `SHFL` failure.
 
 use crate::exec;
+use crate::gather::RunGather;
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
@@ -251,116 +252,20 @@ fn charge_iteration(
     Ok(())
 }
 
-/// Reduce-side gather state for PageRank-style aggregations (shared with
-/// the Vertica engine, whose join uses the same per-machine scan), built
-/// once per run (the graph is loop-invariant): the transposed adjacency —
-/// per-destination source lists in ascending order, exactly the order an
-/// ascending source scan delivers contributions — each list pre-cut into
-/// its source-chunk runs, degree-aware destination windows so one
-/// high-in-degree hub cannot serialize a whole chunk, and the pooled
-/// per-iteration `rank / out-degree` vector.
-pub(crate) struct MrGather {
-    in_off: Vec<u32>,
-    in_src: Vec<VertexId>,
-    /// Destination `t`'s runs are `run_end[run_off[t]..run_off[t + 1]]`:
-    /// the `in_src` index at which each run of sources from one source
-    /// chunk ends, in chunk order. A chunk that sends `t` nothing has none.
-    run_off: Vec<u32>,
-    run_end: Vec<u32>,
-    plan: Vec<(usize, usize)>,
-    contrib: Vec<f64>,
-}
-
-impl MrGather {
-    /// Source chunk `c` of `machines` is `[c·n/machines, (c+1)·n/machines)`.
-    pub(crate) fn build(g: &graphbench_graph::CsrGraph, machines: usize) -> MrGather {
-        let n = g.num_vertices();
-        let mut off = vec![0u32; n + 1];
-        for s in 0..n as VertexId {
-            for &t in g.out_neighbors(s) {
-                off[t as usize + 1] += 1;
-            }
-        }
-        for v in 0..n {
-            off[v + 1] += off[v];
-        }
-        let mut cursor: Vec<u32> = off[..n].to_vec();
-        let mut src = vec![0 as VertexId; off[n] as usize];
-        for s in 0..n as VertexId {
-            for &t in g.out_neighbors(s) {
-                src[cursor[t as usize] as usize] = s;
-                cursor[t as usize] += 1;
-            }
-        }
-        // Cut each ascending source list where it crosses a chunk boundary:
-        // one search of the boundary table per run, none per edge.
-        let bounds: Vec<usize> = (0..=machines).map(|c| c * n / machines).collect();
-        let mut run_off = Vec::with_capacity(n + 1);
-        let mut run_end = Vec::new();
-        run_off.push(0u32);
-        for t in 0..n {
-            let (lo, hi) = (off[t] as usize, off[t + 1] as usize);
-            let mut chunk_end = 0usize;
-            for (k, &s) in src[lo..hi].iter().enumerate() {
-                if s as usize >= chunk_end {
-                    if k > 0 {
-                        run_end.push((lo + k) as u32);
-                    }
-                    chunk_end = bounds[bounds.partition_point(|&b| b <= s as usize)];
-                }
-            }
-            if hi > lo {
-                run_end.push(hi as u32);
-            }
-            run_off.push(run_end.len() as u32);
-        }
-        let weights: Vec<u64> = (0..n).map(|t| 1 + u64::from(off[t + 1] - off[t])).collect();
-        let plan = exec::weighted_spans(&weights, exec::chunk_size());
-        MrGather { in_off: off, in_src: src, run_off, run_end, plan, contrib: vec![0.0; n] }
-    }
-
-    /// The reduce side of one iteration: `incoming[t]` for every
-    /// destination, chunked over the destination windows. Each run folds
-    /// one partial from 0.0 in ascending source order and the partials add
-    /// in source-chunk order — the serial per-machine scan's hierarchical
-    /// f64 fold, bit for bit at any chunk × thread combination. A source
-    /// chunk contributing nothing would add an exact +0.0 and has no run.
-    /// `contrib` is `rank / out-degree`, one division per source rather
-    /// than one per edge, the same IEEE quotient either way.
-    pub(crate) fn gather(
-        &mut self,
-        g: &graphbench_graph::CsrGraph,
-        ranks: &[f64],
-        incoming: &mut [f64],
-    ) {
-        // A vertex without out-edges is nobody's source; its quotient is unread.
-        for (s, (c, r)) in self.contrib.iter_mut().zip(ranks).enumerate() {
-            *c = r / g.out_degree(s as VertexId) as f64;
-        }
-        let mut tasks: Vec<(usize, &mut [f64])> = Vec::with_capacity(self.plan.len());
-        let mut rest = incoming;
-        for &(s, e) in &self.plan {
-            let (window, tail) = rest.split_at_mut(e - s);
-            tasks.push((s, window));
-            rest = tail;
-        }
-        let MrGather { in_off, in_src, run_off, run_end, contrib, .. } = &*self;
-        exec::run_chunks(&mut tasks, |_, (base, window)| {
-            for (t, acc) in (*base..).zip(window.iter_mut()) {
-                let mut k = in_off[t] as usize;
-                let mut sum = 0.0f64;
-                for &end in &run_end[run_off[t] as usize..run_off[t + 1] as usize] {
-                    let mut pm = 0.0f64;
-                    for &s in &in_src[k..end as usize] {
-                        pm += contrib[s as usize];
-                    }
-                    sum += pm;
-                    k = end as usize;
-                }
-                *acc = sum;
-            }
-        });
-    }
+/// Reduce-side gather for PageRank-style aggregations (shared with the
+/// Vertica engine, whose join uses the same per-machine scan), built once
+/// per run (the graph is loop-invariant): each destination's sources in
+/// ascending order, exactly the order an ascending source scan delivers
+/// contributions, cut into source-chunk runs. Each run folds one partial
+/// from 0.0 and the partials add in source-chunk order, the serial
+/// per-machine scan's hierarchical f64 fold (see [`RunGather`]). Source
+/// chunk `c` of `machines` is `[c·n/machines, (c+1)·n/machines)`.
+pub(crate) fn source_chunk_runs(g: &graphbench_graph::CsrGraph, machines: usize) -> RunGather {
+    let n = g.num_vertices();
+    RunGather::build(n, machines, |c| {
+        let chunk = (c * n / machines) as VertexId..((c + 1) * n / machines) as VertexId;
+        chunk.flat_map(|s| g.out_neighbors(s).iter().map(move |&t| (s, t)))
+    })
 }
 
 /// Pooled reduce-side scratch for the min-fold workloads (WCC, traversal):
@@ -401,7 +306,7 @@ fn mr_pagerank(
         StopCriterion::Iterations(k) => (0.0, k),
     };
     let mut recovery = Recovery::new(cluster, RecoveryModel::TaskReexecution);
-    let mut mg = MrGather::build(g, machines);
+    let mut runs = source_chunk_runs(g, machines);
     let mut iter = 0u64;
     while (iter as u32) < max_iters {
         let shape = IterationShape {
@@ -420,9 +325,9 @@ fn mr_pagerank(
             graph_bytes,
             &shape,
         )?;
-        // The actual reduce computation (see `MrGather::gather`).
+        // The actual reduce computation (see `source_chunk_runs`).
         cluster.set_label("reduce");
-        mg.gather(g, &ranks, &mut incoming);
+        runs.gather(&ranks, |s| g.out_degree(s as VertexId), None, &mut incoming);
         let max_delta = crate::util::pagerank_apply(&mut ranks, &incoming, cfg.damping);
         iter += 1;
         if tol > 0.0 && max_delta < tol {
@@ -601,16 +506,15 @@ mod tests {
     use crate::ScaleInfo;
     use graphbench_algos::reference;
     use graphbench_gen::{Dataset, DatasetKind, Scale};
-    use graphbench_graph::rng::{for_each_seed, Rng};
+    use graphbench_graph::rng::for_each_seed;
     use graphbench_graph::{CsrGraph, EdgeList};
     use graphbench_sim::ClusterSpec;
 
-    /// The per-edge fold [`MrGather::gather`] replaces, kept as its
-    /// reference: each source's chunk found by integer division and its
-    /// `rank / out-degree` divided per edge.
-    fn incoming_of(mg: &MrGather, t: usize, g: &CsrGraph, ranks: &[f64], machines: usize) -> f64 {
+    /// The per-edge fold [`source_chunk_runs`] replaces, kept as its
+    /// reference: `t`'s ascending sources `nbrs`, each source's chunk found
+    /// by integer division and its `rank / out-degree` divided per edge.
+    fn incoming_of(nbrs: &[VertexId], g: &CsrGraph, ranks: &[f64], machines: usize) -> f64 {
         let n = g.num_vertices();
-        let nbrs = &mg.in_src[mg.in_off[t] as usize..mg.in_off[t + 1] as usize];
         let mut sum = 0.0f64;
         let mut k = 0usize;
         while k < nbrs.len() {
@@ -634,44 +538,28 @@ mod tests {
         sum
     }
 
-    /// A seeded graph with self-edges, sources without out-edges (ids
-    /// divisible by 5), isolated vertices (ids ≡ 3 mod 7) and a hub
-    /// destination that about three edges in eight point at.
-    fn gather_graph(rng: &mut Rng) -> CsrGraph {
-        let n = 2 + rng.below_u32(400);
-        let hub = rng.below_u32(n);
-        let isolated = |v: u32| v % 7 == 3 && v != hub;
-        let mut el = EdgeList::with_capacity(n as u64, 0);
-        for _ in 0..rng.below(6 * n as usize) {
-            let s = rng.below_u32(n);
-            let t = match rng.below(8) {
-                0 => s,
-                1..=3 => hub,
-                _ => rng.below_u32(n),
-            };
-            if !s.is_multiple_of(5) && !isolated(s) && !isolated(t) {
-                el.push(s, t);
-            }
-        }
-        CsrGraph::from_edge_list(&el)
-    }
-
     #[test]
     fn gather_equals_the_per_edge_fold_bit_for_bit() {
         let _guard = exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         exec::set_threads(4);
         for_each_seed(32, |_, rng| {
-            let g = gather_graph(rng);
+            let g = crate::gather::tests::gather_graph(rng);
             let n = g.num_vertices();
+            let mut in_src: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+            for s in 0..n as VertexId {
+                for &t in g.out_neighbors(s) {
+                    in_src[t as usize].push(s);
+                }
+            }
             let ranks: Vec<f64> = (0..n).map(|_| rng.f64() * 3.0).collect();
             for machines in [1, 2, 3, 16, 64, n + 3] {
                 for chunk in [1, 97, 4096] {
                     exec::set_chunk_size(chunk);
-                    let mut mg = MrGather::build(&g, machines);
+                    let mut runs = source_chunk_runs(&g, machines);
                     let mut got = vec![f64::NAN; n];
-                    mg.gather(&g, &ranks, &mut got);
+                    runs.gather(&ranks, |s| g.out_degree(s as VertexId), None, &mut got);
                     for (t, got) in got.iter().enumerate() {
-                        let want = incoming_of(&mg, t, &g, &ranks, machines);
+                        let want = incoming_of(&in_src[t], &g, &ranks, machines);
                         assert_eq!(
                             got.to_bits(),
                             want.to_bits(),

@@ -25,6 +25,7 @@ pub mod blogel;
 pub mod bsp;
 pub mod exec;
 pub mod gas;
+pub(crate) mod gather;
 pub mod gelly;
 pub mod graphx;
 pub mod hadoop;

@@ -262,7 +262,7 @@ fn sql_pagerank(
         StopCriterion::Tolerance(t) => (t, u32::MAX),
         StopCriterion::Iterations(k) => (0.0, k),
     };
-    let mut mg = crate::hadoop::MrGather::build(g, ctx.machines);
+    let mut runs = crate::hadoop::source_chunk_runs(g, ctx.machines);
     let mut iter = 0u32;
     loop {
         if iter >= max_iters {
@@ -272,10 +272,10 @@ fn sql_pagerank(
         // SELECT dst, SUM(rank/outdeg) FROM V JOIN E ... GROUP BY dst, then
         // refresh V (every rank changes, so the adaptive policy rebuilds).
         // The SUM is one partial per machine's source chunk, added in
-        // machine order (see `MrGather::gather`).
+        // machine order (see `source_chunk_runs`).
         ctx.charge_join(cluster, g.num_edges())?;
         cluster.set_label("join_scan");
-        mg.gather(g, &ranks, &mut incoming);
+        runs.gather(&ranks, |s| g.out_degree(s as VertexId), None, &mut incoming);
         let max_delta = crate::util::pagerank_apply(&mut ranks, &incoming, cfg.damping);
         ctx.charge_refresh(cluster, n as u64)?;
         cluster.sample_trace();

@@ -4,9 +4,10 @@
 //! journals, results, everything the harness writes — must be bit-for-bit
 //! identical at any chunk-size × thread-count combination, on clean runs
 //! and under injected faults, for every engine that routes per-machine
-//! superstep work through `exec::run_chunks`: GAS, Blogel-B, GraphX,
-//! Hadoop, Vertica, and the BSP engines Giraph, Blogel-V and Gelly, whose
-//! f64 combiner folds PageRank ranks across chunk buckets.
+//! superstep work through `exec::run_chunks`: GAS (exact and approximate
+//! PageRank), Blogel-B, GraphX, Hadoop, Vertica, and the BSP engines
+//! Giraph, Blogel-V and Gelly, whose f64 combiner folds PageRank ranks
+//! across chunk buckets.
 
 use graphbench::system::GlStop;
 use graphbench::{ExperimentSpec, PaperEnv, RunRecord, Runner, SystemId};
@@ -43,9 +44,11 @@ fn gas() -> SystemId {
 }
 
 /// The engines routed through `exec::run_chunks`.
-fn chunked() -> [SystemId; 8] {
+fn chunked() -> [SystemId; 9] {
     [
         gas(),
+        // Approximate PageRank: converged vertices leave the gather.
+        SystemId::GraphLab { sync: true, auto: false, stop: GlStop::Tolerance },
         SystemId::BlogelB,
         SystemId::GraphX,
         SystemId::Hadoop,
@@ -141,7 +144,7 @@ fn journals_timelines_and_registries_are_chunk_invariant() {
 
 mod chunked_engines_equal_serial {
     use super::{parallel_threads, CHUNK_LOCK};
-    use graphbench_algos::workload::PageRankConfig;
+    use graphbench_algos::workload::{PageRankConfig, StopCriterion};
     use graphbench_algos::Workload;
     use graphbench_engines::blogel::{BlogelB, BlogelV};
     use graphbench_engines::gas::GraphLab;
@@ -157,7 +160,7 @@ mod chunked_engines_equal_serial {
     use graphbench_sim::ClusterSpec;
 
     fn engine(idx: usize) -> Box<dyn Engine> {
-        match idx % 8 {
+        match idx % 9 {
             0 => Box::new(GraphLab::sync_random()),
             1 => Box::new(BlogelB::default()),
             2 => Box::new(GraphX::default()),
@@ -166,13 +169,19 @@ mod chunked_engines_equal_serial {
             5 => Box::new(Giraph::default()),
             6 => Box::new(BlogelV),
             7 => Box::new(Gelly::default()),
+            8 => Box::new(GraphLab { approximate_pagerank: true, ..GraphLab::sync_random() }),
             _ => unreachable!(),
         }
     }
 
-    fn workload(idx: usize, n: u32, src: VertexId) -> Workload {
+    fn workload(idx: usize, engine_idx: usize, n: u32, src: VertexId) -> Workload {
         match idx % 3 {
             0 => Workload::Wcc,
+            // Approximate PageRank deactivates vertices only under a tolerance.
+            1 if engine_idx == 8 => Workload::PageRank(PageRankConfig {
+                stop: StopCriterion::Tolerance(1e-3),
+                ..PageRankConfig::fixed(5)
+            }),
             1 => Workload::PageRank(PageRankConfig::fixed(5)),
             2 => Workload::khop3(src % n),
             _ => unreachable!(),
@@ -192,7 +201,7 @@ mod chunked_engines_equal_serial {
         engine(engine_idx).run(&EngineInput {
             edges: &edges,
             graph: &graph,
-            workload: workload(workload_idx, graph.num_vertices() as u32, src),
+            workload: workload(workload_idx, engine_idx, graph.num_vertices() as u32, src),
             cluster: ClusterSpec::r3_xlarge(machines, 1 << 30),
             seed: 7,
             scale,
@@ -214,7 +223,7 @@ mod chunked_engines_equal_serial {
         for_each_seed(40, |_, rng| {
             let pairs: Vec<(VertexId, VertexId)> =
                 (0..1 + rng.below(119)).map(|_| (rng.below_u32(25), rng.below_u32(25))).collect();
-            let engine_idx = rng.below(8);
+            let engine_idx = rng.below(9);
             let workload_idx = rng.below(3);
             let machines = 1 + rng.below(5);
             let src = rng.below_u32(25);

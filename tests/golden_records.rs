@@ -127,6 +127,16 @@ fn golden_graphlab_pagerank() {
     golden_cell(gl_sri(), WorkloadKind::PageRank);
 }
 
+/// GL-S-R-T: approximate PageRank to the runner's tolerance, so converged
+/// vertices drop out of the gather and apply.
+#[test]
+fn golden_graphlab_tolerance_pagerank() {
+    golden_cell(
+        SystemId::GraphLab { sync: true, auto: false, stop: GlStop::Tolerance },
+        WorkloadKind::PageRank,
+    );
+}
+
 #[test]
 fn golden_graphlab_wcc() {
     golden_cell(gl_sri(), WorkloadKind::Wcc);
