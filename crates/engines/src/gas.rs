@@ -24,19 +24,16 @@
 //!   on long-running workloads — the WRN-at-128-machines OOM of Figure 10.
 
 use crate::exec;
-use crate::gather::RunGather;
+use crate::gather::{MinLabel, RunGather};
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
 use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
 use graphbench_graph::format::GraphFormat;
 use graphbench_graph::rng::Rng;
-use graphbench_graph::VertexId;
+use graphbench_graph::{CsrGraph, VertexId};
 use graphbench_partition::{VertexCutPartition, VertexCutStrategy};
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
-
-/// A WCC scatter task: an edge span and the vertices its edges signal.
-type SignalTask<'a> = (&'a [(VertexId, VertexId)], Vec<VertexId>);
 
 /// A traversal task: machine, frontier span, and the distance improvements
 /// it found.
@@ -199,37 +196,6 @@ impl EdgeIndex {
     }
 }
 
-/// Degree-aware intra-machine chunk plan over one `EdgeIndex`'s endpoint
-/// groups: `(group_start, group_end, window_end)` triples where
-/// `groups[group_start..group_end]` is the span's slice of `idx.verts()` and
-/// `window_end` is the first vertex id *not* owned by the span's window of
-/// the machine's dense per-vertex array (the last span's `window_end` is
-/// `n`, the first span's window starts at 0). Windows tile `0..n`, so chunk
-/// tasks can claim disjoint `&mut` sub-slices via `split_at_mut` and still
-/// zero every entry between them.
-///
-/// Weights are `1 + group degree`: a power-law hub's gather group lands in
-/// a small (often single-group) span instead of serializing its machine.
-fn gather_plan(idx: &EdgeIndex, n: usize) -> Vec<(usize, usize, usize)> {
-    let verts = idx.verts();
-    let weights: Vec<u64> = verts.iter().map(|&v| 1 + idx.of(v).len() as u64).collect();
-    let spans = exec::weighted_spans(&weights, exec::chunk_size());
-    if spans.is_empty() {
-        // No gather groups on this machine; one empty task still owns (and
-        // zeroes) the whole window.
-        return vec![(0, 0, n)];
-    }
-    let last = spans.len() - 1;
-    spans
-        .iter()
-        .enumerate()
-        .map(|(k, &(s, e))| {
-            let window_end = if k == last { n } else { verts[spans[k + 1].0] as usize };
-            (s, e, window_end)
-        })
-        .collect()
-}
-
 /// Per-machine edge store with per-vertex indexes (GraphLab keeps edges
 /// indexed by both endpoints so gather can run over either direction).
 struct MachineData {
@@ -372,7 +338,9 @@ fn execute(
                 GasMode::Async => async_pagerank(cluster, &ctx, &cfg, updates, &mut recovery)?,
             })
         }
-        Workload::Wcc => WorkloadResult::Labels(wcc_propagate(cluster, &ctx, &mut recovery)?),
+        Workload::Wcc => {
+            WorkloadResult::Labels(wcc_propagate(cluster, &ctx, input.graph, &mut recovery)?)
+        }
         Workload::Sssp { source } => {
             WorkloadResult::Distances(traversal(cluster, &ctx, source, u32::MAX, &mut recovery)?)
         }
@@ -774,145 +742,58 @@ fn async_pagerank(
 /// Signal-driven minimum-label propagation (WCC). GraphLab sees both ends
 /// of every edge, so the gather runs over the undirected view with no
 /// reverse-edge discovery pass (§3.2).
+///
+/// Every vertex is signaled in the first round, and after that exactly the
+/// vertices a neighbour's smaller label reaches: `best < label` of the
+/// round's HashMin step ([`MinLabel`]). Gathering only along edges with a
+/// signaled endpoint never changes a label, since an edge between two
+/// unsignaled endpoints joins equal labels. So the labels come from the
+/// kernel over the whole graph, and the signal set prices the round.
 fn wcc_propagate(
     cluster: &mut Cluster,
     ctx: &GasCtx<'_>,
+    g: &CsrGraph,
     recovery: &mut Recovery,
 ) -> Result<Vec<VertexId>, SimError> {
     let n = ctx.n;
     let mut label: Vec<VertexId> = (0..n as VertexId).collect();
-    // Undirected neighbour lists per machine are implicit in edges; signal
-    // set starts as every vertex.
-    let mut signaled: Vec<bool> = vec![true; n];
-    // Each machine's edge list is carved into chunk tasks
-    // (`exec::run_chunks`) that emit (vertex, candidate-label) pairs into
-    // pooled per-chunk buckets. Integer min is associative and commutative,
-    // so folding candidates in ascending (machine, chunk) order reproduces
-    // the serial labels exactly at any thread count and chunk size — and
-    // drops the per-machine n-sized `best` copies the serial path kept.
-    struct WccTask<'a> {
-        edges: &'a [(VertexId, VertexId)],
-        /// Pooled across rounds.
-        mins: Vec<(VertexId, VertexId)>,
-    }
-    struct WccChunk {
-        ops: u64,
-        any: bool,
-    }
-    // Edge spans are a function of the static edge stores; plan once. The
-    // signaled-traffic loop reuses the degree-aware in-index plan.
-    let edge_plans: Vec<Vec<(usize, usize)>> =
-        ctx.data.iter().map(|md| exec::uniform_spans(md.edges.len(), exec::chunk_size())).collect();
-    let traffic_plans: Vec<Vec<(usize, usize, usize)>> =
-        ctx.data.iter().map(|md| gather_plan(&md.in_idx, n)).collect();
-    let total_edge_spans: usize = edge_plans.iter().map(Vec::len).sum();
-    let total_traffic_spans: usize = traffic_plans.iter().map(Vec::len).sum();
-    let mut mins_pool: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); total_edge_spans];
-    let mut sig_pool: Vec<Vec<VertexId>> = vec![Vec::new(); total_edge_spans];
     let mut best: Vec<VertexId> = vec![0; n];
-    let mut ops = vec![0.0f64; ctx.machines];
-    let mut sent = vec![0u64; ctx.machines];
-    let mut recv = vec![0u64; ctx.machines];
-    let mut msgs = vec![0u64; ctx.machines];
+    let kernel = MinLabel::build(g, 1);
+    let mut machines: Vec<usize> = (0..ctx.machines).collect();
+    let mut first = true;
     loop {
         cluster.set_label("gather");
-        let mut tasks: Vec<WccTask> = Vec::with_capacity(total_edge_spans);
-        for (m, md) in ctx.data.iter().enumerate() {
-            for &(s, e) in &edge_plans[m] {
-                let mut mins = std::mem::take(&mut mins_pool[tasks.len()]);
-                mins.clear();
-                tasks.push(WccTask { edges: &md.edges[s..e], mins });
-            }
-        }
-        let chunk_steps: Vec<WccChunk> = exec::run_chunks(&mut tasks, |_, t| {
-            let mut chunk_ops = 0u64;
-            let mut my_any = false;
-            for &(u, v) in t.edges {
-                let su = signaled[u as usize];
-                let sv = signaled[v as usize];
-                if !(su || sv) {
-                    continue;
-                }
-                my_any = true;
-                chunk_ops += 1;
-                // Undirected min exchange: emit candidates, folded below.
-                if label[u as usize] < label[v as usize] {
-                    t.mins.push((v, label[u as usize]));
-                }
-                if label[v as usize] < label[u as usize] {
-                    t.mins.push((u, label[v as usize]));
+        kernel.step(&label, &mut best);
+        let (label_r, best_r) = (&label, &best);
+        let signaled = |v: VertexId| first || best_r[v as usize] < label_r[v as usize];
+        // Per machine: the local edges with a signaled endpoint gather, and
+        // each signaled destination mastered elsewhere costs an 8 B partial.
+        // The u64 counts are order-free.
+        let tally = exec::run_chunks(&mut machines, |_, &mut m| {
+            let md = &ctx.data[m];
+            let ops = md.edges.iter().filter(|&&(u, v)| signaled(u) || signaled(v)).count();
+            let (mut remote, mut recv_by) = (0u64, vec![0u64; ctx.machines]);
+            for &v in md.in_idx.verts() {
+                let master = ctx.part.master_of(v) as usize;
+                if signaled(v) && master != m {
+                    remote += 1;
+                    recv_by[master] += 8;
                 }
             }
-            WccChunk { ops: chunk_ops, any: my_any }
+            (ops as u64, remote, recv_by)
         });
-        // Partial aggregation traffic for signaled vertices mastered
-        // elsewhere: read-only degree-aware spans over the in-index.
-        let mut traffic_tasks: Vec<(usize, &[VertexId])> = Vec::with_capacity(total_traffic_spans);
-        for (m, md) in ctx.data.iter().enumerate() {
-            for &(gs, ge, _) in &traffic_plans[m] {
-                traffic_tasks.push((m, &md.in_idx.verts()[gs..ge]));
-            }
-        }
-        let traffic_steps: Vec<(u64, u64, Vec<u64>)> =
-            exec::run_chunks(&mut traffic_tasks, |_, &mut (m, verts)| {
-                let mut my_sent = 0u64;
-                let mut my_msgs = 0u64;
-                let mut recv_by = vec![0u64; ctx.machines];
-                for &v in verts {
-                    if signaled[v as usize] && ctx.part.master_of(v) as usize != m {
-                        my_sent += 8;
-                        recv_by[ctx.part.master_of(v) as usize] += 8;
-                        my_msgs += 1;
-                    }
-                }
-                (my_sent, my_msgs, recv_by)
-            });
-        let mut any = false;
-        recv.fill(0);
-        let mut ci = 0usize;
-        for m in 0..ctx.machines {
-            let mut o = 0u64;
-            for _ in &edge_plans[m] {
-                let c = &chunk_steps[ci];
-                ci += 1;
-                o += c.ops;
-                any |= c.any;
-            }
-            ops[m] = o as f64 * ctx.async_op_penalty();
-        }
-        let mut ti = 0usize;
-        for m in 0..ctx.machines {
-            let (mut se, mut ms) = (0u64, 0u64);
-            for _ in &traffic_plans[m] {
-                let (s, g, ref recv_by) = traffic_steps[ti];
-                ti += 1;
-                se += s;
-                ms += g;
-                for (j, &b) in recv_by.iter().enumerate() {
-                    recv[j] += b;
-                }
-            }
-            sent[m] = se;
-            msgs[m] = ms;
-        }
-        if !any {
-            for (k, t) in tasks.into_iter().enumerate() {
-                mins_pool[k] = t.mins;
-            }
+        if tally.iter().all(|&(ops, ..)| ops == 0) {
             break;
         }
-        best.copy_from_slice(&label);
-        for t in &tasks {
-            for &(v, l) in &t.mins {
-                if l < best[v as usize] {
-                    best[v as usize] = l;
-                }
+        let ops: Vec<f64> = tally.iter().map(|t| t.0 as f64 * ctx.async_op_penalty()).collect();
+        let sent: Vec<u64> = tally.iter().map(|t| t.1 * 8).collect();
+        let msgs: Vec<u64> = tally.iter().map(|t| t.1).collect();
+        let mut recv = vec![0u64; ctx.machines];
+        for (_, _, recv_by) in &tally {
+            for (r, b) in recv.iter_mut().zip(recv_by) {
+                *r += b;
             }
         }
-        for (k, t) in tasks.into_iter().enumerate() {
-            mins_pool[k] = t.mins;
-        }
-        cluster.set_label("gather");
         cluster.advance_compute(&ops, ctx.effective_cores())?;
         cluster.exchange(&sent, &recv, &msgs)?;
         if cluster.has_observers() {
@@ -925,7 +806,8 @@ fn wcc_propagate(
         cluster.barrier()?;
         recovery.at_barrier(cluster)?;
         cluster.sample_trace();
-        // Apply + scatter: changed vertices signal their neighbours.
+        // Apply: changed vertices sync their mirrors and signal their
+        // neighbours for the next round.
         let mut changed: Vec<VertexId> = Vec::new();
         for v in 0..n {
             if best[v] < label[v] {
@@ -934,38 +816,10 @@ fn wcc_propagate(
             }
         }
         ctx.charge_mirror_sync(cluster, changed.iter().copied())?;
-        signaled.fill(false);
         if changed.is_empty() {
             break;
         }
-        // Rebuild the signal set: edge-span chunk tasks list the vertices
-        // their edges signal into pooled buckets; setting flags is
-        // idempotent, so merge order does not matter.
-        cluster.set_label("scatter");
-        let mut sig_tasks: Vec<SignalTask> = Vec::with_capacity(total_edge_spans);
-        for (m, md) in ctx.data.iter().enumerate() {
-            for &(s, e) in &edge_plans[m] {
-                let mut sig = std::mem::take(&mut sig_pool[sig_tasks.len()]);
-                sig.clear();
-                sig_tasks.push((&md.edges[s..e], sig));
-            }
-        }
-        exec::run_chunks(&mut sig_tasks, |_, t| {
-            for &(u, v) in t.0 {
-                if label[u as usize] < label[v as usize] {
-                    t.1.push(v);
-                }
-                if label[v as usize] < label[u as usize] {
-                    t.1.push(u);
-                }
-            }
-        });
-        for (k, (_, sig)) in sig_tasks.into_iter().enumerate() {
-            for v in &sig {
-                signaled[*v as usize] = true;
-            }
-            sig_pool[k] = sig;
-        }
+        first = false;
     }
     Ok(label)
 }

@@ -1,7 +1,8 @@
-//! The run-sum gather behind every non-BSP PageRank reduce: GraphLab's sync
-//! gather, GraphX's join, the Hadoop/HaLoop reduce and Vertica's `SUM`.
+//! The two kernels behind every non-BSP reduce: [`RunGather`], the run-sum
+//! gather of PageRank, and [`MinLabel`], the HashMin step of WCC.
 //!
-//! Each of those engines folds a destination's contributions in *runs*: one
+//! GraphLab's sync gather, GraphX's join, the Hadoop/HaLoop reduce and
+//! Vertica's `SUM` fold a destination's contributions in *runs*: one
 //! run per machine (GraphLab, GraphX) or per source chunk (MapReduce, SQL)
 //! that sends the destination anything, each folded from `+0.0` in that
 //! part's order, and the run totals added in part order. [`RunGather`]
@@ -17,9 +18,16 @@
 //! The masked add is exact: contributions are non-negative, so no partial
 //! is `-0.0`, and `sum + (+0.0) == sum` for every such `sum`. A part that
 //! sends a destination nothing would add an exact `+0.0` and has no run.
+//!
+//! Integer min is order-free, so the WCC labels need no runs at all:
+//! [`MinLabel`] takes each vertex's minimum over its out-list and a sorted
+//! in-index in one destination-parallel pass. The one order-dependent
+//! figure, Vertica's `updated` row count, is a running-min count per
+//! source chunk that the same pass reads off in source order.
 
 use crate::exec;
-use graphbench_graph::VertexId;
+use graphbench_graph::{CsrGraph, VertexId};
+use std::ops::Range;
 
 /// Top bit of a stored source id: the source closes its run.
 const LAST: u32 = 1 << 31;
@@ -89,13 +97,7 @@ impl RunGather {
         for (u, (c, r)) in self.contrib.iter_mut().zip(ranks).enumerate() {
             *c = r / deg(u) as f64;
         }
-        let mut tasks: Vec<(usize, &mut [f64])> = Vec::with_capacity(self.plan.len());
-        let mut rest = incoming;
-        for &(s, e) in &self.plan {
-            let (window, tail) = rest.split_at_mut(e - s);
-            tasks.push((s, window));
-            rest = tail;
-        }
+        let mut tasks = windows(&self.plan, incoming);
         let (off, src, contrib) = (&self.off, &self.src, &self.contrib);
         exec::run_chunks(&mut tasks, |_, (base, window)| {
             for (t, acc) in (*base..).zip(window.iter_mut()) {
@@ -113,6 +115,107 @@ impl RunGather {
                 *acc = sum;
             }
         });
+    }
+}
+
+/// `out` cut at the plan's spans: `(first index, window)` per task.
+fn windows<'a, T>(plan: &[(usize, usize)], mut out: &'a mut [T]) -> Vec<(usize, &'a mut [T])> {
+    let mut tasks = Vec::with_capacity(plan.len());
+    for &(s, e) in plan {
+        let (window, tail) = out.split_at_mut(e - s);
+        tasks.push((s, window));
+        out = tail;
+    }
+    tasks
+}
+
+/// Source chunk `c` of `parts` over `0..n`: `[c·n/parts, (c+1)·n/parts)`,
+/// the share of the vertex range one MapReduce mapper or one Vertica
+/// segment scans. Boundaries depend only on the simulated machine count,
+/// never on the host thread count.
+pub(crate) fn source_chunk(c: usize, parts: usize, n: usize) -> Range<usize> {
+    c * n / parts..(c + 1) * n / parts
+}
+
+/// The HashMin step of every non-BSP WCC (GraphLab, GraphX, Hadoop/HaLoop,
+/// Vertica): `next[v] = min(label[v], labels of out(v) ∪ in(v))`, one
+/// destination-parallel pass over the out-CSR and a reverse index built
+/// once per run, its in-lists ascending by source.
+///
+/// The pass also counts the strict running-min improvements per source
+/// chunk ([`source_chunk`] of `parts`), which is Vertica's `updated` rows:
+/// its SQL scan walks each chunk's sources in ascending order and offers
+/// `v` the label of every neighbour along both edge directions, each chunk
+/// against its own copy of the labels. For `v`, chunk `c`'s offers are the
+/// labels of `in(v) ∩ c` in source order, with the labels of `out(v)`
+/// (out-list order) spliced in where the scan reaches `s = v`; the running
+/// minimum starts at `label[v]`. The count is positive exactly when some
+/// label shrank.
+pub(crate) struct MinLabel<'g> {
+    g: &'g CsrGraph,
+    /// `v`'s in-neighbours are `in_src[in_off[v]..in_off[v + 1]]`, ascending.
+    in_off: Vec<u64>,
+    in_src: Vec<VertexId>,
+    /// Source chunks the improvement count restarts at.
+    parts: usize,
+    /// Vertex windows weighted by `1 + degree` in both directions.
+    plan: Vec<(usize, usize)>,
+}
+
+impl<'g> MinLabel<'g> {
+    pub(crate) fn build(g: &'g CsrGraph, parts: usize) -> MinLabel<'g> {
+        let (in_off, in_src) = g.transpose();
+        let weights: Vec<u64> = (0..g.num_vertices())
+            .map(|v| 1 + in_off[v + 1] - in_off[v] + g.out_degree(v as VertexId))
+            .collect();
+        let plan = exec::weighted_spans(&weights, exec::chunk_size());
+        MinLabel { g, in_off, in_src, parts, plan }
+    }
+
+    /// Fill `next` and return the improvement count; bit-identical at any
+    /// chunk × thread combination because each vertex folds whole inside
+    /// one task and the counts are integer sums.
+    pub(crate) fn step(&self, label: &[VertexId], next: &mut [VertexId]) -> u64 {
+        let mut tasks = windows(&self.plan, next);
+        let counts = exec::run_chunks(&mut tasks, |_, (base, window)| {
+            let mut imp = 0u64;
+            for (v, best) in (*base..).zip(window.iter_mut()) {
+                let (b, i) = self.min_of(v, label);
+                *best = b;
+                imp += i;
+            }
+            imp
+        });
+        counts.into_iter().sum()
+    }
+
+    /// `v`'s minimum and its improvement count (see [`MinLabel`]).
+    fn min_of(&self, v: usize, label: &[VertexId]) -> (VertexId, u64) {
+        let n = label.len();
+        let ins = &self.in_src[self.in_off[v] as usize..self.in_off[v + 1] as usize];
+        let split = ins.partition_point(|&s| (s as usize) < v);
+        let l0 = label[v];
+        let (mut best, mut run, mut end, mut imp) = (l0, l0, 0usize, 0u64);
+        let mut offer = |s: usize, x: VertexId| {
+            if s >= end {
+                // The first source of a new chunk: its own copy of `label`.
+                run = l0;
+                end = source_chunk(((s + 1) * self.parts - 1) / n, self.parts, n).end;
+            }
+            imp += u64::from(x < run);
+            run = run.min(x);
+            best = best.min(x);
+        };
+        for &s in &ins[..split] {
+            offer(s as usize, label[s as usize]);
+        }
+        for &d in self.g.out_neighbors(v as VertexId) {
+            offer(v, label[d as usize]);
+        }
+        for &s in &ins[split..] {
+            offer(s as usize, label[s as usize]);
+        }
+        (best, imp)
     }
 }
 
@@ -219,5 +322,93 @@ pub(crate) mod tests {
         exec::set_chunk_size(4096);
         exec::set_threads(1);
         assert!(flat_differs > 0, "no destination tells a flat sum from the run fold");
+    }
+
+    /// The loop [`MinLabel`] replaces, kept as its reference: Vertica's
+    /// serial replay. Each source chunk scans its sources in ascending
+    /// order, every out-edge offering each endpoint's label to the other
+    /// endpoint; the chunk's private copy of `label` counts the strict
+    /// improvements and `next` keeps the minimum.
+    pub(crate) fn overlay_replay(
+        g: &CsrGraph,
+        label: &[VertexId],
+        parts: usize,
+    ) -> (Vec<VertexId>, u64) {
+        let n = g.num_vertices();
+        let mut next = label.to_vec();
+        let mut updated = 0u64;
+        for c in 0..parts {
+            let mut own = label.to_vec();
+            for s in source_chunk(c, parts, n) {
+                for &d in g.out_neighbors(s as VertexId) {
+                    let d = d as usize;
+                    for (v, l) in [(d, label[s]), (s, label[d])] {
+                        if l < own[v] {
+                            own[v] = l;
+                            updated += 1;
+                        }
+                        next[v] = next[v].min(l);
+                    }
+                }
+            }
+        }
+        (next, updated)
+    }
+
+    /// GraphLab's scatter pass that [`MinLabel`] made redundant, kept as a
+    /// reference: after a round, every edge signals the endpoint whose
+    /// label exceeds the other's.
+    fn scatter_signals(g: &CsrGraph, label: &[VertexId]) -> Vec<bool> {
+        let mut signaled = vec![false; g.num_vertices()];
+        for (u, v) in g.edges() {
+            let (u, v) = (u as usize, v as usize);
+            if label[u] < label[v] {
+                signaled[v] = true;
+            }
+            if label[v] < label[u] {
+                signaled[u] = true;
+            }
+        }
+        signaled
+    }
+
+    #[test]
+    fn min_label_equals_the_overlay_replay() {
+        let _guard = exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        exec::set_threads(4);
+        // Cases where one chunk offers a vertex two improvements in a row:
+        // proof that the count is more than a changed flag per chunk.
+        let mut repeats = 0usize;
+        for_each_seed(40, |_, rng| {
+            let g = gather_graph(rng);
+            let n = g.num_vertices();
+            let label: Vec<VertexId> = if rng.below(4) == 0 {
+                (0..n as VertexId).collect()
+            } else {
+                let range = 1 + rng.below_u32(n as u32);
+                (0..n).map(|_| rng.below_u32(range)).collect()
+            };
+            let signaled = scatter_signals(&g, &label);
+            for machines in [1, 2, 3, 16, 64] {
+                let (want, want_count) = overlay_replay(&g, &label, machines);
+                let shrunk = (0..n).filter(|&v| want[v] < label[v]).count() as u64;
+                repeats += usize::from(want_count > shrunk * machines as u64);
+                for chunk in [1, 97, 4096] {
+                    exec::set_chunk_size(chunk);
+                    let kernel = MinLabel::build(&g, machines);
+                    let mut next = vec![VertexId::MAX; n];
+                    let count = kernel.step(&label, &mut next);
+                    let at = format!("{n} vertices, machines {machines}, chunk {chunk}");
+                    assert_eq!(next, want, "labels, {at}");
+                    assert_eq!(count, want_count, "improvements, {at}");
+                    for v in 0..n {
+                        assert_eq!(signaled[v], next[v] < label[v], "signal of {v}, {at}");
+                    }
+                }
+            }
+        });
+        exec::set_chunk_size(4096);
+        exec::set_threads(1);
+        assert!(repeats > 0, "no chunk improved a vertex twice");
     }
 }

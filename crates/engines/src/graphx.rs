@@ -26,7 +26,7 @@
 //! fragment placement.
 
 use crate::exec;
-use crate::gather::RunGather;
+use crate::gather::{MinLabel, RunGather};
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
@@ -37,8 +37,9 @@ use graphbench_graph::{CsrGraph, VertexId};
 use graphbench_partition::{MachineBits, MachineId, VertexCutPartition, VertexCutStrategy};
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
 
-/// A per-machine chunk task: machine, edge span, and its pooled output.
-type SpanTask<'a, T> = (usize, (usize, usize), &'a mut Vec<T>);
+/// A per-machine traversal task: machine, edge span, and its pooled
+/// improvements.
+type SpanTask<'a> = (usize, (usize, usize), &'a mut Vec<(VertexId, u32)>);
 
 /// Traversal state at the last materialization point: iteration, distances,
 /// active flags, frontier.
@@ -358,7 +359,7 @@ fn execute(
         Workload::PageRank(pr) => {
             WorkloadResult::Ranks(spark_pagerank(cluster, &mut ctx, input, pr)?)
         }
-        Workload::Wcc => WorkloadResult::Labels(spark_wcc(cluster, &mut ctx)?),
+        Workload::Wcc => WorkloadResult::Labels(spark_wcc(cluster, &mut ctx, input.graph)?),
         Workload::Sssp { source } => {
             WorkloadResult::Distances(spark_traversal(cluster, &mut ctx, source, u32::MAX)?)
         }
@@ -530,79 +531,23 @@ fn spark_pagerank(
     Ok(ranks)
 }
 
-/// Pooled chunk scratch for the WCC join, built once per run: uniform edge
-/// spans per machine (the partitions are static), per-task candidate
-/// buckets, and the reused `next` label vector that a `label.clone()` per
-/// iteration used to allocate.
-struct WccScratch {
-    spans: Vec<Vec<(usize, usize)>>,
-    buckets: Vec<Vec<(VertexId, VertexId)>>,
-    next: Vec<VertexId>,
-}
-
-impl WccScratch {
-    fn build(ctx: &SparkCtx) -> WccScratch {
-        let spans: Vec<Vec<(usize, usize)>> = ctx
-            .edges_by_machine
-            .iter()
-            .map(|e| exec::uniform_spans(e.len(), exec::chunk_size()))
-            .collect();
-        let tasks = spans.iter().map(|s| s.len()).sum();
-        WccScratch { spans, buckets: vec![Vec::new(); tasks], next: Vec::new() }
-    }
-}
-
-/// One WCC label-propagation iteration. Chunk tasks scan disjoint edge
-/// spans and emit `(vertex, smaller label)` candidates into pooled buckets;
-/// integer min is order-free, so folding the buckets in fixed task order
-/// reproduces the serial min-merge exactly — without the per-machine full
-/// label copies the previous version cloned each iteration. Fills `changed`
-/// with the vertices whose label shrank. Shared by the live loop and replay.
+/// One WCC label-propagation iteration: the HashMin step over both edge
+/// directions (see [`MinLabel`]), then hash-to-min's shortcut when enabled.
+/// Fills `changed` with the vertices whose label shrank. Shared by the live
+/// loop and replay.
 fn wcc_step(
     ctx: &SparkCtx,
+    kernel: &MinLabel<'_>,
     label: &mut Vec<VertexId>,
+    next: &mut Vec<VertexId>,
     ops: &mut [f64],
     changed: &mut Vec<VertexId>,
-    ws: &mut WccScratch,
 ) {
     let n = label.len();
-    let edges_by_machine = &ctx.edges_by_machine;
-    let label_r: &[VertexId] = label;
-    let mut tasks: Vec<SpanTask<(VertexId, VertexId)>> = Vec::new();
-    {
-        let mut pool = ws.buckets.iter_mut();
-        for (m, spans) in ws.spans.iter().enumerate() {
-            for &(s, e) in spans {
-                tasks.push((m, (s, e), pool.next().expect("bucket pool sized to task count")));
-            }
-        }
+    kernel.step(label, next);
+    for (o, edges) in ops.iter_mut().zip(&ctx.edges_by_machine) {
+        *o = edges.len() as f64;
     }
-    exec::run_chunks(&mut tasks, |_, t| {
-        let (m, (s, e), ref mut bucket) = *t;
-        bucket.clear();
-        for &(u, v) in &edges_by_machine[m][s..e] {
-            if label_r[u as usize] < label_r[v as usize] {
-                bucket.push((v, label_r[u as usize]));
-            }
-            if label_r[v as usize] < label_r[u as usize] {
-                bucket.push((u, label_r[v as usize]));
-            }
-        }
-    });
-    ws.next.clear();
-    ws.next.extend_from_slice(label_r);
-    let next = &mut ws.next;
-    for (m, o) in ops.iter_mut().enumerate() {
-        *o = edges_by_machine[m].len() as f64;
-    }
-    for (_, _, bucket) in &tasks {
-        for &(v, l) in bucket.iter() {
-            if l < next[v as usize] {
-                next[v as usize] = l;
-            }
-        }
-    }
-    drop(tasks);
     if ctx.hash_to_min {
         // hash-to-min's shortcutting: labels are vertex ids, so every
         // vertex can also adopt its label's label (pointer jumping),
@@ -622,26 +567,31 @@ fn wcc_step(
     std::mem::swap(label, next);
 }
 
-fn spark_wcc(cluster: &mut Cluster, ctx: &mut SparkCtx) -> Result<Vec<VertexId>, SimError> {
+fn spark_wcc(
+    cluster: &mut Cluster,
+    ctx: &mut SparkCtx,
+    g: &CsrGraph,
+) -> Result<Vec<VertexId>, SimError> {
     let n = ctx.n;
     let mut label: Vec<VertexId> = (0..n as VertexId).collect();
     let mut snapshot: Option<(u32, Vec<VertexId>)> =
         cluster.plan_has_crashes().then(|| (0, label.clone()));
     let mut ops = vec![0.0f64; ctx.machines];
     let mut changed: Vec<VertexId> = Vec::new();
-    let mut ws = WccScratch::build(ctx);
+    let kernel = MinLabel::build(g, 1);
+    let mut next = vec![0; n];
     let mut iter = 0u32;
     loop {
         if ctx.charge_stage(cluster)? {
             if let Some((snap_iter, snap_label)) = &snapshot {
                 label.clone_from(snap_label);
                 for _ in *snap_iter..iter {
-                    wcc_step(ctx, &mut label, &mut ops, &mut changed, &mut ws);
+                    wcc_step(ctx, &kernel, &mut label, &mut next, &mut ops, &mut changed);
                 }
             }
         }
         cluster.set_label("superstep");
-        wcc_step(ctx, &mut label, &mut ops, &mut changed, &mut ws);
+        wcc_step(ctx, &kernel, &mut label, &mut next, &mut ops, &mut changed);
         charge_compute(cluster, ctx, &ops)?;
         mirror_sync(cluster, ctx, &changed)?;
         if ctx.charge_lineage(cluster, iter, changed.len() as u64)? {
@@ -695,7 +645,7 @@ fn traversal_step(
 ) {
     let edges_by_machine = &ctx.edges_by_machine;
     let (dist_r, active_r) = (&*dist, &*active);
-    let mut tasks: Vec<SpanTask<(VertexId, u32)>> = Vec::new();
+    let mut tasks: Vec<SpanTask> = Vec::new();
     {
         let mut pool = ts.buckets.iter_mut();
         for (m, spans) in ts.spans.iter().enumerate() {

@@ -20,7 +20,7 @@
 //! and 128-machine clusters — reproduced here as the `SHFL` failure.
 
 use crate::exec;
-use crate::gather::RunGather;
+use crate::gather::{source_chunk, MinLabel, RunGather};
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
@@ -30,7 +30,7 @@ use graphbench_graph::VertexId;
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
 
 /// A reduce task: a vertex span and its pooled output.
-type SpanTask<'a, T> = ((usize, usize), &'a mut Vec<T>);
+type SpanTask<'a> = ((usize, usize), &'a mut Vec<(VertexId, u32)>);
 
 /// Plain Hadoop MapReduce.
 #[derive(Debug, Clone, Default)]
@@ -256,30 +256,29 @@ fn charge_iteration(
 /// Vertica engine, whose join uses the same per-machine scan), built once
 /// per run (the graph is loop-invariant): each destination's sources in
 /// ascending order, exactly the order an ascending source scan delivers
-/// contributions, cut into source-chunk runs. Each run folds one partial
-/// from 0.0 and the partials add in source-chunk order, the serial
-/// per-machine scan's hierarchical f64 fold (see [`RunGather`]). Source
-/// chunk `c` of `machines` is `[c·n/machines, (c+1)·n/machines)`.
+/// contributions, cut into [`source_chunk`] runs. Each run folds one
+/// partial from 0.0 and the partials add in source-chunk order, the serial
+/// per-machine scan's hierarchical f64 fold (see [`RunGather`]).
 pub(crate) fn source_chunk_runs(g: &graphbench_graph::CsrGraph, machines: usize) -> RunGather {
     let n = g.num_vertices();
     RunGather::build(n, machines, |c| {
-        let chunk = (c * n / machines) as VertexId..((c + 1) * n / machines) as VertexId;
-        chunk.flat_map(|s| g.out_neighbors(s).iter().map(move |&t| (s, t)))
+        source_chunk(c, machines, n)
+            .flat_map(|s| g.out_neighbors(s as VertexId).iter().map(move |&t| (s as VertexId, t)))
     })
 }
 
-/// Pooled reduce-side scratch for the min-fold workloads (WCC, traversal):
-/// degree-aware source spans planned once over the static graph, per-task
-/// candidate buckets, and the reused `next` vector that a full `clone()`
-/// per worker per iteration used to allocate.
-struct MrScratch<T> {
+/// Pooled reduce-side scratch for traversal: degree-aware source spans
+/// planned once over the static graph, per-task candidate buckets, and the
+/// reused `next` vector that a full `clone()` per worker per iteration used
+/// to allocate.
+struct MrScratch {
     plan: Vec<(usize, usize)>,
-    buckets: Vec<Vec<(VertexId, T)>>,
-    next: Vec<T>,
+    buckets: Vec<Vec<(VertexId, u32)>>,
+    next: Vec<u32>,
 }
 
-impl<T> MrScratch<T> {
-    fn build(g: &graphbench_graph::CsrGraph) -> MrScratch<T> {
+impl MrScratch {
+    fn build(g: &graphbench_graph::CsrGraph) -> MrScratch {
         let n = g.num_vertices();
         let weights: Vec<u64> = (0..n as VertexId).map(|v| 1 + g.out_degree(v)).collect();
         let plan = exec::weighted_spans(&weights, exec::chunk_size());
@@ -349,7 +348,8 @@ fn mr_wcc(
     let machines = cluster.machines();
     let mut label: Vec<VertexId> = (0..n as VertexId).collect();
     let mut recovery = Recovery::new(cluster, RecoveryModel::TaskReexecution);
-    let mut ms: MrScratch<VertexId> = MrScratch::build(g);
+    let kernel = MinLabel::build(g, 1);
+    let mut next = vec![0; n];
     let mut iter = 0u64;
     loop {
         let shape = IterationShape {
@@ -369,45 +369,11 @@ fn mr_wcc(
             graph_bytes,
             &shape,
         )?;
-        // HashMin, chunked over degree-aware source spans: tasks emit
-        // `(vertex, smaller label)` candidates into pooled buckets; integer
-        // min is order-free, so folding the buckets in fixed task order
-        // reproduces the old per-worker min-merge exactly — without the
-        // full label copy each worker used to clone. An improvement was
-        // applied iff some label shrank, which is exactly the old
-        // OR-of-part_changed.
+        // HashMin: every vertex takes the least label along both edge
+        // directions; it changed iff some label shrank.
         cluster.set_label("reduce");
-        let label_r: &[VertexId] = &label;
-        let mut tasks: Vec<SpanTask<(VertexId, VertexId)>> =
-            ms.plan.iter().copied().zip(ms.buckets.iter_mut()).collect();
-        exec::run_chunks(&mut tasks, |_, t| {
-            let ((lo, hi), ref mut bucket) = *t;
-            bucket.clear();
-            for s in lo as VertexId..hi as VertexId {
-                for &d in g.out_neighbors(s) {
-                    if label_r[s as usize] < label_r[d as usize] {
-                        bucket.push((d, label_r[s as usize]));
-                    }
-                    if label_r[d as usize] < label_r[s as usize] {
-                        bucket.push((s, label_r[d as usize]));
-                    }
-                }
-            }
-        });
-        let mut changed = false;
-        ms.next.clear();
-        ms.next.extend_from_slice(label_r);
-        let next = &mut ms.next;
-        for (_, bucket) in &tasks {
-            for &(v, l) in bucket.iter() {
-                if l < next[v as usize] {
-                    next[v as usize] = l;
-                    changed = true;
-                }
-            }
-        }
-        drop(tasks);
-        std::mem::swap(&mut label, next);
+        let changed = kernel.step(&label, &mut next) > 0;
+        std::mem::swap(&mut label, &mut next);
         iter += 1;
         if !changed {
             break;
@@ -431,7 +397,7 @@ fn mr_traversal(
     let mut dist = vec![UNREACHABLE; n];
     dist[source as usize] = 0;
     let mut recovery = Recovery::new(cluster, RecoveryModel::TaskReexecution);
-    let mut ms: MrScratch<u32> = MrScratch::build(g);
+    let mut ms = MrScratch::build(g);
     let mut iter = 0u64;
     loop {
         // MapReduce scans every edge every iteration — it cannot restrict
@@ -459,8 +425,7 @@ fn mr_traversal(
         // per-worker min-merge without its full distance-vector clones.
         cluster.set_label("reduce");
         let dist_r: &[u32] = &dist;
-        let mut tasks: Vec<SpanTask<(VertexId, u32)>> =
-            ms.plan.iter().copied().zip(ms.buckets.iter_mut()).collect();
+        let mut tasks: Vec<SpanTask> = ms.plan.iter().copied().zip(ms.buckets.iter_mut()).collect();
         exec::run_chunks(&mut tasks, |_, t| {
             let ((lo, hi), ref mut bucket) = *t;
             bucket.clear();

@@ -117,14 +117,6 @@ pub trait Engine {
 /// (§4.3: Hadoop/HaLoop/Giraph/GraphLab read `adj`, Blogel `adj-long`,
 /// GraphX/Gelly `edge`), without materializing the text.
 pub fn dataset_bytes(el: &EdgeList, format: GraphFormat) -> u64 {
-    fn digits(mut x: u64) -> u64 {
-        let mut d = 1;
-        while x >= 10 {
-            x /= 10;
-            d += 1;
-        }
-        d
-    }
     match format {
         GraphFormat::EdgeListFormat => {
             el.edges.iter().map(|e| digits(e.src as u64) + digits(e.dst as u64) + 2).sum()
@@ -149,6 +141,11 @@ pub fn dataset_bytes(el: &EdgeList, format: GraphFormat) -> u64 {
             line_bytes + edge_bytes
         }
     }
+}
+
+/// Decimal digits of `x` as text.
+fn digits(x: u64) -> u64 {
+    x.checked_ilog10().map_or(1, |l| u64::from(l) + 1)
 }
 
 /// Shared helper: per-machine byte shares when a byte total is spread
@@ -176,6 +173,18 @@ mod tests {
         el.num_vertices = 1_000;
         for fmt in [GraphFormat::Adj, GraphFormat::AdjLong, GraphFormat::EdgeListFormat] {
             assert_eq!(dataset_bytes(&el, fmt), encoded_size(&el, fmt), "{}", fmt.name());
+        }
+    }
+
+    #[test]
+    fn digits_match_the_decimal_text() {
+        let mut xs = vec![0, u64::MAX];
+        for e in 0..=19 {
+            let p = 10u64.pow(e);
+            xs.extend([p, p - 1]);
+        }
+        for x in xs {
+            assert_eq!(digits(x), x.to_string().len() as u64, "{x}");
         }
     }
 

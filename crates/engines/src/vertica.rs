@@ -23,15 +23,13 @@
 //! "relational engines are competitive" claim.
 
 use crate::exec;
+use crate::gather::MinLabel;
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{even_share, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
 use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
 use graphbench_graph::VertexId;
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
-
-/// A join-scan task: (chunk, lo, hi) vertex range and its pooled output.
-type ScanTask<'a, T> = ((usize, usize, usize), &'a mut Vec<T>);
 
 /// How the per-iteration vertex-table refresh is executed (§2.6): rebuild
 /// the table sequentially and swap, or update rows in place. The paper
@@ -68,12 +66,6 @@ fn catalog_op_secs(machines: usize) -> f64 {
 /// connection to every other machine.
 fn shuffle_setup_secs(machines: usize) -> f64 {
     0.005 * machines as f64
-}
-/// Split `n` items into exactly `machines` contiguous chunks — the unit of
-/// host-parallel fan-out for the table scans below. Boundaries depend only
-/// on the simulated machine count, never on the host thread count.
-fn chunk_range(c: usize, machines: usize, n: usize) -> (usize, usize) {
-    (c * n / machines, (c + 1) * n / machines)
 }
 
 impl Engine for Vertica {
@@ -287,44 +279,6 @@ fn sql_pagerank(
     Ok(ranks)
 }
 
-/// Pooled scratch for the WCC min-join: degree-aware source sub-spans
-/// grouped by simulated machine chunk (`updated` counts reset per machine),
-/// per-task candidate buckets, the reused `next` labels, and an epoch-
-/// stamped overlay that replays each machine chunk's evolving private label
-/// copy without cloning the label vector per machine per iteration.
-struct WccScratch {
-    /// `(machine, lo, hi)` source sub-spans in scan order.
-    tasks: Vec<(usize, usize, usize)>,
-    buckets: Vec<Vec<(VertexId, VertexId)>>,
-    next: Vec<VertexId>,
-    ovl_val: Vec<VertexId>,
-    ovl_stamp: Vec<u32>,
-    epoch: u32,
-}
-
-impl WccScratch {
-    fn build(g: &graphbench_graph::CsrGraph, machines: usize) -> WccScratch {
-        let n = g.num_vertices();
-        let mut tasks = Vec::new();
-        for c in 0..machines {
-            let (lo, hi) = chunk_range(c, machines, n);
-            let weights: Vec<u64> = (lo..hi).map(|v| 1 + g.out_degree(v as VertexId)).collect();
-            for &(s, e) in &exec::weighted_spans(&weights, exec::chunk_size()) {
-                tasks.push((c, lo + s, lo + e));
-            }
-        }
-        let buckets = (0..tasks.len()).map(|_| Vec::new()).collect();
-        WccScratch {
-            tasks,
-            buckets,
-            next: Vec::new(),
-            ovl_val: vec![0; n],
-            ovl_stamp: vec![0; n],
-            epoch: 0,
-        }
-    }
-}
-
 fn sql_wcc(
     cluster: &mut Cluster,
     ctx: &mut SqlCtx,
@@ -333,63 +287,18 @@ fn sql_wcc(
     let g = input.graph;
     let n = g.num_vertices();
     let mut label: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut ws = WccScratch::build(g, ctx.machines);
+    let kernel = MinLabel::build(g, ctx.machines);
+    let mut next = vec![0; n];
     loop {
         ctx.charge_statement(cluster)?;
         // HashMin over both directions needs a union of E and reversed E.
-        // Chunk tasks scan disjoint degree-aware source spans and emit
-        // `(vertex, smaller label)` candidates into pooled buckets; a
-        // serial replay in fixed task order then min-folds them (order-free,
-        // so the labels match the serial path exactly) while the epoch-
-        // stamped overlay recounts each machine chunk's `updated` figure
-        // against its own evolving view, as the old private copies did.
+        // Each machine scans its source chunk against its own view of V,
+        // so `updated` counts every row a machine improved, as often as it
+        // improved it (see `MinLabel`).
         ctx.charge_join(cluster, 2 * g.num_edges())?;
         cluster.set_label("join_scan");
-        let label_r: &[VertexId] = &label;
-        let mut tasks: Vec<ScanTask<(VertexId, VertexId)>> =
-            ws.tasks.iter().copied().zip(ws.buckets.iter_mut()).collect();
-        exec::run_chunks(&mut tasks, |_, t| {
-            let ((_, lo, hi), ref mut bucket) = *t;
-            bucket.clear();
-            for s in lo..hi {
-                for &d in g.out_neighbors(s as VertexId) {
-                    if label_r[s] < label_r[d as usize] {
-                        bucket.push((d, label_r[s]));
-                    }
-                    if label_r[d as usize] < label_r[s] {
-                        bucket.push((s as VertexId, label_r[d as usize]));
-                    }
-                }
-            }
-        });
-        ws.next.clear();
-        ws.next.extend_from_slice(label_r);
-        let mut updated = 0u64;
-        let mut cur_machine = usize::MAX;
-        for (key, bucket) in &tasks {
-            if key.0 != cur_machine {
-                cur_machine = key.0;
-                if ws.epoch == u32::MAX {
-                    ws.ovl_stamp.fill(0);
-                    ws.epoch = 0;
-                }
-                ws.epoch += 1;
-            }
-            for &(v, l) in bucket.iter() {
-                let vi = v as usize;
-                let cur = if ws.ovl_stamp[vi] == ws.epoch { ws.ovl_val[vi] } else { label_r[vi] };
-                if l < cur {
-                    ws.ovl_val[vi] = l;
-                    ws.ovl_stamp[vi] = ws.epoch;
-                    updated += 1;
-                }
-                if l < ws.next[vi] {
-                    ws.next[vi] = l;
-                }
-            }
-        }
-        drop(tasks);
-        std::mem::swap(&mut label, &mut ws.next);
+        let updated = kernel.step(&label, &mut next);
+        std::mem::swap(&mut label, &mut next);
         ctx.charge_refresh(cluster, updated)?;
         cluster.sample_trace();
         if updated == 0 {
@@ -470,7 +379,7 @@ mod tests {
     use graphbench_algos::reference;
     use graphbench_gen::{Dataset, DatasetKind, Scale};
     use graphbench_graph::{CsrGraph, EdgeList};
-    use graphbench_sim::ClusterSpec;
+    use graphbench_sim::{ClusterSpec, EventKind};
 
     fn dataset() -> (EdgeList, CsrGraph) {
         let d = Dataset::generate(DatasetKind::Twitter, Scale { base: 400 }, 3);
@@ -517,6 +426,37 @@ mod tests {
         assert_eq!(sssp.result.unwrap(), WorkloadResult::Distances(reference::sssp(&ds.1, 0)));
         let khop = Vertica::default().run(&input(&ds, Workload::khop3(0), 4));
         assert_eq!(khop.result.unwrap(), WorkloadResult::Distances(reference::khop(&ds.1, 0, 3)));
+    }
+
+    #[test]
+    fn in_place_wcc_refresh_pins_the_updated_count() {
+        // Under `AlwaysUpdate` a round's refresh reads 2 × 4 KB per updated
+        // row, so its IO is the `updated` count itself, where the adaptive
+        // policy only sees it through `updated * 20 > n`.
+        let ds = dataset();
+        let machines = 4;
+        let mut label: Vec<VertexId> = (0..ds.1.num_vertices() as VertexId).collect();
+        let mut want = Vec::new();
+        loop {
+            let (next, updated) = crate::gather::tests::overlay_replay(&ds.1, &label, machines);
+            want.push(updated * 2 * 4096);
+            label = next;
+            if updated == 0 {
+                break;
+            }
+        }
+        assert!(want.len() > 2, "{want:?}");
+        let refresh = TableRefresh::AlwaysUpdate;
+        let out = Vertica { refresh }.run(&input(&ds, Workload::Wcc, machines));
+        assert_eq!(out.result.unwrap(), WorkloadResult::Labels(label));
+        let got: Vec<u64> = out
+            .journal
+            .events()
+            .iter()
+            .filter(|e| e.label == "table_refresh" && e.kind == EventKind::LocalRead)
+            .map(|e| e.disk_bytes)
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -251,35 +251,36 @@ impl CsrGraph {
 
     /// Build the reverse (in-edge) index. Idempotent.
     pub fn build_in_edges(&mut self) {
-        if self.in_offsets.is_some() {
-            return;
+        if self.in_offsets.is_none() {
+            let (offsets, sources) = self.transpose();
+            self.in_offsets = Some(offsets);
+            self.in_targets = Some(sources);
         }
+    }
+
+    /// The reverse index as `(offsets, sources)`, one counting sort: `v`'s
+    /// in-neighbours are `sources[offsets[v]..offsets[v + 1]]`, ascending,
+    /// a source repeated once per parallel edge.
+    pub fn transpose(&self) -> (Vec<u64>, Vec<VertexId>) {
         let n = self.num_vertices;
         let targets_in = self.out_targets.as_slice();
-        let mut degrees = vec![0u64; n];
+        let mut offsets = vec![0u64; n + 1];
         for &t in targets_in {
-            degrees[t as usize] += 1;
+            offsets[t as usize + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0u64;
-        offsets.push(0);
-        for d in &degrees {
-            acc += d;
-            offsets.push(acc);
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
         let mut cursor: Vec<u64> = offsets[..n].to_vec();
-        let mut targets = vec![0 as VertexId; targets_in.len()];
-        for v in 0..n {
-            let s = self.out_offsets.get(v) as usize;
-            let e = self.out_offsets.get(v + 1) as usize;
-            for &t in &targets_in[s..e] {
+        let mut sources = vec![0 as VertexId; targets_in.len()];
+        for v in 0..n as VertexId {
+            for &t in self.out_neighbors(v) {
                 let c = &mut cursor[t as usize];
-                targets[*c as usize] = v as VertexId;
+                sources[*c as usize] = v;
                 *c += 1;
             }
         }
-        self.in_offsets = Some(offsets);
-        self.in_targets = Some(targets);
+        (offsets, sources)
     }
 
     /// In-neighbours of `v`. Panics unless [`CsrGraph::build_in_edges`] ran.
