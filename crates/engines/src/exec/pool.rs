@@ -1,13 +1,13 @@
 //! The parked helper threads behind [`super::run_chunks`], and the only
 //! `unsafe` in the executor.
 //!
-//! One dispatch: the caller publishes a type-erased job under the state
-//! mutex, bumps the generation, wakes the helpers with one `notify_all`, runs
-//! the job itself as worker 0, then withdraws the job and waits until every
-//! helper that entered it has left. Helpers are spawned lazily, never per
-//! call, and park on a condvar between jobs — they do not spin (spinning
-//! before parking bought no wallclock and cost CPU when measured). They are
-//! detached and die with the process.
+//! One dispatch: the caller takes the pool, publishes a type-erased job under
+//! the state mutex, bumps the generation, wakes the helpers with one
+//! `notify_all`, runs the job itself as worker 0, then withdraws the job,
+//! waits until every helper that entered it has left, and releases the pool.
+//! Helpers are spawned lazily, never per call, and park on a condvar between
+//! jobs — they do not spin (spinning before parking bought no wallclock and
+//! cost CPU when measured). They are detached and die with the process.
 //!
 //! Two pieces of `unsafe` make that work, both justified by the same fact —
 //! `dispatch` does not return, by value or by unwinding, while a helper is
@@ -45,6 +45,11 @@ struct State {
     wanted: usize,
     /// Helpers that entered the current job and have not left it.
     active: usize,
+    /// A dispatcher holds the pool, from `publish` until its `retire` ends.
+    /// While it waits for its helpers, no second dispatcher may publish: a
+    /// helper entering that job would keep the first waiting, and both
+    /// would then wait on `idle` for one `notify_one`.
+    owned: bool,
     /// Helper threads spawned so far.
     spawned: usize,
     /// First panic a helper caught in the current job.
@@ -65,6 +70,7 @@ static POOL: Pool = Pool {
         job: None,
         wanted: 0,
         active: 0,
+        owned: false,
         spawned: 0,
         panic: None,
     }),
@@ -79,14 +85,15 @@ impl Pool {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Hand `job` to `helpers` parked threads, spawning the missing ones.
-    /// `false` when another caller owns the pool — its job is published or
-    /// helpers are still inside it: nothing was published.
+    /// Take the pool and hand `job` to `helpers` parked threads, spawning
+    /// the missing ones. `false` when another caller owns the pool: nothing
+    /// was published.
     fn publish(&'static self, job: Job, helpers: usize) -> bool {
         let mut st = self.lock();
-        if st.job.is_some() || st.active > 0 {
+        if st.owned {
             return false;
         }
+        st.owned = true;
         while st.spawned < helpers {
             let id = st.spawned;
             let name = format!("graphbench-exec-{}", id + 1);
@@ -104,14 +111,15 @@ impl Pool {
         true
     }
 
-    /// Withdraw the job and wait for every helper inside it, which releases
-    /// the pool.
+    /// Withdraw the job, wait for every helper inside it, and release the
+    /// pool.
     fn retire(&self) -> Option<Panic> {
         let mut st = self.lock();
         st.job = None;
         while st.active > 0 {
             st = self.idle.wait(st).unwrap_or_else(|e| e.into_inner());
         }
+        st.owned = false;
         st.panic.take()
     }
 

@@ -31,13 +31,12 @@ use graphbench_algos::workload::{PageRankConfig, StopCriterion};
 use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
 use graphbench_graph::format::GraphFormat;
 use graphbench_graph::rng::Rng;
-use graphbench_graph::{CsrGraph, VertexId};
+use graphbench_graph::{CsrGraph, EdgeList, VertexId};
 use graphbench_partition::{VertexCutPartition, VertexCutStrategy};
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
 
-/// A traversal task: machine, frontier span, and the distance improvements
-/// it found.
-type FrontierTask<'a> = (usize, &'a [VertexId], Vec<(VertexId, u32)>);
+/// A traversal task: a frontier span and the distance improvements it found.
+type FrontierTask<'a> = (&'a [VertexId], Vec<(VertexId, u32)>);
 
 /// Synchronous or asynchronous execution engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,65 +145,84 @@ impl Engine for GraphLab {
     }
 }
 
-/// Dense per-endpoint index over one machine's local edges, built by
-/// counting (no hashing in the hot loops): a CSR offset table over global
-/// vertex ids plus the list of endpoints that actually have edges here.
-/// Per-endpoint edge ids keep insertion order, like the `HashMap<_, Vec<_>>`
-/// it replaces — per-vertex f64 folds are unchanged — but iteration over
-/// endpoints is ascending and allocation-free.
-struct EdgeIndex {
-    /// `off[v]..off[v + 1]` delimits vertex `v`'s slice of `ids`.
-    off: Vec<u32>,
-    /// Local edge ids grouped by endpoint, insertion order within a group.
-    ids: Vec<u32>,
-    /// Endpoints with at least one local edge, ascending.
-    verts: Vec<VertexId>,
-}
-
-impl EdgeIndex {
-    fn build(
-        n: usize,
-        edges: &[(VertexId, VertexId)],
-        key: impl Fn(&(VertexId, VertexId)) -> VertexId,
-    ) -> EdgeIndex {
-        let mut off = vec![0u32; n + 1];
-        for e in edges {
-            off[key(e) as usize + 1] += 1;
-        }
-        for v in 0..n {
-            off[v + 1] += off[v];
-        }
-        let mut cursor: Vec<u32> = off[..n].to_vec();
-        let mut ids = vec![0u32; edges.len()];
-        for (i, e) in edges.iter().enumerate() {
-            let k = key(e) as usize;
-            ids[cursor[k] as usize] = i as u32;
-            cursor[k] += 1;
-        }
-        let verts = (0..n as VertexId).filter(|&v| off[v as usize + 1] > off[v as usize]).collect();
-        EdgeIndex { off, ids, verts }
-    }
-
-    /// Local edge ids incident to `v` (empty when `v` has none here).
-    fn of(&self, v: VertexId) -> &[u32] {
-        &self.ids[self.off[v as usize] as usize..self.off[v as usize + 1] as usize]
-    }
-
-    /// Endpoints with at least one local edge, ascending.
-    fn verts(&self) -> &[VertexId] {
-        &self.verts
-    }
-}
-
-/// Per-machine edge store with per-vertex indexes (GraphLab keeps edges
-/// indexed by both endpoints so gather can run over either direction).
+/// Per-machine edge store: the local edges in placement order, and each
+/// local destination with its local in-degree.
 struct MachineData {
     /// Directed local edges.
     edges: Vec<(VertexId, VertexId)>,
-    /// Gather over in-edges: dense index keyed by dst.
-    in_idx: EdgeIndex,
-    /// Scatter over out-edges: dense index keyed by src.
-    out_idx: EdgeIndex,
+    /// `(destination, local in-edges)` per local destination, first-touch
+    /// order: the gather charge and the WCC tally only sum over it.
+    in_deg: Vec<(VertexId, u32)>,
+}
+
+/// Scatter the edges to their machines, in edge order, and count each
+/// machine's local in-degrees in O(local edges): one run-wide slot per vertex
+/// holds its list position and is reset through the list, so no machine
+/// zeroes an `n`-sized table.
+fn machine_data(edges: &EdgeList, part: &VertexCutPartition, n: usize) -> Vec<MachineData> {
+    let mut local_edges: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); part.machines()];
+    crate::shuffle::par_scatter(
+        &edges.edges,
+        part.machines(),
+        |i, e| (part.machine_of_edge(i) as usize, (e.src, e.dst)),
+        &mut local_edges,
+    );
+    let mut slot = vec![u32::MAX; n];
+    (local_edges.into_iter())
+        .map(|edges| {
+            let mut in_deg: Vec<(VertexId, u32)> = Vec::new();
+            for &(_, v) in &edges {
+                let s = &mut slot[v as usize];
+                if *s == u32::MAX {
+                    *s = in_deg.len() as u32;
+                    in_deg.push((v, 0));
+                }
+                in_deg[*s as usize].1 += 1;
+            }
+            for &(v, _) in &in_deg {
+                slot[v as usize] = u32::MAX;
+            }
+            MachineData { edges, in_deg }
+        })
+        .collect()
+}
+
+/// Every machine's local edges grouped by source, each as `(target,
+/// machine)`: `edges[off[v]..off[v + 1]]` are `v`'s, machine-major and in
+/// placement order within a machine. One counting sort, O(|E| + |V|).
+struct OutEdges {
+    off: Vec<u32>,
+    edges: Vec<(VertexId, u32)>,
+}
+
+impl OutEdges {
+    fn build(data: &[MachineData], n: usize) -> OutEdges {
+        let total: usize = data.iter().map(|md| md.edges.len()).sum();
+        assert!(total < u32::MAX as usize, "{total} edges overflow the u32 offsets");
+        // `off[v]` counts `v`'s edges, then holds the end of its group, and
+        // after the backwards placement its start.
+        let mut off = vec![0u32; n + 1];
+        for &(u, _) in data.iter().flat_map(|md| &md.edges) {
+            off[u as usize] += 1;
+        }
+        let mut end = 0;
+        for o in &mut off {
+            end += *o;
+            *o = end;
+        }
+        let mut edges = vec![(0, 0); total];
+        for (m, md) in data.iter().enumerate().rev() {
+            for &(u, t) in md.edges.iter().rev() {
+                off[u as usize] -= 1;
+                edges[off[u as usize] as usize] = (t, m as u32);
+            }
+        }
+        OutEdges { off, edges }
+    }
+
+    fn of(&self, v: VertexId) -> &[(VertexId, u32)] {
+        &self.edges[self.off[v as usize] as usize..self.off[v as usize + 1] as usize]
+    }
 }
 
 fn execute(
@@ -280,23 +298,7 @@ fn execute(
     cluster.alloc_all(&resident)?;
     cluster.sample_trace();
 
-    // Build per-machine indexed edge stores: a chunk-parallel scatter whose
-    // per-machine edge order matches the serial loop exactly.
-    let mut local_edges: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); machines];
-    crate::shuffle::par_scatter(
-        &edges.edges,
-        machines,
-        |i, e| (part.machine_of_edge(i) as usize, (e.src, e.dst)),
-        &mut local_edges,
-    );
-    let data: Vec<MachineData> = local_edges
-        .into_iter()
-        .map(|edges| {
-            let in_idx = EdgeIndex::build(n, &edges, |&(_, dst)| dst);
-            let out_idx = EdgeIndex::build(n, &edges, |&(src, _)| src);
-            MachineData { edges, in_idx, out_idx }
-        })
-        .collect();
+    let data = machine_data(&edges, &part, n);
 
     // Out-degrees on the self-edge-free graph (PageRank denominators).
     let mut outdeg = vec![0u32; n];
@@ -430,6 +432,7 @@ impl GasCtx<'_> {
 /// in-edges of active destinations folded (`ops`), 16 B of transient
 /// partial per such destination, and a 12 B partial sent to each one whose
 /// master lives elsewhere.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 struct GatherCharge {
     ops: Vec<f64>,
     transient: Vec<u64>,
@@ -438,19 +441,18 @@ struct GatherCharge {
     msgs: Vec<u64>,
 }
 
-/// Folds [`GatherCharge`] over each machine's `in_idx`, one task per
+/// Folds [`GatherCharge`] over each machine's `in_deg`, one task per
 /// machine; the u64 counts are order-free.
 fn gather_charge(ctx: &GasCtx<'_>, active: &[bool]) -> GatherCharge {
     let mut machines: Vec<usize> = (0..ctx.machines).collect();
     let per_machine = exec::run_chunks(&mut machines, |_, &mut m| {
-        let idx = &ctx.data[m].in_idx;
         let (mut ops, mut partials, mut remote) = (0u64, 0u64, 0u64);
         let mut recv_by = vec![0u64; ctx.machines];
-        for &v in idx.verts() {
+        for &(v, deg) in &ctx.data[m].in_deg {
             if !active[v as usize] {
                 continue;
             }
-            ops += idx.of(v).len() as u64;
+            ops += u64::from(deg);
             partials += 1;
             let master = ctx.part.master_of(v) as usize;
             if master != m {
@@ -507,7 +509,7 @@ fn sync_pagerank(
         by_master: Vec<u64>,
         deactivated: bool,
     }
-    // Each destination's in-edge sources, one run per machine in `in_idx`
+    // Each destination's in-edge sources, one run per machine in edge
     // order: the per-machine partials and their machine-order merge, folded
     // in one pass (see `RunGather`).
     let mut runs = RunGather::build(n, ctx.machines, |m| ctx.data[m].edges.iter().copied());
@@ -759,29 +761,12 @@ fn wcc_propagate(
     let mut label: Vec<VertexId> = (0..n as VertexId).collect();
     let mut best: Vec<VertexId> = vec![0; n];
     let kernel = MinLabel::build(g, 1);
-    let mut machines: Vec<usize> = (0..ctx.machines).collect();
     let mut first = true;
     loop {
         cluster.set_label("gather");
         kernel.step(&label, &mut best);
         let (label_r, best_r) = (&label, &best);
-        let signaled = |v: VertexId| first || best_r[v as usize] < label_r[v as usize];
-        // Per machine: the local edges with a signaled endpoint gather, and
-        // each signaled destination mastered elsewhere costs an 8 B partial.
-        // The u64 counts are order-free.
-        let tally = exec::run_chunks(&mut machines, |_, &mut m| {
-            let md = &ctx.data[m];
-            let ops = md.edges.iter().filter(|&&(u, v)| signaled(u) || signaled(v)).count();
-            let (mut remote, mut recv_by) = (0u64, vec![0u64; ctx.machines]);
-            for &v in md.in_idx.verts() {
-                let master = ctx.part.master_of(v) as usize;
-                if signaled(v) && master != m {
-                    remote += 1;
-                    recv_by[master] += 8;
-                }
-            }
-            (ops as u64, remote, recv_by)
-        });
+        let tally = wcc_tally(ctx, |v| first || best_r[v as usize] < label_r[v as usize]);
         if tally.iter().all(|&(ops, ..)| ops == 0) {
             break;
         }
@@ -824,6 +809,29 @@ fn wcc_propagate(
     Ok(label)
 }
 
+/// One WCC round's per-machine `(ops, remote partials, recv bytes by master)`
+/// in order-free u64 counts: the local edges with a signaled endpoint gather,
+/// and each signaled destination mastered elsewhere costs an 8 B partial.
+fn wcc_tally(
+    ctx: &GasCtx<'_>,
+    signaled: impl Fn(VertexId) -> bool + Sync,
+) -> Vec<(u64, u64, Vec<u64>)> {
+    let mut machines: Vec<usize> = (0..ctx.machines).collect();
+    exec::run_chunks(&mut machines, |_, &mut m| {
+        let md = &ctx.data[m];
+        let ops = md.edges.iter().filter(|&&(u, v)| signaled(u) || signaled(v)).count();
+        let (mut remote, mut recv_by) = (0u64, vec![0u64; ctx.machines]);
+        for &(v, _) in &md.in_deg {
+            let master = ctx.part.master_of(v) as usize;
+            if signaled(v) && master != m {
+                remote += 1;
+                recv_by[master] += 8;
+            }
+        }
+        (ops as u64, remote, recv_by)
+    })
+}
+
 /// Signal-driven BFS (SSSP / K-hop) over directed in-gathers.
 fn traversal(
     cluster: &mut Cluster,
@@ -836,84 +844,15 @@ fn traversal(
     let mut dist = vec![UNREACHABLE; n];
     dist[source as usize] = 0;
     let mut frontier: Vec<VertexId> = vec![source];
-    // Flat (machine × frontier-span) chunk tasks scan the frozen `dist` and
-    // emit improvement lists into pooled buckets; the coordinator applies
-    // them first-touch-wins in ascending (machine, chunk) order — exactly
-    // the serial machine-major, frontier-order visit sequence — so the
-    // distances are identical at any thread count and chunk size.
-    struct TravChunk {
-        ops: u64,
-        sent: u64,
-        msgs: u64,
-        recv_by: Vec<u64>,
-    }
+    let out = OutEdges::build(ctx.data, n);
     let mut improved_pool: Vec<Vec<(VertexId, u32)>> = Vec::new();
-    let mut ops = vec![0.0f64; ctx.machines];
-    let mut sent = vec![0u64; ctx.machines];
-    let mut recv = vec![0u64; ctx.machines];
-    let mut msgs = vec![0u64; ctx.machines];
     while !frontier.is_empty() {
         // Scatter from the frontier along local out-edges; improvements are
         // applied at target masters.
         cluster.set_label("scatter");
-        let frontier_spans = exec::uniform_spans(frontier.len(), exec::chunk_size());
-        let total_tasks = ctx.machines * frontier_spans.len();
-        while improved_pool.len() < total_tasks {
-            improved_pool.push(Vec::new());
-        }
-        let mut tasks: Vec<FrontierTask> = Vec::with_capacity(total_tasks);
-        for m in 0..ctx.machines {
-            for &(s, e) in &frontier_spans {
-                let mut improved = std::mem::take(&mut improved_pool[tasks.len()]);
-                improved.clear();
-                tasks.push((m, &frontier[s..e], improved));
-            }
-        }
-        let steps: Vec<TravChunk> = exec::run_chunks(&mut tasks, |_, task| {
-            let (m, span, ref mut improved) = *task;
-            let md = &ctx.data[m];
-            let mut chunk_ops = 0u64;
-            let mut my_sent = 0u64;
-            let mut my_msgs = 0u64;
-            let mut recv_by = vec![0u64; ctx.machines];
-            for &v in span {
-                let d = dist[v as usize];
-                if d >= bound {
-                    continue;
-                }
-                for &i in md.out_idx.of(v) {
-                    let (_, t) = md.edges[i as usize];
-                    chunk_ops += 1;
-                    if d + 1 < dist[t as usize] {
-                        improved.push((t, d + 1));
-                        let master = ctx.part.master_of(t) as usize;
-                        if master != m {
-                            my_sent += 8;
-                            recv_by[master] += 8;
-                            my_msgs += 1;
-                        }
-                    }
-                }
-            }
-            TravChunk { ops: chunk_ops, sent: my_sent, msgs: my_msgs, recv_by }
-        });
-        recv.fill(0);
-        let spans_per_machine = frontier_spans.len();
-        for m in 0..ctx.machines {
-            let (mut o, mut se, mut ms) = (0u64, 0u64, 0u64);
-            for step in &steps[m * spans_per_machine..(m + 1) * spans_per_machine] {
-                o += step.ops;
-                se += step.sent;
-                ms += step.msgs;
-                for (j, &b) in step.recv_by.iter().enumerate() {
-                    recv[j] += b;
-                }
-            }
-            ops[m] = o as f64 * ctx.async_op_penalty();
-            sent[m] = se;
-            msgs[m] = ms;
-        }
-        cluster.set_label("scatter");
+        let ([ops, sent, msgs, recv], tasks) =
+            scan_frontier(ctx, &out, &dist, &frontier, bound, &mut improved_pool);
+        let ops: Vec<f64> = ops.iter().map(|&o| o as f64 * ctx.async_op_penalty()).collect();
         cluster.advance_compute(&ops, ctx.effective_cores())?;
         cluster.exchange(&sent, &recv, &msgs)?;
         if ctx.engine.mode == GasMode::Sync {
@@ -922,19 +861,65 @@ fn traversal(
         }
         recovery.at_barrier(cluster)?;
         let mut changed: Vec<VertexId> = Vec::new();
-        for (k, (_, _, improved)) in tasks.into_iter().enumerate() {
+        for (_, mut improved) in tasks {
             for &(t, d) in &improved {
                 if d < dist[t as usize] {
                     dist[t as usize] = d;
                     changed.push(t);
                 }
             }
-            improved_pool[k] = improved;
+            improved.clear();
+            improved_pool.push(improved);
         }
         ctx.charge_mirror_sync(cluster, changed.iter().copied())?;
         frontier = changed;
     }
     Ok(dist)
+}
+
+/// One traversal round: frontier-span tasks charge each local out-edge of a
+/// frontier vertex under `bound` to its machine, as per-machine `[ops, sent,
+/// msgs, recv]` (order-free u64 sums), and list the improvements over the
+/// frozen `dist` for the caller to apply first-touch-wins in span order. A
+/// round's frontier sits at one distance, so that order moves no charge.
+fn scan_frontier<'a>(
+    ctx: &GasCtx<'_>,
+    out: &OutEdges,
+    dist: &[u32],
+    frontier: &'a [VertexId],
+    bound: u32,
+    pool: &mut Vec<Vec<(VertexId, u32)>>,
+) -> ([Vec<u64>; 4], Vec<FrontierTask<'a>>) {
+    let mut tasks: Vec<FrontierTask> = (exec::uniform_spans(frontier.len(), exec::chunk_size()))
+        .into_iter()
+        .map(|(s, e)| (&frontier[s..e], pool.pop().unwrap_or_default()))
+        .collect();
+    let steps = exec::run_chunks(&mut tasks, |_, (span, improved)| {
+        let [mut ops, mut sent, mut msgs, mut recv] = [(); 4].map(|_| vec![0u64; ctx.machines]);
+        for (v, d) in span.iter().map(|&v| (v, dist[v as usize])).filter(|&(_, d)| d < bound) {
+            for &(t, m) in out.of(v) {
+                let m = m as usize;
+                ops[m] += 1;
+                if d + 1 < dist[t as usize] {
+                    improved.push((t, d + 1));
+                    let master = ctx.part.master_of(t) as usize;
+                    if master != m {
+                        sent[m] += 8;
+                        recv[master] += 8;
+                        msgs[m] += 1;
+                    }
+                }
+            }
+        }
+        [ops, sent, msgs, recv]
+    });
+    let mut tally = [(); 4].map(|_| vec![0u64; ctx.machines]);
+    for step in &steps {
+        for (acc, part) in tally.iter_mut().zip(step) {
+            acc.iter_mut().zip(part).for_each(|(a, b)| *a += b);
+        }
+    }
+    (tally, tasks)
 }
 
 #[cfg(test)]
@@ -943,7 +928,7 @@ mod tests {
     use crate::ScaleInfo;
     use graphbench_algos::reference;
     use graphbench_gen::{Dataset, DatasetKind, Scale};
-    use graphbench_graph::{CsrGraph, EdgeList};
+    use graphbench_graph::rng::for_each_seed;
     use graphbench_sim::ClusterSpec;
 
     fn dataset(kind: DatasetKind) -> (EdgeList, CsrGraph) {
@@ -973,6 +958,240 @@ mod tests {
             stop: StopCriterion::Tolerance(tol),
             ..PageRankConfig::paper_exact()
         })
+    }
+
+    /// The dense per-machine index GraphLab built before the in-degree
+    /// lists and the run-wide out-index, kept as their reference: an offset
+    /// table over global ids, the local edge ids grouped by endpoint in
+    /// insertion order, and the endpoints with local edges, ascending.
+    struct EdgeIndex {
+        off: Vec<u32>,
+        ids: Vec<u32>,
+        verts: Vec<VertexId>,
+    }
+
+    impl EdgeIndex {
+        fn build(
+            n: usize,
+            edges: &[(VertexId, VertexId)],
+            key: impl Fn(&(VertexId, VertexId)) -> VertexId,
+        ) -> EdgeIndex {
+            let mut off = vec![0u32; n + 1];
+            for e in edges {
+                off[key(e) as usize + 1] += 1;
+            }
+            for v in 0..n {
+                off[v + 1] += off[v];
+            }
+            let mut cursor: Vec<u32> = off[..n].to_vec();
+            let mut ids = vec![0u32; edges.len()];
+            for (i, e) in edges.iter().enumerate() {
+                let k = key(e) as usize;
+                ids[cursor[k] as usize] = i as u32;
+                cursor[k] += 1;
+            }
+            let verts =
+                (0..n as VertexId).filter(|&v| off[v as usize + 1] > off[v as usize]).collect();
+            EdgeIndex { off, ids, verts }
+        }
+
+        fn of(&self, v: VertexId) -> &[u32] {
+            &self.ids[self.off[v as usize] as usize..self.off[v as usize + 1] as usize]
+        }
+    }
+
+    /// Each machine's reference `(in_idx, out_idx)`.
+    type DenseIndexes = Vec<(EdgeIndex, EdgeIndex)>;
+
+    /// The gather charge over the dense in-indexes.
+    fn dense_gather_charge(ctx: &GasCtx<'_>, idx: &DenseIndexes, active: &[bool]) -> GatherCharge {
+        let mut c = GatherCharge {
+            ops: vec![],
+            transient: vec![],
+            sent: vec![],
+            recv: vec![0; ctx.machines],
+            msgs: vec![],
+        };
+        for (m, (in_idx, _)) in idx.iter().enumerate() {
+            let (mut ops, mut partials, mut remote) = (0u64, 0u64, 0u64);
+            for &v in in_idx.verts.iter().filter(|&&v| active[v as usize]) {
+                ops += in_idx.of(v).len() as u64;
+                partials += 1;
+                let master = ctx.part.master_of(v) as usize;
+                if master != m {
+                    remote += 1;
+                    c.recv[master] += 12;
+                }
+            }
+            c.ops.push(ops as f64 * ctx.async_op_penalty());
+            c.transient.push(partials * 16);
+            c.sent.push(remote * 12);
+            c.msgs.push(remote);
+        }
+        c
+    }
+
+    /// The WCC round tally over the dense in-indexes.
+    fn dense_wcc_tally(
+        ctx: &GasCtx<'_>,
+        idx: &DenseIndexes,
+        signaled: &[bool],
+    ) -> Vec<(u64, u64, Vec<u64>)> {
+        let sig = |v: VertexId| signaled[v as usize];
+        (idx.iter().enumerate())
+            .map(|(m, (in_idx, _))| {
+                let edges = &ctx.data[m].edges;
+                let ops = edges.iter().filter(|&&(u, v)| sig(u) || sig(v)).count() as u64;
+                let (mut remote, mut recv_by) = (0u64, vec![0u64; ctx.machines]);
+                for &v in &in_idx.verts {
+                    let master = ctx.part.master_of(v) as usize;
+                    if sig(v) && master != m {
+                        remote += 1;
+                        recv_by[master] += 8;
+                    }
+                }
+                (ops, remote, recv_by)
+            })
+            .collect()
+    }
+
+    /// One traversal round over the dense out-indexes, machine-major:
+    /// per-machine `[ops, sent, msgs, recv]` and the improvements in visit
+    /// order.
+    fn dense_scan(
+        ctx: &GasCtx<'_>,
+        idx: &DenseIndexes,
+        dist: &[u32],
+        frontier: &[VertexId],
+        bound: u32,
+    ) -> ([Vec<u64>; 4], Vec<(VertexId, u32)>) {
+        let mut tally = [(); 4].map(|_| vec![0u64; ctx.machines]);
+        let [ops, sent, msgs, recv] = &mut tally;
+        let mut improved = Vec::new();
+        for (m, (_, out_idx)) in idx.iter().enumerate() {
+            for &v in frontier.iter().filter(|&&v| dist[v as usize] < bound) {
+                let d = dist[v as usize];
+                for &i in out_idx.of(v) {
+                    let (_, t) = ctx.data[m].edges[i as usize];
+                    ops[m] += 1;
+                    if d + 1 < dist[t as usize] {
+                        improved.push((t, d + 1));
+                        let master = ctx.part.master_of(t) as usize;
+                        if master != m {
+                            sent[m] += 8;
+                            recv[master] += 8;
+                            msgs[m] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        (tally, improved)
+    }
+
+    /// First-touch application of a round's improvements: the changed list.
+    fn apply(dist: &mut [u32], improved: impl IntoIterator<Item = (VertexId, u32)>) -> Vec<u32> {
+        let mut changed = Vec::new();
+        for (t, d) in improved {
+            if d < dist[t as usize] {
+                dist[t as usize] = d;
+                changed.push(t);
+            }
+        }
+        changed
+    }
+
+    /// Seeded random edge lists with self-loops and parallel edges (adjacent
+    /// repeats and chance collisions), placed at machines {1, 2, 3, 16, 64} ×
+    /// chunk {1, 97, 4096}: the in-degree lists hold the dense in-index's
+    /// endpoints and group lengths, and the gather charge, the WCC round
+    /// tally and every traversal round's per-machine charge equal the dense
+    /// indexes'. Traversal rounds apply each side's improvements in its own
+    /// order and carry on from its own frontier, so a charge that depended
+    /// on the frontier's order would show.
+    #[test]
+    fn sparse_indexes_charge_like_the_dense_reference() {
+        let _guard = crate::exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let engine = GraphLab::sync_random();
+        for_each_seed(12, |seed, rng| {
+            crate::exec::set_threads(1 + 3 * (seed as usize % 2));
+            let n = 1 + rng.below(150);
+            let mut el = EdgeList::new(n as u64);
+            for _ in 0..rng.below(600) {
+                let (u, v) = match (rng.below(8), el.edges.last()) {
+                    (0 | 1, Some(e)) => (e.src, e.dst),
+                    (2, _) => {
+                        let u = rng.below_u32(n as u32);
+                        (u, u)
+                    }
+                    _ => (rng.below_u32(n as u32), rng.below_u32(n as u32)),
+                };
+                el.push(u, v);
+            }
+            let active: Vec<bool> = (0..n).map(|_| rng.below(3) > 0).collect();
+            let signaled: Vec<bool> = (0..n).map(|_| rng.below(3) == 0).collect();
+            let source = rng.below_u32(n as u32);
+            for machines in [1, 2, 3, 16, 64] {
+                for chunk in [1, 97, 4096] {
+                    crate::exec::set_chunk_size(chunk);
+                    let case = format!("machines={machines} chunk={chunk}");
+                    let part =
+                        VertexCutPartition::build(&el, machines, VertexCutStrategy::Random, seed)
+                            .unwrap();
+                    let data = machine_data(&el, &part, n);
+                    let idx: DenseIndexes = (data.iter())
+                        .map(|md| {
+                            let in_idx = EdgeIndex::build(n, &md.edges, |&(_, v)| v);
+                            (in_idx, EdgeIndex::build(n, &md.edges, |&(u, _)| u))
+                        })
+                        .collect();
+                    for (md, (in_idx, _)) in data.iter().zip(&idx) {
+                        let mut got = md.in_deg.clone();
+                        got.sort_unstable();
+                        let want: Vec<(VertexId, u32)> =
+                            in_idx.verts.iter().map(|&v| (v, in_idx.of(v).len() as u32)).collect();
+                        assert_eq!(got, want, "{case}");
+                    }
+                    let outdeg = vec![1; n];
+                    let ctx = GasCtx {
+                        engine: &engine,
+                        part: &part,
+                        data: &data,
+                        outdeg: &outdeg,
+                        n,
+                        machines,
+                        cores: 2,
+                        seed,
+                    };
+                    let charge = gather_charge(&ctx, &active);
+                    assert_eq!(charge, dense_gather_charge(&ctx, &idx, &active), "{case}");
+                    let tally = wcc_tally(&ctx, |v| signaled[v as usize]);
+                    assert_eq!(tally, dense_wcc_tally(&ctx, &idx, &signaled), "{case}");
+                    let out = OutEdges::build(&data, n);
+                    for bound in [u32::MAX, 2] {
+                        let mut dist = vec![UNREACHABLE; n];
+                        dist[source as usize] = 0;
+                        let (mut want_dist, mut frontier) = (dist.clone(), vec![source]);
+                        let mut want_frontier = frontier.clone();
+                        while !frontier.is_empty() {
+                            let mut pool = Vec::new();
+                            let (tally, tasks) =
+                                scan_frontier(&ctx, &out, &dist, &frontier, bound, &mut pool);
+                            let (want_tally, want_improved) =
+                                dense_scan(&ctx, &idx, &want_dist, &want_frontier, bound);
+                            assert_eq!(tally, want_tally, "{case} bound={bound}");
+                            let improved: Vec<_> = tasks.into_iter().flat_map(|t| t.1).collect();
+                            frontier = apply(&mut dist, improved);
+                            want_frontier = apply(&mut want_dist, want_improved);
+                            assert_eq!(dist, want_dist, "{case} bound={bound}");
+                        }
+                        assert!(want_frontier.is_empty(), "{case} bound={bound}");
+                    }
+                }
+            }
+        });
+        crate::exec::set_threads(1);
+        crate::exec::set_chunk_size(4096);
     }
 
     #[test]

@@ -38,18 +38,19 @@ use graphbench_graph::VertexId;
 /// Chunk-parallel scatter of an ordered item sequence into per-destination
 /// buckets — the radix shuffle's sender side.
 ///
-/// The input splits into fixed-size index spans ([`exec::uniform_spans`]);
-/// each chunk routes its span into *chunk-local* buckets, and the merge
-/// appends those buckets to `out` in ascending chunk order. Within a chunk
-/// items keep index order, so each destination's bucket is exactly the
+/// A two-pass counting scatter over fixed-size index spans
+/// ([`exec::uniform_spans`]): each chunk counts its items per bucket, every
+/// bucket grows once to its final length, and each chunk then writes its
+/// items into its own window of each bucket. Windows sit in chunk order and
+/// items keep index order within a chunk, so each bucket is exactly the
 /// subsequence a serial `for (i, x) in items { out[route(i, x)].push(..) }`
 /// loop would produce — bit-identical at any `GRAPHBENCH_THREADS ×
 /// GRAPHBENCH_CHUNK`, which keeps every downstream arrival-order combiner
 /// fold (f64 included) and byte/message metric unchanged.
 ///
-/// `route` maps `(index, &item)` to `(bucket, routed item)`; it must be
-/// pure. Buckets are appended to, not cleared — callers pass fresh or
-/// pre-cleared `out` vectors.
+/// `route` maps `(index, &item)` to `(bucket, routed item)`; it runs once
+/// per pass, so it must be pure. Buckets are appended to, not cleared —
+/// callers pass fresh or pre-cleared `out` vectors.
 pub fn par_scatter<T, U, F>(items: &[T], num_buckets: usize, route: F, out: &mut [Vec<U>])
 where
     T: Sync,
@@ -57,29 +58,41 @@ where
     F: Fn(usize, &T) -> (usize, U) + Sync,
 {
     assert!(out.len() >= num_buckets, "out has {} buckets, need {num_buckets}", out.len());
+    let Some(first) = items.first() else { return };
     let spans = exec::uniform_spans(items.len(), exec::chunk_size());
-    if spans.len() <= 1 {
-        // One chunk: route straight into the shared buckets.
-        for (i, x) in items.iter().enumerate() {
-            let (dst, u) = route(i, x);
-            out[dst].push(u);
-        }
-        return;
-    }
-    let mut tasks: Vec<_> =
-        spans.into_iter().map(|sp| (sp, vec![Vec::<U>::new(); num_buckets])).collect();
-    exec::run_chunks(&mut tasks, |_, t| {
-        let ((s, e), ref mut buckets) = *t;
+    // Pass 1: items per (chunk, bucket), chunk-major.
+    let mut counts = vec![0usize; spans.len() * num_buckets];
+    let mut tasks: Vec<_> = spans.iter().zip(counts.chunks_mut(num_buckets)).collect();
+    exec::run_chunks(&mut tasks, |_, &mut (&(s, e), ref mut count)| {
         for (i, x) in (s..e).zip(&items[s..e]) {
-            let (dst, u) = route(i, x);
-            buckets[dst].push(u);
+            count[route(i, x).0] += 1;
         }
     });
-    for (_, buckets) in &tasks {
-        for (dst, b) in buckets.iter().enumerate() {
-            out[dst].extend_from_slice(b);
+    // Each bucket grows once and is cut into its chunks' windows, in chunk
+    // order. The filler only satisfies the type (no Default bound on U):
+    // pass 2 overwrites every slot.
+    let filler = route(0, first).1;
+    let mut windows: Vec<&mut [U]> = (0..counts.len()).map(|_| Default::default()).collect();
+    for (b, bucket) in out[..num_buckets].iter_mut().enumerate() {
+        let (len, total) = (bucket.len(), counts[b..].iter().step_by(num_buckets).sum());
+        bucket.reserve_exact(total);
+        bucket.resize(len + total, filler);
+        let mut rest = &mut bucket[len..];
+        for k in (b..counts.len()).step_by(num_buckets) {
+            (windows[k], rest) = std::mem::take(&mut rest).split_at_mut(counts[k]);
         }
     }
+    // Pass 2: each chunk fills its own windows, in index order.
+    let mut tasks: Vec<_> = spans.iter().zip(windows.chunks_mut(num_buckets)).collect();
+    exec::run_chunks(&mut tasks, |_, &mut (&(s, e), ref mut window)| {
+        for (i, x) in (s..e).zip(&items[s..e]) {
+            let (b, u) = route(i, x);
+            let (slot, rest) =
+                std::mem::take(&mut window[b]).split_first_mut().expect("route must be pure");
+            *slot = u;
+            window[b] = rest;
+        }
+    });
 }
 
 /// Dense combining slots, one per fragment-local target id, each held at the
@@ -655,37 +668,49 @@ mod tests {
 
     /// `par_scatter` reproduces the serial scatter's exact per-bucket
     /// sequences — and therefore identical arrival-order combiner folds —
-    /// at every chunk size, including chunks larger than the input.
+    /// at every chunk size, including chunks larger than the input, for
+    /// empty, one-item, under-one-chunk and several-chunk inputs. Each
+    /// bucket is allocated once, to its final length.
     #[test]
     fn par_scatter_matches_serial_at_any_chunk_size() {
         let _guard = crate::exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let msgs: Vec<(VertexId, u64)> =
-            (0..997u64).map(|i| (((i * 31 + 7) % 53) as u32, i)).collect();
-        let buckets = 5usize;
-        let want = serial_scatter(&msgs, buckets);
-        let mut want_folded: Vec<Vec<(VertexId, u64)>> = want.clone();
-        for b in &mut want_folded {
-            sort_combine_in_place(b, fold);
-        }
-        for threads in [1usize, 4] {
-            crate::exec::set_threads(threads);
-            for chunk in [1usize, 7, 64, 1 << 30] {
-                crate::exec::set_chunk_size(chunk);
-                let mut out: Vec<Vec<(VertexId, u64)>> = vec![Vec::new(); buckets];
-                par_scatter(
-                    &msgs,
-                    buckets,
-                    |_, &(t, m)| ((t as usize % buckets), (t, m)),
-                    &mut out,
-                );
-                assert_eq!(out, want, "threads={threads} chunk={chunk}");
-                // The non-commutative fold downstream agrees too.
-                for b in &mut out {
-                    sort_combine_in_place(b, fold);
+        for_each_seed(8, |_, rng| {
+            // Empty, one item, under one 64-item chunk, several chunks.
+            for len in [0, 1, 1 + rng.below(63), 64 * 3 + rng.below(500)] {
+                let msgs: Vec<(VertexId, u64)> =
+                    (0..len as u64).map(|i| (rng.below_u32(1000), i)).collect();
+                for buckets in [1usize, 5, 64] {
+                    let want = serial_scatter(&msgs, buckets);
+                    let mut want_folded = want.clone();
+                    for b in &mut want_folded {
+                        sort_combine_in_place(b, fold);
+                    }
+                    for threads in [1usize, 4] {
+                        crate::exec::set_threads(threads);
+                        for chunk in [1usize, 7, 64, 1 << 30] {
+                            crate::exec::set_chunk_size(chunk);
+                            let case = format!(
+                                "len={len} buckets={buckets} threads={threads} chunk={chunk}"
+                            );
+                            let mut out: Vec<Vec<(VertexId, u64)>> = vec![Vec::new(); buckets];
+                            par_scatter(
+                                &msgs,
+                                buckets,
+                                |_, &(t, m)| ((t as usize % buckets), (t, m)),
+                                &mut out,
+                            );
+                            assert_eq!(out, want, "{case}");
+                            assert!(out.iter().all(|b| b.capacity() == b.len()), "regrew: {case}");
+                            // The non-commutative fold downstream agrees too.
+                            for b in &mut out {
+                                sort_combine_in_place(b, fold);
+                            }
+                            assert_eq!(out, want_folded, "folded, {case}");
+                        }
+                    }
                 }
-                assert_eq!(out, want_folded, "folded, threads={threads} chunk={chunk}");
             }
-        }
+        });
         crate::exec::set_threads(1);
         crate::exec::set_chunk_size(4096);
     }

@@ -142,6 +142,13 @@ fn golden_graphlab_wcc() {
     golden_cell(gl_sri(), WorkloadKind::Wcc);
 }
 
+/// K-hop: GraphLab's signal-driven traversal over its vertex-cut edge
+/// stores.
+#[test]
+fn golden_graphlab_khop() {
+    golden_cell(gl_sri(), WorkloadKind::KHop);
+}
+
 #[test]
 fn golden_blogel_v_pagerank() {
     golden_cell(SystemId::BlogelV, WorkloadKind::PageRank);
@@ -170,6 +177,12 @@ fn golden_graphx_pagerank() {
 #[test]
 fn golden_graphx_wcc() {
     golden_cell(SystemId::GraphX, WorkloadKind::Wcc);
+}
+
+/// K-hop: GraphX's traversal over its vertex-cut edge partitions.
+#[test]
+fn golden_graphx_khop() {
+    golden_cell(SystemId::GraphX, WorkloadKind::KHop);
 }
 
 #[test]
