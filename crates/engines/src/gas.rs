@@ -24,7 +24,7 @@
 //!   on long-running workloads — the WRN-at-128-machines OOM of Figure 10.
 
 use crate::exec;
-use crate::gather::{MinLabel, RunGather};
+use crate::gather::{Frontier, MinLabel, RunGather};
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
@@ -34,9 +34,6 @@ use graphbench_graph::rng::Rng;
 use graphbench_graph::{CsrGraph, EdgeList, VertexId};
 use graphbench_partition::{VertexCutPartition, VertexCutStrategy};
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
-
-/// A traversal task: a frontier span and the distance improvements it found.
-type FrontierTask<'a> = (&'a [VertexId], Vec<(VertexId, u32)>);
 
 /// Synchronous or asynchronous execution engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -331,6 +328,7 @@ fn execute(
     // boundary, detected through the same unified recovery layer as every
     // other engine.
     let mut recovery = Recovery::new(cluster, RecoveryModel::QueryRestart);
+    let g = input.graph;
     let result = match input.workload {
         Workload::PageRank(pr) => {
             let mut cfg = pr;
@@ -340,14 +338,12 @@ fn execute(
                 GasMode::Async => async_pagerank(cluster, &ctx, &cfg, updates, &mut recovery)?,
             })
         }
-        Workload::Wcc => {
-            WorkloadResult::Labels(wcc_propagate(cluster, &ctx, input.graph, &mut recovery)?)
-        }
+        Workload::Wcc => WorkloadResult::Labels(wcc_propagate(cluster, &ctx, g, &mut recovery)?),
         Workload::Sssp { source } => {
-            WorkloadResult::Distances(traversal(cluster, &ctx, source, u32::MAX, &mut recovery)?)
+            WorkloadResult::Distances(traversal(cluster, &ctx, g, source, u32::MAX, &mut recovery)?)
         }
         Workload::KHop { source, k } => {
-            WorkloadResult::Distances(traversal(cluster, &ctx, source, k, &mut recovery)?)
+            WorkloadResult::Distances(traversal(cluster, &ctx, g, source, k, &mut recovery)?)
         }
     };
 
@@ -836,6 +832,7 @@ fn wcc_tally(
 fn traversal(
     cluster: &mut Cluster,
     ctx: &GasCtx<'_>,
+    g: &CsrGraph,
     source: VertexId,
     bound: u32,
     recovery: &mut Recovery,
@@ -843,15 +840,15 @@ fn traversal(
     let n = ctx.n;
     let mut dist = vec![UNREACHABLE; n];
     dist[source as usize] = 0;
-    let mut frontier: Vec<VertexId> = vec![source];
+    let (mut frontier, mut next) = (vec![source], Vec::new());
     let out = OutEdges::build(ctx.data, n);
-    let mut improved_pool: Vec<Vec<(VertexId, u32)>> = Vec::new();
+    let mut kernel = Frontier::new(g);
+    let mut depth = 0u32;
     while !frontier.is_empty() {
         // Scatter from the frontier along local out-edges; improvements are
         // applied at target masters.
         cluster.set_label("scatter");
-        let ([ops, sent, msgs, recv], tasks) =
-            scan_frontier(ctx, &out, &dist, &frontier, bound, &mut improved_pool);
+        let [ops, sent, msgs, recv] = frontier_charge(ctx, &out, &dist, &frontier, bound);
         let ops: Vec<f64> = ops.iter().map(|&o| o as f64 * ctx.async_op_penalty()).collect();
         cluster.advance_compute(&ops, ctx.effective_cores())?;
         cluster.exchange(&sent, &recv, &msgs)?;
@@ -860,48 +857,37 @@ fn traversal(
             cluster.barrier()?;
         }
         recovery.at_barrier(cluster)?;
-        let mut changed: Vec<VertexId> = Vec::new();
-        for (_, mut improved) in tasks {
-            for &(t, d) in &improved {
-                if d < dist[t as usize] {
-                    dist[t as usize] = d;
-                    changed.push(t);
-                }
-            }
-            improved.clear();
-            improved_pool.push(improved);
-        }
-        ctx.charge_mirror_sync(cluster, changed.iter().copied())?;
-        frontier = changed;
+        kernel.step(&mut dist, &frontier, depth, bound, &mut next);
+        std::mem::swap(&mut frontier, &mut next);
+        ctx.charge_mirror_sync(cluster, frontier.iter().copied())?;
+        depth += 1;
     }
     Ok(dist)
 }
 
-/// One traversal round: frontier-span tasks charge each local out-edge of a
-/// frontier vertex under `bound` to its machine, as per-machine `[ops, sent,
-/// msgs, recv]` (order-free u64 sums), and list the improvements over the
-/// frozen `dist` for the caller to apply first-touch-wins in span order. A
-/// round's frontier sits at one distance, so that order moves no charge.
-fn scan_frontier<'a>(
+/// One traversal round's charge: frontier-span tasks charge each local
+/// out-edge of a frontier vertex under `bound` to its machine, and each
+/// improvement over the frozen `dist` whose target's master lives elsewhere
+/// as an 8 B message, as per-machine `[ops, sent, msgs, recv]`. The u64
+/// sums are order-free, so the frontier's order moves no charge.
+fn frontier_charge(
     ctx: &GasCtx<'_>,
     out: &OutEdges,
     dist: &[u32],
-    frontier: &'a [VertexId],
+    frontier: &[VertexId],
     bound: u32,
-    pool: &mut Vec<Vec<(VertexId, u32)>>,
-) -> ([Vec<u64>; 4], Vec<FrontierTask<'a>>) {
-    let mut tasks: Vec<FrontierTask> = (exec::uniform_spans(frontier.len(), exec::chunk_size()))
+) -> [Vec<u64>; 4] {
+    let mut spans: Vec<&[VertexId]> = (exec::uniform_spans(frontier.len(), exec::chunk_size()))
         .into_iter()
-        .map(|(s, e)| (&frontier[s..e], pool.pop().unwrap_or_default()))
+        .map(|(s, e)| &frontier[s..e])
         .collect();
-    let steps = exec::run_chunks(&mut tasks, |_, (span, improved)| {
+    let steps = exec::run_chunks(&mut spans, |_, span| {
         let [mut ops, mut sent, mut msgs, mut recv] = [(); 4].map(|_| vec![0u64; ctx.machines]);
         for (v, d) in span.iter().map(|&v| (v, dist[v as usize])).filter(|&(_, d)| d < bound) {
             for &(t, m) in out.of(v) {
                 let m = m as usize;
                 ops[m] += 1;
                 if d + 1 < dist[t as usize] {
-                    improved.push((t, d + 1));
                     let master = ctx.part.master_of(t) as usize;
                     if master != m {
                         sent[m] += 8;
@@ -919,7 +905,7 @@ fn scan_frontier<'a>(
             acc.iter_mut().zip(part).for_each(|(a, b)| *a += b);
         }
     }
-    (tally, tasks)
+    tally
 }
 
 #[cfg(test)]
@@ -1105,10 +1091,12 @@ mod tests {
     /// repeats and chance collisions), placed at machines {1, 2, 3, 16, 64} ×
     /// chunk {1, 97, 4096}: the in-degree lists hold the dense in-index's
     /// endpoints and group lengths, and the gather charge, the WCC round
-    /// tally and every traversal round's per-machine charge equal the dense
-    /// indexes'. Traversal rounds apply each side's improvements in its own
-    /// order and carry on from its own frontier, so a charge that depended
-    /// on the frontier's order would show.
+    /// tally and every traversal round's per-machine charge
+    /// ([`frontier_charge`], with [`Frontier`] advancing the wave) equal the
+    /// dense indexes'. The kernel lists a wave in frontier-scan order over
+    /// the out-CSR, the reference in machine-major order, and each side
+    /// carries on from its own frontier, so a charge that depended on the
+    /// frontier's order would show.
     #[test]
     fn sparse_indexes_charge_like_the_dense_reference() {
         let _guard = crate::exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -1139,6 +1127,7 @@ mod tests {
                         VertexCutPartition::build(&el, machines, VertexCutStrategy::Random, seed)
                             .unwrap();
                     let data = machine_data(&el, &part, n);
+                    let g = CsrGraph::from_edge_list(&el);
                     let idx: DenseIndexes = (data.iter())
                         .map(|md| {
                             let in_idx = EdgeIndex::build(n, &md.edges, |&(_, v)| v);
@@ -1168,22 +1157,23 @@ mod tests {
                     let tally = wcc_tally(&ctx, |v| signaled[v as usize]);
                     assert_eq!(tally, dense_wcc_tally(&ctx, &idx, &signaled), "{case}");
                     let out = OutEdges::build(&data, n);
+                    let mut kernel = Frontier::new(&g);
                     for bound in [u32::MAX, 2] {
                         let mut dist = vec![UNREACHABLE; n];
                         dist[source as usize] = 0;
                         let (mut want_dist, mut frontier) = (dist.clone(), vec![source]);
-                        let mut want_frontier = frontier.clone();
+                        let (mut want_frontier, mut next) = (frontier.clone(), Vec::new());
+                        let mut depth = 0;
                         while !frontier.is_empty() {
-                            let mut pool = Vec::new();
-                            let (tally, tasks) =
-                                scan_frontier(&ctx, &out, &dist, &frontier, bound, &mut pool);
+                            let tally = frontier_charge(&ctx, &out, &dist, &frontier, bound);
                             let (want_tally, want_improved) =
                                 dense_scan(&ctx, &idx, &want_dist, &want_frontier, bound);
                             assert_eq!(tally, want_tally, "{case} bound={bound}");
-                            let improved: Vec<_> = tasks.into_iter().flat_map(|t| t.1).collect();
-                            frontier = apply(&mut dist, improved);
+                            kernel.step(&mut dist, &frontier, depth, bound, &mut next);
+                            std::mem::swap(&mut frontier, &mut next);
                             want_frontier = apply(&mut want_dist, want_improved);
                             assert_eq!(dist, want_dist, "{case} bound={bound}");
+                            depth += 1;
                         }
                         assert!(want_frontier.is_empty(), "{case} bound={bound}");
                     }

@@ -1,5 +1,6 @@
-//! The two kernels behind every non-BSP reduce: [`RunGather`], the run-sum
-//! gather of PageRank, and [`MinLabel`], the HashMin step of WCC.
+//! The three kernels behind every non-BSP engine's host work:
+//! [`RunGather`], the run-sum gather of PageRank, [`MinLabel`], the HashMin
+//! step of WCC, and [`Frontier`], the BFS step of SSSP and K-hop.
 //!
 //! GraphLab's sync gather, GraphX's join, the Hadoop/HaLoop reduce and
 //! Vertica's `SUM` fold a destination's contributions in *runs*: one
@@ -24,8 +25,16 @@
 //! in-index in one destination-parallel pass. The one order-dependent
 //! figure, Vertica's `updated` row count, is a running-min count per
 //! source chunk that the same pass reads off in source order.
+//!
+//! A unit-weight traversal is level-synchronous whichever paradigm runs
+//! it: MapReduce relaxes every edge, GraphX tests every edge's source
+//! flag, Vertica joins an ACTIVE table and GraphLab scatters from the
+//! frontier, but each round reaches exactly the unvisited out-neighbours
+//! of the previous wave. [`Frontier`] computes that wave once for all
+//! four; what each paradigm pays for it stays in its engine's charges.
 
 use crate::exec;
+use graphbench_algos::UNREACHABLE;
 use graphbench_graph::{CsrGraph, VertexId};
 use std::ops::Range;
 
@@ -216,6 +225,88 @@ impl<'g> MinLabel<'g> {
             offer(s as usize, label[s as usize]);
         }
         (best, imp)
+    }
+}
+
+/// The BFS step of every non-BSP traversal (GraphLab, GraphX,
+/// Hadoop/HaLoop, Vertica) over the out-CSR: the serial frontier scan, in
+/// which each out-neighbour the wave has not reached yet is reached, in
+/// scan order. Across host threads, frontier spans weighted by
+/// `1 + out-degree` emit their unvisited out-neighbours against the frozen
+/// distances into pooled buckets, and the buckets apply in span order,
+/// first touch wins. Emission reads only frozen state, so the applied
+/// sequence is the serial scan's wherever the span boundaries fall, and
+/// `next` is the same list at any chunk × thread combination.
+pub(crate) struct Frontier<'g> {
+    g: &'g CsrGraph,
+    /// One candidate bucket per span, reused across steps.
+    buckets: Vec<Vec<VertexId>>,
+}
+
+impl<'g> Frontier<'g> {
+    pub(crate) fn new(g: &'g CsrGraph) -> Frontier<'g> {
+        Frontier { g, buckets: Vec::new() }
+    }
+
+    /// Expand `frontier`, whose vertices sit at `depth`: each unvisited
+    /// out-neighbour gets `depth + 1` in `dist` and joins `next`, in
+    /// frontier-scan order. At `depth >= bound` the wave stops there and
+    /// `next` is empty.
+    pub(crate) fn step(
+        &mut self,
+        dist: &mut [u32],
+        frontier: &[VertexId],
+        depth: u32,
+        bound: u32,
+        next: &mut Vec<VertexId>,
+    ) {
+        next.clear();
+        if depth >= bound {
+            return;
+        }
+        let g = self.g;
+        let spans = if exec::threads() > 1 {
+            let weights: Vec<u64> = frontier.iter().map(|&v| 1 + g.out_degree(v)).collect();
+            exec::weighted_spans(&weights, exec::chunk_size())
+        } else {
+            Vec::new()
+        };
+        // One task: scan in place, without copying the candidates out.
+        if spans.len() <= 1 {
+            let out = frontier.iter().flat_map(|&v| g.out_neighbors(v));
+            reach(dist, depth, next, out.copied());
+            return;
+        }
+        if self.buckets.len() < spans.len() {
+            self.buckets.resize_with(spans.len(), Vec::new);
+        }
+        let frozen: &[u32] = dist;
+        let mut tasks: Vec<(&[VertexId], &mut Vec<VertexId>)> =
+            spans.iter().map(|&(s, e)| &frontier[s..e]).zip(self.buckets.iter_mut()).collect();
+        exec::run_chunks(&mut tasks, |_, (span, found)| {
+            found.clear();
+            for &v in *span {
+                let out = g.out_neighbors(v).iter();
+                found.extend(out.filter(|&&t| frozen[t as usize] == UNREACHABLE));
+            }
+        });
+        reach(dist, depth, next, tasks.iter().flat_map(|(_, found)| found.iter()).copied());
+    }
+}
+
+/// First touch wins: each unvisited `t` of `candidates` gets `depth + 1`
+/// and joins `next`.
+fn reach(
+    dist: &mut [u32],
+    depth: u32,
+    next: &mut Vec<VertexId>,
+    candidates: impl Iterator<Item = VertexId>,
+) {
+    for t in candidates {
+        if dist[t as usize] == UNREACHABLE {
+            dist[t as usize] = depth + 1;
+            next.push(t);
+        }
     }
 }
 
@@ -410,5 +501,209 @@ pub(crate) mod tests {
         exec::set_chunk_size(4096);
         exec::set_threads(1);
         assert!(repeats > 0, "no chunk improved a vertex twice");
+    }
+
+    /// Each round of a traversal: the distances after it and its wave.
+    type Rounds = Vec<(Vec<u32>, Vec<VertexId>)>;
+
+    fn start(n: usize, source: VertexId) -> Vec<u32> {
+        let mut dist = vec![UNREACHABLE; n];
+        dist[source as usize] = 0;
+        dist
+    }
+
+    /// Hadoop/HaLoop's loop that [`Frontier`] replaced, kept as a reference:
+    /// a Jacobi relax over every edge each iteration, sources at or past
+    /// `bound` skipped, until nothing improves or `bound` iterations ran. A
+    /// round's wave is the vertices it improved, ascending.
+    fn full_scan_relax(g: &CsrGraph, source: VertexId, bound: u32) -> Rounds {
+        let n = g.num_vertices();
+        let mut dist = start(n, source);
+        let mut rounds = Vec::new();
+        loop {
+            let mut next = dist.clone();
+            for s in 0..n as VertexId {
+                let ds = dist[s as usize];
+                if ds == UNREACHABLE || ds >= bound {
+                    continue;
+                }
+                for &d in g.out_neighbors(s) {
+                    next[d as usize] = next[d as usize].min(ds + 1);
+                }
+            }
+            let wave: Vec<VertexId> =
+                (0..n as VertexId).filter(|&v| next[v as usize] < dist[v as usize]).collect();
+            let changed = !wave.is_empty();
+            dist = next;
+            rounds.push((dist.clone(), wave));
+            if !changed || rounds.len() as u64 >= u64::from(bound) {
+                return rounds;
+            }
+        }
+    }
+
+    /// GraphX's loop that [`Frontier`] replaced, kept as a reference: every
+    /// machine tests each of its edges against the active flags, the
+    /// improvements over the frozen distances apply first touch wins in
+    /// machine order, and the improved vertices are the next active set,
+    /// until none improves.
+    fn active_edge_scan(
+        n: usize,
+        by_machine: &[Vec<(VertexId, VertexId)>],
+        source: VertexId,
+        bound: u32,
+    ) -> Rounds {
+        let mut dist = start(n, source);
+        let mut active = vec![false; n];
+        active[source as usize] = true;
+        let mut frontier = vec![source];
+        let mut rounds = Vec::new();
+        while !frontier.is_empty() {
+            let mut improved = Vec::new();
+            for &(u, v) in by_machine.iter().flatten() {
+                let d = dist[u as usize];
+                if active[u as usize] && d < bound && d + 1 < dist[v as usize] {
+                    improved.push((v, d + 1));
+                }
+            }
+            for &v in &frontier {
+                active[v as usize] = false;
+            }
+            frontier.clear();
+            for (v, d) in improved {
+                if d < dist[v as usize] {
+                    dist[v as usize] = d;
+                    active[v as usize] = true;
+                    frontier.push(v);
+                }
+            }
+            rounds.push((dist.clone(), frontier.clone()));
+        }
+        rounds
+    }
+
+    /// Vertica's loop, from which [`Frontier`] was lifted, kept as a
+    /// reference: the span-bucket expand inline, under `depth < bound`.
+    fn span_bucket_expand(g: &CsrGraph, source: VertexId, bound: u32) -> Rounds {
+        let mut dist = start(g.num_vertices(), source);
+        let mut frontier = vec![source];
+        let mut depth = 0u32;
+        let mut rounds = Vec::new();
+        while !frontier.is_empty() && depth < bound {
+            let weights: Vec<u64> = frontier.iter().map(|&v| 1 + g.out_degree(v)).collect();
+            let spans = exec::weighted_spans(&weights, exec::chunk_size());
+            let mut tasks: Vec<(&[VertexId], Vec<VertexId>)> =
+                spans.iter().map(|&(s, e)| (&frontier[s..e], Vec::new())).collect();
+            let frozen: &[u32] = &dist;
+            exec::run_chunks(&mut tasks, |_, (span, found)| {
+                for &v in *span {
+                    for &t in g.out_neighbors(v) {
+                        if frozen[t as usize] == UNREACHABLE {
+                            found.push(t);
+                        }
+                    }
+                }
+            });
+            let mut next = Vec::new();
+            for (_, found) in &tasks {
+                for &t in found {
+                    if dist[t as usize] == UNREACHABLE {
+                        dist[t as usize] = depth + 1;
+                        next.push(t);
+                    }
+                }
+            }
+            rounds.push((dist.clone(), next.clone()));
+            frontier = next;
+            depth += 1;
+        }
+        rounds
+    }
+
+    /// The kernel under one engine's loop: `more(frontier, depth)` decides
+    /// whether another round runs.
+    fn kernel_rounds(
+        g: &CsrGraph,
+        source: VertexId,
+        bound: u32,
+        more: impl Fn(&[VertexId], u32) -> bool,
+    ) -> Rounds {
+        let mut kernel = Frontier::new(g);
+        let mut dist = start(g.num_vertices(), source);
+        let (mut frontier, mut next) = (vec![source], Vec::new());
+        let mut rounds = Vec::new();
+        let mut depth = 0u32;
+        while more(&frontier, depth) {
+            kernel.step(&mut dist, &frontier, depth, bound, &mut next);
+            std::mem::swap(&mut frontier, &mut next);
+            rounds.push((dist.clone(), frontier.clone()));
+            depth += 1;
+        }
+        rounds
+    }
+
+    /// `rounds` with every wave sorted.
+    fn as_sets(mut rounds: Rounds) -> Rounds {
+        for (_, wave) in &mut rounds {
+            wave.sort_unstable();
+        }
+        rounds
+    }
+
+    #[test]
+    fn frontier_equals_the_traversal_loops() {
+        let _guard = exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // Rounds whose wave GraphX's machine-major apply lists in another
+        // order than the frontier scan: proof that the exact comparison
+        // with Vertica's loop is stricter than the set ones.
+        let mut reordered = 0usize;
+        for_each_seed(24, |_, rng| {
+            let g = gather_graph(rng);
+            let n = g.num_vertices();
+            let source = rng.below_u32(n as u32);
+            let mut edges: Vec<(VertexId, VertexId)> = (0..n as VertexId)
+                .flat_map(|s| g.out_neighbors(s).iter().map(move |&t| (s, t)))
+                .collect();
+            rng.shuffle(&mut edges);
+            for bound in [0, 1, 2, 3, u32::MAX] {
+                let hadoop = as_sets(full_scan_relax(&g, source, bound));
+                for machines in [1, 2, 3, 16, 64] {
+                    let mut by_machine = vec![Vec::new(); machines];
+                    for &e in &edges {
+                        by_machine[rng.below(machines)].push(e);
+                    }
+                    let graphx = active_edge_scan(n, &by_machine, source, bound);
+                    for threads in [1, 4] {
+                        exec::set_threads(threads);
+                        for chunk in [1, 97, 4096] {
+                            exec::set_chunk_size(chunk);
+                            let at = format!(
+                                "{n} vertices, source {source}, bound {bound}, \
+                                 machines {machines}, threads {threads}, chunk {chunk}"
+                            );
+                            let vertica = span_bucket_expand(&g, source, bound);
+                            let got =
+                                kernel_rounds(&g, source, bound, |f, d| !f.is_empty() && d < bound);
+                            assert_eq!(got, vertica, "Vertica's loop, {at}");
+                            let got = kernel_rounds(&g, source, bound, |f, d| {
+                                d == 0 || (!f.is_empty() && d < bound)
+                            });
+                            assert_eq!(as_sets(got), hadoop, "Hadoop's loop, {at}");
+                            let got = kernel_rounds(&g, source, bound, |f, _| !f.is_empty());
+                            reordered +=
+                                got.iter().zip(&graphx).filter(|(a, b)| a.1 != b.1).count();
+                            assert_eq!(
+                                as_sets(got),
+                                as_sets(graphx.clone()),
+                                "GraphX's loop, {at}"
+                            );
+                        }
+                    }
+                }
+            }
+        });
+        exec::set_chunk_size(4096);
+        exec::set_threads(1);
+        assert!(reordered > 0, "no wave told the frontier scan from the machine-major apply");
     }
 }

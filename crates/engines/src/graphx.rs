@@ -26,7 +26,7 @@
 //! fragment placement.
 
 use crate::exec;
-use crate::gather::{MinLabel, RunGather};
+use crate::gather::{Frontier, MinLabel, RunGather};
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
@@ -37,13 +37,9 @@ use graphbench_graph::{CsrGraph, VertexId};
 use graphbench_partition::{MachineBits, MachineId, VertexCutPartition, VertexCutStrategy};
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
 
-/// A per-machine traversal task: machine, edge span, and its pooled
-/// improvements.
-type SpanTask<'a> = (usize, (usize, usize), &'a mut Vec<(VertexId, u32)>);
-
 /// Traversal state at the last materialization point: iteration, distances,
-/// active flags, frontier.
-type TraversalSnapshot = (u32, Vec<u32>, Vec<bool>, Vec<VertexId>);
+/// frontier.
+type TraversalSnapshot = (u32, Vec<u32>, Vec<VertexId>);
 
 /// GraphX / Spark configuration.
 #[derive(Debug, Clone)]
@@ -355,16 +351,17 @@ fn execute(
 
     cluster.begin_phase(Phase::Execute);
     ctx.recovery = Recovery::new(cluster, RecoveryModel::LineageRecompute);
+    let g = input.graph;
     let result = match input.workload {
         Workload::PageRank(pr) => {
             WorkloadResult::Ranks(spark_pagerank(cluster, &mut ctx, input, pr)?)
         }
-        Workload::Wcc => WorkloadResult::Labels(spark_wcc(cluster, &mut ctx, input.graph)?),
+        Workload::Wcc => WorkloadResult::Labels(spark_wcc(cluster, &mut ctx, g)?),
         Workload::Sssp { source } => {
-            WorkloadResult::Distances(spark_traversal(cluster, &mut ctx, source, u32::MAX)?)
+            WorkloadResult::Distances(spark_traversal(cluster, &mut ctx, g, source, u32::MAX)?)
         }
         Workload::KHop { source, k } => {
-            WorkloadResult::Distances(spark_traversal(cluster, &mut ctx, source, k)?)
+            WorkloadResult::Distances(spark_traversal(cluster, &mut ctx, g, source, k)?)
         }
     };
 
@@ -608,127 +605,45 @@ fn spark_wcc(
     Ok(label)
 }
 
-/// Pooled chunk scratch for the traversal join: uniform edge spans per
-/// machine plus per-task improvement buckets, reused across supersteps.
-struct TravScratch {
-    spans: Vec<Vec<(usize, usize)>>,
-    buckets: Vec<Vec<(VertexId, u32)>>,
-}
-
-impl TravScratch {
-    fn build(ctx: &SparkCtx) -> TravScratch {
-        let spans: Vec<Vec<(usize, usize)>> = ctx
-            .edges_by_machine
-            .iter()
-            .map(|e| exec::uniform_spans(e.len(), exec::chunk_size()))
-            .collect();
-        let tasks = spans.iter().map(|s| s.len()).sum();
-        TravScratch { spans, buckets: vec![Vec::new(); tasks] }
-    }
-}
-
-/// One traversal (SSSP / K-hop) iteration. mapReduceTriplets with an
-/// active-set filter still scans each partition's edges to test activity.
-/// Chunk tasks scan disjoint edge spans against the frozen frontier into
-/// pooled improvement buckets; applying the buckets in fixed task order
-/// replays the serial path's first-touch sequence exactly. Replaces
-/// `frontier` with the newly-improved vertices. Shared by the live loop
-/// and replay.
-fn traversal_step(
-    ctx: &SparkCtx,
-    bound: u32,
-    dist: &mut [u32],
-    active: &mut [bool],
-    frontier: &mut Vec<VertexId>,
-    ops: &mut [f64],
-    ts: &mut TravScratch,
-) {
-    let edges_by_machine = &ctx.edges_by_machine;
-    let (dist_r, active_r) = (&*dist, &*active);
-    let mut tasks: Vec<SpanTask> = Vec::new();
-    {
-        let mut pool = ts.buckets.iter_mut();
-        for (m, spans) in ts.spans.iter().enumerate() {
-            for &(s, e) in spans {
-                tasks.push((m, (s, e), pool.next().expect("bucket pool sized to task count")));
-            }
-        }
-    }
-    exec::run_chunks(&mut tasks, |_, t| {
-        let (m, (s, e), ref mut improved) = *t;
-        improved.clear();
-        for &(u, v) in &edges_by_machine[m][s..e] {
-            if active_r[u as usize] {
-                let d = dist_r[u as usize];
-                if d < bound && d + 1 < dist_r[v as usize] {
-                    improved.push((v, d + 1));
-                }
-            }
-        }
-    });
-    for (m, o) in ops.iter_mut().enumerate() {
-        // Filtered scan is cheap per edge; every edge is still tested.
-        *o = edges_by_machine[m].len() as f64 / 4.0;
-    }
-    for v in frontier.iter() {
-        active[*v as usize] = false;
-    }
-    let mut changed = Vec::new();
-    for (_, _, improved) in &tasks {
-        for &(v, d) in improved.iter() {
-            if d < dist[v as usize] {
-                dist[v as usize] = d;
-                active[v as usize] = true;
-                changed.push(v);
-            }
-        }
-    }
-    *frontier = changed;
-}
-
+/// SSSP / K-hop: mapReduceTriplets with an active-set filter. The filter
+/// still tests every edge of every partition, so each iteration charges a
+/// quarter op per edge; the wave itself is the frontier's unvisited
+/// out-neighbours (see `Frontier`), and only it is synced and pinned in the
+/// lineage. Replay after a crash re-runs the same steps from the snapshot.
 fn spark_traversal(
     cluster: &mut Cluster,
     ctx: &mut SparkCtx,
+    g: &CsrGraph,
     source: VertexId,
     bound: u32,
 ) -> Result<Vec<u32>, SimError> {
-    let n = ctx.n;
-    let mut dist = vec![UNREACHABLE; n];
+    let mut dist = vec![UNREACHABLE; ctx.n];
     dist[source as usize] = 0;
-    let mut frontier = vec![source];
-    let mut active = vec![false; n];
-    active[source as usize] = true;
+    let (mut frontier, mut next) = (vec![source], Vec::new());
     let mut snapshot: Option<TraversalSnapshot> =
-        cluster.plan_has_crashes().then(|| (0, dist.clone(), active.clone(), frontier.clone()));
-    let mut ops = vec![0.0f64; ctx.machines];
-    let mut ts = TravScratch::build(ctx);
+        cluster.plan_has_crashes().then(|| (0, dist.clone(), frontier.clone()));
+    let ops: Vec<f64> = ctx.edges_by_machine.iter().map(|e| e.len() as f64 / 4.0).collect();
+    let mut kernel = Frontier::new(g);
     let mut iter = 0u32;
     while !frontier.is_empty() {
         if ctx.charge_stage(cluster)? {
-            if let Some((snap_iter, s_dist, s_active, s_frontier)) = &snapshot {
+            if let Some((snap_iter, s_dist, s_frontier)) = &snapshot {
                 dist.clone_from(s_dist);
-                active.clone_from(s_active);
                 frontier.clone_from(s_frontier);
-                for _ in *snap_iter..iter {
-                    traversal_step(
-                        ctx,
-                        bound,
-                        &mut dist,
-                        &mut active,
-                        &mut frontier,
-                        &mut ops,
-                        &mut ts,
-                    );
+                for depth in *snap_iter..iter {
+                    kernel.step(&mut dist, &frontier, depth, bound, &mut next);
+                    std::mem::swap(&mut frontier, &mut next);
                 }
             }
         }
         cluster.set_label("superstep");
-        traversal_step(ctx, bound, &mut dist, &mut active, &mut frontier, &mut ops, &mut ts);
+        kernel.step(&mut dist, &frontier, iter, bound, &mut next);
+        std::mem::swap(&mut frontier, &mut next);
         charge_compute(cluster, ctx, &ops)?;
         mirror_sync(cluster, ctx, &frontier)?;
         if ctx.charge_lineage(cluster, iter, frontier.len() as u64)? {
             if let Some(s) = snapshot.as_mut() {
-                *s = (iter + 1, dist.clone(), active.clone(), frontier.clone());
+                *s = (iter + 1, dist.clone(), frontier.clone());
             }
         }
         cluster.sample_trace();
@@ -881,20 +796,30 @@ mod tests {
     fn lineage_recompute_reproduces_fault_free_results() {
         use graphbench_sim::FaultPlan;
         let ds = dataset(DatasetKind::Twitter);
-        let w = Workload::PageRank(PageRankConfig::fixed(10));
-        let clean = gx(16).run(&input(&ds, w, 4, 1 << 30));
-        assert!(clean.metrics.status.is_ok());
-        // Kill an executor halfway through execution; the lost partitions
-        // recompute from lineage and the answer must not change.
-        let p = &clean.metrics.phases;
-        let mid_execute = p.overhead + p.load + 0.5 * p.execute;
-        let mut inp = input(&ds, w, 4, 1 << 30);
-        inp.cluster.faults = FaultPlan::single(mid_execute, 1);
-        let faulted = gx(16).run(&inp);
-        assert!(faulted.metrics.status.is_ok(), "{:?}", faulted.metrics.status);
-        assert_eq!(clean.result, faulted.result);
-        assert!(faulted.metrics.phases.execute > clean.metrics.phases.execute);
-        assert!(faulted.journal.events().iter().any(|e| e.label == "recovery"));
+        let traversals = [
+            (Workload::Sssp { source: 0 }, reference::sssp(&ds.1, 0)),
+            (Workload::khop3(0), reference::khop(&ds.1, 0, 3)),
+        ];
+        let cases = std::iter::once((Workload::PageRank(PageRankConfig::fixed(10)), None))
+            .chain(traversals.map(|(w, d)| (w, Some(WorkloadResult::Distances(d)))));
+        for (w, want) in cases {
+            let clean = gx(16).run(&input(&ds, w, 4, 1 << 30));
+            assert!(clean.metrics.status.is_ok(), "{w:?}");
+            // Kill an executor halfway through execution; the lost partitions
+            // recompute from lineage and the answer must not change.
+            let p = &clean.metrics.phases;
+            let mid_execute = p.overhead + p.load + 0.5 * p.execute;
+            let mut inp = input(&ds, w, 4, 1 << 30);
+            inp.cluster.faults = FaultPlan::single(mid_execute, 1);
+            let faulted = gx(16).run(&inp);
+            assert!(faulted.metrics.status.is_ok(), "{w:?}: {:?}", faulted.metrics.status);
+            assert_eq!(clean.result, faulted.result, "{w:?}");
+            if let Some(want) = &want {
+                assert_eq!(faulted.result.as_ref(), Some(want), "{w:?}");
+            }
+            assert!(faulted.metrics.phases.execute > clean.metrics.phases.execute, "{w:?}");
+            assert!(faulted.journal.events().iter().any(|e| e.label == "recovery"), "{w:?}");
+        }
     }
 
     /// Per-iteration changed sets of the two message-driven workloads,

@@ -19,8 +19,7 @@
 //! hit a bug where mapper output is deleted before reducers finish on 64-
 //! and 128-machine clusters — reproduced here as the `SHFL` failure.
 
-use crate::exec;
-use crate::gather::{source_chunk, MinLabel, RunGather};
+use crate::gather::{source_chunk, Frontier, MinLabel, RunGather};
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
@@ -28,9 +27,6 @@ use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
 use graphbench_graph::format::GraphFormat;
 use graphbench_graph::VertexId;
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
-
-/// A reduce task: a vertex span and its pooled output.
-type SpanTask<'a> = ((usize, usize), &'a mut Vec<(VertexId, u32)>);
 
 /// Plain Hadoop MapReduce.
 #[derive(Debug, Clone, Default)]
@@ -267,26 +263,6 @@ pub(crate) fn source_chunk_runs(g: &graphbench_graph::CsrGraph, machines: usize)
     })
 }
 
-/// Pooled reduce-side scratch for traversal: degree-aware source spans
-/// planned once over the static graph, per-task candidate buckets, and the
-/// reused `next` vector that a full `clone()` per worker per iteration used
-/// to allocate.
-struct MrScratch {
-    plan: Vec<(usize, usize)>,
-    buckets: Vec<Vec<(VertexId, u32)>>,
-    next: Vec<u32>,
-}
-
-impl MrScratch {
-    fn build(g: &graphbench_graph::CsrGraph) -> MrScratch {
-        let n = g.num_vertices();
-        let weights: Vec<u64> = (0..n as VertexId).map(|v| 1 + g.out_degree(v)).collect();
-        let plan = exec::weighted_spans(&weights, exec::chunk_size());
-        let buckets = (0..plan.len()).map(|_| Vec::new()).collect();
-        MrScratch { plan, buckets, next: Vec::new() }
-    }
-}
-
 fn mr_pagerank(
     cluster: &mut Cluster,
     input: &EngineInput<'_>,
@@ -397,8 +373,9 @@ fn mr_traversal(
     let mut dist = vec![UNREACHABLE; n];
     dist[source as usize] = 0;
     let mut recovery = Recovery::new(cluster, RecoveryModel::TaskReexecution);
-    let mut ms = MrScratch::build(g);
-    let mut iter = 0u64;
+    let mut kernel = Frontier::new(g);
+    let (mut frontier, mut next) = (vec![source], Vec::new());
+    let mut iter = 0u32;
     loop {
         // MapReduce scans every edge every iteration — it cannot restrict
         // work to the frontier, which is what makes MR traversals on large-
@@ -415,50 +392,20 @@ fn mr_traversal(
             machines,
             input.cluster.cores,
             haloop,
-            iter,
+            u64::from(iter),
             graph_bytes,
             &shape,
         )?;
-        // Distance relaxations, chunked over degree-aware source spans:
-        // candidate `(vertex, distance)` pairs land in pooled buckets and
-        // min-fold in fixed task order (order-free), matching the old
-        // per-worker min-merge without its full distance-vector clones.
+        // The relaxation of every edge improves exactly the unvisited
+        // out-neighbours of the previous wave, so the host expands only
+        // that wave (see `Frontier`).
         cluster.set_label("reduce");
-        let dist_r: &[u32] = &dist;
-        let mut tasks: Vec<SpanTask> = ms.plan.iter().copied().zip(ms.buckets.iter_mut()).collect();
-        exec::run_chunks(&mut tasks, |_, t| {
-            let ((lo, hi), ref mut bucket) = *t;
-            bucket.clear();
-            for s in lo as VertexId..hi as VertexId {
-                let ds = dist_r[s as usize];
-                if ds == UNREACHABLE || ds >= bound {
-                    continue;
-                }
-                for &d in g.out_neighbors(s) {
-                    if ds + 1 < dist_r[d as usize] {
-                        bucket.push((d, ds + 1));
-                    }
-                }
-            }
-        });
-        let mut changed = false;
-        ms.next.clear();
-        ms.next.extend_from_slice(dist_r);
-        let next = &mut ms.next;
-        for (_, bucket) in &tasks {
-            for &(v, d2) in bucket.iter() {
-                if d2 < next[v as usize] {
-                    next[v as usize] = d2;
-                    changed = true;
-                }
-            }
-        }
-        drop(tasks);
-        std::mem::swap(&mut dist, next);
+        kernel.step(&mut dist, &frontier, iter, bound, &mut next);
+        std::mem::swap(&mut frontier, &mut next);
         iter += 1;
         // K-hop needs exactly `bound` propagation waves; SSSP (unbounded)
-        // iterates to a fixpoint.
-        if !changed || iter >= bound as u64 {
+        // iterates until a wave improves nothing.
+        if frontier.is_empty() || iter >= bound {
             break;
         }
     }
@@ -468,7 +415,7 @@ fn mr_traversal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ScaleInfo;
+    use crate::{exec, ScaleInfo};
     use graphbench_algos::reference;
     use graphbench_gen::{Dataset, DatasetKind, Scale};
     use graphbench_graph::rng::for_each_seed;

@@ -22,8 +22,7 @@
 //! systems widens as machines are added — the paper's refutation of the
 //! "relational engines are competitive" claim.
 
-use crate::exec;
-use crate::gather::MinLabel;
+use crate::gather::{Frontier, MinLabel};
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{even_share, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
@@ -319,9 +318,9 @@ fn sql_traversal(
     let n = g.num_vertices();
     let mut dist = vec![UNREACHABLE; n];
     dist[source as usize] = 0;
-    let mut frontier = vec![source];
+    let mut kernel = Frontier::new(g);
+    let (mut frontier, mut next) = (vec![source], Vec::new());
     let mut depth = 0u32;
-    let mut buckets: Vec<Vec<VertexId>> = Vec::new();
     while !frontier.is_empty() && depth < bound {
         ctx.charge_statement(cluster)?;
         // Join the small ACTIVE temp table with E: the scan of E still
@@ -329,44 +328,11 @@ fn sql_traversal(
         // table refresh touches few rows (the update-in-place case, §2.6).
         let emitted: u64 = frontier.iter().map(|&v| g.out_degree(v)).sum();
         ctx.charge_join(cluster, emitted)?;
-        // Chunk tasks expand degree-aware frontier spans against the frozen
-        // distance table; candidates apply in span order, which reproduces
-        // the serial visit order exactly (first touch wins): emission sees
-        // only frozen state, so the flat candidate sequence is the frontier
-        // scan order regardless of where span boundaries fall.
         cluster.set_label("join_scan");
-        let weights: Vec<u64> = frontier.iter().map(|&v| 1 + g.out_degree(v)).collect();
-        let spans = exec::weighted_spans(&weights, exec::chunk_size());
-        while buckets.len() < spans.len() {
-            buckets.push(Vec::new());
-        }
-        let dist_r: &[u32] = &dist;
-        let mut tasks: Vec<(&[VertexId], &mut Vec<VertexId>)> =
-            spans.iter().map(|&(s, e)| &frontier[s..e]).zip(buckets.iter_mut()).collect();
-        exec::run_chunks(&mut tasks, |_, t| {
-            let (span, ref mut found) = *t;
-            found.clear();
-            for &v in span {
-                for &t2 in g.out_neighbors(v) {
-                    if dist_r[t2 as usize] == UNREACHABLE {
-                        found.push(t2);
-                    }
-                }
-            }
-        });
-        let mut next = Vec::new();
-        for (_, found) in &tasks {
-            for &t2 in found.iter() {
-                if dist[t2 as usize] == UNREACHABLE {
-                    dist[t2 as usize] = depth + 1;
-                    next.push(t2);
-                }
-            }
-        }
-        drop(tasks);
+        kernel.step(&mut dist, &frontier, depth, bound, &mut next);
         ctx.charge_refresh(cluster, next.len() as u64)?;
         cluster.sample_trace();
-        frontier = next;
+        std::mem::swap(&mut frontier, &mut next);
         depth += 1;
     }
     Ok(dist)

@@ -95,7 +95,9 @@ fn assert_matches_baseline(spec: &ExperimentSpec, faults: Option<&FaultPlan>) {
 fn clean_runs_are_chunk_and_thread_invariant() {
     let _guard = CHUNK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for system in chunked() {
-        for workload in [WorkloadKind::Wcc, WorkloadKind::PageRank, WorkloadKind::KHop] {
+        for workload in
+            [WorkloadKind::Wcc, WorkloadKind::PageRank, WorkloadKind::KHop, WorkloadKind::Sssp]
+        {
             let spec =
                 ExperimentSpec { system, workload, dataset: DatasetKind::Twitter, machines: 8 };
             assert_matches_baseline(&spec, None);

@@ -169,6 +169,18 @@ fn golden_hadoop_wcc() {
     golden_cell(SystemId::Hadoop, WorkloadKind::Wcc);
 }
 
+/// K-hop: a MapReduce job per wave, every edge charged every iteration.
+#[test]
+fn golden_hadoop_khop() {
+    golden_cell(SystemId::Hadoop, WorkloadKind::KHop);
+}
+
+/// SSSP: the unbounded traversal, which stops on an empty frontier.
+#[test]
+fn golden_hadoop_sssp() {
+    golden_cell(SystemId::Hadoop, WorkloadKind::Sssp);
+}
+
 #[test]
 fn golden_graphx_pagerank() {
     golden_cell(SystemId::GraphX, WorkloadKind::PageRank);
@@ -193,6 +205,12 @@ fn golden_vertica_pagerank() {
 #[test]
 fn golden_vertica_wcc() {
     golden_cell(SystemId::Vertica, WorkloadKind::Wcc);
+}
+
+/// K-hop: the ACTIVE-table join, whose refresh IO is the wave's size.
+#[test]
+fn golden_vertica_khop() {
+    golden_cell(SystemId::Vertica, WorkloadKind::KHop);
 }
 
 /// A faulted run is as deterministic as a fault-free one: the same golden
