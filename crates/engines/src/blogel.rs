@@ -21,7 +21,7 @@
 //!   `local_pr(v) * block_pr(b)`, an initialization that *hurts* convergence
 //!   (§3.1.2) — reproduced by executing exactly that algorithm.
 
-use crate::bsp::{run_bsp, BspConfig};
+use crate::bsp::{run_bsp, run_bsp_pagerank, BspConfig};
 use crate::exec;
 use crate::programs::{wcc_labels, KHopProgram, PageRankProgram, SsspProgram, WccProgram};
 use crate::recovery::{Recovery, RecoveryModel};
@@ -95,7 +95,8 @@ fn run_vertex_mode(
     let result = match input.workload {
         Workload::PageRank(pr) => {
             let mut prog = PageRankProgram::new(pr);
-            WorkloadResult::Ranks(run_bsp(cluster, input.graph, &part, &mut prog, &cfg)?.states)
+            let out = run_bsp_pagerank(cluster, input.graph, &part, &mut prog, &cfg)?;
+            WorkloadResult::Ranks(out.states)
         }
         Workload::Wcc => {
             let mut prog = WccProgram::new(n, profile.bytes_per_edge);
@@ -285,7 +286,7 @@ fn run_block_mode(
     // Blogel has no checkpointing (Table 1): losing a machine restarts the
     // computation. Faults are detected at the block-superstep barriers
     // through the unified recovery layer; the vertex-centric tail of block
-    // PageRank delegates to `run_bsp`, which brings its own replay.
+    // PageRank delegates to `run_bsp_pagerank`, which brings its own replay.
     let mut recovery = Recovery::new(cluster, RecoveryModel::QueryRestart);
     // Flat vertex→machine table, computed once and shared by every workload
     // below (the two-level block lookup was two dependent loads per
@@ -972,7 +973,7 @@ fn block_pagerank(
     let part = block_placement_as_edge_cut(machine_of, machines);
     let mut prog = PageRankProgram::with_init(pr, init);
     let cfg = BspConfig { cores_for_compute: input.cluster.cores, ..BspConfig::default() };
-    Ok(run_bsp(cluster, g, &part, &mut prog, &cfg)?.states)
+    Ok(run_bsp_pagerank(cluster, g, &part, &mut prog, &cfg)?.states)
 }
 
 /// Adapt the block→machine placement into the vertex→machine form the BSP

@@ -25,6 +25,17 @@
 //! model* (per-machine op vectors) is what the study measures; host-thread
 //! parallelism only changes how fast the study runs.
 //!
+//! One superstep loop, `drive`, charges every run: compute, buffers,
+//! wire, spill, barrier, trace, checkpoint, recovery replay and
+//! termination. What a superstep computes and charges comes from one of two
+//! paths behind the private `Path` seam. The *message path* ([`run_bsp`])
+//! runs any [`VertexProgram`] (WCC, SSSP, K-hop). The *rank path*
+//! (`run_bsp_pagerank`) runs [`PageRankProgram`]: every PageRank superstep
+//! is the same static broadcast, so it folds the ranks with
+//! `gather::RunGather` and charges integers of the partition computed once
+//! per run, with no per-edge message filed. `run_bsp` with
+//! `PageRankProgram` remains its reference.
+//!
 //! The message path is the zero-sort radix shuffle of [`crate::shuffle`],
 //! and each message is copied once. Every out-edge's target is resolved to
 //! its `(machine, fragment-local id)` once per *run*, in CSR order, into the
@@ -33,19 +44,22 @@
 //! bucket for each target's machine. [`Ctx::send`], for targets that are not
 //! out-edges, does the same with one [`graphbench_partition::LocalIndex`]
 //! read per message. Delivery reads every source's chunk buckets where they
-//! lie, folding or grouping them by the carried local id. A superstep is two
-//! dispatches: compute, then deliver.
+//! lie, folding or grouping them by the carried local id. A message-path
+//! superstep is two dispatches: compute, then deliver.
 //!
 //! Which vertices a superstep runs is a *frontier* with no threshold to
 //! tune: every chunk counts its own `active` flags, and a chunk whose count
 //! is zero — every SSSP, K-hop and WCC superstep after the first two — can
 //! only run vertices that have messages, so it walks the set bits of the
 //! inbox's has-messages bitmap instead of testing each vertex. A chunk with
-//! self-active vertices (PageRank) keeps the dense loop. Either way
-//! vertices run in ascending local id, so the choice is unobservable. The
-//! same counts answer "is anything still active" at the end of a superstep.
+//! self-active vertices (WCC's first two supersteps) keeps the dense loop.
+//! Either way vertices run in ascending local id, so the choice is
+//! unobservable. The same counts answer "is anything still active" at the
+//! end of a superstep.
 
 use crate::exec;
+use crate::gather::RunGather;
+use crate::programs::PageRankProgram;
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::shuffle::Inbox;
 use graphbench_graph::{CsrGraph, VertexId};
@@ -285,22 +299,17 @@ struct StepReport {
     agg_max: f64,
 }
 
-/// Snapshot backing checkpoint-replay recovery: per-shard vertex state plus
-/// the delivered inboxes at a superstep boundary. Captured at execution
-/// start (restart-from-input) and refreshed at every global checkpoint —
-/// and only when the fault plan actually schedules a crash.
+/// The message path's recovery snapshot: per-shard vertex state plus the
+/// delivered inboxes at a superstep boundary.
 struct BspCheckpoint<V, M> {
-    /// First superstep to re-execute after restoring.
-    superstep: u64,
     states: Vec<Vec<V>>,
     active: Vec<Vec<bool>>,
     inboxes: Vec<Inbox<M>>,
 }
 
 impl<V: Clone, M: Copy> BspCheckpoint<V, M> {
-    fn capture(superstep: u64, shards: &[Shard<V, M>], inboxes: &[Inbox<M>]) -> Self {
+    fn capture(shards: &[Shard<V, M>], inboxes: &[Inbox<M>]) -> Self {
         BspCheckpoint {
-            superstep,
             states: shards.iter().map(|s| s.states.clone()).collect(),
             active: shards.iter().map(|s| s.active.clone()).collect(),
             inboxes: inboxes.to_vec(),
@@ -495,119 +504,147 @@ fn build_shards<P: VertexProgram>(
         .collect()
 }
 
-/// Execute `prog` to completion over `g` partitioned by `part`.
-///
-/// The caller is responsible for phase bookkeeping and for charging the
-/// permanent graph/state memory during its load phase; this function charges
-/// compute, network, barriers, and transient message buffers.
-pub fn run_bsp<P: VertexProgram>(
+/// What one superstep charges, per machine: the integers the driver turns
+/// into simulated time, bytes and memory.
+#[derive(Clone)]
+struct Charges {
+    ops: Vec<f64>,
+    /// Permanent program allocations.
+    extra_alloc: Vec<u64>,
+    /// Delivered inbox bytes, live until the next superstep consumes them.
+    inbox_bytes: Vec<u64>,
+    /// Post-combine send buffers, before the flush cap.
+    send_buffer_bytes: Vec<u64>,
+    sent: Vec<u64>,
+    recv: Vec<u64>,
+    msg_counts: Vec<u64>,
+}
+
+impl Charges {
+    fn new(machines: usize) -> Charges {
+        let zeros = || vec![0u64; machines];
+        Charges {
+            ops: vec![0.0; machines],
+            extra_alloc: zeros(),
+            inbox_bytes: zeros(),
+            send_buffer_bytes: zeros(),
+            sent: zeros(),
+            recv: zeros(),
+            msg_counts: zeros(),
+        }
+    }
+
+    /// Add machine `dst`'s delivery: `per_source[src]` post-combine
+    /// messages from each source machine. A machine's messages to itself
+    /// fill its send buffer but never cross the wire.
+    fn add_delivery(&mut self, dst: usize, per_source: &[u64], msg_mem: u64, wire: u64) {
+        for (src, &count) in per_source.iter().enumerate() {
+            self.send_buffer_bytes[src] += count * msg_mem;
+            if count > 0 && src != dst {
+                self.sent[src] += count * wire;
+                self.recv[dst] += count * wire;
+                self.msg_counts[src] += count;
+            }
+        }
+    }
+}
+
+/// What one superstep reports to the driver besides its charges.
+#[derive(Default)]
+struct Step {
+    raw_messages: u64,
+    any_ran: bool,
+    /// The merged max-aggregator.
+    agg: f64,
+}
+
+/// The host side of a BSP run, stepped by [`drive`]: the message path
+/// ([`MessagePath`], any [`VertexProgram`]) or the rank path ([`RankPath`],
+/// PageRank). The driver owns everything simulated; a path owns the program
+/// state and says what each superstep charges.
+trait Path {
+    /// Per-vertex state.
+    type Value;
+    /// What a recovery restores.
+    type Snapshot;
+
+    /// Run superstep `superstep`'s host work and return its report and
+    /// charges.
+    fn step(&mut self, superstep: u64) -> (Step, &Charges);
+
+    /// Re-run superstep `superstep` after a restore, uncharged.
+    fn replay(&mut self, superstep: u64);
+
+    fn capture(&self) -> Self::Snapshot;
+
+    fn restore(&mut self, snapshot: &Self::Snapshot);
+
+    /// Vertices still active.
+    fn active(&self) -> u64;
+
+    /// Nothing is active and no message is in flight.
+    fn quiescent(&self) -> bool;
+
+    /// The program's stop decision after `superstep` (see
+    /// [`VertexProgram::finished`]).
+    fn finished(&mut self, superstep: u64, agg: f64) -> bool;
+
+    /// The final states, in global vertex order.
+    fn into_states(self) -> Vec<Self::Value>;
+}
+
+/// The one superstep loop: charges, spill, barrier, trace, checkpoint,
+/// recovery replay and termination, for either path. Generic, not `dyn`:
+/// each path gets its own copy of the loop.
+fn drive<S: Path>(
     cluster: &mut Cluster,
-    g: &CsrGraph,
-    part: &EdgeCutPartition,
-    prog: &mut P,
+    mut path: S,
     cfg: &BspConfig,
-) -> Result<BspOutcome<P::Value>, SimError> {
-    let n = g.num_vertices();
+) -> Result<BspOutcome<S::Value>, SimError> {
     let machines = cluster.machines();
-    assert_eq!(part.machines(), machines, "partition and cluster disagree");
-    let msg_mem = cluster.profile().bytes_per_message;
-    let wire = prog.wire_bytes() + 4;
-    // Global↔local vertex id tables, built once: one lookup per out-edge
-    // for the route tables (per `Ctx::send` for other targets), and the
-    // dense address space the radix shuffle files messages under.
-    let li = LocalIndex::build(part);
-    let mut shards = build_shards(g, &li, prog, exec::chunk_size());
-
-    // Per-machine inboxes (grouped per vertex by the shuffle), kept outside
-    // the shards so delivery can read every shard's buckets while writing
-    // one inbox.
-    let mut inboxes: Vec<Inbox<P::Msg>> =
-        (0..machines).map(|m| Inbox::new(li.num_locals(m), prog.identity())).collect();
+    // Inbox bytes the last superstep allocated, and this superstep's capped
+    // send buffers.
     let mut inbox_bytes = vec![0u64; machines];
-    // Per-superstep counter vectors, allocated once and overwritten.
-    let mut ops = vec![0.0f64; machines];
-    let mut extra_alloc = vec![0u64; machines];
-    let mut sent = vec![0u64; machines];
-    let mut recv = vec![0u64; machines];
-    let mut msg_counts = vec![0u64; machines];
     let mut send_buffer_bytes = vec![0u64; machines];
-
     let mut supersteps = 0u64;
     let mut raw_messages = 0u64;
     // Fault-tolerance bookkeeping: Table 1's checkpoint-replay mechanism.
     // The recovery point is the last global checkpoint (or the start of
     // execution without checkpointing); the snapshot holds the matching
     // program state so recovery can *recompute* rather than merely bill.
+    // It is captured only when the fault plan actually schedules a crash.
     let mut recovery = Recovery::new(cluster, RecoveryModel::CheckpointReplay)
         .with_checkpoint_bytes(cfg.checkpoint_bytes);
-    let mut snapshot: Option<BspCheckpoint<P::Value, P::Msg>> =
-        cluster.plan_has_crashes().then(|| BspCheckpoint::capture(0, &shards, &inboxes));
+    let mut snapshot: Option<(u64, S::Snapshot)> =
+        cluster.plan_has_crashes().then(|| (0, path.capture()));
 
     loop {
         if supersteps >= cfg.max_supersteps {
             return Err(SimError::Timeout);
         }
-        let combinable_now = prog.combinable(supersteps);
-        let p: &P = prog;
-
-        // Compute phase: every shard advances independently on the host
-        // thread pool; its inbox is read-only, its outboxes are its own.
         // Label before the host work so its wallclock spans carry it.
         cluster.set_label("superstep");
-        let steps = compute_superstep(&mut shards, &inboxes, &li, g, p, supersteps);
-
-        // Merge shard reports in machine-index order.
-        let mut any_ran = false;
-        let mut agg = 0.0f64;
-        for (m, s) in steps.iter().enumerate() {
-            ops[m] = s.ops as f64;
-            extra_alloc[m] = s.extra_alloc;
-            any_ran |= s.any_ran;
-            raw_messages += s.raw_messages;
-            agg = agg.max(s.agg_max);
-        }
+        let (step, c) = path.step(supersteps);
+        raw_messages += step.raw_messages;
 
         // Free last superstep's consumed inbox buffers.
         cluster.free_all(&inbox_bytes);
-
-        // Delivery phase: each destination folds every source's messages
-        // per target, then the sources' results — one entry per distinct
-        // target; without a combiner every message is buffered (the WCC
-        // discovery superstep's memory spike, §5.8).
-        let delivered = deliver_superstep(&mut inboxes, &shards, p, combinable_now, msg_mem);
-        inbox_bytes.copy_from_slice(&delivered);
-
-        // Wire accounting: the per-source, post-combine counts delivery
-        // recorded. A machine's messages to itself never cross the wire.
-        send_buffer_bytes.fill(0);
-        sent.fill(0);
-        recv.fill(0);
-        msg_counts.fill(0);
-        for (dst, inbox) in inboxes.iter().enumerate() {
-            for (src, &count) in inbox.per_source().iter().enumerate() {
-                send_buffer_bytes[src] += count * msg_mem;
-                if count > 0 && src != dst {
-                    sent[src] += count * wire;
-                    recv[dst] += count * wire;
-                    msg_counts[src] += count;
-                }
-            }
-        }
+        inbox_bytes.copy_from_slice(&c.inbox_bytes);
 
         // Charge this superstep: sender buffers are flushed to the wire
         // whenever they fill (Giraph's message cache), so their resident
         // footprint is bounded; receiver buffers live until consumed next
         // superstep.
         let flush_cap = (cluster.spec().memory_per_machine as f64 * 0.03) as u64;
-        for b in &mut send_buffer_bytes {
-            *b = (*b).min(flush_cap);
+        for (b, &want) in send_buffer_bytes.iter_mut().zip(&c.send_buffer_bytes) {
+            *b = want.min(flush_cap);
         }
         cluster.alloc_all(&send_buffer_bytes)?;
         cluster.alloc_all(&inbox_bytes)?;
-        cluster.advance_compute(&ops, cfg.cores_for_compute)?;
-        cluster.alloc_all(&extra_alloc)?; // permanent program allocations
+        cluster.advance_compute(&c.ops, cfg.cores_for_compute)?;
+        cluster.alloc_all(&c.extra_alloc)?; // permanent program allocations
         cluster.set_label("shuffle");
-        cluster.exchange(&sent, &recv, &msg_counts)?;
+        cluster.exchange(&c.sent, &c.recv, &c.msg_counts)?;
         cluster.free_all(&send_buffer_bytes);
         if cfg.per_superstep_spill_bytes > 0 {
             cluster.set_label("spill");
@@ -619,7 +656,7 @@ pub fn run_bsp<P: VertexProgram>(
         }
         // Pure observability hint: the live-vertex count the barrier
         // snapshot will carry; never feeds back into any simulated outcome.
-        cluster.report_active(shards.iter().map(|s| s.active_vertices() as u64).sum());
+        cluster.report_active(path.active());
         cluster.set_label("barrier");
         cluster.barrier()?;
         if cfg.trace_every > 0 && supersteps.is_multiple_of(cfg.trace_every) {
@@ -635,7 +672,7 @@ pub fn run_bsp<P: VertexProgram>(
                 cluster.hdfs_write(&crate::even_share(cfg.checkpoint_bytes, machines))?;
                 recovery.mark_checkpoint(cluster);
                 if let Some(s) = snapshot.as_mut() {
-                    *s = BspCheckpoint::capture(supersteps, &shards, &inboxes);
+                    *s = (supersteps, path.capture());
                 }
             }
         }
@@ -648,47 +685,314 @@ pub fn run_bsp<P: VertexProgram>(
         // it — so a recovered run equals the fault-free run by replay, not
         // by assumption.
         if recovery.at_barrier(cluster)? {
-            if let Some(ckpt) = &snapshot {
-                ckpt.restore(&mut shards, &mut inboxes);
-                for r in ckpt.superstep..supersteps {
-                    compute_superstep(&mut shards, &inboxes, &li, g, p, r);
-                    deliver_superstep(&mut inboxes, &shards, p, p.combinable(r), msg_mem);
+            if let Some((from, ckpt)) = &snapshot {
+                path.restore(ckpt);
+                for r in *from..supersteps {
+                    path.replay(r);
                 }
             }
         }
-        let no_more_work =
-            inboxes.iter().all(|i| i.is_empty()) && shards.iter().all(|s| s.active_vertices() == 0);
-        let program_done = prog.finished(supersteps - 1, agg);
-        if program_done || no_more_work || !any_ran {
+        let no_more_work = path.quiescent();
+        let program_done = path.finished(supersteps - 1, step.agg);
+        if program_done || no_more_work || !step.any_ran {
             // Free any undelivered inbox buffers before returning.
             cluster.set_label("superstep");
             cluster.free_all(&inbox_bytes);
             break;
         }
     }
-
-    // Reassemble global vertex order from the per-machine shards.
-    let mut final_states: Vec<Option<P::Value>> = (0..n).map(|_| None).collect();
-    for shard in shards.iter_mut() {
-        let states = std::mem::take(&mut shard.states);
-        for (&v, s) in shard.verts.iter().zip(states) {
-            final_states[v as usize] = Some(s);
-        }
-    }
-    let states =
-        final_states.into_iter().map(|s| s.expect("partition covers all vertices")).collect();
-
     Ok(BspOutcome {
-        states,
+        states: path.into_states(),
         supersteps,
         raw_messages,
         recovered_from_failure: recovery.crashes_recovered() > 0,
     })
 }
 
+/// The message path: shards compute, the shuffle delivers, and the
+/// charges are the counts both report.
+struct MessagePath<'a, P: VertexProgram> {
+    g: &'a CsrGraph,
+    prog: &'a mut P,
+    /// Global↔local vertex id tables, built once: one lookup per out-edge
+    /// for the route tables (per `Ctx::send` for other targets), and the
+    /// dense address space the radix shuffle files messages under.
+    li: LocalIndex,
+    shards: Vec<Shard<P::Value, P::Msg>>,
+    /// Per-machine inboxes (grouped per vertex by the shuffle), kept outside
+    /// the shards so delivery can read every shard's buckets while writing
+    /// one inbox.
+    inboxes: Vec<Inbox<P::Msg>>,
+    msg_mem: u64,
+    /// Bytes of one message on the wire, target id included.
+    wire: u64,
+    /// Overwritten every superstep.
+    charges: Charges,
+}
+
+impl<P: VertexProgram> Path for MessagePath<'_, P> {
+    type Value = P::Value;
+    type Snapshot = BspCheckpoint<P::Value, P::Msg>;
+
+    fn step(&mut self, superstep: u64) -> (Step, &Charges) {
+        let combinable_now = self.prog.combinable(superstep);
+        let p: &P = self.prog;
+        let c = &mut self.charges;
+        // Compute phase: every shard advances independently on the host
+        // thread pool; its inbox is read-only, its outboxes are its own.
+        let steps =
+            compute_superstep(&mut self.shards, &self.inboxes, &self.li, self.g, p, superstep);
+        // Merge shard reports in machine-index order.
+        let mut step = Step::default();
+        for (m, s) in steps.iter().enumerate() {
+            c.ops[m] = s.ops as f64;
+            c.extra_alloc[m] = s.extra_alloc;
+            step.any_ran |= s.any_ran;
+            step.raw_messages += s.raw_messages;
+            step.agg = step.agg.max(s.agg_max);
+        }
+        // Delivery phase: each destination folds every source's messages
+        // per target, then the sources' results — one entry per distinct
+        // target; without a combiner every message is buffered (the WCC
+        // discovery superstep's memory spike, §5.8).
+        let delivered =
+            deliver_superstep(&mut self.inboxes, &self.shards, p, combinable_now, self.msg_mem);
+        c.inbox_bytes.copy_from_slice(&delivered);
+        // Wire accounting: the per-source, post-combine counts delivery
+        // recorded.
+        for v in [&mut c.send_buffer_bytes, &mut c.sent, &mut c.recv, &mut c.msg_counts] {
+            v.fill(0);
+        }
+        for (dst, inbox) in self.inboxes.iter().enumerate() {
+            c.add_delivery(dst, inbox.per_source(), self.msg_mem, self.wire);
+        }
+        (step, &self.charges)
+    }
+
+    fn replay(&mut self, superstep: u64) {
+        let p: &P = self.prog;
+        compute_superstep(&mut self.shards, &self.inboxes, &self.li, self.g, p, superstep);
+        deliver_superstep(
+            &mut self.inboxes,
+            &self.shards,
+            p,
+            p.combinable(superstep),
+            self.msg_mem,
+        );
+    }
+
+    fn capture(&self) -> Self::Snapshot {
+        BspCheckpoint::capture(&self.shards, &self.inboxes)
+    }
+
+    fn restore(&mut self, snapshot: &Self::Snapshot) {
+        snapshot.restore(&mut self.shards, &mut self.inboxes);
+    }
+
+    fn active(&self) -> u64 {
+        self.shards.iter().map(|s| s.active_vertices() as u64).sum()
+    }
+
+    fn quiescent(&self) -> bool {
+        self.inboxes.iter().all(|i| i.is_empty())
+            && self.shards.iter().all(|s| s.active_vertices() == 0)
+    }
+
+    fn finished(&mut self, superstep: u64, agg: f64) -> bool {
+        self.prog.finished(superstep, agg)
+    }
+
+    fn into_states(self) -> Vec<P::Value> {
+        let mut states: Vec<Option<P::Value>> = (0..self.g.num_vertices()).map(|_| None).collect();
+        for shard in self.shards {
+            for (&v, s) in shard.verts.iter().zip(shard.states) {
+                states[v as usize] = Some(s);
+            }
+        }
+        states.into_iter().map(|s| s.expect("partition covers all vertices")).collect()
+    }
+}
+
+/// Execute `prog` to completion over `g` partitioned by `part`.
+///
+/// The caller is responsible for phase bookkeeping and for charging the
+/// permanent graph/state memory during its load phase; this function charges
+/// compute, network, barriers, and transient message buffers.
+pub fn run_bsp<P: VertexProgram>(
+    cluster: &mut Cluster,
+    g: &CsrGraph,
+    part: &EdgeCutPartition,
+    prog: &mut P,
+    cfg: &BspConfig,
+) -> Result<BspOutcome<P::Value>, SimError> {
+    let machines = cluster.machines();
+    assert_eq!(part.machines(), machines, "partition and cluster disagree");
+    let li = LocalIndex::build(part);
+    let shards = build_shards(g, &li, prog, exec::chunk_size());
+    let inboxes = (0..machines).map(|m| Inbox::new(li.num_locals(m), prog.identity())).collect();
+    let path = MessagePath {
+        g,
+        msg_mem: cluster.profile().bytes_per_message,
+        wire: prog.wire_bytes() + 4,
+        prog,
+        li,
+        shards,
+        inboxes,
+        charges: Charges::new(machines),
+    };
+    drive(cluster, path, cfg)
+}
+
+/// The rank path: synchronous PageRank without messages. Every superstep
+/// of [`PageRankProgram`] is the same static broadcast — each vertex sends
+/// `rank / out-degree` along every out-edge and every message combines —
+/// so the inbox is a function of the ranks, and a superstep is one
+/// [`RunGather`] over the partition plus the apply step. The run sums are
+/// the message path's two-level fold: part `m` is machine `m`'s fragment in
+/// ascending global id, each vertex's out-edges in CSR order, exactly the
+/// order its chunk buckets reach [`Inbox::deliver`]. (The message path
+/// folds from `-0.0`, the gather from `+0.0`; contributions are
+/// non-negative, so no sum can tell them apart.)
+///
+/// The charges are integers of the partition, computed once per run: per
+/// machine, its vertices run, its out-edges are sent, and from superstep 1
+/// on each of its vertices with an in-edge receives one combined message;
+/// each source machine sends each destination machine one message per
+/// distinct target it reaches there.
+struct RankPath<'a> {
+    g: &'a CsrGraph,
+    prog: &'a mut PageRankProgram,
+    runs: RunGather,
+    ranks: Vec<f64>,
+    incoming: Vec<f64>,
+    /// Superstep 0's charges, which receive nothing, and every later one's.
+    first: Charges,
+    later: Charges,
+}
+
+impl<'a> RankPath<'a> {
+    fn new(
+        cluster: &Cluster,
+        g: &'a CsrGraph,
+        part: &EdgeCutPartition,
+        prog: &'a mut PageRankProgram,
+    ) -> RankPath<'a> {
+        let n = g.num_vertices();
+        let machines = part.machines();
+        let frags = part.vertices_per_machine();
+        let edges_of = |m: usize| {
+            frags[m].iter().flat_map(|&v| g.out_neighbors(v).iter().map(move |&t| (v, t)))
+        };
+        let runs = RunGather::build(n, machines, edges_of);
+        // Vertices run plus out-edges sent per machine; distinct targets per
+        // (destination, source) machine pair; whether a vertex has an
+        // in-edge (the machine that reached it last, if any).
+        let mut ops = vec![0u64; machines];
+        let mut pairs = vec![0u64; machines * machines];
+        let mut reached_by = vec![u32::MAX; n];
+        for (m, frag) in frags.iter().enumerate() {
+            ops[m] = frag.len() as u64;
+            for (_, t) in edges_of(m) {
+                ops[m] += 1;
+                if reached_by[t as usize] != m as u32 {
+                    reached_by[t as usize] = m as u32;
+                    pairs[part.machine_of(t) as usize * machines + m] += 1;
+                }
+            }
+        }
+        let mut targets = vec![0u64; machines];
+        for (t, &by) in reached_by.iter().enumerate() {
+            if by != u32::MAX {
+                targets[part.machine_of(t as VertexId) as usize] += 1;
+            }
+        }
+        let msg_mem = cluster.profile().bytes_per_message;
+        let wire = prog.wire_bytes() + 4;
+        let mut first = Charges::new(machines);
+        for dst in 0..machines {
+            first.ops[dst] = ops[dst] as f64;
+            first.inbox_bytes[dst] = targets[dst] * msg_mem;
+            first.add_delivery(dst, &pairs[dst * machines..(dst + 1) * machines], msg_mem, wire);
+        }
+        let later = Charges {
+            ops: ops.iter().zip(&targets).map(|(&o, &t)| (o + t) as f64).collect(),
+            ..first.clone()
+        };
+        let ranks = (0..n as VertexId).map(|v| prog.init(v, g).0).collect();
+        RankPath { g, prog, runs, ranks, incoming: vec![0.0; n], first, later }
+    }
+
+    /// Superstep `superstep`'s update; returns the largest `|Δrank|`.
+    /// Superstep 0 only sends.
+    fn advance(&mut self, superstep: u64) -> f64 {
+        if superstep == 0 {
+            return 0.0;
+        }
+        let g = self.g;
+        self.runs.gather(&self.ranks, |u| g.out_degree(u as VertexId), None, &mut self.incoming);
+        crate::util::pagerank_apply(&mut self.ranks, &self.incoming, self.prog.damping())
+    }
+}
+
+impl Path for RankPath<'_> {
+    type Value = f64;
+    /// The ranks: the inbox is a function of them.
+    type Snapshot = Vec<f64>;
+
+    fn step(&mut self, superstep: u64) -> (Step, &Charges) {
+        let agg = self.advance(superstep);
+        let step = Step { raw_messages: self.g.num_edges(), any_ran: !self.ranks.is_empty(), agg };
+        (step, if superstep == 0 { &self.first } else { &self.later })
+    }
+
+    fn replay(&mut self, superstep: u64) {
+        self.advance(superstep);
+    }
+
+    fn capture(&self) -> Vec<f64> {
+        self.ranks.clone()
+    }
+
+    fn restore(&mut self, snapshot: &Vec<f64>) {
+        self.ranks.clone_from(snapshot);
+    }
+
+    fn active(&self) -> u64 {
+        self.ranks.len() as u64
+    }
+
+    fn quiescent(&self) -> bool {
+        self.ranks.is_empty()
+    }
+
+    fn finished(&mut self, superstep: u64, agg: f64) -> bool {
+        self.prog.finished(superstep, agg)
+    }
+
+    fn into_states(self) -> Vec<f64> {
+        self.ranks
+    }
+}
+
+/// [`run_bsp`] with `prog`, on the rank path (see the module docs): the
+/// same ranks, supersteps, charges and journal, with no per-edge message
+/// filed.
+pub(crate) fn run_bsp_pagerank(
+    cluster: &mut Cluster,
+    g: &CsrGraph,
+    part: &EdgeCutPartition,
+    prog: &mut PageRankProgram,
+    cfg: &BspConfig,
+) -> Result<BspOutcome<f64>, SimError> {
+    assert_eq!(part.machines(), cluster.machines(), "partition and cluster disagree");
+    let path = RankPath::new(cluster, g, part, prog);
+    drive(cluster, path, cfg)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphbench_algos::workload::{PageRankConfig, StopCriterion};
     use graphbench_graph::builder::csr_from_pairs;
     use graphbench_graph::rng::for_each_seed;
     use graphbench_sim::{ClusterSpec, CostProfile};
@@ -1406,6 +1710,128 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// One PageRank run, as everything a record keeps: the ranks and the
+    /// runtime as bits, the outcome's counters, the metrics and the journal.
+    #[derive(Debug, PartialEq)]
+    struct PageRankRecord {
+        ranks: Vec<u64>,
+        supersteps: u64,
+        raw_messages: u64,
+        recovered: bool,
+        runtime: u64,
+        metrics: String,
+        journal: String,
+    }
+
+    /// `prog` is the stop rule and, for Blogel-B's vertex phase, the seeded
+    /// ranks.
+    fn pagerank_record(
+        g: &CsrGraph,
+        part: &EdgeCutPartition,
+        prog: &(PageRankConfig, Option<Vec<f64>>),
+        faults: graphbench_sim::FaultPlan,
+        cfg: &BspConfig,
+        rank_path: bool,
+    ) -> PageRankRecord {
+        let mut prog = match &prog.1 {
+            Some(init) => PageRankProgram::with_init(prog.0, init.clone()),
+            None => PageRankProgram::new(prog.0),
+        };
+        let mut cluster = Cluster::new(
+            ClusterSpec { faults, ..ClusterSpec::r3_xlarge(part.machines(), 1 << 30) },
+            CostProfile::cpp_mpi(),
+        );
+        let run = if rank_path { run_bsp_pagerank } else { run_bsp };
+        let out = run(&mut cluster, g, part, &mut prog, cfg).unwrap();
+        let ranks = out.states.iter().map(|r| r.to_bits()).collect();
+        let result = graphbench_algos::WorkloadResult::Ranks(out.states);
+        let record = crate::util::output_from(cluster, Ok(result), Vec::new());
+        PageRankRecord {
+            ranks,
+            supersteps: out.supersteps,
+            raw_messages: out.raw_messages,
+            recovered: out.recovered_from_failure,
+            runtime: record.runtime.to_bits(),
+            metrics: format!("{:?}", record.metrics),
+            journal: record.journal.to_jsonl(),
+        }
+    }
+
+    #[test]
+    fn rank_path_equals_the_message_path() {
+        use graphbench_sim::FaultPlan;
+        let _guard = crate::exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let plain = BspConfig::default();
+        let checkpointed =
+            BspConfig { checkpoint_every: Some(3), checkpoint_bytes: 1 << 20, ..plain.clone() };
+        // Crashes recovered from a checkpoint rather than from the input:
+        // proof that a restore past superstep 0 was exercised.
+        let mut from_checkpoint = 0usize;
+        for_each_seed(3, |seed, rng| {
+            // Self-loops, parallel edges into a hub, sinks, and vertices
+            // without in-edges.
+            let g = crate::gather::tests::gather_graph(rng);
+            let n = g.num_vertices();
+            let tolerance = |tol| PageRankConfig {
+                stop: StopCriterion::Tolerance(tol),
+                ..PageRankConfig::paper_exact()
+            };
+            let init: Vec<f64> = (0..n).map(|_| rng.f64() * 2.0).collect();
+            let progs = [
+                (tolerance(1e-3), None),
+                (PageRankConfig::fixed(rng.below_u32(8)), None),
+                // Blogel-B's vertex phase: seeded ranks.
+                (tolerance(1e-2), Some(init)),
+            ];
+            for machines in [1, 2, 3, 16, 64] {
+                let part = EdgeCutPartition::random(n as u64, machines, seed);
+                for threads in [1, 4] {
+                    crate::exec::set_threads(threads);
+                    for chunk in [1, 97, 4096] {
+                        crate::exec::set_chunk_size(chunk);
+                        for (i, prog) in progs.iter().enumerate() {
+                            let record = |faults: &FaultPlan, cfg, rank_path| {
+                                pagerank_record(&g, &part, prog, faults.clone(), cfg, rank_path)
+                            };
+                            let at = format!(
+                                "{n} vertices, machines {machines}, threads {threads}, \
+                                 chunk {chunk}, program {i}"
+                            );
+                            let clean = record(&FaultPlan::none(), &plain, false);
+                            assert_eq!(record(&FaultPlan::none(), &plain, true), clean, "{at}");
+                            // A crash 60 % into the run, restarting from the
+                            // input or from the last checkpoint.
+                            for cfg in [&plain, &checkpointed] {
+                                let runtime = match cfg.checkpoint_every {
+                                    None => clean.runtime,
+                                    Some(_) => record(&FaultPlan::none(), cfg, false).runtime,
+                                };
+                                let crash =
+                                    FaultPlan::single(f64::from_bits(runtime) * 0.6, machines / 2);
+                                let want = record(&crash, cfg, false);
+                                let got = record(&crash, cfg, true);
+                                let at = format!("{at}, crash, {:?}", cfg.checkpoint_every);
+                                assert_eq!(got, want, "{at}");
+                                if got.recovered {
+                                    assert_eq!(
+                                        got.ranks, clean.ranks,
+                                        "{at}: not the fault-free ranks"
+                                    );
+                                    from_checkpoint += usize::from(
+                                        cfg.checkpoint_every.is_some() && clean.supersteps > 3,
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        });
+        crate::exec::set_chunk_size(4096);
+        crate::exec::set_threads(1);
+        assert!(from_checkpoint > 0, "no crash was recovered from a checkpoint");
     }
 
     /// `combine(identity(), m) == m` for every test program, over seeded

@@ -184,42 +184,56 @@ fn machine_data(edges: &EdgeList, part: &VertexCutPartition, n: usize) -> Vec<Ma
         .collect()
 }
 
-/// Every machine's local edges grouped by source, each as `(target,
-/// machine)`: `edges[off[v]..off[v + 1]]` are `v`'s, machine-major and in
-/// placement order within a machine. One counting sort, O(|E| + |V|).
-struct OutEdges {
+/// Every machine's local edges grouped by one endpoint, `key(src, dst)`:
+/// `items[off[v]..off[v + 1]]` are `v`'s, each as `item(src, dst,
+/// machine)`, machine-major and in placement order within a machine. One
+/// counting sort, O(|E| + |V|).
+struct Grouped<T> {
     off: Vec<u32>,
-    edges: Vec<(VertexId, u32)>,
+    items: Vec<T>,
 }
 
-impl OutEdges {
-    fn build(data: &[MachineData], n: usize) -> OutEdges {
+impl<T: Copy + Default> Grouped<T> {
+    fn build(
+        data: &[MachineData],
+        n: usize,
+        key: impl Fn(VertexId, VertexId) -> VertexId,
+        item: impl Fn(VertexId, VertexId, u32) -> T,
+    ) -> Grouped<T> {
         let total: usize = data.iter().map(|md| md.edges.len()).sum();
         assert!(total < u32::MAX as usize, "{total} edges overflow the u32 offsets");
         // `off[v]` counts `v`'s edges, then holds the end of its group, and
         // after the backwards placement its start.
         let mut off = vec![0u32; n + 1];
-        for &(u, _) in data.iter().flat_map(|md| &md.edges) {
-            off[u as usize] += 1;
+        for &(u, t) in data.iter().flat_map(|md| &md.edges) {
+            off[key(u, t) as usize] += 1;
         }
         let mut end = 0;
         for o in &mut off {
             end += *o;
             *o = end;
         }
-        let mut edges = vec![(0, 0); total];
+        let mut items = vec![T::default(); total];
         for (m, md) in data.iter().enumerate().rev() {
             for &(u, t) in md.edges.iter().rev() {
-                off[u as usize] -= 1;
-                edges[off[u as usize] as usize] = (t, m as u32);
+                let k = key(u, t) as usize;
+                off[k] -= 1;
+                items[off[k] as usize] = item(u, t, m as u32);
             }
         }
-        OutEdges { off, edges }
+        Grouped { off, items }
     }
 
-    fn of(&self, v: VertexId) -> &[(VertexId, u32)] {
-        &self.edges[self.off[v as usize] as usize..self.off[v as usize + 1] as usize]
+    fn of(&self, v: VertexId) -> &[T] {
+        &self.items[self.off[v as usize] as usize..self.off[v as usize + 1] as usize]
     }
+}
+
+/// Each source's local edges as `(target, machine)`.
+type OutEdges = Grouped<(VertexId, u32)>;
+
+fn out_edges(data: &[MachineData], n: usize) -> OutEdges {
+    Grouped::build(data, n, |u, _| u, |_, t, m| (t, m))
 }
 
 fn execute(
@@ -625,18 +639,12 @@ fn async_pagerank(
 ) -> Result<Vec<f64>, SimError> {
     let n = ctx.n;
     let mut ranks = vec![1.0f64; n];
-    // Per-vertex in-/out-neighbour lists (union over machines), built in a
-    // single pass over the static edge stores and reused across every
-    // Gauss–Seidel round — the graph never changes mid-run, so there is
-    // nothing to rebuild per iteration.
-    let mut in_nbrs: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    let mut out_nbrs: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    for md in ctx.data {
-        for &(u, v) in &md.edges {
-            in_nbrs[v as usize].push(u);
-            out_nbrs[u as usize].push(v);
-        }
-    }
+    // Per-vertex in-/out-neighbour lists (union over machines, in edge-store
+    // order), built once and reused across every Gauss–Seidel round — the
+    // graph never changes mid-run, so there is nothing to rebuild per
+    // iteration.
+    let in_nbrs = Grouped::build(ctx.data, n, |_, v| v, |u, _, _| u);
+    let out_nbrs = Grouped::build(ctx.data, n, |u, _| u, |_, v, _| v);
     let (tol, max_rounds) = match cfg.stop {
         StopCriterion::Tolerance(t) => (t, 100_000u32),
         StopCriterion::Iterations(k) => (0.0, k),
@@ -671,7 +679,8 @@ fn async_pagerank(
         let mut updated = 0u64;
         for &v in &queue {
             queued[v as usize] = false;
-            let sum: f64 = in_nbrs[v as usize]
+            let sum: f64 = in_nbrs
+                .of(v)
                 .iter()
                 .map(|&u| ranks[u as usize] / ctx.outdeg[u as usize] as f64)
                 .sum();
@@ -683,8 +692,8 @@ fn async_pagerank(
             let remote = replicas.len().saturating_sub(1) as u64;
             // Lock negotiation: 3 small round trips per remote replica plus
             // a lock record held until the lock service drains it.
-            ops[master] += (1 + in_nbrs[v as usize].len() as u64 + 10 * remote) as f64
-                * ctx.async_op_penalty();
+            ops[master] +=
+                (1 + in_nbrs.of(v).len() as u64 + 10 * remote) as f64 * ctx.async_op_penalty();
             for &m in replicas {
                 if m as usize != master {
                     sent[master] += 3 * 64;
@@ -696,7 +705,7 @@ fn async_pagerank(
             }
             if delta >= tol || (tol == 0.0 && round + 1 < max_rounds) {
                 updated += 1;
-                for &t in &out_nbrs[v as usize] {
+                for &t in out_nbrs.of(v) {
                     if !queued[t as usize] {
                         queued[t as usize] = true;
                         next.push(t);
@@ -841,7 +850,7 @@ fn traversal(
     let mut dist = vec![UNREACHABLE; n];
     dist[source as usize] = 0;
     let (mut frontier, mut next) = (vec![source], Vec::new());
-    let out = OutEdges::build(ctx.data, n);
+    let out = out_edges(ctx.data, n);
     let mut kernel = Frontier::new(g);
     let mut depth = 0u32;
     while !frontier.is_empty() {
@@ -1156,7 +1165,7 @@ mod tests {
                     assert_eq!(charge, dense_gather_charge(&ctx, &idx, &active), "{case}");
                     let tally = wcc_tally(&ctx, |v| signaled[v as usize]);
                     assert_eq!(tally, dense_wcc_tally(&ctx, &idx, &signaled), "{case}");
-                    let out = OutEdges::build(&data, n);
+                    let out = out_edges(&data, n);
                     let mut kernel = Frontier::new(&g);
                     for bound in [u32::MAX, 2] {
                         let mut dist = vec![UNREACHABLE; n];

@@ -1,23 +1,24 @@
-//! The three kernels behind every non-BSP engine's host work:
-//! [`RunGather`], the run-sum gather of PageRank, [`MinLabel`], the HashMin
-//! step of WCC, and [`Frontier`], the BFS step of SSSP and K-hop.
+//! The three kernels behind the engines' host work: [`RunGather`], the
+//! run-sum gather of every synchronous distributed PageRank, [`MinLabel`],
+//! the HashMin step of every non-BSP WCC, and [`Frontier`], the BFS step of
+//! every non-BSP SSSP and K-hop.
 //!
-//! GraphLab's sync gather, GraphX's join, the Hadoop/HaLoop reduce and
-//! Vertica's `SUM` fold a destination's contributions in *runs*: one
-//! run per machine (GraphLab, GraphX) or per source chunk (MapReduce, SQL)
-//! that sends the destination anything, each folded from `+0.0` in that
-//! part's order, and the run totals added in part order. [`RunGather`]
+//! GraphLab's sync gather, GraphX's join, the Hadoop/HaLoop reduce,
+//! Vertica's `SUM` and the BSP combiners (Giraph, Blogel-V, Blogel-B's
+//! vertex phase, Gelly) fold a destination's contributions in *runs*: one
+//! run per machine (GraphLab, GraphX, BSP) or per source chunk (MapReduce,
+//! SQL) that sends the destination anything, each folded from `+0.0` in
+//! that part's order, and the run totals added in part order. [`RunGather`]
 //! stores every destination's sources in exactly that order, built once per
-//! run (the graph is loop-invariant), with the last source of each run
-//! flagged in the top bit of its id. One flat loop then reproduces the
-//! two-level fold bit for bit:
+//! run (the graph is loop-invariant), and reproduces the two-level fold bit
+//! for bit in two passes per destination window: every run's total, folded
+//! left to right, then each destination's totals added in part order. The
+//! build groups a window's runs by length, so the first pass runs one
+//! constant-trip-count loop per class and the adds of different runs
+//! overlap, instead of one dependent add chain per destination.
 //!
-//! ```text
-//! x = pm + contrib[s];  sum += x & last;  pm = x & !last   (on the bit patterns)
-//! ```
-//!
-//! The masked add is exact: contributions are non-negative, so no partial
-//! is `-0.0`, and `sum + (+0.0) == sum` for every such `sum`. A part that
+//! The seed's sign is unobservable (BSP's combiners fold from `-0.0`):
+//! contributions are non-negative, so no sum is `-0.0`, and a part that
 //! sends a destination nothing would add an exact `+0.0` and has no run.
 //!
 //! Integer min is order-free, so the WCC labels need no runs at all:
@@ -38,21 +39,43 @@ use graphbench_algos::UNREACHABLE;
 use graphbench_graph::{CsrGraph, VertexId};
 use std::ops::Range;
 
-/// Top bit of a stored source id: the source closes its run.
+/// Top bit of a staged source id: the source closes its run.
 const LAST: u32 = 1 << 31;
 
+/// Runs of up to this many sources are classed by length; a longer run is
+/// a class of its own (or shares one with the equally long runs beside it).
+const SHORT: usize = 8;
+
 pub(crate) struct RunGather {
-    /// Destination `t`'s sources are `src[off[t]..off[t + 1]]`.
-    off: Vec<u32>,
-    /// Sources grouped by destination, runs in part order, each run in its
-    /// part's edge order; a run's last source carries [`LAST`].
+    /// Destination `t`'s run totals are `tot[runs[t]..runs[t + 1]]`, in
+    /// part order.
+    runs: Vec<u32>,
+    /// Every source once, window by window. Inside a window the runs are
+    /// grouped by class (length 1, 2, …, [`SHORT`], then the longer ones),
+    /// in destination order within a class, each run in its part's edge
+    /// order.
     src: Vec<u32>,
+    /// Parallel to the stored runs: the run's total's index in `tot`,
+    /// relative to its window's first run.
+    slot: Vec<u32>,
+    /// `(run length, runs)` per class, window by window.
+    classes: Vec<(u32, u32)>,
     /// Destination windows weighted by `1 + in-degree`, so one hub cannot
     /// serialize a whole chunk.
-    plan: Vec<(usize, usize)>,
+    plan: Vec<Window>,
     /// Pooled per-iteration `rank / out-degree`, one division per source
     /// rather than one per edge: the same IEEE quotient either way.
     contrib: Vec<f64>,
+    /// Pooled run totals, indexed like `runs`.
+    tot: Vec<f64>,
+}
+
+/// One task of [`RunGather::gather`]: destinations `dst`, whose sources
+/// start at `src[first_src]` and whose classes are `classes[class_range]`.
+struct Window {
+    dst: Range<usize>,
+    first_src: usize,
+    class_range: Range<usize>,
 }
 
 impl RunGather {
@@ -64,6 +87,8 @@ impl RunGather {
         I: Iterator<Item = (VertexId, VertexId)>,
     {
         assert!(n < LAST as usize, "the run-sum gather stores ids below 2^31, got {n} vertices");
+        // Stage every destination's sources in fold order, the last source
+        // of each run flagged.
         let mut off = vec![0u32; n + 1];
         for p in 0..parts {
             for (_, t) in part(p) {
@@ -85,9 +110,71 @@ impl RunGather {
                 src[cursor[t as usize] as usize - 1] |= LAST;
             }
         }
+        drop(cursor);
+        // Run lengths in destination order: every run's end, written
+        // branch-free, then differenced.
+        let mut runs = vec![0u32; n + 1];
+        let mut len = vec![0u32; src.len() + 1];
+        let mut r = 0usize;
+        for t in 0..n {
+            for i in off[t]..off[t + 1] {
+                len[r] = i + 1;
+                r += (src[i as usize] >> 31) as usize;
+            }
+            runs[t + 1] = r as u32;
+        }
+        len.truncate(r);
+        for r in (1..len.len()).rev() {
+            len[r] -= len[r - 1];
+        }
         let weights: Vec<u64> = off.windows(2).map(|w| 1 + u64::from(w[1] - w[0])).collect();
-        let plan = exec::weighted_spans(&weights, exec::chunk_size());
-        RunGather { off, src, plan, contrib: vec![0.0; n] }
+        let spans = exec::weighted_spans(&weights, exec::chunk_size());
+        // Group each window's runs by class in place: a stable counting
+        // sort of the runs, carrying their sources along.
+        let class_of = |l: u32| (l as usize).min(SHORT + 1) - 1;
+        let (mut slot, mut classes) = (vec![0u32; len.len()], Vec::new());
+        let mut plan = Vec::with_capacity(spans.len());
+        let mut staged: Vec<u32> = Vec::new();
+        for (lo, hi) in spans {
+            let (e0, e1) = (off[lo] as usize, off[hi] as usize);
+            let (r0, r1) = (runs[lo] as usize, runs[hi] as usize);
+            let lens = &len[r0..r1];
+            // Each class's first run and first source, window-relative.
+            let (mut run_at, mut src_at) = ([0usize; SHORT + 2], [0usize; SHORT + 2]);
+            for &l in lens {
+                run_at[class_of(l) + 1] += 1;
+                src_at[class_of(l) + 1] += l as usize;
+            }
+            for c in 0..=SHORT {
+                run_at[c + 1] += run_at[c];
+                src_at[c + 1] += src_at[c];
+            }
+            staged.clear();
+            staged.extend(src[e0..e1].iter().map(|&s| s & !LAST));
+            let mut at = 0;
+            for (k, &l) in lens.iter().enumerate() {
+                let (c, l) = (class_of(l), l as usize);
+                src[e0 + src_at[c]..e0 + src_at[c] + l].copy_from_slice(&staged[at..at + l]);
+                slot[r0 + run_at[c]] = k as u32;
+                (src_at[c], run_at[c], at) = (src_at[c] + l, run_at[c] + 1, at + l);
+            }
+            // Classes are the stored order's runs of equal length.
+            let first_class = classes.len();
+            for &k in &slot[r0..r1] {
+                let l = lens[k as usize];
+                match classes[first_class..].last_mut() {
+                    Some((last, count)) if *last == l => *count += 1,
+                    _ => classes.push((l, 1)),
+                }
+            }
+            plan.push(Window {
+                dst: lo..hi,
+                first_src: e0,
+                class_range: first_class..classes.len(),
+            });
+        }
+        let tot = vec![0.0; len.len()];
+        RunGather { runs, src, slot, classes, plan, contrib: vec![0.0; n], tot }
     }
 
     /// `incoming[t]` = the run sum of `ranks[s] / deg(s)` over `t`'s sources
@@ -95,6 +182,13 @@ impl RunGather {
     /// chunk × thread combination because each destination folds whole
     /// inside one task. With an `active` mask, inactive destinations get
     /// `0.0`.
+    ///
+    /// Each window's task takes two passes. The first folds every run from
+    /// `+0.0` left to right, class by class, so the trip count of the inner
+    /// loop is constant across a class and the loop predicts well. The
+    /// second adds each destination's run totals in part order from `+0.0`.
+    /// Runs are independent, so the adds of different runs overlap instead
+    /// of queueing on one dependent chain per destination.
     pub(crate) fn gather(
         &mut self,
         ranks: &[f64],
@@ -106,22 +200,35 @@ impl RunGather {
         for (u, (c, r)) in self.contrib.iter_mut().zip(ranks).enumerate() {
             *c = r / deg(u) as f64;
         }
-        let mut tasks = windows(&self.plan, incoming);
-        let (off, src, contrib) = (&self.off, &self.src, &self.contrib);
-        exec::run_chunks(&mut tasks, |_, (base, window)| {
-            for (t, acc) in (*base..).zip(window.iter_mut()) {
-                if active.is_some_and(|a| !a[t]) {
-                    *acc = 0.0;
-                    continue;
+        let RunGather { runs, src, slot, classes, plan, contrib, tot } = self;
+        let mut tasks = Vec::with_capacity(plan.len());
+        let (mut out, mut tot) = (&mut incoming[..], &mut tot[..]);
+        for w in plan.iter() {
+            let (window, rest) = out.split_at_mut(w.dst.len());
+            let (totals, tail) = tot.split_at_mut((runs[w.dst.end] - runs[w.dst.start]) as usize);
+            tasks.push((w, window, totals));
+            (out, tot) = (rest, tail);
+        }
+        let (runs, src, slot, classes, contrib) =
+            (&runs[..], &src[..], &slot[..], &classes[..], &contrib[..]);
+        exec::run_chunks(&mut tasks, |_, (w, window, totals)| {
+            let r0 = runs[w.dst.start];
+            let (mut at, mut k) = (w.first_src, r0 as usize);
+            for &(len, count) in &classes[w.class_range.clone()] {
+                let (len, count) = (len as usize, count as usize);
+                let sources = &src[at..at + len * count];
+                for (run, &i) in sources.chunks_exact(len).zip(&slot[k..k + count]) {
+                    totals[i as usize] = run.iter().fold(0.0, |a, &s| a + contrib[s as usize]);
                 }
-                let (mut sum, mut pm) = (0.0f64, 0.0f64);
-                for &s in &src[off[t] as usize..off[t + 1] as usize] {
-                    let last = 0u64.wrapping_sub(u64::from(s >> 31));
-                    let x = (pm + contrib[(s & !LAST) as usize]).to_bits();
-                    sum += f64::from_bits(x & last);
-                    pm = f64::from_bits(x & !last);
-                }
-                *acc = sum;
+                (at, k) = (at + len * count, k + count);
+            }
+            for (t, acc) in w.dst.clone().zip(window.iter_mut()) {
+                *acc = if active.is_some_and(|a| !a[t]) {
+                    0.0
+                } else {
+                    let own = &totals[(runs[t] - r0) as usize..(runs[t + 1] - r0) as usize];
+                    own.iter().fold(0.0, |a, &x| a + x)
+                };
             }
         });
     }
@@ -363,13 +470,57 @@ pub(crate) mod tests {
         incoming
     }
 
+    /// The one-pass loop the two-pass [`RunGather::gather`] replaced, kept
+    /// as its reference: every destination's sources in fold order, the
+    /// last of each run flagged with [`LAST`], and one masked add chain
+    /// per destination,
+    /// `x = pm + contrib[s]; sum += x & last; pm = x & !last` on the bit
+    /// patterns.
+    fn masked_loop(
+        n: usize,
+        by_machine: &[Vec<(VertexId, VertexId)>],
+        contrib: &[f64],
+        active: Option<&[bool]>,
+    ) -> Vec<f64> {
+        let mut sources: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for edges in by_machine {
+            let mut last = vec![usize::MAX; n];
+            for &(s, t) in edges {
+                last[t as usize] = sources[t as usize].len();
+                sources[t as usize].push(s);
+            }
+            for (t, &i) in last.iter().enumerate() {
+                if i != usize::MAX {
+                    sources[t][i] |= LAST;
+                }
+            }
+        }
+        let mut incoming = vec![0.0f64; n];
+        for (t, acc) in incoming.iter_mut().enumerate() {
+            if active.is_some_and(|a| !a[t]) {
+                continue;
+            }
+            let (mut sum, mut pm) = (0.0f64, 0.0f64);
+            for &s in &sources[t] {
+                let last = 0u64.wrapping_sub(u64::from(s >> 31));
+                let x = (pm + contrib[(s & !LAST) as usize]).to_bits();
+                sum += f64::from_bits(x & last);
+                pm = f64::from_bits(x & !last);
+            }
+            *acc = sum;
+        }
+        incoming
+    }
+
     #[test]
     fn run_sums_equal_the_dense_partial_fold_bit_for_bit() {
         let _guard = exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        exec::set_threads(4);
         // Destinations where one flat sum over all sources differs from the
         // run fold: proof that this test can tell the two apart.
         let mut flat_differs = 0usize;
+        // Runs past the last length class, and destinations without a
+        // source: proof that both shapes were exercised.
+        let (mut long_runs, mut empty) = (0usize, 0usize);
         for_each_seed(24, |_, rng| {
             let g = gather_graph(rng);
             let n = g.num_vertices();
@@ -382,26 +533,39 @@ pub(crate) mod tests {
             let deg: Vec<u32> = (0..n).map(|_| 1 + rng.below_u32(4)).collect();
             let contrib: Vec<f64> = ranks.iter().zip(&deg).map(|(r, &d)| r / d as f64).collect();
             let active: Vec<bool> = (0..n).map(|_| rng.below(3) > 0).collect();
+            let mut indeg = vec![0usize; n];
+            edges.iter().for_each(|&(_, t)| indeg[t as usize] += 1);
+            empty += indeg.iter().filter(|&&d| d == 0).count();
             for machines in [1, 2, 3, 16, 64] {
                 let mut by_machine = vec![Vec::new(); machines];
                 for &e in &edges {
                     by_machine[rng.below(machines)].push(e);
                 }
-                for chunk in [1, 97, 4096] {
-                    exec::set_chunk_size(chunk);
-                    let mut rg = RunGather::build(n, machines, |m| by_machine[m].iter().copied());
-                    for mask in [None, Some(&active[..])] {
-                        let want = dense_partials(n, &by_machine, &contrib, mask);
-                        let mut got = vec![f64::NAN; n];
-                        rg.gather(&ranks, |u| u64::from(deg[u]), mask, &mut got);
-                        for t in 0..n {
-                            assert_eq!(
-                                got[t].to_bits(),
-                                want[t].to_bits(),
-                                "vertex {t} of {n}, machines {machines}, chunk {chunk}, \
-                                 masked {}",
-                                mask.is_some()
-                            );
+                for m in &by_machine {
+                    let mut run = vec![0usize; n];
+                    m.iter().for_each(|&(_, t)| run[t as usize] += 1);
+                    long_runs += run.iter().filter(|&&l| l > SHORT).count();
+                }
+                for threads in [1, 4] {
+                    exec::set_threads(threads);
+                    for chunk in [1, 97, 4096] {
+                        exec::set_chunk_size(chunk);
+                        let mut rg =
+                            RunGather::build(n, machines, |m| by_machine[m].iter().copied());
+                        for mask in [None, Some(&active[..])] {
+                            let want = dense_partials(n, &by_machine, &contrib, mask);
+                            let masked = masked_loop(n, &by_machine, &contrib, mask);
+                            let mut got = vec![f64::NAN; n];
+                            rg.gather(&ranks, |u| u64::from(deg[u]), mask, &mut got);
+                            for t in 0..n {
+                                let at = format!(
+                                    "vertex {t} of {n}, machines {machines}, threads \
+                                     {threads}, chunk {chunk}, masked {}",
+                                    mask.is_some()
+                                );
+                                assert_eq!(got[t].to_bits(), want[t].to_bits(), "{at}");
+                                assert_eq!(got[t].to_bits(), masked[t].to_bits(), "{at}");
+                            }
                         }
                     }
                 }
@@ -413,6 +577,7 @@ pub(crate) mod tests {
         exec::set_chunk_size(4096);
         exec::set_threads(1);
         assert!(flat_differs > 0, "no destination tells a flat sum from the run fold");
+        assert!(long_runs > 0 && empty > 0, "long runs {long_runs}, empty destinations {empty}");
     }
 
     /// The loop [`MinLabel`] replaces, kept as its reference: Vertica's

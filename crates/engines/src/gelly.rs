@@ -16,7 +16,7 @@
 //! Execution structure is vertex-centric BSP, so this engine reuses the
 //! shared runtime with Flink's cost profile.
 
-use crate::bsp::{run_bsp, BspConfig};
+use crate::bsp::{run_bsp, run_bsp_pagerank, BspConfig};
 use crate::programs::{wcc_labels, KHopProgram, PageRankProgram, SsspProgram, WccProgram};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::{Workload, WorkloadResult};
@@ -130,7 +130,8 @@ fn execute(
     let result = match input.workload {
         Workload::PageRank(pr) => {
             let mut prog = PageRankProgram::new(pr);
-            WorkloadResult::Ranks(run_bsp(cluster, input.graph, &part, &mut prog, &cfg)?.states)
+            let out = run_bsp_pagerank(cluster, input.graph, &part, &mut prog, &cfg)?;
+            WorkloadResult::Ranks(out.states)
         }
         Workload::Wcc => {
             let mut prog = WccProgram::new(n, 20);

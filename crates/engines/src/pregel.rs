@@ -12,7 +12,7 @@
 //!   (§5.5, §5.7);
 //! * four mappers per machine, i.e. all 4 cores compute.
 
-use crate::bsp::{run_bsp, BspConfig};
+use crate::bsp::{run_bsp, run_bsp_pagerank, BspConfig};
 use crate::programs::{wcc_labels, KHopProgram, PageRankProgram, SsspProgram, WccProgram};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::{Workload, WorkloadResult};
@@ -130,7 +130,7 @@ fn execute(
     let result = match input.workload {
         Workload::PageRank(pr) => {
             let mut prog = PageRankProgram::new(pr);
-            let out = run_bsp(cluster, input.graph, &part, &mut prog, &cfg)?;
+            let out = run_bsp_pagerank(cluster, input.graph, &part, &mut prog, &cfg)?;
             WorkloadResult::Ranks(out.states)
         }
         Workload::Wcc => {

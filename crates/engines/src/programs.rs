@@ -26,6 +26,10 @@ impl PageRankProgram {
     pub fn with_init(cfg: PageRankConfig, init_ranks: Vec<f64>) -> Self {
         PageRankProgram { cfg, init_ranks: Some(init_ranks) }
     }
+
+    pub(crate) fn damping(&self) -> f64 {
+        self.cfg.damping
+    }
 }
 
 impl VertexProgram for PageRankProgram {

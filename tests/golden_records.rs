@@ -159,6 +159,30 @@ fn golden_blogel_v_wcc() {
     golden_cell(SystemId::BlogelV, WorkloadKind::Wcc);
 }
 
+/// Gelly: the BSP runtime under Flink's cost profile and its per-superstep
+/// spill.
+#[test]
+fn golden_gelly_pagerank() {
+    golden_cell(SystemId::Gelly, WorkloadKind::PageRank);
+}
+
+/// Blogel-B: the block-local and block-graph phases, then the vertex phase
+/// seeded with `local_pr(v) * block_pr(b)`.
+#[test]
+fn golden_blogel_b_pagerank() {
+    golden_cell(SystemId::BlogelB, WorkloadKind::PageRank);
+}
+
+/// GL-A-R-T: the asynchronous (Gauss–Seidel) PageRank, whose sweep and
+/// queue order follow the machines' edge stores.
+#[test]
+fn golden_graphlab_async_pagerank() {
+    golden_cell(
+        SystemId::GraphLab { sync: false, auto: false, stop: GlStop::Tolerance },
+        WorkloadKind::PageRank,
+    );
+}
+
 #[test]
 fn golden_hadoop_pagerank() {
     golden_cell(SystemId::Hadoop, WorkloadKind::PageRank);
