@@ -21,9 +21,9 @@
 //!   `local_pr(v) * block_pr(b)`, an initialization that *hurts* convergence
 //!   (§3.1.2) — reproduced by executing exactly that algorithm.
 
-use crate::bsp::{run_bsp, run_bsp_pagerank, BspConfig};
+use crate::bsp::{run_bsp, run_bsp_pagerank, run_bsp_wcc, BspConfig};
 use crate::exec;
-use crate::programs::{wcc_labels, KHopProgram, PageRankProgram, SsspProgram, WccProgram};
+use crate::programs::{KHopProgram, PageRankProgram, SsspProgram};
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::PageRankConfig;
@@ -99,10 +99,8 @@ fn run_vertex_mode(
             WorkloadResult::Ranks(out.states)
         }
         Workload::Wcc => {
-            let mut prog = WccProgram::new(n, profile.bytes_per_edge);
-            WorkloadResult::Labels(wcc_labels(
-                run_bsp(cluster, input.graph, &part, &mut prog, &cfg)?.states,
-            ))
+            let out = run_bsp_wcc(cluster, input.graph, &part, profile.bytes_per_edge, &cfg)?;
+            WorkloadResult::Labels(out.states)
         }
         Workload::Sssp { source } => {
             let mut prog = SsspProgram::new(source);

@@ -27,14 +27,18 @@
 //!
 //! One superstep loop, `drive`, charges every run: compute, buffers,
 //! wire, spill, barrier, trace, checkpoint, recovery replay and
-//! termination. What a superstep computes and charges comes from one of two
-//! paths behind the private `Path` seam. The *message path* ([`run_bsp`])
-//! runs any [`VertexProgram`] (WCC, SSSP, K-hop). The *rank path*
+//! termination. What a superstep computes and charges comes from one of
+//! three paths behind the private `Path` seam. The *message path*
+//! ([`run_bsp`]) runs any [`VertexProgram`] (SSSP, K-hop). The *rank path*
 //! (`run_bsp_pagerank`) runs [`PageRankProgram`]: every PageRank superstep
 //! is the same static broadcast, so it folds the ranks with
 //! `gather::RunGather` and charges integers of the partition computed once
-//! per run, with no per-edge message filed. `run_bsp` with
-//! `PageRankProgram` remains its reference.
+//! per run, with no per-edge message filed. The *label path*
+//! (`run_bsp_wcc`) runs [`WccProgram`]: its combiner, `min`, and every
+//! count it is charged by are order-free, so a superstep is one branch-free
+//! push per route into position-indexed arrays, again with no message
+//! filed. `run_bsp` with `PageRankProgram` and with `WccProgram` remains
+//! each one's reference.
 //!
 //! The message path is the zero-sort radix shuffle of [`crate::shuffle`],
 //! and each message is copied once. Every out-edge's target is resolved to
@@ -47,19 +51,20 @@
 //! lie, folding or grouping them by the carried local id. A message-path
 //! superstep is two dispatches: compute, then deliver.
 //!
-//! Which vertices a superstep runs is a *frontier* with no threshold to
-//! tune: every chunk counts its own `active` flags, and a chunk whose count
-//! is zero — every SSSP, K-hop and WCC superstep after the first two — can
-//! only run vertices that have messages, so it walks the set bits of the
-//! inbox's has-messages bitmap instead of testing each vertex. A chunk with
-//! self-active vertices (WCC's first two supersteps) keeps the dense loop.
+//! Which vertices a message-path superstep runs is a *frontier* with no
+//! threshold to tune: every chunk counts its own `active` flags, and a
+//! chunk whose count is zero — every SSSP and K-hop superstep after the
+//! first — can only run vertices that have messages, so it walks the set
+//! bits of the inbox's has-messages bitmap instead of testing each vertex.
+//! A chunk with self-active vertices (SSSP's source, in superstep 0) keeps
+//! the dense loop.
 //! Either way vertices run in ascending local id, so the choice is
 //! unobservable. The same counts answer "is anything still active" at the
 //! end of a superstep.
 
 use crate::exec;
 use crate::gather::RunGather;
-use crate::programs::PageRankProgram;
+use crate::programs::{PageRankProgram, WccProgram};
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::shuffle::Inbox;
 use graphbench_graph::{CsrGraph, VertexId};
@@ -534,6 +539,14 @@ impl Charges {
         }
     }
 
+    /// Zero what [`Charges::add_delivery`] accumulates.
+    fn clear_deliveries(&mut self) {
+        for v in [&mut self.send_buffer_bytes, &mut self.sent, &mut self.recv, &mut self.msg_counts]
+        {
+            v.fill(0);
+        }
+    }
+
     /// Add machine `dst`'s delivery: `per_source[src]` post-combine
     /// messages from each source machine. A machine's messages to itself
     /// fill its send buffer but never cross the wire.
@@ -559,9 +572,10 @@ struct Step {
 }
 
 /// The host side of a BSP run, stepped by [`drive`]: the message path
-/// ([`MessagePath`], any [`VertexProgram`]) or the rank path ([`RankPath`],
-/// PageRank). The driver owns everything simulated; a path owns the program
-/// state and says what each superstep charges.
+/// ([`MessagePath`], any [`VertexProgram`]), the rank path ([`RankPath`],
+/// PageRank) or the label path ([`LabelPath`], WCC). [`drive`] owns
+/// everything simulated; a path owns the program state and says what each
+/// superstep charges.
 trait Path {
     /// Per-vertex state.
     type Value;
@@ -594,7 +608,7 @@ trait Path {
 }
 
 /// The one superstep loop: charges, spill, barrier, trace, checkpoint,
-/// recovery replay and termination, for either path. Generic, not `dyn`:
+/// recovery replay and termination, for every path. Generic, not `dyn`:
 /// each path gets its own copy of the loop.
 fn drive<S: Path>(
     cluster: &mut Cluster,
@@ -760,9 +774,7 @@ impl<P: VertexProgram> Path for MessagePath<'_, P> {
         c.inbox_bytes.copy_from_slice(&delivered);
         // Wire accounting: the per-source, post-combine counts delivery
         // recorded.
-        for v in [&mut c.send_buffer_bytes, &mut c.sent, &mut c.recv, &mut c.msg_counts] {
-            v.fill(0);
-        }
+        c.clear_deliveries();
         for (dst, inbox) in self.inboxes.iter().enumerate() {
             c.add_delivery(dst, inbox.per_source(), self.msg_mem, self.wire);
         }
@@ -986,6 +998,353 @@ pub(crate) fn run_bsp_pagerank(
 ) -> Result<BspOutcome<f64>, SimError> {
     assert_eq!(part.machines(), cluster.machines(), "partition and cluster disagree");
     let path = RankPath::new(cluster, g, part, prog);
+    drive(cluster, path, cfg)
+}
+
+/// The label path: HashMin WCC without messages. [`WccProgram`]'s combiner,
+/// `min`, and every count it is charged by — messages run, sent and
+/// received, distinct targets per (source, destination) machine — are
+/// order-free, so a superstep is one branch-free push per route into
+/// position-indexed arrays, with the message path's labels and charges.
+///
+/// Positions are machine-contiguous: machine `m` owns `off[m]..off[m + 1]`,
+/// its fragment ascending by global id, so a vertex's position is its
+/// machine's offset plus its fragment-local id. A position's routes are its
+/// out-edges in CSR order, self-loops included (what
+/// [`Ctx::send_to_out_neighbors`] sends along), then its in-edges without
+/// self-loops (the in-neighbours discovery stores).
+///
+/// Superstep 0 (discovery, uncombined) is integers of the graph, computed
+/// once: every vertex runs and sends its id along each non-self out-edge.
+/// Superstep 1 runs every vertex: it stores and charges the ids that
+/// arrived, takes their min with its own, and broadcasts it along every
+/// route. From superstep 2 on, each vertex with mail takes the least label
+/// sent to it and, if that lowers its own, broadcasts it.
+struct LabelPath<'a> {
+    g: &'a CsrGraph,
+    routes: Routes,
+    /// Label per position.
+    label: Vec<VertexId>,
+    /// The delivered inbox.
+    inbox: Mail,
+    /// The next inbox, as this superstep's pushes fill it.
+    out: Outbox,
+    /// Messages superstep 1 receives per machine (its in-edges without
+    /// self-loops), each stored at `bytes_per_edge`.
+    discovered: Vec<u64>,
+    bytes_per_edge: u64,
+    /// Superstep 0's charges, and the ones every later superstep overwrites.
+    discovery: Charges,
+    charges: Charges,
+    msg_mem: u64,
+    wire: u64,
+    /// Vertices with their active flag set: all after superstep 0, none
+    /// after any later one.
+    active: u64,
+}
+
+/// The label path's static tables, by position.
+struct Routes {
+    /// Global id per position.
+    verts: Vec<VertexId>,
+    /// Machine `m`'s positions are `off[m]..off[m + 1]`.
+    off: Vec<usize>,
+    /// Owner machine per position.
+    mach: Vec<u32>,
+    /// Position `p`'s routes are `to[at[p]..at[p + 1]]`: out-edges, then
+    /// in-edges.
+    at: Vec<usize>,
+    to: Vec<u32>,
+}
+
+impl Routes {
+    fn of(&self, p: usize) -> &[u32] {
+        &self.to[self.at[p]..self.at[p + 1]]
+    }
+
+    /// Superstep 1's label of position `p`: the least of its id and its
+    /// in-neighbours' ids.
+    fn discovered_label(&self, g: &CsrGraph, p: usize) -> VertexId {
+        let ins = &self.of(p)[g.out_degree(self.verts[p]) as usize..];
+        ins.iter().fold(self.verts[p], |x, &u| x.min(self.verts[u as usize]))
+    }
+}
+
+/// An inbox by position: the least label sent to each position
+/// (`VertexId::MAX` if none) and the has-mail bitmap. Empty between uses:
+/// every read resets what it consumed.
+#[derive(Clone)]
+struct Mail {
+    min: Vec<VertexId>,
+    live: Vec<u64>,
+}
+
+/// The next inbox and what filling it is charged by.
+struct Outbox {
+    mail: Mail,
+    /// `stamp[t] == first + m`: source machine `m` already reached `t`
+    /// this superstep. One epoch per (superstep, source machine); `first`
+    /// moves on by the machine count per superstep. A stamp holds only the
+    /// last source to reach `t`, so the count is right only if, within a
+    /// superstep, each source machine's pushes come in one unbroken run:
+    /// [`Outbox::push`] holds callers to ascending source machines.
+    stamp: Vec<u32>,
+    first: u32,
+    machines: usize,
+    /// The source machine of the open run (checked in debug builds).
+    run: usize,
+    /// Distinct targets per (destination, source) machine pair.
+    pairs: Vec<u64>,
+}
+
+impl Outbox {
+    /// Start a superstep: clear the pair counts and move to fresh epochs,
+    /// above every stamp left.
+    fn begin(&mut self) {
+        self.pairs.fill(0);
+        let m = self.machines as u32;
+        if self.first > u32::MAX - 2 * m {
+            self.stamp.fill(0);
+            self.first = 0;
+        }
+        self.first += m;
+        self.run = 0;
+    }
+
+    /// File `x` for each of `targets`, sent from machine `src`: the target
+    /// keeps the least label, gets its has-mail bit, and counts once per
+    /// source machine. No branch per target. Within a superstep, calls
+    /// must come in ascending `src`, so that each source machine's pushes
+    /// are one unbroken run (see `stamp`).
+    #[inline]
+    fn push(&mut self, mach: &[u32], targets: &[u32], x: VertexId, src: usize) {
+        debug_assert!(src >= self.run, "machine {src} pushed after machine {}'s run", self.run);
+        self.run = src;
+        let epoch = self.first + src as u32;
+        for &t in targets {
+            let t = t as usize;
+            self.mail.min[t] = self.mail.min[t].min(x);
+            self.mail.live[t / 64] |= 1 << (t % 64);
+            let pair = mach[t] as usize * self.machines + src;
+            self.pairs[pair] += u64::from(self.stamp[t] != epoch);
+            self.stamp[t] = epoch;
+        }
+    }
+}
+
+/// The label path's recovery snapshot: the labels and the delivered inbox
+/// at a superstep boundary.
+struct LabelSnapshot {
+    label: Vec<VertexId>,
+    inbox: Mail,
+    active: u64,
+}
+
+impl<'a> LabelPath<'a> {
+    fn new(
+        cluster: &Cluster,
+        g: &'a CsrGraph,
+        part: &EdgeCutPartition,
+        bytes_per_edge: u64,
+    ) -> LabelPath<'a> {
+        let n = g.num_vertices();
+        let machines = part.machines();
+        // Each fragment is ascending by global id, as `LocalIndex` numbers
+        // it.
+        let frags = part.vertices_per_machine();
+        let mut off = vec![0];
+        let mut mach = Vec::with_capacity(n);
+        for (m, frag) in frags.iter().enumerate() {
+            mach.resize(mach.len() + frag.len(), m as u32);
+            off.push(mach.len());
+        }
+        let verts = frags.concat();
+        assert_eq!(verts.len(), n, "partition and graph disagree");
+        let mut pos_of = vec![0u32; n];
+        for (p, &v) in verts.iter().enumerate() {
+            pos_of[v as usize] = p as u32;
+        }
+        // The route table, and superstep 0's sends per (destination,
+        // source) machine: one per non-self out-edge.
+        let (in_off, in_src) = g.transpose();
+        let mut at = Vec::with_capacity(n + 1);
+        at.push(0);
+        let mut to = Vec::with_capacity(2 * g.num_edges() as usize);
+        let mut sends = vec![0u64; machines * machines];
+        for (p, &v) in verts.iter().enumerate() {
+            let src = mach[p] as usize;
+            for &t in g.out_neighbors(v) {
+                let tp = pos_of[t as usize];
+                to.push(tp);
+                sends[mach[tp as usize] as usize * machines + src] += u64::from(t != v);
+            }
+            let ins = &in_src[in_off[v as usize] as usize..in_off[v as usize + 1] as usize];
+            to.extend(ins.iter().filter(|&&u| u != v).map(|&u| pos_of[u as usize]));
+            at.push(to.len());
+        }
+        let msg_mem = cluster.profile().bytes_per_message;
+        let prog = WccProgram::new(bytes_per_edge);
+        let wire = prog.wire_bytes() + 4;
+        // Superstep 0: every vertex runs and sends; nothing is combined.
+        let mut discovery = Charges::new(machines);
+        let mut ops: Vec<u64> = off.windows(2).map(|w| (w[1] - w[0]) as u64).collect();
+        let mut discovered = vec![0u64; machines];
+        for dst in 0..machines {
+            let row = &sends[dst * machines..(dst + 1) * machines];
+            discovered[dst] = row.iter().sum();
+            row.iter().zip(&mut ops).for_each(|(&c, o)| *o += c);
+            discovery.inbox_bytes[dst] = discovered[dst] * msg_mem;
+            discovery.add_delivery(dst, row, msg_mem, wire);
+        }
+        discovery.ops = ops.iter().map(|&o| o as f64).collect();
+        let empty = Mail { min: vec![VertexId::MAX; n], live: vec![0; n.div_ceil(64)] };
+        LabelPath {
+            g,
+            label: verts.clone(),
+            routes: Routes { verts, off, mach, at, to },
+            inbox: empty.clone(),
+            out: Outbox {
+                mail: empty,
+                stamp: vec![0; n],
+                first: 0,
+                machines,
+                run: 0,
+                pairs: vec![0; machines * machines],
+            },
+            discovered,
+            bytes_per_edge,
+            discovery,
+            charges: Charges::new(machines),
+            msg_mem,
+            wire,
+            active: 0,
+        }
+    }
+
+    /// One superstep from 1 on, `dense` for superstep 1. Fills `charges`;
+    /// returns the messages sent and whether any vertex ran.
+    ///
+    /// It scans in place, in ascending position, pushing as it goes: every
+    /// push reads only the delivered inbox and writes only the next one, so
+    /// the labels and charges are the same at any thread and chunk count,
+    /// and each source machine's pushes form one unbroken run (what the
+    /// outbox's distinct-target count needs).
+    fn hashmin(&mut self, dense: bool) -> (u64, bool) {
+        let machines = self.out.machines;
+        self.out.begin();
+        let LabelPath { g, routes: r, label, inbox, out, .. } = self;
+        // Vertices run and messages sent, per machine.
+        let mut ran = vec![0u64; machines];
+        let mut sent = vec![0u64; machines];
+        if dense {
+            for (p, l) in label.iter_mut().enumerate() {
+                let x = r.discovered_label(g, p);
+                *l = x;
+                let m = r.mach[p] as usize;
+                ran[m] += 1;
+                sent[m] += r.of(p).len() as u64;
+                out.push(&r.mach, r.of(p), x, m);
+            }
+        } else {
+            for w in 0..inbox.live.len() {
+                let mut bits = std::mem::take(&mut inbox.live[w]);
+                while bits != 0 {
+                    let p = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let x = std::mem::replace(&mut inbox.min[p], VertexId::MAX);
+                    let m = r.mach[p] as usize;
+                    ran[m] += 1;
+                    if x < label[p] {
+                        label[p] = x;
+                        sent[m] += r.of(p).len() as u64;
+                        out.push(&r.mach, r.of(p), x, m);
+                    }
+                }
+            }
+        }
+        // What was pushed is the next superstep's inbox; the consumed one
+        // is the empty outbox.
+        std::mem::swap(inbox, &mut out.mail);
+
+        let c = &mut self.charges;
+        c.clear_deliveries();
+        for m in 0..machines {
+            let received = if dense { self.discovered[m] } else { ran[m] };
+            c.ops[m] = (ran[m] + received + sent[m]) as f64;
+            c.extra_alloc[m] = if dense { received * self.bytes_per_edge } else { 0 };
+            let (lo, hi) = (self.routes.off[m], self.routes.off[m + 1]);
+            let mail = crate::shuffle::set_bits(&self.inbox.live, lo, hi).count() as u64;
+            c.inbox_bytes[m] = mail * self.msg_mem;
+            let row = &self.out.pairs[m * machines..(m + 1) * machines];
+            c.add_delivery(m, row, self.msg_mem, self.wire);
+        }
+        (sent.iter().sum(), ran.iter().any(|&r| r > 0))
+    }
+}
+
+impl Path for LabelPath<'_> {
+    type Value = VertexId;
+    type Snapshot = LabelSnapshot;
+
+    fn step(&mut self, superstep: u64) -> (Step, &Charges) {
+        if superstep == 0 {
+            self.active = self.label.len() as u64;
+            let raw_messages = self.discovered.iter().sum();
+            let step = Step { raw_messages, any_ran: self.active > 0, agg: 0.0 };
+            return (step, &self.discovery);
+        }
+        self.active = 0;
+        let (raw_messages, any_ran) = self.hashmin(superstep == 1);
+        (Step { raw_messages, any_ran, agg: 0.0 }, &self.charges)
+    }
+
+    fn replay(&mut self, superstep: u64) {
+        self.step(superstep);
+    }
+
+    fn capture(&self) -> LabelSnapshot {
+        LabelSnapshot { label: self.label.clone(), inbox: self.inbox.clone(), active: self.active }
+    }
+
+    fn restore(&mut self, snapshot: &LabelSnapshot) {
+        self.label.clone_from(&snapshot.label);
+        self.inbox.clone_from(&snapshot.inbox);
+        self.active = snapshot.active;
+    }
+
+    fn active(&self) -> u64 {
+        self.active
+    }
+
+    fn quiescent(&self) -> bool {
+        self.active == 0 && self.inbox.live.iter().all(|&w| w == 0)
+    }
+
+    fn finished(&mut self, _superstep: u64, _agg: f64) -> bool {
+        false
+    }
+
+    fn into_states(self) -> Vec<VertexId> {
+        let mut labels = vec![0; self.label.len()];
+        for (&v, &l) in self.routes.verts.iter().zip(&self.label) {
+            labels[v as usize] = l;
+        }
+        labels
+    }
+}
+
+/// [`run_bsp`] with [`WccProgram`], on the label path (see the module
+/// docs): the same labels, supersteps, charges and journal, with no
+/// per-edge message filed.
+pub(crate) fn run_bsp_wcc(
+    cluster: &mut Cluster,
+    g: &CsrGraph,
+    part: &EdgeCutPartition,
+    bytes_per_edge: u64,
+    cfg: &BspConfig,
+) -> Result<BspOutcome<VertexId>, SimError> {
+    assert_eq!(part.machines(), cluster.machines(), "partition and cluster disagree");
+    let path = LabelPath::new(cluster, g, part, bytes_per_edge);
     drive(cluster, path, cfg)
 }
 
@@ -1712,17 +2071,44 @@ mod tests {
         });
     }
 
-    /// One PageRank run, as everything a record keeps: the ranks and the
-    /// runtime as bits, the outcome's counters, the metrics and the journal.
+    /// One run, as everything a record keeps: the answer and the runtime
+    /// as bits, the outcome's counters, the metrics and the journal.
     #[derive(Debug, PartialEq)]
-    struct PageRankRecord {
-        ranks: Vec<u64>,
+    struct PathRecord {
+        states: Vec<u64>,
         supersteps: u64,
         raw_messages: u64,
         recovered: bool,
         runtime: u64,
         metrics: String,
         journal: String,
+    }
+
+    impl PathRecord {
+        fn new<V>(
+            cluster: Cluster,
+            out: &BspOutcome<V>,
+            states: Vec<u64>,
+            result: graphbench_algos::WorkloadResult,
+        ) -> PathRecord {
+            let record = crate::util::output_from(cluster, Ok(result), Vec::new());
+            PathRecord {
+                states,
+                supersteps: out.supersteps,
+                raw_messages: out.raw_messages,
+                recovered: out.recovered_from_failure,
+                runtime: record.runtime.to_bits(),
+                metrics: format!("{:?}", record.metrics),
+                journal: record.journal.to_jsonl(),
+            }
+        }
+    }
+
+    fn cluster_for(part: &EdgeCutPartition, faults: graphbench_sim::FaultPlan) -> Cluster {
+        Cluster::new(
+            ClusterSpec { faults, ..ClusterSpec::r3_xlarge(part.machines(), 1 << 30) },
+            CostProfile::cpp_mpi(),
+        )
     }
 
     /// `prog` is the stop rule and, for Blogel-B's vertex phase, the seeded
@@ -1734,29 +2120,17 @@ mod tests {
         faults: graphbench_sim::FaultPlan,
         cfg: &BspConfig,
         rank_path: bool,
-    ) -> PageRankRecord {
+    ) -> PathRecord {
         let mut prog = match &prog.1 {
             Some(init) => PageRankProgram::with_init(prog.0, init.clone()),
             None => PageRankProgram::new(prog.0),
         };
-        let mut cluster = Cluster::new(
-            ClusterSpec { faults, ..ClusterSpec::r3_xlarge(part.machines(), 1 << 30) },
-            CostProfile::cpp_mpi(),
-        );
+        let mut cluster = cluster_for(part, faults);
         let run = if rank_path { run_bsp_pagerank } else { run_bsp };
         let out = run(&mut cluster, g, part, &mut prog, cfg).unwrap();
         let ranks = out.states.iter().map(|r| r.to_bits()).collect();
-        let result = graphbench_algos::WorkloadResult::Ranks(out.states);
-        let record = crate::util::output_from(cluster, Ok(result), Vec::new());
-        PageRankRecord {
-            ranks,
-            supersteps: out.supersteps,
-            raw_messages: out.raw_messages,
-            recovered: out.recovered_from_failure,
-            runtime: record.runtime.to_bits(),
-            metrics: format!("{:?}", record.metrics),
-            journal: record.journal.to_jsonl(),
-        }
+        let result = graphbench_algos::WorkloadResult::Ranks(out.states.clone());
+        PathRecord::new(cluster, &out, ranks, result)
     }
 
     #[test]
@@ -1816,8 +2190,122 @@ mod tests {
                                 assert_eq!(got, want, "{at}");
                                 if got.recovered {
                                     assert_eq!(
-                                        got.ranks, clean.ranks,
+                                        got.states, clean.states,
                                         "{at}: not the fault-free ranks"
+                                    );
+                                    from_checkpoint += usize::from(
+                                        cfg.checkpoint_every.is_some() && clean.supersteps > 3,
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        });
+        crate::exec::set_chunk_size(4096);
+        crate::exec::set_threads(1);
+        assert!(from_checkpoint > 0, "no crash was recovered from a checkpoint");
+    }
+
+    /// Chains with random edge directions, cut into several components,
+    /// with parallel edges, self-loops and isolated vertices: HashMin needs
+    /// a superstep per hop to carry a label along a chain either way.
+    fn chain_graph(rng: &mut graphbench_graph::rng::Rng) -> CsrGraph {
+        let n = 2 + rng.below_u32(300);
+        let mut el = graphbench_graph::EdgeList::with_capacity(n as u64, 0);
+        for v in 1..n {
+            let u = v - 1 - rng.below_u32(v.min(3));
+            let (s, t) = if rng.below(2) == 0 { (u, v) } else { (v, u) };
+            match rng.below(8) {
+                0 => {} // a cut
+                1 => {
+                    el.push(s, t);
+                    el.push(s, t);
+                }
+                2 => {
+                    el.push(s, t);
+                    el.push(v, v);
+                }
+                _ => el.push(s, t),
+            }
+        }
+        CsrGraph::from_edge_list(&el)
+    }
+
+    fn wcc_record(
+        g: &CsrGraph,
+        part: &EdgeCutPartition,
+        faults: graphbench_sim::FaultPlan,
+        cfg: &BspConfig,
+        label_path: bool,
+    ) -> PathRecord {
+        let mut cluster = cluster_for(part, faults);
+        let out = if label_path {
+            run_bsp_wcc(&mut cluster, g, part, 8, cfg).unwrap()
+        } else {
+            let out = run_bsp(&mut cluster, g, part, &mut WccProgram::new(8), cfg).unwrap();
+            BspOutcome {
+                states: crate::programs::wcc_labels(out.states),
+                supersteps: out.supersteps,
+                raw_messages: out.raw_messages,
+                recovered_from_failure: out.recovered_from_failure,
+            }
+        };
+        let labels = out.states.iter().map(|&l| u64::from(l)).collect();
+        let result = graphbench_algos::WorkloadResult::Labels(out.states.clone());
+        PathRecord::new(cluster, &out, labels, result)
+    }
+
+    #[test]
+    fn label_path_equals_the_message_path() {
+        use graphbench_sim::FaultPlan;
+        let _guard = crate::exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let plain = BspConfig::default();
+        let checkpointed =
+            BspConfig { checkpoint_every: Some(3), checkpoint_bytes: 1 << 20, ..plain.clone() };
+        // Crashes recovered from a checkpoint rather than from the input:
+        // proof that a restore past superstep 0 was exercised.
+        let mut from_checkpoint = 0usize;
+        for_each_seed(3, |seed, rng| {
+            let graphs = [crate::gather::tests::gather_graph(rng), chain_graph(rng)];
+            for (gi, g) in graphs.iter().enumerate() {
+                let n = g.num_vertices();
+                let want: Vec<u64> =
+                    graphbench_algos::reference::wcc(g).into_iter().map(u64::from).collect();
+                for machines in [1, 2, 3, 16, 64] {
+                    let part = EdgeCutPartition::random(n as u64, machines, seed);
+                    for threads in [1, 4] {
+                        crate::exec::set_threads(threads);
+                        for chunk in [1, 97, 4096] {
+                            crate::exec::set_chunk_size(chunk);
+                            let record = |faults: &FaultPlan, cfg, label_path| {
+                                wcc_record(g, &part, faults.clone(), cfg, label_path)
+                            };
+                            let at = format!(
+                                "graph {gi}, {n} vertices, machines {machines}, \
+                                 threads {threads}, chunk {chunk}"
+                            );
+                            let clean = record(&FaultPlan::none(), &plain, false);
+                            assert_eq!(clean.states, want, "{at}: not the components");
+                            assert_eq!(record(&FaultPlan::none(), &plain, true), clean, "{at}");
+                            // A crash 60 % into the run, restarting from the
+                            // input or from the last checkpoint.
+                            for cfg in [&plain, &checkpointed] {
+                                let runtime = match cfg.checkpoint_every {
+                                    None => clean.runtime,
+                                    Some(_) => record(&FaultPlan::none(), cfg, false).runtime,
+                                };
+                                let crash =
+                                    FaultPlan::single(f64::from_bits(runtime) * 0.6, machines / 2);
+                                let want = record(&crash, cfg, false);
+                                let got = record(&crash, cfg, true);
+                                let at = format!("{at}, crash, {:?}", cfg.checkpoint_every);
+                                assert_eq!(got, want, "{at}");
+                                if got.recovered {
+                                    assert_eq!(
+                                        got.states, clean.states,
+                                        "{at}: not the fault-free labels"
                                     );
                                     from_checkpoint += usize::from(
                                         cfg.checkpoint_every.is_some() && clean.supersteps > 3,

@@ -16,8 +16,8 @@
 //! Execution structure is vertex-centric BSP, so this engine reuses the
 //! shared runtime with Flink's cost profile.
 
-use crate::bsp::{run_bsp, run_bsp_pagerank, BspConfig};
-use crate::programs::{wcc_labels, KHopProgram, PageRankProgram, SsspProgram, WccProgram};
+use crate::bsp::{run_bsp, run_bsp_pagerank, run_bsp_wcc, BspConfig};
+use crate::programs::{KHopProgram, PageRankProgram, SsspProgram};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::{Workload, WorkloadResult};
 use graphbench_graph::format::GraphFormat;
@@ -134,10 +134,8 @@ fn execute(
             WorkloadResult::Ranks(out.states)
         }
         Workload::Wcc => {
-            let mut prog = WccProgram::new(n, 20);
-            WorkloadResult::Labels(wcc_labels(
-                run_bsp(cluster, input.graph, &part, &mut prog, &cfg)?.states,
-            ))
+            let out = run_bsp_wcc(cluster, input.graph, &part, 20, &cfg)?;
+            WorkloadResult::Labels(out.states)
         }
         Workload::Sssp { source } => {
             let mut prog = SsspProgram::new(source);

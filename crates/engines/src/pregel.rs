@@ -12,8 +12,8 @@
 //!   (§5.5, §5.7);
 //! * four mappers per machine, i.e. all 4 cores compute.
 
-use crate::bsp::{run_bsp, run_bsp_pagerank, BspConfig};
-use crate::programs::{wcc_labels, KHopProgram, PageRankProgram, SsspProgram, WccProgram};
+use crate::bsp::{run_bsp, run_bsp_pagerank, run_bsp_wcc, BspConfig};
+use crate::programs::{KHopProgram, PageRankProgram, SsspProgram};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::{Workload, WorkloadResult};
 use graphbench_graph::format::GraphFormat;
@@ -136,9 +136,9 @@ fn execute(
         Workload::Wcc => {
             // Reverse edges materialize as boxed objects in a multimap
             // (compact arrays under the hypothetical native build).
-            let mut prog = WccProgram::new(n, if engine.native_constants { 8 } else { 75 });
-            let out = run_bsp(cluster, input.graph, &part, &mut prog, &cfg)?;
-            WorkloadResult::Labels(wcc_labels(out.states))
+            let bytes_per_edge = if engine.native_constants { 8 } else { 75 };
+            let out = run_bsp_wcc(cluster, input.graph, &part, bytes_per_edge, &cfg)?;
+            WorkloadResult::Labels(out.states)
         }
         Workload::Sssp { source } => {
             let mut prog = SsspProgram::new(source);

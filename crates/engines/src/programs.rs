@@ -97,13 +97,17 @@ pub struct WccState {
 /// vertex ids along out-edges so receivers can create reverse edges (these
 /// messages must not be combined); afterwards the minimum label propagates
 /// over the now-undirected adjacency.
+///
+/// Giraph, Blogel-V and Gelly run this program on the label path
+/// (`bsp::run_bsp_wcc`), which files no message; this program on
+/// [`crate::bsp::run_bsp`] is the label path's reference.
 pub struct WccProgram {
     /// Bytes charged per stored reverse edge.
     bytes_per_edge: u64,
 }
 
 impl WccProgram {
-    pub fn new(_num_vertices: usize, bytes_per_edge: u64) -> Self {
+    pub fn new(bytes_per_edge: u64) -> Self {
         WccProgram { bytes_per_edge }
     }
 }
@@ -361,7 +365,7 @@ mod tests {
     #[test]
     fn wcc_matches_reference_with_direction_blindness() {
         let g = test_graph();
-        let mut prog = WccProgram::new(g.num_vertices(), 8);
+        let mut prog = WccProgram::new(8);
         let (states, _) = exec(&g, &mut prog, 3);
         let labels: Vec<VertexId> = states.iter().map(|s| s.label).collect();
         assert_eq!(labels, reference::wcc(&g));
@@ -376,7 +380,7 @@ mod tests {
         // Directed path 4 -> 3 -> 2 -> 1 -> 0: label 0 must flow backwards
         // over discovered reverse edges.
         let g = csr_from_pairs(&[(4, 3), (3, 2), (2, 1), (1, 0)]);
-        let mut prog = WccProgram::new(5, 8);
+        let mut prog = WccProgram::new(8);
         let (states, supersteps) = exec(&g, &mut prog, 2);
         assert_eq!(wcc_labels(states), vec![0, 0, 0, 0, 0]);
         assert!(supersteps >= 5, "supersteps {supersteps}");
@@ -412,8 +416,7 @@ mod tests {
     #[test]
     fn every_program_folds_from_an_identity() {
         let pr = PageRankProgram::new(PageRankConfig::fixed(1));
-        let (wcc, sssp, khop) =
-            (WccProgram::new(1, 8), SsspProgram::new(0), KHopProgram::new(0, 3));
+        let (wcc, sssp, khop) = (WccProgram::new(8), SsspProgram::new(0), KHopProgram::new(0, 3));
         for_each_seed(256, |_, rng| {
             let bits = f64::from_bits(rng.next_u64());
             let random = if bits.is_nan() { rng.f64() } else { bits };
@@ -443,7 +446,7 @@ mod tests {
     fn results_stable_across_machine_counts() {
         let g = test_graph();
         for machines in [1, 2, 5] {
-            let (states, _) = exec(&g, &mut WccProgram::new(g.num_vertices(), 8), machines);
+            let (states, _) = exec(&g, &mut WccProgram::new(8), machines);
             assert_eq!(wcc_labels(states), reference::wcc(&g), "machines {machines}");
             let (dist, _) = exec(&g, &mut SsspProgram::new(0), machines);
             assert_eq!(dist, reference::sssp(&g, 0), "machines {machines}");

@@ -236,7 +236,7 @@ impl<M: Copy> Combiner<M> {
 /// The indices in `lo..hi` whose bit is set in `words` (bit `i` lives in
 /// word `i / 64`), ascending: each word is masked at the range's ends and
 /// its set bits are peeled off with `trailing_zeros`.
-fn set_bits(words: &[u64], lo: usize, hi: usize) -> impl Iterator<Item = u32> + '_ {
+pub(crate) fn set_bits(words: &[u64], lo: usize, hi: usize) -> impl Iterator<Item = u32> + '_ {
     (lo / 64..hi.div_ceil(64)).flat_map(move |w| {
         let mut bits = words[w];
         if w == lo / 64 {

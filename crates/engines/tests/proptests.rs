@@ -32,7 +32,7 @@ fn bsp_wcc_matches_reference() {
         let seed = rng.below(50) as u64;
         let part = EdgeCutPartition::random(g.num_vertices() as u64, machines, seed);
         let mut cl = cluster(machines);
-        let mut prog = WccProgram::new(g.num_vertices(), 8);
+        let mut prog = WccProgram::new(8);
         let out = run_bsp(&mut cl, &g, &part, &mut prog, &BspConfig::default()).unwrap();
         assert_eq!(wcc_labels(out.states), reference::wcc(&g));
         // Transient message memory is returned; only the permanently
@@ -108,27 +108,15 @@ fn machine_count_never_changes_results() {
         let single = {
             let part = EdgeCutPartition::random(g.num_vertices() as u64, 1, seed);
             let mut cl = cluster(1);
-            let out = run_bsp(
-                &mut cl,
-                &g,
-                &part,
-                &mut WccProgram::new(g.num_vertices(), 8),
-                &BspConfig::default(),
-            )
-            .unwrap();
+            let out = run_bsp(&mut cl, &g, &part, &mut WccProgram::new(8), &BspConfig::default())
+                .unwrap();
             wcc_labels(out.states)
         };
         for machines in [2usize, 5, 8] {
             let part = EdgeCutPartition::random(g.num_vertices() as u64, machines, seed);
             let mut cl = cluster(machines);
-            let out = run_bsp(
-                &mut cl,
-                &g,
-                &part,
-                &mut WccProgram::new(g.num_vertices(), 8),
-                &BspConfig::default(),
-            )
-            .unwrap();
+            let out = run_bsp(&mut cl, &g, &part, &mut WccProgram::new(8), &BspConfig::default())
+                .unwrap();
             assert_eq!(&wcc_labels(out.states), &single, "machines {}", machines);
         }
     });

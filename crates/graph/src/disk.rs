@@ -267,7 +267,7 @@ pub fn load_csr(path: &Path) -> io::Result<CsrGraph> {
         };
         let targets = Seg::Mapped { region, byte_offset: h.targets_at, len: h.num_edges };
         let g = CsrGraph::from_parts(h.num_vertices, offsets, targets);
-        validate_offsets(&g, h.num_edges as u64)?;
+        validate(&g, h.num_edges as u64)?;
         Ok(g)
     }
 
@@ -315,7 +315,7 @@ fn load_csr_buffered(mut file: File, file_len: usize) -> io::Result<CsrGraph> {
         targets.push(u32::from_le_bytes(b.try_into().unwrap()))
     })?;
     let g = CsrGraph::from_raw(h.num_vertices, offsets, targets);
-    validate_offsets(&g, h.num_edges as u64)?;
+    validate(&g, h.num_edges as u64)?;
     Ok(g)
 }
 
@@ -340,10 +340,11 @@ fn read_ints(
     Ok(())
 }
 
-/// Reject files whose offset table is inconsistent — a cheap O(n) scan that
-/// catches most corruption before a bad slice index panics mid-run.
-fn validate_offsets(g: &CsrGraph, num_edges: u64) -> io::Result<()> {
-    let (offsets, _) = g.out_parts();
+/// Reject files whose offset table is inconsistent or that name a vertex
+/// past the header's count — one O(n + m) scan, so a corrupt cache stops
+/// here instead of at a bad slice or table index mid-run.
+fn validate(g: &CsrGraph, num_edges: u64) -> io::Result<()> {
+    let (offsets, targets) = g.out_parts();
     let n = offsets.len();
     let mut prev = 0u64;
     for i in 0..n {
@@ -359,6 +360,16 @@ fn validate_offsets(g: &CsrGraph, num_edges: u64) -> io::Result<()> {
     if prev != num_edges {
         return Err(bad_data(format!(
             "offset table ends at {prev}, header declares {num_edges} edges"
+        )));
+    }
+    // A max-fold vectorizes; the position is only looked up on failure.
+    let n = g.num_vertices() as u64;
+    let max = targets.iter().fold(0, |m, &t| m.max(t));
+    if !targets.is_empty() && max as u64 >= n {
+        let i = targets.iter().position(|&t| t as u64 >= n).unwrap();
+        return Err(bad_data(format!(
+            "edge target out of range: entry {i} names vertex {}, header declares {n} vertices",
+            targets[i]
         )));
     }
     Ok(())
@@ -497,6 +508,24 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
         assert!(load_csr(&path).unwrap_err().to_string().contains("truncated"));
+    }
+
+    #[test]
+    fn out_of_range_edge_target_is_rejected() {
+        let g = sample();
+        let path = scratch("target.gbcsr");
+        save_csr(&g, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The targets end the file; point the third one (vertex 2's only
+        // out-edge) one past the last vertex.
+        let at = bytes.len() - 4 * g.num_edges() as usize + 2 * 4;
+        let n = g.num_vertices() as u32;
+        assert!(u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) < n);
+        bytes[at..at + 4].copy_from_slice(&n.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = rejection(&path);
+        assert!(err.contains("edge target out of range: entry 2 names vertex 6"), "got: {err}");
+        assert_eq!(load_csr(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -97,7 +97,7 @@ mod parallel_bsp_equals_serial {
     fn wcc(g: &CsrGraph, machines: usize, seed: u64) -> Vec<VertexId> {
         let part = EdgeCutPartition::random(g.num_vertices() as u64, machines, seed);
         let mut cl = cluster(machines);
-        let mut prog = WccProgram::new(g.num_vertices(), 8);
+        let mut prog = WccProgram::new(8);
         wcc_labels(run_bsp(&mut cl, g, &part, &mut prog, &BspConfig::default()).unwrap().states)
     }
 

@@ -166,6 +166,13 @@ fn golden_gelly_pagerank() {
     golden_cell(SystemId::Gelly, WorkloadKind::PageRank);
 }
 
+/// Gelly WCC: in-neighbour discovery, then HashMin, with the per-superstep
+/// spill.
+#[test]
+fn golden_gelly_wcc() {
+    golden_cell(SystemId::Gelly, WorkloadKind::Wcc);
+}
+
 /// Blogel-B: the block-local and block-graph phases, then the vertex phase
 /// seeded with `local_pr(v) * block_pr(b)`.
 #[test]
@@ -242,12 +249,11 @@ fn golden_vertica_khop() {
 /// the injected fault cost under the `recovery`/`straggler`/`retry`
 /// labels. The plan (a crash, a straggler window, a lost shuffle fetch) is
 /// derived from the clean run's phase times, which are themselves frozen
-/// by `golden_giraph_pagerank`.
-#[test]
-fn golden_giraph_pagerank_faulted() {
+/// by the cell's fault-free golden.
+fn golden_faulted(workload: WorkloadKind, name: &str) {
     let spec = ExperimentSpec {
         system: SystemId::Giraph,
-        workload: WorkloadKind::PageRank,
+        workload,
         dataset: DatasetKind::Twitter,
         machines: 16,
     };
@@ -289,7 +295,19 @@ fn golden_giraph_pagerank_faulted() {
     }
     assert!(serial.journal.fault_seconds() > 0.0);
     assert!(serial.metrics.total_time() > clean.metrics.total_time());
-    check_snapshot("giraph_pagerank_faulted", &serial);
+    check_snapshot(name, &serial);
+}
+
+#[test]
+fn golden_giraph_pagerank_faulted() {
+    golden_faulted(WorkloadKind::PageRank, "giraph_pagerank_faulted");
+}
+
+/// The same plan on WCC: the crash restores a label-path snapshot and
+/// replays it.
+#[test]
+fn golden_giraph_wcc_faulted() {
+    golden_faulted(WorkloadKind::Wcc, "giraph_wcc_faulted");
 }
 
 /// The multi-seed wrapper is invisible at one seed: a [`MultiRunRecord`]
