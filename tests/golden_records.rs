@@ -122,6 +122,13 @@ fn golden_giraph_wcc() {
     golden_cell(SystemId::Giraph, WorkloadKind::Wcc);
 }
 
+/// Giraph SSSP: the unbounded BSP traversal, which stops when no vertex
+/// has mail.
+#[test]
+fn golden_giraph_sssp() {
+    golden_cell(SystemId::Giraph, WorkloadKind::Sssp);
+}
+
 #[test]
 fn golden_graphlab_pagerank() {
     golden_cell(gl_sri(), WorkloadKind::PageRank);
@@ -157,6 +164,12 @@ fn golden_blogel_v_pagerank() {
 #[test]
 fn golden_blogel_v_wcc() {
     golden_cell(SystemId::BlogelV, WorkloadKind::Wcc);
+}
+
+/// Blogel-V K-hop: the bounded BSP traversal, a superstep per hop.
+#[test]
+fn golden_blogel_v_khop() {
+    golden_cell(SystemId::BlogelV, WorkloadKind::KHop);
 }
 
 /// Gelly: the BSP runtime under Flink's cost profile and its per-superstep
