@@ -21,9 +21,9 @@
 //!   `local_pr(v) * block_pr(b)`, an initialization that *hurts* convergence
 //!   (§3.1.2) — reproduced by executing exactly that algorithm.
 
-use crate::bsp::{run_bsp, run_bsp_pagerank, run_bsp_wcc, BspConfig};
+use crate::bsp::{self, run_bsp_pagerank, BspConfig};
 use crate::exec;
-use crate::programs::{KHopProgram, PageRankProgram, SsspProgram};
+use crate::programs::PageRankProgram;
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::PageRankConfig;
@@ -92,25 +92,14 @@ fn run_vertex_mode(
 
     cluster.begin_phase(Phase::Execute);
     let cfg = BspConfig { cores_for_compute: input.cluster.cores, ..BspConfig::default() };
-    let result = match input.workload {
-        Workload::PageRank(pr) => {
-            let mut prog = PageRankProgram::new(pr);
-            let out = run_bsp_pagerank(cluster, input.graph, &part, &mut prog, &cfg)?;
-            WorkloadResult::Ranks(out.states)
-        }
-        Workload::Wcc => {
-            let out = run_bsp_wcc(cluster, input.graph, &part, profile.bytes_per_edge, &cfg)?;
-            WorkloadResult::Labels(out.states)
-        }
-        Workload::Sssp { source } => {
-            let mut prog = SsspProgram::new(source);
-            WorkloadResult::Distances(run_bsp(cluster, input.graph, &part, &mut prog, &cfg)?.states)
-        }
-        Workload::KHop { source, k } => {
-            let mut prog = KHopProgram::new(source, k);
-            WorkloadResult::Distances(run_bsp(cluster, input.graph, &part, &mut prog, &cfg)?.states)
-        }
-    };
+    let result = bsp::run_workload(
+        cluster,
+        input.graph,
+        &part,
+        input.workload,
+        profile.bytes_per_edge,
+        &cfg,
+    )?;
 
     cluster.begin_phase(Phase::Save);
     cluster.hdfs_write(&even_share(result_bytes(n as u64), machines))?;
@@ -969,9 +958,9 @@ fn block_pagerank(
     let init: Vec<f64> =
         (0..n).map(|v| local_pr[v] * block_pr[blocks.block_of[v] as usize]).collect();
     let part = block_placement_as_edge_cut(machine_of, machines);
-    let mut prog = PageRankProgram::with_init(pr, init);
+    let prog = PageRankProgram::with_init(pr, init);
     let cfg = BspConfig { cores_for_compute: input.cluster.cores, ..BspConfig::default() };
-    Ok(run_bsp_pagerank(cluster, g, &part, &mut prog, &cfg)?.states)
+    Ok(run_bsp_pagerank(cluster, g, &part, &prog, &cfg)?.states)
 }
 
 /// Adapt the block→machine placement into the vertex→machine form the BSP

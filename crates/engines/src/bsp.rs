@@ -1,187 +1,51 @@
-//! Generic vertex-centric BSP runtime ("think like a vertex", §2.1).
+//! Vertex-centric BSP runtime ("think like a vertex", §2.1).
 //!
-//! Giraph and Blogel-V both expose a `compute(vertex, messages)` API over
-//! hash-partitioned vertices; they differ in cost constants (JVM vs C++) and
-//! framework overheads, not in execution structure. This runtime executes a
-//! [`VertexProgram`] superstep by superstep, exactly as Pregel would:
+//! Giraph, Blogel-V and Gelly all run Pregel-style programs over
+//! hash-partitioned vertices; they differ in cost constants (JVM vs C++)
+//! and framework overheads, not in execution structure. `run_workload`
+//! runs each of the four workloads as Pregel would, superstep by superstep:
 //!
 //! * messages sent in superstep `s` are delivered in `s + 1`;
-//! * a vertex halts by returning `false` and is woken by incoming messages;
-//! * message *combiners* merge a source machine's messages per target (the
-//!   sender-side combine), then the sources' results, when the program
-//!   allows it for that superstep (WCC's discovery superstep must not, §5.8);
+//! * a vertex halts after it runs and is woken by incoming messages;
+//! * a combiner merges a source machine's messages per target, then the
+//!   sources' results, except in WCC's discovery superstep (§5.8);
 //! * every vertex execution, message, and buffer allocation is charged to
 //!   the simulated cluster, so supersteps cost what their slowest machine
 //!   costs and message floods can OOM a machine.
 //!
-//! Execution is deterministic *and* parallel: each simulated machine is a
-//! [`Shard`], and every shard's vertex range is further split into
-//! fixed-size sub-chunks that host threads claim dynamically (see
-//! [`crate::exec`]), so even a run dominated by one fragment scales past
-//! one host thread. Every sub-chunk produces an independent result — ops,
-//! outboxes, allocations, message counts — and the coordinator merges them
-//! in (machine, chunk) order, so neither the host thread count nor the
-//! chunk size can change any simulated metric. Parallelism in the *cost
-//! model* (per-machine op vectors) is what the study measures; host-thread
-//! parallelism only changes how fast the study runs.
-//!
 //! One superstep loop, `drive`, charges every run: compute, buffers,
 //! wire, spill, barrier, trace, checkpoint, recovery replay and
-//! termination. What a superstep computes and charges comes from one of
-//! three paths behind the private `Path` seam. The *message path*
-//! ([`run_bsp`]) runs any [`VertexProgram`] (SSSP, K-hop). The *rank path*
-//! (`run_bsp_pagerank`) runs [`PageRankProgram`]: every PageRank superstep
-//! is the same static broadcast, so it folds the ranks with
-//! `gather::RunGather` and charges integers of the partition computed once
-//! per run, with no per-edge message filed. The *label path*
-//! (`run_bsp_wcc`) runs [`WccProgram`]: its combiner, `min`, and every
-//! count it is charged by are order-free, so a superstep is one branch-free
-//! push per route into position-indexed arrays, again with no message
-//! filed. `run_bsp` with `PageRankProgram` and with `WccProgram` remains
-//! each one's reference.
+//! termination. What a superstep computes and charges comes from one of two
+//! paths behind the private `Path` seam, and neither files a message:
 //!
-//! The message path is the zero-sort radix shuffle of [`crate::shuffle`],
-//! and each message is copied once. Every out-edge's target is resolved to
-//! its `(machine, fragment-local id)` once per *run*, in CSR order, into the
-//! shard's route table; [`Ctx::send_to_out_neighbors`] walks the running
-//! vertex's routes and files `(local id, payload)` in the sending chunk's
-//! bucket for each target's machine. [`Ctx::send`], for targets that are not
-//! out-edges, does the same with one [`graphbench_partition::LocalIndex`]
-//! read per message. Delivery reads every source's chunk buckets where they
-//! lie, folding or grouping them by the carried local id. A message-path
-//! superstep is two dispatches: compute, then deliver.
+//! * the *rank path* (`run_bsp_pagerank`, PageRank): every superstep is
+//!   the same static broadcast, so it folds the ranks with
+//!   `gather::RunGather` and charges integers of the partition computed
+//!   once per run;
+//! * the *label path* (WCC, SSSP, K-hop): the combiner, `min`, and every
+//!   count a superstep is charged by are order-free, so a superstep is one
+//!   branch-free push per route into position-indexed arrays, scanned in
+//!   place on one host thread. WCC pushes its new label along out- and
+//!   in-edges, a traversal the next hop count along out-edges.
 //!
-//! Which vertices a message-path superstep runs is a *frontier* with no
-//! threshold to tune: every chunk counts its own `active` flags, and a
-//! chunk whose count is zero — every SSSP and K-hop superstep after the
-//! first — can only run vertices that have messages, so it walks the set
-//! bits of the inbox's has-messages bitmap instead of testing each vertex.
-//! A chunk with self-active vertices (SSSP's source, in superstep 0) keeps
-//! the dense loop.
-//! Either way vertices run in ascending local id, so the choice is
-//! unobservable. The same counts answer "is anything still active" at the
-//! end of a superstep.
+//! Both are held to a test oracle, the *message path* (`message`, compiled
+//! for tests only): a generic vertex-program runtime that files every
+//! message through the radix shuffle of [`crate::shuffle`], on which the
+//! four workloads are plain vertex programs. The differentials in
+//! `bsp::tests` require the two to agree bit for bit: states, supersteps,
+//! raw messages, runtime, metrics and journal, clean and crashed, at any
+//! host thread count and chunk size.
 
-use crate::exec;
 use crate::gather::RunGather;
-use crate::programs::{PageRankProgram, WccProgram};
+use crate::programs::PageRankProgram;
 use crate::recovery::{Recovery, RecoveryModel};
-use crate::shuffle::Inbox;
+use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
 use graphbench_graph::{CsrGraph, VertexId};
-use graphbench_partition::{EdgeCutPartition, LocalIndex, MachineId};
+use graphbench_partition::EdgeCutPartition;
 use graphbench_sim::{Cluster, SimError};
 
-/// A message target resolved once per run: owner machine and fragment-local id.
-type Route = (MachineId, u32);
-
-/// Per-superstep context handed to [`VertexProgram::compute`]. One context
-/// serves every vertex of a sub-chunk; its tallies accumulate across them.
-pub struct Ctx<'a, M> {
-    /// Current superstep (0-based).
-    pub superstep: u64,
-    li: &'a LocalIndex,
-    /// The running vertex's out-edges, resolved, in CSR order.
-    routes: &'a [Route],
-    /// The executing chunk's outbox buckets, one per destination machine.
-    out: &'a mut [Vec<(u32, M)>],
-    sent: u64,
-    extra_bytes: u64,
-    agg_max: f64,
-}
-
-impl<M: Copy> Ctx<'_, M> {
-    /// Send a message, delivered at the start of the next superstep. The
-    /// target is resolved to `(machine, local id)` here, once; the local id
-    /// travels with the message from then on. Out-edges take
-    /// [`Ctx::send_to_out_neighbors`]; this is for every other target.
-    pub fn send(&mut self, to: VertexId, msg: M) {
-        let (machine, local) = self.li.machine_local_of(to);
-        self.out[machine as usize].push((local, msg));
-        self.sent += 1;
-    }
-
-    /// Send `msg` along every out-edge of the running vertex: exactly
-    /// `for &t in g.out_neighbors(v) { ctx.send(t, msg) }`, the same buckets
-    /// in the same order, with each target resolved once per run instead of
-    /// once per send.
-    pub fn send_to_out_neighbors(&mut self, msg: M) {
-        for &(machine, local) in self.routes {
-            self.out[machine as usize].push((local, msg));
-        }
-        self.sent += self.routes.len() as u64;
-    }
-
-    /// Permanently allocate `bytes` on the executing vertex's machine
-    /// (e.g. WCC storing discovered in-neighbours).
-    pub fn alloc(&mut self, bytes: u64) {
-        self.extra_bytes += bytes;
-    }
-
-    /// Contribute to this superstep's global max-aggregator (Pregel
-    /// aggregators, §2.1). Contributions are merged with `max` across
-    /// vertices and machines — commutative, so the merged value is
-    /// independent of execution order — and the result is handed to
-    /// [`VertexProgram::finished`]. The aggregate resets to `0.0` each
-    /// superstep; contributions are expected to be non-negative
-    /// (PageRank's `|Δrank|` convergence check).
-    pub fn aggregate_max(&mut self, x: f64) {
-        if x > self.agg_max {
-            self.agg_max = x;
-        }
-    }
-}
-
-/// A Pregel-style vertex program.
-///
-/// Programs are `Sync` and `compute` takes `&self`: vertices on different
-/// machines execute concurrently on host threads. Mutable per-superstep
-/// state goes through [`Ctx`] (sends, allocations, the max-aggregator);
-/// mutable per-vertex state lives in `Value`.
-pub trait VertexProgram: Sync {
-    /// Per-vertex state.
-    type Value: Clone + Send + Sync;
-    /// Message payload.
-    type Msg: Copy + Send + Sync;
-
-    /// Initialize a vertex; returns its state and whether it starts active.
-    fn init(&mut self, v: VertexId, g: &CsrGraph) -> (Self::Value, bool);
-
-    /// One vertex execution. Return `true` to stay active. `msgs` is the
-    /// vertex's slice of the machine's inbox (grouped per vertex by the
-    /// shuffle), borrowed: the payloads sent to `v`, in arrival order.
-    fn compute(
-        &self,
-        ctx: &mut Ctx<'_, Self::Msg>,
-        g: &CsrGraph,
-        v: VertexId,
-        value: &mut Self::Value,
-        msgs: &[Self::Msg],
-    ) -> bool;
-
-    /// Merge two messages bound for the same vertex.
-    fn combine(&self, a: Self::Msg, b: Self::Msg) -> Self::Msg;
-
-    /// The message every fold starts from: `combine(identity(), m) == m`,
-    /// bit for bit, for every message `m`.
-    fn identity(&self) -> Self::Msg;
-
-    /// Whether messages sent in `superstep` may be combined.
-    fn combinable(&self, _superstep: u64) -> bool {
-        true
-    }
-
-    /// Called after each superstep with the superstep index and the merged
-    /// [`Ctx::aggregate_max`] value; returning `true` stops the computation
-    /// (program-level aggregator decision, e.g. PageRank's max-delta
-    /// tolerance or a fixed iteration count).
-    fn finished(&mut self, _superstep: u64, _max_aggregate: f64) -> bool {
-        false
-    }
-
-    /// Bytes of one message value on the wire (a 4-byte target id is added
-    /// by the runtime).
-    fn wire_bytes(&self) -> u64;
-}
+#[cfg(test)]
+pub(crate) mod message;
 
 /// Runtime knobs that differ between systems.
 #[derive(Debug, Clone)]
@@ -230,283 +94,6 @@ pub struct BspOutcome<V> {
     pub raw_messages: u64,
     /// Whether an injected machine failure was recovered from.
     pub recovered_from_failure: bool,
-}
-
-/// One simulated machine's slice of the computation. Allocated once before
-/// the superstep loop and reused: chunk buckets are cleared, not rebuilt,
-/// each superstep.
-struct Shard<V, M> {
-    /// Fragment vertex list, ascending by global id; position = local id.
-    verts: Vec<VertexId>,
-    /// Parallel to `verts`.
-    states: Vec<V>,
-    /// Parallel to `verts`.
-    active: Vec<bool>,
-    /// Local `l`'s out-edges are `routes[route_off[l]..route_off[l + 1]]`,
-    /// in CSR order. Built once per run: the graph is static.
-    route_off: Vec<u32>,
-    routes: Vec<Route>,
-    /// Vertices per sub-chunk ([`exec::chunk_size`] when the run began).
-    chunk: usize,
-    /// One entry per `chunk`-sized span of `verts` (see
-    /// [`compute_superstep`]).
-    chunks: Vec<ChunkScratch<M>>,
-}
-
-impl<V, M> Shard<V, M> {
-    /// Set every chunk's `active` count from the flags: at start-up, and
-    /// whenever the flags are replaced wholesale (checkpoint restore).
-    fn recount_active(&mut self) {
-        for (scratch, flags) in self.chunks.iter_mut().zip(self.active.chunks(self.chunk)) {
-            scratch.active = flags.iter().filter(|&&a| a).count();
-        }
-    }
-
-    /// Vertices whose `active` flag is set.
-    fn active_vertices(&self) -> usize {
-        self.chunks.iter().map(|c| c.active).sum()
-    }
-}
-
-/// What one sub-chunk keeps between supersteps: the per-destination buckets
-/// its sends are filed in (pooled, so steady-state supersteps allocate
-/// nothing) and how many of its vertices have their `active` flag set.
-struct ChunkScratch<M> {
-    out: Vec<Vec<(u32, M)>>,
-    active: usize,
-}
-
-/// One sub-chunk of a shard's vertex range: disjoint `&mut` views of the
-/// shard's state arrays and of the chunk's scratch, for the duration of the
-/// compute stage.
-struct ChunkTask<'a, V, M> {
-    machine: usize,
-    /// Fragment-local id of `verts[0]`.
-    base: u32,
-    verts: &'a [VertexId],
-    /// `verts.len() + 1` offsets into `routes`, the shard's route table.
-    route_off: &'a [u32],
-    routes: &'a [Route],
-    states: &'a mut [V],
-    active: &'a mut [bool],
-    scratch: &'a mut ChunkScratch<M>,
-}
-
-/// What a sub-chunk — and, summed, a shard — reports from a superstep.
-/// Counters stay integral until `run_bsp` charges them, so chunk boundaries
-/// cannot perturb any f64 a golden record sees.
-#[derive(Clone, Copy, Default)]
-struct StepReport {
-    ops: u64,
-    raw_messages: u64,
-    extra_alloc: u64,
-    any_ran: bool,
-    agg_max: f64,
-}
-
-/// The message path's recovery snapshot: per-shard vertex state plus the
-/// delivered inboxes at a superstep boundary.
-struct BspCheckpoint<V, M> {
-    states: Vec<Vec<V>>,
-    active: Vec<Vec<bool>>,
-    inboxes: Vec<Inbox<M>>,
-}
-
-impl<V: Clone, M: Copy> BspCheckpoint<V, M> {
-    fn capture(shards: &[Shard<V, M>], inboxes: &[Inbox<M>]) -> Self {
-        BspCheckpoint {
-            states: shards.iter().map(|s| s.states.clone()).collect(),
-            active: shards.iter().map(|s| s.active.clone()).collect(),
-            inboxes: inboxes.to_vec(),
-        }
-    }
-
-    fn restore(&self, shards: &mut [Shard<V, M>], inboxes: &mut [Inbox<M>]) {
-        for (shard, (states, active)) in shards.iter_mut().zip(self.states.iter().zip(&self.active))
-        {
-            shard.states.clone_from(states);
-            shard.active.clone_from(active);
-            shard.recount_active();
-        }
-        for (dst, src) in inboxes.iter_mut().zip(&self.inboxes) {
-            dst.clone_from(src);
-        }
-    }
-}
-
-/// One superstep's compute, one dispatch. Shared by the live loop and
-/// recovery replay (which discards the reports).
-///
-/// Every shard's sub-chunks run as one flat, dynamically-claimed task list
-/// ([`exec::run_chunks`]): a fragment that dominates the superstep — a
-/// power-law hub's machine — does not serialize it on one host thread. Each
-/// task owns disjoint `&mut` slices of its shard's state arrays and its
-/// chunk's buckets, reads the shard's inbox (read-only), and reports
-/// *integer* counters. A chunk with no self-active vertex runs only the
-/// vertices the inbox bitmap names; otherwise it tests every vertex. Both
-/// visit ascending local ids, so each bucket holds its sends in the order an
-/// unsplit loop would send them. Report merges are u64 sums and `max` folds
-/// in chunk order, so every simulated metric is bit-identical at any chunk
-/// size and thread count.
-fn compute_superstep<P: VertexProgram>(
-    shards: &mut [Shard<P::Value, P::Msg>],
-    inboxes: &[Inbox<P::Msg>],
-    li: &LocalIndex,
-    g: &CsrGraph,
-    p: &P,
-    superstep: u64,
-) -> Vec<StepReport> {
-    // Carve every shard into sub-chunk tasks holding disjoint state slices.
-    let mut tasks: Vec<ChunkTask<'_, P::Value, P::Msg>> =
-        Vec::with_capacity(shards.iter().map(|s| s.chunks.len()).sum());
-    for (machine, shard) in shards.iter_mut().enumerate() {
-        let Shard { verts, states, active, route_off, routes, chunk, chunks } = shard;
-        let slices =
-            verts.chunks(*chunk).zip(states.chunks_mut(*chunk)).zip(active.chunks_mut(*chunk));
-        for (ci, (((verts, states), active), scratch)) in slices.zip(chunks).enumerate() {
-            let lo = ci * *chunk;
-            let route_off = &route_off[lo..=lo + verts.len()];
-            let base = lo as u32;
-            tasks.push(ChunkTask {
-                machine,
-                base,
-                verts,
-                route_off,
-                routes,
-                states,
-                active,
-                scratch,
-            });
-        }
-    }
-
-    let steps: Vec<(usize, StepReport)> = exec::run_chunks(&mut tasks, |_, task| {
-        let inbox = &inboxes[task.machine];
-        let (route_off, routes) = (task.route_off, task.routes);
-        let ChunkScratch { out, active: active_count } = &mut *task.scratch;
-        for buf in out.iter_mut() {
-            buf.clear();
-        }
-        let sparse = *active_count == 0;
-        let mut ctx =
-            Ctx { superstep, li, routes: &[], out, sent: 0, extra_bytes: 0, agg_max: 0.0 };
-        let mut ran = 0u64;
-        let mut received = 0u64;
-        // Run the vertex at chunk position `k` if it is active or has
-        // messages; `base + k` is its fragment-local id.
-        let mut run = |k: usize| {
-            let msgs = inbox.msgs_of(task.base + k as u32);
-            let was_active = task.active[k];
-            if !was_active && msgs.is_empty() {
-                return;
-            }
-            ctx.routes = &routes[route_off[k] as usize..route_off[k + 1] as usize];
-            let still_active = p.compute(&mut ctx, g, task.verts[k], &mut task.states[k], msgs);
-            task.active[k] = still_active;
-            *active_count = *active_count + still_active as usize - was_active as usize;
-            ran += 1;
-            received += msgs.len() as u64;
-        };
-        if sparse {
-            // No vertex here is self-active: only message targets can run.
-            let end = task.base + task.verts.len() as u32;
-            inbox.targets(task.base, end).for_each(|l| run((l - task.base) as usize));
-        } else {
-            (0..task.verts.len()).for_each(run);
-        }
-        let report = StepReport {
-            ops: ran + received + ctx.sent,
-            raw_messages: ctx.sent,
-            extra_alloc: ctx.extra_bytes,
-            any_ran: ran > 0,
-            agg_max: ctx.agg_max,
-        };
-        (task.machine, report)
-    });
-
-    // Merge chunk reports per machine, in chunk order. Integer sums are
-    // associative, so where the chunk boundaries fell is unobservable; the
-    // aggregator folds with the same `if >` max as [`Ctx::aggregate_max`].
-    let mut merged = vec![StepReport::default(); shards.len()];
-    for (machine, step) in steps {
-        let m = &mut merged[machine];
-        m.ops += step.ops;
-        m.raw_messages += step.raw_messages;
-        m.extra_alloc += step.extra_alloc;
-        m.any_ran |= step.any_ran;
-        if step.agg_max > m.agg_max {
-            m.agg_max = step.agg_max;
-        }
-    }
-    merged
-}
-
-/// One superstep's delivery, one dispatch: each destination takes the source
-/// machines in ascending order, each as its chunk buckets in chunk order,
-/// and folds (or groups) them per vertex, recording per-source counts.
-/// Returns per-machine inbox bytes. Shared by the live loop and recovery
-/// replay.
-fn deliver_superstep<P: VertexProgram>(
-    inboxes: &mut [Inbox<P::Msg>],
-    shards: &[Shard<P::Value, P::Msg>],
-    p: &P,
-    combinable_now: bool,
-    msg_mem: u64,
-) -> Vec<u64> {
-    exec::run_chunks(inboxes, |dst, inbox| {
-        let sources = shards.iter().map(|s| s.chunks.iter().map(move |c| c.out[dst].as_slice()));
-        inbox.deliver(sources, combinable_now, |a, b| p.combine(a, b));
-        inbox.len() as u64 * msg_mem
-    })
-}
-
-/// One shard per machine of `li`, holding its fragment's initial states and
-/// flags, its route table, and pooled scratch for `chunk`-vertex sub-chunks.
-fn build_shards<P: VertexProgram>(
-    g: &CsrGraph,
-    li: &LocalIndex,
-    prog: &mut P,
-    chunk: usize,
-) -> Vec<Shard<P::Value, P::Msg>> {
-    let n = g.num_vertices();
-    let machines = li.machines();
-    let mut init_states: Vec<Option<P::Value>> = Vec::with_capacity(n);
-    let mut init_active: Vec<bool> = Vec::with_capacity(n);
-    for v in 0..n as VertexId {
-        let (s, a) = prog.init(v, g);
-        init_states.push(Some(s));
-        init_active.push(a);
-    }
-    (0..machines)
-        .map(|m| {
-            // The fragment is ascending by global id, so the vertex at
-            // position `i` has fragment-local id `i` — the invariant the
-            // radix inbox's O(1) slicing rests on.
-            let verts = li.globals_of(m).to_vec();
-            let states = verts
-                .iter()
-                .map(|&v| init_states[v as usize].take().expect("vertex assigned twice"))
-                .collect();
-            let active = verts.iter().map(|&v| init_active[v as usize]).collect();
-            let mut route_off = Vec::with_capacity(verts.len() + 1);
-            route_off.push(0u32);
-            let out_edges: u64 = verts.iter().map(|&v| g.out_degree(v)).sum();
-            let mut routes = Vec::with_capacity(out_edges as usize);
-            for &v in &verts {
-                routes.extend(g.out_neighbors(v).iter().map(|&t| li.machine_local_of(t)));
-                route_off.push(routes.len() as u32);
-            }
-            let chunks = (0..verts.len().div_ceil(chunk))
-                .map(|_| ChunkScratch {
-                    out: (0..machines).map(|_| Vec::new()).collect(),
-                    active: 0,
-                })
-                .collect();
-            let mut shard = Shard { verts, states, active, route_off, routes, chunk, chunks };
-            shard.recount_active();
-            shard
-        })
-        .collect()
 }
 
 /// What one superstep charges, per machine: the integers the driver turns
@@ -571,11 +158,11 @@ struct Step {
     agg: f64,
 }
 
-/// The host side of a BSP run, stepped by [`drive`]: the message path
-/// ([`MessagePath`], any [`VertexProgram`]), the rank path ([`RankPath`],
-/// PageRank) or the label path ([`LabelPath`], WCC). [`drive`] owns
-/// everything simulated; a path owns the program state and says what each
-/// superstep charges.
+/// The host side of a BSP run, stepped by [`drive`]: the rank path
+/// ([`RankPath`], PageRank) or the label path ([`LabelPath`], WCC, SSSP and
+/// K-hop), and in tests the message path. [`drive`] owns everything
+/// simulated; a path owns the program state and says what each superstep
+/// charges.
 trait Path {
     /// Per-vertex state.
     type Value;
@@ -599,8 +186,8 @@ trait Path {
     /// Nothing is active and no message is in flight.
     fn quiescent(&self) -> bool;
 
-    /// The program's stop decision after `superstep` (see
-    /// [`VertexProgram::finished`]).
+    /// The program's stop decision after `superstep`, given the largest
+    /// value any vertex aggregated in it.
     fn finished(&mut self, superstep: u64, agg: f64) -> bool;
 
     /// The final states, in global vertex order.
@@ -723,138 +310,6 @@ fn drive<S: Path>(
     })
 }
 
-/// The message path: shards compute, the shuffle delivers, and the
-/// charges are the counts both report.
-struct MessagePath<'a, P: VertexProgram> {
-    g: &'a CsrGraph,
-    prog: &'a mut P,
-    /// Global↔local vertex id tables, built once: one lookup per out-edge
-    /// for the route tables (per `Ctx::send` for other targets), and the
-    /// dense address space the radix shuffle files messages under.
-    li: LocalIndex,
-    shards: Vec<Shard<P::Value, P::Msg>>,
-    /// Per-machine inboxes (grouped per vertex by the shuffle), kept outside
-    /// the shards so delivery can read every shard's buckets while writing
-    /// one inbox.
-    inboxes: Vec<Inbox<P::Msg>>,
-    msg_mem: u64,
-    /// Bytes of one message on the wire, target id included.
-    wire: u64,
-    /// Overwritten every superstep.
-    charges: Charges,
-}
-
-impl<P: VertexProgram> Path for MessagePath<'_, P> {
-    type Value = P::Value;
-    type Snapshot = BspCheckpoint<P::Value, P::Msg>;
-
-    fn step(&mut self, superstep: u64) -> (Step, &Charges) {
-        let combinable_now = self.prog.combinable(superstep);
-        let p: &P = self.prog;
-        let c = &mut self.charges;
-        // Compute phase: every shard advances independently on the host
-        // thread pool; its inbox is read-only, its outboxes are its own.
-        let steps =
-            compute_superstep(&mut self.shards, &self.inboxes, &self.li, self.g, p, superstep);
-        // Merge shard reports in machine-index order.
-        let mut step = Step::default();
-        for (m, s) in steps.iter().enumerate() {
-            c.ops[m] = s.ops as f64;
-            c.extra_alloc[m] = s.extra_alloc;
-            step.any_ran |= s.any_ran;
-            step.raw_messages += s.raw_messages;
-            step.agg = step.agg.max(s.agg_max);
-        }
-        // Delivery phase: each destination folds every source's messages
-        // per target, then the sources' results — one entry per distinct
-        // target; without a combiner every message is buffered (the WCC
-        // discovery superstep's memory spike, §5.8).
-        let delivered =
-            deliver_superstep(&mut self.inboxes, &self.shards, p, combinable_now, self.msg_mem);
-        c.inbox_bytes.copy_from_slice(&delivered);
-        // Wire accounting: the per-source, post-combine counts delivery
-        // recorded.
-        c.clear_deliveries();
-        for (dst, inbox) in self.inboxes.iter().enumerate() {
-            c.add_delivery(dst, inbox.per_source(), self.msg_mem, self.wire);
-        }
-        (step, &self.charges)
-    }
-
-    fn replay(&mut self, superstep: u64) {
-        let p: &P = self.prog;
-        compute_superstep(&mut self.shards, &self.inboxes, &self.li, self.g, p, superstep);
-        deliver_superstep(
-            &mut self.inboxes,
-            &self.shards,
-            p,
-            p.combinable(superstep),
-            self.msg_mem,
-        );
-    }
-
-    fn capture(&self) -> Self::Snapshot {
-        BspCheckpoint::capture(&self.shards, &self.inboxes)
-    }
-
-    fn restore(&mut self, snapshot: &Self::Snapshot) {
-        snapshot.restore(&mut self.shards, &mut self.inboxes);
-    }
-
-    fn active(&self) -> u64 {
-        self.shards.iter().map(|s| s.active_vertices() as u64).sum()
-    }
-
-    fn quiescent(&self) -> bool {
-        self.inboxes.iter().all(|i| i.is_empty())
-            && self.shards.iter().all(|s| s.active_vertices() == 0)
-    }
-
-    fn finished(&mut self, superstep: u64, agg: f64) -> bool {
-        self.prog.finished(superstep, agg)
-    }
-
-    fn into_states(self) -> Vec<P::Value> {
-        let mut states: Vec<Option<P::Value>> = (0..self.g.num_vertices()).map(|_| None).collect();
-        for shard in self.shards {
-            for (&v, s) in shard.verts.iter().zip(shard.states) {
-                states[v as usize] = Some(s);
-            }
-        }
-        states.into_iter().map(|s| s.expect("partition covers all vertices")).collect()
-    }
-}
-
-/// Execute `prog` to completion over `g` partitioned by `part`.
-///
-/// The caller is responsible for phase bookkeeping and for charging the
-/// permanent graph/state memory during its load phase; this function charges
-/// compute, network, barriers, and transient message buffers.
-pub fn run_bsp<P: VertexProgram>(
-    cluster: &mut Cluster,
-    g: &CsrGraph,
-    part: &EdgeCutPartition,
-    prog: &mut P,
-    cfg: &BspConfig,
-) -> Result<BspOutcome<P::Value>, SimError> {
-    let machines = cluster.machines();
-    assert_eq!(part.machines(), machines, "partition and cluster disagree");
-    let li = LocalIndex::build(part);
-    let shards = build_shards(g, &li, prog, exec::chunk_size());
-    let inboxes = (0..machines).map(|m| Inbox::new(li.num_locals(m), prog.identity())).collect();
-    let path = MessagePath {
-        g,
-        msg_mem: cluster.profile().bytes_per_message,
-        wire: prog.wire_bytes() + 4,
-        prog,
-        li,
-        shards,
-        inboxes,
-        charges: Charges::new(machines),
-    };
-    drive(cluster, path, cfg)
-}
-
 /// The rank path: synchronous PageRank without messages. Every superstep
 /// of [`PageRankProgram`] is the same static broadcast — each vertex sends
 /// `rank / out-degree` along every out-edge and every message combines —
@@ -862,9 +317,9 @@ pub fn run_bsp<P: VertexProgram>(
 /// [`RunGather`] over the partition plus the apply step. The run sums are
 /// the message path's two-level fold: part `m` is machine `m`'s fragment in
 /// ascending global id, each vertex's out-edges in CSR order, exactly the
-/// order its chunk buckets reach [`Inbox::deliver`]. (The message path
-/// folds from `-0.0`, the gather from `+0.0`; contributions are
-/// non-negative, so no sum can tell them apart.)
+/// order its chunk buckets reach `Inbox::deliver`. (The message path folds
+/// from `-0.0`, the gather from `+0.0`; contributions are non-negative, so
+/// no sum can tell them apart.)
 ///
 /// The charges are integers of the partition, computed once per run: per
 /// machine, its vertices run, its out-edges are sent, and from superstep 1
@@ -873,7 +328,7 @@ pub fn run_bsp<P: VertexProgram>(
 /// distinct target it reaches there.
 struct RankPath<'a> {
     g: &'a CsrGraph,
-    prog: &'a mut PageRankProgram,
+    prog: &'a PageRankProgram,
     runs: RunGather,
     ranks: Vec<f64>,
     incoming: Vec<f64>,
@@ -887,7 +342,7 @@ impl<'a> RankPath<'a> {
         cluster: &Cluster,
         g: &'a CsrGraph,
         part: &EdgeCutPartition,
-        prog: &'a mut PageRankProgram,
+        prog: &'a PageRankProgram,
     ) -> RankPath<'a> {
         let n = g.num_vertices();
         let machines = part.machines();
@@ -919,7 +374,8 @@ impl<'a> RankPath<'a> {
             }
         }
         let msg_mem = cluster.profile().bytes_per_message;
-        let wire = prog.wire_bytes() + 4;
+        // An f64 share plus a 4-byte target id.
+        let wire = 8 + 4;
         let mut first = Charges::new(machines);
         for dst in 0..machines {
             first.ops[dst] = ops[dst] as f64;
@@ -930,7 +386,7 @@ impl<'a> RankPath<'a> {
             ops: ops.iter().zip(&targets).map(|(&o, &t)| (o + t) as f64).collect(),
             ..first.clone()
         };
-        let ranks = (0..n as VertexId).map(|v| prog.init(v, g).0).collect();
+        let ranks = (0..n as VertexId).map(|v| prog.initial_rank(v)).collect();
         RankPath { g, prog, runs, ranks, incoming: vec![0.0; n], first, later }
     }
 
@@ -978,7 +434,7 @@ impl Path for RankPath<'_> {
     }
 
     fn finished(&mut self, superstep: u64, agg: f64) -> bool {
-        self.prog.finished(superstep, agg)
+        self.prog.stops(superstep, agg)
     }
 
     fn into_states(self) -> Vec<f64> {
@@ -986,14 +442,13 @@ impl Path for RankPath<'_> {
     }
 }
 
-/// [`run_bsp`] with `prog`, on the rank path (see the module docs): the
-/// same ranks, supersteps, charges and journal, with no per-edge message
-/// filed.
+/// `prog` on the rank path (see the module docs): the message path's
+/// ranks, supersteps, charges and journal, with no per-edge message filed.
 pub(crate) fn run_bsp_pagerank(
     cluster: &mut Cluster,
     g: &CsrGraph,
     part: &EdgeCutPartition,
-    prog: &mut PageRankProgram,
+    prog: &PageRankProgram,
     cfg: &BspConfig,
 ) -> Result<BspOutcome<f64>, SimError> {
     assert_eq!(part.machines(), cluster.machines(), "partition and cluster disagree");
@@ -1001,46 +456,66 @@ pub(crate) fn run_bsp_pagerank(
     drive(cluster, path, cfg)
 }
 
-/// The label path: HashMin WCC without messages. [`WccProgram`]'s combiner,
-/// `min`, and every count it is charged by — messages run, sent and
-/// received, distinct targets per (source, destination) machine — are
-/// order-free, so a superstep is one branch-free push per route into
-/// position-indexed arrays, with the message path's labels and charges.
+/// Bytes of one label-path message on the wire: a `u32` value plus a 4-byte
+/// target id.
+const LABEL_WIRE: u64 = 4 + 4;
+
+/// The label path: WCC, SSSP and K-hop without messages. Each pushes one
+/// `u32` per route under a `min` combiner, and every count a superstep is
+/// charged by (vertices run, messages sent and received, distinct targets
+/// per (source, destination) machine) is order-free, so a superstep is one
+/// branch-free push per route into position-indexed arrays, with the
+/// message path's states and charges.
 ///
 /// Positions are machine-contiguous: machine `m` owns `off[m]..off[m + 1]`,
 /// its fragment ascending by global id, so a vertex's position is its
 /// machine's offset plus its fragment-local id. A position's routes are its
-/// out-edges in CSR order, self-loops included (what
-/// [`Ctx::send_to_out_neighbors`] sends along), then its in-edges without
-/// self-loops (the in-neighbours discovery stores).
+/// out-edges in CSR order, self-loops included (what a vertex program's
+/// send to its out-neighbours sends along), then, for WCC, its in-edges
+/// without self-loops (the in-neighbours discovery stores).
 ///
-/// Superstep 0 (discovery, uncombined) is integers of the graph, computed
-/// once: every vertex runs and sends its id along each non-self out-edge.
-/// Superstep 1 runs every vertex: it stores and charges the ids that
-/// arrived, takes their min with its own, and broadcasts it along every
-/// route. From superstep 2 on, each vertex with mail takes the least label
-/// sent to it and, if that lowers its own, broadcasts it.
+/// A position whose label drops to `x` pushes along its routes: WCC the
+/// label itself, a traversal the next hop count `x + 1`, and only while
+/// `x < bound` (the `k` of K-hop, or SSSP's `UNREACHABLE`). How a run
+/// starts is its [`Start`]; from then on, each position with mail takes
+/// the least value sent to it and pushes if that lowers its own.
 struct LabelPath<'a> {
     g: &'a CsrGraph,
     routes: Routes,
+    start: Start,
     /// Label per position.
     label: Vec<VertexId>,
     /// The delivered inbox.
     inbox: Mail,
     /// The next inbox, as this superstep's pushes fill it.
     out: Outbox,
-    /// Messages superstep 1 receives per machine (its in-edges without
-    /// self-loops), each stored at `bytes_per_edge`.
-    discovered: Vec<u64>,
-    bytes_per_edge: u64,
-    /// Superstep 0's charges, and the ones every later superstep overwrites.
-    discovery: Charges,
+    /// The last superstep's charges.
     charges: Charges,
     msg_mem: u64,
-    wire: u64,
-    /// Vertices with their active flag set: all after superstep 0, none
-    /// after any later one.
+    /// Vertices with their active flag set: all after WCC's discovery
+    /// superstep, none after any other.
     active: u64,
+}
+
+/// How a label-path run starts.
+enum Start {
+    /// WCC. Superstep 0 (discovery, uncombined) is integers of the graph,
+    /// computed once: every vertex runs and sends its id along each
+    /// non-self out-edge. Superstep 1 runs every vertex: it stores and
+    /// charges the ids that arrived, takes their min with its own, and
+    /// pushes it along every route.
+    Discovery {
+        /// Messages superstep 1 receives per machine (its in-edges without
+        /// self-loops), each stored at `bytes_per_edge`.
+        received: Vec<u64>,
+        bytes_per_edge: u64,
+        /// Superstep 0's charges.
+        charges: Charges,
+    },
+    /// A traversal from the vertex at position `at`, `bound` hops deep.
+    /// Superstep 0 runs only the source: it receives nothing and pushes
+    /// `0 + 1` if `0 < bound`, although its label does not drop.
+    Source { at: usize, bound: u32 },
 }
 
 /// The label path's static tables, by position.
@@ -1052,17 +527,52 @@ struct Routes {
     /// Owner machine per position.
     mach: Vec<u32>,
     /// Position `p`'s routes are `to[at[p]..at[p + 1]]`: out-edges, then
-    /// in-edges.
+    /// (for WCC) in-edges.
     at: Vec<usize>,
     to: Vec<u32>,
 }
 
 impl Routes {
+    /// `part`'s fragments by position, and each position's out-edges in
+    /// CSR order, followed, `with_in_edges`, by its in-edges without
+    /// self-loops.
+    fn new(g: &CsrGraph, part: &EdgeCutPartition, with_in_edges: bool) -> Routes {
+        let n = g.num_vertices();
+        // Each fragment is ascending by global id, as the message path's
+        // `LocalIndex` numbers it.
+        let frags = part.vertices_per_machine();
+        let mut off = vec![0];
+        let mut mach = Vec::with_capacity(n);
+        for (m, frag) in frags.iter().enumerate() {
+            mach.resize(mach.len() + frag.len(), m as u32);
+            off.push(mach.len());
+        }
+        let verts = frags.concat();
+        assert_eq!(verts.len(), n, "partition and graph disagree");
+        let mut pos_of = vec![0u32; n];
+        for (p, &v) in verts.iter().enumerate() {
+            pos_of[v as usize] = p as u32;
+        }
+        let transposed = with_in_edges.then(|| g.transpose());
+        let mut at = Vec::with_capacity(n + 1);
+        at.push(0);
+        let mut to = Vec::with_capacity((1 + usize::from(with_in_edges)) * g.num_edges() as usize);
+        for &v in &verts {
+            to.extend(g.out_neighbors(v).iter().map(|&t| pos_of[t as usize]));
+            if let Some((in_off, in_src)) = &transposed {
+                let ins = &in_src[in_off[v as usize] as usize..in_off[v as usize + 1] as usize];
+                to.extend(ins.iter().filter(|&&u| u != v).map(|&u| pos_of[u as usize]));
+            }
+            at.push(to.len());
+        }
+        Routes { verts, off, mach, at, to }
+    }
+
     fn of(&self, p: usize) -> &[u32] {
         &self.to[self.at[p]..self.at[p + 1]]
     }
 
-    /// Superstep 1's label of position `p`: the least of its id and its
+    /// WCC's superstep-1 label of position `p`: the least of its id and its
     /// in-neighbours' ids.
     fn discovered_label(&self, g: &CsrGraph, p: usize) -> VertexId {
         let ins = &self.of(p)[g.out_degree(self.verts[p]) as usize..];
@@ -1115,8 +625,10 @@ impl Outbox {
     /// keeps the least label, gets its has-mail bit, and counts once per
     /// source machine. No branch per target. Within a superstep, calls
     /// must come in ascending `src`, so that each source machine's pushes
-    /// are one unbroken run (see `stamp`).
-    #[inline]
+    /// are one unbroken run (see `stamp`). Always inlined: `scan` calls it
+    /// from three places, and as a call per pushing position it cost
+    /// BV-wcc-WRN about a tenth of its time.
+    #[inline(always)]
     fn push(&mut self, mach: &[u32], targets: &[u32], x: VertexId, src: usize) {
         debug_assert!(src >= self.run, "machine {src} pushed after machine {}'s run", self.run);
         self.run = src;
@@ -1141,67 +653,73 @@ struct LabelSnapshot {
 }
 
 impl<'a> LabelPath<'a> {
-    fn new(
+    /// HashMin WCC, storing each discovered in-edge at `bytes_per_edge`.
+    fn wcc(
         cluster: &Cluster,
         g: &'a CsrGraph,
         part: &EdgeCutPartition,
         bytes_per_edge: u64,
     ) -> LabelPath<'a> {
-        let n = g.num_vertices();
+        let routes = Routes::new(g, part, true);
         let machines = part.machines();
-        // Each fragment is ascending by global id, as `LocalIndex` numbers
-        // it.
-        let frags = part.vertices_per_machine();
-        let mut off = vec![0];
-        let mut mach = Vec::with_capacity(n);
-        for (m, frag) in frags.iter().enumerate() {
-            mach.resize(mach.len() + frag.len(), m as u32);
-            off.push(mach.len());
-        }
-        let verts = frags.concat();
-        assert_eq!(verts.len(), n, "partition and graph disagree");
-        let mut pos_of = vec![0u32; n];
-        for (p, &v) in verts.iter().enumerate() {
-            pos_of[v as usize] = p as u32;
-        }
-        // The route table, and superstep 0's sends per (destination,
-        // source) machine: one per non-self out-edge.
-        let (in_off, in_src) = g.transpose();
-        let mut at = Vec::with_capacity(n + 1);
-        at.push(0);
-        let mut to = Vec::with_capacity(2 * g.num_edges() as usize);
+        // Superstep 0's sends per (destination, source) machine: one per
+        // non-self out-edge.
         let mut sends = vec![0u64; machines * machines];
-        for (p, &v) in verts.iter().enumerate() {
-            let src = mach[p] as usize;
-            for &t in g.out_neighbors(v) {
-                let tp = pos_of[t as usize];
-                to.push(tp);
-                sends[mach[tp as usize] as usize * machines + src] += u64::from(t != v);
+        for (p, &v) in routes.verts.iter().enumerate() {
+            let src = routes.mach[p] as usize;
+            for &t in &routes.of(p)[..g.out_degree(v) as usize] {
+                sends[routes.mach[t as usize] as usize * machines + src] +=
+                    u64::from(t as usize != p);
             }
-            let ins = &in_src[in_off[v as usize] as usize..in_off[v as usize + 1] as usize];
-            to.extend(ins.iter().filter(|&&u| u != v).map(|&u| pos_of[u as usize]));
-            at.push(to.len());
         }
-        let msg_mem = cluster.profile().bytes_per_message;
-        let prog = WccProgram::new(bytes_per_edge);
-        let wire = prog.wire_bytes() + 4;
         // Superstep 0: every vertex runs and sends; nothing is combined.
-        let mut discovery = Charges::new(machines);
-        let mut ops: Vec<u64> = off.windows(2).map(|w| (w[1] - w[0]) as u64).collect();
-        let mut discovered = vec![0u64; machines];
+        let msg_mem = cluster.profile().bytes_per_message;
+        let mut charges = Charges::new(machines);
+        let mut ops: Vec<u64> = routes.off.windows(2).map(|w| (w[1] - w[0]) as u64).collect();
+        let mut received = vec![0u64; machines];
         for dst in 0..machines {
             let row = &sends[dst * machines..(dst + 1) * machines];
-            discovered[dst] = row.iter().sum();
+            received[dst] = row.iter().sum();
             row.iter().zip(&mut ops).for_each(|(&c, o)| *o += c);
-            discovery.inbox_bytes[dst] = discovered[dst] * msg_mem;
-            discovery.add_delivery(dst, row, msg_mem, wire);
+            charges.inbox_bytes[dst] = received[dst] * msg_mem;
+            charges.add_delivery(dst, row, msg_mem, LABEL_WIRE);
         }
-        discovery.ops = ops.iter().map(|&o| o as f64).collect();
+        charges.ops = ops.iter().map(|&o| o as f64).collect();
+        let label = routes.verts.clone();
+        let start = Start::Discovery { received, bytes_per_edge, charges };
+        LabelPath::with(cluster, g, routes, start, label)
+    }
+
+    /// Unit-weight BFS from `source` over out-edges, `bound` hops deep.
+    fn traversal(
+        cluster: &Cluster,
+        g: &'a CsrGraph,
+        part: &EdgeCutPartition,
+        source: VertexId,
+        bound: u32,
+    ) -> LabelPath<'a> {
+        let routes = Routes::new(g, part, false);
+        let at = routes.verts.iter().position(|&v| v == source).expect("the source is a vertex");
+        let mut label = vec![UNREACHABLE; routes.verts.len()];
+        label[at] = 0;
+        LabelPath::with(cluster, g, routes, Start::Source { at, bound }, label)
+    }
+
+    fn with(
+        cluster: &Cluster,
+        g: &'a CsrGraph,
+        routes: Routes,
+        start: Start,
+        label: Vec<VertexId>,
+    ) -> LabelPath<'a> {
+        let n = label.len();
+        let machines = routes.off.len() - 1;
         let empty = Mail { min: vec![VertexId::MAX; n], live: vec![0; n.div_ceil(64)] };
         LabelPath {
             g,
-            label: verts.clone(),
-            routes: Routes { verts, off, mach, at, to },
+            routes,
+            start,
+            label,
             inbox: empty.clone(),
             out: Outbox {
                 mail: empty,
@@ -1211,55 +729,78 @@ impl<'a> LabelPath<'a> {
                 run: 0,
                 pairs: vec![0; machines * machines],
             },
-            discovered,
-            bytes_per_edge,
-            discovery,
             charges: Charges::new(machines),
-            msg_mem,
-            wire,
+            msg_mem: cluster.profile().bytes_per_message,
             active: 0,
         }
     }
 
-    /// One superstep from 1 on, `dense` for superstep 1. Fills `charges`;
-    /// returns the messages sent and whether any vertex ran.
+    /// Superstep `superstep` from WCC's superstep 1 or a traversal's 0 on,
+    /// for a traversal if `HOPS` (pushing `x + 1` while `x < bound`), else
+    /// for WCC (pushing `x`; `bound` unread). Compiled once per kind, so
+    /// WCC's scan has no add or bound test. Fills `charges`; returns the
+    /// messages sent and whether any vertex ran.
     ///
     /// It scans in place, in ascending position, pushing as it goes: every
     /// push reads only the delivered inbox and writes only the next one, so
     /// the labels and charges are the same at any thread and chunk count,
     /// and each source machine's pushes form one unbroken run (what the
     /// outbox's distinct-target count needs).
-    fn hashmin(&mut self, dense: bool) -> (u64, bool) {
+    fn scan<const HOPS: bool>(&mut self, superstep: u64, bound: u32) -> (u64, bool) {
         let machines = self.out.machines;
         self.out.begin();
-        let LabelPath { g, routes: r, label, inbox, out, .. } = self;
-        // Vertices run and messages sent, per machine.
+        let LabelPath { g, routes: r, start, label, inbox, out, .. } = self;
+        let hop = u32::from(HOPS);
+        // Vertices run, messages received and messages sent, per machine,
+        // and the bytes each received message is stored at.
         let mut ran = vec![0u64; machines];
+        let mut received = vec![0u64; machines];
         let mut sent = vec![0u64; machines];
-        if dense {
-            for (p, l) in label.iter_mut().enumerate() {
-                let x = r.discovered_label(g, p);
-                *l = x;
-                let m = r.mach[p] as usize;
-                ran[m] += 1;
-                sent[m] += r.of(p).len() as u64;
-                out.push(&r.mach, r.of(p), x, m);
-            }
-        } else {
-            for w in 0..inbox.live.len() {
-                let mut bits = std::mem::take(&mut inbox.live[w]);
-                while bits != 0 {
-                    let p = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let x = std::mem::replace(&mut inbox.min[p], VertexId::MAX);
+        let mut stored = 0;
+        match (&*start, superstep) {
+            // WCC's superstep 1: every position runs.
+            (Start::Discovery { received: discovered, bytes_per_edge, .. }, 1) => {
+                received.copy_from_slice(discovered);
+                stored = *bytes_per_edge;
+                for (p, l) in label.iter_mut().enumerate() {
+                    let x = r.discovered_label(g, p);
+                    *l = x;
                     let m = r.mach[p] as usize;
                     ran[m] += 1;
-                    if x < label[p] {
-                        label[p] = x;
-                        sent[m] += r.of(p).len() as u64;
-                        out.push(&r.mach, r.of(p), x, m);
+                    sent[m] += r.of(p).len() as u64;
+                    out.push(&r.mach, r.of(p), x, m);
+                }
+            }
+            // A traversal's superstep 0: only the source runs.
+            (&Start::Source { at: p, .. }, 0) => {
+                let m = r.mach[p] as usize;
+                ran[m] += 1;
+                if label[p] < bound {
+                    sent[m] += r.of(p).len() as u64;
+                    out.push(&r.mach, r.of(p), label[p] + hop, m);
+                }
+            }
+            // The positions with mail run.
+            _ => {
+                for w in 0..inbox.live.len() {
+                    let mut bits = std::mem::take(&mut inbox.live[w]);
+                    while bits != 0 {
+                        let p = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let x = std::mem::replace(&mut inbox.min[p], VertexId::MAX);
+                        let m = r.mach[p] as usize;
+                        ran[m] += 1;
+                        if x < label[p] {
+                            label[p] = x;
+                            if !HOPS || x < bound {
+                                sent[m] += r.of(p).len() as u64;
+                                out.push(&r.mach, r.of(p), x + hop, m);
+                            }
+                        }
                     }
                 }
+                // One combined message per position with mail.
+                received.copy_from_slice(&ran);
             }
         }
         // What was pushed is the next superstep's inbox; the consumed one
@@ -1269,14 +810,13 @@ impl<'a> LabelPath<'a> {
         let c = &mut self.charges;
         c.clear_deliveries();
         for m in 0..machines {
-            let received = if dense { self.discovered[m] } else { ran[m] };
-            c.ops[m] = (ran[m] + received + sent[m]) as f64;
-            c.extra_alloc[m] = if dense { received * self.bytes_per_edge } else { 0 };
+            c.ops[m] = (ran[m] + received[m] + sent[m]) as f64;
+            c.extra_alloc[m] = received[m] * stored;
             let (lo, hi) = (self.routes.off[m], self.routes.off[m + 1]);
             let mail = crate::shuffle::set_bits(&self.inbox.live, lo, hi).count() as u64;
             c.inbox_bytes[m] = mail * self.msg_mem;
             let row = &self.out.pairs[m * machines..(m + 1) * machines];
-            c.add_delivery(m, row, self.msg_mem, self.wire);
+            c.add_delivery(m, row, self.msg_mem, LABEL_WIRE);
         }
         (sent.iter().sum(), ran.iter().any(|&r| r > 0))
     }
@@ -1287,14 +827,16 @@ impl Path for LabelPath<'_> {
     type Snapshot = LabelSnapshot;
 
     fn step(&mut self, superstep: u64) -> (Step, &Charges) {
-        if superstep == 0 {
-            self.active = self.label.len() as u64;
-            let raw_messages = self.discovered.iter().sum();
-            let step = Step { raw_messages, any_ran: self.active > 0, agg: 0.0 };
-            return (step, &self.discovery);
-        }
         self.active = 0;
-        let (raw_messages, any_ran) = self.hashmin(superstep == 1);
+        let (raw_messages, any_ran) = match &self.start {
+            Start::Discovery { received, charges, .. } if superstep == 0 => {
+                self.active = self.label.len() as u64;
+                self.charges.clone_from(charges);
+                (received.iter().sum(), self.active > 0)
+            }
+            Start::Discovery { .. } => self.scan::<false>(superstep, VertexId::MAX),
+            &Start::Source { bound, .. } => self.scan::<true>(superstep, bound),
+        };
         (Step { raw_messages, any_ran, agg: 0.0 }, &self.charges)
     }
 
@@ -1333,28 +875,68 @@ impl Path for LabelPath<'_> {
     }
 }
 
-/// [`run_bsp`] with [`WccProgram`], on the label path (see the module
-/// docs): the same labels, supersteps, charges and journal, with no
-/// per-edge message filed.
-pub(crate) fn run_bsp_wcc(
+/// WCC, SSSP or K-hop on the label path (see the module docs): the message
+/// path's states, supersteps, charges and journal, with no message filed.
+/// WCC stores each discovered in-edge at `wcc_bytes_per_edge`.
+fn run_bsp_labels(
     cluster: &mut Cluster,
     g: &CsrGraph,
     part: &EdgeCutPartition,
-    bytes_per_edge: u64,
+    workload: Workload,
+    wcc_bytes_per_edge: u64,
     cfg: &BspConfig,
 ) -> Result<BspOutcome<VertexId>, SimError> {
     assert_eq!(part.machines(), cluster.machines(), "partition and cluster disagree");
-    let path = LabelPath::new(cluster, g, part, bytes_per_edge);
+    let path = match workload {
+        Workload::Wcc => LabelPath::wcc(cluster, g, part, wcc_bytes_per_edge),
+        Workload::Sssp { source } => LabelPath::traversal(cluster, g, part, source, UNREACHABLE),
+        Workload::KHop { source, k } => LabelPath::traversal(cluster, g, part, source, k),
+        Workload::PageRank(_) => unreachable!("PageRank takes the rank path"),
+    };
     drive(cluster, path, cfg)
+}
+
+/// Run `workload` over `g` partitioned by `part`: PageRank on the rank
+/// path, WCC, SSSP and K-hop on the label path. WCC stores each discovered
+/// in-edge at `wcc_bytes_per_edge` (the engine's reverse-edge
+/// representation).
+///
+/// The caller is responsible for phase bookkeeping and for charging the
+/// permanent graph/state memory during its load phase; this function
+/// charges compute, network, barriers, and transient message buffers.
+pub(crate) fn run_workload(
+    cluster: &mut Cluster,
+    g: &CsrGraph,
+    part: &EdgeCutPartition,
+    workload: Workload,
+    wcc_bytes_per_edge: u64,
+    cfg: &BspConfig,
+) -> Result<WorkloadResult, SimError> {
+    if let Workload::PageRank(pr) = workload {
+        let out = run_bsp_pagerank(cluster, g, part, &PageRankProgram::new(pr), cfg)?;
+        return Ok(WorkloadResult::Ranks(out.states));
+    }
+    let states = run_bsp_labels(cluster, g, part, workload, wcc_bytes_per_edge, cfg)?.states;
+    Ok(match workload {
+        Workload::Wcc => WorkloadResult::Labels(states),
+        _ => WorkloadResult::Distances(states),
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use super::message::{
+        build_shards, compute_superstep, run_bsp, wcc_labels, Ctx, KHopProgram, SsspProgram,
+        VertexProgram, WccProgram,
+    };
     use super::*;
+    use crate::shuffle::Inbox;
+    use graphbench_algos::reference;
     use graphbench_algos::workload::{PageRankConfig, StopCriterion};
     use graphbench_graph::builder::csr_from_pairs;
-    use graphbench_graph::rng::for_each_seed;
-    use graphbench_sim::{ClusterSpec, CostProfile};
+    use graphbench_graph::rng::{for_each_seed, Rng};
+    use graphbench_partition::LocalIndex;
+    use graphbench_sim::{ClusterSpec, CostProfile, FaultPlan};
 
     /// Propagate the maximum vertex id through the graph (a tiny well-
     /// understood fixpoint program for exercising the runtime).
@@ -1571,7 +1153,7 @@ mod tests {
     }
 
     fn run_maxprop_with_faults(
-        plan: graphbench_sim::FaultPlan,
+        plan: FaultPlan,
         cfg: &BspConfig,
     ) -> (BspOutcome<VertexId>, Cluster) {
         let g = csr_from_pairs(&[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (2, 0)]);
@@ -1594,9 +1176,8 @@ mod tests {
             checkpoint_bytes: 1 << 20,
             ..BspConfig::default()
         };
-        let (clean, c_clean) = run_maxprop_with_faults(graphbench_sim::FaultPlan::none(), &cfg);
-        let (faulted, c_faulted) =
-            run_maxprop_with_faults(graphbench_sim::FaultPlan::single(0.01, 1), &cfg);
+        let (clean, c_clean) = run_maxprop_with_faults(FaultPlan::none(), &cfg);
+        let (faulted, c_faulted) = run_maxprop_with_faults(FaultPlan::single(0.01, 1), &cfg);
         assert_eq!(clean.states, faulted.states);
         assert!(faulted.recovered_from_failure);
         assert!(!clean.recovered_from_failure);
@@ -1608,10 +1189,7 @@ mod tests {
     /// 5 → 300, on 3 machines: ~300 supersteps of one or two message
     /// targets each, in fragments of ~133 vertices (three bitmap words), so
     /// every superstep after the first takes the bitmap walk.
-    fn run_path_sssp(
-        plan: graphbench_sim::FaultPlan,
-        cfg: &BspConfig,
-    ) -> (BspOutcome<u32>, Cluster) {
+    fn run_path_sssp(plan: FaultPlan, cfg: &BspConfig) -> (BspOutcome<u32>, Cluster) {
         let mut pairs: Vec<(u32, u32)> = (0..399).map(|i| (i, i + 1)).collect();
         pairs.push((5, 300));
         let g = csr_from_pairs(&pairs);
@@ -1620,7 +1198,7 @@ mod tests {
             ClusterSpec { faults: plan, ..ClusterSpec::r3_xlarge(3, 1 << 30) },
             CostProfile::cpp_mpi(),
         );
-        let mut prog = crate::programs::SsspProgram::new(0);
+        let mut prog = SsspProgram::new(0);
         let out = run_bsp(&mut cluster, &g, &part, &mut prog, cfg).unwrap();
         (out, cluster)
     }
@@ -1636,8 +1214,7 @@ mod tests {
             crate::exec::set_threads(threads);
             for chunk in [1usize, 2, 3, 63, 64, 65, 4096] {
                 crate::exec::set_chunk_size(chunk);
-                let (out, cluster) =
-                    run_path_sssp(graphbench_sim::FaultPlan::none(), &BspConfig::default());
+                let (out, cluster) = run_path_sssp(FaultPlan::none(), &BspConfig::default());
                 let key = (
                     out.states,
                     out.supersteps,
@@ -1673,8 +1250,8 @@ mod tests {
             ..BspConfig::default()
         };
         for cfg in [checkpointed, BspConfig::default()] {
-            let (clean, c_clean) = run_path_sssp(graphbench_sim::FaultPlan::none(), &cfg);
-            let crash = graphbench_sim::FaultPlan::single(c_clean.elapsed() * 0.4, 1);
+            let (clean, c_clean) = run_path_sssp(FaultPlan::none(), &cfg);
+            let crash = FaultPlan::single(c_clean.elapsed() * 0.4, 1);
             let (faulted, c_faulted) = run_path_sssp(crash, &cfg);
             assert!(faulted.recovered_from_failure);
             assert_eq!(clean.states, faulted.states);
@@ -1686,9 +1263,8 @@ mod tests {
     #[test]
     fn restart_from_input_without_checkpoints_is_still_correct() {
         let cfg = BspConfig::default(); // no checkpointing (the study's setup)
-        let (clean, _) = run_maxprop_with_faults(graphbench_sim::FaultPlan::none(), &cfg);
-        let (faulted, c_faulted) =
-            run_maxprop_with_faults(graphbench_sim::FaultPlan::single(0.05, 2), &cfg);
+        let (clean, _) = run_maxprop_with_faults(FaultPlan::none(), &cfg);
+        let (faulted, c_faulted) = run_maxprop_with_faults(FaultPlan::single(0.05, 2), &cfg);
         assert_eq!(clean.states, faulted.states);
         assert!(faulted.recovered_from_failure);
         assert!(c_faulted.registry().counter("faults.crash.recovered") >= 1);
@@ -1697,8 +1273,7 @@ mod tests {
     #[test]
     fn unreached_fault_is_not_consumed() {
         let cfg = BspConfig::default();
-        let (out, cluster) =
-            run_maxprop_with_faults(graphbench_sim::FaultPlan::single(80_000.0, 1), &cfg);
+        let (out, cluster) = run_maxprop_with_faults(FaultPlan::single(80_000.0, 1), &cfg);
         assert!(!out.recovered_from_failure);
         assert_eq!(cluster.unreached_faults().len(), 1);
     }
@@ -2104,7 +1679,7 @@ mod tests {
         }
     }
 
-    fn cluster_for(part: &EdgeCutPartition, faults: graphbench_sim::FaultPlan) -> Cluster {
+    fn cluster_for(part: &EdgeCutPartition, faults: FaultPlan) -> Cluster {
         Cluster::new(
             ClusterSpec { faults, ..ClusterSpec::r3_xlarge(part.machines(), 1 << 30) },
             CostProfile::cpp_mpi(),
@@ -2117,7 +1692,7 @@ mod tests {
         g: &CsrGraph,
         part: &EdgeCutPartition,
         prog: &(PageRankConfig, Option<Vec<f64>>),
-        faults: graphbench_sim::FaultPlan,
+        faults: FaultPlan,
         cfg: &BspConfig,
         rank_path: bool,
     ) -> PathRecord {
@@ -2126,8 +1701,12 @@ mod tests {
             None => PageRankProgram::new(prog.0),
         };
         let mut cluster = cluster_for(part, faults);
-        let run = if rank_path { run_bsp_pagerank } else { run_bsp };
-        let out = run(&mut cluster, g, part, &mut prog, cfg).unwrap();
+        let out = if rank_path {
+            run_bsp_pagerank(&mut cluster, g, part, &prog, cfg)
+        } else {
+            run_bsp(&mut cluster, g, part, &mut prog, cfg)
+        };
+        let out = out.unwrap();
         let ranks = out.states.iter().map(|r| r.to_bits()).collect();
         let result = graphbench_algos::WorkloadResult::Ranks(out.states.clone());
         PathRecord::new(cluster, &out, ranks, result)
@@ -2135,7 +1714,6 @@ mod tests {
 
     #[test]
     fn rank_path_equals_the_message_path() {
-        use graphbench_sim::FaultPlan;
         let _guard = crate::exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let plain = BspConfig::default();
         let checkpointed =
@@ -2233,83 +1811,129 @@ mod tests {
         CsrGraph::from_edge_list(&el)
     }
 
-    fn wcc_record(
+    /// One label-path workload on the label path or, as the oracle, on the
+    /// message path. WCC stores discovered in-edges at 8 bytes.
+    fn label_record(
         g: &CsrGraph,
         part: &EdgeCutPartition,
-        faults: graphbench_sim::FaultPlan,
+        workload: Workload,
+        faults: FaultPlan,
         cfg: &BspConfig,
         label_path: bool,
     ) -> PathRecord {
         let mut cluster = cluster_for(part, faults);
+        let c = &mut cluster;
         let out = if label_path {
-            run_bsp_wcc(&mut cluster, g, part, 8, cfg).unwrap()
+            run_bsp_labels(c, g, part, workload, 8, cfg).unwrap()
         } else {
-            let out = run_bsp(&mut cluster, g, part, &mut WccProgram::new(8), cfg).unwrap();
-            BspOutcome {
-                states: crate::programs::wcc_labels(out.states),
-                supersteps: out.supersteps,
-                raw_messages: out.raw_messages,
-                recovered_from_failure: out.recovered_from_failure,
+            match workload {
+                Workload::Wcc => {
+                    let out = run_bsp(c, g, part, &mut WccProgram::new(8), cfg).unwrap();
+                    BspOutcome {
+                        states: wcc_labels(out.states),
+                        supersteps: out.supersteps,
+                        raw_messages: out.raw_messages,
+                        recovered_from_failure: out.recovered_from_failure,
+                    }
+                }
+                Workload::Sssp { source } => {
+                    run_bsp(c, g, part, &mut SsspProgram::new(source), cfg).unwrap()
+                }
+                Workload::KHop { source, k } => {
+                    run_bsp(c, g, part, &mut KHopProgram::new(source, k), cfg).unwrap()
+                }
+                Workload::PageRank(_) => unreachable!("PageRank takes the rank path"),
             }
         };
-        let labels = out.states.iter().map(|&l| u64::from(l)).collect();
-        let result = graphbench_algos::WorkloadResult::Labels(out.states.clone());
-        PathRecord::new(cluster, &out, labels, result)
+        let states = out.states.iter().map(|&l| u64::from(l)).collect();
+        let result = match workload {
+            Workload::Wcc => WorkloadResult::Labels(out.states.clone()),
+            _ => WorkloadResult::Distances(out.states.clone()),
+        };
+        PathRecord::new(cluster, &out, states, result)
+    }
+
+    /// The label path's workloads on `g`: WCC; SSSP from a random vertex,
+    /// an isolated one and one with a self-loop (where `g` has them); K-hop
+    /// from the random vertex at bounds 0 to 3. Returns them with the
+    /// reference answers, and whether an isolated and a self-loop source
+    /// were among them.
+    fn label_workloads(g: &CsrGraph, rng: &mut Rng) -> (Vec<(Workload, Vec<u64>)>, bool, bool) {
+        let n = g.num_vertices() as VertexId;
+        let random = rng.below_u32(n);
+        let (in_off, _) = g.transpose();
+        let isolated =
+            (0..n).find(|&v| g.out_degree(v) == 0 && in_off[v as usize] == in_off[v as usize + 1]);
+        let looped = (0..n).find(|&v| g.out_neighbors(v).contains(&v));
+        let widen = |d: Vec<u32>| d.into_iter().map(u64::from).collect();
+        let mut workloads = vec![(Workload::Wcc, widen(reference::wcc(g)))];
+        for source in [Some(random), isolated, looped].into_iter().flatten() {
+            workloads.push((Workload::Sssp { source }, widen(reference::sssp(g, source))));
+        }
+        for k in 0..4 {
+            let khop = Workload::KHop { source: random, k };
+            workloads.push((khop, widen(reference::khop(g, random, k))));
+        }
+        (workloads, isolated.is_some(), looped.is_some())
     }
 
     #[test]
     fn label_path_equals_the_message_path() {
-        use graphbench_sim::FaultPlan;
         let _guard = crate::exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let plain = BspConfig::default();
         let checkpointed =
             BspConfig { checkpoint_every: Some(3), checkpoint_bytes: 1 << 20, ..plain.clone() };
-        // Crashes recovered from a checkpoint rather than from the input:
-        // proof that a restore past superstep 0 was exercised.
-        let mut from_checkpoint = 0usize;
+        // Crashes recovered from a checkpoint rather than from the input
+        // (proof that a restore past superstep 0 was exercised), and graphs
+        // with an isolated and a self-loop SSSP source.
+        let (mut from_checkpoint, mut isolated, mut looped) = (0usize, 0usize, 0usize);
         for_each_seed(3, |seed, rng| {
             let graphs = [crate::gather::tests::gather_graph(rng), chain_graph(rng)];
             for (gi, g) in graphs.iter().enumerate() {
                 let n = g.num_vertices();
-                let want: Vec<u64> =
-                    graphbench_algos::reference::wcc(g).into_iter().map(u64::from).collect();
+                let (workloads, has_isolated, has_looped) = label_workloads(g, rng);
+                isolated += usize::from(has_isolated);
+                looped += usize::from(has_looped);
                 for machines in [1, 2, 3, 16, 64] {
                     let part = EdgeCutPartition::random(n as u64, machines, seed);
                     for threads in [1, 4] {
                         crate::exec::set_threads(threads);
                         for chunk in [1, 97, 4096] {
                             crate::exec::set_chunk_size(chunk);
-                            let record = |faults: &FaultPlan, cfg, label_path| {
-                                wcc_record(g, &part, faults.clone(), cfg, label_path)
-                            };
-                            let at = format!(
-                                "graph {gi}, {n} vertices, machines {machines}, \
-                                 threads {threads}, chunk {chunk}"
-                            );
-                            let clean = record(&FaultPlan::none(), &plain, false);
-                            assert_eq!(clean.states, want, "{at}: not the components");
-                            assert_eq!(record(&FaultPlan::none(), &plain, true), clean, "{at}");
-                            // A crash 60 % into the run, restarting from the
-                            // input or from the last checkpoint.
-                            for cfg in [&plain, &checkpointed] {
-                                let runtime = match cfg.checkpoint_every {
-                                    None => clean.runtime,
-                                    Some(_) => record(&FaultPlan::none(), cfg, false).runtime,
+                            for (workload, want) in &workloads {
+                                let record = |faults: &FaultPlan, cfg, label_path| {
+                                    let w = *workload;
+                                    label_record(g, &part, w, faults.clone(), cfg, label_path)
                                 };
-                                let crash =
-                                    FaultPlan::single(f64::from_bits(runtime) * 0.6, machines / 2);
-                                let want = record(&crash, cfg, false);
-                                let got = record(&crash, cfg, true);
-                                let at = format!("{at}, crash, {:?}", cfg.checkpoint_every);
-                                assert_eq!(got, want, "{at}");
-                                if got.recovered {
-                                    assert_eq!(
-                                        got.states, clean.states,
-                                        "{at}: not the fault-free labels"
-                                    );
-                                    from_checkpoint += usize::from(
-                                        cfg.checkpoint_every.is_some() && clean.supersteps > 3,
-                                    );
+                                let at = format!(
+                                    "graph {gi}, {n} vertices, machines {machines}, \
+                                     threads {threads}, chunk {chunk}, {workload:?}"
+                                );
+                                let clean = record(&FaultPlan::none(), &plain, false);
+                                assert_eq!(&clean.states, want, "{at}: not the reference");
+                                assert_eq!(record(&FaultPlan::none(), &plain, true), clean, "{at}");
+                                // A crash 60 % into the run, restarting from
+                                // the input or from the last checkpoint.
+                                for cfg in [&plain, &checkpointed] {
+                                    let runtime = match cfg.checkpoint_every {
+                                        None => clean.runtime,
+                                        Some(_) => record(&FaultPlan::none(), cfg, false).runtime,
+                                    };
+                                    let when = f64::from_bits(runtime) * 0.6;
+                                    let crash = FaultPlan::single(when, machines / 2);
+                                    let want = record(&crash, cfg, false);
+                                    let got = record(&crash, cfg, true);
+                                    let at = format!("{at}, crash, {:?}", cfg.checkpoint_every);
+                                    assert_eq!(got, want, "{at}");
+                                    if got.recovered {
+                                        assert_eq!(
+                                            got.states, clean.states,
+                                            "{at}: not the fault-free states"
+                                        );
+                                        from_checkpoint += usize::from(
+                                            cfg.checkpoint_every.is_some() && clean.supersteps > 3,
+                                        );
+                                    }
                                 }
                             }
                         }
@@ -2320,6 +1944,7 @@ mod tests {
         crate::exec::set_chunk_size(4096);
         crate::exec::set_threads(1);
         assert!(from_checkpoint > 0, "no crash was recovered from a checkpoint");
+        assert!(isolated > 0 && looped > 0, "isolated {isolated}, self-loop {looped} sources");
     }
 
     /// `combine(identity(), m) == m` for every test program, over seeded
@@ -2341,6 +1966,139 @@ mod tests {
             for m in [0, u32::MAX - 1, r as u32] {
                 assert_eq!(MaxProp.combine(MaxProp.identity(), m), m);
             }
+        });
+    }
+
+    fn arb_graph(rng: &mut Rng) -> CsrGraph {
+        let pairs: Vec<_> =
+            (0..1 + rng.below(119)).map(|_| (rng.below_u32(25), rng.below_u32(25))).collect();
+        csr_from_pairs(&pairs)
+    }
+
+    fn cluster(machines: usize) -> Cluster {
+        Cluster::new(ClusterSpec::r3_xlarge(machines, 1 << 30), CostProfile::cpp_mpi())
+    }
+
+    /// `workload` through [`run_workload`] on a fresh cluster, WCC storing
+    /// discovered in-edges at 8 bytes.
+    fn run_arb(
+        g: &CsrGraph,
+        machines: usize,
+        seed: u64,
+        workload: Workload,
+    ) -> (WorkloadResult, Cluster) {
+        let part = EdgeCutPartition::random(g.num_vertices() as u64, machines, seed);
+        let mut cl = cluster(machines);
+        let out = run_workload(&mut cl, g, &part, workload, 8, &BspConfig::default()).unwrap();
+        (out, cl)
+    }
+
+    #[test]
+    fn bsp_wcc_matches_reference() {
+        for_each_seed(64, |_, rng| {
+            let g = arb_graph(rng);
+            let machines = 1 + rng.below(8);
+            let seed = rng.below(50) as u64;
+            let (out, cl) = run_arb(&g, machines, seed, Workload::Wcc);
+            assert_eq!(out, WorkloadResult::Labels(reference::wcc(&g)));
+            // Transient message memory is returned; only the permanently
+            // materialized reverse edges (8 B each) may remain resident.
+            let residual: u64 = (0..machines).map(|m| cl.mem_in_use(m)).sum();
+            assert!(residual <= g.num_edges() * 8, "residual {} bytes", residual);
+        });
+    }
+
+    #[test]
+    fn bsp_sssp_matches_reference() {
+        for_each_seed(64, |_, rng| {
+            let g = arb_graph(rng);
+            let machines = 1 + rng.below(8);
+            let seed = rng.below(50) as u64;
+            let src_raw = rng.below_u32(25);
+            let src = src_raw % g.num_vertices() as u32;
+            let (out, cl) = run_arb(&g, machines, seed, Workload::Sssp { source: src });
+            assert_eq!(out, WorkloadResult::Distances(reference::sssp(&g, src)));
+            // SSSP allocates nothing permanent: all buffers must be returned.
+            for m in 0..machines {
+                assert_eq!(cl.mem_in_use(m), 0, "machine {} leaked", m);
+            }
+        });
+    }
+
+    #[test]
+    fn bsp_khop_matches_reference() {
+        for_each_seed(64, |_, rng| {
+            let g = arb_graph(rng);
+            let machines = 1 + rng.below(8);
+            let seed = rng.below(50) as u64;
+            let src_raw = rng.below_u32(25);
+            let k = rng.below_u32(5);
+            let src = src_raw % g.num_vertices() as u32;
+            let (out, cl) = run_arb(&g, machines, seed, Workload::KHop { source: src, k });
+            assert_eq!(out, WorkloadResult::Distances(reference::khop(&g, src, k)));
+            // K-hop never runs more than k + 2 supersteps.
+            assert!(cl.supersteps() <= k as u64 + 2);
+        });
+    }
+
+    #[test]
+    fn bsp_pagerank_matches_reference() {
+        for_each_seed(64, |_, rng| {
+            let g = arb_graph(rng);
+            let machines = 1 + rng.below(8);
+            let seed = rng.below(50) as u64;
+            let cfg = PageRankConfig::fixed(8);
+            let (out, _) = run_arb(&g, machines, seed, Workload::PageRank(cfg));
+            let WorkloadResult::Ranks(ranks) = out else { panic!("not ranks: {out:?}") };
+            let (want, _) = reference::pagerank(&g, &cfg);
+            for (a, b) in ranks.iter().zip(&want) {
+                assert!((a - b).abs() < 1e-9, "{} vs {}", a, b);
+            }
+        });
+    }
+
+    #[test]
+    fn machine_count_never_changes_results() {
+        for_each_seed(64, |_, rng| {
+            let g = arb_graph(rng);
+            let seed = rng.below(20) as u64;
+            let (single, _) = run_arb(&g, 1, seed, Workload::Wcc);
+            for machines in [2usize, 5, 8] {
+                let (out, _) = run_arb(&g, machines, seed, Workload::Wcc);
+                assert_eq!(&out, &single, "machines {}", machines);
+            }
+        });
+    }
+
+    /// The parallel side of a thread-count comparison: `GRAPHBENCH_THREADS`
+    /// where it is set above 1 (CI runs 2, 4 and 8), else 4.
+    fn parallel_threads() -> usize {
+        let set = std::env::var("GRAPHBENCH_THREADS").ok().and_then(|raw| raw.parse().ok());
+        set.filter(|&t| t > 1).unwrap_or(4)
+    }
+
+    #[test]
+    fn parallel_bsp_matches_serial_on_random_graphs() {
+        for_each_seed(48, |_, rng| {
+            let g = arb_graph(rng);
+            let machines = 1 + rng.below(8);
+            let seed = rng.below(50) as u64;
+            let src_raw = rng.below_u32(25);
+            let _guard = crate::exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            let src = src_raw % g.num_vertices() as u32;
+            let (wcc, sssp) = (Workload::Wcc, Workload::Sssp { source: src });
+            crate::exec::set_threads(1);
+            let (wcc_serial, _) = run_arb(&g, machines, seed, wcc);
+            let (sssp_serial, _) = run_arb(&g, machines, seed, sssp);
+            crate::exec::set_threads(parallel_threads());
+            let (wcc_parallel, _) = run_arb(&g, machines, seed, wcc);
+            let (sssp_parallel, _) = run_arb(&g, machines, seed, sssp);
+            crate::exec::set_threads(1);
+            assert_eq!(&wcc_serial, &wcc_parallel);
+            assert_eq!(&sssp_serial, &sssp_parallel);
+            // And both agree with the single-threaded reference algorithms.
+            assert_eq!(wcc_serial, WorkloadResult::Labels(reference::wcc(&g)));
+            assert_eq!(sssp_serial, WorkloadResult::Distances(reference::sssp(&g, src)));
         });
     }
 }

@@ -16,10 +16,9 @@
 //! Execution structure is vertex-centric BSP, so this engine reuses the
 //! shared runtime with Flink's cost profile.
 
-use crate::bsp::{run_bsp, run_bsp_pagerank, run_bsp_wcc, BspConfig};
-use crate::programs::{KHopProgram, PageRankProgram, SsspProgram};
+use crate::bsp::{self, BspConfig};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
-use graphbench_algos::{Workload, WorkloadResult};
+use graphbench_algos::WorkloadResult;
 use graphbench_graph::format::GraphFormat;
 use graphbench_partition::EdgeCutPartition;
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
@@ -127,25 +126,8 @@ fn execute(
         per_superstep_spill_bytes: n as u64 * 36,
         ..BspConfig::default()
     };
-    let result = match input.workload {
-        Workload::PageRank(pr) => {
-            let mut prog = PageRankProgram::new(pr);
-            let out = run_bsp_pagerank(cluster, input.graph, &part, &mut prog, &cfg)?;
-            WorkloadResult::Ranks(out.states)
-        }
-        Workload::Wcc => {
-            let out = run_bsp_wcc(cluster, input.graph, &part, 20, &cfg)?;
-            WorkloadResult::Labels(out.states)
-        }
-        Workload::Sssp { source } => {
-            let mut prog = SsspProgram::new(source);
-            WorkloadResult::Distances(run_bsp(cluster, input.graph, &part, &mut prog, &cfg)?.states)
-        }
-        Workload::KHop { source, k } => {
-            let mut prog = KHopProgram::new(source, k);
-            WorkloadResult::Distances(run_bsp(cluster, input.graph, &part, &mut prog, &cfg)?.states)
-        }
-    };
+    // WCC keeps each discovered in-edge in a 20-byte tuple.
+    let result = bsp::run_workload(cluster, input.graph, &part, input.workload, 20, &cfg)?;
 
     cluster.begin_phase(Phase::Save);
     cluster.hdfs_write(&even_share(result_bytes(n as u64), machines))?;
@@ -158,6 +140,7 @@ mod tests {
     use crate::ScaleInfo;
     use graphbench_algos::reference;
     use graphbench_algos::workload::{PageRankConfig, StopCriterion};
+    use graphbench_algos::Workload;
     use graphbench_gen::{Dataset, DatasetKind, Scale};
     use graphbench_graph::{CsrGraph, EdgeList};
     use graphbench_sim::ClusterSpec;

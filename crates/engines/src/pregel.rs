@@ -12,10 +12,9 @@
 //!   (§5.5, §5.7);
 //! * four mappers per machine, i.e. all 4 cores compute.
 
-use crate::bsp::{run_bsp, run_bsp_pagerank, run_bsp_wcc, BspConfig};
-use crate::programs::{KHopProgram, PageRankProgram, SsspProgram};
+use crate::bsp::{self, BspConfig};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
-use graphbench_algos::{Workload, WorkloadResult};
+use graphbench_algos::WorkloadResult;
 use graphbench_graph::format::GraphFormat;
 use graphbench_partition::EdgeCutPartition;
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
@@ -127,30 +126,11 @@ fn execute(
         checkpoint_bytes: n as u64 * 16,
         ..BspConfig::default()
     };
-    let result = match input.workload {
-        Workload::PageRank(pr) => {
-            let mut prog = PageRankProgram::new(pr);
-            let out = run_bsp_pagerank(cluster, input.graph, &part, &mut prog, &cfg)?;
-            WorkloadResult::Ranks(out.states)
-        }
-        Workload::Wcc => {
-            // Reverse edges materialize as boxed objects in a multimap
-            // (compact arrays under the hypothetical native build).
-            let bytes_per_edge = if engine.native_constants { 8 } else { 75 };
-            let out = run_bsp_wcc(cluster, input.graph, &part, bytes_per_edge, &cfg)?;
-            WorkloadResult::Labels(out.states)
-        }
-        Workload::Sssp { source } => {
-            let mut prog = SsspProgram::new(source);
-            let out = run_bsp(cluster, input.graph, &part, &mut prog, &cfg)?;
-            WorkloadResult::Distances(out.states)
-        }
-        Workload::KHop { source, k } => {
-            let mut prog = KHopProgram::new(source, k);
-            let out = run_bsp(cluster, input.graph, &part, &mut prog, &cfg)?;
-            WorkloadResult::Distances(out.states)
-        }
-    };
+    // WCC's reverse edges materialize as boxed objects in a multimap
+    // (compact arrays under the hypothetical native build).
+    let wcc_bytes_per_edge = if engine.native_constants { 8 } else { 75 };
+    let result =
+        bsp::run_workload(cluster, input.graph, &part, input.workload, wcc_bytes_per_edge, &cfg)?;
 
     // Save results to HDFS.
     cluster.begin_phase(Phase::Save);
@@ -170,6 +150,7 @@ mod tests {
     use crate::ScaleInfo;
     use graphbench_algos::reference;
     use graphbench_algos::workload::{PageRankConfig, StopCriterion};
+    use graphbench_algos::Workload;
     use graphbench_gen::{Dataset, DatasetKind, Scale};
     use graphbench_sim::ClusterSpec;
 

@@ -1,15 +1,24 @@
-//! The four workloads as Pregel-style vertex programs (§3), shared by the
-//! vertex-centric BSP systems (Giraph, Blogel-V).
+//! PageRank's settings as the vertex-centric BSP systems (Giraph,
+//! Blogel-V, Blogel-B's vertex phase, Gelly) run it (§3.1).
+//!
+//! PageRank is the one workload whose BSP run needs more than its
+//! [`graphbench_algos::Workload`]: a damping factor, a stopping rule and,
+//! for Blogel-B, seeded initial ranks. [`PageRankProgram`] carries them to
+//! the rank path (`bsp::run_bsp_pagerank`). WCC, SSSP and K-hop go to the
+//! label path straight from the workload.
+//!
+//! All four workloads also exist as Pregel-style vertex programs, in the
+//! BSP test oracle (`bsp::message`). The oracle's PageRank program is this
+//! type, with its stopping rule and initial ranks taken from here, so the
+//! product and the oracle stop on the same superstep.
 
-use crate::bsp::{Ctx, VertexProgram};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
-use graphbench_algos::UNREACHABLE;
-use graphbench_graph::{CsrGraph, VertexId};
+use graphbench_graph::VertexId;
 
 /// Synchronous PageRank (§3.1): superstep 0 scatters the initial ranks;
 /// superstep `s >= 1` applies `pr = δ + (1 - δ) Σ msgs` and scatters again.
-/// Stops on the tolerance aggregated at the master (via the runtime's
-/// max-aggregator), or a fixed iteration count.
+/// Stops on the tolerance aggregated at the master, or a fixed iteration
+/// count.
 pub struct PageRankProgram {
     cfg: PageRankConfig,
     /// Custom initial ranks (Blogel-B seeds the vertex phase with
@@ -30,285 +39,34 @@ impl PageRankProgram {
     pub(crate) fn damping(&self) -> f64 {
         self.cfg.damping
     }
-}
 
-impl VertexProgram for PageRankProgram {
-    type Value = f64;
-    type Msg = f64;
-
-    fn init(&mut self, v: VertexId, _g: &CsrGraph) -> (f64, bool) {
-        let r = self.init_ranks.as_ref().map_or(1.0, |ranks| ranks[v as usize]);
-        (r, true)
+    /// Vertex `v`'s rank before superstep 0.
+    pub(crate) fn initial_rank(&self, v: VertexId) -> f64 {
+        self.init_ranks.as_ref().map_or(1.0, |ranks| ranks[v as usize])
     }
 
-    fn compute(
-        &self,
-        ctx: &mut Ctx<'_, f64>,
-        g: &CsrGraph,
-        v: VertexId,
-        value: &mut f64,
-        msgs: &[f64],
-    ) -> bool {
-        if ctx.superstep > 0 {
-            let sum: f64 = msgs.iter().sum();
-            let new = self.cfg.damping + (1.0 - self.cfg.damping) * sum;
-            ctx.aggregate_max((new - *value).abs());
-            *value = new;
-        }
-        let deg = g.out_degree(v);
-        if deg > 0 {
-            ctx.send_to_out_neighbors(*value / deg as f64);
-        }
-        true // all vertices participate until the aggregator stops the run
-    }
-
-    fn combine(&self, a: f64, b: f64) -> f64 {
-        a + b
-    }
-
-    /// `-0.0`, not `0.0`: `-0.0 + x == x` for every `x`, `0.0 + -0.0 == 0.0`.
-    fn identity(&self) -> f64 {
-        -0.0
-    }
-
-    fn finished(&mut self, superstep: u64, max_aggregate: f64) -> bool {
+    /// Whether the run stops after `superstep`, whose largest `|Δrank|`
+    /// was `max_delta`.
+    pub(crate) fn stops(&self, superstep: u64, max_delta: f64) -> bool {
         match self.cfg.stop {
             // Superstep 0 performs no update; deltas exist from superstep 1.
-            StopCriterion::Tolerance(tol) => superstep >= 1 && max_aggregate < tol,
+            StopCriterion::Tolerance(tol) => superstep >= 1 && max_delta < tol,
             StopCriterion::Iterations(k) => superstep >= k as u64,
         }
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        8
-    }
-}
-
-/// Per-vertex WCC state: the current component label plus the reverse edges
-/// discovered in superstep 0 (the Giraph/Blogel materialization, charged via
-/// [`Ctx::alloc`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WccState {
-    pub label: VertexId,
-    pub in_nbrs: Vec<VertexId>,
-}
-
-/// HashMin WCC with in-neighbour discovery (§3.2, §5.8): superstep 0 sends
-/// vertex ids along out-edges so receivers can create reverse edges (these
-/// messages must not be combined); afterwards the minimum label propagates
-/// over the now-undirected adjacency.
-///
-/// Giraph, Blogel-V and Gelly run this program on the label path
-/// (`bsp::run_bsp_wcc`), which files no message; this program on
-/// [`crate::bsp::run_bsp`] is the label path's reference.
-pub struct WccProgram {
-    /// Bytes charged per stored reverse edge.
-    bytes_per_edge: u64,
-}
-
-impl WccProgram {
-    pub fn new(bytes_per_edge: u64) -> Self {
-        WccProgram { bytes_per_edge }
-    }
-}
-
-impl VertexProgram for WccProgram {
-    type Value = WccState;
-    type Msg = VertexId;
-
-    fn init(&mut self, v: VertexId, _g: &CsrGraph) -> (WccState, bool) {
-        (WccState { label: v, in_nbrs: Vec::new() }, true)
-    }
-
-    fn compute(
-        &self,
-        ctx: &mut Ctx<'_, VertexId>,
-        g: &CsrGraph,
-        v: VertexId,
-        value: &mut WccState,
-        msgs: &[VertexId],
-    ) -> bool {
-        match ctx.superstep {
-            0 => {
-                // Discovery: advertise our id along out-edges.
-                for &t in g.out_neighbors(v) {
-                    if t != v {
-                        ctx.send(t, v);
-                    }
-                }
-                true // must run in superstep 1 to process discoveries
-            }
-            1 => {
-                // Store reverse edges and start HashMin.
-                for &u in msgs {
-                    value.in_nbrs.push(u);
-                    ctx.alloc(self.bytes_per_edge);
-                }
-                let mut label = value.label;
-                for &u in msgs {
-                    label = label.min(u);
-                }
-                value.label = label;
-                ctx.send_to_out_neighbors(label);
-                for i in 0..value.in_nbrs.len() {
-                    let t = value.in_nbrs[i];
-                    ctx.send(t, label);
-                }
-                false
-            }
-            _ => {
-                let m = msgs.iter().copied().min().unwrap_or(value.label);
-                if m < value.label {
-                    value.label = m;
-                    ctx.send_to_out_neighbors(m);
-                    for i in 0..value.in_nbrs.len() {
-                        let t = value.in_nbrs[i];
-                        ctx.send(t, m);
-                    }
-                }
-                false
-            }
-        }
-    }
-
-    fn combine(&self, a: VertexId, b: VertexId) -> VertexId {
-        a.min(b)
-    }
-
-    fn identity(&self) -> VertexId {
-        VertexId::MAX
-    }
-
-    fn combinable(&self, superstep: u64) -> bool {
-        // Discovery messages are identities, not labels (§5.8).
-        superstep != 0
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        4
-    }
-}
-
-/// Extract the component labels from a WCC run's final states.
-pub fn wcc_labels(states: Vec<WccState>) -> Vec<VertexId> {
-    states.into_iter().map(|s| s.label).collect()
-}
-
-/// BFS SSSP over directed out-edges (§3.3), unit weights.
-pub struct SsspProgram {
-    source: VertexId,
-}
-
-impl SsspProgram {
-    pub fn new(source: VertexId) -> Self {
-        SsspProgram { source }
-    }
-}
-
-impl VertexProgram for SsspProgram {
-    type Value = u32;
-    type Msg = u32;
-
-    fn init(&mut self, v: VertexId, _g: &CsrGraph) -> (u32, bool) {
-        if v == self.source {
-            (0, true)
-        } else {
-            (UNREACHABLE, false)
-        }
-    }
-
-    fn compute(
-        &self,
-        ctx: &mut Ctx<'_, u32>,
-        _g: &CsrGraph,
-        v: VertexId,
-        value: &mut u32,
-        msgs: &[u32],
-    ) -> bool {
-        let best = msgs.iter().copied().min().unwrap_or(*value).min(*value);
-        if best < *value || (ctx.superstep == 0 && v == self.source) {
-            *value = best;
-            ctx.send_to_out_neighbors(best + 1);
-        }
-        false
-    }
-
-    fn combine(&self, a: u32, b: u32) -> u32 {
-        a.min(b)
-    }
-
-    fn identity(&self) -> u32 {
-        u32::MAX
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        4
-    }
-}
-
-/// K-hop (§3.3): BFS truncated at `k` hops; frontier vertices at depth `k`
-/// do not expand further, so the run ends after `k + 1` supersteps at most.
-pub struct KHopProgram {
-    source: VertexId,
-    k: u32,
-}
-
-impl KHopProgram {
-    pub fn new(source: VertexId, k: u32) -> Self {
-        KHopProgram { source, k }
-    }
-}
-
-impl VertexProgram for KHopProgram {
-    type Value = u32;
-    type Msg = u32;
-
-    fn init(&mut self, v: VertexId, _g: &CsrGraph) -> (u32, bool) {
-        if v == self.source {
-            (0, true)
-        } else {
-            (UNREACHABLE, false)
-        }
-    }
-
-    fn compute(
-        &self,
-        ctx: &mut Ctx<'_, u32>,
-        _g: &CsrGraph,
-        v: VertexId,
-        value: &mut u32,
-        msgs: &[u32],
-    ) -> bool {
-        let best = msgs.iter().copied().min().unwrap_or(*value).min(*value);
-        if best < *value || (ctx.superstep == 0 && v == self.source) {
-            *value = best;
-            if best < self.k {
-                ctx.send_to_out_neighbors(best + 1);
-            }
-        }
-        false
-    }
-
-    fn combine(&self, a: u32, b: u32) -> u32 {
-        a.min(b)
-    }
-
-    fn identity(&self) -> u32 {
-        u32::MAX
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        4
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bsp::{run_bsp, BspConfig};
-    use graphbench_algos::reference;
+    use crate::bsp::message::{
+        run_bsp, wcc_labels, KHopProgram, SsspProgram, VertexProgram, WccProgram,
+    };
+    use crate::bsp::BspConfig;
+    use graphbench_algos::{reference, UNREACHABLE};
     use graphbench_graph::builder::csr_from_pairs;
     use graphbench_graph::rng::for_each_seed;
+    use graphbench_graph::CsrGraph;
     use graphbench_partition::EdgeCutPartition;
     use graphbench_sim::{Cluster, ClusterSpec, CostProfile};
 

@@ -3,9 +3,14 @@
 //! Grouping a superstep's messages by target vertex is structurally a
 //! counting problem, so nothing here comparison-sorts or binary-searches.
 //! The path is addressed by *fragment-local dense vertex ids* (see
-//! `graphbench_partition::LocalIndex`), and on the BSP path the local id
-//! travels with the message: the sender resolves `(machine, local id)` once
-//! per send and every later stage indexes by the carried id.
+//! `graphbench_partition::LocalIndex`), and on the BSP message path the
+//! local id travels with the message: the sender resolves `(machine, local
+//! id)` once per send and every later stage indexes by the carried id.
+//!
+//! [`par_scatter`] serves the product (vertex-cut set-up). The combiner and
+//! the inbox serve only the BSP message path, which is compiled for tests
+//! as the oracle of the rank and label paths, and the benchmark's combine
+//! probe.
 //!
 //! * **combining** ([`Combiner`]) keeps one dense slot per local target,
 //!   held at the program's identity message, so every message folds as
@@ -17,7 +22,7 @@
 //!   receiver-side fold); otherwise it counts and places payloads per local
 //!   id behind a `(start, len)` table. Either way it records each source's
 //!   post-combine count for wire accounting and keeps a one-bit-per-local-id
-//!   "has messages" bitmap that the BSP runtime walks;
+//!   "has messages" bitmap that the message path walks;
 //! * **all buffers are pooled**: slot arrays, offset tables, and item
 //!   vectors are allocated once and reused across supersteps ([`Inbox::grows`]
 //!   and [`Combiner::grows`] count reallocations so tests can assert the
