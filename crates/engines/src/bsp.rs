@@ -23,10 +23,12 @@
 //!   `gather::RunGather` and charges integers of the partition computed
 //!   once per run;
 //! * the *label path* (WCC, SSSP, K-hop): the combiner, `min`, and every
-//!   count a superstep is charged by are order-free, so a superstep is one
-//!   branch-free push per route into position-indexed arrays, scanned in
-//!   place on one host thread. WCC pushes its new label along out- and
-//!   in-edges, a traversal the next hop count along out-edges.
+//!   count a superstep is charged by are order-free and blind to a repeated
+//!   message, so a superstep is one branch-free push per distinct target
+//!   into position-indexed arrays, scanned in place on one host thread.
+//!   WCC pushes its new label to its out- and in-neighbours, a traversal
+//!   the next hop count to its out-neighbours; the charges still count
+//!   one message per edge.
 //!
 //! Both are held to a test oracle, the *message path* (`message`, compiled
 //! for tests only): a generic vertex-program runtime that files every
@@ -460,30 +462,29 @@ pub(crate) fn run_bsp_pagerank(
 /// target id.
 const LABEL_WIRE: u64 = 4 + 4;
 
-/// The label path: WCC, SSSP and K-hop without messages. Each pushes one
-/// `u32` per route under a `min` combiner, and every count a superstep is
+/// The label path: WCC, SSSP and K-hop without messages. Each sends one
+/// `u32` per edge under a `min` combiner, and every count a superstep is
 /// charged by (vertices run, messages sent and received, distinct targets
-/// per (source, destination) machine) is order-free, so a superstep is one
-/// branch-free push per route into position-indexed arrays, with the
-/// message path's states and charges.
+/// per (source, destination) machine) is order-free and blind to a second
+/// copy of a message to the same target, so a superstep is one branch-free
+/// push per distinct target into position-indexed arrays, with the message
+/// path's states and charges.
 ///
 /// Positions are machine-contiguous: machine `m` owns `off[m]..off[m + 1]`,
 /// its fragment ascending by global id, so a vertex's position is its
-/// machine's offset plus its fragment-local id. A position's routes are its
-/// out-edges in CSR order, self-loops included (what a vertex program's
-/// send to its out-neighbours sends along), then, for WCC, its in-edges
-/// without self-loops (the in-neighbours discovery stores).
+/// machine's offset plus its fragment-local id. See [`Routes`] for what a
+/// position pushes along and what it is charged for.
 ///
 /// A position whose label drops to `x` pushes along its routes: WCC the
 /// label itself, a traversal the next hop count `x + 1`, and only while
 /// `x < bound` (the `k` of K-hop, or SSSP's `UNREACHABLE`). How a run
 /// starts is its [`Start`]; from then on, each position with mail takes
 /// the least value sent to it and pushes if that lowers its own.
-struct LabelPath<'a> {
-    g: &'a CsrGraph,
+struct LabelPath {
     routes: Routes,
     start: Start,
-    /// Label per position.
+    /// Label per position; WCC's stays the discovered label until
+    /// superstep 1 pushes it.
     label: Vec<VertexId>,
     /// The delivered inbox.
     inbox: Mail,
@@ -502,8 +503,9 @@ enum Start {
     /// WCC. Superstep 0 (discovery, uncombined) is integers of the graph,
     /// computed once: every vertex runs and sends its id along each
     /// non-self out-edge. Superstep 1 runs every vertex: it stores and
-    /// charges the ids that arrived, takes their min with its own, and
-    /// pushes it along every route.
+    /// charges the ids that arrived, takes their min with its own (the
+    /// label the run starts from, computed with the integers) and pushes
+    /// it along every route.
     Discovery {
         /// Messages superstep 1 receives per machine (its in-edges without
         /// self-loops), each stored at `bytes_per_edge`.
@@ -519,6 +521,16 @@ enum Start {
 }
 
 /// The label path's static tables, by position.
+///
+/// A vertex program sends along its *raw routes*: a traversal along its
+/// out-edges, self-loops and parallel edges included; WCC along those and
+/// its in-edges without self-loops (the in-neighbours discovery stores).
+/// A second send of one value to one target in a superstep changes nothing
+/// the label path keeps (`min` is idempotent; the has-mail bit and the
+/// target's stamp are set already), so the table holds each position's
+/// distinct targets once: on a symmetric graph, half of WCC's raw routes.
+/// The charges still count raw routes: `raw` holds the count, and WCC
+/// computes what superstep 0 and discovery need of them from the graph.
 struct Routes {
     /// Global id per position.
     verts: Vec<VertexId>,
@@ -526,17 +538,19 @@ struct Routes {
     off: Vec<usize>,
     /// Owner machine per position.
     mach: Vec<u32>,
-    /// Position `p`'s routes are `to[at[p]..at[p + 1]]`: out-edges, then
-    /// (for WCC) in-edges.
+    /// Position `p`'s distinct targets are `to[at[p]..at[p + 1]]`, in order
+    /// of their first raw route.
     at: Vec<usize>,
     to: Vec<u32>,
+    /// Raw routes per position: the messages a push from it is charged as.
+    raw: Vec<u32>,
 }
 
 impl Routes {
-    /// `part`'s fragments by position, and each position's out-edges in
-    /// CSR order, followed, `with_in_edges`, by its in-edges without
-    /// self-loops.
-    fn new(g: &CsrGraph, part: &EdgeCutPartition, with_in_edges: bool) -> Routes {
+    /// `part`'s fragments by position and each position's routes: its
+    /// out-edges, and `with_in_edges` its in-edges without self-loops, each
+    /// target once. Also returns each vertex's position.
+    fn new(g: &CsrGraph, part: &EdgeCutPartition, with_in_edges: bool) -> (Routes, Vec<u32>) {
         let n = g.num_vertices();
         // Each fragment is ascending by global id, as the message path's
         // `LocalIndex` numbers it.
@@ -556,27 +570,42 @@ impl Routes {
         let transposed = with_in_edges.then(|| g.transpose());
         let mut at = Vec::with_capacity(n + 1);
         at.push(0);
-        let mut to = Vec::with_capacity((1 + usize::from(with_in_edges)) * g.num_edges() as usize);
-        for &v in &verts {
-            to.extend(g.out_neighbors(v).iter().map(|&t| pos_of[t as usize]));
-            if let Some((in_off, in_src)) = &transposed {
-                let ins = &in_src[in_off[v as usize] as usize..in_off[v as usize + 1] as usize];
-                to.extend(ins.iter().filter(|&&u| u != v).map(|&u| pos_of[u as usize]));
+        let mut raw = Vec::with_capacity(n);
+        // Room for every raw route. Zeroed, so that fresh pages past the
+        // distinct targets stay untouched; truncated, not shrunk, so that
+        // the table is never copied.
+        let mut to = vec![0u32; (1 + usize::from(with_in_edges)) * g.num_edges() as usize];
+        let mut len = 0;
+        // `seen[t] == p`: position `p` met `t` already. Only a self-loop
+        // in-edge is met and not kept, and every later `t == p` is one too.
+        let mut seen = vec![u32::MAX; n];
+        for (p, &v) in verts.iter().enumerate() {
+            let p = p as u32;
+            let mut raw_p = 0usize;
+            // No branch per route: write it always, keep it if new.
+            let mut route = |t: u32, sent: bool| {
+                to[len] = t;
+                len += usize::from(sent & (seen[t as usize] != p));
+                seen[t as usize] = p;
+                raw_p += usize::from(sent);
+            };
+            for &u in g.out_neighbors(v) {
+                route(pos_of[u as usize], true);
             }
-            at.push(to.len());
+            if let Some((in_off, in_src)) = &transposed {
+                for &u in &in_src[in_off[v as usize] as usize..in_off[v as usize + 1] as usize] {
+                    route(pos_of[u as usize], u != v);
+                }
+            }
+            raw.push(u32::try_from(raw_p).expect("a vertex has under 2^32 routes"));
+            at.push(len);
         }
-        Routes { verts, off, mach, at, to }
+        to.truncate(len);
+        (Routes { verts, off, mach, at, to, raw }, pos_of)
     }
 
     fn of(&self, p: usize) -> &[u32] {
         &self.to[self.at[p]..self.at[p + 1]]
-    }
-
-    /// WCC's superstep-1 label of position `p`: the least of its id and its
-    /// in-neighbours' ids.
-    fn discovered_label(&self, g: &CsrGraph, p: usize) -> VertexId {
-        let ins = &self.of(p)[g.out_degree(self.verts[p]) as usize..];
-        ins.iter().fold(self.verts[p], |x, &u| x.min(self.verts[u as usize]))
     }
 }
 
@@ -652,24 +681,29 @@ struct LabelSnapshot {
     active: u64,
 }
 
-impl<'a> LabelPath<'a> {
+impl LabelPath {
     /// HashMin WCC, storing each discovered in-edge at `bytes_per_edge`.
     fn wcc(
         cluster: &Cluster,
-        g: &'a CsrGraph,
+        g: &CsrGraph,
         part: &EdgeCutPartition,
         bytes_per_edge: u64,
-    ) -> LabelPath<'a> {
-        let routes = Routes::new(g, part, true);
+    ) -> LabelPath {
+        let (routes, pos_of) = Routes::new(g, part, true);
         let machines = part.machines();
-        // Superstep 0's sends per (destination, source) machine: one per
-        // non-self out-edge.
+        // From the graph, not the table, which may have dropped an in-edge
+        // as a duplicate of an out-edge: superstep 0's sends per
+        // (destination, source) machine, one per non-self out-edge, and
+        // superstep 1's label per position, the least of its id and its
+        // in-neighbours' ids.
         let mut sends = vec![0u64; machines * machines];
+        let mut label = routes.verts.clone();
         for (p, &v) in routes.verts.iter().enumerate() {
             let src = routes.mach[p] as usize;
-            for &t in &routes.of(p)[..g.out_degree(v) as usize] {
-                sends[routes.mach[t as usize] as usize * machines + src] +=
-                    u64::from(t as usize != p);
+            for &u in g.out_neighbors(v) {
+                let t = pos_of[u as usize] as usize;
+                sends[routes.mach[t] as usize * machines + src] += u64::from(t != p);
+                label[t] = label[t].min(v);
             }
         }
         // Superstep 0: every vertex runs and sends; nothing is combined.
@@ -685,38 +719,30 @@ impl<'a> LabelPath<'a> {
             charges.add_delivery(dst, row, msg_mem, LABEL_WIRE);
         }
         charges.ops = ops.iter().map(|&o| o as f64).collect();
-        let label = routes.verts.clone();
         let start = Start::Discovery { received, bytes_per_edge, charges };
-        LabelPath::with(cluster, g, routes, start, label)
+        LabelPath::with(cluster, routes, start, label)
     }
 
     /// Unit-weight BFS from `source` over out-edges, `bound` hops deep.
     fn traversal(
         cluster: &Cluster,
-        g: &'a CsrGraph,
+        g: &CsrGraph,
         part: &EdgeCutPartition,
         source: VertexId,
         bound: u32,
-    ) -> LabelPath<'a> {
-        let routes = Routes::new(g, part, false);
-        let at = routes.verts.iter().position(|&v| v == source).expect("the source is a vertex");
+    ) -> LabelPath {
+        let (routes, pos_of) = Routes::new(g, part, false);
+        let at = *pos_of.get(source as usize).expect("the source is a vertex") as usize;
         let mut label = vec![UNREACHABLE; routes.verts.len()];
         label[at] = 0;
-        LabelPath::with(cluster, g, routes, Start::Source { at, bound }, label)
+        LabelPath::with(cluster, routes, Start::Source { at, bound }, label)
     }
 
-    fn with(
-        cluster: &Cluster,
-        g: &'a CsrGraph,
-        routes: Routes,
-        start: Start,
-        label: Vec<VertexId>,
-    ) -> LabelPath<'a> {
+    fn with(cluster: &Cluster, routes: Routes, start: Start, label: Vec<VertexId>) -> LabelPath {
         let n = label.len();
         let machines = routes.off.len() - 1;
         let empty = Mail { min: vec![VertexId::MAX; n], live: vec![0; n.div_ceil(64)] };
         LabelPath {
-            g,
             routes,
             start,
             label,
@@ -749,7 +775,7 @@ impl<'a> LabelPath<'a> {
     fn scan<const HOPS: bool>(&mut self, superstep: u64, bound: u32) -> (u64, bool) {
         let machines = self.out.machines;
         self.out.begin();
-        let LabelPath { g, routes: r, start, label, inbox, out, .. } = self;
+        let LabelPath { routes: r, start, label, inbox, out, .. } = self;
         let hop = u32::from(HOPS);
         // Vertices run, messages received and messages sent, per machine,
         // and the bytes each received message is stored at.
@@ -758,16 +784,15 @@ impl<'a> LabelPath<'a> {
         let mut sent = vec![0u64; machines];
         let mut stored = 0;
         match (&*start, superstep) {
-            // WCC's superstep 1: every position runs.
+            // WCC's superstep 1: every position runs and pushes the label
+            // it starts with, its discovered one.
             (Start::Discovery { received: discovered, bytes_per_edge, .. }, 1) => {
                 received.copy_from_slice(discovered);
                 stored = *bytes_per_edge;
-                for (p, l) in label.iter_mut().enumerate() {
-                    let x = r.discovered_label(g, p);
-                    *l = x;
+                for (p, &x) in label.iter().enumerate() {
                     let m = r.mach[p] as usize;
                     ran[m] += 1;
-                    sent[m] += r.of(p).len() as u64;
+                    sent[m] += u64::from(r.raw[p]);
                     out.push(&r.mach, r.of(p), x, m);
                 }
             }
@@ -776,7 +801,7 @@ impl<'a> LabelPath<'a> {
                 let m = r.mach[p] as usize;
                 ran[m] += 1;
                 if label[p] < bound {
-                    sent[m] += r.of(p).len() as u64;
+                    sent[m] += u64::from(r.raw[p]);
                     out.push(&r.mach, r.of(p), label[p] + hop, m);
                 }
             }
@@ -793,7 +818,7 @@ impl<'a> LabelPath<'a> {
                         if x < label[p] {
                             label[p] = x;
                             if !HOPS || x < bound {
-                                sent[m] += r.of(p).len() as u64;
+                                sent[m] += u64::from(r.raw[p]);
                                 out.push(&r.mach, r.of(p), x + hop, m);
                             }
                         }
@@ -822,7 +847,7 @@ impl<'a> LabelPath<'a> {
     }
 }
 
-impl Path for LabelPath<'_> {
+impl Path for LabelPath {
     type Value = VertexId;
     type Snapshot = LabelSnapshot;
 
@@ -1811,6 +1836,98 @@ mod tests {
         CsrGraph::from_edge_list(&el)
     }
 
+    /// Every street of a `w` × `h` grid, in both directions: each pair of
+    /// edges one street.
+    fn grid_streets(w: u32, h: u32) -> Vec<(VertexId, VertexId)> {
+        let mut streets = Vec::new();
+        for v in 0..w * h {
+            if v % w + 1 < w {
+                streets.extend([(v, v + 1), (v + 1, v)]);
+            }
+            if v + w < w * h {
+                streets.extend([(v, v + w), (v + w, v)]);
+            }
+        }
+        streets
+    }
+
+    /// A road network in miniature, where most of a position's in-edges
+    /// repeat its out-edges: a small grid with both directions per street,
+    /// each direction dropped at random (one-way streets and cuts), one
+    /// street doubled both ways, self-loops, and an isolated vertex last.
+    fn street_graph(rng: &mut Rng) -> CsrGraph {
+        let (w, h) = (2 + rng.below_u32(9), 2 + rng.below_u32(9));
+        let streets = grid_streets(w, h);
+        let doubled = rng.below(streets.len() / 2);
+        let mut el = graphbench_graph::EdgeList::with_capacity(u64::from(w * h) + 1, 0);
+        for (i, &(s, t)) in streets.iter().enumerate() {
+            let copies = if i / 2 == doubled { 2 } else { usize::from(rng.below(8) != 0) };
+            for _ in 0..copies {
+                el.push(s, t);
+            }
+        }
+        for v in 0..w * h {
+            if rng.below(10) == 0 {
+                el.push(v, v);
+            }
+        }
+        CsrGraph::from_edge_list(&el)
+    }
+
+    /// Each position routes to each of its targets once: its out-neighbours
+    /// and, for WCC, its in-neighbours other than itself. `raw` counts every
+    /// out-edge and, for WCC, every in-edge that is not a self-loop; on a
+    /// symmetric simple graph WCC's table is half of that.
+    #[test]
+    fn routes_hold_each_target_once_and_count_every_route() {
+        for_each_seed(8, |seed, rng| {
+            let (w, h) = (2 + rng.below_u32(9), 2 + rng.below_u32(9));
+            let symmetric = csr_from_pairs(&grid_streets(w, h));
+            let graphs = [
+                crate::gather::tests::gather_graph(rng),
+                chain_graph(rng),
+                street_graph(rng),
+                symmetric,
+            ];
+            for (gi, g) in graphs.iter().enumerate() {
+                let (in_off, in_src) = g.transpose();
+                for machines in [1, 3, 16] {
+                    let part = EdgeCutPartition::random(g.num_vertices() as u64, machines, seed);
+                    for with_in in [false, true] {
+                        let (r, pos_of) = Routes::new(g, &part, with_in);
+                        for (p, &v) in r.verts.iter().enumerate() {
+                            let at = format!("graph {gi}, machines {machines}, in {with_in}, {v}");
+                            assert_eq!(pos_of[v as usize] as usize, p, "{at}");
+                            let outs = g.out_neighbors(v);
+                            let (lo, hi) = (in_off[v as usize], in_off[v as usize + 1]);
+                            let ins: Vec<_> = in_src[lo as usize..hi as usize]
+                                .iter()
+                                .filter(|&&u| with_in && u != v)
+                                .collect();
+                            let mut want: Vec<u32> = outs
+                                .iter()
+                                .chain(ins.iter().copied())
+                                .map(|&u| pos_of[u as usize])
+                                .collect();
+                            want.sort_unstable();
+                            want.dedup();
+                            let mut got = r.of(p).to_vec();
+                            got.sort_unstable();
+                            got.dedup();
+                            assert_eq!(got.len(), r.of(p).len(), "{at}: a target twice");
+                            assert_eq!(got, want, "{at}");
+                            assert_eq!(r.raw[p] as usize, outs.len() + ins.len(), "{at}");
+                        }
+                        if gi == 3 && with_in {
+                            let raw: u64 = r.raw.iter().map(|&c| u64::from(c)).sum();
+                            assert_eq!(2 * r.to.len() as u64, raw, "machines {machines}");
+                        }
+                    }
+                }
+            }
+        });
+    }
+
     /// One label-path workload on the label path or, as the oracle, on the
     /// message path. WCC stores discovered in-edges at 8 bytes.
     fn label_record(
@@ -1888,7 +2005,8 @@ mod tests {
         // with an isolated and a self-loop SSSP source.
         let (mut from_checkpoint, mut isolated, mut looped) = (0usize, 0usize, 0usize);
         for_each_seed(3, |seed, rng| {
-            let graphs = [crate::gather::tests::gather_graph(rng), chain_graph(rng)];
+            let graphs =
+                [crate::gather::tests::gather_graph(rng), chain_graph(rng), street_graph(rng)];
             for (gi, g) in graphs.iter().enumerate() {
                 let n = g.num_vertices();
                 let (workloads, has_isolated, has_looped) = label_workloads(g, rng);

@@ -22,9 +22,11 @@ pub struct GraphStats {
 }
 
 /// Compute all statistics. Cost: one transposition of the graph (O(V + E)),
-/// one sweep per component (O(V + E) together) and the two sweeps of
-/// [`pseudo_diameter`] over the giant component; each sweep also sorts the
-/// vertices it discovers, in runs of one parent's new neighbours.
+/// one sweep per component (O(V + E) together) and one more sweep over the
+/// giant component: the component sweep from its first vertex is the first
+/// sweep of [`pseudo_diameter`] from there, so only the second remains. Each
+/// sweep also sorts the vertices it discovers, in runs of one parent's new
+/// neighbours.
 pub fn compute_stats(g: &CsrGraph) -> GraphStats {
     let n = g.num_vertices();
     let mut max_deg = 0u64;
@@ -35,8 +37,8 @@ pub fn compute_stats(g: &CsrGraph) -> GraphStats {
         self_edges += g.out_neighbors(v).iter().filter(|&&t| t == v).count() as u64;
     }
     let mut bfs = Bfs::new(g);
-    let (components, giant_fraction, giant_seed) = component_stats(&mut bfs);
-    let diameter = if n == 0 { 0 } else { pseudo_diameter_from(&mut bfs, giant_seed) };
+    let (components, giant_fraction, giant_far) = component_stats(&mut bfs);
+    let diameter = if n == 0 { 0 } else { bfs_farthest(&mut bfs, giant_far).1 as u64 };
     GraphStats {
         num_vertices: n as u64,
         num_edges: g.num_edges(),
@@ -121,9 +123,27 @@ impl<'a> Bfs<'a> {
             self.queue[queued..].sort_unstable();
         }
     }
+
+    /// [`Bfs::sweep`] from `start`; returns (the vertices visited, the first
+    /// of them visited at the greatest distance, that distance).
+    fn sweep_farthest(&mut self, start: VertexId) -> (usize, VertexId, u32) {
+        let (mut size, mut far, mut far_d) = (0, start, 0);
+        self.sweep(start, |v, d| {
+            size += 1;
+            if d > far_d {
+                far_d = d;
+                far = v;
+            }
+        });
+        (size, far, far_d)
+    }
 }
 
-/// (component count, giant fraction, a vertex inside the giant component).
+/// (component count, giant fraction, the first vertex the giant component's
+/// sweep met at its greatest distance). The giant component is the first
+/// one of greatest size, its sweep starts at its least vertex, and a sweep
+/// visits a whole component in the order [`bfs_farthest`] from that vertex
+/// does, so the vertex is where [`pseudo_diameter`] from it turns round.
 fn component_stats(bfs: &mut Bfs) -> (u64, f64, VertexId) {
     let n = bfs.dist.len();
     if n == 0 {
@@ -132,20 +152,19 @@ fn component_stats(bfs: &mut Bfs) -> (u64, f64, VertexId) {
     bfs.forget();
     let mut count = 0u64;
     let mut best_size = 0usize;
-    let mut best_seed = 0 as VertexId;
+    let mut best_far = 0 as VertexId;
     for start in 0..n as VertexId {
         if bfs.dist[start as usize] != UNSEEN {
             continue;
         }
         count += 1;
-        let mut size = 0usize;
-        bfs.sweep(start, |_, _| size += 1);
+        let (size, far, _) = bfs.sweep_farthest(start);
         if size > best_size {
             best_size = size;
-            best_seed = start;
+            best_far = far;
         }
     }
-    (count, best_size as f64 / n as f64, best_seed)
+    (count, best_size as f64 / n as f64, best_far)
 }
 
 /// Double-sweep pseudo-diameter: BFS from `seed` to find the farthest vertex
@@ -153,26 +172,16 @@ fn component_stats(bfs: &mut Bfs) -> (u64, f64, VertexId) {
 /// diameter that is exact on trees and very tight on road networks — the
 /// graph class where diameter matters most in this study.
 pub fn pseudo_diameter(g: &CsrGraph, seed: VertexId) -> u64 {
-    pseudo_diameter_from(&mut Bfs::new(g), seed)
-}
-
-fn pseudo_diameter_from(bfs: &mut Bfs, seed: VertexId) -> u64 {
-    let (far, _) = bfs_farthest(bfs, seed);
-    let (_, dist) = bfs_farthest(bfs, far);
-    dist as u64
+    let mut bfs = Bfs::new(g);
+    let (far, _) = bfs_farthest(&mut bfs, seed);
+    bfs_farthest(&mut bfs, far).1 as u64
 }
 
 /// One sweep from `start`; returns (the first vertex visited at the greatest
 /// distance, that distance).
 fn bfs_farthest(bfs: &mut Bfs, start: VertexId) -> (VertexId, u32) {
     bfs.forget();
-    let (mut far, mut far_d) = (start, 0);
-    bfs.sweep(start, |v, d| {
-        if d > far_d {
-            far_d = d;
-            far = v;
-        }
-    });
+    let (_, far, far_d) = bfs.sweep_farthest(start);
     (far, far_d)
 }
 
@@ -399,7 +408,10 @@ mod tests {
             let g = random_multigraph(seed);
             let adj = oracle::undirected_adjacency(&g);
             let mut bfs = Bfs::new(&g);
-            assert_eq!(component_stats(&mut bfs), oracle::component_stats(&adj), "seed {seed}");
+            let (components, giant, giant_seed) = oracle::component_stats(&adj);
+            let giant_far = oracle::bfs_farthest(&adj, giant_seed).0;
+            let want = (components, giant, giant_far);
+            assert_eq!(component_stats(&mut bfs), want, "seed {seed}");
             for v in 0..g.num_vertices() as VertexId {
                 let (far, d) = bfs_farthest(&mut bfs, v);
                 assert_eq!(
@@ -410,10 +422,10 @@ mod tests {
                 assert_eq!(pseudo_diameter(&g, v), oracle::pseudo_diameter(&adj, v));
             }
             let s = compute_stats(&g);
-            let (components, giant, giant_seed) = oracle::component_stats(&adj);
             assert_eq!(s.components, components);
             assert_eq!(s.giant_component_fraction.to_bits(), giant.to_bits());
             assert_eq!(s.diameter, oracle::pseudo_diameter(&adj, giant_seed), "seed {seed}");
+            assert_eq!(s.diameter, pseudo_diameter(&g, giant_seed), "seed {seed}");
             for (percentile, samples) in [(0.9, 4), (0.5, 1), (1.0, 7), (0.0, 2)] {
                 let sources = sampled_sources(g.num_vertices(), samples, seed);
                 let histogram = oracle::distance_histogram(&adj, sources);
@@ -429,6 +441,26 @@ mod tests {
         }
         // The generator has to produce the shapes the comparison is for.
         assert!(multi_component > 50 && with_self_edges > 50 && with_isolated > 50);
+    }
+
+    /// The diameter `compute_stats` reads off the component sweeps is the
+    /// public double sweep from the giant component's least vertex.
+    #[test]
+    fn stats_diameter_is_the_double_sweep_from_the_giant_seed() {
+        let path: Vec<(u32, u32)> = (0..100).map(|i| (i, i + 1)).collect();
+        let shapes = [
+            csr_from_pairs(&path),
+            csr_from_pairs(&[(0, 1), (2, 3)]),
+            csr_from_pairs(&[(0, 0), (1, 2)]),
+            csr_from_pairs(&[(0, 1), (0, 2), (0, 3), (0, 4)]),
+            csr_from_pairs(&[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]),
+            // Two components of three: the first of greatest size wins.
+            csr_from_pairs(&[(5, 4), (4, 3), (0, 2), (2, 1)]),
+        ];
+        for (i, g) in shapes.iter().enumerate() {
+            let (_, _, giant_seed) = oracle::component_stats(&oracle::undirected_adjacency(g));
+            assert_eq!(compute_stats(g).diameter, pseudo_diameter(g, giant_seed), "shape {i}");
+        }
     }
 
     #[test]
