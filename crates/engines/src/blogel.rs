@@ -1086,6 +1086,22 @@ mod tests {
         assert_eq!(modified.result, stock.result);
     }
 
+    /// `(status, supersteps, runtime bits, network bytes, messages)` of a run.
+    fn fingerprint(out: &RunOutput) -> (&str, u64, u64, u64, u64) {
+        let m = &out.metrics;
+        (m.status.code(), m.iterations, out.runtime.to_bits(), m.network_bytes, m.messages)
+    }
+
+    fn first_source(g: &CsrGraph) -> VertexId {
+        (0..g.num_vertices() as VertexId).find(|&v| g.out_degree(v) > 0).unwrap()
+    }
+
+    // The metadata-driven partitioners form blocks that need not be
+    // connected, so a block may hold several local components, and a
+    // machine holds many blocks, so a traversal's cross-block candidates
+    // can meet an earlier block of the same machine. GVD blocks (the goldens
+    // and the benchmark) have neither; the fingerprints below pin both.
+
     #[test]
     fn two_d_partitioning_avoids_the_mpi_overflow() {
         // With Blogel's road-network 2-D partitioner (the dataset-specific
@@ -1099,11 +1115,16 @@ mod tests {
             ..BlogelB::default()
         };
         let ds = (d.edges, g);
+        let src = first_source(&ds.1);
         let mut inp = input(&ds, Workload::Wcc, 4);
         inp.scale = ScaleInfo { paper_vertices: 683_000_000, paper_edges: 717_000_000 };
-        let out = engine.run(&inp);
-        assert!(out.metrics.status.is_ok(), "{:?}", out.metrics.status);
-        assert_eq!(out.result.unwrap(), WorkloadResult::Labels(reference::wcc(&ds.1)));
+        let wcc = engine.run(&inp);
+        assert_eq!(wcc.result, Some(WorkloadResult::Labels(reference::wcc(&ds.1))));
+        assert_eq!(fingerprint(&wcc), ("OK", 17, 4609437584733917931, 150777, 5034));
+        inp.workload = Workload::Sssp { source: src };
+        let sssp = engine.run(&inp);
+        assert_eq!(sssp.result, Some(WorkloadResult::Distances(reference::sssp(&ds.1, src))));
+        assert_eq!(fingerprint(&sssp), ("OK", 16, 4609316313093433394, 139761, 4575));
     }
 
     #[test]
@@ -1116,9 +1137,13 @@ mod tests {
             ..BlogelB::default()
         };
         let ds = (d.edges, g);
-        let out = engine.run(&input(&ds, Workload::Wcc, 4));
-        assert!(out.metrics.status.is_ok());
-        assert_eq!(out.result.unwrap(), WorkloadResult::Labels(reference::wcc(&ds.1)));
+        let src = first_source(&ds.1);
+        let wcc = engine.run(&input(&ds, Workload::Wcc, 4));
+        assert_eq!(wcc.result, Some(WorkloadResult::Labels(reference::wcc(&ds.1))));
+        assert_eq!(fingerprint(&wcc), ("OK", 3, 4607737201056179318, 119112, 1036));
+        let sssp = engine.run(&input(&ds, Workload::Sssp { source: src }, 4));
+        assert_eq!(sssp.result, Some(WorkloadResult::Distances(reference::sssp(&ds.1, src))));
+        assert_eq!(fingerprint(&sssp), ("OK", 4, 4607862372021307626, 166272, 3001));
     }
 
     #[test]

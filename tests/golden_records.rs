@@ -193,6 +193,20 @@ fn golden_blogel_b_pagerank() {
     golden_cell(SystemId::BlogelB, WorkloadKind::PageRank);
 }
 
+/// Blogel-B WCC: union-find inside each block, then HashMin over the graph
+/// of local components.
+#[test]
+fn golden_blogel_b_wcc() {
+    golden_cell(SystemId::BlogelB, WorkloadKind::Wcc);
+}
+
+/// Blogel-B K-hop: a serial BFS inside each block, a superstep per
+/// block-graph hop.
+#[test]
+fn golden_blogel_b_khop() {
+    golden_cell(SystemId::BlogelB, WorkloadKind::KHop);
+}
+
 /// GL-A-R-T: the asynchronous (Gauss–Seidel) PageRank, whose sweep and
 /// queue order follow the machines' edge stores.
 #[test]
