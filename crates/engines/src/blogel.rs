@@ -20,9 +20,13 @@
 //! * the two-phase block PageRank seeds the vertex phase with
 //!   `local_pr(v) * block_pr(b)`, an initialization that *hurts* convergence
 //!   (§3.1.2) — reproduced by executing exactly that algorithm.
+//!
+//! On the host, each block phase (WCC's union-find and component HashMin,
+//! the block traversal, local PageRank) is one serial scan on one thread,
+//! in an order fixed by the blocks, never by the thread count; only block
+//! PageRank's vertex phase, on the BSP rank path, runs chunked.
 
 use crate::bsp::{self, run_bsp_pagerank, BspConfig};
-use crate::exec;
 use crate::programs::PageRankProgram;
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
@@ -32,7 +36,6 @@ use graphbench_graph::format::GraphFormat;
 use graphbench_graph::VertexId;
 use graphbench_partition::{BlockPartition, EdgeCutPartition, MachineId, VoronoiConfig};
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
-use std::collections::{HashMap, VecDeque};
 
 /// Blogel in vertex-centric mode.
 #[derive(Debug, Clone, Default)]
@@ -49,16 +52,14 @@ impl Engine for BlogelV {
 
     fn run(&self, input: &EngineInput<'_>) -> RunOutput {
         let mut cluster = Cluster::new(input.cluster.clone(), CostProfile::cpp_mpi());
-        let mut notes = Vec::new();
-        let outcome = run_vertex_mode(&mut cluster, input, &mut notes);
-        crate::util::output_from(cluster, outcome, notes)
+        let outcome = run_vertex_mode(&mut cluster, input);
+        crate::util::output_from(cluster, outcome, Vec::new())
     }
 }
 
 fn run_vertex_mode(
     cluster: &mut Cluster,
     input: &EngineInput<'_>,
-    _notes: &mut Vec<String>,
 ) -> Result<WorkloadResult, SimError> {
     let machines = cluster.machines();
     let n = input.graph.num_vertices();
@@ -388,172 +389,54 @@ fn block_wcc(
         l.dedup();
     }
 
-    // HashMin over local components, sharded by machine: every worker scans
-    // its own components against the frozen labels and reports candidate
-    // updates; the coordinator merges per-machine reports in machine-index
-    // order. Min-folds are order-independent, so the outcome is identical at
-    // any host thread count.
-    let comps_by_machine: Vec<Vec<u32>> = {
-        let mut by: Vec<Vec<u32>> = vec![Vec::new(); machines];
-        for c in 0..nc as u32 {
-            by[comp_machine[c as usize]].push(c);
-        }
-        by
-    };
-    // Component -> index within its machine's shard.
-    let mut comp_slot = vec![0u32; nc];
-    for comps in &comps_by_machine {
-        for (i, &c) in comps.iter().enumerate() {
-            comp_slot[c as usize] = i as u32;
-        }
-    }
-    struct WccShard {
-        comps: Vec<u32>,
-        active: Vec<bool>,
-    }
-    /// Per-chunk output, pooled across supersteps.
-    struct WccOut {
-        ops: f64,
-        sent: u64,
-        msgs: u64,
-        recv_by: Vec<u64>,
-        updates: Vec<(u32, VertexId)>,
-    }
-    struct WccTask<'a> {
-        machine: usize,
-        comps: &'a [u32],
-        active: &'a mut [bool],
-        out: &'a mut WccOut,
-    }
-    let mut shards: Vec<WccShard> = comps_by_machine
-        .into_iter()
-        .map(|comps| {
-            let len = comps.len();
-            WccShard { comps, active: vec![true; len] }
-        })
-        .collect();
+    // HashMin over local components: each superstep scans the active
+    // components against the frozen labels, charges each one's work and
+    // cross-machine messages to its machine, and min-folds the candidates
+    // after the barrier. The charged sums are integer-valued and min is
+    // order-free, so the scan order reaches neither metrics nor labels.
+    let mut active = vec![true; nc];
     let mut ops = vec![0.0f64; machines];
     let mut sent = vec![0u64; machines];
     let mut recv = vec![0u64; machines];
     let mut msgs = vec![0u64; machines];
-    let mut pool: Vec<WccOut> = Vec::new();
+    let mut updates: Vec<(u32, VertexId)> = Vec::new();
     loop {
         cluster.set_label("superstep");
-        // Each machine's shard splits into degree-aware sub-spans (an inert
-        // component weighs 1, an active one 1 + its adjacency) so one hub
-        // component cannot serialize its machine. Candidates land in pooled
-        // per-chunk buckets concatenated in span order, which is exactly the
-        // serial scan order: emission reads only the frozen labels.
-        let spans_by: Vec<Vec<(usize, usize)>> = shards
-            .iter()
-            .map(|shard| {
-                let weights: Vec<u64> =
-                    shard
-                        .comps
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &c)| {
-                            if shard.active[i] {
-                                1 + comp_adj[c as usize].len() as u64
-                            } else {
-                                1
-                            }
-                        })
-                        .collect();
-                exec::weighted_spans(&weights, exec::chunk_size())
-            })
-            .collect();
-        let total: usize = spans_by.iter().map(|s| s.len()).sum();
-        while pool.len() < total {
-            pool.push(WccOut {
-                ops: 0.0,
-                sent: 0,
-                msgs: 0,
-                recv_by: vec![0u64; machines],
-                updates: Vec::new(),
-            });
-        }
-        let mut tasks: Vec<WccTask<'_>> = Vec::with_capacity(total);
-        let mut pool_rest: &mut [WccOut] = &mut pool;
-        for ((shard, spans), mc) in shards.iter_mut().zip(&spans_by).zip(0..) {
-            let mut act: &mut [bool] = &mut shard.active;
-            for &(s, e) in spans {
-                let (win, rest) = std::mem::take(&mut act).split_at_mut(e - s);
-                act = rest;
-                let (out, prest) = std::mem::take(&mut pool_rest).split_at_mut(1);
-                pool_rest = prest;
-                tasks.push(WccTask {
-                    machine: mc,
-                    comps: &shard.comps[s..e],
-                    active: win,
-                    out: &mut out[0],
-                });
-            }
-        }
-        exec::run_chunks(&mut tasks, |_, t| {
-            let out = &mut *t.out;
-            out.ops = 0.0;
-            out.sent = 0;
-            out.msgs = 0;
-            out.recv_by.fill(0);
-            out.updates.clear();
-            for (i, &c) in t.comps.iter().enumerate() {
-                if !t.active[i] {
-                    continue;
-                }
-                let c = c as usize;
-                out.ops += (1 + comp_adj[c].len()) as f64;
-                for &tt in &comp_adj[c] {
-                    if comp_label[c] < comp_label[tt as usize] {
-                        out.updates.push((tt, comp_label[c]));
-                        let mt = comp_machine[tt as usize];
-                        if mt != t.machine {
-                            out.sent += 8;
-                            out.recv_by[mt] += 8;
-                            out.msgs += 1;
-                        }
-                    }
-                }
-                t.active[i] = false;
-            }
-        });
-        // Per-machine folds of integer-valued f64 ops and u64 byte counts
-        // are exact at any chunk boundary, so the charged metrics match the
-        // serial path bit for bit.
-        let mut any_updates = false;
         ops.fill(0.0);
         sent.fill(0);
-        msgs.fill(0);
         recv.fill(0);
-        for t in &tasks {
-            ops[t.machine] += t.out.ops;
-            sent[t.machine] += t.out.sent;
-            msgs[t.machine] += t.out.msgs;
-            any_updates |= !t.out.updates.is_empty();
-            for (j, &b) in t.out.recv_by.iter().enumerate() {
-                recv[j] += b;
+        msgs.fill(0);
+        for c in 0..nc {
+            if !std::mem::take(&mut active[c]) {
+                continue;
+            }
+            let mc = comp_machine[c];
+            ops[mc] += (1 + comp_adj[c].len()) as f64;
+            for &t in &comp_adj[c] {
+                if comp_label[c] < comp_label[t as usize] {
+                    updates.push((t, comp_label[c]));
+                    let mt = comp_machine[t as usize];
+                    if mt != mc {
+                        sent[mc] += 8;
+                        recv[mt] += 8;
+                        msgs[mc] += 1;
+                    }
+                }
             }
         }
-        drop(tasks);
-        cluster.set_label("superstep");
         cluster.advance_compute(&ops, input.cluster.cores)?;
         cluster.set_label("shuffle");
         cluster.exchange(&sent, &recv, &msgs)?;
         cluster.set_label("barrier");
         cluster.barrier()?;
         recovery.at_barrier(cluster)?;
-        if !any_updates {
+        if updates.is_empty() {
             break;
         }
-        // Min-fold in chunk order = serial machine order; a component turns
-        // active iff some candidate beats its label, which is independent of
-        // the order improvements arrive in.
-        for out in pool.iter().take(total) {
-            for &(t, l) in &out.updates {
-                if l < comp_label[t as usize] {
-                    comp_label[t as usize] = l;
-                    shards[comp_machine[t as usize]].active[comp_slot[t as usize] as usize] = true;
-                }
+        for (t, l) in updates.drain(..) {
+            if l < comp_label[t as usize] {
+                comp_label[t as usize] = l;
+                active[t as usize] = true;
             }
         }
     }
@@ -577,207 +460,86 @@ fn block_traversal(
     let mut dist = vec![UNREACHABLE; n];
     dist[source as usize] = 0;
 
-    // Blocks grouped by owning machine, then split into degree-aware spans
-    // of whole blocks: the serial BFS inside a block is the atomic unit, so
-    // a chunk runs one or more blocks end to end. The shared `dist` array is
-    // frozen for the duration of a superstep — a chunk sees its own blocks'
-    // writes through a private overlay and records, per block, the distance
-    // writes plus every cross-block candidate that beats the frozen table.
-    // The serial path additionally suppressed candidates already improved by
-    // an *earlier block of the same machine* (the overlay was shared per
-    // worker), so a serial replay below re-applies that filter in block
-    // order before any candidate is counted or sent.
-    struct TravShard {
-        blocks: Vec<u32>,
-        pending: Vec<Vec<VertexId>>,
-    }
-    /// One block's superstep output.
-    struct BlockOut {
-        attempts: Vec<(VertexId, u32)>,
-        writes: Vec<(VertexId, u32)>,
-        ran: bool,
-    }
-    /// Per-chunk output, pooled across supersteps.
-    struct TravOut {
-        ops: u64,
-        blocks_out: Vec<BlockOut>,
-    }
-    struct TravTask<'a> {
-        blocks: &'a [u32],
-        pending: &'a mut [Vec<VertexId>],
-        out: &'a mut TravOut,
-    }
-    let mut shards: Vec<TravShard> =
-        (0..machines).map(|_| TravShard { blocks: Vec::new(), pending: Vec::new() }).collect();
-    // Block -> (machine, index within that machine's shard).
-    let mut block_slot: Vec<(usize, u32)> = vec![(0, 0); blocks.num_blocks()];
-    for (b, slot) in block_slot.iter_mut().enumerate() {
-        let mb = blocks.machine_of_block[b] as usize;
-        *slot = (mb, shards[mb].blocks.len() as u32);
-        shards[mb].blocks.push(b as u32);
-        shards[mb].pending.push(Vec::new());
-    }
-    {
-        let (mb, slot) = block_slot[blocks.block_of[source as usize] as usize];
-        shards[mb].pending[slot as usize].push(source);
-    }
-
-    fn read(overlay: &HashMap<VertexId, u32>, dist: &[u32], v: VertexId) -> u32 {
-        overlay.get(&v).copied().unwrap_or(dist[v as usize])
-    }
-    // Degree-aware chunk weight per block, computed once: a pending block
-    // costs up to its total out-degree to scan, an idle one costs a skip.
-    let block_weight: Vec<u64> = (0..blocks.num_blocks())
-        .map(|b| 1 + blocks.blocks[b].iter().map(|&v| g.out_degree(v)).sum::<u64>())
-        .collect();
-    let mut pool: Vec<TravOut> = Vec::new();
-    let mut chunk_machine: Vec<usize> = Vec::new();
-    let mut overlay: HashMap<VertexId, u32> = HashMap::new();
+    // Each superstep scans the machines in order and each machine's blocks
+    // in ascending id, running a serial BFS from every pending block's
+    // seeds. `dist` is frozen for the superstep: a block's own improvements
+    // go to `next`, and its cross-block candidates are those that beat
+    // `dist`. After the barrier the candidates are min-folded in scan
+    // order, which is the order each block's next seeds arrive in.
+    let nb = blocks.num_blocks();
+    let mut order: Vec<u32> = (0..nb as u32).collect();
+    order.sort_by_key(|&b| blocks.machine_of_block[b as usize]);
+    let mut pending: Vec<Vec<VertexId>> = vec![Vec::new(); nb];
+    pending[blocks.block_of[source as usize] as usize].push(source);
+    let mut next = dist.clone();
+    let mut writes: Vec<VertexId> = Vec::new();
+    let mut outgoing: Vec<(VertexId, u32)> = Vec::new();
+    let mut ops = vec![0.0f64; machines];
+    let mut sent = vec![0u64; machines];
+    let mut recv = vec![0u64; machines];
+    let mut msgs = vec![0u64; machines];
     loop {
         cluster.set_label("superstep");
-        let spans_by: Vec<Vec<(usize, usize)>> = shards
-            .iter()
-            .map(|shard| {
-                let weights: Vec<u64> = shard
-                    .blocks
-                    .iter()
-                    .zip(&shard.pending)
-                    .map(
-                        |(&b, pending)| {
-                            if pending.is_empty() {
-                                1
-                            } else {
-                                block_weight[b as usize]
-                            }
-                        },
-                    )
-                    .collect();
-                exec::weighted_spans(&weights, exec::chunk_size())
-            })
-            .collect();
-        let total: usize = spans_by.iter().map(|s| s.len()).sum();
-        while pool.len() < total {
-            pool.push(TravOut { ops: 0, blocks_out: Vec::new() });
-        }
-        chunk_machine.clear();
-        let mut tasks: Vec<TravTask<'_>> = Vec::with_capacity(total);
-        let mut pool_rest: &mut [TravOut] = &mut pool;
-        for ((shard, spans), mb) in shards.iter_mut().zip(&spans_by).zip(0..) {
-            let mut pend: &mut [Vec<VertexId>] = &mut shard.pending;
-            for &(s, e) in spans {
-                let (win, rest) = std::mem::take(&mut pend).split_at_mut(e - s);
-                pend = rest;
-                let (out, prest) = std::mem::take(&mut pool_rest).split_at_mut(1);
-                pool_rest = prest;
-                chunk_machine.push(mb);
-                tasks.push(TravTask {
-                    blocks: &shard.blocks[s..e],
-                    pending: win,
-                    out: &mut out[0],
-                });
-            }
-        }
-        let dist_r: &[u32] = &dist;
-        exec::run_chunks(&mut tasks, |_, t| {
-            let out = &mut *t.out;
-            out.ops = 0;
-            out.blocks_out.clear();
-            for (i, &b) in t.blocks.iter().enumerate() {
-                let mut bo = BlockOut { attempts: Vec::new(), writes: Vec::new(), ran: false };
-                if !t.pending[i].is_empty() {
-                    bo.ran = true;
-                    // Serial BFS within the block from all seeds; the
-                    // overlay holds only this block's writes (intra-block
-                    // targets are block-local by construction).
-                    let mut overlay: HashMap<VertexId, u32> = HashMap::new();
-                    let mut q: VecDeque<VertexId> = t.pending[i].drain(..).collect();
-                    while let Some(v) = q.pop_front() {
-                        let d = read(&overlay, dist_r, v);
-                        if d >= max_depth {
-                            continue;
-                        }
-                        for &t2 in g.out_neighbors(v) {
-                            out.ops += 1;
-                            if read(&overlay, dist_r, t2) <= d + 1 {
-                                continue;
-                            }
-                            if blocks.block_of[t2 as usize] == b {
-                                overlay.insert(t2, d + 1);
-                                q.push_back(t2);
-                            } else {
-                                bo.attempts.push((t2, d + 1));
-                            }
-                        }
-                    }
-                    bo.writes = overlay.into_iter().collect();
-                    bo.writes.sort_unstable();
-                }
-                out.blocks_out.push(bo);
-            }
-        });
-        drop(tasks);
-        // Serial replay in (machine, block) order: rebuild each machine's
-        // shared overlay from the per-block writes and keep only the
-        // candidates the serial worker would have emitted. A block's own
-        // writes never target its cross-block candidates, so interleaving
-        // "filter attempts, then absorb writes" per block is exact.
-        let mut ops = vec![0.0f64; machines];
-        let mut sent = vec![0u64; machines];
-        let mut recv = vec![0u64; machines];
-        let mut msgs = vec![0u64; machines];
+        ops.fill(0.0);
+        sent.fill(0);
+        recv.fill(0);
+        msgs.fill(0);
         let mut any = false;
-        let mut outgoing: Vec<(VertexId, u32)> = Vec::new();
-        let mut cur_machine = usize::MAX;
-        for (c, out) in pool.iter().take(total).enumerate() {
-            let mb = chunk_machine[c];
-            if mb != cur_machine {
-                cur_machine = mb;
-                overlay.clear();
+        for &b in &order {
+            let q = &mut pending[b as usize];
+            if q.is_empty() {
+                continue;
             }
-            ops[mb] += out.ops as f64;
-            for bo in &out.blocks_out {
-                any |= bo.ran;
-                for &(t, d2) in &bo.attempts {
-                    if read(&overlay, &dist, t) <= d2 {
-                        continue;
-                    }
-                    outgoing.push((t, d2));
-                    let mt = machine_of[t as usize] as usize;
-                    if mt != mb {
-                        sent[mb] += 8;
-                        recv[mt] += 8;
-                        msgs[mb] += 1;
+            any = true;
+            let mb = blocks.machine_of_block[b as usize] as usize;
+            let mut head = 0;
+            while head < q.len() {
+                let v = q[head];
+                head += 1;
+                let d = next[v as usize];
+                if d >= max_depth {
+                    continue;
+                }
+                for &t in g.out_neighbors(v) {
+                    ops[mb] += 1.0;
+                    if blocks.block_of[t as usize] == b {
+                        if next[t as usize] > d + 1 {
+                            next[t as usize] = d + 1;
+                            writes.push(t);
+                            q.push(t);
+                        }
+                    } else if dist[t as usize] > d + 1 {
+                        outgoing.push((t, d + 1));
+                        let mt = machine_of[t as usize] as usize;
+                        if mt != mb {
+                            sent[mb] += 8;
+                            recv[mt] += 8;
+                            msgs[mb] += 1;
+                        }
                     }
                 }
-                for &(t, d2) in &bo.writes {
-                    overlay.insert(t, d2);
-                }
             }
+            q.clear();
         }
         if !any {
             break;
         }
-        cluster.set_label("superstep");
         cluster.advance_compute(&ops, input.cluster.cores)?;
         cluster.set_label("shuffle");
         cluster.exchange(&sent, &recv, &msgs)?;
         cluster.set_label("barrier");
         cluster.barrier()?;
         recovery.at_barrier(cluster)?;
-        // Intra-block writes first (disjoint vertex sets per block), then
-        // cross-block candidates min-folded in machine order.
-        for out in pool.iter().take(total) {
-            for bo in &out.blocks_out {
-                for &(t, d) in &bo.writes {
-                    dist[t as usize] = d;
-                }
-            }
+        // Intra-block writes first, then cross-block candidates min-folded
+        // in scan order.
+        for v in writes.drain(..) {
+            dist[v as usize] = next[v as usize];
         }
         for (t, d) in outgoing.drain(..) {
             if d < dist[t as usize] {
                 dist[t as usize] = d;
-                let (mb, slot) = block_slot[blocks.block_of[t as usize] as usize];
-                shards[mb].pending[slot as usize].push(t);
+                next[t as usize] = d;
+                pending[blocks.block_of[t as usize] as usize].push(t);
             }
         }
     }
@@ -805,7 +567,10 @@ fn block_pagerank(
     let local_tol = 0.01;
     let max_local_iters = 30;
 
-    // Phase 1a: local PageRank within each block (only intra-block edges).
+    // Phase 1a: local PageRank within each block (only intra-block edges),
+    // one block after another, each in block order with its vertices'
+    // out-neighbours in CSR order. A block reads and writes only its own
+    // vertices' entries of `local_pr` and `incoming`.
     let mut local_pr = vec![1.0f64; n];
     {
         // Per-vertex intra-block out-degree.
@@ -815,90 +580,36 @@ fn block_pagerank(
                 intra_deg[s as usize] += 1;
             }
         }
-        // Blocks only read and write their own vertices here, so whole
-        // blocks fan out across host threads: grouped by owning machine for
-        // metric attribution, then split into degree-aware spans of whole
-        // blocks so one giant block cannot serialize its machine. Every
-        // block's f64 arithmetic runs entirely inside one chunk, and the
-        // u64 op counts sum order-free, so metrics and ranks are identical
-        // to the serial path at any chunk or thread count.
-        struct PrTask<'a> {
-            machine: usize,
-            blocks_list: &'a [u32],
-            ops: u64,
-            ranks: Vec<(VertexId, f64)>,
-        }
-        let mut block_shards: Vec<Vec<u32>> = vec![Vec::new(); machines];
-        for b in 0..nb {
-            block_shards[blocks.machine_of_block[b] as usize].push(b as u32);
-        }
-        cluster.set_label("block_local");
-        let mut tasks: Vec<PrTask<'_>> = Vec::new();
-        for (mb, mine) in block_shards.iter().enumerate() {
-            let weights: Vec<u64> = mine
-                .iter()
-                .map(|&b| {
-                    1 + blocks.blocks[b as usize].iter().map(|&v| g.out_degree(v)).sum::<u64>()
-                })
-                .collect();
-            for &(s, e) in &exec::weighted_spans(&weights, exec::chunk_size()) {
-                tasks.push(PrTask {
-                    machine: mb,
-                    blocks_list: &mine[s..e],
-                    ops: 0,
-                    ranks: Vec::new(),
-                });
-            }
-        }
-        exec::run_chunks(&mut tasks, |_, t| {
-            let mut block_ops = 0u64;
-            let mut rank: HashMap<VertexId, f64> = HashMap::new();
-            let mut incoming: HashMap<VertexId, f64> = HashMap::new();
-            for &b in t.blocks_list.iter() {
-                let verts = &blocks.blocks[b as usize];
-                rank.clear();
-                for _ in 0..max_local_iters {
-                    incoming.clear();
-                    for &v in verts {
-                        let deg = intra_deg[v as usize];
-                        if deg == 0 {
-                            continue;
-                        }
-                        let share = rank.get(&v).copied().unwrap_or(1.0) / deg as f64;
-                        for &t2 in g.out_neighbors(v) {
-                            block_ops += 1;
-                            if blocks.block_of[t2 as usize] == b {
-                                *incoming.entry(t2).or_insert(0.0) += share;
-                            }
-                        }
-                    }
-                    let mut max_delta = 0.0f64;
-                    for &v in verts {
-                        let new =
-                            damping + (1.0 - damping) * incoming.get(&v).copied().unwrap_or(0.0);
-                        max_delta =
-                            max_delta.max((new - rank.get(&v).copied().unwrap_or(1.0)).abs());
-                        rank.insert(v, new);
-                        block_ops += 1;
-                    }
-                    if max_delta < local_tol {
-                        break;
-                    }
-                }
-                for &v in verts {
-                    t.ranks.push((v, rank.get(&v).copied().unwrap_or(1.0)));
-                }
-            }
-            t.ops = block_ops;
-        });
+        let mut incoming = vec![0.0f64; n];
         let mut ops = vec![0.0f64; machines];
-        for t in &tasks {
-            ops[t.machine] += t.ops as f64;
-        }
-        for t in tasks {
-            for (v, r) in t.ranks {
-                local_pr[v as usize] = r;
+        for (b, verts) in blocks.blocks.iter().enumerate() {
+            let mut block_ops = 0u64;
+            for _ in 0..max_local_iters {
+                for &v in verts {
+                    let deg = intra_deg[v as usize];
+                    if deg == 0 {
+                        continue;
+                    }
+                    let share = local_pr[v as usize] / deg as f64;
+                    for &t in g.out_neighbors(v) {
+                        block_ops += 1;
+                        if blocks.block_of[t as usize] as usize == b {
+                            incoming[t as usize] += share;
+                        }
+                    }
+                }
+                let mut max_delta = 0.0f64;
+                for &v in verts {
+                    let new = damping + (1.0 - damping) * std::mem::take(&mut incoming[v as usize]);
+                    max_delta = max_delta.max((new - local_pr[v as usize]).abs());
+                    local_pr[v as usize] = new;
+                    block_ops += 1;
+                }
+                if max_delta < local_tol {
+                    break;
+                }
             }
+            ops[blocks.machine_of_block[b] as usize] += block_ops as f64;
         }
         cluster.set_label("block_local");
         cluster.advance_compute(&ops, input.cluster.cores)?;
@@ -957,16 +668,10 @@ fn block_pagerank(
     // Phase 2: vertex-centric PageRank seeded with local_pr * block_pr.
     let init: Vec<f64> =
         (0..n).map(|v| local_pr[v] * block_pr[blocks.block_of[v] as usize]).collect();
-    let part = block_placement_as_edge_cut(machine_of, machines);
+    let part = EdgeCutPartition::from_assignment(machine_of.to_vec(), machines);
     let prog = PageRankProgram::with_init(pr, init);
     let cfg = BspConfig { cores_for_compute: input.cluster.cores, ..BspConfig::default() };
     Ok(run_bsp_pagerank(cluster, g, &part, &prog, &cfg)?.states)
-}
-
-/// Adapt the block→machine placement into the vertex→machine form the BSP
-/// runtime consumes, reusing the flat table computed once per run.
-fn block_placement_as_edge_cut(machine_of: &[MachineId], machines: usize) -> EdgeCutPartition {
-    EdgeCutPartition::from_assignment(machine_of.to_vec(), machines)
 }
 
 #[cfg(test)]
@@ -1068,6 +773,19 @@ mod tests {
             }
             other => panic!("wrong result {other:?}"),
         }
+    }
+
+    #[test]
+    fn one_vertex_superstep_pins_the_block_phases_bits() {
+        // Converged ranks forget their start; after one vertex superstep
+        // they still carry the bits of `local_pr(v) * block_pr(b)`.
+        let ds = dataset(DatasetKind::Twitter);
+        let out =
+            BlogelB::default().run(&input(&ds, Workload::PageRank(PageRankConfig::fixed(1)), 4));
+        assert_eq!(fingerprint(&out), ("OK", 28, 4610788275270679099, 343785, 4946));
+        let Some(WorkloadResult::Ranks(ranks)) = out.result else { panic!("no ranks") };
+        let h = ranks.iter().fold(0u64, |h, r| h.rotate_left(5) ^ r.to_bits());
+        assert_eq!(h, 17884391736953583830);
     }
 
     #[test]

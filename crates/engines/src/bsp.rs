@@ -470,26 +470,25 @@ const LABEL_WIRE: u64 = 4 + 4;
 /// push per distinct target into position-indexed arrays, with the message
 /// path's states and charges.
 ///
-/// Positions are machine-contiguous: machine `m` owns `off[m]..off[m + 1]`,
-/// its fragment ascending by global id, so a vertex's position is its
-/// machine's offset plus its fragment-local id. See [`Routes`] for what a
-/// position pushes along and what it is charged for.
+/// Positions are machine-contiguous ([`Positions`]). See [`Routes`] for
+/// what a position pushes along and what it is charged for. The first
+/// scan builds the routes and the mailboxes ([`Run`]), so a run that fails
+/// on WCC's superstep 0, whose charges come from the graph, never builds
+/// them.
 ///
 /// A position whose label drops to `x` pushes along its routes: WCC the
 /// label itself, a traversal the next hop count `x + 1`, and only while
 /// `x < bound` (the `k` of K-hop, or SSSP's `UNREACHABLE`). How a run
 /// starts is its [`Start`]; from then on, each position with mail takes
 /// the least value sent to it and pushes if that lowers its own.
-struct LabelPath {
-    routes: Routes,
+struct LabelPath<'g> {
+    g: &'g CsrGraph,
+    pos: Positions,
     start: Start,
     /// Label per position; WCC's stays the discovered label until
     /// superstep 1 pushes it.
     label: Vec<VertexId>,
-    /// The delivered inbox.
-    inbox: Mail,
-    /// The next inbox, as this superstep's pushes fill it.
-    out: Outbox,
+    run: Option<Run>,
     /// The last superstep's charges.
     charges: Charges,
     msg_mem: u64,
@@ -520,7 +519,76 @@ enum Start {
     Source { at: usize, bound: u32 },
 }
 
-/// The label path's static tables, by position.
+/// What the label path pushes along and into, built by its first scan:
+/// the routes first, so that the transpose WCC builds them from is freed
+/// before the mailboxes are allocated.
+struct Run {
+    routes: Routes,
+    /// The delivered inbox.
+    inbox: Mail,
+    /// The next inbox, as this superstep's pushes fill it.
+    out: Outbox,
+}
+
+impl Run {
+    fn new(g: &CsrGraph, pos: &Positions, with_in_edges: bool) -> Run {
+        let routes = Routes::new(g, pos, with_in_edges);
+        let n = pos.verts.len();
+        let machines = pos.off.len() - 1;
+        let empty = Mail { min: vec![VertexId::MAX; n], live: vec![0; n.div_ceil(64)] };
+        Run {
+            routes,
+            inbox: empty.clone(),
+            out: Outbox {
+                mail: empty,
+                stamp: vec![0; n],
+                first: 0,
+                machines,
+                run: 0,
+                pairs: vec![0; machines * machines],
+            },
+        }
+    }
+}
+
+/// The label path's positions: machine `m` owns `off[m]..off[m + 1]`, its
+/// fragment ascending by global id (as the message path's `LocalIndex`
+/// numbers it), so a vertex's position is its machine's offset plus its
+/// fragment-local id.
+struct Positions {
+    /// Global id per position.
+    verts: Vec<VertexId>,
+    /// Machine `m`'s positions are `off[m]..off[m + 1]`.
+    off: Vec<usize>,
+    /// Owner machine per position.
+    mach: Vec<u32>,
+}
+
+impl Positions {
+    fn new(g: &CsrGraph, part: &EdgeCutPartition) -> Positions {
+        let frags = part.vertices_per_machine();
+        let mut off = vec![0];
+        let mut mach = Vec::with_capacity(g.num_vertices());
+        for (m, frag) in frags.iter().enumerate() {
+            mach.resize(mach.len() + frag.len(), m as u32);
+            off.push(mach.len());
+        }
+        let verts = frags.concat();
+        assert_eq!(verts.len(), g.num_vertices(), "partition and graph disagree");
+        Positions { verts, off, mach }
+    }
+
+    /// Each vertex's position.
+    fn pos_of(&self) -> Vec<u32> {
+        let mut pos_of = vec![0u32; self.verts.len()];
+        for (p, &v) in self.verts.iter().enumerate() {
+            pos_of[v as usize] = p as u32;
+        }
+        pos_of
+    }
+}
+
+/// The label path's routes, by position.
 ///
 /// A vertex program sends along its *raw routes*: a traversal along its
 /// out-edges, self-loops and parallel edges included; WCC along those and
@@ -532,12 +600,6 @@ enum Start {
 /// The charges still count raw routes: `raw` holds the count, and WCC
 /// computes what superstep 0 and discovery need of them from the graph.
 struct Routes {
-    /// Global id per position.
-    verts: Vec<VertexId>,
-    /// Machine `m`'s positions are `off[m]..off[m + 1]`.
-    off: Vec<usize>,
-    /// Owner machine per position.
-    mach: Vec<u32>,
     /// Position `p`'s distinct targets are `to[at[p]..at[p + 1]]`, in order
     /// of their first raw route.
     at: Vec<usize>,
@@ -547,26 +609,10 @@ struct Routes {
 }
 
 impl Routes {
-    /// `part`'s fragments by position and each position's routes: its
-    /// out-edges, and `with_in_edges` its in-edges without self-loops, each
-    /// target once. Also returns each vertex's position.
-    fn new(g: &CsrGraph, part: &EdgeCutPartition, with_in_edges: bool) -> (Routes, Vec<u32>) {
-        let n = g.num_vertices();
-        // Each fragment is ascending by global id, as the message path's
-        // `LocalIndex` numbers it.
-        let frags = part.vertices_per_machine();
-        let mut off = vec![0];
-        let mut mach = Vec::with_capacity(n);
-        for (m, frag) in frags.iter().enumerate() {
-            mach.resize(mach.len() + frag.len(), m as u32);
-            off.push(mach.len());
-        }
-        let verts = frags.concat();
-        assert_eq!(verts.len(), n, "partition and graph disagree");
-        let mut pos_of = vec![0u32; n];
-        for (p, &v) in verts.iter().enumerate() {
-            pos_of[v as usize] = p as u32;
-        }
+    /// Each position's routes: its out-edges, and `with_in_edges` its
+    /// in-edges without self-loops, each target once.
+    fn new(g: &CsrGraph, pos: &Positions, with_in_edges: bool) -> Routes {
+        let (n, pos_of) = (g.num_vertices(), pos.pos_of());
         let transposed = with_in_edges.then(|| g.transpose());
         let mut at = Vec::with_capacity(n + 1);
         at.push(0);
@@ -579,7 +625,7 @@ impl Routes {
         // `seen[t] == p`: position `p` met `t` already. Only a self-loop
         // in-edge is met and not kept, and every later `t == p` is one too.
         let mut seen = vec![u32::MAX; n];
-        for (p, &v) in verts.iter().enumerate() {
+        for (p, &v) in pos.verts.iter().enumerate() {
             let p = p as u32;
             let mut raw_p = 0usize;
             // No branch per route: write it always, keep it if new.
@@ -601,7 +647,7 @@ impl Routes {
             at.push(len);
         }
         to.truncate(len);
-        (Routes { verts, off, mach, at, to, raw }, pos_of)
+        Routes { at, to, raw }
     }
 
     fn of(&self, p: usize) -> &[u32] {
@@ -674,42 +720,42 @@ impl Outbox {
 }
 
 /// The label path's recovery snapshot: the labels and the delivered inbox
-/// at a superstep boundary.
+/// at a superstep boundary (none before the first scan).
 struct LabelSnapshot {
     label: Vec<VertexId>,
-    inbox: Mail,
+    inbox: Option<Mail>,
     active: u64,
 }
 
-impl LabelPath {
+impl<'g> LabelPath<'g> {
     /// HashMin WCC, storing each discovered in-edge at `bytes_per_edge`.
     fn wcc(
         cluster: &Cluster,
-        g: &CsrGraph,
+        g: &'g CsrGraph,
         part: &EdgeCutPartition,
         bytes_per_edge: u64,
-    ) -> LabelPath {
-        let (routes, pos_of) = Routes::new(g, part, true);
+    ) -> LabelPath<'g> {
+        let pos = Positions::new(g, part);
+        let pos_of = pos.pos_of();
         let machines = part.machines();
-        // From the graph, not the table, which may have dropped an in-edge
-        // as a duplicate of an out-edge: superstep 0's sends per
-        // (destination, source) machine, one per non-self out-edge, and
+        // From the graph, before any table is built: superstep 0's sends
+        // per (destination, source) machine, one per non-self out-edge, and
         // superstep 1's label per position, the least of its id and its
         // in-neighbours' ids.
         let mut sends = vec![0u64; machines * machines];
-        let mut label = routes.verts.clone();
-        for (p, &v) in routes.verts.iter().enumerate() {
-            let src = routes.mach[p] as usize;
+        let mut label = pos.verts.clone();
+        for (p, &v) in pos.verts.iter().enumerate() {
+            let src = pos.mach[p] as usize;
             for &u in g.out_neighbors(v) {
                 let t = pos_of[u as usize] as usize;
-                sends[routes.mach[t] as usize * machines + src] += u64::from(t != p);
+                sends[pos.mach[t] as usize * machines + src] += u64::from(t != p);
                 label[t] = label[t].min(v);
             }
         }
         // Superstep 0: every vertex runs and sends; nothing is combined.
         let msg_mem = cluster.profile().bytes_per_message;
         let mut charges = Charges::new(machines);
-        let mut ops: Vec<u64> = routes.off.windows(2).map(|w| (w[1] - w[0]) as u64).collect();
+        let mut ops: Vec<u64> = pos.off.windows(2).map(|w| (w[1] - w[0]) as u64).collect();
         let mut received = vec![0u64; machines];
         for dst in 0..machines {
             let row = &sends[dst * machines..(dst + 1) * machines];
@@ -720,41 +766,38 @@ impl LabelPath {
         }
         charges.ops = ops.iter().map(|&o| o as f64).collect();
         let start = Start::Discovery { received, bytes_per_edge, charges };
-        LabelPath::with(cluster, routes, start, label)
+        LabelPath::with(cluster, g, pos, start, label)
     }
 
     /// Unit-weight BFS from `source` over out-edges, `bound` hops deep.
     fn traversal(
         cluster: &Cluster,
-        g: &CsrGraph,
+        g: &'g CsrGraph,
         part: &EdgeCutPartition,
         source: VertexId,
         bound: u32,
-    ) -> LabelPath {
-        let (routes, pos_of) = Routes::new(g, part, false);
-        let at = *pos_of.get(source as usize).expect("the source is a vertex") as usize;
-        let mut label = vec![UNREACHABLE; routes.verts.len()];
+    ) -> LabelPath<'g> {
+        let pos = Positions::new(g, part);
+        let at = pos.verts.iter().position(|&v| v == source).expect("the source is a vertex");
+        let mut label = vec![UNREACHABLE; pos.verts.len()];
         label[at] = 0;
-        LabelPath::with(cluster, routes, Start::Source { at, bound }, label)
+        LabelPath::with(cluster, g, pos, Start::Source { at, bound }, label)
     }
 
-    fn with(cluster: &Cluster, routes: Routes, start: Start, label: Vec<VertexId>) -> LabelPath {
-        let n = label.len();
-        let machines = routes.off.len() - 1;
-        let empty = Mail { min: vec![VertexId::MAX; n], live: vec![0; n.div_ceil(64)] };
+    fn with(
+        cluster: &Cluster,
+        g: &'g CsrGraph,
+        pos: Positions,
+        start: Start,
+        label: Vec<VertexId>,
+    ) -> LabelPath<'g> {
+        let machines = pos.off.len() - 1;
         LabelPath {
-            routes,
+            g,
+            pos,
             start,
             label,
-            inbox: empty.clone(),
-            out: Outbox {
-                mail: empty,
-                stamp: vec![0; n],
-                first: 0,
-                machines,
-                run: 0,
-                pairs: vec![0; machines * machines],
-            },
+            run: None,
             charges: Charges::new(machines),
             msg_mem: cluster.profile().bytes_per_message,
             active: 0,
@@ -773,9 +816,12 @@ impl LabelPath {
     /// and each source machine's pushes form one unbroken run (what the
     /// outbox's distinct-target count needs).
     fn scan<const HOPS: bool>(&mut self, superstep: u64, bound: u32) -> (u64, bool) {
-        let machines = self.out.machines;
-        self.out.begin();
-        let LabelPath { routes: r, start, label, inbox, out, .. } = self;
+        let LabelPath { g, pos, start, label, run, charges: c, msg_mem, .. } = self;
+        // WCC routes along in-edges too; a traversal does not.
+        let Run { routes: r, inbox, out } = run.get_or_insert_with(|| Run::new(g, pos, !HOPS));
+        let machines = out.machines;
+        out.begin();
+        let mach = &pos.mach;
         let hop = u32::from(HOPS);
         // Vertices run, messages received and messages sent, per machine,
         // and the bytes each received message is stored at.
@@ -790,19 +836,19 @@ impl LabelPath {
                 received.copy_from_slice(discovered);
                 stored = *bytes_per_edge;
                 for (p, &x) in label.iter().enumerate() {
-                    let m = r.mach[p] as usize;
+                    let m = mach[p] as usize;
                     ran[m] += 1;
                     sent[m] += u64::from(r.raw[p]);
-                    out.push(&r.mach, r.of(p), x, m);
+                    out.push(mach, r.of(p), x, m);
                 }
             }
             // A traversal's superstep 0: only the source runs.
             (&Start::Source { at: p, .. }, 0) => {
-                let m = r.mach[p] as usize;
+                let m = mach[p] as usize;
                 ran[m] += 1;
                 if label[p] < bound {
                     sent[m] += u64::from(r.raw[p]);
-                    out.push(&r.mach, r.of(p), label[p] + hop, m);
+                    out.push(mach, r.of(p), label[p] + hop, m);
                 }
             }
             // The positions with mail run.
@@ -813,13 +859,13 @@ impl LabelPath {
                         let p = w * 64 + bits.trailing_zeros() as usize;
                         bits &= bits - 1;
                         let x = std::mem::replace(&mut inbox.min[p], VertexId::MAX);
-                        let m = r.mach[p] as usize;
+                        let m = mach[p] as usize;
                         ran[m] += 1;
                         if x < label[p] {
                             label[p] = x;
                             if !HOPS || x < bound {
                                 sent[m] += u64::from(r.raw[p]);
-                                out.push(&r.mach, r.of(p), x + hop, m);
+                                out.push(mach, r.of(p), x + hop, m);
                             }
                         }
                     }
@@ -832,22 +878,21 @@ impl LabelPath {
         // is the empty outbox.
         std::mem::swap(inbox, &mut out.mail);
 
-        let c = &mut self.charges;
         c.clear_deliveries();
         for m in 0..machines {
             c.ops[m] = (ran[m] + received[m] + sent[m]) as f64;
             c.extra_alloc[m] = received[m] * stored;
-            let (lo, hi) = (self.routes.off[m], self.routes.off[m + 1]);
-            let mail = crate::shuffle::set_bits(&self.inbox.live, lo, hi).count() as u64;
-            c.inbox_bytes[m] = mail * self.msg_mem;
-            let row = &self.out.pairs[m * machines..(m + 1) * machines];
-            c.add_delivery(m, row, self.msg_mem, LABEL_WIRE);
+            let (lo, hi) = (pos.off[m], pos.off[m + 1]);
+            let mail = crate::shuffle::set_bits(&inbox.live, lo, hi).count() as u64;
+            c.inbox_bytes[m] = mail * *msg_mem;
+            let row = &out.pairs[m * machines..(m + 1) * machines];
+            c.add_delivery(m, row, *msg_mem, LABEL_WIRE);
         }
         (sent.iter().sum(), ran.iter().any(|&r| r > 0))
     }
 }
 
-impl Path for LabelPath {
+impl Path for LabelPath<'_> {
     type Value = VertexId;
     type Snapshot = LabelSnapshot;
 
@@ -870,12 +915,22 @@ impl Path for LabelPath {
     }
 
     fn capture(&self) -> LabelSnapshot {
-        LabelSnapshot { label: self.label.clone(), inbox: self.inbox.clone(), active: self.active }
+        let inbox = self.run.as_ref().map(|run| run.inbox.clone());
+        LabelSnapshot { label: self.label.clone(), inbox, active: self.active }
     }
 
     fn restore(&mut self, snapshot: &LabelSnapshot) {
         self.label.clone_from(&snapshot.label);
-        self.inbox.clone_from(&snapshot.inbox);
+        if let Some(run) = &mut self.run {
+            match &snapshot.inbox {
+                Some(inbox) => run.inbox.clone_from(inbox),
+                // From before the first scan: nothing delivered yet.
+                None => {
+                    run.inbox.min.fill(VertexId::MAX);
+                    run.inbox.live.fill(0);
+                }
+            }
+        }
         self.active = snapshot.active;
     }
 
@@ -884,7 +939,8 @@ impl Path for LabelPath {
     }
 
     fn quiescent(&self) -> bool {
-        self.active == 0 && self.inbox.live.iter().all(|&w| w == 0)
+        self.active == 0
+            && !self.run.as_ref().is_some_and(|run| run.inbox.live.iter().any(|&w| w != 0))
     }
 
     fn finished(&mut self, _superstep: u64, _agg: f64) -> bool {
@@ -893,7 +949,7 @@ impl Path for LabelPath {
 
     fn into_states(self) -> Vec<VertexId> {
         let mut labels = vec![0; self.label.len()];
-        for (&v, &l) in self.routes.verts.iter().zip(&self.label) {
+        for (&v, &l) in self.pos.verts.iter().zip(&self.label) {
             labels[v as usize] = l;
         }
         labels
@@ -1894,8 +1950,9 @@ mod tests {
                 for machines in [1, 3, 16] {
                     let part = EdgeCutPartition::random(g.num_vertices() as u64, machines, seed);
                     for with_in in [false, true] {
-                        let (r, pos_of) = Routes::new(g, &part, with_in);
-                        for (p, &v) in r.verts.iter().enumerate() {
+                        let pos = Positions::new(g, &part);
+                        let (r, pos_of) = (Routes::new(g, &pos, with_in), pos.pos_of());
+                        for (p, &v) in pos.verts.iter().enumerate() {
                             let at = format!("graph {gi}, machines {machines}, in {with_in}, {v}");
                             assert_eq!(pos_of[v as usize] as usize, p, "{at}");
                             let outs = g.out_neighbors(v);

@@ -1,12 +1,15 @@
 //! Deterministic parallel executor: fan independent tasks across real host
 //! threads.
 //!
-//! Every engine in this crate iterates over simulated machines — or over
-//! sub-chunks of one machine's vertex range — inside its superstep /
-//! iteration hot loop. Those bodies are independent by construction
-//! (shared-nothing semantics), so they can run on separate host threads — as
-//! long as the *results* are merged in a fixed order. A machine is a task
-//! like any other: [`run_chunks`] is the only entry point.
+//! The data-parallel kernels of this crate (the `gather` kernels, GraphLab's
+//! gather and apply, GraphX's mirror sync, the radix shuffle)
+//! iterate over simulated machines — or over sub-chunks of one machine's
+//! vertex range — inside their superstep / iteration hot loops. Those
+//! bodies are independent by construction (shared-nothing semantics), so
+//! they can run on separate host threads — as long as the *results* are
+//! merged in a fixed order. A machine is a task like any other:
+//! [`run_chunks`] is the only entry point. The BSP label path and
+//! Blogel-B's block phases are serial scans and never call it.
 //!
 //! The contract this module enforces:
 //!

@@ -3,11 +3,13 @@
 //! Serialized [`graphbench::RunRecord`]s — simulated times, message counts,
 //! journals, results, everything the harness writes — must be bit-for-bit
 //! identical at any chunk-size × thread-count combination, on clean runs
-//! and under injected faults, for every engine that routes per-machine
-//! superstep work through `exec::run_chunks`: GAS (exact and approximate
-//! PageRank), Blogel-B, GraphX, Hadoop, Vertica, and the BSP engines
-//! Giraph, Blogel-V and Gelly, whose f64 combiner folds PageRank ranks
-//! across chunk buckets.
+//! and under injected faults, for every engine with a loop routed through
+//! `exec::run_chunks`: GAS (exact and approximate PageRank), GraphX,
+//! Hadoop, Vertica, and the BSP rank path of Giraph, Blogel-V, Gelly and
+//! Blogel-B's vertex phase, whose `gather::RunGather` sums PageRank ranks
+//! across chunk spans. The serial scans (the BSP label path behind WCC,
+//! SSSP and K-hop, Blogel-B's block phases) run at every setting too and
+//! must give the same records.
 
 use graphbench::system::GlStop;
 use graphbench::{ExperimentSpec, PaperEnv, RunRecord, Runner, SystemId};
@@ -43,7 +45,8 @@ fn gas() -> SystemId {
     SystemId::GraphLab { sync: true, auto: false, stop: GlStop::Iterations }
 }
 
-/// The engines routed through `exec::run_chunks`.
+/// The engines with a loop routed through `exec::run_chunks` (for the BSP
+/// engines and Blogel-B, PageRank's).
 fn chunked() -> [SystemId; 9] {
     [
         gas(),
