@@ -395,17 +395,13 @@ fn block_wcc(
     // after the barrier. The charged sums are integer-valued and min is
     // order-free, so the scan order reaches neither metrics nor labels.
     let mut active = vec![true; nc];
-    let mut ops = vec![0.0f64; machines];
-    let mut sent = vec![0u64; machines];
-    let mut recv = vec![0u64; machines];
-    let mut msgs = vec![0u64; machines];
     let mut updates: Vec<(u32, VertexId)> = Vec::new();
     loop {
         cluster.set_label("superstep");
-        ops.fill(0.0);
-        sent.fill(0);
-        recv.fill(0);
-        msgs.fill(0);
+        let mut ops = vec![0.0f64; machines];
+        let mut sent = vec![0u64; machines];
+        let mut recv = vec![0u64; machines];
+        let mut msgs = vec![0u64; machines];
         for c in 0..nc {
             if !std::mem::take(&mut active[c]) {
                 continue;
@@ -474,16 +470,12 @@ fn block_traversal(
     let mut next = dist.clone();
     let mut writes: Vec<VertexId> = Vec::new();
     let mut outgoing: Vec<(VertexId, u32)> = Vec::new();
-    let mut ops = vec![0.0f64; machines];
-    let mut sent = vec![0u64; machines];
-    let mut recv = vec![0u64; machines];
-    let mut msgs = vec![0u64; machines];
     loop {
         cluster.set_label("superstep");
-        ops.fill(0.0);
-        sent.fill(0);
-        recv.fill(0);
-        msgs.fill(0);
+        let mut ops = vec![0.0f64; machines];
+        let mut sent = vec![0u64; machines];
+        let mut recv = vec![0u64; machines];
+        let mut msgs = vec![0u64; machines];
         let mut any = false;
         for &b in &order {
             let q = &mut pending[b as usize];

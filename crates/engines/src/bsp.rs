@@ -921,15 +921,10 @@ impl Path for LabelPath<'_> {
 
     fn restore(&mut self, snapshot: &LabelSnapshot) {
         self.label.clone_from(&snapshot.label);
-        if let Some(run) = &mut self.run {
-            match &snapshot.inbox {
-                Some(inbox) => run.inbox.clone_from(inbox),
-                // From before the first scan: nothing delivered yet.
-                None => {
-                    run.inbox.min.fill(VertexId::MAX);
-                    run.inbox.live.fill(0);
-                }
-            }
+        match (&mut self.run, &snapshot.inbox) {
+            (Some(run), Some(inbox)) => run.inbox.clone_from(inbox),
+            // From before the first scan, which the replay runs again.
+            (run, _) => *run = None,
         }
         self.active = snapshot.active;
     }
