@@ -1246,6 +1246,28 @@ mod tests {
         assert_eq!(khop.result.unwrap(), WorkloadResult::Distances(reference::khop(&ds.1, src, 3)));
     }
 
+    /// `(status, supersteps, runtime bits, network bytes, messages)` of a run.
+    fn fingerprint(out: &RunOutput) -> (&str, u64, u64, u64, u64) {
+        let m = &out.metrics;
+        (m.status.code(), m.iterations, out.runtime.to_bits(), m.network_bytes, m.messages)
+    }
+
+    #[test]
+    fn road_network_runs_pin_the_traversal_and_wcc_charges() {
+        // The road network's long diameter runs many frontier and HashMin
+        // rounds: the per-round charges of an unbounded traversal and of
+        // WCC, summed over every round.
+        let ds = dataset(DatasetKind::Wrn);
+        let src = (0..ds.1.num_vertices() as VertexId).find(|&v| ds.1.out_degree(v) > 0).unwrap();
+        let sssp =
+            GraphLab::sync_random().run(&input(&ds, Workload::Sssp { source: src }, 4, 1 << 30));
+        assert_eq!(sssp.result, Some(WorkloadResult::Distances(reference::sssp(&ds.1, src))));
+        assert_eq!(fingerprint(&sssp), ("OK", 127, 4618742250455763454, 580386, 24353));
+        let wcc = GraphLab::sync_random().run(&input(&ds, Workload::Wcc, 4, 1 << 30));
+        assert_eq!(wcc.result, Some(WorkloadResult::Labels(reference::wcc(&ds.1))));
+        assert_eq!(fingerprint(&wcc), ("OK", 126, 4618812244966574686, 23343990, 888344));
+    }
+
     #[test]
     fn async_pagerank_converges_to_the_same_fixpoint() {
         let ds = dataset(DatasetKind::Twitter);

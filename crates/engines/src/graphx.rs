@@ -732,6 +732,26 @@ mod tests {
         );
     }
 
+    /// `(status, supersteps, runtime bits, network bytes, messages)` of a run.
+    fn fingerprint(out: &RunOutput) -> (&str, u64, u64, u64, u64) {
+        let m = &out.metrics;
+        (m.status.code(), m.iterations, out.runtime.to_bits(), m.network_bytes, m.messages)
+    }
+
+    #[test]
+    fn road_network_runs_pin_the_traversal_and_wcc_charges() {
+        // The road network's long diameter runs many stages, each with its
+        // own mirror sync of the changed vertices and its own lineage growth.
+        let ds = dataset(DatasetKind::Wrn);
+        let src = (0..ds.1.num_vertices() as VertexId).find(|&v| ds.1.out_degree(v) > 0).unwrap();
+        let sssp = gx(16).run(&input(&ds, Workload::Sssp { source: src }, 4, 1 << 30));
+        assert_eq!(sssp.result, Some(WorkloadResult::Distances(reference::sssp(&ds.1, src))));
+        assert_eq!(fingerprint(&sssp), ("OK", 127, 4631401732753724735, 464729, 17803));
+        let wcc = gx(16).run(&input(&ds, Workload::Wcc, 4, 1 << 30));
+        assert_eq!(wcc.result, Some(WorkloadResult::Labels(reference::wcc(&ds.1))));
+        assert_eq!(fingerprint(&wcc), ("OK", 127, 4631411578957123813, 11768697, 371052));
+    }
+
     #[test]
     fn partition_imbalance_grows_with_cluster_size() {
         use graphbench_partition::metrics::imbalance;

@@ -348,7 +348,11 @@ mod tests {
     use graphbench_sim::{ClusterSpec, EventKind};
 
     fn dataset() -> (EdgeList, CsrGraph) {
-        let d = Dataset::generate(DatasetKind::Twitter, Scale { base: 400 }, 3);
+        dataset_of(DatasetKind::Twitter)
+    }
+
+    fn dataset_of(kind: DatasetKind) -> (EdgeList, CsrGraph) {
+        let d = Dataset::generate(kind, Scale { base: 400 }, 3);
         let g = d.to_csr();
         (d.edges, g)
     }
@@ -392,6 +396,27 @@ mod tests {
         assert_eq!(sssp.result.unwrap(), WorkloadResult::Distances(reference::sssp(&ds.1, 0)));
         let khop = Vertica::default().run(&input(&ds, Workload::khop3(0), 4));
         assert_eq!(khop.result.unwrap(), WorkloadResult::Distances(reference::khop(&ds.1, 0, 3)));
+    }
+
+    /// `(status, supersteps, runtime bits, network bytes, messages)` of a run.
+    fn fingerprint(out: &RunOutput) -> (&str, u64, u64, u64, u64) {
+        let m = &out.metrics;
+        (m.status.code(), m.iterations, out.runtime.to_bits(), m.network_bytes, m.messages)
+    }
+
+    #[test]
+    fn road_network_runs_pin_the_traversal_and_wcc_charges() {
+        // The road network's long diameter runs many statements: the
+        // traversal's joins and in-place refreshes per wave, and WCC's
+        // `updated` counts through the adaptive refresh.
+        let ds = dataset_of(DatasetKind::Wrn);
+        let src = (0..ds.1.num_vertices() as VertexId).find(|&v| ds.1.out_degree(v) > 0).unwrap();
+        let sssp = Vertica::default().run(&input(&ds, Workload::Sssp { source: src }, 4));
+        assert_eq!(sssp.result, Some(WorkloadResult::Distances(reference::sssp(&ds.1, src))));
+        assert_eq!(fingerprint(&sssp), ("OK", 127, 4632697131294060791, 582137, 13806));
+        let wcc = Vertica::default().run(&input(&ds, Workload::Wcc, 4));
+        assert_eq!(wcc.result, Some(WorkloadResult::Labels(reference::wcc(&ds.1))));
+        assert_eq!(fingerprint(&wcc), ("OK", 127, 4632701210049736983, 48694361, 13806));
     }
 
     #[test]
