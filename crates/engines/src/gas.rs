@@ -24,7 +24,7 @@
 //!   on long-running workloads — the WRN-at-128-machines OOM of Figure 10.
 
 use crate::exec;
-use crate::gather::{Frontier, MinLabel, RunGather};
+use crate::gather::{expand, MinLabel, RunGather};
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
@@ -451,44 +451,25 @@ struct GatherCharge {
     msgs: Vec<u64>,
 }
 
-/// Folds [`GatherCharge`] over each machine's `in_deg`, one task per
-/// machine; the u64 counts are order-free.
+/// Folds [`GatherCharge`] over each machine's `in_deg`.
 fn gather_charge(ctx: &GasCtx<'_>, active: &[bool]) -> GatherCharge {
-    let mut machines: Vec<usize> = (0..ctx.machines).collect();
-    let per_machine = exec::run_chunks(&mut machines, |_, &mut m| {
-        let (mut ops, mut partials, mut remote) = (0u64, 0u64, 0u64);
-        let mut recv_by = vec![0u64; ctx.machines];
-        for &(v, deg) in &ctx.data[m].in_deg {
-            if !active[v as usize] {
-                continue;
-            }
-            ops += u64::from(deg);
-            partials += 1;
+    let mut ops = vec![0.0; ctx.machines];
+    let [mut transient, mut sent, mut recv, mut msgs] = [(); 4].map(|_| vec![0u64; ctx.machines]);
+    for (m, md) in ctx.data.iter().enumerate() {
+        let mut gathered = 0u64;
+        for &(v, deg) in md.in_deg.iter().filter(|&&(v, _)| active[v as usize]) {
+            gathered += u64::from(deg);
+            transient[m] += 16;
             let master = ctx.part.master_of(v) as usize;
             if master != m {
-                remote += 1;
-                recv_by[master] += 12;
+                sent[m] += 12;
+                recv[master] += 12;
+                msgs[m] += 1;
             }
         }
-        (ops, partials, remote, recv_by)
-    });
-    let mut charge = GatherCharge {
-        ops: Vec::with_capacity(ctx.machines),
-        transient: Vec::with_capacity(ctx.machines),
-        sent: Vec::with_capacity(ctx.machines),
-        recv: vec![0u64; ctx.machines],
-        msgs: Vec::with_capacity(ctx.machines),
-    };
-    for (ops, partials, remote, recv_by) in per_machine {
-        charge.ops.push(ops as f64 * ctx.async_op_penalty());
-        charge.transient.push(partials * 16);
-        charge.sent.push(remote * 12);
-        charge.msgs.push(remote);
-        for (r, b) in charge.recv.iter_mut().zip(recv_by) {
-            *r += b;
-        }
+        ops[m] = gathered as f64 * ctx.async_op_penalty();
     }
-    charge
+    GatherCharge { ops, transient, sent, recv, msgs }
 }
 
 /// Synchronous GAS PageRank. Exact mode keeps every vertex active until the
@@ -654,9 +635,10 @@ fn async_pagerank(
     // change above the tolerance signals the vertices that depend on it.
     let mut queue: Vec<VertexId> = (0..n as VertexId).collect();
     let mut queued: Vec<bool> = vec![true; n];
-    let mut lock_pool = vec![0u64; ctx.machines]; // unreleased lock records
-                                                  // Per-round accumulators, hoisted out of the loop and zeroed per round
-                                                  // (the async path runs thousands of rounds on road networks).
+    // Unreleased lock records.
+    let mut lock_pool = vec![0u64; ctx.machines];
+    // Per-round accumulators, hoisted out of the loop and zeroed per round
+    // (the async path runs thousands of rounds on road networks).
     let mut ops = vec![0.0f64; ctx.machines];
     let mut sent = vec![0u64; ctx.machines];
     let mut recv = vec![0u64; ctx.machines];
@@ -770,22 +752,11 @@ fn wcc_propagate(
     loop {
         cluster.set_label("gather");
         kernel.step(&label, &mut best);
-        let (label_r, best_r) = (&label, &best);
-        let tally = wcc_tally(ctx, |v| first || best_r[v as usize] < label_r[v as usize]);
-        if tally.iter().all(|&(ops, ..)| ops == 0) {
+        let tally = wcc_tally(ctx, |v| first || best[v as usize] < label[v as usize]);
+        if tally[0].iter().all(|&ops| ops == 0) {
             break;
         }
-        let ops: Vec<f64> = tally.iter().map(|t| t.0 as f64 * ctx.async_op_penalty()).collect();
-        let sent: Vec<u64> = tally.iter().map(|t| t.1 * 8).collect();
-        let msgs: Vec<u64> = tally.iter().map(|t| t.1).collect();
-        let mut recv = vec![0u64; ctx.machines];
-        for (_, _, recv_by) in &tally {
-            for (r, b) in recv.iter_mut().zip(recv_by) {
-                *r += b;
-            }
-        }
-        cluster.advance_compute(&ops, ctx.effective_cores())?;
-        cluster.exchange(&sent, &recv, &msgs)?;
+        charge_round(cluster, ctx, &tally)?;
         if cluster.has_observers() {
             // Observability hint only: vertices whose component label will
             // improve when this round's minima are applied.
@@ -814,27 +785,35 @@ fn wcc_propagate(
     Ok(label)
 }
 
-/// One WCC round's per-machine `(ops, remote partials, recv bytes by master)`
-/// in order-free u64 counts: the local edges with a signaled endpoint gather,
-/// and each signaled destination mastered elsewhere costs an 8 B partial.
-fn wcc_tally(
-    ctx: &GasCtx<'_>,
-    signaled: impl Fn(VertexId) -> bool + Sync,
-) -> Vec<(u64, u64, Vec<u64>)> {
-    let mut machines: Vec<usize> = (0..ctx.machines).collect();
-    exec::run_chunks(&mut machines, |_, &mut m| {
-        let md = &ctx.data[m];
-        let ops = md.edges.iter().filter(|&&(u, v)| signaled(u) || signaled(v)).count();
-        let (mut remote, mut recv_by) = (0u64, vec![0u64; ctx.machines]);
+/// One WCC round's per-machine `[ops, sent, msgs, recv]`: the local edges
+/// with a signaled endpoint gather, and each signaled destination mastered
+/// elsewhere costs an 8 B partial.
+fn wcc_tally(ctx: &GasCtx<'_>, signaled: impl Fn(VertexId) -> bool) -> [Vec<u64>; 4] {
+    let mut tally = [(); 4].map(|_| vec![0u64; ctx.machines]);
+    let [ops, sent, msgs, recv] = &mut tally;
+    for (m, md) in ctx.data.iter().enumerate() {
+        ops[m] = md.edges.iter().filter(|&&(u, v)| signaled(u) || signaled(v)).count() as u64;
         for &(v, _) in &md.in_deg {
             let master = ctx.part.master_of(v) as usize;
             if signaled(v) && master != m {
-                remote += 1;
-                recv_by[master] += 8;
+                sent[m] += 8;
+                recv[master] += 8;
+                msgs[m] += 1;
             }
         }
-        (ops as u64, remote, recv_by)
-    })
+    }
+    tally
+}
+
+/// Charge one WCC or traversal round's `[ops, sent, msgs, recv]`.
+fn charge_round(
+    cluster: &mut Cluster,
+    ctx: &GasCtx<'_>,
+    [ops, sent, msgs, recv]: &[Vec<u64>; 4],
+) -> Result<(), SimError> {
+    let ops: Vec<f64> = ops.iter().map(|&o| o as f64 * ctx.async_op_penalty()).collect();
+    cluster.advance_compute(&ops, ctx.effective_cores())?;
+    cluster.exchange(sent, recv, msgs)
 }
 
 /// Signal-driven BFS (SSSP / K-hop) over directed in-gathers.
@@ -851,22 +830,18 @@ fn traversal(
     dist[source as usize] = 0;
     let (mut frontier, mut next) = (vec![source], Vec::new());
     let out = out_edges(ctx.data, n);
-    let mut kernel = Frontier::new(g);
     let mut depth = 0u32;
     while !frontier.is_empty() {
         // Scatter from the frontier along local out-edges; improvements are
         // applied at target masters.
         cluster.set_label("scatter");
-        let [ops, sent, msgs, recv] = frontier_charge(ctx, &out, &dist, &frontier, bound);
-        let ops: Vec<f64> = ops.iter().map(|&o| o as f64 * ctx.async_op_penalty()).collect();
-        cluster.advance_compute(&ops, ctx.effective_cores())?;
-        cluster.exchange(&sent, &recv, &msgs)?;
+        charge_round(cluster, ctx, &frontier_charge(ctx, &out, &dist, &frontier, bound))?;
         if ctx.engine.mode == GasMode::Sync {
             cluster.set_label("barrier");
             cluster.barrier()?;
         }
         recovery.at_barrier(cluster)?;
-        kernel.step(&mut dist, &frontier, depth, bound, &mut next);
+        expand(g, &mut dist, &frontier, depth, bound, &mut next);
         std::mem::swap(&mut frontier, &mut next);
         ctx.charge_mirror_sync(cluster, frontier.iter().copied())?;
         depth += 1;
@@ -874,11 +849,11 @@ fn traversal(
     Ok(dist)
 }
 
-/// One traversal round's charge: frontier-span tasks charge each local
-/// out-edge of a frontier vertex under `bound` to its machine, and each
-/// improvement over the frozen `dist` whose target's master lives elsewhere
-/// as an 8 B message, as per-machine `[ops, sent, msgs, recv]`. The u64
-/// sums are order-free, so the frontier's order moves no charge.
+/// One traversal round's charge: each local out-edge of a frontier vertex
+/// under `bound` costs its machine an op, and each improvement over `dist`
+/// (the round's, before the wave applies) whose target's master lives
+/// elsewhere an 8 B message, as per-machine `[ops, sent, msgs, recv]`. The
+/// counts are integer sums, so the frontier's order moves no charge.
 fn frontier_charge(
     ctx: &GasCtx<'_>,
     out: &OutEdges,
@@ -886,32 +861,20 @@ fn frontier_charge(
     frontier: &[VertexId],
     bound: u32,
 ) -> [Vec<u64>; 4] {
-    let mut spans: Vec<&[VertexId]> = (exec::uniform_spans(frontier.len(), exec::chunk_size()))
-        .into_iter()
-        .map(|(s, e)| &frontier[s..e])
-        .collect();
-    let steps = exec::run_chunks(&mut spans, |_, span| {
-        let [mut ops, mut sent, mut msgs, mut recv] = [(); 4].map(|_| vec![0u64; ctx.machines]);
-        for (v, d) in span.iter().map(|&v| (v, dist[v as usize])).filter(|&(_, d)| d < bound) {
-            for &(t, m) in out.of(v) {
-                let m = m as usize;
-                ops[m] += 1;
-                if d + 1 < dist[t as usize] {
-                    let master = ctx.part.master_of(t) as usize;
-                    if master != m {
-                        sent[m] += 8;
-                        recv[master] += 8;
-                        msgs[m] += 1;
-                    }
+    let mut tally = [(); 4].map(|_| vec![0u64; ctx.machines]);
+    let [ops, sent, msgs, recv] = &mut tally;
+    for (v, d) in frontier.iter().map(|&v| (v, dist[v as usize])).filter(|&(_, d)| d < bound) {
+        for &(t, m) in out.of(v) {
+            let m = m as usize;
+            ops[m] += 1;
+            if d + 1 < dist[t as usize] {
+                let master = ctx.part.master_of(t) as usize;
+                if master != m {
+                    sent[m] += 8;
+                    recv[master] += 8;
+                    msgs[m] += 1;
                 }
             }
-        }
-        [ops, sent, msgs, recv]
-    });
-    let mut tally = [(); 4].map(|_| vec![0u64; ctx.machines]);
-    for step in &steps {
-        for (acc, part) in tally.iter_mut().zip(step) {
-            acc.iter_mut().zip(part).for_each(|(a, b)| *a += b);
         }
     }
     tally
@@ -1027,27 +990,23 @@ mod tests {
     }
 
     /// The WCC round tally over the dense in-indexes.
-    fn dense_wcc_tally(
-        ctx: &GasCtx<'_>,
-        idx: &DenseIndexes,
-        signaled: &[bool],
-    ) -> Vec<(u64, u64, Vec<u64>)> {
+    fn dense_wcc_tally(ctx: &GasCtx<'_>, idx: &DenseIndexes, signaled: &[bool]) -> [Vec<u64>; 4] {
         let sig = |v: VertexId| signaled[v as usize];
-        (idx.iter().enumerate())
-            .map(|(m, (in_idx, _))| {
-                let edges = &ctx.data[m].edges;
-                let ops = edges.iter().filter(|&&(u, v)| sig(u) || sig(v)).count() as u64;
-                let (mut remote, mut recv_by) = (0u64, vec![0u64; ctx.machines]);
-                for &v in &in_idx.verts {
-                    let master = ctx.part.master_of(v) as usize;
-                    if sig(v) && master != m {
-                        remote += 1;
-                        recv_by[master] += 8;
-                    }
+        let mut tally = [(); 4].map(|_| vec![0u64; ctx.machines]);
+        let [ops, sent, msgs, recv] = &mut tally;
+        for (m, (in_idx, _)) in idx.iter().enumerate() {
+            let edges = &ctx.data[m].edges;
+            ops[m] = edges.iter().filter(|&&(u, v)| sig(u) || sig(v)).count() as u64;
+            for &v in &in_idx.verts {
+                let master = ctx.part.master_of(v) as usize;
+                if sig(v) && master != m {
+                    sent[m] += 8;
+                    recv[master] += 8;
+                    msgs[m] += 1;
                 }
-                (ops, remote, recv_by)
-            })
-            .collect()
+            }
+        }
+        tally
     }
 
     /// One traversal round over the dense out-indexes, machine-major:
@@ -1101,7 +1060,7 @@ mod tests {
     /// chunk {1, 97, 4096}: the in-degree lists hold the dense in-index's
     /// endpoints and group lengths, and the gather charge, the WCC round
     /// tally and every traversal round's per-machine charge
-    /// ([`frontier_charge`], with [`Frontier`] advancing the wave) equal the
+    /// ([`frontier_charge`], with [`expand`] advancing the wave) equal the
     /// dense indexes'. The kernel lists a wave in frontier-scan order over
     /// the out-CSR, the reference in machine-major order, and each side
     /// carries on from its own frontier, so a charge that depended on the
@@ -1166,7 +1125,6 @@ mod tests {
                     let tally = wcc_tally(&ctx, |v| signaled[v as usize]);
                     assert_eq!(tally, dense_wcc_tally(&ctx, &idx, &signaled), "{case}");
                     let out = out_edges(&data, n);
-                    let mut kernel = Frontier::new(&g);
                     for bound in [u32::MAX, 2] {
                         let mut dist = vec![UNREACHABLE; n];
                         dist[source as usize] = 0;
@@ -1178,7 +1136,7 @@ mod tests {
                             let (want_tally, want_improved) =
                                 dense_scan(&ctx, &idx, &want_dist, &want_frontier, bound);
                             assert_eq!(tally, want_tally, "{case} bound={bound}");
-                            kernel.step(&mut dist, &frontier, depth, bound, &mut next);
+                            expand(&g, &mut dist, &frontier, depth, bound, &mut next);
                             std::mem::swap(&mut frontier, &mut next);
                             want_frontier = apply(&mut want_dist, want_improved);
                             assert_eq!(dist, want_dist, "{case} bound={bound}");

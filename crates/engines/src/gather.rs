@@ -1,7 +1,8 @@
 //! The three kernels behind the engines' host work: [`RunGather`], the
 //! run-sum gather of every synchronous distributed PageRank, [`MinLabel`],
-//! the HashMin step of every non-BSP WCC, and [`Frontier`], the BFS step of
-//! every non-BSP SSSP and K-hop.
+//! the HashMin step of every non-BSP WCC, and [`expand`], the BFS step of
+//! every non-BSP SSSP and K-hop. Only the gather runs across host threads;
+//! the other two are serial scans.
 //!
 //! GraphLab's sync gather, GraphX's join, the Hadoop/HaLoop reduce,
 //! Vertica's `SUM` and the BSP combiners (Giraph, Blogel-V, Blogel-B's
@@ -23,16 +24,17 @@
 //!
 //! Integer min is order-free, so the WCC labels need no runs at all:
 //! [`MinLabel`] takes each vertex's minimum over its out-list and a sorted
-//! in-index in one destination-parallel pass. The one order-dependent
-//! figure, Vertica's `updated` row count, is a running-min count per
-//! source chunk that the same pass reads off in source order.
+//! in-index in one pass over the vertices. The one order-dependent figure,
+//! Vertica's `updated` row count, is a running-min count per source chunk
+//! that the same pass reads off in source order.
 //!
 //! A unit-weight traversal is level-synchronous whichever paradigm runs
 //! it: MapReduce relaxes every edge, GraphX tests every edge's source
 //! flag, Vertica joins an ACTIVE table and GraphLab scatters from the
 //! frontier, but each round reaches exactly the unvisited out-neighbours
-//! of the previous wave. [`Frontier`] computes that wave once for all
-//! four; what each paradigm pays for it stays in its engine's charges.
+//! of the previous wave. [`expand`] computes that wave once for all four,
+//! in frontier-scan order; what each paradigm pays for it stays in its
+//! engine's charges.
 
 use crate::exec;
 use graphbench_algos::UNREACHABLE;
@@ -234,17 +236,6 @@ impl RunGather {
     }
 }
 
-/// `out` cut at the plan's spans: `(first index, window)` per task.
-fn windows<'a, T>(plan: &[(usize, usize)], mut out: &'a mut [T]) -> Vec<(usize, &'a mut [T])> {
-    let mut tasks = Vec::with_capacity(plan.len());
-    for &(s, e) in plan {
-        let (window, tail) = out.split_at_mut(e - s);
-        tasks.push((s, window));
-        out = tail;
-    }
-    tasks
-}
-
 /// Source chunk `c` of `parts` over `0..n`: `[c·n/parts, (c+1)·n/parts)`,
 /// the share of the vertex range one MapReduce mapper or one Vertica
 /// segment scans. Boundaries depend only on the simulated machine count,
@@ -254,9 +245,9 @@ pub(crate) fn source_chunk(c: usize, parts: usize, n: usize) -> Range<usize> {
 }
 
 /// The HashMin step of every non-BSP WCC (GraphLab, GraphX, Hadoop/HaLoop,
-/// Vertica): `next[v] = min(label[v], labels of out(v) ∪ in(v))`, one
-/// destination-parallel pass over the out-CSR and a reverse index built
-/// once per run, its in-lists ascending by source.
+/// Vertica): `next[v] = min(label[v], labels of out(v) ∪ in(v))`, one pass
+/// over the out-CSR and a reverse index built once per run, its in-lists
+/// ascending by source.
 ///
 /// The pass also counts the strict running-min improvements per source
 /// chunk ([`source_chunk`] of `parts`), which is Vertica's `updated` rows:
@@ -274,35 +265,23 @@ pub(crate) struct MinLabel<'g> {
     in_src: Vec<VertexId>,
     /// Source chunks the improvement count restarts at.
     parts: usize,
-    /// Vertex windows weighted by `1 + degree` in both directions.
-    plan: Vec<(usize, usize)>,
 }
 
 impl<'g> MinLabel<'g> {
     pub(crate) fn build(g: &'g CsrGraph, parts: usize) -> MinLabel<'g> {
         let (in_off, in_src) = g.transpose();
-        let weights: Vec<u64> = (0..g.num_vertices())
-            .map(|v| 1 + in_off[v + 1] - in_off[v] + g.out_degree(v as VertexId))
-            .collect();
-        let plan = exec::weighted_spans(&weights, exec::chunk_size());
-        MinLabel { g, in_off, in_src, parts, plan }
+        MinLabel { g, in_off, in_src, parts }
     }
 
-    /// Fill `next` and return the improvement count; bit-identical at any
-    /// chunk × thread combination because each vertex folds whole inside
-    /// one task and the counts are integer sums.
+    /// Fill `next` and return the improvement count.
     pub(crate) fn step(&self, label: &[VertexId], next: &mut [VertexId]) -> u64 {
-        let mut tasks = windows(&self.plan, next);
-        let counts = exec::run_chunks(&mut tasks, |_, (base, window)| {
-            let mut imp = 0u64;
-            for (v, best) in (*base..).zip(window.iter_mut()) {
-                let (b, i) = self.min_of(v, label);
-                *best = b;
-                imp += i;
-            }
-            imp
-        });
-        counts.into_iter().sum()
+        let mut imp = 0u64;
+        for (v, best) in next.iter_mut().enumerate() {
+            let (b, i) = self.min_of(v, label);
+            *best = b;
+            imp += i;
+        }
+        imp
     }
 
     /// `v`'s minimum and its improvement count (see [`MinLabel`]).
@@ -336,80 +315,24 @@ impl<'g> MinLabel<'g> {
 }
 
 /// The BFS step of every non-BSP traversal (GraphLab, GraphX,
-/// Hadoop/HaLoop, Vertica) over the out-CSR: the serial frontier scan, in
-/// which each out-neighbour the wave has not reached yet is reached, in
-/// scan order. Across host threads, frontier spans weighted by
-/// `1 + out-degree` emit their unvisited out-neighbours against the frozen
-/// distances into pooled buckets, and the buckets apply in span order,
-/// first touch wins. Emission reads only frozen state, so the applied
-/// sequence is the serial scan's wherever the span boundaries fall, and
-/// `next` is the same list at any chunk × thread combination.
-pub(crate) struct Frontier<'g> {
-    g: &'g CsrGraph,
-    /// One candidate bucket per span, reused across steps.
-    buckets: Vec<Vec<VertexId>>,
-}
-
-impl<'g> Frontier<'g> {
-    pub(crate) fn new(g: &'g CsrGraph) -> Frontier<'g> {
-        Frontier { g, buckets: Vec::new() }
-    }
-
-    /// Expand `frontier`, whose vertices sit at `depth`: each unvisited
-    /// out-neighbour gets `depth + 1` in `dist` and joins `next`, in
-    /// frontier-scan order. At `depth >= bound` the wave stops there and
-    /// `next` is empty.
-    pub(crate) fn step(
-        &mut self,
-        dist: &mut [u32],
-        frontier: &[VertexId],
-        depth: u32,
-        bound: u32,
-        next: &mut Vec<VertexId>,
-    ) {
-        next.clear();
-        if depth >= bound {
-            return;
-        }
-        let g = self.g;
-        let spans = if exec::threads() > 1 {
-            let weights: Vec<u64> = frontier.iter().map(|&v| 1 + g.out_degree(v)).collect();
-            exec::weighted_spans(&weights, exec::chunk_size())
-        } else {
-            Vec::new()
-        };
-        // One task: scan in place, without copying the candidates out.
-        if spans.len() <= 1 {
-            let out = frontier.iter().flat_map(|&v| g.out_neighbors(v));
-            reach(dist, depth, next, out.copied());
-            return;
-        }
-        if self.buckets.len() < spans.len() {
-            self.buckets.resize_with(spans.len(), Vec::new);
-        }
-        let frozen: &[u32] = dist;
-        let mut tasks: Vec<(&[VertexId], &mut Vec<VertexId>)> =
-            spans.iter().map(|&(s, e)| &frontier[s..e]).zip(self.buckets.iter_mut()).collect();
-        exec::run_chunks(&mut tasks, |_, (span, found)| {
-            found.clear();
-            for &v in *span {
-                let out = g.out_neighbors(v).iter();
-                found.extend(out.filter(|&&t| frozen[t as usize] == UNREACHABLE));
-            }
-        });
-        reach(dist, depth, next, tasks.iter().flat_map(|(_, found)| found.iter()).copied());
-    }
-}
-
-/// First touch wins: each unvisited `t` of `candidates` gets `depth + 1`
-/// and joins `next`.
-fn reach(
+/// Hadoop/HaLoop, Vertica) over the out-CSR: expand `frontier`, whose
+/// vertices sit at `depth`, in one scan. Each out-neighbour the wave has
+/// not reached yet gets `depth + 1` in `dist` and joins `next`, in
+/// frontier-scan order. At `depth >= bound` the wave stops there and `next`
+/// is empty.
+pub(crate) fn expand(
+    g: &CsrGraph,
     dist: &mut [u32],
+    frontier: &[VertexId],
     depth: u32,
+    bound: u32,
     next: &mut Vec<VertexId>,
-    candidates: impl Iterator<Item = VertexId>,
 ) {
-    for t in candidates {
+    next.clear();
+    if depth >= bound {
+        return;
+    }
+    for &t in frontier.iter().flat_map(|&v| g.out_neighbors(v)) {
         if dist[t as usize] == UNREACHABLE {
             dist[t as usize] = depth + 1;
             next.push(t);
@@ -630,8 +553,6 @@ pub(crate) mod tests {
 
     #[test]
     fn min_label_equals_the_overlay_replay() {
-        let _guard = exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        exec::set_threads(4);
         // Cases where one chunk offers a vertex two improvements in a row:
         // proof that the count is more than a changed flag per chunk.
         let mut repeats = 0usize;
@@ -649,22 +570,17 @@ pub(crate) mod tests {
                 let (want, want_count) = overlay_replay(&g, &label, machines);
                 let shrunk = (0..n).filter(|&v| want[v] < label[v]).count() as u64;
                 repeats += usize::from(want_count > shrunk * machines as u64);
-                for chunk in [1, 97, 4096] {
-                    exec::set_chunk_size(chunk);
-                    let kernel = MinLabel::build(&g, machines);
-                    let mut next = vec![VertexId::MAX; n];
-                    let count = kernel.step(&label, &mut next);
-                    let at = format!("{n} vertices, machines {machines}, chunk {chunk}");
-                    assert_eq!(next, want, "labels, {at}");
-                    assert_eq!(count, want_count, "improvements, {at}");
-                    for v in 0..n {
-                        assert_eq!(signaled[v], next[v] < label[v], "signal of {v}, {at}");
-                    }
+                let kernel = MinLabel::build(&g, machines);
+                let mut next = vec![VertexId::MAX; n];
+                let count = kernel.step(&label, &mut next);
+                let at = format!("{n} vertices, machines {machines}");
+                assert_eq!(next, want, "labels, {at}");
+                assert_eq!(count, want_count, "improvements, {at}");
+                for v in 0..n {
+                    assert_eq!(signaled[v], next[v] < label[v], "signal of {v}, {at}");
                 }
             }
         });
-        exec::set_chunk_size(4096);
-        exec::set_threads(1);
         assert!(repeats > 0, "no chunk improved a vertex twice");
     }
 
@@ -677,7 +593,7 @@ pub(crate) mod tests {
         dist
     }
 
-    /// Hadoop/HaLoop's loop that [`Frontier`] replaced, kept as a reference:
+    /// Hadoop/HaLoop's loop that [`expand`] replaced, kept as a reference:
     /// a Jacobi relax over every edge each iteration, sources at or past
     /// `bound` skipped, until nothing improves or `bound` iterations ran. A
     /// round's wave is the vertices it improved, ascending.
@@ -707,7 +623,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// GraphX's loop that [`Frontier`] replaced, kept as a reference: every
+    /// GraphX's loop that [`expand`] replaced, kept as a reference: every
     /// machine tests each of its edges against the active flags, the
     /// improvements over the frozen distances apply first touch wins in
     /// machine order, and the improved vertices are the next active set,
@@ -747,8 +663,10 @@ pub(crate) mod tests {
         rounds
     }
 
-    /// Vertica's loop, from which [`Frontier`] was lifted, kept as a
-    /// reference: the span-bucket expand inline, under `depth < bound`.
+    /// Vertica's loop, from which [`expand`] was lifted, kept as a
+    /// reference: frontier spans emit their unvisited out-neighbours
+    /// against the frozen distances, and the spans' candidates apply in
+    /// span order, first touch wins, under `depth < bound`.
     fn span_bucket_expand(g: &CsrGraph, source: VertexId, bound: u32) -> Rounds {
         let mut dist = start(g.num_vertices(), source);
         let mut frontier = vec![source];
@@ -793,13 +711,12 @@ pub(crate) mod tests {
         bound: u32,
         more: impl Fn(&[VertexId], u32) -> bool,
     ) -> Rounds {
-        let mut kernel = Frontier::new(g);
         let mut dist = start(g.num_vertices(), source);
         let (mut frontier, mut next) = (vec![source], Vec::new());
         let mut rounds = Vec::new();
         let mut depth = 0u32;
         while more(&frontier, depth) {
-            kernel.step(&mut dist, &frontier, depth, bound, &mut next);
+            expand(g, &mut dist, &frontier, depth, bound, &mut next);
             std::mem::swap(&mut frontier, &mut next);
             rounds.push((dist.clone(), frontier.clone()));
             depth += 1;
@@ -817,7 +734,6 @@ pub(crate) mod tests {
 
     #[test]
     fn frontier_equals_the_traversal_loops() {
-        let _guard = exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Rounds whose wave GraphX's machine-major apply lists in another
         // order than the frontier scan: proof that the exact comparison
         // with Vertica's loop is stricter than the set ones.
@@ -838,37 +754,22 @@ pub(crate) mod tests {
                         by_machine[rng.below(machines)].push(e);
                     }
                     let graphx = active_edge_scan(n, &by_machine, source, bound);
-                    for threads in [1, 4] {
-                        exec::set_threads(threads);
-                        for chunk in [1, 97, 4096] {
-                            exec::set_chunk_size(chunk);
-                            let at = format!(
-                                "{n} vertices, source {source}, bound {bound}, \
-                                 machines {machines}, threads {threads}, chunk {chunk}"
-                            );
-                            let vertica = span_bucket_expand(&g, source, bound);
-                            let got =
-                                kernel_rounds(&g, source, bound, |f, d| !f.is_empty() && d < bound);
-                            assert_eq!(got, vertica, "Vertica's loop, {at}");
-                            let got = kernel_rounds(&g, source, bound, |f, d| {
-                                d == 0 || (!f.is_empty() && d < bound)
-                            });
-                            assert_eq!(as_sets(got), hadoop, "Hadoop's loop, {at}");
-                            let got = kernel_rounds(&g, source, bound, |f, _| !f.is_empty());
-                            reordered +=
-                                got.iter().zip(&graphx).filter(|(a, b)| a.1 != b.1).count();
-                            assert_eq!(
-                                as_sets(got),
-                                as_sets(graphx.clone()),
-                                "GraphX's loop, {at}"
-                            );
-                        }
-                    }
+                    let at = format!(
+                        "{n} vertices, source {source}, bound {bound}, machines {machines}"
+                    );
+                    let vertica = span_bucket_expand(&g, source, bound);
+                    let got = kernel_rounds(&g, source, bound, |f, d| !f.is_empty() && d < bound);
+                    assert_eq!(got, vertica, "Vertica's loop, {at}");
+                    let got = kernel_rounds(&g, source, bound, |f, d| {
+                        d == 0 || (!f.is_empty() && d < bound)
+                    });
+                    assert_eq!(as_sets(got), hadoop, "Hadoop's loop, {at}");
+                    let got = kernel_rounds(&g, source, bound, |f, _| !f.is_empty());
+                    reordered += got.iter().zip(&graphx).filter(|(a, b)| a.1 != b.1).count();
+                    assert_eq!(as_sets(got), as_sets(graphx.clone()), "GraphX's loop, {at}");
                 }
             }
         });
-        exec::set_chunk_size(4096);
-        exec::set_threads(1);
         assert!(reordered > 0, "no wave told the frontier scan from the machine-major apply");
     }
 }

@@ -25,8 +25,7 @@
 //! iteration and `mirror_sync` walks that table against the cluster's current
 //! fragment placement.
 
-use crate::exec;
-use crate::gather::{Frontier, MinLabel, RunGather};
+use crate::gather::{expand, MinLabel, RunGather};
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
@@ -146,17 +145,6 @@ struct SparkCtx {
     /// The driver's per-stage scheduling wait, the same on every machine
     /// and in every stage of a run.
     stage_wait: Vec<f64>,
-    /// Pooled per-chunk mirror-sync counters, reused across supersteps.
-    sync_pool: Vec<MirrorTraffic>,
-}
-
-/// One mirror-sync chunk task's per-machine traffic counters. Pooled on
-/// [`SparkCtx::sync_pool`] so no superstep re-allocates them.
-#[derive(Clone)]
-struct MirrorTraffic {
-    sent: Vec<u64>,
-    recv: Vec<u64>,
-    msgs: Vec<u64>,
 }
 
 impl SparkCtx {
@@ -330,6 +318,7 @@ fn execute(
     // `superstep_scale` paper stages on diameter-compressed datasets.
     let tasks: u64 = slots_per_machine.iter().sum();
     let driver = 0.0015 * tasks as f64 * cluster.spec().superstep_scale;
+    cluster.begin_phase(Phase::Execute);
     let mut ctx = SparkCtx {
         hash_to_min: engine.wcc_hash_to_min,
         exec_off,
@@ -346,11 +335,7 @@ fn execute(
         result_state_bytes: n as u64 * 16,
         recovery: Recovery::new(cluster, RecoveryModel::LineageRecompute),
         stage_wait: vec![driver; machines],
-        sync_pool: Vec::new(),
     };
-
-    cluster.begin_phase(Phase::Execute);
-    ctx.recovery = Recovery::new(cluster, RecoveryModel::LineageRecompute);
     let g = input.graph;
     let result = match input.workload {
         Workload::PageRank(pr) => {
@@ -384,68 +369,34 @@ fn charge_compute(cluster: &mut Cluster, ctx: &SparkCtx, ops: &[f64]) -> Result<
 
 /// Mirror synchronization across machines for changed vertices: the
 /// coordinating copy of each exchanges 16 bytes with every other executor in
-/// the vertex's set. Sets and coordinators are the load-time table. Chunks of
-/// the changed list run in parallel, each with its own pooled counters; the
-/// u64 counter sums are order-free, so the exchanged bytes/messages are the
-/// same at any chunk x thread combination.
+/// the vertex's set. Sets and coordinators are the load-time table.
 fn mirror_sync(
     cluster: &mut Cluster,
-    ctx: &mut SparkCtx,
+    ctx: &SparkCtx,
     changed: &[VertexId],
 ) -> Result<(), SimError> {
     // Label before the host work so its wallclock spans attribute to the
     // shuffle (the exchange below is charged under the same label).
     cluster.set_label("shuffle");
-    let total = mirror_traffic(ctx, changed);
-    cluster.exchange(&total.sent, &total.recv, &total.msgs)
+    let [sent, recv, msgs] = mirror_traffic(ctx, changed);
+    cluster.exchange(&sent, &recv, &msgs)
 }
 
-/// [`mirror_sync`]'s traffic for `changed`, tallied into the first pooled
-/// counter set.
-fn mirror_traffic<'c>(ctx: &'c mut SparkCtx, changed: &[VertexId]) -> &'c MirrorTraffic {
-    let machines = ctx.machines;
-    let spans = exec::uniform_spans(changed.len(), exec::chunk_size());
-    // An empty change list still exchanges (zero) traffic.
-    let chunks = spans.len().max(1);
-    while ctx.sync_pool.len() < chunks {
-        ctx.sync_pool.push(MirrorTraffic {
-            sent: vec![0; machines],
-            recv: vec![0; machines],
-            msgs: vec![0; machines],
-        });
-    }
-    let pool = &mut ctx.sync_pool[..chunks];
-    for t in pool.iter_mut() {
-        t.sent.fill(0);
-        t.recv.fill(0);
-        t.msgs.fill(0);
-    }
-    let (exec_off, exec_ids, coord) = (&ctx.exec_off, &ctx.exec_ids, &ctx.coord);
-    let mut tasks: Vec<(&[VertexId], &mut MirrorTraffic)> =
-        spans.iter().zip(pool.iter_mut()).map(|(&(s, e), t)| (&changed[s..e], t)).collect();
-    exec::run_chunks(&mut tasks, |_, (span, t)| {
-        for &v in *span {
-            let v = v as usize;
-            let master = coord[v] as usize;
-            for &m in &exec_ids[exec_off[v] as usize..exec_off[v + 1] as usize] {
-                if m as usize != master {
-                    t.sent[master] += 16;
-                    t.recv[m as usize] += 16;
-                    t.msgs[master] += 1;
-                }
+/// Per-machine `[sent, recv, msgs]` of a mirror sync for `changed`.
+fn mirror_traffic(ctx: &SparkCtx, changed: &[VertexId]) -> [Vec<u64>; 3] {
+    let [mut sent, mut recv, mut msgs] = [(); 3].map(|_| vec![0u64; ctx.machines]);
+    for &v in changed {
+        let v = v as usize;
+        let master = ctx.coord[v] as usize;
+        for &m in &ctx.exec_ids[ctx.exec_off[v] as usize..ctx.exec_off[v + 1] as usize] {
+            if m as usize != master {
+                sent[master] += 16;
+                recv[m as usize] += 16;
+                msgs[master] += 1;
             }
         }
-    });
-    drop(tasks);
-    let (total, rest) = pool.split_first_mut().expect("at least one chunk");
-    for t in rest {
-        for m in 0..machines {
-            total.sent[m] += t.sent[m];
-            total.recv[m] += t.recv[m];
-            total.msgs[m] += t.msgs[m];
-        }
     }
-    total
+    [sent, recv, msgs]
 }
 
 /// One PageRank dataflow iteration over the edge partitions: the join sums
@@ -490,7 +441,7 @@ fn spark_pagerank(
     // the compute and the mirror-sync traffic are the same each time.
     let ops: Vec<f64> = edges_by_machine.iter().map(|e| e.len() as f64).collect();
     let all_vertices: Vec<VertexId> = (0..n as VertexId).collect();
-    let sync = mirror_traffic(ctx, &all_vertices).clone();
+    let [sent, recv, msgs] = mirror_traffic(ctx, &all_vertices);
     let mut iter = 0u32;
     loop {
         if iter >= max_iters {
@@ -513,7 +464,7 @@ fn spark_pagerank(
         let max_delta = pagerank_step(g, &cfg, &mut ranks, &mut incoming, &mut runs);
         charge_compute(cluster, ctx, &ops)?;
         cluster.set_label("shuffle");
-        cluster.exchange(&sync.sent, &sync.recv, &sync.msgs)?;
+        cluster.exchange(&sent, &recv, &msgs)?;
         if ctx.charge_lineage(cluster, iter, n as u64)? {
             if let Some(s) = snapshot.as_mut() {
                 *s = (iter + 1, ranks.clone());
@@ -608,7 +559,7 @@ fn spark_wcc(
 /// SSSP / K-hop: mapReduceTriplets with an active-set filter. The filter
 /// still tests every edge of every partition, so each iteration charges a
 /// quarter op per edge; the wave itself is the frontier's unvisited
-/// out-neighbours (see `Frontier`), and only it is synced and pinned in the
+/// out-neighbours (see `expand`), and only it is synced and pinned in the
 /// lineage. Replay after a crash re-runs the same steps from the snapshot.
 fn spark_traversal(
     cluster: &mut Cluster,
@@ -623,7 +574,6 @@ fn spark_traversal(
     let mut snapshot: Option<TraversalSnapshot> =
         cluster.plan_has_crashes().then(|| (0, dist.clone(), frontier.clone()));
     let ops: Vec<f64> = ctx.edges_by_machine.iter().map(|e| e.len() as f64 / 4.0).collect();
-    let mut kernel = Frontier::new(g);
     let mut iter = 0u32;
     while !frontier.is_empty() {
         if ctx.charge_stage(cluster)? {
@@ -631,13 +581,13 @@ fn spark_traversal(
                 dist.clone_from(s_dist);
                 frontier.clone_from(s_frontier);
                 for depth in *snap_iter..iter {
-                    kernel.step(&mut dist, &frontier, depth, bound, &mut next);
+                    expand(g, &mut dist, &frontier, depth, bound, &mut next);
                     std::mem::swap(&mut frontier, &mut next);
                 }
             }
         }
         cluster.set_label("superstep");
-        kernel.step(&mut dist, &frontier, iter, bound, &mut next);
+        expand(g, &mut dist, &frontier, iter, bound, &mut next);
         std::mem::swap(&mut frontier, &mut next);
         charge_compute(cluster, ctx, &ops)?;
         mirror_sync(cluster, ctx, &frontier)?;
@@ -946,7 +896,7 @@ mod tests {
         const MACHINES: usize = 6;
         const SLOTS: usize = 48;
         let engine = gx(SLOTS);
-        let _guard = exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = crate::exec::TEST_THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for kind in [DatasetKind::Twitter, DatasetKind::Wrn] {
             let ds = dataset(kind);
             let part =
@@ -960,9 +910,9 @@ mod tests {
                 };
                 let mut clean = None;
                 for threads in [1usize, 4] {
-                    exec::set_threads(threads);
+                    crate::exec::set_threads(threads);
                     for chunk in [1usize, 63, 4096] {
-                        exec::set_chunk_size(chunk);
+                        crate::exec::set_chunk_size(chunk);
                         let out = engine.run(&input(&ds, w, MACHINES, 1 << 30));
                         let ctx = format!("{kind:?} {w:?} threads {threads} chunk {chunk}");
                         assert!(out.metrics.status.is_ok(), "{ctx}: {:?}", out.metrics.status);
@@ -979,8 +929,8 @@ mod tests {
                 }
             }
         }
-        exec::set_chunk_size(4096);
-        exec::set_threads(1);
+        crate::exec::set_chunk_size(4096);
+        crate::exec::set_threads(1);
     }
 
     #[test]

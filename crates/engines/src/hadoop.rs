@@ -19,7 +19,7 @@
 //! hit a bug where mapper output is deleted before reducers finish on 64-
 //! and 128-machine clusters — reproduced here as the `SHFL` failure.
 
-use crate::gather::{source_chunk, Frontier, MinLabel, RunGather};
+use crate::gather::{expand, source_chunk, MinLabel, RunGather};
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
@@ -373,7 +373,6 @@ fn mr_traversal(
     let mut dist = vec![UNREACHABLE; n];
     dist[source as usize] = 0;
     let mut recovery = Recovery::new(cluster, RecoveryModel::TaskReexecution);
-    let mut kernel = Frontier::new(g);
     let (mut frontier, mut next) = (vec![source], Vec::new());
     let mut iter = 0u32;
     loop {
@@ -398,9 +397,9 @@ fn mr_traversal(
         )?;
         // The relaxation of every edge improves exactly the unvisited
         // out-neighbours of the previous wave, so the host expands only
-        // that wave (see `Frontier`).
+        // that wave (see `expand`).
         cluster.set_label("reduce");
-        kernel.step(&mut dist, &frontier, iter, bound, &mut next);
+        expand(g, &mut dist, &frontier, iter, bound, &mut next);
         std::mem::swap(&mut frontier, &mut next);
         iter += 1;
         // K-hop needs exactly `bound` propagation waves; SSSP (unbounded)

@@ -22,7 +22,7 @@
 //! systems widens as machines are added — the paper's refutation of the
 //! "relational engines are competitive" claim.
 
-use crate::gather::{Frontier, MinLabel};
+use crate::gather::{expand, MinLabel};
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{even_share, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
@@ -318,7 +318,6 @@ fn sql_traversal(
     let n = g.num_vertices();
     let mut dist = vec![UNREACHABLE; n];
     dist[source as usize] = 0;
-    let mut kernel = Frontier::new(g);
     let (mut frontier, mut next) = (vec![source], Vec::new());
     let mut depth = 0u32;
     while !frontier.is_empty() && depth < bound {
@@ -329,7 +328,7 @@ fn sql_traversal(
         let emitted: u64 = frontier.iter().map(|&v| g.out_degree(v)).sum();
         ctx.charge_join(cluster, emitted)?;
         cluster.set_label("join_scan");
-        kernel.step(&mut dist, &frontier, depth, bound, &mut next);
+        expand(g, &mut dist, &frontier, depth, bound, &mut next);
         ctx.charge_refresh(cluster, next.len() as u64)?;
         cluster.sample_trace();
         std::mem::swap(&mut frontier, &mut next);

@@ -4,12 +4,14 @@
 //! journals, results, everything the harness writes — must be bit-for-bit
 //! identical at any chunk-size × thread-count combination, on clean runs
 //! and under injected faults, for every engine with a loop routed through
-//! `exec::run_chunks`: GAS (exact and approximate PageRank), GraphX,
-//! Hadoop, Vertica, and the BSP rank path of Giraph, Blogel-V, Gelly and
-//! Blogel-B's vertex phase, whose `gather::RunGather` sums PageRank ranks
-//! across chunk spans. The serial scans (the BSP label path behind WCC,
-//! SSSP and K-hop, Blogel-B's block phases) run at every setting too and
-//! must give the same records.
+//! `exec::run_chunks`: the PageRank of GAS (exact and approximate),
+//! GraphX, Hadoop, Vertica, and the BSP rank path of Giraph, Blogel-V,
+//! Gelly and Blogel-B's vertex phase, whose `gather::RunGather` sums
+//! PageRank ranks across chunk spans, and the load-time edge scatter of
+//! GAS and GraphX. The serial scans (every WCC, SSSP and K-hop: the BSP
+//! label path, Blogel-B's block phases, `gather::MinLabel` and
+//! `gather::expand` with the other engines' round charges) run at every
+//! setting too and must give the same records.
 
 use graphbench::system::GlStop;
 use graphbench::{ExperimentSpec, PaperEnv, RunRecord, Runner, SystemId};
