@@ -378,14 +378,14 @@ fn mirror_sync(
     // Label before the host work so its wallclock spans attribute to the
     // shuffle (the exchange below is charged under the same label).
     cluster.set_label("shuffle");
-    let [sent, recv, msgs] = mirror_traffic(ctx, changed);
+    let [sent, recv, msgs] = mirror_traffic(ctx, changed.iter().copied());
     cluster.exchange(&sent, &recv, &msgs)
 }
 
 /// Per-machine `[sent, recv, msgs]` of a mirror sync for `changed`.
-fn mirror_traffic(ctx: &SparkCtx, changed: &[VertexId]) -> [Vec<u64>; 3] {
+fn mirror_traffic(ctx: &SparkCtx, changed: impl Iterator<Item = VertexId>) -> [Vec<u64>; 3] {
     let [mut sent, mut recv, mut msgs] = [(); 3].map(|_| vec![0u64; ctx.machines]);
-    for &v in changed {
+    for v in changed {
         let v = v as usize;
         let master = ctx.coord[v] as usize;
         for &m in &ctx.exec_ids[ctx.exec_off[v] as usize..ctx.exec_off[v + 1] as usize] {
@@ -440,8 +440,7 @@ fn spark_pagerank(
     // Every partition is scanned and every rank moves every iteration, so
     // the compute and the mirror-sync traffic are the same each time.
     let ops: Vec<f64> = edges_by_machine.iter().map(|e| e.len() as f64).collect();
-    let all_vertices: Vec<VertexId> = (0..n as VertexId).collect();
-    let [sent, recv, msgs] = mirror_traffic(ctx, &all_vertices);
+    let [sent, recv, msgs] = mirror_traffic(ctx, 0..n as VertexId);
     let mut iter = 0u32;
     loop {
         if iter >= max_iters {
