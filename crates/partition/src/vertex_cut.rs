@@ -635,36 +635,47 @@ mod tests {
 
     #[test]
     fn flat_replicas_match_naive_sets() {
-        // 65 and 130 machines cross a 64-bit word of the dedup bitset.
+        // 65 and 130 machines cross a 64-bit word of the replica bitset;
+        // Grid2D at 440 and 1 024 slots spans 7 and 16 words.
+        let mut cases = Vec::new();
         for machines in [1usize, 16, 65, 130] {
             for strat in
                 [VertexCutStrategy::Random, VertexCutStrategy::Oblivious, VertexCutStrategy::Grid2D]
             {
-                for (el, seed) in [(skewed(), 3u64), (random_edges(5), 5)] {
-                    let p = VertexCutPartition::build(&el, machines, strat, seed).unwrap();
-                    let mut naive: Vec<Vec<MachineId>> = vec![Vec::new(); el.num_vertices as usize];
-                    for (e, &m) in el.edges.iter().zip(p.edge_assignment()) {
-                        naive[e.src as usize].push(m);
-                        naive[e.dst as usize].push(m);
-                    }
-                    let mut total = 0u64;
-                    for (v, r) in naive.iter_mut().enumerate() {
-                        r.sort_unstable();
-                        r.dedup();
-                        total += r.len() as u64;
-                        let ctx = format!("{strat:?} at {machines} machines, v={v}");
-                        assert_eq!(p.replicas_of(v as VertexId), r.as_slice(), "{ctx}");
-                        let h = hash_to_machine(v as u64, seed, machines);
-                        let master = if r.is_empty() || r.contains(&h) {
-                            h
-                        } else {
-                            r[(splitmix64(v as u64 ^ seed.rotate_left(17)) % r.len() as u64)
-                                as usize]
-                        };
-                        assert_eq!(p.master_of(v as VertexId), master, "{ctx}");
-                    }
-                    assert_eq!(p.total_replicas(), total);
+                cases.push((machines, strat));
+            }
+        }
+        cases.extend([
+            (16, VertexCutStrategy::Grid),
+            (64, VertexCutStrategy::Grid),
+            (13, VertexCutStrategy::Pds),
+            (440, VertexCutStrategy::Grid2D),
+            (1024, VertexCutStrategy::Grid2D),
+        ]);
+        for (machines, strat) in cases {
+            for (el, seed) in [(skewed(), 3u64), (random_edges(5), 5)] {
+                let p = VertexCutPartition::build(&el, machines, strat, seed).unwrap();
+                let mut naive: Vec<Vec<MachineId>> = vec![Vec::new(); el.num_vertices as usize];
+                for (e, &m) in el.edges.iter().zip(p.edge_assignment()) {
+                    naive[e.src as usize].push(m);
+                    naive[e.dst as usize].push(m);
                 }
+                let mut total = 0u64;
+                for (v, r) in naive.iter_mut().enumerate() {
+                    r.sort_unstable();
+                    r.dedup();
+                    total += r.len() as u64;
+                    let ctx = format!("{strat:?} at {machines} machines, v={v}");
+                    assert_eq!(p.replicas_of(v as VertexId), r.as_slice(), "{ctx}");
+                    let h = hash_to_machine(v as u64, seed, machines);
+                    let master = if r.is_empty() || r.contains(&h) {
+                        h
+                    } else {
+                        r[(splitmix64(v as u64 ^ seed.rotate_left(17)) % r.len() as u64) as usize]
+                    };
+                    assert_eq!(p.master_of(v as VertexId), master, "{ctx}");
+                }
+                assert_eq!(p.total_replicas(), total);
             }
         }
     }
