@@ -737,7 +737,8 @@ fn async_pagerank(
 /// round's HashMin step ([`MinLabel`]). Gathering only along edges with a
 /// signaled endpoint never changes a label, since an edge between two
 /// unsignaled endpoints joins equal labels. So the labels come from the
-/// kernel over the whole graph, and the signal set prices the round.
+/// kernel over the whole graph, and the signal set, one mask per round,
+/// prices the round.
 fn wcc_propagate(
     cluster: &mut Cluster,
     ctx: &GasCtx<'_>,
@@ -747,12 +748,16 @@ fn wcc_propagate(
     let n = ctx.n;
     let mut label: Vec<VertexId> = (0..n as VertexId).collect();
     let mut best: Vec<VertexId> = vec![0; n];
-    let kernel = MinLabel::build(g, 1);
+    let mut improves = vec![false; n];
+    let kernel = MinLabel::build(g);
     let mut first = true;
     loop {
         cluster.set_label("gather");
-        kernel.step(&label, &mut best);
-        let tally = wcc_tally(ctx, |v| first || best[v as usize] < label[v as usize]);
+        let improving = kernel.step(&label, &mut best);
+        for (i, (b, l)) in improves.iter_mut().zip(best.iter().zip(&label)) {
+            *i = b < l;
+        }
+        let tally = wcc_tally(ctx, (!first).then_some(&improves[..]));
         if tally[0].iter().all(|&ops| ops == 0) {
             break;
         }
@@ -760,7 +765,6 @@ fn wcc_propagate(
         if cluster.has_observers() {
             // Observability hint only: vertices whose component label will
             // improve when this round's minima are applied.
-            let improving = (0..n).filter(|&v| best[v] < label[v]).count() as u64;
             cluster.report_active(improving);
         }
         cluster.set_label("barrier");
@@ -771,7 +775,7 @@ fn wcc_propagate(
         // neighbours for the next round.
         let mut changed: Vec<VertexId> = Vec::new();
         for v in 0..n {
-            if best[v] < label[v] {
+            if improves[v] {
                 label[v] = best[v];
                 changed.push(v as VertexId);
             }
@@ -787,15 +791,21 @@ fn wcc_propagate(
 
 /// One WCC round's per-machine `[ops, sent, msgs, recv]`: the local edges
 /// with a signaled endpoint gather, and each signaled destination mastered
-/// elsewhere costs an 8 B partial.
-fn wcc_tally(ctx: &GasCtx<'_>, signaled: impl Fn(VertexId) -> bool) -> [Vec<u64>; 4] {
+/// elsewhere costs an 8 B partial. `None` signals every vertex (the first
+/// round), so every local edge gathers.
+fn wcc_tally(ctx: &GasCtx<'_>, signaled: Option<&[bool]>) -> [Vec<u64>; 4] {
     let mut tally = [(); 4].map(|_| vec![0u64; ctx.machines]);
     let [ops, sent, msgs, recv] = &mut tally;
     for (m, md) in ctx.data.iter().enumerate() {
-        ops[m] = md.edges.iter().filter(|&&(u, v)| signaled(u) || signaled(v)).count() as u64;
+        ops[m] = match signaled {
+            None => md.edges.len() as u64,
+            Some(s) => {
+                md.edges.iter().filter(|&&(u, v)| s[u as usize] | s[v as usize]).count() as u64
+            }
+        };
         for &(v, _) in &md.in_deg {
             let master = ctx.part.master_of(v) as usize;
-            if signaled(v) && master != m {
+            if signaled.is_none_or(|s| s[v as usize]) && master != m {
                 sent[m] += 8;
                 recv[master] += 8;
                 msgs[m] += 1;
@@ -1122,8 +1132,10 @@ mod tests {
                     };
                     let charge = gather_charge(&ctx, &active);
                     assert_eq!(charge, dense_gather_charge(&ctx, &idx, &active), "{case}");
-                    let tally = wcc_tally(&ctx, |v| signaled[v as usize]);
+                    let tally = wcc_tally(&ctx, Some(&signaled));
                     assert_eq!(tally, dense_wcc_tally(&ctx, &idx, &signaled), "{case}");
+                    let tally = wcc_tally(&ctx, None);
+                    assert_eq!(tally, dense_wcc_tally(&ctx, &idx, &vec![true; n]), "{case}");
                     let out = out_edges(&data, n);
                     for bound in [u32::MAX, 2] {
                         let mut dist = vec![UNREACHABLE; n];

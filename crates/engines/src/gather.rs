@@ -26,7 +26,8 @@
 //! [`MinLabel`] takes each vertex's minimum over its out-list and a sorted
 //! in-index in one pass over the vertices. The one order-dependent figure,
 //! Vertica's `updated` row count, is a running-min count per source chunk
-//! that the same pass reads off in source order.
+//! that a second pass reads off in source order, for the vertices whose
+//! label shrank only: every other vertex counts zero.
 //!
 //! A unit-weight traversal is level-synchronous whichever paradigm runs
 //! it: MapReduce relaxes every edge, GraphX tests every edge's source
@@ -249,10 +250,10 @@ pub(crate) fn source_chunk(c: usize, parts: usize, n: usize) -> Range<usize> {
 /// over the out-CSR and a reverse index built once per run, its in-lists
 /// ascending by source.
 ///
-/// The pass also counts the strict running-min improvements per source
-/// chunk ([`source_chunk`] of `parts`), which is Vertica's `updated` rows:
-/// its SQL scan walks each chunk's sources in ascending order and offers
-/// `v` the label of every neighbour along both edge directions, each chunk
+/// Vertica's `updated` rows ([`MinLabel::updated`]) count the strict
+/// running-min improvements per source chunk ([`source_chunk`] of `parts`):
+/// its SQL scan walks each chunk's sources in ascending order and offers `v`
+/// the label of every neighbour along both edge directions, each chunk
 /// against its own copy of the labels. For `v`, chunk `c`'s offers are the
 /// labels of `in(v) ∩ c` in source order, with the labels of `out(v)`
 /// (out-list order) spliced in where the scan reaches `s = v`; the running
@@ -263,43 +264,56 @@ pub(crate) struct MinLabel<'g> {
     /// `v`'s in-neighbours are `in_src[in_off[v]..in_off[v + 1]]`, ascending.
     in_off: Vec<u64>,
     in_src: Vec<VertexId>,
-    /// Source chunks the improvement count restarts at.
-    parts: usize,
 }
 
 impl<'g> MinLabel<'g> {
-    pub(crate) fn build(g: &'g CsrGraph, parts: usize) -> MinLabel<'g> {
+    pub(crate) fn build(g: &'g CsrGraph) -> MinLabel<'g> {
         let (in_off, in_src) = g.transpose();
-        MinLabel { g, in_off, in_src, parts }
+        MinLabel { g, in_off, in_src }
     }
 
-    /// Fill `next` and return the improvement count.
+    fn ins(&self, v: usize) -> &[VertexId] {
+        &self.in_src[self.in_off[v] as usize..self.in_off[v + 1] as usize]
+    }
+
+    /// Fill `next` and return the number of improved vertices, those with
+    /// `next[v] < label[v]`.
     pub(crate) fn step(&self, label: &[VertexId], next: &mut [VertexId]) -> u64 {
-        let mut imp = 0u64;
+        let mut improved = 0u64;
         for (v, best) in next.iter_mut().enumerate() {
-            let (b, i) = self.min_of(v, label);
-            *best = b;
-            imp += i;
+            let min = |b: VertexId, &u: &VertexId| b.min(label[u as usize]);
+            let b = self.ins(v).iter().fold(label[v], min);
+            *best = self.g.out_neighbors(v as VertexId).iter().fold(b, min);
+            improved += u64::from(*best < label[v]);
         }
-        imp
+        improved
     }
 
-    /// `v`'s minimum and its improvement count (see [`MinLabel`]).
-    fn min_of(&self, v: usize, label: &[VertexId]) -> (VertexId, u64) {
+    /// Vertica's `updated` rows of the step from `label` to `next` over
+    /// `parts` source chunks (see [`MinLabel`]): only the improved vertices
+    /// are offered their labels again.
+    pub(crate) fn updated(&self, label: &[VertexId], next: &[VertexId], parts: usize) -> u64 {
+        (0..label.len())
+            .filter(|&v| next[v] < label[v])
+            .map(|v| self.improvements(v, label, parts))
+            .sum()
+    }
+
+    /// `v`'s running-min improvements over `parts` source chunks.
+    fn improvements(&self, v: usize, label: &[VertexId], parts: usize) -> u64 {
         let n = label.len();
-        let ins = &self.in_src[self.in_off[v] as usize..self.in_off[v + 1] as usize];
+        let ins = self.ins(v);
         let split = ins.partition_point(|&s| (s as usize) < v);
         let l0 = label[v];
-        let (mut best, mut run, mut end, mut imp) = (l0, l0, 0usize, 0u64);
+        let (mut run, mut end, mut imp) = (l0, 0usize, 0u64);
         let mut offer = |s: usize, x: VertexId| {
             if s >= end {
                 // The first source of a new chunk: its own copy of `label`.
                 run = l0;
-                end = source_chunk(((s + 1) * self.parts - 1) / n, self.parts, n).end;
+                end = source_chunk(((s + 1) * parts - 1) / n, parts, n).end;
             }
             imp += u64::from(x < run);
             run = run.min(x);
-            best = best.min(x);
         };
         for &s in &ins[..split] {
             offer(s as usize, label[s as usize]);
@@ -310,7 +324,7 @@ impl<'g> MinLabel<'g> {
         for &s in &ins[split..] {
             offer(s as usize, label[s as usize]);
         }
-        (best, imp)
+        imp
     }
 }
 
@@ -566,15 +580,17 @@ pub(crate) mod tests {
                 (0..n).map(|_| rng.below_u32(range)).collect()
             };
             let signaled = scatter_signals(&g, &label);
+            let kernel = MinLabel::build(&g);
+            let mut next = vec![VertexId::MAX; n];
+            let improved = kernel.step(&label, &mut next);
             for machines in [1, 2, 3, 16, 64] {
                 let (want, want_count) = overlay_replay(&g, &label, machines);
                 let shrunk = (0..n).filter(|&v| want[v] < label[v]).count() as u64;
                 repeats += usize::from(want_count > shrunk * machines as u64);
-                let kernel = MinLabel::build(&g, machines);
-                let mut next = vec![VertexId::MAX; n];
-                let count = kernel.step(&label, &mut next);
                 let at = format!("{n} vertices, machines {machines}");
                 assert_eq!(next, want, "labels, {at}");
+                assert_eq!(improved, shrunk, "improved vertices, {at}");
+                let count = kernel.updated(&label, &next, machines);
                 assert_eq!(count, want_count, "improvements, {at}");
                 for v in 0..n {
                     assert_eq!(signaled[v], next[v] < label[v], "signal of {v}, {at}");

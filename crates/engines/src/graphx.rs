@@ -525,7 +525,7 @@ fn spark_wcc(
         cluster.plan_has_crashes().then(|| (0, label.clone()));
     let mut ops = vec![0.0f64; ctx.machines];
     let mut changed: Vec<VertexId> = Vec::new();
-    let kernel = MinLabel::build(g, 1);
+    let kernel = MinLabel::build(g);
     let mut next = vec![0; n];
     let mut iter = 0u32;
     loop {

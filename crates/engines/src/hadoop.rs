@@ -324,7 +324,7 @@ fn mr_wcc(
     let machines = cluster.machines();
     let mut label: Vec<VertexId> = (0..n as VertexId).collect();
     let mut recovery = Recovery::new(cluster, RecoveryModel::TaskReexecution);
-    let kernel = MinLabel::build(g, 1);
+    let kernel = MinLabel::build(g);
     let mut next = vec![0; n];
     let mut iter = 0u64;
     loop {

@@ -286,17 +286,18 @@ fn sql_wcc(
     let g = input.graph;
     let n = g.num_vertices();
     let mut label: Vec<VertexId> = (0..n as VertexId).collect();
-    let kernel = MinLabel::build(g, ctx.machines);
+    let kernel = MinLabel::build(g);
     let mut next = vec![0; n];
     loop {
         ctx.charge_statement(cluster)?;
         // HashMin over both directions needs a union of E and reversed E.
         // Each machine scans its source chunk against its own view of V,
         // so `updated` counts every row a machine improved, as often as it
-        // improved it (see `MinLabel`).
+        // improved it (see `MinLabel::updated`).
         ctx.charge_join(cluster, 2 * g.num_edges())?;
         cluster.set_label("join_scan");
-        let updated = kernel.step(&label, &mut next);
+        kernel.step(&label, &mut next);
+        let updated = kernel.updated(&label, &next, ctx.machines);
         std::mem::swap(&mut label, &mut next);
         ctx.charge_refresh(cluster, updated)?;
         cluster.sample_trace();

@@ -38,9 +38,8 @@ pub use voronoi::{BlockPartition, VoronoiConfig};
 /// far beyond the paper's 128 — and keeps replica sets compact.
 pub type MachineId = u16;
 
-/// A reusable bitset over machine ids: the sort-and-deduplicate step for the
-/// small machine sets of the vertex-cut path (a vertex's replica machines,
-/// a GraphX vertex's executors), with no per-set allocation.
+/// A reusable bitset over machine ids: the sort-and-deduplicate step for a
+/// GraphX vertex's executor set, with no per-set allocation.
 #[derive(Debug, Clone)]
 pub struct MachineBits(Vec<u64>);
 

@@ -27,15 +27,16 @@
 //! hash machines is known in closed form ([`assign_grid`]); Oblivious keeps
 //! its growing replica sets as bitset words and intersects with an AND
 //! ([`assign_oblivious`]); only PDS, whose sets have `p + 1` members,
-//! intersects sorted lists. **Replica sets:** one flat `offsets + ids` pair
-//! for all vertices, built by a counting sort of incident machine ids by
-//! vertex and a per-vertex bitset dedup that emits ascending ids in place
-//! ([`replica_sets`]).
+//! intersects sorted lists. **Replica sets:** every placement sets its
+//! pick's bit for both endpoints in one table of `⌈machines / 64⌉` bitset
+//! words per vertex ([`Placement`]), the table Oblivious reads; one flat
+//! `offsets + ids` pair for all vertices is then each vertex's words read
+//! in ascending order ([`replica_sets`]).
 
 use crate::pds::perfect_difference_set;
-use crate::{bit_members, hash_to_machine, MachineBits, MachineId};
+use crate::{bit_members, hash_to_machine, MachineId};
 use graphbench_graph::rng::splitmix64;
-use graphbench_graph::{EdgeList, VertexId};
+use graphbench_graph::{Edge, EdgeList, VertexId};
 
 /// Partitioning strategy selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,7 +128,7 @@ impl VertexCutPartition {
     ) -> Result<Self, VertexCutError> {
         assert!(machines > 0 && machines <= MachineId::MAX as usize + 1);
         let resolved = resolve(strategy, machines)?;
-        let edge_assignment = match resolved {
+        let placed = match resolved {
             VertexCutStrategy::Random => assign_random(el, machines, seed),
             VertexCutStrategy::Grid => {
                 let (x, y) =
@@ -146,12 +147,11 @@ impl VertexCutPartition {
             VertexCutStrategy::Oblivious => assign_oblivious(el, machines, seed),
             VertexCutStrategy::Auto => unreachable!("resolved above"),
         };
-        let (replica_off, replica_ids, masters) =
-            replica_sets(el, &edge_assignment, machines, seed);
+        let (replica_off, replica_ids, masters) = replica_sets(&placed, machines, seed);
         Ok(VertexCutPartition {
             machines,
             resolved,
-            edge_assignment,
+            edge_assignment: placed.assignment,
             replica_off,
             replica_ids,
             masters,
@@ -264,14 +264,48 @@ pub fn grid_shape(machines: usize) -> Option<(usize, usize)> {
     None
 }
 
-fn assign_random(el: &EdgeList, machines: usize, seed: u64) -> Vec<MachineId> {
-    el.edges
-        .iter()
-        .map(|e| {
-            let key = ((e.src as u64) << 32) | e.dst as u64;
-            (splitmix64(key ^ seed) % machines as u64) as MachineId
-        })
-        .collect()
+/// An edge placement and the replica sets it implies: `assignment[i]` is
+/// edge `i`'s machine, and `replicas[v * words..(v + 1) * words]` holds the
+/// machines of `v`'s edges placed so far as bitset words (machine `m` is bit
+/// `m % 64` of word `m / 64`).
+struct Placement {
+    words: usize,
+    assignment: Vec<MachineId>,
+    replicas: Vec<u64>,
+}
+
+impl Placement {
+    fn new(el: &EdgeList, machines: usize) -> Placement {
+        let words = machines.div_ceil(64);
+        Placement {
+            words,
+            assignment: Vec::with_capacity(el.edges.len()),
+            replicas: vec![0; el.num_vertices as usize * words],
+        }
+    }
+
+    /// `v`'s replica words so far.
+    fn replicas_of(&self, v: VertexId) -> &[u64] {
+        let at = v as usize * self.words;
+        &self.replicas[at..at + self.words]
+    }
+
+    /// Place the next edge `e` on `m`, which both endpoints now replicate to.
+    fn push(&mut self, e: &Edge, m: MachineId) {
+        let (word, bit) = (m as usize / 64, 1u64 << (m % 64));
+        self.replicas[e.src as usize * self.words + word] |= bit;
+        self.replicas[e.dst as usize * self.words + word] |= bit;
+        self.assignment.push(m);
+    }
+}
+
+fn assign_random(el: &EdgeList, machines: usize, seed: u64) -> Placement {
+    let mut placed = Placement::new(el, machines);
+    for e in &el.edges {
+        let key = ((e.src as u64) << 32) | e.dst as u64;
+        placed.push(e, (splitmix64(key ^ seed) % machines as u64) as MachineId);
+    }
+    placed
 }
 
 /// The least loaded of `members`, load ties to the lowest machine id.
@@ -295,7 +329,7 @@ fn least_loaded(loads: &[u64], members: impl Iterator<Item = MachineId>) -> Mach
 /// walked a sorted candidate list and took a member only when strictly less
 /// loaded than the best so far, which is [`least_loaded`]'s rule; every pick
 /// feeds the loads the next one reads, so the rule is part of the output.
-fn assign_grid(el: &EdgeList, x: usize, y: usize, seed: u64) -> Vec<MachineId> {
+fn assign_grid(el: &EdgeList, x: usize, y: usize, seed: u64) -> Placement {
     let machines = x * y;
     // (row, column) of each vertex's hash machine: one hash per vertex, not
     // two per edge.
@@ -309,7 +343,7 @@ fn assign_grid(el: &EdgeList, x: usize, y: usize, seed: u64) -> Vec<MachineId> {
     let row = |r: usize| (0..y).map(move |c| id(r, c));
     let col = |c: usize| (0..x).map(move |r| id(r, c));
     let mut loads = vec![0u64; machines];
-    let mut out = Vec::with_capacity(el.edges.len());
+    let mut placed = Placement::new(el, machines);
     for e in &el.edges {
         let (ru, cu) = cell[e.src as usize];
         let (rv, cv) = cell[e.dst as usize];
@@ -321,76 +355,42 @@ fn assign_grid(el: &EdgeList, x: usize, y: usize, seed: u64) -> Vec<MachineId> {
             (true, true) => least_loaded(&loads, row(ru).chain(col(cu))),
         };
         loads[pick as usize] += 1;
-        out.push(pick);
+        placed.push(e, pick);
     }
-    out
+    placed
 }
 
-/// Flat replica sets and masters of an edge placement: `(offsets, ids,
-/// masters)` with `ids[offsets[v]..offsets[v + 1]]` the ascending machines
-/// holding an edge of `v`.
+/// Flat replica sets and masters of a placement: `(offsets, ids, masters)`
+/// with `ids[offsets[v]..offsets[v + 1]]` the ascending machines holding an
+/// edge of `v`, read off `v`'s replica words in order.
 ///
-/// A counting sort groups the machine id of every edge endpoint by vertex;
-/// each group is then deduplicated through a [`MachineBits`], whose members
-/// come out ascending, written back over the front of the same buffer
-/// (the write cursor can never pass the group being read), which is finally
-/// cut to the distinct ids so the `2 |E|`-entry sort buffer does not outlive
-/// the build. The master is picked while the group is at hand: the hash
-/// machine when it holds a replica, otherwise a *hashed* member of the set
-/// (picking the first member would pile masters — and their gather/apply
-/// traffic — onto low-numbered machines).
+/// The master is the hash machine when it holds a replica, otherwise a
+/// *hashed* member of the set (picking the first member would pile masters —
+/// and their gather/apply traffic — onto low-numbered machines).
 fn replica_sets(
-    el: &EdgeList,
-    edge_assignment: &[MachineId],
+    placed: &Placement,
     machines: usize,
     seed: u64,
 ) -> (Vec<u32>, Vec<MachineId>, Vec<MachineId>) {
-    let n = el.num_vertices as usize;
-    assert!(2 * el.edges.len() <= u32::MAX as usize, "replica offsets are u32");
-    // `off[v]` starts as the group's first slot and is the fill cursor, so
-    // after the fill it is the group's end (the next group's start).
-    let mut off = vec![0u32; n + 1];
-    for e in &el.edges {
-        off[e.src as usize] += 1;
-        off[e.dst as usize] += 1;
-    }
-    let mut total = 0u32;
-    for o in off.iter_mut() {
-        total += std::mem::replace(o, total);
-    }
-    let mut ids: Vec<MachineId> = vec![0; total as usize];
-    for (e, &m) in el.edges.iter().zip(edge_assignment) {
-        for v in [e.src, e.dst] {
-            let cursor = &mut off[v as usize];
-            ids[*cursor as usize] = m;
-            *cursor += 1;
-        }
-    }
-    let mut group = MachineBits::new(machines);
+    let n = placed.replicas.len() / placed.words;
+    let total: u64 = placed.replicas.iter().map(|w| u64::from(w.count_ones())).sum();
+    assert!(total <= u64::from(u32::MAX), "replica offsets are u32");
+    let mut off = Vec::with_capacity(n + 1);
+    let mut ids: Vec<MachineId> = Vec::with_capacity(total as usize);
     let mut masters = Vec::with_capacity(n);
-    let (mut read, mut write) = (0usize, 0usize);
-    for v in 0..n {
-        let end = std::mem::replace(&mut off[v], write as u32) as usize;
-        for &m in &ids[read..end] {
-            group.insert(m as usize);
-        }
-        read = end;
-        let start = write;
-        group.drain(|m| {
-            ids[write] = m;
-            write += 1;
-        });
-        let set = &ids[start..write];
+    off.push(0u32);
+    for (v, bits) in placed.replicas.chunks_exact(placed.words).enumerate() {
+        let start = ids.len();
+        ids.extend(bit_members(bits.iter().copied()));
+        off.push(ids.len() as u32);
+        let set = &ids[start..];
         let h = hash_to_machine(v as u64, seed, machines);
-        masters.push(if set.is_empty() || set.binary_search(&h).is_ok() {
+        masters.push(if set.is_empty() || (bits[h as usize / 64] >> (h % 64)) & 1 == 1 {
             h
         } else {
             set[(splitmix64(v as u64 ^ seed.rotate_left(17)) % set.len() as u64) as usize]
         });
     }
-    off[n] = write as u32;
-    ids.truncate(write);
-    ids.shrink_to_fit();
     (off, ids, masters)
 }
 
@@ -439,9 +439,9 @@ fn assign_constrained(
     machines: usize,
     seed: u64,
     candidates: &[Vec<MachineId>],
-) -> Vec<MachineId> {
+) -> Placement {
     let mut loads = vec![0u64; machines];
-    let mut out = Vec::with_capacity(el.edges.len());
+    let mut placed = Placement::new(el, machines);
     for e in &el.edges {
         let su = &candidates[hash_to_machine(e.src as u64, seed, machines) as usize];
         let sv = &candidates[hash_to_machine(e.dst as u64, seed, machines) as usize];
@@ -464,29 +464,26 @@ fn assign_constrained(
                 .expect("candidate sets are non-empty")
         });
         loads[pick as usize] += 1;
-        out.push(pick);
+        placed.push(e, pick);
     }
-    out
+    placed
 }
 
 /// Greedy "Oblivious" placement (paper §4.4.1): use the replica sets built
 /// so far, preferring machines that already host both endpoints, then either
 /// endpoint, then the least loaded machine overall.
 ///
-/// The growing replica sets are one flat table of `⌈machines / 64⌉` bitset
-/// words per vertex, so "both endpoints" and "either endpoint" are an AND and
-/// an OR per word. Every pick is [`least_loaded`], whose `(load, machine id)`
+/// The growing replica sets are the placement's own table of
+/// `⌈machines / 64⌉` bitset words per vertex ([`Placement`]), so "both
+/// endpoints" and "either endpoint" are an AND and an OR per word. Every pick is [`least_loaded`], whose `(load, machine id)`
 /// key is total: the result does not depend on the order members are offered
 /// in, so it is the pick the insertion-ordered list scan this replaces (kept
 /// as the test oracle) made, edge for edge.
-fn assign_oblivious(el: &EdgeList, machines: usize, _seed: u64) -> Vec<MachineId> {
-    let words = machines.div_ceil(64);
-    let mut replica_bits = vec![0u64; el.num_vertices as usize * words];
+fn assign_oblivious(el: &EdgeList, machines: usize, _seed: u64) -> Placement {
     let mut loads = vec![0u64; machines];
-    let mut out = Vec::with_capacity(el.edges.len());
+    let mut placed = Placement::new(el, machines);
     for e in &el.edges {
-        let (u, v) = (e.src as usize * words, e.dst as usize * words);
-        let (su, sv) = (&replica_bits[u..u + words], &replica_bits[v..v + words]);
+        let (su, sv) = (placed.replicas_of(e.src), placed.replicas_of(e.dst));
         let least_loaded_of = |combine: fn(u64, u64) -> u64| {
             let mut set = bit_members(su.iter().zip(sv).map(|(&a, &b)| combine(a, b))).peekable();
             set.peek().is_some().then(|| least_loaded(&loads, set))
@@ -497,12 +494,9 @@ fn assign_oblivious(el: &EdgeList, machines: usize, _seed: u64) -> Vec<MachineId
             .or_else(|| least_loaded_of(|a, b| a | b))
             .unwrap_or_else(|| least_loaded(&loads, 0..machines as MachineId));
         loads[pick as usize] += 1;
-        let (word, bit) = (pick as usize / 64, 1u64 << (pick % 64));
-        replica_bits[u + word] |= bit;
-        replica_bits[v + word] |= bit;
-        out.push(pick);
+        placed.push(e, pick);
     }
-    out
+    placed
 }
 
 #[cfg(test)]
@@ -543,9 +537,11 @@ mod tests {
             for el in [skewed(), random_edges(seed)] {
                 for (x, y) in shapes {
                     let machines = x * y;
-                    let oracle =
-                        |x, y| assign_constrained(&el, machines, seed, &grid_candidates(x, y));
-                    assert_eq!(assign_grid(&el, x, y, seed), oracle(x, y), "{x}x{y} seed {seed}");
+                    let oracle = |x, y| {
+                        assign_constrained(&el, machines, seed, &grid_candidates(x, y)).assignment
+                    };
+                    let closed_form = assign_grid(&el, x, y, seed).assignment;
+                    assert_eq!(closed_form, oracle(x, y), "{x}x{y} seed {seed}");
                     for strat in [
                         VertexCutStrategy::Grid,
                         VertexCutStrategy::Grid2D,
@@ -615,7 +611,7 @@ mod tests {
                 sparse.num_vertices += 5; // isolated tail
                 for el in [skewed(), random_edges(seed), sparse] {
                     assert_eq!(
-                        assign_oblivious(&el, machines, seed),
+                        assign_oblivious(&el, machines, seed).assignment,
                         assign_oblivious_lists(&el, machines),
                         "{machines} machines, seed {seed}, {} edges",
                         el.edges.len()
@@ -637,21 +633,11 @@ mod tests {
     fn flat_replicas_match_naive_sets() {
         // 65 and 130 machines cross a 64-bit word of the replica bitset;
         // Grid2D at 440 and 1 024 slots spans 7 and 16 words.
-        let mut cases = Vec::new();
-        for machines in [1usize, 16, 65, 130] {
-            for strat in
-                [VertexCutStrategy::Random, VertexCutStrategy::Oblivious, VertexCutStrategy::Grid2D]
-            {
-                cases.push((machines, strat));
-            }
-        }
-        cases.extend([
-            (16, VertexCutStrategy::Grid),
-            (64, VertexCutStrategy::Grid),
-            (13, VertexCutStrategy::Pds),
-            (440, VertexCutStrategy::Grid2D),
-            (1024, VertexCutStrategy::Grid2D),
-        ]);
+        use VertexCutStrategy::{Grid, Grid2D, Oblivious, Pds, Random};
+        let cases = [1usize, 16, 65, 130]
+            .into_iter()
+            .flat_map(|m| [Random, Oblivious, Grid2D].map(|s| (m, s)))
+            .chain([(16, Grid), (64, Grid), (13, Pds), (440, Grid2D), (1024, Grid2D)]);
         for (machines, strat) in cases {
             for (el, seed) in [(skewed(), 3u64), (random_edges(5), 5)] {
                 let p = VertexCutPartition::build(&el, machines, strat, seed).unwrap();
