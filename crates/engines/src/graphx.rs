@@ -702,6 +702,56 @@ mod tests {
     }
 
     #[test]
+    fn hash_to_min_run_pins_the_shortcut_charges() {
+        // The pointer jump adds a vertex pass per machine to every stage and
+        // changes which vertices each stage syncs and pins in the lineage.
+        let ds = dataset(DatasetKind::Wrn);
+        let h2m = GraphX { wcc_hash_to_min: true, ..gx(16) };
+        let wcc = h2m.run(&input(&ds, Workload::Wcc, 4, 1 << 30));
+        assert_eq!(wcc.result, Some(WorkloadResult::Labels(reference::wcc(&ds.1))));
+        assert_eq!(fingerprint(&wcc), ("OK", 8, 4621174995956075785, 876985, 30686));
+    }
+
+    #[test]
+    fn checkpointed_crash_runs_pin_the_restore_and_replay_charges() {
+        // A crash mid-Execute restores the state materialized at the last
+        // checkpoint (every second stage) and replays the stages since.
+        use graphbench_sim::FaultPlan;
+        let twitter = dataset(DatasetKind::Twitter);
+        let wrn = dataset(DatasetKind::Wrn);
+        let src = (0..wrn.1.num_vertices() as VertexId).find(|&v| wrn.1.out_degree(v) > 0).unwrap();
+        let pr = PageRankConfig::fixed(10);
+        let cases = [
+            (&twitter, Workload::PageRank(pr), ("OK", 10, 4621688113377708854, 560958, 21440)),
+            (&wrn, Workload::Wcc, ("OK", 127, 4631418084744555533, 11768697, 371052)),
+            (&wrn, Workload::Sssp { source: src }, ("OK", 127, 4631408238541156455, 464729, 17803)),
+        ];
+        let engine = GraphX { checkpoint_every: Some(2), ..gx(16) };
+        for (ds, w, want) in cases {
+            let clean = engine.run(&input(ds, w, 4, 1 << 30));
+            let p = &clean.metrics.phases;
+            let mut inp = input(ds, w, 4, 1 << 30);
+            inp.cluster.faults = FaultPlan::single(p.overhead + p.load + 0.5 * p.execute, 1);
+            let out = engine.run(&inp);
+            assert!(out.journal.events().iter().any(|e| e.label == "recovery"), "{w:?}");
+            match (out.result.as_ref(), w) {
+                (Some(WorkloadResult::Ranks(r)), Workload::PageRank(pr)) => {
+                    let (want, _) = reference::pagerank(&ds.1, &pr);
+                    assert!(r.iter().zip(&want).all(|(a, b)| (a - b).abs() < 1e-9));
+                }
+                (Some(WorkloadResult::Labels(l)), Workload::Wcc) => {
+                    assert_eq!(l, &reference::wcc(&ds.1));
+                }
+                (Some(WorkloadResult::Distances(d)), Workload::Sssp { source }) => {
+                    assert_eq!(d, &reference::sssp(&ds.1, source));
+                }
+                (other, _) => panic!("{w:?}: {other:?}"),
+            }
+            assert_eq!(fingerprint(&out), want, "{w:?}");
+        }
+    }
+
+    #[test]
     fn partition_imbalance_grows_with_cluster_size() {
         use graphbench_partition::metrics::imbalance;
         let engine = GraphX::default();

@@ -532,6 +532,43 @@ mod tests {
         assert_eq!(khop.result.unwrap(), WorkloadResult::Distances(reference::khop(&ds.1, 0, 3)));
     }
 
+    /// `(status, supersteps, runtime bits, network bytes, messages)` of a run.
+    fn fingerprint(out: &RunOutput) -> (&str, u64, u64, u64, u64) {
+        let m = &out.metrics;
+        (m.status.code(), m.iterations, out.runtime.to_bits(), m.network_bytes, m.messages)
+    }
+
+    #[test]
+    fn road_network_runs_pin_the_traversal_and_wcc_charges() {
+        // The road network's long diameter runs many jobs, each a full pass
+        // over the graph whatever the wave's size.
+        let ds = dataset(DatasetKind::Wrn);
+        let src = (0..ds.1.num_vertices() as VertexId).find(|&v| ds.1.out_degree(v) > 0).unwrap();
+        let sssp = Hadoop.run(&input(&ds, Workload::Sssp { source: src }, 4, 1 << 30));
+        assert_eq!(sssp.result, Some(WorkloadResult::Distances(reference::sssp(&ds.1, src))));
+        assert_eq!(fingerprint(&sssp), ("OK", 127, 4643752893345485383, 39970710, 1495298));
+        let wcc = Hadoop.run(&input(&ds, Workload::Wcc, 4, 1 << 30));
+        assert_eq!(wcc.result, Some(WorkloadResult::Labels(reference::wcc(&ds.1))));
+        assert_eq!(fingerprint(&wcc), ("OK", 127, 4643757320279697122, 72867266, 2990596));
+    }
+
+    #[test]
+    fn haloop_runs_pin_the_cached_loop_charges() {
+        // HaLoop's local-cache reads after the first job, and its shuffle
+        // bug at the third job on a 64-machine cluster.
+        let ds = dataset(DatasetKind::Twitter);
+        let wcc = HaLoop.run(&input(&ds, Workload::Wcc, 16, 1 << 30));
+        assert_eq!(wcc.result, Some(WorkloadResult::Labels(reference::wcc(&ds.1))));
+        assert_eq!(fingerprint(&wcc), ("OK", 4, 4629840569489574110, 2256000, 96000));
+        let khop = HaLoop.run(&input(&ds, Workload::khop3(0), 16, 1 << 30));
+        assert_eq!(khop.result, Some(WorkloadResult::Distances(reference::khop(&ds.1, 0, 3))));
+        assert_eq!(fingerprint(&khop), ("OK", 3, 4629319149939233558, 846000, 36000));
+        let pr = Workload::PageRank(PageRankConfig::fixed(10));
+        let shfl = HaLoop.run(&input(&ds, pr, 64, 1 << 30));
+        assert_eq!(shfl.result, None);
+        assert_eq!(fingerprint(&shfl), ("SHFL", 3, 4632289479173075452, 1001250, 36000));
+    }
+
     #[test]
     fn haloop_is_faster_but_less_than_twice() {
         let ds = dataset(DatasetKind::Twitter);
