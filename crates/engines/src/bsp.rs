@@ -49,15 +49,14 @@ use graphbench_sim::{Cluster, SimError};
 #[cfg(test)]
 pub(crate) mod message;
 
+/// Hard cap on supersteps (runaway guard).
+const MAX_SUPERSTEPS: u64 = 200_000;
+
 /// Runtime knobs that differ between systems.
 #[derive(Debug, Clone)]
 pub struct BspConfig {
     /// Cores used for compute on each machine.
     pub cores_for_compute: u32,
-    /// Record a memory-trace sample every this many supersteps.
-    pub trace_every: u64,
-    /// Hard cap on supersteps (runaway guard).
-    pub max_supersteps: u64,
     /// Bytes read+written through local disk on every superstep, split
     /// across machines and multiplied by the cluster's superstep scale
     /// (Flink Gelly's delta iterations pass the solution set through
@@ -77,8 +76,6 @@ impl Default for BspConfig {
     fn default() -> Self {
         BspConfig {
             cores_for_compute: 4,
-            trace_every: 1,
-            max_supersteps: 200_000,
             per_superstep_spill_bytes: 0,
             checkpoint_every: None,
             checkpoint_bytes: 0,
@@ -222,7 +219,7 @@ fn drive<S: Path>(
         cluster.plan_has_crashes().then(|| (0, path.capture()));
 
     loop {
-        if supersteps >= cfg.max_supersteps {
+        if supersteps >= MAX_SUPERSTEPS {
             return Err(SimError::Timeout);
         }
         // Label before the host work so its wallclock spans carry it.
@@ -262,9 +259,7 @@ fn drive<S: Path>(
         cluster.report_active(path.active());
         cluster.set_label("barrier");
         cluster.barrier()?;
-        if cfg.trace_every > 0 && supersteps.is_multiple_of(cfg.trace_every) {
-            cluster.sample_trace();
-        }
+        cluster.sample_trace();
 
         supersteps += 1;
         // Global checkpoint: all machines persist state to HDFS and the
@@ -1000,7 +995,7 @@ pub(crate) fn run_workload(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::message::{
         build_shards, compute_superstep, run_bsp, wcc_labels, Ctx, KHopProgram, SsspProgram,
         VertexProgram, WccProgram,
@@ -1906,7 +1901,7 @@ mod tests {
     /// repeat its out-edges: a small grid with both directions per street,
     /// each direction dropped at random (one-way streets and cuts), one
     /// street doubled both ways, self-loops, and an isolated vertex last.
-    fn street_graph(rng: &mut Rng) -> CsrGraph {
+    pub(crate) fn street_graph(rng: &mut Rng) -> CsrGraph {
         let (w, h) = (2 + rng.below_u32(9), 2 + rng.below_u32(9));
         let streets = grid_streets(w, h);
         let doubled = rng.below(streets.len() / 2);

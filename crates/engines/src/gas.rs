@@ -749,11 +749,13 @@ fn wcc_propagate(
     let mut label: Vec<VertexId> = (0..n as VertexId).collect();
     let mut best: Vec<VertexId> = vec![0; n];
     let mut improves = vec![false; n];
+    let mut improved = Vec::new();
     let kernel = MinLabel::build(g);
     let mut first = true;
     loop {
         cluster.set_label("gather");
-        let improving = kernel.step(&label, &mut best);
+        kernel.step(&label, &mut best, &mut improved);
+        let improving = improved.len() as u64;
         for (i, (b, l)) in improves.iter_mut().zip(best.iter().zip(&label)) {
             *i = b < l;
         }

@@ -1,8 +1,9 @@
-//! The three kernels behind the engines' host work: [`RunGather`], the
+//! The four pieces behind the engines' host work: [`RunGather`], the
 //! run-sum gather of every synchronous distributed PageRank, [`MinLabel`],
-//! the HashMin step of every non-BSP WCC, and [`expand`], the BFS step of
-//! every non-BSP SSSP and K-hop. Only the gather runs across host threads;
-//! the other two are serial scans.
+//! the HashMin step of every non-BSP WCC, [`expand`], the BFS step of every
+//! non-BSP SSSP and K-hop, and [`Rounds`], which owns one dataflow run's
+//! per-vertex state and steps it through the other three. Only the gather
+//! runs across host threads; the other kernels are serial scans.
 //!
 //! GraphLab's sync gather, GraphX's join, the Hadoop/HaLoop reduce,
 //! Vertica's `SUM` and the BSP combiners (Giraph, Blogel-V, Blogel-B's
@@ -36,9 +37,17 @@
 //! of the previous wave. [`expand`] computes that wave once for all four,
 //! in frontier-scan order; what each paradigm pays for it stays in its
 //! engine's charges.
+//!
+//! Hadoop/HaLoop, Vertica and GraphX run all four workloads through one
+//! loop each, and differ only in what a round costs: HDFS passes, SQL joins
+//! or RDD stages. [`Rounds`] is what the loop steps: the ranks, labels or
+//! distances, the last round's changed vertices, the stop test, and a saved
+//! copy of the state for GraphX's lineage replay. The pricing stays in the
+//! engine.
 
 use crate::exec;
-use graphbench_algos::UNREACHABLE;
+use graphbench_algos::workload::StopCriterion;
+use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
 use graphbench_graph::{CsrGraph, VertexId};
 use std::ops::Range;
 
@@ -276,27 +285,33 @@ impl<'g> MinLabel<'g> {
         &self.in_src[self.in_off[v] as usize..self.in_off[v + 1] as usize]
     }
 
-    /// Fill `next` and return the number of improved vertices, those with
-    /// `next[v] < label[v]`.
-    pub(crate) fn step(&self, label: &[VertexId], next: &mut [VertexId]) -> u64 {
-        let mut improved = 0u64;
+    /// Fill `next`, and `improved` with the improved vertices, those with
+    /// `next[v] < label[v]`, ascending.
+    pub(crate) fn step(
+        &self,
+        label: &[VertexId],
+        next: &mut [VertexId],
+        improved: &mut Vec<VertexId>,
+    ) {
+        // Written branch-free: every vertex is stored, and only an improved
+        // one advances the end.
+        improved.resize(label.len(), 0);
+        let mut len = 0;
         for (v, best) in next.iter_mut().enumerate() {
             let min = |b: VertexId, &u: &VertexId| b.min(label[u as usize]);
             let b = self.ins(v).iter().fold(label[v], min);
             *best = self.g.out_neighbors(v as VertexId).iter().fold(b, min);
-            improved += u64::from(*best < label[v]);
+            improved[len] = v as VertexId;
+            len += usize::from(*best < label[v]);
         }
-        improved
+        improved.truncate(len);
     }
 
-    /// Vertica's `updated` rows of the step from `label` to `next` over
-    /// `parts` source chunks (see [`MinLabel`]): only the improved vertices
-    /// are offered their labels again.
-    pub(crate) fn updated(&self, label: &[VertexId], next: &[VertexId], parts: usize) -> u64 {
-        (0..label.len())
-            .filter(|&v| next[v] < label[v])
-            .map(|v| self.improvements(v, label, parts))
-            .sum()
+    /// Vertica's `updated` rows of the step from `label` over `parts` source
+    /// chunks (see [`MinLabel`]): only the `improved` vertices, those whose
+    /// label the step shrank, are offered their labels again.
+    pub(crate) fn updated(&self, label: &[VertexId], improved: &[VertexId], parts: usize) -> u64 {
+        improved.iter().map(|&v| self.improvements(v as usize, label, parts)).sum()
     }
 
     /// `v`'s running-min improvements over `parts` source chunks.
@@ -354,9 +369,237 @@ pub(crate) fn expand(
     }
 }
 
+/// Where a K-hop run ends ([`Rounds::done`]); an SSSP run ends after its
+/// first empty wave either way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum KHopEnd {
+    /// After the `k`-th wave: one MapReduce job or SQL statement per wave.
+    AtK,
+    /// After the first empty wave: GraphX's Pregel loop runs while any
+    /// vertex is active, so it charges one more stage, past the bound,
+    /// that reaches nothing.
+    EmptyWave,
+}
+
+/// One dataflow run (Hadoop/HaLoop, Vertica, GraphX) of one workload: its
+/// per-vertex state, the kernel that steps it a round, and the round count.
+/// The engine prices each round around [`Rounds::step`].
+pub(crate) struct Rounds<'g> {
+    g: &'g CsrGraph,
+    /// Rounds stepped so far.
+    round: u32,
+    /// The round of the last [`Rounds::save`].
+    saved_round: u32,
+    work: Work<'g>,
+}
+
+/// Each workload's kernel, state, scratch and saved state.
+enum Work<'g> {
+    PageRank {
+        damping: f64,
+        /// Stop once the largest rank change falls below this (0: never).
+        tol: f64,
+        max_rounds: u32,
+        gather: RunGather,
+        ranks: Vec<f64>,
+        incoming: Vec<f64>,
+        /// The last round's largest rank change.
+        max_delta: f64,
+        saved: Vec<f64>,
+    },
+    Wcc {
+        kernel: MinLabel<'g>,
+        /// GraphX's hash-to-min: each round also pointer-jumps the labels.
+        hash_to_min: bool,
+        label: Vec<VertexId>,
+        /// The labels before the last round.
+        prev: Vec<VertexId>,
+        /// The vertices whose label the last round shrank, ascending.
+        changed: Vec<VertexId>,
+        saved: Vec<VertexId>,
+    },
+    Traversal {
+        bound: u32,
+        dist: Vec<u32>,
+        /// The last round's wave, which the next round expands.
+        frontier: Vec<VertexId>,
+        next: Vec<VertexId>,
+        saved: (Vec<u32>, Vec<VertexId>),
+    },
+}
+
+impl<'g> Rounds<'g> {
+    /// `workload` on `g` before its first round. `gather` builds PageRank's
+    /// run-sum gather in the engine's fold order; it is called for PageRank
+    /// only. `hash_to_min` adds GraphX's pointer jump to every WCC round.
+    pub(crate) fn new(
+        g: &'g CsrGraph,
+        workload: Workload,
+        hash_to_min: bool,
+        gather: impl FnOnce() -> RunGather,
+    ) -> Rounds<'g> {
+        let n = g.num_vertices();
+        let traversal = |source: VertexId, bound| {
+            let mut dist = vec![UNREACHABLE; n];
+            dist[source as usize] = 0;
+            let saved = (Vec::new(), Vec::new());
+            Work::Traversal { bound, dist, frontier: vec![source], next: Vec::new(), saved }
+        };
+        let work = match workload {
+            Workload::PageRank(cfg) => {
+                let (tol, max_rounds) = match cfg.stop {
+                    StopCriterion::Tolerance(t) => (t, u32::MAX),
+                    StopCriterion::Iterations(k) => (0.0, k),
+                };
+                Work::PageRank {
+                    damping: cfg.damping,
+                    tol,
+                    max_rounds,
+                    gather: gather(),
+                    ranks: vec![1.0; n],
+                    incoming: vec![0.0; n],
+                    max_delta: f64::INFINITY,
+                    saved: Vec::new(),
+                }
+            }
+            Workload::Wcc => Work::Wcc {
+                kernel: MinLabel::build(g),
+                hash_to_min,
+                label: (0..n as VertexId).collect(),
+                prev: vec![0; n],
+                changed: Vec::new(),
+                saved: Vec::new(),
+            },
+            Workload::Sssp { source } => traversal(source, u32::MAX),
+            Workload::KHop { source, k } => traversal(source, k),
+        };
+        Rounds { g, round: 0, saved_round: 0, work }
+    }
+
+    /// Rounds stepped so far.
+    pub(crate) fn round(&self) -> u32 {
+        self.round
+    }
+
+    /// Whether the run is over: PageRank after its iteration count or once
+    /// its largest rank change fell below the tolerance, WCC after a round
+    /// that shrank no label, a traversal after an empty wave or, with
+    /// [`KHopEnd::AtK`], after `k` waves.
+    pub(crate) fn done(&self, khop: KHopEnd) -> bool {
+        match &self.work {
+            Work::PageRank { tol, max_rounds, max_delta, .. } => {
+                self.round >= *max_rounds || *max_delta < *tol
+            }
+            Work::Wcc { changed, .. } => self.round > 0 && changed.is_empty(),
+            Work::Traversal { bound, frontier, .. } => {
+                frontier.is_empty() || (khop == KHopEnd::AtK && self.round >= *bound)
+            }
+        }
+    }
+
+    /// Step one round: PageRank's gather and apply, the HashMin step (then
+    /// hash-to-min's pointer jump), or the traversal's next wave.
+    pub(crate) fn step(&mut self) {
+        let g = self.g;
+        match &mut self.work {
+            Work::PageRank { damping, gather, ranks, incoming, max_delta, .. } => {
+                gather.gather(ranks, |u| g.out_degree(u as VertexId), None, incoming);
+                *max_delta = crate::util::pagerank_apply(ranks, incoming, *damping);
+            }
+            Work::Wcc { kernel, hash_to_min, label, prev, changed, .. } => {
+                kernel.step(label, prev, changed);
+                if *hash_to_min {
+                    // Labels are vertex ids, so every vertex can also adopt
+                    // its label's label, collapsing long chains in O(log d)
+                    // rounds.
+                    for v in 0..prev.len() {
+                        let l = prev[v] as usize;
+                        if prev[l] < prev[v] {
+                            prev[v] = prev[l];
+                        }
+                    }
+                    changed.clear();
+                    changed.extend(
+                        (0..label.len() as VertexId)
+                            .filter(|&v| prev[v as usize] < label[v as usize]),
+                    );
+                }
+                std::mem::swap(label, prev);
+            }
+            Work::Traversal { bound, dist, frontier, next, .. } => {
+                expand(g, dist, frontier, self.round, *bound, next);
+                std::mem::swap(frontier, next);
+            }
+        }
+        self.round += 1;
+    }
+
+    /// The vertices the last round changed: WCC's shrunk labels, ascending,
+    /// or a traversal's wave in scan order (before the first round: none
+    /// for WCC, the source for a traversal). `None` for PageRank, where
+    /// every rank moves.
+    pub(crate) fn changed(&self) -> Option<&[VertexId]> {
+        match &self.work {
+            Work::PageRank { .. } => None,
+            Work::Wcc { changed, .. } => Some(changed),
+            Work::Traversal { frontier, .. } => Some(frontier),
+        }
+    }
+
+    /// Vertica's `updated` rows of the last round over `parts` source
+    /// chunks: every rank, WCC's running-min improvements
+    /// ([`MinLabel::updated`]), or the wave.
+    pub(crate) fn updated(&self, parts: usize) -> u64 {
+        match &self.work {
+            Work::PageRank { ranks, .. } => ranks.len() as u64,
+            Work::Wcc { kernel, prev, changed, .. } => kernel.updated(prev, changed, parts),
+            Work::Traversal { frontier, .. } => frontier.len() as u64,
+        }
+    }
+
+    /// Keep a copy of the state and the round count, GraphX's
+    /// materialization point.
+    pub(crate) fn save(&mut self) {
+        self.saved_round = self.round;
+        match &mut self.work {
+            Work::PageRank { ranks, saved, .. } => saved.clone_from(ranks),
+            Work::Wcc { label, saved, .. } => saved.clone_from(label),
+            Work::Traversal { dist, frontier, saved, .. } => {
+                saved.0.clone_from(dist);
+                saved.1.clone_from(frontier);
+            }
+        }
+    }
+
+    /// Put back the state and the round count of the last [`Rounds::save`].
+    /// What the last round changed is stale until the next step.
+    pub(crate) fn restore(&mut self) {
+        self.round = self.saved_round;
+        match &mut self.work {
+            Work::PageRank { ranks, saved, .. } => ranks.clone_from(saved),
+            Work::Wcc { label, saved, .. } => label.clone_from(saved),
+            Work::Traversal { dist, frontier, saved, .. } => {
+                dist.clone_from(&saved.0);
+                frontier.clone_from(&saved.1);
+            }
+        }
+    }
+
+    /// The ranks, labels or distances.
+    pub(crate) fn into_result(self) -> WorkloadResult {
+        match self.work {
+            Work::PageRank { ranks, .. } => WorkloadResult::Ranks(ranks),
+            Work::Wcc { label, .. } => WorkloadResult::Labels(label),
+            Work::Traversal { dist, .. } => WorkloadResult::Distances(dist),
+        }
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use graphbench_algos::reference;
+    use graphbench_algos::workload::PageRankConfig;
     use graphbench_graph::rng::{for_each_seed, Rng};
     use graphbench_graph::{CsrGraph, EdgeList};
 
@@ -582,15 +825,17 @@ pub(crate) mod tests {
             let signaled = scatter_signals(&g, &label);
             let kernel = MinLabel::build(&g);
             let mut next = vec![VertexId::MAX; n];
-            let improved = kernel.step(&label, &mut next);
+            let mut lowered = vec![VertexId::MAX; rng.below(2 * n)];
+            kernel.step(&label, &mut next, &mut lowered);
             for machines in [1, 2, 3, 16, 64] {
                 let (want, want_count) = overlay_replay(&g, &label, machines);
-                let shrunk = (0..n).filter(|&v| want[v] < label[v]).count() as u64;
-                repeats += usize::from(want_count > shrunk * machines as u64);
+                let shrunk: Vec<VertexId> =
+                    (0..n as VertexId).filter(|&v| want[v as usize] < label[v as usize]).collect();
+                repeats += usize::from(want_count > shrunk.len() as u64 * machines as u64);
                 let at = format!("{n} vertices, machines {machines}");
                 assert_eq!(next, want, "labels, {at}");
-                assert_eq!(improved, shrunk, "improved vertices, {at}");
-                let count = kernel.updated(&label, &next, machines);
+                assert_eq!(lowered, shrunk, "improved vertices, {at}");
+                let count = kernel.updated(&label, &lowered, machines);
                 assert_eq!(count, want_count, "improvements, {at}");
                 for v in 0..n {
                     assert_eq!(signaled[v], next[v] < label[v], "signal of {v}, {at}");
@@ -601,7 +846,7 @@ pub(crate) mod tests {
     }
 
     /// Each round of a traversal: the distances after it and its wave.
-    type Rounds = Vec<(Vec<u32>, Vec<VertexId>)>;
+    type Waves = Vec<(Vec<u32>, Vec<VertexId>)>;
 
     fn start(n: usize, source: VertexId) -> Vec<u32> {
         let mut dist = vec![UNREACHABLE; n];
@@ -613,7 +858,7 @@ pub(crate) mod tests {
     /// a Jacobi relax over every edge each iteration, sources at or past
     /// `bound` skipped, until nothing improves or `bound` iterations ran. A
     /// round's wave is the vertices it improved, ascending.
-    fn full_scan_relax(g: &CsrGraph, source: VertexId, bound: u32) -> Rounds {
+    fn full_scan_relax(g: &CsrGraph, source: VertexId, bound: u32) -> Waves {
         let n = g.num_vertices();
         let mut dist = start(n, source);
         let mut rounds = Vec::new();
@@ -649,7 +894,7 @@ pub(crate) mod tests {
         by_machine: &[Vec<(VertexId, VertexId)>],
         source: VertexId,
         bound: u32,
-    ) -> Rounds {
+    ) -> Waves {
         let mut dist = start(n, source);
         let mut active = vec![false; n];
         active[source as usize] = true;
@@ -683,7 +928,7 @@ pub(crate) mod tests {
     /// reference: frontier spans emit their unvisited out-neighbours
     /// against the frozen distances, and the spans' candidates apply in
     /// span order, first touch wins, under `depth < bound`.
-    fn span_bucket_expand(g: &CsrGraph, source: VertexId, bound: u32) -> Rounds {
+    fn span_bucket_expand(g: &CsrGraph, source: VertexId, bound: u32) -> Waves {
         let mut dist = start(g.num_vertices(), source);
         let mut frontier = vec![source];
         let mut depth = 0u32;
@@ -726,7 +971,7 @@ pub(crate) mod tests {
         source: VertexId,
         bound: u32,
         more: impl Fn(&[VertexId], u32) -> bool,
-    ) -> Rounds {
+    ) -> Waves {
         let mut dist = start(g.num_vertices(), source);
         let (mut frontier, mut next) = (vec![source], Vec::new());
         let mut rounds = Vec::new();
@@ -741,7 +986,7 @@ pub(crate) mod tests {
     }
 
     /// `rounds` with every wave sorted.
-    fn as_sets(mut rounds: Rounds) -> Rounds {
+    fn as_sets(mut rounds: Waves) -> Waves {
         for (_, wave) in &mut rounds {
             wave.sort_unstable();
         }
@@ -787,5 +1032,148 @@ pub(crate) mod tests {
             }
         });
         assert!(reordered > 0, "no wave told the frontier scan from the machine-major apply");
+    }
+
+    /// Every workload [`Rounds`] steps, from `source`, with its hash-to-min
+    /// flag: PageRank to a tolerance and for a fixed count, WCC with and
+    /// without the pointer jump, SSSP, and K-hop at k = 0..=3.
+    fn workloads(source: VertexId) -> Vec<(Workload, bool)> {
+        let tol = PageRankConfig {
+            stop: StopCriterion::Tolerance(1e-9),
+            ..PageRankConfig::paper_exact()
+        };
+        let mut ws = vec![
+            (Workload::PageRank(tol), false),
+            (Workload::PageRank(PageRankConfig::fixed(7)), false),
+            (Workload::Wcc, false),
+            (Workload::Wcc, true),
+            (Workload::Sssp { source }, false),
+        ];
+        ws.extend((0..4).map(|k| (Workload::KHop { source, k }, false)));
+        ws
+    }
+
+    /// The two graph families the engines' kernels are tested on.
+    fn graphs(rng: &mut Rng) -> [CsrGraph; 2] {
+        [gather_graph(rng), crate::bsp::tests::street_graph(rng)]
+    }
+
+    fn rounds<'g>(g: &'g CsrGraph, w: Workload, hash_to_min: bool) -> Rounds<'g> {
+        Rounds::new(g, w, hash_to_min, || crate::hadoop::source_chunk_runs(g, 3))
+    }
+
+    #[test]
+    fn rounds_reach_the_reference_answers() {
+        for_each_seed(16, |_, rng| {
+            for g in &graphs(rng) {
+                let n = g.num_vertices();
+                let source = rng.below_u32(n as u32);
+                for (w, h2m) in workloads(source) {
+                    for end in [KHopEnd::AtK, KHopEnd::EmptyWave] {
+                        let at = format!("{n} vertices, {w:?}, hash-to-min {h2m}, {end:?}");
+                        let mut r = rounds(g, w, h2m);
+                        while !r.done(end) {
+                            r.step();
+                        }
+                        let ran = r.round();
+                        match (r.into_result(), w) {
+                            (WorkloadResult::Ranks(got), Workload::PageRank(cfg)) => {
+                                let (want, iterations) = reference::pagerank(g, &cfg);
+                                if let StopCriterion::Iterations(k) = cfg.stop {
+                                    assert_eq!((ran, iterations), (k, k), "{at}");
+                                }
+                                for (a, b) in got.iter().zip(&want) {
+                                    assert!((a - b).abs() < 1e-9, "{a} vs {b}, {at}");
+                                }
+                            }
+                            (WorkloadResult::Labels(got), Workload::Wcc) => {
+                                assert_eq!(got, reference::wcc(g), "{at}");
+                            }
+                            (WorkloadResult::Distances(got), Workload::Sssp { .. }) => {
+                                assert_eq!(got, reference::sssp(g, source), "{at}");
+                                let depth = got.iter().filter(|&&d| d != UNREACHABLE).max();
+                                assert_eq!(Some(&(ran - 1)), depth, "rounds, {at}");
+                            }
+                            (WorkloadResult::Distances(got), Workload::KHop { k, .. }) => {
+                                assert_eq!(got, reference::khop(g, source, k), "{at}");
+                                // One round per wave, and one for the empty
+                                // wave that ends the run, unless `AtK` stops
+                                // at the bound first.
+                                let depth =
+                                    *got.iter().filter(|&&d| d != UNREACHABLE).max().unwrap();
+                                let want = if depth < k {
+                                    depth + 1
+                                } else {
+                                    k + u32::from(end == KHopEnd::EmptyWave)
+                                };
+                                assert_eq!(ran, want, "rounds, {at}");
+                            }
+                            (got, _) => panic!("{got:?}, {at}"),
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    /// The state a round leaves: the ranks' bits, the labels, or the
+    /// distances followed by the wave.
+    fn state_bits(r: &Rounds) -> Vec<u64> {
+        match &r.work {
+            Work::PageRank { ranks, .. } => ranks.iter().map(|x| x.to_bits()).collect(),
+            Work::Wcc { label, .. } => label.iter().map(|&l| u64::from(l)).collect(),
+            Work::Traversal { dist, frontier, .. } => {
+                dist.iter().chain(frontier).map(|&x| u64::from(x)).collect()
+            }
+        }
+    }
+
+    #[test]
+    fn restoring_any_saved_round_and_replaying_reaches_the_same_state() {
+        // Replays that had rounds to re-run: proof that a restore which kept
+        // the round count would be told apart.
+        let mut replayed = 0usize;
+        for_each_seed(12, |_, rng| {
+            for g in &graphs(rng) {
+                let n = g.num_vertices();
+                let source = rng.below_u32(n as u32);
+                for (w, h2m) in workloads(source) {
+                    let end = KHopEnd::EmptyWave;
+                    let mut clean = rounds(g, w, h2m);
+                    let mut states = vec![state_bits(&clean)];
+                    while !clean.done(end) {
+                        clean.step();
+                        states.push(state_bits(&clean));
+                    }
+                    let last = clean.round();
+                    for saved in 0..=last {
+                        let at = format!("{n} vertices, {w:?}, hash-to-min {h2m}, saved {saved}");
+                        let mut r = rounds(g, w, h2m);
+                        while r.round() < saved {
+                            r.step();
+                        }
+                        r.save();
+                        // A crash at any later round rewinds to the save and
+                        // re-runs the rounds since.
+                        let crash = saved + rng.below_u32(last - saved + 1);
+                        while r.round() < crash {
+                            r.step();
+                        }
+                        r.restore();
+                        while r.round() < crash {
+                            r.step();
+                        }
+                        replayed += usize::from(states[crash as usize] != states[saved as usize]);
+                        assert_eq!(state_bits(&r), states[crash as usize], "crash {crash}, {at}");
+                        while !r.done(end) {
+                            r.step();
+                        }
+                        assert_eq!(r.round(), last, "{at}");
+                        assert_eq!(state_bits(&r), states[last as usize], "{at}");
+                    }
+                }
+            }
+        });
+        assert!(replayed > 0, "no replay re-ran a round that changed the state");
     }
 }

@@ -22,23 +22,21 @@
 //! load. The load loop that walks every vertex's replica partitions also
 //! records, flat, the vertex's distinct executor machines (ascending) and its
 //! hash-picked coordinating copy; the partition is dropped before the first
-//! iteration and `mirror_sync` walks that table against the cluster's current
+//! iteration and `mirror_traffic` walks that table against the cluster's current
 //! fragment placement.
 
-use crate::gather::{expand, MinLabel, RunGather};
+use crate::gather::{KHopEnd, Rounds, RunGather};
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
-use graphbench_algos::workload::{PageRankConfig, StopCriterion};
-use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
+use graphbench_algos::{Workload, WorkloadResult};
 use graphbench_graph::format::GraphFormat;
 use graphbench_graph::rng::splitmix64;
-use graphbench_graph::{CsrGraph, VertexId};
+use graphbench_graph::VertexId;
 use graphbench_partition::{MachineBits, MachineId, VertexCutPartition, VertexCutStrategy};
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
 
-/// Traversal state at the last materialization point: iteration, distances,
-/// frontier.
-type TraversalSnapshot = (u32, Vec<u32>, Vec<VertexId>);
+/// HDFS block size, from which the default partition count derives.
+const HDFS_BLOCK_BYTES: u64 = 64 << 20;
 
 /// GraphX / Spark configuration.
 #[derive(Debug, Clone)]
@@ -46,8 +44,6 @@ pub struct GraphX {
     /// Number of RDD partitions. `None` = one per HDFS block (the default
     /// the paper found sub-optimal, §4.4.3).
     pub num_partitions: Option<usize>,
-    /// HDFS block size used to derive the default partition count.
-    pub hdfs_block_bytes: u64,
     /// Checkpoint the graph every N iterations, truncating the lineage at
     /// the cost of a full HDFS write (GraphFrames-style). `None` = never
     /// (stock GraphX Pregel).
@@ -67,7 +63,6 @@ impl Default for GraphX {
     fn default() -> Self {
         GraphX {
             num_partitions: None,
-            hdfs_block_bytes: 64 << 20,
             checkpoint_every: None,
             gateway_bias: 0.03,
             wcc_hash_to_min: false,
@@ -80,7 +75,7 @@ impl GraphX {
     /// [`GraphX::num_partitions`]; the default is the HDFS block count).
     pub fn partitions_for(&self, dataset_bytes: u64) -> usize {
         self.num_partitions
-            .unwrap_or_else(|| (dataset_bytes.div_ceil(self.hdfs_block_bytes)).max(1) as usize)
+            .unwrap_or_else(|| (dataset_bytes.div_ceil(HDFS_BLOCK_BYTES)).max(1) as usize)
     }
 
     /// Assign partitions to machines: hash placement with a bias toward the
@@ -118,8 +113,6 @@ impl Engine for GraphX {
 
 /// Everything the per-iteration loop needs.
 struct SparkCtx {
-    /// Use the hash-to-min label-propagation variant for WCC.
-    hash_to_min: bool,
     /// `exec_ids[exec_off[v]..exec_off[v + 1]]`: the distinct executor
     /// machines holding a replica partition of `v`, ascending.
     exec_off: Vec<u32>,
@@ -130,11 +123,8 @@ struct SparkCtx {
     coord: Vec<MachineId>,
     /// Partitions per machine.
     slots_per_machine: Vec<u64>,
-    /// Directed edges grouped per machine.
-    edges_by_machine: Vec<Vec<(VertexId, VertexId)>>,
     machines: usize,
     cores: u32,
-    n: usize,
     state_bytes_per_machine: Vec<u64>,
     lineage_per_machine: Vec<u64>,
     checkpoint_every: Option<u32>,
@@ -232,8 +222,7 @@ fn execute(
     let bytes = dataset_bytes(input.edges, GraphFormat::EdgeListFormat);
     let slots = engine.partitions_for(bytes);
     // Reading the same HDFS block from several tasks re-reads it.
-    let read_amplification =
-        (slots as u64).div_ceil((bytes / engine.hdfs_block_bytes).max(1)).min(4);
+    let read_amplification = (slots as u64).div_ceil((bytes / HDFS_BLOCK_BYTES).max(1)).min(4);
     cluster.hdfs_read(&even_share(bytes * read_amplification, machines))?;
 
     // Vertex-cut over RDD partitions, partitions placed on executors.
@@ -282,7 +271,7 @@ fn execute(
         resident[m] += list.len() as u64 * profile.bytes_per_edge;
     }
     // One walk over every vertex's replica partitions charges their resident
-    // bytes and collects the vertex's executor set for `mirror_sync`.
+    // bytes and collects the vertex's executor set for `mirror_traffic`.
     assert!(machines <= MachineId::MAX as usize + 1);
     let mut state_bytes_per_machine = vec![0u64; machines];
     let mut exec_off = Vec::with_capacity(n + 1);
@@ -319,16 +308,34 @@ fn execute(
     let tasks: u64 = slots_per_machine.iter().sum();
     let driver = 0.0015 * tasks as f64 * cluster.spec().superstep_scale;
     cluster.begin_phase(Phase::Execute);
+    let g = input.graph;
+    let mut rounds = Rounds::new(g, input.workload, engine.wcc_hash_to_min, || {
+        RunGather::build(n, machines, |m| edges_by_machine[m].iter().copied())
+    });
+    // Every stage scans whole partitions, so its compute is the same each
+    // time: an op per edge for PageRank's join and WCC's HashMin, plus a
+    // pass over the machine's vertex share for hash-to-min's pointer jump;
+    // a quarter op per edge for a traversal's active-set filter.
+    let ops: Vec<f64> = edges_by_machine
+        .iter()
+        .map(|e| {
+            let edges = e.len() as f64;
+            match input.workload {
+                Workload::PageRank(_) => edges,
+                Workload::Wcc if engine.wcc_hash_to_min => edges + (n / machines) as f64,
+                Workload::Wcc => edges,
+                _ => edges / 4.0,
+            }
+        })
+        .collect();
+    drop(edges_by_machine);
     let mut ctx = SparkCtx {
-        hash_to_min: engine.wcc_hash_to_min,
         exec_off,
         exec_ids,
         coord,
         slots_per_machine,
-        edges_by_machine,
         machines,
         cores: input.cluster.cores,
-        n,
         state_bytes_per_machine,
         lineage_per_machine: vec![0u64; machines],
         checkpoint_every: engine.checkpoint_every,
@@ -336,23 +343,52 @@ fn execute(
         recovery: Recovery::new(cluster, RecoveryModel::LineageRecompute),
         stage_wait: vec![driver; machines],
     };
-    let g = input.graph;
-    let result = match input.workload {
-        Workload::PageRank(pr) => {
-            WorkloadResult::Ranks(spark_pagerank(cluster, &mut ctx, input, pr)?)
+    // Lost partitions recompute from lineage: the state at the last
+    // materialization (a checkpoint, or the initial RDD) is kept, only when
+    // a crash is actually scheduled.
+    let snapshots = cluster.plan_has_crashes();
+    if snapshots {
+        rounds.save();
+    }
+    // PageRank syncs every vertex every stage: one tally per run.
+    let mut every = None;
+    while !rounds.done(KHopEnd::EmptyWave) {
+        let round = rounds.round();
+        if ctx.charge_stage(cluster)? && snapshots {
+            // Rewind to the materialization and re-run the rounds since,
+            // uncharged: the recovery stall already billed them.
+            rounds.restore();
+            while rounds.round() < round {
+                rounds.step();
+            }
         }
-        Workload::Wcc => WorkloadResult::Labels(spark_wcc(cluster, &mut ctx, g)?),
-        Workload::Sssp { source } => {
-            WorkloadResult::Distances(spark_traversal(cluster, &mut ctx, g, source, u32::MAX)?)
+        // Label before the host work so its wallclock spans carry it
+        // (charge_compute sets the same label before the charge itself).
+        cluster.set_label("superstep");
+        rounds.step();
+        charge_compute(cluster, &ctx, &ops)?;
+        // Mirror sync of the changed vertices; labelled before the host
+        // work, like the stage.
+        cluster.set_label("shuffle");
+        let synced;
+        let [sent, recv, msgs] = match rounds.changed() {
+            Some(changed) => {
+                synced = mirror_traffic(&ctx, changed.iter().copied());
+                &synced
+            }
+            None => &*every.get_or_insert_with(|| mirror_traffic(&ctx, 0..n as VertexId)),
+        };
+        cluster.exchange(sent, recv, msgs)?;
+        let changed = rounds.changed().map_or(n, <[_]>::len) as u64;
+        if ctx.charge_lineage(cluster, round, changed)? && snapshots {
+            rounds.save();
         }
-        Workload::KHop { source, k } => {
-            WorkloadResult::Distances(spark_traversal(cluster, &mut ctx, g, source, k)?)
-        }
-    };
+        cluster.sample_trace();
+    }
 
     cluster.begin_phase(Phase::Save);
     cluster.hdfs_write(&even_share(result_bytes(n as u64), machines))?;
-    Ok(result)
+    Ok(rounds.into_result())
 }
 
 /// Charge compute where each machine's wall time is its ops divided by its
@@ -365,21 +401,6 @@ fn charge_compute(cluster: &mut Cluster, ctx: &SparkCtx, ops: &[f64]) -> Result<
         ops.iter().enumerate().map(|(m, &o)| o * sscale / ctx.slots(m)).collect();
     cluster.set_label("superstep");
     cluster.advance_compute(&adjusted, 1)
-}
-
-/// Mirror synchronization across machines for changed vertices: the
-/// coordinating copy of each exchanges 16 bytes with every other executor in
-/// the vertex's set. Sets and coordinators are the load-time table.
-fn mirror_sync(
-    cluster: &mut Cluster,
-    ctx: &SparkCtx,
-    changed: &[VertexId],
-) -> Result<(), SimError> {
-    // Label before the host work so its wallclock spans attribute to the
-    // shuffle (the exchange below is charged under the same label).
-    cluster.set_label("shuffle");
-    let [sent, recv, msgs] = mirror_traffic(ctx, changed.iter().copied());
-    cluster.exchange(&sent, &recv, &msgs)
 }
 
 /// Per-machine `[sent, recv, msgs]` of a mirror sync for `changed`.
@@ -399,213 +420,13 @@ fn mirror_traffic(ctx: &SparkCtx, changed: impl Iterator<Item = VertexId>) -> [V
     [sent, recv, msgs]
 }
 
-/// One PageRank dataflow iteration over the edge partitions: the join sums
-/// each destination's `rank / out-degree` contributions per machine in that
-/// machine's edge order, adding the machine partials in machine-index order
-/// (see [`RunGather`]). The ranks are bit-identical at any chunk x thread
-/// combination. Shared by the live loop and lineage-recompute replay.
-/// Returns the largest per-vertex rank change.
-fn pagerank_step(
-    g: &CsrGraph,
-    cfg: &PageRankConfig,
-    ranks: &mut [f64],
-    incoming: &mut [f64],
-    runs: &mut RunGather,
-) -> f64 {
-    runs.gather(ranks, |u| g.out_degree(u as VertexId), None, incoming);
-    crate::util::pagerank_apply(ranks, incoming, cfg.damping)
-}
-
-fn spark_pagerank(
-    cluster: &mut Cluster,
-    ctx: &mut SparkCtx,
-    input: &EngineInput<'_>,
-    cfg: PageRankConfig,
-) -> Result<Vec<f64>, SimError> {
-    let n = ctx.n;
-    let g = input.graph;
-    let mut ranks = vec![1.0f64; n];
-    let mut incoming = vec![0.0f64; n];
-    let (tol, max_iters) = match cfg.stop {
-        StopCriterion::Tolerance(t) => (t, u32::MAX),
-        StopCriterion::Iterations(k) => (0.0, k),
-    };
-    // Materialized state backing lineage recompute: the ranks at the last
-    // checkpoint (or the initial RDD), captured only when a crash is
-    // actually scheduled.
-    let mut snapshot: Option<(u32, Vec<f64>)> =
-        cluster.plan_has_crashes().then(|| (0, ranks.clone()));
-    let edges_by_machine = &ctx.edges_by_machine;
-    let mut runs = RunGather::build(n, ctx.machines, |m| edges_by_machine[m].iter().copied());
-    // Every partition is scanned and every rank moves every iteration, so
-    // the compute and the mirror-sync traffic are the same each time.
-    let ops: Vec<f64> = edges_by_machine.iter().map(|e| e.len() as f64).collect();
-    let [sent, recv, msgs] = mirror_traffic(ctx, 0..n as VertexId);
-    let mut iter = 0u32;
-    loop {
-        if iter >= max_iters {
-            break;
-        }
-        if ctx.charge_stage(cluster)? {
-            // Lost partitions recompute from lineage: rewind to the last
-            // materialization and re-run the iterations since, uncharged —
-            // the recovery stall already billed them.
-            if let Some((snap_iter, snap_ranks)) = &snapshot {
-                ranks.clone_from(snap_ranks);
-                for _ in *snap_iter..iter {
-                    pagerank_step(g, &cfg, &mut ranks, &mut incoming, &mut runs);
-                }
-            }
-        }
-        // Label before the host work so its wallclock spans carry it
-        // (charge_compute sets the same label before the charge itself).
-        cluster.set_label("superstep");
-        let max_delta = pagerank_step(g, &cfg, &mut ranks, &mut incoming, &mut runs);
-        charge_compute(cluster, ctx, &ops)?;
-        cluster.set_label("shuffle");
-        cluster.exchange(&sent, &recv, &msgs)?;
-        if ctx.charge_lineage(cluster, iter, n as u64)? {
-            if let Some(s) = snapshot.as_mut() {
-                *s = (iter + 1, ranks.clone());
-            }
-        }
-        cluster.sample_trace();
-        iter += 1;
-        if tol > 0.0 && max_delta < tol {
-            break;
-        }
-    }
-    Ok(ranks)
-}
-
-/// One WCC label-propagation iteration: the HashMin step over both edge
-/// directions (see [`MinLabel`]), then hash-to-min's shortcut when enabled.
-/// Fills `changed` with the vertices whose label shrank. Shared by the live
-/// loop and replay.
-fn wcc_step(
-    ctx: &SparkCtx,
-    kernel: &MinLabel<'_>,
-    label: &mut Vec<VertexId>,
-    next: &mut Vec<VertexId>,
-    ops: &mut [f64],
-    changed: &mut Vec<VertexId>,
-) {
-    let n = label.len();
-    kernel.step(label, next);
-    for (o, edges) in ops.iter_mut().zip(&ctx.edges_by_machine) {
-        *o = edges.len() as f64;
-    }
-    if ctx.hash_to_min {
-        // hash-to-min's shortcutting: labels are vertex ids, so every
-        // vertex can also adopt its label's label (pointer jumping),
-        // collapsing long chains in O(log d) rounds.
-        for v in 0..n {
-            let l = next[v] as usize;
-            if next[l] < next[v] {
-                next[v] = next[l];
-            }
-        }
-        for o in ops.iter_mut() {
-            *o += (n / ctx.machines) as f64;
-        }
-    }
-    changed.clear();
-    changed.extend((0..n as VertexId).filter(|&v| next[v as usize] < label[v as usize]));
-    std::mem::swap(label, next);
-}
-
-fn spark_wcc(
-    cluster: &mut Cluster,
-    ctx: &mut SparkCtx,
-    g: &CsrGraph,
-) -> Result<Vec<VertexId>, SimError> {
-    let n = ctx.n;
-    let mut label: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut snapshot: Option<(u32, Vec<VertexId>)> =
-        cluster.plan_has_crashes().then(|| (0, label.clone()));
-    let mut ops = vec![0.0f64; ctx.machines];
-    let mut changed: Vec<VertexId> = Vec::new();
-    let kernel = MinLabel::build(g);
-    let mut next = vec![0; n];
-    let mut iter = 0u32;
-    loop {
-        if ctx.charge_stage(cluster)? {
-            if let Some((snap_iter, snap_label)) = &snapshot {
-                label.clone_from(snap_label);
-                for _ in *snap_iter..iter {
-                    wcc_step(ctx, &kernel, &mut label, &mut next, &mut ops, &mut changed);
-                }
-            }
-        }
-        cluster.set_label("superstep");
-        wcc_step(ctx, &kernel, &mut label, &mut next, &mut ops, &mut changed);
-        charge_compute(cluster, ctx, &ops)?;
-        mirror_sync(cluster, ctx, &changed)?;
-        if ctx.charge_lineage(cluster, iter, changed.len() as u64)? {
-            if let Some(s) = snapshot.as_mut() {
-                *s = (iter + 1, label.clone());
-            }
-        }
-        cluster.sample_trace();
-        iter += 1;
-        if changed.is_empty() {
-            break;
-        }
-    }
-    Ok(label)
-}
-
-/// SSSP / K-hop: mapReduceTriplets with an active-set filter. The filter
-/// still tests every edge of every partition, so each iteration charges a
-/// quarter op per edge; the wave itself is the frontier's unvisited
-/// out-neighbours (see `expand`), and only it is synced and pinned in the
-/// lineage. Replay after a crash re-runs the same steps from the snapshot.
-fn spark_traversal(
-    cluster: &mut Cluster,
-    ctx: &mut SparkCtx,
-    g: &CsrGraph,
-    source: VertexId,
-    bound: u32,
-) -> Result<Vec<u32>, SimError> {
-    let mut dist = vec![UNREACHABLE; ctx.n];
-    dist[source as usize] = 0;
-    let (mut frontier, mut next) = (vec![source], Vec::new());
-    let mut snapshot: Option<TraversalSnapshot> =
-        cluster.plan_has_crashes().then(|| (0, dist.clone(), frontier.clone()));
-    let ops: Vec<f64> = ctx.edges_by_machine.iter().map(|e| e.len() as f64 / 4.0).collect();
-    let mut iter = 0u32;
-    while !frontier.is_empty() {
-        if ctx.charge_stage(cluster)? {
-            if let Some((snap_iter, s_dist, s_frontier)) = &snapshot {
-                dist.clone_from(s_dist);
-                frontier.clone_from(s_frontier);
-                for depth in *snap_iter..iter {
-                    expand(g, &mut dist, &frontier, depth, bound, &mut next);
-                    std::mem::swap(&mut frontier, &mut next);
-                }
-            }
-        }
-        cluster.set_label("superstep");
-        expand(g, &mut dist, &frontier, iter, bound, &mut next);
-        std::mem::swap(&mut frontier, &mut next);
-        charge_compute(cluster, ctx, &ops)?;
-        mirror_sync(cluster, ctx, &frontier)?;
-        if ctx.charge_lineage(cluster, iter, frontier.len() as u64)? {
-            if let Some(s) = snapshot.as_mut() {
-                *s = (iter + 1, dist.clone(), frontier.clone());
-            }
-        }
-        cluster.sample_trace();
-        iter += 1;
-    }
-    Ok(dist)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ScaleInfo;
     use graphbench_algos::reference;
+    use graphbench_algos::workload::{PageRankConfig, StopCriterion};
+    use graphbench_algos::UNREACHABLE;
     use graphbench_gen::{Dataset, DatasetKind, Scale};
     use graphbench_graph::{CsrGraph, EdgeList};
     use graphbench_sim::ClusterSpec;
@@ -893,7 +714,7 @@ mod tests {
         rounds
     }
 
-    /// The algorithm `mirror_sync` ran before the load-time table: per
+    /// The algorithm the mirror sync ran before the load-time table: per
     /// changed vertex, collect the executors of its replica partitions,
     /// deduplicate, sort, hash-pick the coordinating copy, and count one
     /// 16-byte message per executor on another machine. Returns the

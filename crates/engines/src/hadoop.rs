@@ -19,11 +19,10 @@
 //! hit a bug where mapper output is deleted before reducers finish on 64-
 //! and 128-machine clusters — reproduced here as the `SHFL` failure.
 
-use crate::gather::{expand, source_chunk, MinLabel, RunGather};
+use crate::gather::{source_chunk, KHopEnd, Rounds, RunGather};
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
-use graphbench_algos::workload::{PageRankConfig, StopCriterion};
-use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
+use graphbench_algos::{Workload, WorkloadResult};
 use graphbench_graph::format::GraphFormat;
 use graphbench_graph::VertexId;
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
@@ -47,9 +46,8 @@ impl Engine for Hadoop {
 
     fn run(&self, input: &EngineInput<'_>) -> RunOutput {
         let mut cluster = Cluster::new(input.cluster.clone(), CostProfile::mapreduce());
-        let mut notes = Vec::new();
-        let outcome = run_mapreduce(&mut cluster, input, false, &mut notes);
-        crate::util::output_from(cluster, outcome, notes)
+        let outcome = run_mapreduce(&mut cluster, input, false);
+        crate::util::output_from(cluster, outcome, Vec::new())
     }
 }
 
@@ -64,9 +62,9 @@ impl Engine for HaLoop {
 
     fn run(&self, input: &EngineInput<'_>) -> RunOutput {
         let mut cluster = Cluster::new(input.cluster.clone(), CostProfile::mapreduce());
-        let mut notes =
+        let notes =
             vec!["HaLoop keeps many files open; raised the OS nofile limit (§2.5.1)".to_string()];
-        let outcome = run_mapreduce(&mut cluster, input, true, &mut notes);
+        let outcome = run_mapreduce(&mut cluster, input, true);
         crate::util::output_from(cluster, outcome, notes)
     }
 }
@@ -87,10 +85,10 @@ fn run_mapreduce(
     cluster: &mut Cluster,
     input: &EngineInput<'_>,
     haloop: bool,
-    _notes: &mut Vec<String>,
 ) -> Result<WorkloadResult, SimError> {
     let machines = cluster.machines();
-    let n = input.graph.num_vertices();
+    let g = input.graph;
+    let n = g.num_vertices();
     let graph_bytes = dataset_bytes(input.edges, GraphFormat::Adj);
     let state_bytes = n as u64 * 12;
 
@@ -107,45 +105,41 @@ fn run_mapreduce(
     cluster.sample_trace();
 
     cluster.begin_phase(Phase::Execute);
-
-    // Undirected adjacency for WCC (the MR implementation materializes
-    // reverse edges in its first iteration).
-    let result = match input.workload {
-        Workload::PageRank(pr) => WorkloadResult::Ranks(mr_pagerank(
-            cluster,
-            input,
-            haloop,
-            graph_bytes,
-            state_bytes,
-            pr,
-        )?),
-        Workload::Wcc => {
-            WorkloadResult::Labels(mr_wcc(cluster, input, haloop, graph_bytes, state_bytes)?)
-        }
-        Workload::Sssp { source } => WorkloadResult::Distances(mr_traversal(
-            cluster,
-            input,
-            haloop,
-            graph_bytes,
-            state_bytes,
-            source,
-            u32::MAX,
-        )?),
-        Workload::KHop { source, k } => WorkloadResult::Distances(mr_traversal(
-            cluster,
-            input,
-            haloop,
-            graph_bytes,
-            state_bytes,
-            source,
-            k,
-        )?),
+    // Every job maps every vertex and shuffles every edge: MapReduce cannot
+    // confine a traversal's work to its frontier, which is what makes MR
+    // traversals on large-diameter graphs hopeless (§5.8). HashMin emits
+    // the label along both edge directions (the MR implementation
+    // materializes the reverse edges in its first iteration).
+    let shape = IterationShape {
+        map_records: n as u64,
+        shuffle_records: g.num_edges() * if input.workload == Workload::Wcc { 2 } else { 1 },
+        record_bytes: if matches!(input.workload, Workload::PageRank(_)) { 12 } else { 8 },
+        state_bytes,
     };
+    let mut recovery = Recovery::new(cluster, RecoveryModel::TaskReexecution);
+    let mut rounds = Rounds::new(g, input.workload, false, || source_chunk_runs(g, machines));
+    while !rounds.done(KHopEnd::AtK) {
+        charge_iteration(
+            cluster,
+            &mut recovery,
+            machines,
+            input.cluster.cores,
+            haloop,
+            u64::from(rounds.round()),
+            graph_bytes,
+            &shape,
+        )?;
+        // The reduce: PageRank's sums (see `source_chunk_runs`), HashMin's
+        // least label along both edge directions, or a traversal's wave,
+        // which is all the relaxation of every edge improves (see `expand`).
+        cluster.set_label("reduce");
+        rounds.step();
+    }
 
     cluster.begin_phase(Phase::Save);
     cluster.hdfs_write(&even_share(result_bytes(n as u64), machines))?;
     cluster.free_all(&buffers);
-    Ok(result)
+    Ok(rounds.into_result())
 }
 
 /// Charge one MapReduce job executing one workload iteration.
@@ -263,159 +257,12 @@ pub(crate) fn source_chunk_runs(g: &graphbench_graph::CsrGraph, machines: usize)
     })
 }
 
-fn mr_pagerank(
-    cluster: &mut Cluster,
-    input: &EngineInput<'_>,
-    haloop: bool,
-    graph_bytes: u64,
-    state_bytes: u64,
-    cfg: PageRankConfig,
-) -> Result<Vec<f64>, SimError> {
-    let g = input.graph;
-    let n = g.num_vertices();
-    let machines = cluster.machines();
-    let mut ranks = vec![1.0f64; n];
-    let mut incoming = vec![0.0f64; n];
-    let (tol, max_iters) = match cfg.stop {
-        StopCriterion::Tolerance(t) => (t, u32::MAX),
-        StopCriterion::Iterations(k) => (0.0, k),
-    };
-    let mut recovery = Recovery::new(cluster, RecoveryModel::TaskReexecution);
-    let mut runs = source_chunk_runs(g, machines);
-    let mut iter = 0u64;
-    while (iter as u32) < max_iters {
-        let shape = IterationShape {
-            map_records: n as u64,
-            shuffle_records: g.num_edges(),
-            record_bytes: 12,
-            state_bytes,
-        };
-        charge_iteration(
-            cluster,
-            &mut recovery,
-            machines,
-            input.cluster.cores,
-            haloop,
-            iter,
-            graph_bytes,
-            &shape,
-        )?;
-        // The actual reduce computation (see `source_chunk_runs`).
-        cluster.set_label("reduce");
-        runs.gather(&ranks, |s| g.out_degree(s as VertexId), None, &mut incoming);
-        let max_delta = crate::util::pagerank_apply(&mut ranks, &incoming, cfg.damping);
-        iter += 1;
-        if tol > 0.0 && max_delta < tol {
-            break;
-        }
-    }
-    Ok(ranks)
-}
-
-fn mr_wcc(
-    cluster: &mut Cluster,
-    input: &EngineInput<'_>,
-    haloop: bool,
-    graph_bytes: u64,
-    state_bytes: u64,
-) -> Result<Vec<VertexId>, SimError> {
-    let g = input.graph;
-    let n = g.num_vertices();
-    let machines = cluster.machines();
-    let mut label: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut recovery = Recovery::new(cluster, RecoveryModel::TaskReexecution);
-    let kernel = MinLabel::build(g);
-    let mut next = vec![0; n];
-    let mut iter = 0u64;
-    loop {
-        let shape = IterationShape {
-            map_records: n as u64,
-            // HashMin emits the label along both edge directions.
-            shuffle_records: 2 * g.num_edges(),
-            record_bytes: 8,
-            state_bytes,
-        };
-        charge_iteration(
-            cluster,
-            &mut recovery,
-            machines,
-            input.cluster.cores,
-            haloop,
-            iter,
-            graph_bytes,
-            &shape,
-        )?;
-        // HashMin: every vertex takes the least label along both edge
-        // directions; it changed iff some label shrank.
-        cluster.set_label("reduce");
-        let changed = kernel.step(&label, &mut next) > 0;
-        std::mem::swap(&mut label, &mut next);
-        iter += 1;
-        if !changed {
-            break;
-        }
-    }
-    Ok(label)
-}
-
-fn mr_traversal(
-    cluster: &mut Cluster,
-    input: &EngineInput<'_>,
-    haloop: bool,
-    graph_bytes: u64,
-    state_bytes: u64,
-    source: VertexId,
-    bound: u32,
-) -> Result<Vec<u32>, SimError> {
-    let g = input.graph;
-    let n = g.num_vertices();
-    let machines = cluster.machines();
-    let mut dist = vec![UNREACHABLE; n];
-    dist[source as usize] = 0;
-    let mut recovery = Recovery::new(cluster, RecoveryModel::TaskReexecution);
-    let (mut frontier, mut next) = (vec![source], Vec::new());
-    let mut iter = 0u32;
-    loop {
-        // MapReduce scans every edge every iteration — it cannot restrict
-        // work to the frontier, which is what makes MR traversals on large-
-        // diameter graphs hopeless (§5.8).
-        let shape = IterationShape {
-            map_records: n as u64,
-            shuffle_records: g.num_edges(),
-            record_bytes: 8,
-            state_bytes,
-        };
-        charge_iteration(
-            cluster,
-            &mut recovery,
-            machines,
-            input.cluster.cores,
-            haloop,
-            u64::from(iter),
-            graph_bytes,
-            &shape,
-        )?;
-        // The relaxation of every edge improves exactly the unvisited
-        // out-neighbours of the previous wave, so the host expands only
-        // that wave (see `expand`).
-        cluster.set_label("reduce");
-        expand(g, &mut dist, &frontier, iter, bound, &mut next);
-        std::mem::swap(&mut frontier, &mut next);
-        iter += 1;
-        // K-hop needs exactly `bound` propagation waves; SSSP (unbounded)
-        // iterates until a wave improves nothing.
-        if frontier.is_empty() || iter >= bound {
-            break;
-        }
-    }
-    Ok(dist)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{exec, ScaleInfo};
     use graphbench_algos::reference;
+    use graphbench_algos::workload::{PageRankConfig, StopCriterion};
     use graphbench_gen::{Dataset, DatasetKind, Scale};
     use graphbench_graph::rng::for_each_seed;
     use graphbench_graph::{CsrGraph, EdgeList};

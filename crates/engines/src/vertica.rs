@@ -22,12 +22,11 @@
 //! systems widens as machines are added — the paper's refutation of the
 //! "relational engines are competitive" claim.
 
-use crate::gather::{expand, MinLabel};
+use crate::gather::{KHopEnd, Rounds};
+use crate::hadoop::source_chunk_runs;
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{even_share, Engine, EngineInput, RunOutput};
-use graphbench_algos::workload::{PageRankConfig, StopCriterion};
-use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
-use graphbench_graph::VertexId;
+use graphbench_algos::{Workload, WorkloadResult};
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
 
 /// How the per-iteration vertex-table refresh is executed (§2.6): rebuild
@@ -78,9 +77,8 @@ impl Engine for Vertica {
 
     fn run(&self, input: &EngineInput<'_>) -> RunOutput {
         let mut cluster = Cluster::new(input.cluster.clone(), CostProfile::vertica());
-        let mut notes =
-            vec!["graph stored as segmented E(src,dst) and V(id,value) tables".to_string()];
-        let outcome = execute(self, &mut cluster, input, &mut notes);
+        let notes = vec!["graph stored as segmented E(src,dst) and V(id,value) tables".to_string()];
+        let outcome = execute(self, &mut cluster, input);
         crate::util::output_from(cluster, outcome, notes)
     }
 }
@@ -175,11 +173,11 @@ fn execute(
     engine: &Vertica,
     cluster: &mut Cluster,
     input: &EngineInput<'_>,
-    _notes: &mut Vec<String>,
 ) -> Result<WorkloadResult, SimError> {
     let machines = cluster.machines();
-    let n = input.graph.num_vertices();
-    let m = input.graph.num_edges();
+    let g = input.graph;
+    let n = g.num_vertices();
+    let m = g.num_edges();
 
     cluster.begin_phase(Phase::Overhead);
     cluster.charge_startup()?;
@@ -220,122 +218,36 @@ fn execute(
         refresh: engine.refresh,
         recovery: Recovery::new(cluster, RecoveryModel::QueryRestart),
     };
-    let result = match input.workload {
-        Workload::PageRank(pr) => {
-            WorkloadResult::Ranks(sql_pagerank(cluster, &mut ctx, input, pr)?)
-        }
-        Workload::Wcc => WorkloadResult::Labels(sql_wcc(cluster, &mut ctx, input)?),
-        Workload::Sssp { source } => {
-            WorkloadResult::Distances(sql_traversal(cluster, &mut ctx, input, source, u32::MAX)?)
-        }
-        Workload::KHop { source, k } => {
-            WorkloadResult::Distances(sql_traversal(cluster, &mut ctx, input, source, k)?)
-        }
-    };
+    let mut rounds = Rounds::new(g, input.workload, false, || source_chunk_runs(g, machines));
+    while !rounds.done(KHopEnd::AtK) {
+        ctx.charge_statement(cluster)?;
+        // SELECT dst, agg(...) FROM V JOIN E ... GROUP BY dst. PageRank's SUM
+        // is one partial per machine's source chunk, added in machine order
+        // (see `source_chunk_runs`). HashMin over both directions joins the
+        // union of E and reversed E. A traversal joins the small ACTIVE temp
+        // table with E: the scan of E still happens, but only the frontier's
+        // out-edges are emitted.
+        let emitted = match input.workload {
+            Workload::PageRank(_) => m,
+            Workload::Wcc => 2 * m,
+            _ => rounds.changed().unwrap_or_default().iter().map(|&v| g.out_degree(v)).sum(),
+        };
+        ctx.charge_join(cluster, emitted)?;
+        cluster.set_label("join_scan");
+        rounds.step();
+        // Refresh V. Every rank changes, so the adaptive policy rebuilds. Each
+        // machine scans its source chunk against its own view of V, so WCC's
+        // `updated` counts every row a machine improved, as often as it
+        // improved it (see `MinLabel::updated`). A traversal touches the new
+        // wave's rows only (the update-in-place case, §2.6).
+        ctx.charge_refresh(cluster, rounds.updated(machines))?;
+        cluster.sample_trace();
+    }
 
     // Save: export the final V table.
     cluster.begin_phase(Phase::Save);
     cluster.local_write(&even_share(vertex_table_bytes, machines))?;
-    Ok(result)
-}
-
-fn sql_pagerank(
-    cluster: &mut Cluster,
-    ctx: &mut SqlCtx,
-    input: &EngineInput<'_>,
-    cfg: PageRankConfig,
-) -> Result<Vec<f64>, SimError> {
-    let g = input.graph;
-    let n = g.num_vertices();
-    let mut ranks = vec![1.0f64; n];
-    let mut incoming = vec![0.0f64; n];
-    let (tol, max_iters) = match cfg.stop {
-        StopCriterion::Tolerance(t) => (t, u32::MAX),
-        StopCriterion::Iterations(k) => (0.0, k),
-    };
-    let mut runs = crate::hadoop::source_chunk_runs(g, ctx.machines);
-    let mut iter = 0u32;
-    loop {
-        if iter >= max_iters {
-            break;
-        }
-        ctx.charge_statement(cluster)?;
-        // SELECT dst, SUM(rank/outdeg) FROM V JOIN E ... GROUP BY dst, then
-        // refresh V (every rank changes, so the adaptive policy rebuilds).
-        // The SUM is one partial per machine's source chunk, added in
-        // machine order (see `source_chunk_runs`).
-        ctx.charge_join(cluster, g.num_edges())?;
-        cluster.set_label("join_scan");
-        runs.gather(&ranks, |s| g.out_degree(s as VertexId), None, &mut incoming);
-        let max_delta = crate::util::pagerank_apply(&mut ranks, &incoming, cfg.damping);
-        ctx.charge_refresh(cluster, n as u64)?;
-        cluster.sample_trace();
-        iter += 1;
-        if tol > 0.0 && max_delta < tol {
-            break;
-        }
-    }
-    Ok(ranks)
-}
-
-fn sql_wcc(
-    cluster: &mut Cluster,
-    ctx: &mut SqlCtx,
-    input: &EngineInput<'_>,
-) -> Result<Vec<VertexId>, SimError> {
-    let g = input.graph;
-    let n = g.num_vertices();
-    let mut label: Vec<VertexId> = (0..n as VertexId).collect();
-    let kernel = MinLabel::build(g);
-    let mut next = vec![0; n];
-    loop {
-        ctx.charge_statement(cluster)?;
-        // HashMin over both directions needs a union of E and reversed E.
-        // Each machine scans its source chunk against its own view of V,
-        // so `updated` counts every row a machine improved, as often as it
-        // improved it (see `MinLabel::updated`).
-        ctx.charge_join(cluster, 2 * g.num_edges())?;
-        cluster.set_label("join_scan");
-        kernel.step(&label, &mut next);
-        let updated = kernel.updated(&label, &next, ctx.machines);
-        std::mem::swap(&mut label, &mut next);
-        ctx.charge_refresh(cluster, updated)?;
-        cluster.sample_trace();
-        if updated == 0 {
-            break;
-        }
-    }
-    Ok(label)
-}
-
-fn sql_traversal(
-    cluster: &mut Cluster,
-    ctx: &mut SqlCtx,
-    input: &EngineInput<'_>,
-    source: VertexId,
-    bound: u32,
-) -> Result<Vec<u32>, SimError> {
-    let g = input.graph;
-    let n = g.num_vertices();
-    let mut dist = vec![UNREACHABLE; n];
-    dist[source as usize] = 0;
-    let (mut frontier, mut next) = (vec![source], Vec::new());
-    let mut depth = 0u32;
-    while !frontier.is_empty() && depth < bound {
-        ctx.charge_statement(cluster)?;
-        // Join the small ACTIVE temp table with E: the scan of E still
-        // happens, but only frontier out-edges are emitted and the vertex
-        // table refresh touches few rows (the update-in-place case, §2.6).
-        let emitted: u64 = frontier.iter().map(|&v| g.out_degree(v)).sum();
-        ctx.charge_join(cluster, emitted)?;
-        cluster.set_label("join_scan");
-        expand(g, &mut dist, &frontier, depth, bound, &mut next);
-        ctx.charge_refresh(cluster, next.len() as u64)?;
-        cluster.sample_trace();
-        std::mem::swap(&mut frontier, &mut next);
-        depth += 1;
-    }
-    Ok(dist)
+    Ok(rounds.into_result())
 }
 
 #[cfg(test)]
@@ -343,7 +255,9 @@ mod tests {
     use super::*;
     use crate::ScaleInfo;
     use graphbench_algos::reference;
+    use graphbench_algos::workload::{PageRankConfig, StopCriterion};
     use graphbench_gen::{Dataset, DatasetKind, Scale};
+    use graphbench_graph::VertexId;
     use graphbench_graph::{CsrGraph, EdgeList};
     use graphbench_sim::{ClusterSpec, EventKind};
 
