@@ -28,11 +28,9 @@ pub struct Counted<T> {
 /// Pull-based PageRank over the in-edge index: each vertex gathers its
 /// in-neighbours' contributions, which is cache-friendlier than push-based
 /// scatter and needs no per-edge atomic state.
-///
-/// `g` must have its in-edge index built.
 pub fn pagerank(g: &CsrGraph, cfg: &PageRankConfig) -> Counted<Vec<f64>> {
     let n = g.num_vertices();
-    assert!(g.has_in_edges(), "pull-based PageRank needs the in-edge index");
+    let ins = g.in_index();
     let mut ranks = vec![1.0f64; n];
     let mut contrib = vec![0.0f64; n];
     let mut ops = 0u64;
@@ -50,10 +48,10 @@ pub fn pagerank(g: &CsrGraph, cfg: &PageRankConfig) -> Counted<Vec<f64>> {
         let mut max_delta = 0.0f64;
         for (v, rank) in ranks.iter_mut().enumerate() {
             let mut sum = 0.0f64;
-            for &u in g.in_neighbors(v as VertexId) {
+            for &u in ins.neighbors(v as VertexId) {
                 sum += contrib[u as usize];
             }
-            ops += g.in_degree(v as VertexId) + 1;
+            ops += ins.degree(v as VertexId) + 1;
             let new = cfg.damping + (1.0 - cfg.damping) * sum;
             max_delta = max_delta.max((new - *rank).abs());
             *rank = new;
@@ -69,11 +67,10 @@ pub fn pagerank(g: &CsrGraph, cfg: &PageRankConfig) -> Counted<Vec<f64>> {
 }
 
 /// Direction-optimizing BFS (top-down / bottom-up switching) for unit-weight
-/// SSSP. Requires the in-edge index for the bottom-up passes. The degree
+/// SSSP. The bottom-up passes read the in-edge index. The degree
 /// precomputation of the paper's reference implementation corresponds to the
 /// CSR offsets being available up front.
 pub fn sssp(g: &CsrGraph, source: VertexId) -> Counted<Vec<u32>> {
-    assert!(g.has_in_edges(), "direction-optimizing BFS needs the in-edge index");
     let n = g.num_vertices();
     let mut dist = vec![UNREACHABLE; n];
     let mut ops = 0u64;
@@ -92,11 +89,12 @@ pub fn sssp(g: &CsrGraph, source: VertexId) -> Counted<Vec<u32>> {
         let mut next = Vec::new();
         if bottom_up {
             // Every unvisited vertex scans its in-neighbours for a parent.
+            let ins = g.in_index();
             for v in 0..n as VertexId {
                 if dist[v as usize] != UNREACHABLE {
                     continue;
                 }
-                for &u in g.in_neighbors(v) {
+                for &u in ins.neighbors(v) {
                     ops += 1;
                     if dist[u as usize] == depth {
                         dist[v as usize] = depth + 1;

@@ -6,7 +6,7 @@ use graphbench::report::Table;
 use graphbench::runner::{ExperimentSpec, RunRecord};
 use graphbench::system::{GlStop, SystemId};
 use graphbench_algos::WorkloadKind;
-use graphbench_engines::{dataset_bytes, graphx::GraphX};
+use graphbench_engines::graphx::GraphX;
 use graphbench_gen::{Dataset, DatasetKind};
 use graphbench_graph::format::GraphFormat;
 use graphbench_graph::stats;
@@ -126,7 +126,7 @@ pub fn table5(ctx: &Ctx) -> Vec<RunRecord> {
 
     // The default derivation at paper scale: one partition per 64 MB block.
     let ds = env.prepare(DatasetKind::Twitter);
-    let bytes = dataset_bytes(&ds.dataset.edges, GraphFormat::EdgeListFormat);
+    let bytes = ds.graph.text_bytes(GraphFormat::EdgeListFormat);
     let paper_bytes = (bytes as f64 * ds.work_scale) as u64;
     println!(
         "HDFS-block default for Twitter at paper scale: {} blocks of 64 MB over {:.1} GB \

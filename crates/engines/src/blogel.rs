@@ -29,7 +29,7 @@
 use crate::bsp::{self, run_bsp_pagerank, BspConfig};
 use crate::programs::PageRankProgram;
 use crate::recovery::{Recovery, RecoveryModel};
-use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
+use crate::{even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::PageRankConfig;
 use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
 use graphbench_graph::format::GraphFormat;
@@ -71,7 +71,7 @@ fn run_vertex_mode(
     // Load: Blogel requires the adj-long format (§4.3) so vertices with only
     // in-edges exist from the start.
     cluster.begin_phase(Phase::Load);
-    let dataset = dataset_bytes(input.edges, GraphFormat::AdjLong);
+    let dataset = input.graph.text_bytes(GraphFormat::AdjLong);
     cluster.hdfs_read(&even_share(dataset, machines))?;
     let part = EdgeCutPartition::random(input.edges.num_vertices, machines, input.seed);
     let moved = dataset - dataset / machines as u64;
@@ -172,7 +172,7 @@ fn run_block_mode(
     cluster.charge_startup()?;
 
     cluster.begin_phase(Phase::Load);
-    let dataset = dataset_bytes(input.edges, GraphFormat::AdjLong);
+    let dataset = input.graph.text_bytes(GraphFormat::AdjLong);
     cluster.hdfs_read(&even_share(dataset, machines))?;
 
     // Form blocks. GVD sampling rounds are distributed BFS passes plus a
@@ -374,20 +374,42 @@ fn block_wcc(
     recovery.at_barrier(cluster)?;
 
     // Undirected component graph over cross-block (or cross-component)
-    // edges, deduplicated.
+    // edges: each component's members, bucketed in one pass, list their
+    // out- and in-neighbours' components, and `seen[d] == c` keeps each
+    // neighbour once. Lists are in order of first sight; HashMin below
+    // reads them only through integer sums and a min-fold.
     let nc = comp_label.len();
-    let mut comp_adj: Vec<Vec<u32>> = vec![Vec::new(); nc];
-    for e in &input.edges.edges {
-        let (a, b) = (comp_of[e.src as usize], comp_of[e.dst as usize]);
-        if a != b {
-            comp_adj[a as usize].push(b);
-            comp_adj[b as usize].push(a);
-        }
+    let mut first = vec![0usize; nc + 1];
+    for &c in &comp_of {
+        first[c as usize + 1] += 1;
     }
-    for l in &mut comp_adj {
-        l.sort_unstable();
-        l.dedup();
+    for c in 0..nc {
+        first[c + 1] += first[c];
     }
+    let mut members = vec![0 as VertexId; n];
+    let mut cursor = first[..nc].to_vec();
+    for (v, &c) in comp_of.iter().enumerate() {
+        members[cursor[c as usize]] = v as VertexId;
+        cursor[c as usize] += 1;
+    }
+    let (g, ins) = (input.graph, input.graph.in_index());
+    let mut seen = vec![u32::MAX; nc];
+    let comp_adj: Vec<Vec<u32>> = (0..nc as u32)
+        .map(|c| {
+            seen[c as usize] = c;
+            let mut adj = Vec::new();
+            for &v in &members[first[c as usize]..first[c as usize + 1]] {
+                for &u in g.out_neighbors(v).iter().chain(ins.neighbors(v)) {
+                    let d = comp_of[u as usize];
+                    if seen[d as usize] != c {
+                        seen[d as usize] = c;
+                        adj.push(d);
+                    }
+                }
+            }
+            adj
+        })
+        .collect();
 
     // HashMin over local components: each superstep scans the active
     // components against the frozen labels, charges each one's work and

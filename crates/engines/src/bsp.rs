@@ -514,9 +514,7 @@ enum Start {
     Source { at: usize, bound: u32 },
 }
 
-/// What the label path pushes along and into, built by its first scan:
-/// the routes first, so that the transpose WCC builds them from is freed
-/// before the mailboxes are allocated.
+/// What the label path pushes along and into, built by its first scan.
 struct Run {
     routes: Routes,
     /// The delivered inbox.
@@ -608,7 +606,7 @@ impl Routes {
     /// in-edges without self-loops, each target once.
     fn new(g: &CsrGraph, pos: &Positions, with_in_edges: bool) -> Routes {
         let (n, pos_of) = (g.num_vertices(), pos.pos_of());
-        let transposed = with_in_edges.then(|| g.transpose());
+        let ins = with_in_edges.then(|| g.in_index());
         let mut at = Vec::with_capacity(n + 1);
         at.push(0);
         let mut raw = Vec::with_capacity(n);
@@ -633,8 +631,8 @@ impl Routes {
             for &u in g.out_neighbors(v) {
                 route(pos_of[u as usize], true);
             }
-            if let Some((in_off, in_src)) = &transposed {
-                for &u in &in_src[in_off[v as usize] as usize..in_off[v as usize + 1] as usize] {
+            if let Some(ins) = ins {
+                for &u in ins.neighbors(v) {
                     route(pos_of[u as usize], u != v);
                 }
             }

@@ -26,7 +26,7 @@
 use crate::exec;
 use crate::gather::{expand, MinLabel, RunGather};
 use crate::recovery::{Recovery, RecoveryModel};
-use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
+use crate::{even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
 use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
 use graphbench_graph::format::GraphFormat;
@@ -252,7 +252,7 @@ fn execute(
 
     // ---- Load ----
     cluster.begin_phase(Phase::Load);
-    let dataset = dataset_bytes(input.edges, GraphFormat::Adj);
+    let dataset = input.graph.text_bytes(GraphFormat::Adj);
     cluster.hdfs_read(&even_share(dataset, machines))?;
 
     // GraphLab cannot represent self-edges (§3.1.1).
@@ -748,6 +748,7 @@ fn wcc_propagate(
     let n = ctx.n;
     let mut label: Vec<VertexId> = (0..n as VertexId).collect();
     let mut best: Vec<VertexId> = vec![0; n];
+    // The signal mask: set from `improved` each round, cleared when applied.
     let mut improves = vec![false; n];
     let mut improved = Vec::new();
     let kernel = MinLabel::build(g);
@@ -756,8 +757,8 @@ fn wcc_propagate(
         cluster.set_label("gather");
         kernel.step(&label, &mut best, &mut improved);
         let improving = improved.len() as u64;
-        for (i, (b, l)) in improves.iter_mut().zip(best.iter().zip(&label)) {
-            *i = b < l;
+        for &v in &improved {
+            improves[v as usize] = true;
         }
         let tally = wcc_tally(ctx, (!first).then_some(&improves[..]));
         if tally[0].iter().all(|&ops| ops == 0) {
@@ -775,15 +776,12 @@ fn wcc_propagate(
         cluster.sample_trace();
         // Apply: changed vertices sync their mirrors and signal their
         // neighbours for the next round.
-        let mut changed: Vec<VertexId> = Vec::new();
-        for v in 0..n {
-            if improves[v] {
-                label[v] = best[v];
-                changed.push(v as VertexId);
-            }
+        for &v in &improved {
+            label[v as usize] = best[v as usize];
+            improves[v as usize] = false;
         }
-        ctx.charge_mirror_sync(cluster, changed.iter().copied())?;
-        if changed.is_empty() {
+        ctx.charge_mirror_sync(cluster, improved.iter().copied())?;
+        if improved.is_empty() {
             break;
         }
         first = false;

@@ -48,6 +48,7 @@
 use crate::exec;
 use graphbench_algos::workload::StopCriterion;
 use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
+use graphbench_graph::csr::InIndex;
 use graphbench_graph::{CsrGraph, VertexId};
 use std::ops::Range;
 
@@ -256,8 +257,8 @@ pub(crate) fn source_chunk(c: usize, parts: usize, n: usize) -> Range<usize> {
 
 /// The HashMin step of every non-BSP WCC (GraphLab, GraphX, Hadoop/HaLoop,
 /// Vertica): `next[v] = min(label[v], labels of out(v) ∪ in(v))`, one pass
-/// over the out-CSR and a reverse index built once per run, its in-lists
-/// ascending by source.
+/// over the out-CSR and the graph's shared reverse index
+/// ([`CsrGraph::in_index`]), its in-lists ascending by source.
 ///
 /// Vertica's `updated` rows ([`MinLabel::updated`]) count the strict
 /// running-min improvements per source chunk ([`source_chunk`] of `parts`):
@@ -270,19 +271,17 @@ pub(crate) fn source_chunk(c: usize, parts: usize, n: usize) -> Range<usize> {
 /// label shrank.
 pub(crate) struct MinLabel<'g> {
     g: &'g CsrGraph,
-    /// `v`'s in-neighbours are `in_src[in_off[v]..in_off[v + 1]]`, ascending.
-    in_off: Vec<u64>,
-    in_src: Vec<VertexId>,
+    /// `g`'s in-neighbours, ascending.
+    ins: &'g InIndex,
 }
 
 impl<'g> MinLabel<'g> {
     pub(crate) fn build(g: &'g CsrGraph) -> MinLabel<'g> {
-        let (in_off, in_src) = g.transpose();
-        MinLabel { g, in_off, in_src }
+        MinLabel { g, ins: g.in_index() }
     }
 
     fn ins(&self, v: usize) -> &[VertexId] {
-        &self.in_src[self.in_off[v] as usize..self.in_off[v + 1] as usize]
+        self.ins.neighbors(v as VertexId)
     }
 
     /// Fill `next`, and `improved` with the improved vertices, those with

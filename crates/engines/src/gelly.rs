@@ -17,7 +17,7 @@
 //! shared runtime with Flink's cost profile.
 
 use crate::bsp::{self, BspConfig};
-use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
+use crate::{even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::WorkloadResult;
 use graphbench_graph::format::GraphFormat;
 use graphbench_partition::EdgeCutPartition;
@@ -88,7 +88,7 @@ fn execute(
     }
 
     cluster.begin_phase(Phase::Load);
-    let dataset = dataset_bytes(input.edges, GraphFormat::EdgeListFormat);
+    let dataset = input.graph.text_bytes(GraphFormat::EdgeListFormat);
     if !engine.streaming {
         cluster.hdfs_read(&even_share(dataset, machines))?;
     }

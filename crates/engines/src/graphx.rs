@@ -27,7 +27,7 @@
 
 use crate::gather::{KHopEnd, Rounds, RunGather};
 use crate::recovery::{Recovery, RecoveryModel};
-use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
+use crate::{even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::{Workload, WorkloadResult};
 use graphbench_graph::format::GraphFormat;
 use graphbench_graph::rng::splitmix64;
@@ -219,7 +219,7 @@ fn execute(
     cluster.charge_startup()?;
 
     cluster.begin_phase(Phase::Load);
-    let bytes = dataset_bytes(input.edges, GraphFormat::EdgeListFormat);
+    let bytes = input.graph.text_bytes(GraphFormat::EdgeListFormat);
     let slots = engine.partitions_for(bytes);
     // Reading the same HDFS block from several tasks re-reads it.
     let read_amplification = (slots as u64).div_ceil((bytes / HDFS_BLOCK_BYTES).max(1)).min(4);

@@ -21,7 +21,7 @@
 
 use crate::gather::{source_chunk, KHopEnd, Rounds, RunGather};
 use crate::recovery::{Recovery, RecoveryModel};
-use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
+use crate::{even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::{Workload, WorkloadResult};
 use graphbench_graph::format::GraphFormat;
 use graphbench_graph::VertexId;
@@ -89,7 +89,7 @@ fn run_mapreduce(
     let machines = cluster.machines();
     let g = input.graph;
     let n = g.num_vertices();
-    let graph_bytes = dataset_bytes(input.edges, GraphFormat::Adj);
+    let graph_bytes = g.text_bytes(GraphFormat::Adj);
     let state_bytes = n as u64 * 12;
 
     cluster.begin_phase(Phase::Overhead);

@@ -38,7 +38,7 @@ pub(crate) mod util;
 pub mod vertica;
 
 use graphbench_algos::{Workload, WorkloadResult};
-use graphbench_graph::{format::GraphFormat, CsrGraph, EdgeList};
+use graphbench_graph::{CsrGraph, EdgeList};
 use graphbench_sim::{ClusterSpec, HostSpan, Journal, MetricsRegistry, RunMetrics, Trace};
 
 /// Mapping from this run's scaled-down dataset to the paper-scale original,
@@ -113,41 +113,6 @@ pub trait Engine {
     fn run(&self, input: &EngineInput<'_>) -> RunOutput;
 }
 
-/// Shared helper: on-disk dataset size in the format this system consumes
-/// (§4.3: Hadoop/HaLoop/Giraph/GraphLab read `adj`, Blogel `adj-long`,
-/// GraphX/Gelly `edge`), without materializing the text.
-pub fn dataset_bytes(el: &EdgeList, format: GraphFormat) -> u64 {
-    match format {
-        GraphFormat::EdgeListFormat => {
-            el.edges.iter().map(|e| digits(e.src as u64) + digits(e.dst as u64) + 2).sum()
-        }
-        GraphFormat::Adj | GraphFormat::AdjLong => {
-            let n = el.num_vertices as usize;
-            let mut deg = vec![0u64; n];
-            let mut edge_bytes = 0u64;
-            for e in &el.edges {
-                deg[e.src as usize] += 1;
-                edge_bytes += digits(e.dst as u64) + 1;
-            }
-            let mut line_bytes = 0u64;
-            for (v, &d) in deg.iter().enumerate() {
-                if d > 0 || format == GraphFormat::AdjLong {
-                    line_bytes += digits(v as u64) + 1;
-                    if format == GraphFormat::AdjLong {
-                        line_bytes += digits(d) + 1;
-                    }
-                }
-            }
-            line_bytes + edge_bytes
-        }
-    }
-}
-
-/// Decimal digits of `x` as text.
-fn digits(x: u64) -> u64 {
-    x.checked_ilog10().map_or(1, |l| u64::from(l) + 1)
-}
-
 /// Shared helper: per-machine byte shares when a byte total is spread
 /// evenly (HDFS chunks, hash partitions).
 pub fn even_share(total: u64, machines: usize) -> Vec<u64> {
@@ -164,29 +129,6 @@ pub fn result_bytes(num_vertices: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphbench_graph::builder::edge_list_from_pairs;
-    use graphbench_graph::format::{encoded_size, GraphFormat};
-
-    #[test]
-    fn dataset_bytes_matches_real_encoding() {
-        let mut el = edge_list_from_pairs(&[(0, 1), (0, 25), (12, 3), (999, 0)]);
-        el.num_vertices = 1_000;
-        for fmt in [GraphFormat::Adj, GraphFormat::AdjLong, GraphFormat::EdgeListFormat] {
-            assert_eq!(dataset_bytes(&el, fmt), encoded_size(&el, fmt), "{}", fmt.name());
-        }
-    }
-
-    #[test]
-    fn digits_match_the_decimal_text() {
-        let mut xs = vec![0, u64::MAX];
-        for e in 0..=19 {
-            let p = 10u64.pow(e);
-            xs.extend([p, p - 1]);
-        }
-        for x in xs {
-            assert_eq!(digits(x), x.to_string().len() as u64, "{x}");
-        }
-    }
 
     #[test]
     fn even_share_sums_to_total() {

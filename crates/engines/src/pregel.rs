@@ -13,7 +13,7 @@
 //! * four mappers per machine, i.e. all 4 cores compute.
 
 use crate::bsp::{self, BspConfig};
-use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
+use crate::{even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::WorkloadResult;
 use graphbench_graph::format::GraphFormat;
 use graphbench_partition::EdgeCutPartition;
@@ -96,7 +96,7 @@ fn execute(
     // Load: read the adj dataset from HDFS, shuffle vertices to their hash
     // machines, and materialize the JVM object graph.
     cluster.begin_phase(Phase::Load);
-    let dataset = dataset_bytes(input.edges, GraphFormat::Adj);
+    let dataset = input.graph.text_bytes(GraphFormat::Adj);
     cluster.hdfs_read(&even_share(dataset, machines))?;
     let part = EdgeCutPartition::random(input.edges.num_vertices, machines, input.seed);
     // Lines read from HDFS blocks land anywhere; (M-1)/M of the bytes move.

@@ -8,7 +8,7 @@
 //! and a memory requirement that can exceed a single cluster node's (the
 //! paper needed 112 GB for WCC on the road network).
 
-use crate::{dataset_bytes, even_share, result_bytes, Engine, EngineInput, RunOutput};
+use crate::{even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::PageRankConfig;
 use graphbench_algos::{st, Workload, WorkloadResult};
 use graphbench_graph::format::GraphFormat;
@@ -53,15 +53,15 @@ fn execute(
 
     // No framework: load is a local file read plus CSR construction.
     cluster.begin_phase(Phase::Load);
-    let bytes = dataset_bytes(input.edges, GraphFormat::Adj);
+    let bytes = input.graph.text_bytes(GraphFormat::Adj);
     cluster.local_read(&even_share(bytes, 1))?;
     let needs_in_edges = matches!(input.workload, Workload::PageRank(_) | Workload::Sssp { .. });
-    let mut g = input.graph.clone();
+    let g = input.graph;
     let mut resident = n as u64 * profile.bytes_per_vertex + g.num_edges() * profile.bytes_per_edge;
     if needs_in_edges {
         // Pull-based PageRank and direction-optimizing BFS index both
         // directions — the memory premium the paper notes (112 GB for WRN).
-        g.build_in_edges();
+        // The kernels borrow the graph's shared reverse index.
         resident += g.num_edges() * profile.bytes_per_edge + n as u64 * 8;
     }
     cluster.alloc(0, resident)?;
@@ -74,22 +74,22 @@ fn execute(
     let result = match input.workload {
         Workload::PageRank(pr) => {
             let cfg = PageRankConfig { ..pr };
-            let out = st::pagerank(&g, &cfg);
+            let out = st::pagerank(g, &cfg);
             cluster.advance_compute_on(0, out.ops as f64)?;
             WorkloadResult::Ranks(out.value)
         }
         Workload::Wcc => {
-            let out = st::wcc(&g);
+            let out = st::wcc(g);
             cluster.advance_compute_on(0, out.ops as f64)?;
             WorkloadResult::Labels(out.value)
         }
         Workload::Sssp { source } => {
-            let out = st::sssp(&g, source);
+            let out = st::sssp(g, source);
             cluster.advance_compute_on(0, out.ops as f64)?;
             WorkloadResult::Distances(out.value)
         }
         Workload::KHop { source, k } => {
-            let out = st::khop(&g, source, k);
+            let out = st::khop(g, source, k);
             cluster.advance_compute_on(0, out.ops as f64)?;
             WorkloadResult::Distances(out.value)
         }

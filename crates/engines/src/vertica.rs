@@ -187,8 +187,7 @@ fn execute(
     cluster.begin_phase(Phase::Load);
     let edge_table_bytes = m * EDGE_ROW_BYTES;
     let vertex_table_bytes = n as u64 * VERTEX_ROW_BYTES;
-    let raw =
-        crate::dataset_bytes(input.edges, graphbench_graph::format::GraphFormat::EdgeListFormat);
+    let raw = input.graph.text_bytes(graphbench_graph::format::GraphFormat::EdgeListFormat);
     cluster.local_read(&even_share(raw, machines))?;
     // Segmentation shuffle: rows move to their hash machine.
     let moved = raw - raw / machines as u64;

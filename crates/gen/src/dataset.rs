@@ -247,4 +247,17 @@ mod tests {
             assert_eq!(streamed, via_list, "kind {}", kind.name());
         }
     }
+
+    #[test]
+    fn csr_text_bytes_match_the_encoded_edge_list() {
+        use graphbench_graph::format::{encoded_size, GraphFormat};
+        for kind in DatasetKind::ALL {
+            let d = Dataset::generate(kind, Scale { base: 300 }, 3);
+            let g = d.to_csr();
+            for fmt in [GraphFormat::Adj, GraphFormat::AdjLong, GraphFormat::EdgeListFormat] {
+                let want = encoded_size(&d.edges, fmt);
+                assert_eq!(g.text_bytes(fmt), want, "{} as {}", kind.name(), fmt.name());
+            }
+        }
+    }
 }

@@ -1,8 +1,9 @@
 //! Compressed-sparse-row graph representation.
 
 use crate::disk::MapRegion;
+use crate::format::GraphFormat;
 use crate::{EdgeList, VertexId};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One CSR array: either owned in memory or a window of a read-only mmap
 /// (see [`crate::disk`]). Mapped segments share the region through an `Arc`,
@@ -110,22 +111,27 @@ impl Offsets {
     }
 }
 
-/// A directed graph in CSR form with an optional in-edge (reverse) index.
+/// A directed graph in CSR form, with a reverse (in-edge) index and the
+/// dataset's text sizes built on first use.
 ///
 /// ```
 /// use graphbench_graph::builder::csr_from_pairs;
 ///
-/// let mut g = csr_from_pairs(&[(0, 1), (0, 2), (1, 2)]);
+/// let g = csr_from_pairs(&[(0, 1), (0, 2), (1, 2)]);
 /// assert_eq!(g.out_neighbors(0), &[1, 2]);
-/// g.build_in_edges();
 /// assert_eq!(g.in_neighbors(2), &[0, 1]);
 /// ```
 ///
 /// Every engine operates on `CsrGraph` or on per-machine fragments derived
-/// from it. The out-adjacency is always present; the in-adjacency is built
-/// on demand because only some systems need it (GraphLab exposes both edge
-/// directions natively, while Giraph/Blogel discover in-neighbours with an
-/// extra superstep — the memory difference matters to the simulation).
+/// from it. The out-adjacency is the graph; the reverse index and the text
+/// sizes are host caches, functions of the out-adjacency that are built
+/// once, the first time an accessor needs them, and shared by every run
+/// that borrows the graph. They are never charged: [`CsrGraph::raw_bytes`]
+/// counts the out-CSR only, equality ignores them, and the memory a system
+/// spends on in-edges stays in that engine's own charges (GraphLab exposes
+/// both edge directions natively, while Giraph/Blogel discover
+/// in-neighbours with an extra superstep — the memory difference matters
+/// to the simulation).
 ///
 /// Storage is compact: offsets narrow to u32 whenever the edge count allows
 /// it, and graphs loaded from the on-disk cache ([`crate::disk`]) keep their
@@ -136,8 +142,53 @@ pub struct CsrGraph {
     num_vertices: usize,
     out_offsets: Offsets,
     out_targets: Seg<VertexId>,
-    in_offsets: Option<Vec<u64>>,
-    in_targets: Option<Vec<VertexId>>,
+    in_index: OnceLock<InIndex>,
+    /// Encoded bytes in each [`GraphFormat`], indexed by [`text_slot`].
+    text_bytes: OnceLock<[u64; 3]>,
+}
+
+/// The reverse index: `v`'s in-neighbours, ascending by source, a source
+/// repeated once per parallel edge (what [`CsrGraph::transpose`] builds),
+/// with offsets as narrow as the out-CSR's.
+#[derive(Clone)]
+pub struct InIndex {
+    offsets: Offsets,
+    sources: Vec<VertexId>,
+}
+
+impl InIndex {
+    fn build(g: &CsrGraph) -> InIndex {
+        let (offsets, sources) = g.transpose();
+        InIndex { offsets: Offsets::from_u64(offsets), sources }
+    }
+
+    /// In-neighbours of `v`, ascending.
+    #[inline]
+    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
+        let s = self.offsets.get(v as usize) as usize;
+        let e = self.offsets.get(v as usize + 1) as usize;
+        &self.sources[s..e]
+    }
+
+    /// In-degree of `v`.
+    #[inline]
+    pub fn degree(&self, v: VertexId) -> u64 {
+        self.offsets.get(v as usize + 1) - self.offsets.get(v as usize)
+    }
+}
+
+/// The slot of `format` in [`CsrGraph`]'s memoised text sizes.
+fn text_slot(format: GraphFormat) -> usize {
+    match format {
+        GraphFormat::Adj => 0,
+        GraphFormat::AdjLong => 1,
+        GraphFormat::EdgeListFormat => 2,
+    }
+}
+
+/// Decimal digits of `x` as text.
+fn digits(x: u64) -> u64 {
+    x.checked_ilog10().map_or(1, |l| u64::from(l) + 1)
 }
 
 impl std::fmt::Debug for CsrGraph {
@@ -154,14 +205,13 @@ impl std::fmt::Debug for CsrGraph {
 
 impl PartialEq for CsrGraph {
     /// Logical equality: same vertex count, offsets, and adjacency —
-    /// independent of offset width and of owned-vs-mapped backing, so a
-    /// cache-loaded graph compares equal to a freshly generated one.
+    /// independent of offset width, of owned-vs-mapped backing and of which
+    /// caches were built, so a cache-loaded graph compares equal to a
+    /// freshly generated one.
     fn eq(&self, other: &Self) -> bool {
         self.num_vertices == other.num_vertices
             && self.out_offsets.eq_values(&other.out_offsets)
             && self.out_targets.as_slice() == other.out_targets.as_slice()
-            && self.in_offsets == other.in_offsets
-            && self.in_targets == other.in_targets
     }
 }
 
@@ -188,13 +238,7 @@ impl CsrGraph {
     pub fn from_raw(num_vertices: usize, offsets: Vec<u64>, targets: Vec<VertexId>) -> Self {
         assert_eq!(offsets.len(), num_vertices + 1, "offset array length");
         assert_eq!(offsets.last().copied().unwrap_or(0), targets.len() as u64, "edge count");
-        CsrGraph {
-            num_vertices,
-            out_offsets: Offsets::from_u64(offsets),
-            out_targets: Seg::Owned(targets),
-            in_offsets: None,
-            in_targets: None,
-        }
+        CsrGraph::from_parts(num_vertices, Offsets::from_u64(offsets), Seg::Owned(targets))
     }
 
     pub(crate) fn from_parts(
@@ -202,7 +246,13 @@ impl CsrGraph {
         out_offsets: Offsets,
         out_targets: Seg<VertexId>,
     ) -> Self {
-        CsrGraph { num_vertices, out_offsets, out_targets, in_offsets: None, in_targets: None }
+        CsrGraph {
+            num_vertices,
+            out_offsets,
+            out_targets,
+            in_index: OnceLock::new(),
+            text_bytes: OnceLock::new(),
+        }
     }
 
     pub(crate) fn out_parts(&self) -> (&Offsets, &[VertexId]) {
@@ -244,18 +294,21 @@ impl CsrGraph {
         self.out_offsets.width()
     }
 
-    /// True once [`CsrGraph::build_in_edges`] has run.
+    /// True once the reverse index is built.
     pub fn has_in_edges(&self) -> bool {
-        self.in_offsets.is_some()
+        self.in_index.get().is_some()
     }
 
-    /// Build the reverse (in-edge) index. Idempotent.
+    /// Build the reverse (in-edge) index now rather than on first use.
+    /// Idempotent.
     pub fn build_in_edges(&mut self) {
-        if self.in_offsets.is_none() {
-            let (offsets, sources) = self.transpose();
-            self.in_offsets = Some(offsets);
-            self.in_targets = Some(sources);
-        }
+        self.in_index();
+    }
+
+    /// The reverse index, built on first use and kept as long as the graph.
+    /// Concurrent first uses build it once.
+    pub fn in_index(&self) -> &InIndex {
+        self.in_index.get_or_init(|| InIndex::build(self))
     }
 
     /// The reverse index as `(offsets, sources)`, one counting sort: `v`'s
@@ -283,19 +336,41 @@ impl CsrGraph {
         (offsets, sources)
     }
 
-    /// In-neighbours of `v`. Panics unless [`CsrGraph::build_in_edges`] ran.
+    /// In-neighbours of `v`, ascending (see [`CsrGraph::in_index`]).
     pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
-        let offsets = self.in_offsets.as_ref().expect("in-edge index not built");
-        let targets = self.in_targets.as_ref().unwrap();
-        let s = offsets[v as usize] as usize;
-        let e = offsets[v as usize + 1] as usize;
-        &targets[s..e]
+        self.in_index().neighbors(v)
     }
 
-    /// In-degree of `v`. Panics unless the in-edge index was built.
+    /// In-degree of `v` (see [`CsrGraph::in_index`]).
     pub fn in_degree(&self, v: VertexId) -> u64 {
-        let offsets = self.in_offsets.as_ref().expect("in-edge index not built");
-        offsets[v as usize + 1] - offsets[v as usize]
+        self.in_index().degree(v)
+    }
+
+    /// Bytes of the dataset as text in `format` (§4.3: Hadoop/HaLoop,
+    /// Giraph and GraphLab read `adj`, Blogel `adj-long`, GraphX/Gelly
+    /// `edge`), what [`crate::format::encoded_size`] writes out for the
+    /// edge list this graph was built from, without materializing the text.
+    /// All three are counted in one pass over the out-CSR on first use.
+    pub fn text_bytes(&self, format: GraphFormat) -> u64 {
+        self.text_bytes.get_or_init(|| self.count_text_bytes())[text_slot(format)]
+    }
+
+    /// `adj` lists each vertex with out-edges, `adj-long` every vertex with
+    /// its degree, `edge` each edge with its source: every format spends
+    /// one separator plus the digits per target.
+    fn count_text_bytes(&self) -> [u64; 3] {
+        let mut sizes = [0u64; 3];
+        let mut targets = 0u64;
+        for v in 0..self.num_vertices as VertexId {
+            let (d, line) = (self.out_degree(v), digits(u64::from(v)) + 1);
+            if d > 0 {
+                sizes[text_slot(GraphFormat::Adj)] += line;
+            }
+            sizes[text_slot(GraphFormat::AdjLong)] += line + digits(d) + 1;
+            sizes[text_slot(GraphFormat::EdgeListFormat)] += d * line;
+            targets += self.out_neighbors(v).iter().map(|&t| digits(u64::from(t)) + 1).sum::<u64>();
+        }
+        sizes.map(|s| s + targets)
     }
 
     /// Iterate all edges as `(src, dst)` pairs in CSR order.
@@ -304,19 +379,13 @@ impl CsrGraph {
             .flat_map(move |v| self.out_neighbors(v).iter().map(move |&t| (v, t)))
     }
 
-    /// Bytes of the raw CSR arrays in their *actual* layout (the "C++
+    /// Bytes of the out-CSR arrays in their *actual* layout (the "C++
     /// compact" memory baseline the simulator scales per-system): the real
     /// offset width (4 or 8 per entry) times the offset count, plus 4 bytes
-    /// per target, for each direction that is materialized.
+    /// per target. The host caches are not counted, so the figure does not
+    /// depend on which runs used the graph before.
     pub fn raw_bytes(&self) -> u64 {
-        let out = self.out_offsets.len() as u64 * self.out_offsets.width()
-            + self.out_targets.len() as u64 * 4;
-        let inn = self
-            .in_offsets
-            .as_ref()
-            .map(|o| (o.len() * 8 + self.in_targets.as_ref().unwrap().len() * 4) as u64)
-            .unwrap_or(0);
-        out + inn
+        self.out_offsets.len() as u64 * self.out_offsets.width() + self.out_targets.len() as u64 * 4
     }
 }
 
@@ -389,13 +458,7 @@ impl CsrBuilder {
         for (v, (&c, w)) in f.cursor.iter().zip(f.offsets[1..].iter()).enumerate() {
             assert_eq!(c, *w, "vertex {v}: fill pass disagrees with count pass");
         }
-        CsrGraph {
-            num_vertices: self.num_vertices,
-            out_offsets: Offsets::from_u64(f.offsets),
-            out_targets: Seg::Owned(f.targets),
-            in_offsets: None,
-            in_targets: None,
-        }
+        CsrGraph::from_parts(self.num_vertices, Offsets::from_u64(f.offsets), Seg::Owned(f.targets))
     }
 }
 
@@ -434,6 +497,7 @@ mod tests {
         assert_eq!(g.in_neighbors(3), &[1, 2]);
         assert_eq!(g.in_neighbors(0), &[] as &[VertexId]);
         assert_eq!(g.in_degree(3), 2);
+        assert_eq!(g.in_index().offsets.width(), 4, "as narrow as the out-CSR's offsets");
         // Idempotent.
         g.build_in_edges();
         assert_eq!(g.in_degree(3), 2);
@@ -458,11 +522,69 @@ mod tests {
     }
 
     #[test]
-    fn raw_bytes_counts_both_directions() {
-        let mut g = diamond();
+    fn raw_bytes_ignore_the_built_caches() {
+        let g = diamond();
         let out_only = g.raw_bytes();
-        g.build_in_edges();
-        assert!(g.raw_bytes() > out_only);
+        g.in_index();
+        g.text_bytes(GraphFormat::Adj);
+        assert!(g.has_in_edges());
+        assert_eq!(g.raw_bytes(), out_only);
+        assert_eq!(g, diamond());
+    }
+
+    #[test]
+    fn in_index_built_from_two_threads_is_the_transpose() {
+        let mut el = EdgeList::new(300);
+        let mut rng = crate::rng::Rng::seed_from_u64(5);
+        for _ in 0..3_000 {
+            el.push(rng.below_u32(300), rng.below_u32(300));
+        }
+        let g = CsrGraph::from_edge_list(&el);
+        let (offsets, sources) = g.transpose();
+        let start = std::sync::Barrier::new(2);
+        let built: Vec<&InIndex> = std::thread::scope(|s| {
+            let first_use = || {
+                start.wait();
+                g.in_index()
+            };
+            let threads: Vec<_> = (0..2).map(|_| s.spawn(first_use)).collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert!(std::ptr::eq(built[0], built[1]), "both threads read one index");
+        for v in 0..300 {
+            let (s, e) = (offsets[v] as usize, offsets[v + 1] as usize);
+            assert_eq!(g.in_neighbors(v as VertexId), &sources[s..e]);
+        }
+    }
+
+    #[test]
+    fn text_bytes_match_the_real_encoding() {
+        // A self-loop, a parallel edge, isolated vertices, and
+        // `num_vertices` above the largest id.
+        let pairs = [(0, 1), (0, 25), (12, 3), (999, 0), (7, 7), (0, 25)];
+        let mut el = crate::builder::edge_list_from_pairs(&pairs);
+        el.num_vertices = 1_000;
+        let mut wide = el.clone();
+        wide.num_vertices = 12_345;
+        for el in [el, wide] {
+            let g = CsrGraph::from_edge_list(&el);
+            for fmt in [GraphFormat::Adj, GraphFormat::AdjLong, GraphFormat::EdgeListFormat] {
+                let want = crate::format::encoded_size(&el, fmt);
+                assert_eq!(g.text_bytes(fmt), want, "{} at n = {}", fmt.name(), el.num_vertices);
+            }
+        }
+    }
+
+    #[test]
+    fn digits_match_the_decimal_text() {
+        let mut xs = vec![0, u64::MAX];
+        for e in 0..=19 {
+            let p = 10u64.pow(e);
+            xs.extend([p, p - 1]);
+        }
+        for x in xs {
+            assert_eq!(digits(x), x.to_string().len() as u64, "{x}");
+        }
     }
 
     #[test]

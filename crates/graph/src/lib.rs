@@ -5,7 +5,7 @@
 //!
 //! * [`EdgeList`] — a simple directed edge list used during generation and
 //!   partitioning,
-//! * [`CsrGraph`] — a compressed-sparse-row graph with optional in-edge
+//! * [`CsrGraph`] — a compressed-sparse-row graph with a lazily built in-edge
 //!   index, used by every engine,
 //! * [`mod@format`] — the three on-disk text formats used by the paper's systems
 //!   (`adj`, `adj-long`, `edge`),

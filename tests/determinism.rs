@@ -45,6 +45,33 @@ fn shared_runner_state_does_not_bleed_between_runs() {
 }
 
 #[test]
+fn records_do_not_depend_on_which_cells_built_the_dataset_caches() {
+    // The reverse index and the text sizes are built by the first cell that
+    // needs them and kept with the dataset. A cell's record, its
+    // `dataset_mem_bytes` included, must be the same whether it builds them
+    // in a fresh environment or finds them built.
+    let cell = |system, workload| ExperimentSpec {
+        system,
+        workload,
+        dataset: DatasetKind::Twitter,
+        machines: 16,
+    };
+    let mut warm = Runner::new(PaperEnv::new(Scale { base: 600 }, 11));
+    assert!(!warm.env.prepare(DatasetKind::Twitter).graph.has_in_edges());
+    warm.run(&cell(SystemId::BlogelV, WorkloadKind::Wcc));
+    warm.run(&cell(SystemId::SingleThread, WorkloadKind::Sssp));
+    assert!(warm.env.prepare(DatasetKind::Twitter).graph.has_in_edges());
+    for spec in [
+        cell(SystemId::Giraph, WorkloadKind::KHop),
+        cell(SystemId::GraphX, WorkloadKind::Wcc),
+        cell(SystemId::SingleThread, WorkloadKind::PageRank),
+    ] {
+        let after = json::to_string(&warm.run(&spec));
+        assert_eq!(after, record_json(&spec), "{:?}/{:?}", spec.system, spec.workload);
+    }
+}
+
+#[test]
 fn results_are_identical_across_cluster_sizes() {
     // Simulated machine count affects metrics, never answers: WCC labels
     // from 4- and 32-machine runs of the same engine must agree.
