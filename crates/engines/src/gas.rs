@@ -1239,6 +1239,41 @@ mod tests {
     }
 
     #[test]
+    fn async_road_network_runs_pin_the_barrier_free_charges() {
+        // Async mode skips the traversal's barrier and inflates no op at two
+        // cores; the road network runs it for over a hundred rounds.
+        let ds = dataset(DatasetKind::Wrn);
+        let src = (0..ds.1.num_vertices() as VertexId).find(|&v| ds.1.out_degree(v) > 0).unwrap();
+        let sssp =
+            GraphLab::async_random().run(&input(&ds, Workload::Sssp { source: src }, 4, 1 << 30));
+        assert_eq!(sssp.result, Some(WorkloadResult::Distances(reference::sssp(&ds.1, src))));
+        assert_eq!(fingerprint(&sssp), ("OK", 0, 4612143568413951650, 580386, 24353));
+        let wcc = GraphLab::async_random().run(&input(&ds, Workload::Wcc, 4, 1 << 30));
+        assert_eq!(wcc.result, Some(WorkloadResult::Labels(reference::wcc(&ds.1))));
+        assert_eq!(fingerprint(&wcc), ("OK", 126, 4618812244966574686, 23343990, 888344));
+    }
+
+    #[test]
+    fn loop_exits_pin_a_zero_hop_wave_and_a_graph_of_self_loops() {
+        // K-hop at k = 0 charges one round that reaches nothing.
+        let ds = dataset(DatasetKind::Twitter);
+        let k0 = Workload::KHop { source: 0, k: 0 };
+        let khop = GraphLab::sync_random().run(&input(&ds, k0, 4, 1 << 30));
+        assert_eq!(khop.result, Some(WorkloadResult::Distances(reference::khop(&ds.1, 0, 0))));
+        assert_eq!(fingerprint(&khop), ("OK", 1, 4612210625218969743, 224832, 11893));
+        // Every edge a self-loop: GraphLab drops them all, so the first WCC
+        // round gathers nothing and the run stops before charging it.
+        let mut el = EdgeList::new(40);
+        for v in (0..40).step_by(3) {
+            el.push(v, v);
+        }
+        let loops = (el.clone(), CsrGraph::from_edge_list(&el));
+        let wcc = GraphLab::sync_random().run(&input(&loops, Workload::Wcc, 4, 1 << 30));
+        assert_eq!(wcc.result, Some(WorkloadResult::Labels(reference::wcc(&loops.1))));
+        assert_eq!(fingerprint(&wcc), ("OK", 0, 4612136387094582235, 57, 0));
+    }
+
+    #[test]
     fn async_pagerank_converges_to_the_same_fixpoint() {
         let ds = dataset(DatasetKind::Twitter);
         let tol = 1e-7;
