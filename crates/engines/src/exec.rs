@@ -2,15 +2,15 @@
 //! threads.
 //!
 //! The data-parallel kernels of this crate (PageRank's run-sum gather
-//! `gather::RunGather`, `util::pagerank_apply`, GraphLab's sync apply, and
-//! the radix shuffle's `shuffle::par_scatter`) iterate over sub-chunks of
-//! a vertex or item range inside their iteration hot loops. Those bodies
-//! are independent by construction (shared-nothing semantics), so they can
-//! run on separate host threads — as long as the *results* are merged in a
-//! fixed order. [`run_chunks`] is the only entry point. Every WCC and
-//! traversal (the BSP label path, Blogel-B's block phases, `MinLabel` and
-//! `expand` with the engines' round charges) is a serial scan and never
-//! calls it.
+//! `gather::RunGather`, `util::pagerank_apply` and the radix shuffle's
+//! `shuffle::par_scatter`) iterate over sub-chunks of a vertex or item range
+//! inside their iteration hot loops. Those bodies are independent by
+//! construction (shared-nothing semantics), so they can run on separate host
+//! threads — as long as the *results* are merged in a fixed order.
+//! [`run_chunks`] is the only entry point. Every WCC and traversal (the BSP
+//! label path, Blogel-B's block phases, `MinLabel` and `expand` with the
+//! engines' round charges) and GraphLab's sync PageRank apply are serial
+//! scans and never call it.
 //!
 //! The contract this module enforces:
 //!

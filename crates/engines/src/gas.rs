@@ -23,15 +23,14 @@
 //!   records released at a rate that *shrinks with cluster size* accumulate
 //!   on long-running workloads — the WRN-at-128-machines OOM of Figure 10.
 
-use crate::exec;
-use crate::gather::{expand, MinLabel, RunGather};
+use crate::gather::{KHopEnd, Rounds, RunGather};
 use crate::recovery::{Recovery, RecoveryModel};
 use crate::{even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::{PageRankConfig, StopCriterion};
-use graphbench_algos::{Workload, WorkloadResult, UNREACHABLE};
+use graphbench_algos::{Workload, WorkloadResult};
 use graphbench_graph::format::GraphFormat;
 use graphbench_graph::rng::Rng;
-use graphbench_graph::{CsrGraph, EdgeList, VertexId};
+use graphbench_graph::{EdgeList, VertexId};
 use graphbench_partition::{VertexCutPartition, VertexCutStrategy};
 use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
 
@@ -342,7 +341,6 @@ fn execute(
     // boundary, detected through the same unified recovery layer as every
     // other engine.
     let mut recovery = Recovery::new(cluster, RecoveryModel::QueryRestart);
-    let g = input.graph;
     let result = match input.workload {
         Workload::PageRank(pr) => {
             let mut cfg = pr;
@@ -352,12 +350,17 @@ fn execute(
                 GasMode::Async => async_pagerank(cluster, &ctx, &cfg, updates, &mut recovery)?,
             })
         }
-        Workload::Wcc => WorkloadResult::Labels(wcc_propagate(cluster, &ctx, g, &mut recovery)?),
-        Workload::Sssp { source } => {
-            WorkloadResult::Distances(traversal(cluster, &ctx, g, source, u32::MAX, &mut recovery)?)
-        }
-        Workload::KHop { source, k } => {
-            WorkloadResult::Distances(traversal(cluster, &ctx, g, source, k, &mut recovery)?)
+        workload => {
+            // `Rounds` builds a gather for PageRank only.
+            let mut rounds = Rounds::new(input.graph, workload, false, || unreachable!());
+            match workload {
+                Workload::Wcc => wcc_propagate(cluster, &ctx, &mut rounds, &mut recovery)?,
+                Workload::KHop { k, .. } => {
+                    traversal(cluster, &ctx, &mut rounds, k, &mut recovery)?
+                }
+                _ => traversal(cluster, &ctx, &mut rounds, u32::MAX, &mut recovery)?,
+            }
+            rounds.into_result()
         }
     };
 
@@ -489,43 +492,31 @@ fn sync_pagerank(
         StopCriterion::Tolerance(t) => (t, u32::MAX),
         StopCriterion::Iterations(k) => (0.0, k),
     };
-    struct ApplyTask<'a> {
-        base: usize,
-        ranks: &'a mut [f64],
-        active: &'a mut [bool],
-    }
-    struct ApplyChunk {
-        max_delta: f64,
-        updated: u64,
-        by_master: Vec<u64>,
-        deactivated: bool,
-    }
     // Each destination's in-edge sources, one run per machine in edge
     // order: the per-machine partials and their machine-order merge, folded
     // in one pass (see `RunGather`).
     let mut runs = RunGather::build(n, ctx.machines, |m| ctx.data[m].edges.iter().copied());
-    // The gather charge and the mirror sync (every applied vertex) depend
-    // only on `active`: counted once, again only after an apply step
-    // deactivates a vertex, which exact mode never does.
-    let active_sync =
-        |active: &[bool]| ctx.mirror_traffic((0..n as VertexId).filter(|&v| active[v as usize]));
-    let mut charge = gather_charge(ctx, &active);
-    let mut sync = active_sync(&active);
-    let mut deactivated = false;
-    let apply_spans = exec::uniform_spans(n, exec::chunk_size());
-    let mut incoming = vec![0.0f64; n];
-    let mut apply_ops = vec![0.0f64; ctx.machines];
-    let mut iter = 0u32;
-    loop {
-        if iter >= max_iters {
-            break;
+    // The gather charge, the mirror sync and the apply (every active vertex,
+    // one op at its master) depend only on `active`: counted once, again
+    // only after an apply step deactivates a vertex, which exact mode never
+    // does.
+    let count = |active: &[bool]| {
+        let applied = || (0..n as VertexId).filter(|&v| active[v as usize]);
+        let mut apply = vec![0.0f64; ctx.machines];
+        for v in applied() {
+            apply[ctx.part.master_of(v) as usize] += 1.0;
         }
+        (gather_charge(ctx, active), ctx.mirror_traffic(applied()), apply)
+    };
+    let (mut charge, mut sync, mut apply) = count(&active);
+    let mut deactivated = false;
+    let mut incoming = vec![0.0f64; n];
+    for _ in 0..max_iters {
         // Gather: every active destination sums `rank / out-degree` over its
         // in-edges; approximate mode leaves inactive ones at 0.0.
         cluster.set_label("gather");
         if deactivated {
-            charge = gather_charge(ctx, &active);
-            sync = active_sync(&active);
+            (charge, sync, apply) = count(&active);
         }
         let deg = |u: usize| u64::from(ctx.outdeg[u]);
         runs.gather(&ranks, deg, cfg.approximate.then_some(&active[..]), &mut incoming);
@@ -534,59 +525,25 @@ fn sync_pagerank(
         cluster.exchange(&charge.sent, &charge.recv, &charge.msgs)?;
         cluster.free_all(&charge.transient);
 
-        // Apply at masters + scatter new values to mirrors: vertex-range
-        // chunk tasks own disjoint rank/active windows. `max_delta` is an
-        // order-free max-fold and the per-master op counts stay integral
-        // until the merge, so the serial result is reproduced exactly.
+        // Apply at masters + scatter new values to mirrors.
         cluster.set_label("apply");
-        let mut tasks: Vec<ApplyTask> = Vec::with_capacity(apply_spans.len());
-        {
-            let mut ranks_rest: &mut [f64] = &mut ranks;
-            let mut active_rest: &mut [bool] = &mut active;
-            for &(s, e) in &apply_spans {
-                let (rw, rt) = ranks_rest.split_at_mut(e - s);
-                let (aw, at) = active_rest.split_at_mut(e - s);
-                tasks.push(ApplyTask { base: s, ranks: rw, active: aw });
-                ranks_rest = rt;
-                active_rest = at;
-            }
-        }
-        let apply_steps: Vec<ApplyChunk> = exec::run_chunks(&mut tasks, |_, t| {
-            let mut max_delta = 0.0f64;
-            let mut updated = 0u64;
-            let mut by_master = vec![0u64; ctx.machines];
-            let mut deactivated = false;
-            for i in 0..t.ranks.len() {
-                if !t.active[i] {
-                    continue;
-                }
-                let v = t.base + i;
-                let new = cfg.damping + (1.0 - cfg.damping) * incoming[v];
-                let delta = (new - t.ranks[i]).abs();
-                max_delta = max_delta.max(delta);
-                t.ranks[i] = new;
-                updated += 1;
-                by_master[ctx.part.master_of(v as VertexId) as usize] += 1;
-                if cfg.approximate && delta < tol {
-                    t.active[i] = false;
-                    deactivated = true;
-                }
-            }
-            ApplyChunk { max_delta, updated, by_master, deactivated }
-        });
         let mut max_delta = 0.0f64;
-        let mut updated = 0u64;
-        apply_ops.fill(0.0);
         deactivated = false;
-        for step in &apply_steps {
-            max_delta = max_delta.max(step.max_delta);
-            updated += step.updated;
-            deactivated |= step.deactivated;
-            for (m, &c) in step.by_master.iter().enumerate() {
-                apply_ops[m] += c as f64;
+        for v in 0..n {
+            if !active[v] {
+                continue;
+            }
+            let new = cfg.damping + (1.0 - cfg.damping) * incoming[v];
+            let delta = (new - ranks[v]).abs();
+            max_delta = max_delta.max(delta);
+            ranks[v] = new;
+            if cfg.approximate && delta < tol {
+                active[v] = false;
+                deactivated = true;
             }
         }
-        cluster.advance_compute(&apply_ops, ctx.effective_cores())?;
+        let updated = apply.iter().sum::<f64>() as u64;
+        cluster.advance_compute(&apply, ctx.effective_cores())?;
         ctx.charge_traffic(cluster, &sync)?;
         if cluster.has_observers() {
             // Observability hint only: vertices applied this iteration.
@@ -597,7 +554,6 @@ fn sync_pagerank(
         recovery.at_barrier(cluster)?;
         cluster.sample_trace();
         updates.push(updated);
-        iter += 1;
         let stop =
             if cfg.approximate { !active.iter().any(|&a| a) } else { tol > 0.0 && max_delta < tol };
         if stop {
@@ -733,42 +689,37 @@ fn async_pagerank(
 /// reverse-edge discovery pass (§3.2).
 ///
 /// Every vertex is signaled in the first round, and after that exactly the
-/// vertices a neighbour's smaller label reaches: `best < label` of the
-/// round's HashMin step ([`MinLabel`]). Gathering only along edges with a
-/// signaled endpoint never changes a label, since an edge between two
+/// vertices a neighbour's smaller label reaches: the ones the round's
+/// HashMin step improves ([`Rounds::changed`]). Gathering only along edges
+/// with a signaled endpoint never changes a label, since an edge between two
 /// unsignaled endpoints joins equal labels. So the labels come from the
 /// kernel over the whole graph, and the signal set, one mask per round,
-/// prices the round.
+/// prices the round. A round that improves no label gathers along no edge,
+/// and the run ends before charging it.
 fn wcc_propagate(
     cluster: &mut Cluster,
     ctx: &GasCtx<'_>,
-    g: &CsrGraph,
+    rounds: &mut Rounds<'_>,
     recovery: &mut Recovery,
-) -> Result<Vec<VertexId>, SimError> {
-    let n = ctx.n;
-    let mut label: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut best: Vec<VertexId> = vec![0; n];
-    // The signal mask: set from `improved` each round, cleared when applied.
-    let mut improves = vec![false; n];
-    let mut improved = Vec::new();
-    let kernel = MinLabel::build(g);
-    let mut first = true;
+) -> Result<(), SimError> {
+    // The signal mask: set from each round's improved vertices, cleared
+    // once they are applied.
+    let mut signaled = vec![false; ctx.n];
     loop {
         cluster.set_label("gather");
-        kernel.step(&label, &mut best, &mut improved);
-        let improving = improved.len() as u64;
-        for &v in &improved {
-            improves[v as usize] = true;
+        rounds.step();
+        if rounds.done(KHopEnd::EmptyWave) {
+            return Ok(());
         }
-        let tally = wcc_tally(ctx, (!first).then_some(&improves[..]));
-        if tally[0].iter().all(|&ops| ops == 0) {
-            break;
+        let improved = rounds.changed().unwrap_or_default();
+        for &v in improved {
+            signaled[v as usize] = true;
         }
-        charge_round(cluster, ctx, &tally)?;
+        charge_round(cluster, ctx, &wcc_tally(ctx, (rounds.round() > 1).then_some(&signaled)))?;
         if cluster.has_observers() {
-            // Observability hint only: vertices whose component label will
-            // improve when this round's minima are applied.
-            cluster.report_active(improving);
+            // Observability hint only: vertices whose component label
+            // improves this round.
+            cluster.report_active(improved.len() as u64);
         }
         cluster.set_label("barrier");
         cluster.barrier()?;
@@ -776,17 +727,11 @@ fn wcc_propagate(
         cluster.sample_trace();
         // Apply: changed vertices sync their mirrors and signal their
         // neighbours for the next round.
-        for &v in &improved {
-            label[v as usize] = best[v as usize];
-            improves[v as usize] = false;
+        for &v in improved {
+            signaled[v as usize] = false;
         }
         ctx.charge_mirror_sync(cluster, improved.iter().copied())?;
-        if improved.is_empty() {
-            break;
-        }
-        first = false;
     }
-    Ok(label)
 }
 
 /// One WCC round's per-machine `[ops, sent, msgs, recv]`: the local edges
@@ -826,37 +771,32 @@ fn charge_round(
     cluster.exchange(sent, recv, msgs)
 }
 
-/// Signal-driven BFS (SSSP / K-hop) over directed in-gathers.
+/// Signal-driven BFS (SSSP / K-hop) over directed in-gathers, at most
+/// `bound` hops. GraphLab runs while any vertex is signaled, so a K-hop run
+/// also charges the round at depth `bound`, which reaches nothing.
 fn traversal(
     cluster: &mut Cluster,
     ctx: &GasCtx<'_>,
-    g: &CsrGraph,
-    source: VertexId,
+    rounds: &mut Rounds<'_>,
     bound: u32,
     recovery: &mut Recovery,
-) -> Result<Vec<u32>, SimError> {
-    let n = ctx.n;
-    let mut dist = vec![UNREACHABLE; n];
-    dist[source as usize] = 0;
-    let (mut frontier, mut next) = (vec![source], Vec::new());
-    let out = out_edges(ctx.data, n);
-    let mut depth = 0u32;
-    while !frontier.is_empty() {
+) -> Result<(), SimError> {
+    let out = out_edges(ctx.data, ctx.n);
+    while !rounds.done(KHopEnd::EmptyWave) {
         // Scatter from the frontier along local out-edges; improvements are
         // applied at target masters.
         cluster.set_label("scatter");
-        charge_round(cluster, ctx, &frontier_charge(ctx, &out, &dist, &frontier, bound))?;
+        let frontier = rounds.changed().unwrap_or_default();
+        charge_round(cluster, ctx, &frontier_charge(ctx, &out, rounds.dist(), frontier, bound))?;
         if ctx.engine.mode == GasMode::Sync {
             cluster.set_label("barrier");
             cluster.barrier()?;
         }
         recovery.at_barrier(cluster)?;
-        expand(g, &mut dist, &frontier, depth, bound, &mut next);
-        std::mem::swap(&mut frontier, &mut next);
-        ctx.charge_mirror_sync(cluster, frontier.iter().copied())?;
-        depth += 1;
+        rounds.step();
+        ctx.charge_mirror_sync(cluster, rounds.changed().unwrap_or_default().iter().copied())?;
     }
-    Ok(dist)
+    Ok(())
 }
 
 /// One traversal round's charge: each local out-edge of a frontier vertex
@@ -893,10 +833,12 @@ fn frontier_charge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gather::expand;
     use crate::ScaleInfo;
-    use graphbench_algos::reference;
+    use graphbench_algos::{reference, UNREACHABLE};
     use graphbench_gen::{Dataset, DatasetKind, Scale};
     use graphbench_graph::rng::for_each_seed;
+    use graphbench_graph::CsrGraph;
     use graphbench_sim::ClusterSpec;
 
     fn dataset(kind: DatasetKind) -> (EdgeList, CsrGraph) {

@@ -39,11 +39,13 @@
 //! engine's charges.
 //!
 //! Hadoop/HaLoop, Vertica and GraphX run all four workloads through one
-//! loop each, and differ only in what a round costs: HDFS passes, SQL joins
-//! or RDD stages. [`Rounds`] is what the loop steps: the ranks, labels or
-//! distances, the last round's changed vertices, the stop test, and a saved
-//! copy of the state for GraphX's lineage replay. The pricing stays in the
-//! engine.
+//! loop each, and GraphLab its WCC and traversal; they differ only in what a
+//! round costs: HDFS passes, SQL joins, RDD stages or vertex-cut mirror
+//! syncs. [`Rounds`] is what the loop steps: the ranks, labels or distances,
+//! the last round's changed vertices, the stop test, and a saved copy of the
+//! state for GraphX's lineage replay. The pricing stays in the engine.
+//! GraphLab keeps its own PageRank loops: its degrees exclude self-edges,
+//! its approximate mode masks the gather, and its async mode has no rounds.
 
 use crate::exec;
 use graphbench_algos::workload::StopCriterion;
@@ -380,8 +382,9 @@ pub(crate) enum KHopEnd {
     EmptyWave,
 }
 
-/// One dataflow run (Hadoop/HaLoop, Vertica, GraphX) of one workload: its
-/// per-vertex state, the kernel that steps it a round, and the round count.
+/// One dataflow run (Hadoop/HaLoop, Vertica, GraphX; GraphLab's WCC and
+/// traversal) of one workload: its per-vertex state, the kernel that steps
+/// it a round, and the round count.
 /// The engine prices each round around [`Rounds::step`].
 pub(crate) struct Rounds<'g> {
     g: &'g CsrGraph,
@@ -542,6 +545,15 @@ impl<'g> Rounds<'g> {
             Work::PageRank { .. } => None,
             Work::Wcc { changed, .. } => Some(changed),
             Work::Traversal { frontier, .. } => Some(frontier),
+        }
+    }
+
+    /// A traversal's distances, before the next [`Rounds::step`] applies
+    /// its wave (empty for PageRank and WCC).
+    pub(crate) fn dist(&self) -> &[u32] {
+        match &self.work {
+            Work::Traversal { dist, .. } => dist,
+            _ => &[],
         }
     }
 
