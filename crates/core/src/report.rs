@@ -54,23 +54,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV.
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &String| -> String {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        };
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.headers.iter().map(esc).collect::<Vec<_>>().join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.iter().map(esc).collect::<Vec<_>>().join(","));
-        }
-        out
-    }
 }
 
 /// Seconds formatted the way the paper annotates bars.
@@ -450,13 +433,6 @@ mod tests {
     fn table_rejects_ragged_rows() {
         let mut t = Table::new("demo", &["a"]);
         t.row(vec!["1".into(), "2".into()]);
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = Table::new("", &["x"]);
-        t.row(vec!["a,b".into()]);
-        assert!(t.to_csv().contains("\"a,b\""));
     }
 
     #[test]

@@ -319,11 +319,6 @@ impl MultiRunRecord {
         self.runs.iter().all(|r| r.metrics.status.code() == first).then_some(first)
     }
 
-    /// Summarize `f` over every run (failed runs included).
-    pub fn summary_of(&self, f: impl Fn(&RunRecord) -> f64) -> Summary {
-        Summary::of(self.runs.iter().map(f))
-    }
-
     /// Summarize `f` over the successful runs only (empty summary — NaN
     /// bounds — when every seed failed).
     pub fn ok_summary_of(&self, f: impl Fn(&RunRecord) -> f64) -> Summary {

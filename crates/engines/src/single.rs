@@ -12,18 +12,11 @@ use crate::{even_share, result_bytes, Engine, EngineInput, RunOutput};
 use graphbench_algos::workload::PageRankConfig;
 use graphbench_algos::{st, Workload, WorkloadResult};
 use graphbench_graph::format::GraphFormat;
-use graphbench_sim::{Cluster, ClusterSpec, CostProfile, Phase, SimError};
+use graphbench_sim::{Cluster, CostProfile, Phase, SimError};
 
 /// Single-threaded GAP-style baseline.
 #[derive(Debug, Clone, Default)]
 pub struct SingleThread;
-
-impl SingleThread {
-    /// The paper's COST machine: one node, 512 GB (scaled by the caller).
-    pub fn cost_machine(memory: u64) -> ClusterSpec {
-        ClusterSpec { machines: 1, cores: 1, ..ClusterSpec::r3_xlarge(1, memory) }
-    }
-}
 
 impl Engine for SingleThread {
     fn short_name(&self) -> String {
@@ -108,6 +101,12 @@ mod tests {
     use graphbench_algos::workload::StopCriterion;
     use graphbench_gen::{Dataset, DatasetKind, Scale};
     use graphbench_graph::{CsrGraph, EdgeList};
+    use graphbench_sim::ClusterSpec;
+
+    /// The paper's COST machine: one node, 512 GB (scaled by the caller).
+    fn cost_machine(memory: u64) -> ClusterSpec {
+        ClusterSpec { machines: 1, cores: 1, ..ClusterSpec::r3_xlarge(1, memory) }
+    }
 
     fn dataset(kind: DatasetKind) -> (EdgeList, CsrGraph) {
         let d = Dataset::generate(kind, Scale { base: 400 }, 3);
@@ -120,7 +119,7 @@ mod tests {
             edges: &ds.0,
             graph: &ds.1,
             workload,
-            cluster: SingleThread::cost_machine(1 << 30),
+            cluster: cost_machine(1 << 30),
             seed: 7,
             scale: ScaleInfo::actual(&ds.0),
         }
@@ -166,7 +165,7 @@ mod tests {
         let out = SingleThread.run(&input(&ds, Workload::Wcc));
         assert!(out.metrics.status.is_ok());
         let bv = crate::blogel::BlogelV.run(&crate::EngineInput {
-            cluster: graphbench_sim::ClusterSpec::r3_xlarge(4, 1 << 30),
+            cluster: ClusterSpec::r3_xlarge(4, 1 << 30),
             ..input(&ds, Workload::Wcc)
         });
         assert!(bv.metrics.iterations > 10 * 3); // BSP pays the diameter
@@ -176,7 +175,7 @@ mod tests {
     fn oom_when_graph_exceeds_the_single_machine() {
         let ds = dataset(DatasetKind::Wrn);
         let mut inp = input(&ds, Workload::Wcc);
-        inp.cluster = SingleThread::cost_machine(10_000);
+        inp.cluster = cost_machine(10_000);
         let out = SingleThread.run(&inp);
         assert_eq!(out.metrics.status.code(), "OOM");
     }

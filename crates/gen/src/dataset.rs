@@ -65,11 +65,6 @@ impl Scale {
     pub fn small() -> Self {
         Scale { base: 12_000 }
     }
-
-    /// Heavier runs for the headline figures.
-    pub fn medium() -> Self {
-        Scale { base: 48_000 }
-    }
 }
 
 /// A generated dataset with its provenance.

@@ -1,88 +1,6 @@
-//! Incremental graph construction with validation and self-edge policy.
+//! Graphs from `(src, dst)` pairs, and the undirected view.
 
-use crate::{CsrGraph, Edge, EdgeList, GraphError, VertexId};
-
-/// What to do with self-edges (`v -> v`) during construction.
-///
-/// Real web graphs contain self-edges; the paper (§3.1.1) found GraphLab
-/// cannot represent them, so its loader uses [`SelfEdgePolicy::Drop`] and the
-/// drop count becomes a correctness caveat in reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelfEdgePolicy {
-    /// Keep self-edges (Giraph, Blogel, Hadoop, GraphX, Gelly, Vertica).
-    #[default]
-    Keep,
-    /// Silently drop self-edges but count them (GraphLab).
-    Drop,
-}
-
-/// Builds a validated [`EdgeList`] / [`CsrGraph`].
-#[derive(Debug, Clone)]
-pub struct GraphBuilder {
-    edges: EdgeList,
-    policy: SelfEdgePolicy,
-    dropped_self_edges: u64,
-    dedup: bool,
-}
-
-impl GraphBuilder {
-    pub fn new(num_vertices: u64) -> Self {
-        GraphBuilder {
-            edges: EdgeList::new(num_vertices),
-            policy: SelfEdgePolicy::Keep,
-            dropped_self_edges: 0,
-            dedup: false,
-        }
-    }
-
-    /// Set the self-edge policy (default: keep).
-    pub fn self_edges(mut self, policy: SelfEdgePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Deduplicate parallel edges when finishing (default: keep duplicates).
-    pub fn dedup(mut self, yes: bool) -> Self {
-        self.dedup = yes;
-        self
-    }
-
-    /// Add a directed edge, validating the endpoints.
-    pub fn add_edge(&mut self, src: u64, dst: u64) -> Result<(), GraphError> {
-        let n = self.edges.num_vertices;
-        if src >= n {
-            return Err(GraphError::VertexOutOfRange { vertex: src, num_vertices: n });
-        }
-        if dst >= n {
-            return Err(GraphError::VertexOutOfRange { vertex: dst, num_vertices: n });
-        }
-        if src == dst && self.policy == SelfEdgePolicy::Drop {
-            self.dropped_self_edges += 1;
-            return Ok(());
-        }
-        self.edges.push(src as VertexId, dst as VertexId);
-        Ok(())
-    }
-
-    /// Self-edges dropped so far under [`SelfEdgePolicy::Drop`].
-    pub fn dropped_self_edges(&self) -> u64 {
-        self.dropped_self_edges
-    }
-
-    /// Finish and return the edge list.
-    pub fn into_edge_list(mut self) -> EdgeList {
-        if self.dedup {
-            self.edges.sort_dedup();
-        }
-        self.edges
-    }
-
-    /// Finish and return the CSR graph.
-    pub fn into_csr(self) -> CsrGraph {
-        let el = self.into_edge_list();
-        CsrGraph::from_edge_list(&el)
-    }
-}
+use crate::{CsrGraph, Edge, EdgeList, VertexId};
 
 /// Convenience: build an [`EdgeList`] from `(src, dst)` pairs, inferring the
 /// vertex count as `max id + 1`. Intended for tests and examples.
@@ -117,48 +35,6 @@ pub fn symmetrize(el: &EdgeList) -> EdgeList {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builder_validates_endpoints() {
-        let mut b = GraphBuilder::new(3);
-        assert!(b.add_edge(0, 2).is_ok());
-        assert_eq!(
-            b.add_edge(0, 3),
-            Err(GraphError::VertexOutOfRange { vertex: 3, num_vertices: 3 })
-        );
-        assert_eq!(
-            b.add_edge(5, 0),
-            Err(GraphError::VertexOutOfRange { vertex: 5, num_vertices: 3 })
-        );
-    }
-
-    #[test]
-    fn drop_policy_counts_self_edges() {
-        let mut b = GraphBuilder::new(2).self_edges(SelfEdgePolicy::Drop);
-        b.add_edge(0, 0).unwrap();
-        b.add_edge(0, 1).unwrap();
-        b.add_edge(1, 1).unwrap();
-        assert_eq!(b.dropped_self_edges(), 2);
-        let el = b.into_edge_list();
-        assert_eq!(el.num_edges(), 1);
-    }
-
-    #[test]
-    fn keep_policy_retains_self_edges() {
-        let mut b = GraphBuilder::new(2);
-        b.add_edge(0, 0).unwrap();
-        b.add_edge(0, 1).unwrap();
-        let el = b.into_edge_list();
-        assert_eq!(el.num_edges(), 2);
-    }
-
-    #[test]
-    fn dedup_on_finish() {
-        let mut b = GraphBuilder::new(2).dedup(true);
-        b.add_edge(0, 1).unwrap();
-        b.add_edge(0, 1).unwrap();
-        assert_eq!(b.into_edge_list().num_edges(), 1);
-    }
 
     #[test]
     fn from_pairs_infers_vertex_count() {

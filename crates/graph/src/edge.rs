@@ -61,6 +61,7 @@ impl EdgeList {
     }
 
     /// Count self-edges without modifying the list.
+    #[cfg(test)]
     pub fn count_self_edges(&self) -> u64 {
         self.edges.iter().filter(|e| e.is_self_edge()).count() as u64
     }

@@ -13,9 +13,6 @@
 
 use crate::{EdgeList, GraphError, VertexId};
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::path::Path;
 
 /// The dataset encodings from the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,8 +85,8 @@ fn write_adj(el: &EdgeList, long: bool) -> String {
     out
 }
 
-/// Incremental parser state shared by the whole-text and streaming entry
-/// points: lines go in one at a time, the edge list comes out at the end.
+/// Incremental parser state of [`parse_graph`]: lines go in one at a time,
+/// the edge list comes out at the end.
 struct LineParser {
     format: GraphFormat,
     edges: Vec<(u64, u64)>,
@@ -196,77 +193,6 @@ pub fn parse_graph(
     p.finish(num_vertices)
 }
 
-fn invalid(e: GraphError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-}
-
-/// Write a dataset to `path`, streaming line-at-a-time through a
-/// [`BufWriter`] — never materializing the whole encoding in memory, unlike
-/// [`write_graph`]. Returns the encoded byte size (the number the simulator
-/// turns into HDFS block counts).
-pub fn write_graph_file(el: &EdgeList, format: GraphFormat, path: &Path) -> io::Result<u64> {
-    let mut w = BufWriter::new(File::create(path)?);
-    let mut line = String::new();
-    let mut bytes = 0u64;
-    match format {
-        GraphFormat::EdgeListFormat => {
-            for e in &el.edges {
-                line.clear();
-                let _ = writeln!(line, "{} {}", e.src, e.dst);
-                w.write_all(line.as_bytes())?;
-                bytes += line.len() as u64;
-            }
-        }
-        GraphFormat::Adj | GraphFormat::AdjLong => {
-            let long = format == GraphFormat::AdjLong;
-            let n = el.num_vertices as usize;
-            let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-            for e in &el.edges {
-                adj[e.src as usize].push(e.dst);
-            }
-            for (v, neigh) in adj.iter().enumerate() {
-                if neigh.is_empty() && !long {
-                    continue;
-                }
-                line.clear();
-                let _ = write!(line, "{v}");
-                if long {
-                    let _ = write!(line, " {}", neigh.len());
-                }
-                for t in neigh {
-                    let _ = write!(line, " {t}");
-                }
-                line.push('\n');
-                w.write_all(line.as_bytes())?;
-                bytes += line.len() as u64;
-            }
-        }
-    }
-    w.flush()?;
-    Ok(bytes)
-}
-
-/// Read a dataset from `path`, streaming line-at-a-time through a
-/// [`BufReader`] with a reused line buffer — the whole file is never held in
-/// memory at once. Parse errors surface as [`io::ErrorKind::InvalidData`].
-pub fn read_graph_file(
-    path: &Path,
-    format: GraphFormat,
-    num_vertices: Option<u64>,
-) -> io::Result<EdgeList> {
-    let mut rdr = BufReader::new(File::open(path)?);
-    let mut p = LineParser::new(format);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if rdr.read_line(&mut line)? == 0 {
-            break;
-        }
-        p.line(&line).map_err(invalid)?;
-    }
-    p.finish(num_vertices).map_err(invalid)
-}
-
 fn parse_field(field: Option<&str>, line: usize) -> Result<u64, GraphError> {
     match field {
         Some(f) => parse_num(f, line),
@@ -343,7 +269,6 @@ mod tests {
 
     #[test]
     fn rejects_ids_that_do_not_fit_a_vertex_id() {
-        let path = scratch("wide-ids");
         for fmt in [GraphFormat::Adj, GraphFormat::AdjLong, GraphFormat::EdgeListFormat] {
             let count = if fmt == GraphFormat::AdjLong { "1 " } else { "" };
             for (id, declared, vertex) in [
@@ -357,11 +282,7 @@ mod tests {
             ] {
                 let text = format!("{id} {count}1\n");
                 let want = GraphError::VertexOutOfRange { vertex, num_vertices: 1 << 32 };
-                assert_eq!(parse_graph(&text, fmt, declared), Err(want.clone()), "{text:?}");
-                std::fs::write(&path, &text).unwrap();
-                let err = read_graph_file(&path, fmt, declared).unwrap_err();
-                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-                assert_eq!(err.to_string(), want.to_string());
+                assert_eq!(parse_graph(&text, fmt, declared), Err(want), "{text:?}");
             }
             // The largest id that fits still parses.
             let el = parse_graph(&format!("4294967295 {count}1\n"), fmt, None).unwrap();
@@ -388,41 +309,6 @@ mod tests {
         assert!(parse_graph("a b\n", GraphFormat::EdgeListFormat, None).is_err());
         assert!(parse_graph("0\n", GraphFormat::EdgeListFormat, None).is_err());
         assert!(parse_graph("0 1 2\n", GraphFormat::EdgeListFormat, None).is_err());
-    }
-
-    fn scratch(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("graphbench-format-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
-
-    #[test]
-    fn file_round_trip_matches_in_memory_encoding() {
-        let el = sample();
-        for fmt in [GraphFormat::Adj, GraphFormat::AdjLong, GraphFormat::EdgeListFormat] {
-            let path = scratch(&format!("sample.{}", fmt.name()));
-            let bytes = write_graph_file(&el, fmt, &path).unwrap();
-            // Streaming writer produces byte-identical output to the
-            // in-memory writer, and reports the same encoded size.
-            assert_eq!(std::fs::read_to_string(&path).unwrap(), write_graph(&el, fmt));
-            assert_eq!(bytes, encoded_size(&el, fmt));
-            let back = read_graph_file(&path, fmt, Some(4)).unwrap();
-            assert_eq!(back, parse_graph(&write_graph(&el, fmt), fmt, Some(4)).unwrap());
-        }
-    }
-
-    #[test]
-    fn file_write_to_missing_dir_errors() {
-        let path = scratch("no-such-dir").join("g.edge");
-        assert!(write_graph_file(&sample(), GraphFormat::EdgeListFormat, &path).is_err());
-    }
-
-    #[test]
-    fn file_parse_errors_surface_as_invalid_data() {
-        let path = scratch("garbage.edge");
-        std::fs::write(&path, "not numbers\n").unwrap();
-        let err = read_graph_file(&path, GraphFormat::EdgeListFormat, None).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

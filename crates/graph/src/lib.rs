@@ -7,8 +7,10 @@
 //!   partitioning,
 //! * [`CsrGraph`] — a compressed-sparse-row graph with a lazily built in-edge
 //!   index, used by every engine,
-//! * [`mod@format`] — the three on-disk text formats used by the paper's systems
-//!   (`adj`, `adj-long`, `edge`),
+//! * [`builder`] — edge lists and CSR graphs from `(src, dst)` pairs, and
+//!   the symmetrized (undirected) edge list,
+//! * [`mod@format`] — the three text formats used by the paper's systems
+//!   (`adj`, `adj-long`, `edge`), encoded and parsed in memory,
 //! * [`disk`] — a compact binary CSR format with mmap-backed zero-copy
 //!   loading, backing the dataset cache,
 //! * [`rng`] — the seeded random stream every generator, sampler and
@@ -30,7 +32,6 @@ pub mod format;
 pub mod rng;
 pub mod stats;
 
-pub use builder::{GraphBuilder, SelfEdgePolicy};
 pub use csr::{CsrBuilder, CsrGraph};
 pub use edge::{Edge, EdgeList};
 pub use stats::GraphStats;

@@ -246,25 +246,6 @@ fn histogram_quantile(histogram: &[u64], percentile: f64) -> f64 {
     (histogram.len() - 1) as f64
 }
 
-/// Out-degree histogram on a log2 scale: `bucket[i]` counts vertices with
-/// out-degree in `[2^i, 2^(i+1))`; `bucket[0]` additionally counts degree 0
-/// and 1 separately packed as the first two entries of the returned pair.
-///
-/// Used by tests to assert that generated "social network" datasets are
-/// heavy-tailed while road networks are not.
-pub fn degree_histogram_log2(g: &CsrGraph) -> Vec<u64> {
-    let mut buckets = vec![0u64; 34];
-    for v in 0..g.num_vertices() as VertexId {
-        let d = g.out_degree(v);
-        let b = if d == 0 { 0 } else { 64 - (d.leading_zeros() as usize) };
-        buckets[b.min(33)] += 1;
-    }
-    while buckets.last() == Some(&0) && buckets.len() > 1 {
-        buckets.pop();
-    }
-    buckets
-}
-
 /// What the sweeps replaced, kept as the reference the tests compare against:
 /// one sorted, deduplicated heap list per vertex and a `VecDeque` BFS per
 /// caller.
@@ -505,18 +486,6 @@ mod tests {
         // 6-cycle: true diameter 3; double sweep finds >= 3.
         let g = csr_from_pairs(&[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
         assert!(pseudo_diameter(&g, 0) >= 3);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        // degrees: v0=4, v1=1, v2=0, v3=0
-        let g = csr_from_pairs(&[(0, 1), (0, 2), (0, 3), (0, 1), (1, 0)]);
-        let h = degree_histogram_log2(&g);
-        // bucket 0: degree 0 -> two vertices (2 and 3)
-        assert_eq!(h[0], 2);
-        // degree 1 -> bucket 1, degree 4 -> bucket 3
-        assert_eq!(h[1], 1);
-        assert_eq!(h[3], 1);
     }
 
     #[test]

@@ -126,6 +126,7 @@ impl ObserverHub {
         self.sinks.lock().unwrap().push(sink);
     }
 
+    #[cfg(test)]
     pub fn has_sinks(&self) -> bool {
         !self.sinks.lock().unwrap().is_empty()
     }

@@ -97,6 +97,7 @@ impl LocalIndex {
 
     /// Global id of local `l` on machine `m`.
     #[inline]
+    #[cfg(test)]
     pub fn global_of(&self, m: usize, l: u32) -> VertexId {
         self.globals[m][l as usize]
     }

@@ -165,6 +165,7 @@ impl BlockPartition {
     }
 
     /// Machine hosting vertex `v` (via its block).
+    #[cfg(test)]
     pub fn machine_of_vertex(&self, v: VertexId) -> MachineId {
         self.machine_of_block[self.block_of[v as usize] as usize]
     }

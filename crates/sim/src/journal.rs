@@ -356,6 +356,7 @@ impl Journal {
     }
 
     /// Sum of event durations in one phase, in event order.
+    #[cfg(test)]
     pub fn phase_time(&self, phase: Phase) -> f64 {
         let mut t = 0.0;
         for ev in &self.events {

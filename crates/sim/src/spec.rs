@@ -368,11 +368,13 @@ impl ClusterSpec {
     }
 
     /// Total memory across the cluster.
+    #[cfg(test)]
     pub fn total_memory(&self) -> u64 {
         self.memory_per_machine * self.machines as u64
     }
 
     /// Total cores across the cluster.
+    #[cfg(test)]
     pub fn total_cores(&self) -> u32 {
         self.cores * self.machines as u32
     }
